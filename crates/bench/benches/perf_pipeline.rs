@@ -5,7 +5,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dmig_bench::corpus::multi_component_even;
 use dmig_bench::seed_baseline::solve_even_seed;
 use dmig_core::even::solve_even;
-use dmig_core::parallel::{default_threads, solve_split};
+use dmig_core::parallel::{default_threads, ParallelSolver};
+use dmig_core::solver::{EvenOptimalSolver, Solver};
 use dmig_core::MigrationProblem;
 use dmig_workloads::{capacities, random};
 
@@ -35,6 +36,7 @@ fn component_parallel(c: &mut Criterion) {
     group.sample_size(10);
     let p = multi_component_even(8, 125, 500, 0xC0);
     let threads = default_threads();
+    let split = |threads| ParallelSolver::with_threads(Box::new(EvenOptimalSolver), threads);
     group.bench_with_input(
         BenchmarkId::new("whole_graph", p.num_disks()),
         &p,
@@ -46,18 +48,16 @@ fn component_parallel(c: &mut Criterion) {
         BenchmarkId::new("split_1_thread", p.num_disks()),
         &p,
         |b, p| {
-            b.iter(|| solve_split(p, 1, solve_even).expect("solves").makespan());
+            let solver = split(1);
+            b.iter(|| solver.solve(p).expect("solves").makespan());
         },
     );
     group.bench_with_input(
         BenchmarkId::new(format!("split_{threads}_threads"), p.num_disks()),
         &p,
         |b, p| {
-            b.iter(|| {
-                solve_split(p, threads, solve_even)
-                    .expect("solves")
-                    .makespan()
-            });
+            let solver = split(threads);
+            b.iter(|| solver.solve(p).expect("solves").makespan());
         },
     );
     group.finish();

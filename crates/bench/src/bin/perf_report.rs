@@ -50,13 +50,21 @@ use dmig_bench::corpus::{
 };
 use dmig_bench::seed_baseline::solve_even_seed;
 use dmig_core::even::solve_even;
-use dmig_core::parallel::{default_threads, solve_split};
+use dmig_core::parallel::{default_threads, ParallelSolver};
 use dmig_core::shard::{solve_sharded, ShardConfig};
-use dmig_core::solver::Solver as _;
-use dmig_core::MigrationProblem;
+use dmig_core::solver::{EvenOptimalSolver, Solver as _};
+use dmig_core::{MigrationProblem, MigrationSchedule};
 use dmig_flow::{quota_euler_splits, quota_flow_solves};
 use dmig_graph::euler::{euler_orientation, euler_orientation_parallel, OrientScratch};
 use dmig_workloads::{capacities, random};
+
+/// The default solve: `ParallelSolver` over the even solver, whose cells
+/// are the connected components (nothing is cut).
+fn solve_uncut(problem: &MigrationProblem, threads: usize) -> MigrationSchedule {
+    ParallelSolver::with_threads(Box::new(EvenOptimalSolver), threads)
+        .solve(problem)
+        .expect("even instance solves")
+}
 
 /// Median-of-`reps` wall time in milliseconds.
 fn time_ms<F: FnMut() -> u64>(reps: usize, mut f: F) -> f64 {
@@ -191,20 +199,11 @@ fn main() {
             .expect("even instance solves")
             .makespan() as u64
     });
-    let split1_ms = time_ms(reps, || {
-        solve_split(&problem, 1, solve_even)
-            .expect("even instance solves")
-            .makespan() as u64
-    });
+    let split1_ms = time_ms(reps, || solve_uncut(&problem, 1).makespan() as u64);
     // With one hardware thread `split_n_threads_ms` would duplicate the
     // 1-thread number under a misleading name; withhold it instead.
-    let splitn_ms = (threads >= 2).then(|| {
-        time_ms(reps, || {
-            solve_split(&problem, threads, solve_even)
-                .expect("even instance solves")
-                .makespan() as u64
-        })
-    });
+    let splitn_ms =
+        (threads >= 2).then(|| time_ms(reps, || solve_uncut(&problem, threads).makespan() as u64));
     let _ = writeln!(json, "  \"component_parallel\": {{");
     let _ = writeln!(json, "    \"components\": {components},");
     let _ = writeln!(json, "    \"nodes\": {},", problem.num_disks());
@@ -256,9 +255,9 @@ fn main() {
     // Determinism spot-check before timing: byte-identical schedules at
     // every thread count (the proptest suite covers small instances; this
     // covers the big one the timings are taken on).
-    let baseline = solve_split(&problem, 1, solve_even).expect("even instance solves");
+    let baseline = solve_uncut(&problem, 1);
     for t in [2usize, 4] {
-        let s = solve_split(&problem, t, solve_even).expect("even instance solves");
+        let s = solve_uncut(&problem, t);
         assert_eq!(baseline, s, "schedule must not depend on thread count");
     }
 
@@ -268,18 +267,14 @@ fn main() {
     let mut intra_ms: [Option<f64>; 3] = [None; 3];
     for (slot, t) in [1usize, 2, 4].into_iter().enumerate() {
         if threads >= t {
-            intra_ms[slot] = Some(time_ms(reps, || {
-                solve_split(&problem, t, solve_even)
-                    .expect("even instance solves")
-                    .makespan() as u64
-            }));
+            intra_ms[slot] = Some(time_ms(reps, || solve_uncut(&problem, t).makespan() as u64));
         }
     }
 
     // Instrumented pass: warm-start and pool counters for this instance.
     dmig_obs::reset();
     dmig_obs::set_enabled(true);
-    let _ = solve_split(&problem, 4, solve_even).expect("even instance solves");
+    let _ = solve_uncut(&problem, 4);
     dmig_obs::set_enabled(false);
     let intra_snap = dmig_obs::snapshot();
     dmig_obs::reset();
@@ -461,11 +456,7 @@ fn main() {
         }
     }
 
-    let unsharded_ms = time_ms(reps, || {
-        solve_split(&problem, threads, solve_even)
-            .expect("even instance solves")
-            .makespan() as u64
-    });
+    let unsharded_ms = time_ms(reps, || solve_uncut(&problem, threads).makespan() as u64);
     let sharded1_ms = time_ms(reps, || {
         solve_sharded(&problem, shard_cfg(4), 1, solve_even)
             .expect("even instance solves")

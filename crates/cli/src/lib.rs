@@ -24,6 +24,7 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use dmig_core::parallel::{default_threads, ParallelSolver};
+use dmig_core::shard::{solve_sharded, ShardConfig};
 use dmig_core::solver::{all_solvers, solver_by_name, AutoSolver, Solver};
 use dmig_core::{bounds, MigrationProblem};
 use dmig_obs::{diff, gate, history, trace, Value};
@@ -204,10 +205,9 @@ fn parse_threads(args: &[String]) -> Result<usize, String> {
     }
 }
 
-/// Parses the optional `--shards K` of `solve`: `None` keeps the plain
-/// component-parallel path, `Some(k)` routes through the sharded pipeline
-/// (which produces the same schedule — `--shards` controls concurrency
-/// shape, never the plan).
+/// Parses the optional `--shards K` of `solve`: `None` solves whole
+/// connected components, `Some(k)` also cuts components over the default
+/// cell budget and groups the cells onto `k` workers.
 fn parse_shards(args: &[String]) -> Result<Option<usize>, String> {
     match flag_value(args, "--shards") {
         Some(s) => match s.parse::<usize>() {
@@ -319,7 +319,6 @@ const WELL_KNOWN_COUNTERS: &[&str] = &[
     dmig_obs::keys::WARM_START_HITS,
     dmig_obs::keys::WARM_START_MISSES,
     dmig_obs::keys::EULER_ORIENTATIONS,
-    dmig_obs::keys::COMPONENTS_SOLVED,
     dmig_obs::keys::DINIC_CALLS,
     dmig_obs::keys::DINIC_BFS_PHASES,
     dmig_obs::keys::DINIC_AUGMENTING_PATHS,
@@ -534,25 +533,18 @@ fn cmd_solve(args: &[String]) -> Result<String, String> {
     let problem =
         instance::parse_instance(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
     let solver = pick_solver(args)?;
-    let threads = parse_threads(args)?;
-    let shards = parse_shards(args)?;
+    let threads = solver.threads();
+    // Without --shards the cells are the connected components, exactly as
+    // `ParallelSolver` solves them; --shards K also cuts heavy components.
+    let config = parse_shards(args)?.map_or(ShardConfig::uncut(threads), ShardConfig::with_shards);
     let obs = parse_obs(args)?;
     obs.begin()?;
     dmig_obs::gauge_set(dmig_obs::keys::LIVE_PHASE, dmig_obs::phase::SOLVE);
     let started = Instant::now();
-    // The sharded pipeline and the plain component-parallel path compute
-    // the same schedule; --shards only changes how the work is grouped.
-    let solved = match shards {
-        Some(k) => dmig_core::shard::solve_sharded(
-            &problem,
-            dmig_core::shard::ShardConfig::with_shards(k),
-            threads,
-            |piece| solver.inner().solve(piece),
-        )
-        .map(|(schedule, _report)| schedule),
-        None => solver.solve(&problem),
-    };
-    let schedule = match solved {
+    let solved = solve_sharded(&problem, config, threads, |piece| {
+        solver.inner().solve(piece)
+    });
+    let schedule = match solved.map(|(schedule, _report)| schedule) {
         Ok(s) => s,
         Err(e) => {
             obs.abandon();
@@ -1311,7 +1303,19 @@ fn cmd_generate(args: &[String]) -> Result<String, String> {
 mod tests {
     use super::*;
 
+    /// The recorder is process-global and every solve writes its
+    /// `live.*`/`shard.*` gauges, so no run may overlap a run that has the
+    /// recorder enabled: its gauge writes would land in that run's
+    /// snapshot (and one run's `reset` would clear another's counters).
+    fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Runs the CLI in-process while holding [`obs_lock`].
     fn run_str(args: &[&str]) -> CliOutcome {
+        let _g = obs_lock();
         run(&args.iter().map(ToString::to_string).collect::<Vec<_>>())
     }
 
@@ -1568,17 +1572,8 @@ mod tests {
         assert!(help.contains("clustered"), "usage() missing clustered kind");
     }
 
-    /// The recorder is process-global; tests that enable it must not
-    /// overlap, or one test's `reset` clears another's counters mid-run.
-    fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     #[test]
     fn trace_flag_leaves_stdout_unchanged() {
-        let _g = obs_lock();
         let path = write_temp("trace-flag", K3);
         let plain = run_str(&["solve", &path]);
         // The span tree goes to stderr; stdout must be byte-identical.
@@ -1590,7 +1585,6 @@ mod tests {
 
     #[test]
     fn metrics_out_writes_json_snapshot() {
-        let _g = obs_lock();
         let instance = write_temp("metrics-in", K3);
         let out_path =
             std::env::temp_dir().join(format!("dmig-cli-test-metrics-{}.json", std::process::id()));
@@ -1614,7 +1608,6 @@ mod tests {
 
     #[test]
     fn simulate_metrics_include_sim_counters() {
-        let _g = obs_lock();
         let instance = write_temp("sim-metrics-in", K3);
         let out_path = std::env::temp_dir().join(format!(
             "dmig-cli-test-sim-metrics-{}.json",
@@ -1635,7 +1628,6 @@ mod tests {
     /// (coordinator + worker, thanks to cross-thread span parenting).
     #[test]
     fn trace_out_spans_multiple_tracks() {
-        let _g = obs_lock();
         // 500 independent two-disk components, two parallel transfers each.
         let mut inst = String::from("nodes 1000\ncaps");
         for _ in 0..1000 {
@@ -1656,7 +1648,7 @@ mod tests {
         assert_eq!(out.code, 0, "{}", out.stdout);
         let text = std::fs::read_to_string(&out_path).unwrap();
         let stats = dmig_obs::trace::validate_chrome_trace(&text).expect("exported trace valid");
-        assert!(stats.begins >= 500, "component spans present: {stats:?}");
+        assert!(stats.begins >= 500, "cell spans present: {stats:?}");
         assert!(
             stats.tracks.len() >= 2,
             "expected spans on >= 2 tracks, got {:?}",
@@ -1667,7 +1659,6 @@ mod tests {
 
     #[test]
     fn trace_html_writes_timeline() {
-        let _g = obs_lock();
         let instance = write_temp("trace-html-in", K3);
         let out_path = std::env::temp_dir().join(format!(
             "dmig-cli-test-trace-html-{}.html",
@@ -1678,16 +1669,12 @@ mod tests {
         assert_eq!(out.code, 0, "{}", out.stdout);
         let html = std::fs::read_to_string(&out_path).unwrap();
         assert!(html.starts_with("<!doctype html>"));
-        assert!(
-            html.contains("solve_even") || html.contains("solve_split"),
-            "{html}"
-        );
+        assert!(html.contains("solve_even"), "{html}");
         std::fs::remove_file(&out_path).ok();
     }
 
     #[test]
     fn history_appends_one_entry_per_run() {
-        let _g = obs_lock();
         let instance = write_temp("history-in", K3);
         let hist_path = std::env::temp_dir().join(format!(
             "dmig-cli-test-history-{}.jsonl",
@@ -1783,7 +1770,6 @@ mod tests {
 
     #[test]
     fn obs_export_trace_roundtrip() {
-        let _g = obs_lock();
         let instance = write_temp("export-in", K3);
         let snap_path =
             std::env::temp_dir().join(format!("dmig-cli-test-export-{}.json", std::process::id()));
@@ -1799,7 +1785,6 @@ mod tests {
 
     #[test]
     fn obs_flame_prints_self_time_rollup() {
-        let _g = obs_lock();
         let instance = write_temp("flame-in", K3);
         let snap_path =
             std::env::temp_dir().join(format!("dmig-cli-test-flame-{}.json", std::process::id()));
@@ -1828,7 +1813,6 @@ mod tests {
 
     #[test]
     fn bad_metrics_out_is_clean_error() {
-        let _g = obs_lock();
         let path = write_temp("metrics-bad", K3);
         // A dangling flag is an error, mirroring --threads.
         let out = run_str(&["solve", &path, "--metrics-out"]);
@@ -2041,7 +2025,6 @@ mod tests {
 
     #[test]
     fn events_out_streams_parseable_jsonl() {
-        let _g = obs_lock();
         let instance = write_temp("events-instance", K3_SPARE);
         let faults = write_temp(
             "events-plan",
@@ -2081,7 +2064,6 @@ mod tests {
 
     #[test]
     fn crash_dump_flag_is_quiet_on_success() {
-        let _g = obs_lock();
         let instance = write_temp("crash-dump-instance", K3);
         let dump_path =
             std::env::temp_dir().join(format!("dmig-cli-test-crash-{}.json", std::process::id()));
@@ -2097,7 +2079,6 @@ mod tests {
 
     #[test]
     fn simulate_trace_html_includes_disk_lanes() {
-        let _g = obs_lock();
         let instance = write_temp("disk-lane-in", K3);
         let out_path = std::env::temp_dir().join(format!(
             "dmig-cli-test-disk-lane-{}.html",
@@ -2181,7 +2162,6 @@ mod tests {
     /// address lands in `--serve-addr-file`.
     #[test]
     fn serve_flag_keeps_schedule_identical() {
-        let _g = obs_lock();
         let path = write_temp("serve-sched", K3);
         let plain = run_str(&["solve", &path, "--shards", "2"]);
         assert_eq!(plain.code, 0, "{}", plain.stdout);
@@ -2210,7 +2190,6 @@ mod tests {
     /// exits on its own via --requests.
     #[test]
     fn obs_serve_serves_fixed_snapshot_over_http() {
-        let _g = obs_lock();
         let instance = write_temp("serve-fixed-in", K3);
         let snap_path = std::env::temp_dir().join(format!(
             "dmig-cli-test-serve-snap-{}.json",
@@ -2276,7 +2255,6 @@ mod tests {
     /// tentpole promises: live.*, mem.*, pool.*, prof.samples.
     #[test]
     fn solve_serve_exposes_live_keys() {
-        let _g = obs_lock();
         // Big enough that the run outlives one scrape round-trip is NOT
         // required: begin() pre-registers the live keys, so even a scrape
         // racing the final rounds sees them.

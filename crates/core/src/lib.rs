@@ -40,13 +40,14 @@
 //!   paper's balancing/color/tight orbits (§V-B, Defs. 5.1–5.4).
 //! * [`replan`] — online replanning: merge the unexecuted remainder of a
 //!   running migration with newly arrived transfers and re-solve.
-//! * [`parallel`] — component-parallel solving: connected components are
-//!   independent subproblems, solved concurrently and merged round-wise
-//!   with a bit-for-bit deterministic result.
-//! * [`shard`] — sharded solving for instances whose components exceed a
-//!   single worker: canonical graph-cut cells, per-shard solving, and a
-//!   round-aligned boundary pass reconciling the cut edges within a
-//!   proven additive gap.
+//! * [`shard`] — the one solve driver: canonical cells (connected
+//!   components, optionally graph-cut further), solved concurrently on
+//!   worker shards and merged round-wise with a bit-for-bit deterministic
+//!   result, plus a round-aligned boundary pass reconciling any cut edges
+//!   within a proven additive gap.
+//! * [`parallel`] — [`parallel::ParallelSolver`], the [`solver::Solver`]
+//!   adapter that runs any solver through that driver per connected
+//!   component.
 //! * [`solver`] — a common [`solver::Solver`] trait, a registry of all of
 //!   the above, and an automatic dispatcher.
 //!

@@ -1,8 +1,11 @@
-//! Sharded solving: cut the graph into bounded cells, solve cells on K
+//! The solve driver: cut the graph into bounded cells, solve cells on K
 //! worker shards, reconcile cut edges with a round-aligned boundary pass.
 //!
-//! [`crate::parallel`] parallelizes across connected components; this
-//! layer goes one step further and cuts *within* a heavy component using
+//! Every solve in the workspace goes through [`solve_sharded`]: the
+//! [`crate::parallel::ParallelSolver`] adapter calls it with an unlimited
+//! cell budget ([`ShardConfig::uncut`]), so its cells are exactly the
+//! connected components, and `dmig solve --shards K` calls it with the
+//! default budget, which also cuts *within* a heavy component using
 //! [`dmig_graph::partition`]. The pipeline is:
 //!
 //! 1. **Partition** the graph into canonical cells of at most
@@ -11,21 +14,21 @@
 //! 2. **Solve** every cell as a standalone [`MigrationProblem`] on one of
 //!    `K` worker shards (deterministic LPT grouping of cells; each extra
 //!    shard worker draws a permit from the shared
-//!    [`dmig_flow::pool::budget`], so shard-, component- and
-//!    recursion-level parallelism together never exceed `--threads`).
+//!    [`dmig_flow::pool::budget`], so shard- and recursion-level
+//!    parallelism together never exceed `--threads`).
 //! 3. **Reconcile** foreign edges: cells are node-disjoint, so cell
-//!    rounds merge index-wise exactly like component rounds; the cut
-//!    edges form a *boundary* subproblem solved on its own, whose rounds
-//!    are appended at a canonical offset (the merged cell makespan).
-//!    Every merged round is still a capacity-respecting matching-per-
-//!    round, and the makespan exceeds the instance's `Δ'` by at most the
-//!    boundary's own `Δ'` — the additive gap is asserted and reported.
+//!    rounds merge index-wise; the cut edges form a *boundary* subproblem
+//!    solved on its own, whose rounds are appended at a canonical offset
+//!    (the merged cell makespan). Every merged round is still a
+//!    capacity-respecting matching-per-round, and the makespan exceeds
+//!    the instance's `Δ'` by at most the boundary's own `Δ'` — the
+//!    additive gap is asserted and reported. With nothing cut there is no
+//!    boundary pass, and the merge keeps Theorem 4.1's exact `Δ'`.
 //!
 //! Because steps 1 and 3 are canonical and step 2 writes into
 //! cell-indexed slots, the schedule is byte-identical at every
 //! `(threads × shards)` combination; when no component exceeds the cell
-//! budget it equals the unsharded [`crate::parallel::solve_split`]
-//! schedule exactly.
+//! budget it equals the [`ShardConfig::uncut`] schedule exactly.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -33,10 +36,9 @@ use std::time::Instant;
 
 use dmig_flow::pool;
 use dmig_graph::partition::{assign_shards, partition_cells, DEFAULT_MAX_CELL_EDGES};
-use dmig_graph::{EdgeId, NodeId};
+use dmig_graph::{EdgeId, Multigraph, NodeId};
 
-use crate::parallel::{extract_part, merge_component_schedules, ComponentPart};
-use crate::{MigrationProblem, MigrationSchedule, SolveError};
+use crate::{Capacities, MigrationProblem, MigrationSchedule, SolveError};
 
 /// Configuration of the sharded pipeline.
 #[derive(Clone, Copy, Debug)]
@@ -67,6 +69,17 @@ impl ShardConfig {
         ShardConfig {
             shards: shards.max(1),
             ..ShardConfig::default()
+        }
+    }
+
+    /// No cell budget: the cells are exactly the connected components, so
+    /// nothing is cut and the plan keeps Theorem 4.1's exact `Δ'`.
+    /// `shards` (min 1) is the worker fan-out over the components.
+    #[must_use]
+    pub fn uncut(shards: usize) -> Self {
+        ShardConfig {
+            shards: shards.max(1),
+            max_cell_edges: usize::MAX,
         }
     }
 }
@@ -117,8 +130,8 @@ impl ShardReport {
 /// `solve` is the inner per-piece solver, invoked for every cell and once
 /// for the boundary subproblem. The schedule is byte-identical for every
 /// `(threads, config.shards)` combination; with the default cell budget
-/// and no oversized component it equals
-/// [`crate::parallel::solve_split`]'s schedule exactly.
+/// and no oversized component it equals the [`ShardConfig::uncut`]
+/// schedule exactly.
 ///
 /// # Errors
 ///
@@ -136,16 +149,20 @@ where
     let _span = dmig_obs::span_labeled("solve_sharded", || {
         format!("shards={} threads={threads}", config.shards)
     });
-    // Same budget discipline as solve_split: one process-wide pool shared
-    // by shard workers and the intra-piece quota recursion.
+    // One budget for the whole solve: `threads - 1` extra workers beyond
+    // this thread, shared between the shard fan-out below and the
+    // intra-piece quota recursion (dmig-flow). Whichever layer asks first
+    // gets the spare threads; a single giant cell hands them all to the
+    // recursion.
     pool::budget().set_parallelism(threads);
 
     dmig_obs::gauge_set(dmig_obs::keys::LIVE_PHASE, dmig_obs::phase::PARTITION);
     let partition = partition_cells(problem.graph(), config.max_cell_edges);
+    let mut local_of = vec![usize::MAX; problem.num_disks()];
     let parts: Vec<ComponentPart> = partition
         .cells
         .iter()
-        .map(|c| extract_part(problem, &c.nodes, &c.edges))
+        .map(|c| extract_part(problem, &c.nodes, &c.edges, &mut local_of))
         .collect();
 
     let shards = config.shards.max(1).min(parts.len().max(1));
@@ -179,21 +196,25 @@ where
         }
         nodes.sort_unstable();
         nodes.dedup();
-        let part = extract_part(problem, &nodes, &partition.boundary);
+        let part = extract_part(problem, &nodes, &partition.boundary, &mut local_of);
         let schedule = solve(&part.problem)?;
         Some((part, schedule))
     };
 
     let offset = merged.makespan();
     let boundary_rounds = boundary.as_ref().map_or(0, |(_, s)| s.makespan());
-    let mut rounds: Vec<Vec<EdgeId>> = merged.rounds().to_vec();
-    if let Some((part, schedule)) = &boundary {
-        for round in schedule.rounds() {
-            rounds.push(round.iter().map(|&e| part.edge_map[e.index()]).collect());
+    let combined = match &boundary {
+        None => merged,
+        Some((part, schedule)) => {
+            let mut rounds: Vec<Vec<EdgeId>> = merged.rounds().to_vec();
+            for round in schedule.rounds() {
+                rounds.push(round.iter().map(|&e| part.edge_map[e.index()]).collect());
+            }
+            let mut combined = MigrationSchedule::from_rounds(rounds);
+            combined.trim_empty_rounds();
+            combined
         }
-    }
-    let mut combined = MigrationSchedule::from_rounds(rounds);
-    combined.trim_empty_rounds();
+    };
     let reconcile_ms = u64::try_from(reconcile_started.elapsed().as_millis()).unwrap_or(u64::MAX);
 
     // Realized additive gap vs. the proven bound. makespan = offset +
@@ -228,6 +249,86 @@ where
     };
     record_shard_metrics(&report);
     Ok((combined, report))
+}
+
+/// One piece of a [`MigrationProblem`] (a cell or the boundary), remapped
+/// to dense local ids, plus the mapping back to the original instance.
+struct ComponentPart {
+    /// The piece as a standalone instance (local node/edge ids).
+    problem: MigrationProblem,
+    /// `edge_map[local_edge] = original EdgeId`.
+    edge_map: Vec<EdgeId>,
+}
+
+/// Extracts a node/edge subset of `problem` as a standalone
+/// [`ComponentPart`]: local node ids follow ascending original node id
+/// (`nodes` must be sorted ascending), local edge ids follow `edges` order
+/// (callers pass ascending original edge ids), so a deterministic solver
+/// sees a deterministic subinstance.
+///
+/// `local_of` is caller-owned scratch of one `usize::MAX` slot per disk;
+/// the slots of `nodes` are restored before returning, so extracting every
+/// cell costs `O(n + m)` in total rather than `O(n)` per cell.
+///
+/// # Panics
+///
+/// Panics if an edge in `edges` has an endpoint outside `nodes`.
+fn extract_part(
+    problem: &MigrationProblem,
+    nodes: &[NodeId],
+    edges: &[EdgeId],
+    local_of: &mut [usize],
+) -> ComponentPart {
+    debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "nodes ascending");
+    let g = problem.graph();
+    for (local, v) in nodes.iter().enumerate() {
+        local_of[v.index()] = local;
+    }
+    let mut sub = Multigraph::with_capacity(nodes.len(), edges.len());
+    for &e in edges {
+        let ep = g.endpoints(e);
+        let (u, v) = (local_of[ep.u.index()], local_of[ep.v.index()]);
+        assert!(
+            u != usize::MAX && v != usize::MAX,
+            "edge endpoints must lie in the node subset"
+        );
+        sub.add_edge(NodeId::new(u), NodeId::new(v));
+    }
+    for v in nodes {
+        local_of[v.index()] = usize::MAX;
+    }
+    let caps: Capacities = nodes.iter().map(|&v| problem.capacities().get(v)).collect();
+    let problem =
+        MigrationProblem::new(sub, caps).expect("a subset of a valid problem is a valid problem");
+    ComponentPart {
+        problem,
+        edge_map: edges.to_vec(),
+    }
+}
+
+/// Merges node-disjoint piece schedules index-wise back into original
+/// edge ids: merged round `r` concatenates every piece's round `r` (pieces
+/// in `parts` order, edges mapped through [`ComponentPart::edge_map`]), so
+/// the merged makespan is the maximum piece makespan.
+fn merge_component_schedules(
+    parts: &[ComponentPart],
+    schedules: &[MigrationSchedule],
+) -> MigrationSchedule {
+    assert_eq!(parts.len(), schedules.len(), "one schedule per piece");
+    let makespan = schedules
+        .iter()
+        .map(MigrationSchedule::makespan)
+        .max()
+        .unwrap_or(0);
+    let mut rounds: Vec<Vec<EdgeId>> = vec![Vec::new(); makespan];
+    for (part, schedule) in parts.iter().zip(schedules) {
+        for (r, round) in schedule.rounds().iter().enumerate() {
+            rounds[r].extend(round.iter().map(|&e| part.edge_map[e.index()]));
+        }
+    }
+    let mut merged = MigrationSchedule::from_rounds(rounds);
+    merged.trim_empty_rounds();
+    merged
 }
 
 /// Exports the shard telemetry (no-ops when the obs layer is disabled).
@@ -328,7 +429,7 @@ where
         });
     }
 
-    // Lowest cell index's error wins, as in solve_components.
+    // Lowest cell index's error wins, whatever order the bins finished in.
     slots
         .into_iter()
         .map(|slot| {
@@ -342,7 +443,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::solve_split;
     use dmig_graph::builder::GraphBuilder;
 
     /// One heavy path component plus a small separate triangle.
@@ -356,9 +456,11 @@ mod tests {
     }
 
     #[test]
-    fn uncut_sharding_equals_solve_split() {
+    fn default_budget_equals_uncut_when_nothing_is_cut() {
         let p = mixed_problem();
-        let plain = solve_split(&p, 2, crate::even::solve_even).unwrap();
+        let (plain, _) =
+            solve_sharded(&p, ShardConfig::uncut(2), 2, crate::even::solve_even).unwrap();
+        assert_eq!(plain.makespan(), p.delta_prime());
         for shards in [1, 2, 4] {
             for threads in [1, 4] {
                 let (s, r) = solve_sharded(

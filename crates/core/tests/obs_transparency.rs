@@ -6,9 +6,9 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use dmig_core::even::solve_even;
-use dmig_core::parallel::solve_split;
+use dmig_core::shard::{solve_sharded, ShardConfig};
 use dmig_core::solver::{AutoSolver, Solver};
-use dmig_core::{Capacities, MigrationProblem};
+use dmig_core::{Capacities, MigrationProblem, MigrationSchedule, SolveError};
 use dmig_flow::{quota_euler_splits, quota_flow_solves};
 use dmig_graph::builder::complete_multigraph;
 use dmig_graph::GraphBuilder;
@@ -40,6 +40,16 @@ impl Drop for PoolCleanup {
     }
 }
 
+/// The default solve path: the one driver with connected components as
+/// cells, one worker shard per thread.
+fn solve_uncut(
+    p: &MigrationProblem,
+    threads: usize,
+    solve: impl Fn(&MigrationProblem) -> Result<MigrationSchedule, SolveError> + Sync,
+) -> Result<MigrationSchedule, SolveError> {
+    solve_sharded(p, ShardConfig::uncut(threads), threads, solve).map(|(schedule, _)| schedule)
+}
+
 /// Random connected-or-not multigraph with mixed-parity capacities — the
 /// kind of instance that exercises every solver path through `AutoSolver`.
 fn arb_problem() -> impl Strategy<Value = MigrationProblem> {
@@ -64,7 +74,7 @@ fn arb_problem() -> impl Strategy<Value = MigrationProblem> {
 }
 
 /// Connected multigraph with all-even capacities — a **single giant
-/// component**, so `solve_split`'s spare threads all land on the
+/// component**, so the driver's spare threads all land on the
 /// intra-component quota recursion instead of the component fan-out.
 fn arb_connected_even_problem() -> impl Strategy<Value = MigrationProblem> {
     (2usize..7)
@@ -111,10 +121,10 @@ proptest! {
         for threads in 1usize..=4 {
             dmig_obs::set_enabled(false);
             dmig_obs::reset();
-            let plain = solve_split(&p, threads, solve).expect("solves");
+            let plain = solve_uncut(&p, threads, solve).expect("solves");
             dmig_obs::reset();
             dmig_obs::set_enabled(true);
-            let instrumented = solve_split(&p, threads, solve).expect("solves");
+            let instrumented = solve_uncut(&p, threads, solve).expect("solves");
             dmig_obs::set_enabled(false);
             prop_assert_eq!(&plain, &instrumented, "threads = {}", threads);
         }
@@ -136,7 +146,7 @@ proptest! {
         let solve = |q: &MigrationProblem| AutoSolver.solve(q);
         dmig_obs::reset();
         dmig_obs::set_enabled(true);
-        let first = solve_split(&p, 2, solve).expect("solves");
+        let first = solve_uncut(&p, 2, solve).expect("solves");
         let snap = dmig_obs::snapshot();
         let trace = dmig_obs::trace::chrome_trace_of(&snap);
         let stats = match dmig_obs::trace::validate_chrome_trace(&trace) {
@@ -153,7 +163,7 @@ proptest! {
             &dmig_obs::trace::chrome_trace_of(&dmig_obs::snapshot()),
             "export must not perturb recorder state"
         );
-        let second = solve_split(&p, 2, solve).expect("solves");
+        let second = solve_uncut(&p, 2, solve).expect("solves");
         dmig_obs::set_enabled(false);
         prop_assert_eq!(&first, &second, "export must not steer the solver");
     }
@@ -174,11 +184,11 @@ proptest! {
         for threads in [1usize, 4] {
             dmig_obs::set_enabled(false);
             dmig_obs::reset();
-            let plain = solve_split(&p, threads, solve).expect("solves");
+            let plain = solve_uncut(&p, threads, solve).expect("solves");
             dmig_obs::reset();
             dmig_obs::set_enabled(true);
             let sampler = dmig_obs::sampler::start(std::time::Duration::from_millis(1));
-            let sampled = solve_split(&p, threads, solve).expect("solves");
+            let sampled = solve_uncut(&p, threads, solve).expect("solves");
             sampler.stop();
             dmig_obs::set_enabled(false);
             prop_assert_eq!(&plain, &sampled, "threads = {}", threads);
@@ -195,12 +205,12 @@ proptest! {
         let _cleanup = Cleanup;
         let _pool = PoolCleanup;
         dmig_flow::pool::set_spawn_min_work(0);
-        let baseline = solve_split(&p, 1, solve_even).expect("even instance solves");
+        let baseline = solve_uncut(&p, 1, solve_even).expect("even instance solves");
         for threads in 2usize..=4 {
             for enabled in [false, true] {
                 dmig_obs::reset();
                 dmig_obs::set_enabled(enabled);
-                let schedule = solve_split(&p, threads, solve_even).expect("even instance solves");
+                let schedule = solve_uncut(&p, threads, solve_even).expect("even instance solves");
                 dmig_obs::set_enabled(false);
                 prop_assert_eq!(
                     &baseline, &schedule,

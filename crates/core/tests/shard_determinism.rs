@@ -1,18 +1,20 @@
-//! Sharding must be invisible in the output: the sharded pipeline has to
-//! reproduce the unsharded schedule byte-for-byte at every
-//! `(shards × threads × recorder)` combination, and when a small cell
-//! budget forces real cuts the plan must stay valid, self-identical, and
-//! within the round-alignment additive bound of Theorem 4.1.
+//! Sharding must be invisible in the output: the one solve driver has to
+//! reproduce a plain serial split → solve → merge over connected
+//! components byte-for-byte at every `(shards × threads × recorder)`
+//! combination whenever nothing is cut, and when a small cell budget
+//! forces real cuts the plan must stay valid, self-identical, and within
+//! the round-alignment additive bound of Theorem 4.1.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use dmig_core::even::solve_even;
-use dmig_core::parallel::solve_split;
+use dmig_core::parallel::ParallelSolver;
 use dmig_core::shard::{solve_sharded, ShardConfig};
 use dmig_core::solver::{AutoSolver, Solver};
-use dmig_core::{Capacities, MigrationProblem};
+use dmig_core::{Capacities, MigrationProblem, MigrationSchedule, SolveError};
+use dmig_graph::components::connected_components;
 use dmig_graph::partition::partition_cells;
-use dmig_graph::GraphBuilder;
+use dmig_graph::{EdgeId, GraphBuilder, Multigraph, NodeId};
 use proptest::prelude::*;
 
 /// The recorder is process-global; every test in this binary that touches
@@ -92,6 +94,53 @@ fn arb_connected_even_problem() -> impl Strategy<Value = MigrationProblem> {
         })
 }
 
+/// Serial reference for the uncut driver: split `p` into its connected
+/// components (local ids in ascending original order), solve each one
+/// alone in canonical order, and merge the rounds index-wise.
+fn component_reference(
+    p: &MigrationProblem,
+    solve: impl Fn(&MigrationProblem) -> Result<MigrationSchedule, SolveError>,
+) -> Result<MigrationSchedule, SolveError> {
+    let g = p.graph();
+    let comps = connected_components(g);
+    let groups = comps.groups();
+    let mut local_of = vec![0usize; g.num_nodes()];
+    for group in &groups {
+        for (local, v) in group.iter().enumerate() {
+            local_of[v.index()] = local;
+        }
+    }
+    let mut parts: Vec<(Multigraph, Vec<EdgeId>)> = groups
+        .iter()
+        .map(|group| (Multigraph::with_nodes(group.len()), Vec::new()))
+        .collect();
+    for (e, ep) in g.edges() {
+        let (sub, edge_map) = &mut parts[comps.component_of(ep.u)];
+        sub.add_edge(
+            NodeId::new(local_of[ep.u.index()]),
+            NodeId::new(local_of[ep.v.index()]),
+        );
+        edge_map.push(e);
+    }
+    let mut rounds: Vec<Vec<EdgeId>> = Vec::new();
+    for ((sub, edge_map), group) in parts.into_iter().zip(&groups) {
+        if edge_map.is_empty() {
+            continue;
+        }
+        let caps: Capacities = group.iter().map(|&v| p.capacities().get(v)).collect();
+        let schedule = solve(&MigrationProblem::new(sub, caps).expect("a component is valid"))?;
+        for (r, round) in schedule.rounds().iter().enumerate() {
+            if rounds.len() == r {
+                rounds.push(Vec::new());
+            }
+            rounds[r].extend(round.iter().map(|&e| edge_map[e.index()]));
+        }
+    }
+    let mut merged = MigrationSchedule::from_rounds(rounds);
+    merged.trim_empty_rounds();
+    Ok(merged)
+}
+
 /// Every edge of `g` must land in exactly one cell's domestic set or the
 /// boundary set — no drops, no double coverage.
 fn assert_full_coverage(
@@ -117,10 +166,11 @@ fn assert_full_coverage(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// At the default cell budget these instances never need a cut, so
-    /// the sharded pipeline must equal the plain component-parallel
-    /// schedule byte-for-byte across shards {1,2,4} × threads {1,4} ×
-    /// recorder {off,on}.
+    /// With nothing cut — no cell budget at all, or the default budget,
+    /// which these instances never exceed — the driver must equal the
+    /// serial component reference byte-for-byte across shards {1,2,4} ×
+    /// threads {1,4} × recorder {off,on}, and so must `ParallelSolver` at
+    /// every thread count.
     #[test]
     fn sharded_equals_unsharded_at_default_budget(p in arb_problem()) {
         let _g = obs_lock();
@@ -129,12 +179,20 @@ proptest! {
         let solve = |q: &MigrationProblem| AutoSolver.solve(q);
         dmig_obs::set_enabled(false);
         dmig_obs::reset();
-        let plain = solve_split(&p, 1, solve).expect("solves");
+        let plain = component_reference(&p, solve).expect("solves");
+        for threads in [1usize, 2, 4] {
+            let parallel = ParallelSolver::with_threads(Box::new(AutoSolver), threads)
+                .solve(&p)
+                .expect("solves");
+            prop_assert_eq!(&plain, &parallel, "ParallelSolver threads = {}", threads);
+        }
         for shards in [1usize, 2, 4] {
             for threads in [1usize, 4] {
                 for recorder in [false, true] {
                     dmig_obs::reset();
                     dmig_obs::set_enabled(recorder);
+                    let (uncut, _) = solve_sharded(&p, ShardConfig::uncut(shards), threads, solve)
+                        .expect("solves");
                     let (sharded, report) = solve_sharded(
                         &p,
                         ShardConfig::with_shards(shards),
@@ -143,6 +201,11 @@ proptest! {
                     )
                     .expect("solves");
                     dmig_obs::set_enabled(false);
+                    prop_assert_eq!(
+                        &plain, &uncut,
+                        "uncut shards = {}, threads = {}, recorder = {}",
+                        shards, threads, recorder
+                    );
                     prop_assert_eq!(
                         &plain, &sharded,
                         "shards = {}, threads = {}, recorder = {}",

@@ -1,22 +1,19 @@
 //! Process-wide worker budget and scratch pooling for parallel solving.
 //!
-//! Four layers of parallelism want threads at once: the sharded solve
-//! driver in `dmig-core::shard` (one worker per cell shard), the
-//! component-parallel driver in `dmig-core::parallel` (one worker per
-//! connected component), the intra-component quota recursion in
+//! Three layers of parallelism want threads at once: the solve driver in
+//! `dmig-core::shard` (one worker per cell shard; without `--shards` the
+//! cells are the connected components), the intra-cell quota recursion in
 //! [`crate::quota_round_partition`] (one worker per Euler-split subtree),
 //! and the chunked Euler orientation in `dmig-graph::euler` (one worker
-//! per cycle-chunk claimer). If each
-//! spawned `--threads` workers independently the process could run
-//! `threads²` threads. Instead all layers draw [`WorkerPermit`]s from one
-//! global [`ThreadBudget`]: the calling thread always works for free, and
-//! a layer may only spawn an *extra* worker while it holds a permit.
-//! Whoever asks first — shards, outer components, inner subtrees, or the
-//! orientation pass — wins the spare threads; a multi-component instance
-//! spends them on components, a single giant component hands them to the
-//! orientation and then the recursion as each phase runs, and a sharded
-//! solve claims them for its cell shards before the per-cell machinery
-//! sees any.
+//! per cycle-chunk claimer). If each spawned `--threads` workers
+//! independently the process could run `threads²` threads. Instead all
+//! layers draw [`WorkerPermit`]s from one global [`ThreadBudget`]: the
+//! calling thread always works for free, and a layer may only spawn an
+//! *extra* worker while it holds a permit. Whoever asks first — shards,
+//! inner subtrees, or the orientation pass — wins the spare threads; a
+//! multi-component instance spends them on component shards, and a single
+//! giant cell hands them to the orientation and then the recursion as
+//! each phase runs.
 //!
 //! The budget is a soft cap enforced at acquisition time. Races between
 //! concurrent acquirers can only affect *how fast* a solve runs, never its
@@ -54,7 +51,7 @@ impl ThreadBudget {
     /// Resets the budget for a `threads`-thread run: `threads - 1` extra
     /// workers beyond the calling thread.
     ///
-    /// Called by `dmig-core`'s `solve_split` (and thus the CLI `--threads`
+    /// Called by `dmig-core`'s `solve_sharded` (and thus the CLI `--threads`
     /// flag) at the top of every solve. Outstanding permits are not
     /// revoked; the new value takes effect for subsequent acquisitions.
     pub fn set_parallelism(&self, threads: usize) {
@@ -105,7 +102,7 @@ impl ThreadBudget {
     ///
     /// This is the idiom every parallel stage uses — "recruit as many extra
     /// workers as the budget allows, up to what the problem can feed" —
-    /// shared by the component driver, the quota recursion, and the chunked
+    /// shared by the shard driver, the quota recursion, and the chunked
     /// Euler orientation. Dropping the returned vector releases all permits.
     #[must_use]
     pub fn try_acquire_many(&self, max: usize) -> Vec<WorkerPermit<'_>> {
@@ -126,7 +123,7 @@ impl Drop for WorkerPermit<'_> {
     }
 }
 
-/// The process-wide budget shared by component- and recursion-level
+/// The process-wide budget shared by shard- and recursion-level
 /// parallelism. Defaults to `available_parallelism() - 1` extra workers
 /// until a solve entry point calls
 /// [`set_parallelism`](ThreadBudget::set_parallelism).

@@ -1,11 +1,12 @@
 //! Property-based tests for the flow substrate: max-flow/min-cut duality,
 //! degree-constrained extraction, and densest-subgraph exactness.
 
-use dmig_flow::{
-    exact_degree_subgraph, max_density_subgraph, push_relabel::PushRelabelNetwork, FlowNetwork,
-};
+mod push_relabel;
+
+use dmig_flow::{exact_degree_subgraph, max_density_subgraph, FlowNetwork};
 use dmig_graph::{Multigraph, NodeId};
 use proptest::prelude::*;
+use push_relabel::PushRelabelNetwork;
 
 /// A random small flow network plus source/sink.
 fn arb_network() -> impl Strategy<Value = (usize, Vec<(usize, usize, i64)>)> {
@@ -73,7 +74,7 @@ proptest! {
         prop_assert_eq!(net_out[s] - net_in[s], value);
     }
 
-    /// The two independent max-flow engines agree on every network.
+    /// Dinic agrees with the push-relabel oracle on every network.
     #[test]
     fn dinic_and_push_relabel_agree((n, edges) in arb_network()) {
         let mut dinic = FlowNetwork::new(n);

@@ -65,13 +65,14 @@ pub use value::Value;
 pub mod phase {
     /// No pipeline stage has reported yet.
     pub const IDLE: u64 = 0;
-    /// Unsharded solve in progress.
+    /// A solve started; the driver has not partitioned the graph yet.
     pub const SOLVE: u64 = 1;
-    /// Sharded pipeline: graph-cut cell partition.
+    /// Solve driver: cell partition (components, cut further under
+    /// `--shards`).
     pub const PARTITION: u64 = 2;
-    /// Sharded pipeline: per-shard cell solving.
+    /// Solve driver: per-shard cell solving.
     pub const CELLS: u64 = 3;
-    /// Sharded pipeline: merge and boundary-round reconciliation.
+    /// Solve driver: merge and boundary-round reconciliation.
     pub const BOUNDARY: u64 = 4;
     /// Simulation / fault-tolerant execution of a schedule.
     pub const SIMULATE: u64 = 5;
@@ -79,162 +80,157 @@ pub mod phase {
     pub const DONE: u64 = 6;
 }
 
-/// Well-known counter, gauge, and histogram names.
-///
-/// Naming convention: bare snake_case for pipeline-level totals that
-/// appear in reports (`flow_solves`), and `area.metric` for
-/// subsystem-scoped values (`dinic.bfs_phases`, `sim.rounds`). Histogram
-/// names end in a unit suffix (`_ns`) when they record time.
-pub mod keys {
-    /// Max-flow problems solved while peeling quota levels (counter).
-    pub const FLOW_SOLVES: &str = "flow_solves";
-    /// Euler-split halvings performed by the quota partitioner (counter).
-    pub const EULER_SPLITS: &str = "euler_splits";
-    /// Degree-subgraph units satisfied by the greedy warm start (counter).
-    pub const WARM_START_HITS: &str = "warm_start_hits";
-    /// Degree-subgraph units that needed the flow solver (counter).
-    pub const WARM_START_MISSES: &str = "warm_start_misses";
-    /// Euler orientations computed by `solve_even` (counter).
-    pub const EULER_ORIENTATIONS: &str = "euler_orientations";
-    /// Cycle/ear chunks claimed while labeling pairing cycles (counter).
-    ///
-    /// Under multi-worker orientation the chunk count depends on how the
-    /// claim race interleaves, so unlike the solver counters above it is
-    /// *not* expected to be identical across thread counts.
-    pub const EULER_CHUNKS: &str = "euler.chunks";
-    /// Chunk junctions merged by the deterministic stitch pass (counter).
-    ///
-    /// Always `chunks - cycles`; zero when every chunk closed its own
-    /// cycle (e.g. any single-worker orientation).
-    pub const EULER_STITCHES: &str = "euler.stitches";
-    /// Milliseconds spent inside chunked Euler orientation (counter).
-    pub const EULER_PAR_MS: &str = "euler.par_ms";
-    /// Connected components solved by the parallel driver (counter).
-    pub const COMPONENTS_SOLVED: &str = "components_solved";
-    /// Deepest recursion reached by the quota partitioner (gauge).
-    pub const QUOTA_MAX_DEPTH: &str = "quota.max_recursion_depth";
-    /// Dinic max-flow invocations (counter).
-    pub const DINIC_CALLS: &str = "dinic.calls";
-    /// BFS level-graph phases across all Dinic runs (counter).
-    pub const DINIC_BFS_PHASES: &str = "dinic.bfs_phases";
-    /// Augmenting paths found across all Dinic runs (counter).
-    pub const DINIC_AUGMENTING_PATHS: &str = "dinic.augmenting_paths";
-    /// Per-call Dinic wall time in nanoseconds (histogram).
-    pub const DINIC_MAX_FLOW_NS: &str = "dinic.max_flow_ns";
-    /// Push-relabel max-flow invocations (counter).
-    pub const PUSH_RELABEL_CALLS: &str = "push_relabel.calls";
-    /// Saturating + non-saturating pushes across all runs (counter).
-    pub const PUSH_RELABEL_PUSHES: &str = "push_relabel.pushes";
-    /// Relabel operations across all runs (counter).
-    pub const PUSH_RELABEL_RELABELS: &str = "push_relabel.relabels";
-    /// Per-component solve wall time in nanoseconds (histogram).
-    pub const COMPONENT_SOLVE_NS: &str = "component.solve_ns";
-    /// Worker permits handed out by the shared thread budget (counter).
-    pub const POOL_ACQUIRES: &str = "pool.acquires";
-    /// Worker-permit requests denied because the budget was spent (counter).
-    pub const POOL_ACQUIRE_DENIED: &str = "pool.acquire_denied";
-    /// Subproblem tasks enqueued on the intra-component work pool (counter).
-    pub const POOL_TASKS: &str = "pool.tasks";
-    /// Tasks executed by a worker other than the one that enqueued them
-    /// (counter).
-    pub const POOL_STEALS: &str = "pool.steals";
-    /// Widest worker fan-out a single quota recursion reached (gauge).
-    pub const POOL_MAX_WORKERS: &str = "pool.max_workers";
-    /// Deepest pending-task queue a quota recursion reached (gauge).
-    pub const POOL_MAX_QUEUE_DEPTH: &str = "pool.max_queue_depth";
-    /// Solver scratch arenas reused from the process-wide pool (counter).
-    pub const SCRATCH_REUSES: &str = "scratch.reuses";
-    /// Solver scratch arenas freshly allocated on pool miss (counter).
-    pub const SCRATCH_ALLOCS: &str = "scratch.allocs";
-    /// Rounds executed by the simulation engine (counter).
-    pub const SIM_ROUNDS: &str = "sim.rounds";
-    /// Object transfers executed by the simulation engine (counter).
-    pub const SIM_TRANSFERS: &str = "sim.transfers";
-    /// Transfers per simulated round (histogram).
-    pub const SIM_ROUND_TRANSFERS: &str = "sim.round_transfers";
-    /// Wall-clock nanoseconds the engine spent per round (histogram).
-    pub const SIM_ROUND_WALL_NS: &str = "sim.round_wall_ns";
-    /// Rounds whose wall time exceeded the stall threshold (k× the
-    /// rolling median round time) (counter).
-    pub const SIM_STALLS: &str = "sim.stalls";
-    /// Percentage of scheduled rounds the engine has executed (gauge).
-    pub const SIM_PROGRESS_PCT: &str = "sim.progress_pct";
-    /// Rounds of the schedule the CLI produced (gauge).
-    pub const SOLVE_ROUNDS: &str = "solve.rounds";
-    /// Lower bound `Δ'` (LB1) of the solved instance (gauge).
-    pub const SOLVE_LB1: &str = "solve.lb1";
-    /// Lower bound `Γ'` (LB2) of the solved instance (gauge).
-    pub const SOLVE_LB2: &str = "solve.lb2";
-    /// Closed-loop replans performed by the fault-tolerant executor
-    /// (counter).
-    pub const EXEC_REPLANS: &str = "exec.replans";
-    /// Transfer attempts retried after a flaky failure (counter).
-    pub const EXEC_RETRIES: &str = "exec.retries";
-    /// Items lost to dead disks or exhausted retries (counter).
-    pub const EXEC_LOST_ITEMS: &str = "exec.lost_items";
-    /// Executed rounds during which some disk ran below the degradation
-    /// threshold (counter).
-    pub const EXEC_DEGRADED_ROUNDS: &str = "exec.degraded_rounds";
-    /// Items rerouted to a replacement disk after a crash-stop (counter).
-    pub const EXEC_REDIRECTS: &str = "exec.redirects";
-    /// Crash-stop fault events applied by the executor (counter).
-    pub const EXEC_CRASHES: &str = "exec.crashes";
-    /// Structured events recorded by the flight recorder (counter).
-    pub const EVENTS_EMITTED: &str = "events.emitted";
-    /// Events evicted from the flight recorder's bounded ring (counter).
-    pub const EVENTS_DROPPED: &str = "events.dropped";
-    /// `ItemLost` events recorded by the flight recorder (counter).
-    pub const EVENTS_ITEM_LOST: &str = "events.item_lost";
-    /// Binding lower bound `max(Δ', Γ')` the attribution engine reported
-    /// (gauge).
-    pub const EXPLAIN_BINDING_BOUND: &str = "explain.binding_bound";
-    /// The disk realizing LB1 per the attribution engine (gauge).
-    pub const EXPLAIN_LB1_DISK: &str = "explain.lb1_disk";
-    /// Worker shards used by the sharded solve pipeline (gauge).
-    pub const SHARD_COUNT: &str = "shard.count";
-    /// Edges cut to the boundary set by the cell partition (gauge).
-    pub const SHARD_CUT_EDGES: &str = "shard.cut_edges";
-    /// Cut fraction in basis points: `cut_edges * 10000 / total` (gauge).
-    pub const SHARD_CUT_FRACTION: &str = "shard.cut_fraction";
-    /// Milliseconds spent merging shard schedules and aligning the
-    /// boundary rounds (counter).
-    pub const SHARD_RECONCILE_MS: &str = "shard.reconcile_ms";
-    /// Rounds of the boundary pass appended after the cell rounds (gauge).
-    pub const SHARD_BOUNDARY_ROUNDS: &str = "shard.boundary_rounds";
-    /// Current pipeline stage code; see [`crate::phase`] (gauge).
-    pub const LIVE_PHASE: &str = "live.phase";
-    /// Rounds the live engine has executed in the current plan (gauge).
-    pub const LIVE_ROUND: &str = "live.round";
-    /// Work items finished by the current phase: cells solved while
-    /// sharding, transfers executed while simulating (gauge).
-    pub const LIVE_ITEMS_DONE: &str = "live.items_done";
-    /// Shard bins being solved right now (gauge).
-    pub const LIVE_SHARD_ACTIVE: &str = "live.shard_active";
-    /// Resident set size (VmRSS) sampled from /proc/self/status (gauge).
-    pub const MEM_RSS_BYTES: &str = "mem.rss_bytes";
-    /// Peak resident set size (VmHWM) from /proc/self/status (gauge).
-    pub const MEM_RSS_PEAK_BYTES: &str = "mem.rss_peak_bytes";
-    /// Extra-worker permits currently free in the shared budget (gauge).
-    pub const POOL_PERMITS_AVAILABLE: &str = "pool.permits_available";
-    /// Extra-worker permits the budget was last reset to (gauge).
-    pub const POOL_PERMITS_CAPACITY: &str = "pool.permits_capacity";
-    /// Scratch arenas currently parked in the process-wide pool (gauge).
-    pub const POOL_PARKED: &str = "pool.parked";
-    /// High-water mark of parked scratch arenas (gauge).
-    pub const POOL_PARKED_HIGH_WATER: &str = "pool.parked_high_water";
-    /// Ticks taken by the background sampling profiler (counter).
-    pub const PROF_SAMPLES: &str = "prof.samples";
-    /// HTTP requests answered by the `--serve` listener (counter).
-    pub const SERVE_REQUESTS: &str = "serve.requests";
-    /// Round index of the last checkpoint the workspace journal holds
-    /// (gauge).
-    pub const WS_ROUND: &str = "ws.round";
-    /// Executor checkpoints appended to the workspace journal (counter).
-    pub const WS_CHECKPOINTS: &str = "ws.checkpoints";
-    /// Times an executor was revived from a journal checkpoint (counter).
-    pub const WS_RESUMES: &str = "ws.resumes";
-    /// Bytes appended to the workspace journal so far (gauge).
-    pub const WS_JOURNAL_BYTES: &str = "ws.journal_bytes";
+/// Declares every well-known metric key exactly once: one
+/// `NAME = "key", "description";` row yields the [`keys`] constant, its
+/// rustdoc, and its row in [`keys_reference`] (and therefore in the README
+/// table). Each description is one line and names the metric type.
+macro_rules! metric_keys {
+    ($($name:ident = $key:literal, $doc:literal;)+) => {
+        /// Well-known counter, gauge, and histogram names.
+        ///
+        /// Naming convention: bare snake_case for pipeline-level totals that
+        /// appear in reports (`flow_solves`), and `area.metric` for
+        /// subsystem-scoped values (`dinic.bfs_phases`, `sim.rounds`).
+        /// Histogram names end in a unit suffix (`_ns`) when they record
+        /// time.
+        pub mod keys {
+            $(
+                #[doc = $doc]
+                pub const $name: &str = $key;
+            )+
+        }
+
+        const KEYS_REFERENCE: &[(&str, &str)] = &[$((keys::$name, $doc)),+];
+    };
+}
+
+metric_keys! {
+    FLOW_SOLVES = "flow_solves",
+        "Max-flow problems solved while peeling quota levels (counter).";
+    EULER_SPLITS = "euler_splits",
+        "Euler-split halvings performed by the quota partitioner (counter).";
+    WARM_START_HITS = "warm_start_hits",
+        "Degree-subgraph units satisfied by the greedy warm start (counter).";
+    WARM_START_MISSES = "warm_start_misses",
+        "Degree-subgraph units that needed the flow solver (counter).";
+    EULER_ORIENTATIONS = "euler_orientations",
+        "Euler orientations computed by `solve_even` (counter).";
+    EULER_CHUNKS = "euler.chunks",
+        "Cycle/ear chunks claimed while labeling pairing cycles; thread-count dependent by design \
+         (counter).";
+    EULER_STITCHES = "euler.stitches",
+        "Chunk junctions merged by the deterministic stitch pass (counter).";
+    EULER_PAR_MS = "euler.par_ms",
+        "Milliseconds spent inside chunked Euler orientation (counter).";
+    QUOTA_MAX_DEPTH = "quota.max_recursion_depth",
+        "Deepest recursion reached by the quota partitioner (gauge).";
+    DINIC_CALLS = "dinic.calls",
+        "Dinic max-flow invocations (counter).";
+    DINIC_BFS_PHASES = "dinic.bfs_phases",
+        "BFS level-graph phases across all Dinic runs (counter).";
+    DINIC_AUGMENTING_PATHS = "dinic.augmenting_paths",
+        "Augmenting paths found across all Dinic runs (counter).";
+    DINIC_MAX_FLOW_NS = "dinic.max_flow_ns",
+        "Per-call Dinic wall time in nanoseconds (histogram).";
+    POOL_ACQUIRES = "pool.acquires",
+        "Worker permits handed out by the shared thread budget (counter).";
+    POOL_ACQUIRE_DENIED = "pool.acquire_denied",
+        "Worker-permit requests denied because the budget was spent (counter).";
+    POOL_TASKS = "pool.tasks",
+        "Subproblem tasks enqueued on the intra-component work pool (counter).";
+    POOL_STEALS = "pool.steals",
+        "Tasks executed by a worker other than the one that enqueued them (counter).";
+    POOL_MAX_WORKERS = "pool.max_workers",
+        "Widest worker fan-out a single quota recursion reached (gauge).";
+    POOL_MAX_QUEUE_DEPTH = "pool.max_queue_depth",
+        "Deepest pending-task queue a quota recursion reached (gauge).";
+    SCRATCH_REUSES = "scratch.reuses",
+        "Solver scratch arenas reused from the process-wide pool (counter).";
+    SCRATCH_ALLOCS = "scratch.allocs",
+        "Solver scratch arenas freshly allocated on pool miss (counter).";
+    SIM_ROUNDS = "sim.rounds",
+        "Rounds executed by the simulation engine (counter).";
+    SIM_TRANSFERS = "sim.transfers",
+        "Object transfers executed by the simulation engine (counter).";
+    SIM_ROUND_TRANSFERS = "sim.round_transfers",
+        "Transfers per simulated round (histogram).";
+    SIM_ROUND_WALL_NS = "sim.round_wall_ns",
+        "Wall-clock nanoseconds the engine spent per round (histogram).";
+    SIM_STALLS = "sim.stalls",
+        "Rounds whose wall time exceeded the stall threshold (counter).";
+    SIM_PROGRESS_PCT = "sim.progress_pct",
+        "Percentage of scheduled rounds the engine has executed (gauge).";
+    SOLVE_ROUNDS = "solve.rounds",
+        "Rounds of the schedule the CLI produced (gauge).";
+    SOLVE_LB1 = "solve.lb1",
+        "Lower bound Δ' (LB1) of the solved instance (gauge).";
+    SOLVE_LB2 = "solve.lb2",
+        "Lower bound Γ' (LB2) of the solved instance (gauge).";
+    EXEC_REPLANS = "exec.replans",
+        "Closed-loop replans performed by the fault-tolerant executor (counter).";
+    EXEC_RETRIES = "exec.retries",
+        "Transfer attempts retried after a flaky failure (counter).";
+    EXEC_LOST_ITEMS = "exec.lost_items",
+        "Items lost to dead disks or exhausted retries (counter).";
+    EXEC_DEGRADED_ROUNDS = "exec.degraded_rounds",
+        "Executed rounds with some disk below the degradation threshold (counter).";
+    EXEC_REDIRECTS = "exec.redirects",
+        "Items rerouted to a replacement disk after a crash-stop (counter).";
+    EXEC_CRASHES = "exec.crashes",
+        "Crash-stop fault events applied by the executor (counter).";
+    EVENTS_EMITTED = "events.emitted",
+        "Structured events recorded by the flight recorder (counter).";
+    EVENTS_DROPPED = "events.dropped",
+        "Events evicted from the flight recorder's bounded ring (counter).";
+    EVENTS_ITEM_LOST = "events.item_lost",
+        "`ItemLost` events recorded by the flight recorder (counter).";
+    EXPLAIN_BINDING_BOUND = "explain.binding_bound",
+        "Binding lower bound max(Δ', Γ') reported by the attribution engine (gauge).";
+    EXPLAIN_LB1_DISK = "explain.lb1_disk",
+        "The disk realizing LB1 per the attribution engine (gauge).";
+    SHARD_COUNT = "shard.count",
+        "Worker shards used by the sharded solve pipeline (gauge).";
+    SHARD_CUT_EDGES = "shard.cut_edges",
+        "Edges cut to the boundary set by the cell partition (gauge).";
+    SHARD_CUT_FRACTION = "shard.cut_fraction",
+        "Cut fraction in basis points: `cut_edges * 10000 / total` (gauge).";
+    SHARD_RECONCILE_MS = "shard.reconcile_ms",
+        "Milliseconds spent merging shard schedules and aligning the boundary rounds (counter).";
+    SHARD_BOUNDARY_ROUNDS = "shard.boundary_rounds",
+        "Rounds of the boundary pass appended after the cell rounds (gauge).";
+    LIVE_PHASE = "live.phase",
+        "Current pipeline stage code; see the `phase` module (gauge).";
+    LIVE_ROUND = "live.round",
+        "Rounds the live engine has executed in the current plan (gauge).";
+    LIVE_ITEMS_DONE = "live.items_done",
+        "Work items finished by the current phase: cells solved while sharding, transfers \
+         executed while simulating (gauge).";
+    LIVE_SHARD_ACTIVE = "live.shard_active",
+        "Shard bins being solved right now (gauge).";
+    MEM_RSS_BYTES = "mem.rss_bytes",
+        "Resident set size (VmRSS) sampled from /proc/self/status (gauge).";
+    MEM_RSS_PEAK_BYTES = "mem.rss_peak_bytes",
+        "Peak resident set size (VmHWM) from /proc/self/status (gauge).";
+    POOL_PERMITS_AVAILABLE = "pool.permits_available",
+        "Extra-worker permits currently free in the shared budget (gauge).";
+    POOL_PERMITS_CAPACITY = "pool.permits_capacity",
+        "Extra-worker permits the budget was last reset to (gauge).";
+    POOL_PARKED = "pool.parked",
+        "Scratch arenas currently parked in the process-wide pool (gauge).";
+    POOL_PARKED_HIGH_WATER = "pool.parked_high_water",
+        "High-water mark of parked scratch arenas (gauge).";
+    PROF_SAMPLES = "prof.samples",
+        "Ticks taken by the background sampling profiler (counter).";
+    SERVE_REQUESTS = "serve.requests",
+        "HTTP requests answered by the `--serve` listener (counter).";
+    WS_ROUND = "ws.round",
+        "Round index of the last checkpoint the workspace journal holds (gauge).";
+    WS_CHECKPOINTS = "ws.checkpoints",
+        "Executor checkpoints appended to the workspace journal (counter).";
+    WS_RESUMES = "ws.resumes",
+        "Times an executor was revived from a journal checkpoint (counter).";
+    WS_JOURNAL_BYTES = "ws.journal_bytes",
+        "Bytes appended to the workspace journal so far (gauge).";
 }
 
 /// Name prefix of the sampling profiler's per-span self-time family:
@@ -243,282 +239,12 @@ pub mod keys {
 /// is the span name observed at runtime.
 pub const PROF_SELF_NS_PREFIX: &str = "prof.self_ns.";
 
-/// One row per `keys::*` constant: `(key, one-line doc)`. The unit test
-/// `keys_reference_covers_every_constant` fails when a constant is added
-/// here without a doc row (or vice versa), and the README carries the
-/// rendered [`render_keys_table`] between `<!-- keys:begin/end -->`
-/// markers, kept in sync by its own test.
+/// One row per [`keys`] constant, in declaration order: `(key, one-line
+/// description)`. The README carries the rendered [`render_keys_table`]
+/// between `<!-- keys:begin/end -->` markers, kept in sync by a unit test.
 #[must_use]
-#[allow(clippy::too_many_lines)]
-pub fn keys_reference() -> Vec<(&'static str, &'static str)> {
-    vec![
-        (
-            keys::FLOW_SOLVES,
-            "Max-flow problems solved while peeling quota levels (counter).",
-        ),
-        (
-            keys::EULER_SPLITS,
-            "Euler-split halvings performed by the quota partitioner (counter).",
-        ),
-        (
-            keys::WARM_START_HITS,
-            "Degree-subgraph units satisfied by the greedy warm start (counter).",
-        ),
-        (
-            keys::WARM_START_MISSES,
-            "Degree-subgraph units that needed the flow solver (counter).",
-        ),
-        (
-            keys::EULER_ORIENTATIONS,
-            "Euler orientations computed by `solve_even` (counter).",
-        ),
-        (
-            keys::EULER_CHUNKS,
-            "Cycle/ear chunks claimed while labeling pairing cycles; \
-             thread-count dependent by design (counter).",
-        ),
-        (
-            keys::EULER_STITCHES,
-            "Chunk junctions merged by the deterministic stitch pass (counter).",
-        ),
-        (
-            keys::EULER_PAR_MS,
-            "Milliseconds spent inside chunked Euler orientation (counter).",
-        ),
-        (
-            keys::COMPONENTS_SOLVED,
-            "Connected components solved by the parallel driver (counter).",
-        ),
-        (
-            keys::QUOTA_MAX_DEPTH,
-            "Deepest recursion reached by the quota partitioner (gauge).",
-        ),
-        (keys::DINIC_CALLS, "Dinic max-flow invocations (counter)."),
-        (
-            keys::DINIC_BFS_PHASES,
-            "BFS level-graph phases across all Dinic runs (counter).",
-        ),
-        (
-            keys::DINIC_AUGMENTING_PATHS,
-            "Augmenting paths found across all Dinic runs (counter).",
-        ),
-        (
-            keys::DINIC_MAX_FLOW_NS,
-            "Per-call Dinic wall time in nanoseconds (histogram).",
-        ),
-        (
-            keys::PUSH_RELABEL_CALLS,
-            "Push-relabel max-flow invocations (counter).",
-        ),
-        (
-            keys::PUSH_RELABEL_PUSHES,
-            "Saturating + non-saturating pushes across all runs (counter).",
-        ),
-        (
-            keys::PUSH_RELABEL_RELABELS,
-            "Relabel operations across all runs (counter).",
-        ),
-        (
-            keys::COMPONENT_SOLVE_NS,
-            "Per-component solve wall time in nanoseconds (histogram).",
-        ),
-        (
-            keys::POOL_ACQUIRES,
-            "Worker permits handed out by the shared thread budget (counter).",
-        ),
-        (
-            keys::POOL_ACQUIRE_DENIED,
-            "Worker-permit requests denied because the budget was spent (counter).",
-        ),
-        (
-            keys::POOL_TASKS,
-            "Subproblem tasks enqueued on the intra-component work pool (counter).",
-        ),
-        (
-            keys::POOL_STEALS,
-            "Tasks executed by a worker other than the one that enqueued them (counter).",
-        ),
-        (
-            keys::POOL_MAX_WORKERS,
-            "Widest worker fan-out a single quota recursion reached (gauge).",
-        ),
-        (
-            keys::POOL_MAX_QUEUE_DEPTH,
-            "Deepest pending-task queue a quota recursion reached (gauge).",
-        ),
-        (
-            keys::SCRATCH_REUSES,
-            "Solver scratch arenas reused from the process-wide pool (counter).",
-        ),
-        (
-            keys::SCRATCH_ALLOCS,
-            "Solver scratch arenas freshly allocated on pool miss (counter).",
-        ),
-        (
-            keys::SIM_ROUNDS,
-            "Rounds executed by the simulation engine (counter).",
-        ),
-        (
-            keys::SIM_TRANSFERS,
-            "Object transfers executed by the simulation engine (counter).",
-        ),
-        (
-            keys::SIM_ROUND_TRANSFERS,
-            "Transfers per simulated round (histogram).",
-        ),
-        (
-            keys::SIM_ROUND_WALL_NS,
-            "Wall-clock nanoseconds the engine spent per round (histogram).",
-        ),
-        (
-            keys::SIM_STALLS,
-            "Rounds whose wall time exceeded the stall threshold (counter).",
-        ),
-        (
-            keys::SIM_PROGRESS_PCT,
-            "Percentage of scheduled rounds the engine has executed (gauge).",
-        ),
-        (
-            keys::SOLVE_ROUNDS,
-            "Rounds of the schedule the CLI produced (gauge).",
-        ),
-        (
-            keys::SOLVE_LB1,
-            "Lower bound Δ' (LB1) of the solved instance (gauge).",
-        ),
-        (
-            keys::SOLVE_LB2,
-            "Lower bound Γ' (LB2) of the solved instance (gauge).",
-        ),
-        (
-            keys::EXEC_REPLANS,
-            "Closed-loop replans performed by the fault-tolerant executor (counter).",
-        ),
-        (
-            keys::EXEC_RETRIES,
-            "Transfer attempts retried after a flaky failure (counter).",
-        ),
-        (
-            keys::EXEC_LOST_ITEMS,
-            "Items lost to dead disks or exhausted retries (counter).",
-        ),
-        (
-            keys::EXEC_DEGRADED_ROUNDS,
-            "Executed rounds with some disk below the degradation threshold (counter).",
-        ),
-        (
-            keys::EXEC_REDIRECTS,
-            "Items rerouted to a replacement disk after a crash-stop (counter).",
-        ),
-        (
-            keys::EXEC_CRASHES,
-            "Crash-stop fault events applied by the executor (counter).",
-        ),
-        (
-            keys::EVENTS_EMITTED,
-            "Structured events recorded by the flight recorder (counter).",
-        ),
-        (
-            keys::EVENTS_DROPPED,
-            "Events evicted from the flight recorder's bounded ring (counter).",
-        ),
-        (
-            keys::EVENTS_ITEM_LOST,
-            "`ItemLost` events recorded by the flight recorder (counter).",
-        ),
-        (
-            keys::EXPLAIN_BINDING_BOUND,
-            "Binding lower bound max(Δ', Γ') reported by the attribution engine (gauge).",
-        ),
-        (
-            keys::EXPLAIN_LB1_DISK,
-            "The disk realizing LB1 per the attribution engine (gauge).",
-        ),
-        (
-            keys::SHARD_COUNT,
-            "Worker shards used by the sharded solve pipeline (gauge).",
-        ),
-        (
-            keys::SHARD_CUT_EDGES,
-            "Edges cut to the boundary set by the cell partition (gauge).",
-        ),
-        (
-            keys::SHARD_CUT_FRACTION,
-            "Cut fraction in basis points: `cut_edges * 10000 / total` (gauge).",
-        ),
-        (
-            keys::SHARD_RECONCILE_MS,
-            "Milliseconds spent merging shard schedules and aligning the boundary rounds (counter).",
-        ),
-        (
-            keys::SHARD_BOUNDARY_ROUNDS,
-            "Rounds of the boundary pass appended after the cell rounds (gauge).",
-        ),
-        (
-            keys::LIVE_PHASE,
-            "Current pipeline stage code; see the `phase` module (gauge).",
-        ),
-        (
-            keys::LIVE_ROUND,
-            "Rounds the live engine has executed in the current plan (gauge).",
-        ),
-        (
-            keys::LIVE_ITEMS_DONE,
-            "Work items finished by the current phase: cells solved while sharding, transfers executed while simulating (gauge).",
-        ),
-        (
-            keys::LIVE_SHARD_ACTIVE,
-            "Shard bins being solved right now (gauge).",
-        ),
-        (
-            keys::MEM_RSS_BYTES,
-            "Resident set size (VmRSS) sampled from /proc/self/status (gauge).",
-        ),
-        (
-            keys::MEM_RSS_PEAK_BYTES,
-            "Peak resident set size (VmHWM) from /proc/self/status (gauge).",
-        ),
-        (
-            keys::POOL_PERMITS_AVAILABLE,
-            "Extra-worker permits currently free in the shared budget (gauge).",
-        ),
-        (
-            keys::POOL_PERMITS_CAPACITY,
-            "Extra-worker permits the budget was last reset to (gauge).",
-        ),
-        (
-            keys::POOL_PARKED,
-            "Scratch arenas currently parked in the process-wide pool (gauge).",
-        ),
-        (
-            keys::POOL_PARKED_HIGH_WATER,
-            "High-water mark of parked scratch arenas (gauge).",
-        ),
-        (
-            keys::PROF_SAMPLES,
-            "Ticks taken by the background sampling profiler (counter).",
-        ),
-        (
-            keys::SERVE_REQUESTS,
-            "HTTP requests answered by the `--serve` listener (counter).",
-        ),
-        (
-            keys::WS_ROUND,
-            "Round index of the last checkpoint the workspace journal holds (gauge).",
-        ),
-        (
-            keys::WS_CHECKPOINTS,
-            "Executor checkpoints appended to the workspace journal (counter).",
-        ),
-        (
-            keys::WS_RESUMES,
-            "Times an executor was revived from a journal checkpoint (counter).",
-        ),
-        (
-            keys::WS_JOURNAL_BYTES,
-            "Bytes appended to the workspace journal so far (gauge).",
-        ),
-    ]
+pub fn keys_reference() -> &'static [(&'static str, &'static str)] {
+    KEYS_REFERENCE
 }
 
 /// Renders [`keys_reference`] as the Markdown table embedded in the
@@ -761,52 +487,6 @@ mod tests {
         }
         let snap = super::snapshot();
         assert_eq!(snap.histograms["watch_ns"].count, 1);
-    }
-
-    /// Every `pub const NAME: &str = "...";` inside `mod keys`, extracted
-    /// from this file's own source.
-    fn keys_in_source() -> Vec<String> {
-        let src = include_str!("lib.rs");
-        let body = src
-            .split("pub mod keys {")
-            .nth(1)
-            .and_then(|rest| rest.split("\n}").next())
-            .expect("keys module present in lib.rs");
-        body.lines()
-            .filter_map(|line| {
-                let line = line.trim();
-                let rest = line.strip_prefix("pub const ")?;
-                let value = rest.split('=').nth(1)?.trim();
-                Some(value.trim_end_matches(';').trim_matches('"').to_string())
-            })
-            .collect()
-    }
-
-    #[test]
-    fn keys_reference_covers_every_constant() {
-        let in_source = keys_in_source();
-        assert!(
-            in_source.len() >= 40,
-            "extraction broke: only {} keys found",
-            in_source.len()
-        );
-        let documented: Vec<&str> = super::keys_reference().iter().map(|(k, _)| *k).collect();
-        for key in &in_source {
-            assert!(
-                documented.contains(&key.as_str()),
-                "key `{key}` added to `mod keys` without a row in \
-                 `keys_reference()` — document it there (and re-generate \
-                 the README table)"
-            );
-        }
-        for key in &documented {
-            assert!(
-                in_source.iter().any(|k| k == key),
-                "`keys_reference()` documents `{key}` but no such constant \
-                 exists in `mod keys`"
-            );
-        }
-        assert_eq!(in_source.len(), documented.len(), "duplicate rows or keys");
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! Perfetto and `chrome://tracing` load natively: one `B`/`E` duration pair
 //! per closed span (a lone `B` for spans still open at snapshot time), one
 //! track (`tid`) per recorder thread ordinal, all inside a single process
-//! (`pid` 0). Cross-thread parenting from PR 2 is what makes the tracks
-//! meaningful: a worker's `component` span carries the worker's own `tid`,
-//! so the component fan-out and the Euler-split recursion render as
-//! parallel lanes under the coordinator.
+//! (`pid` 0). Cross-thread parenting is what makes the tracks meaningful: a
+//! worker's `shard` span carries the worker's own `tid`, so the shard
+//! fan-out and the Euler-split recursion render as parallel lanes under
+//! the coordinator.
 //!
 //! Events are emitted in a depth-first walk of the span tree. Within one
 //! track that order is begin-time order with properly nested `B`/`E`
@@ -600,14 +600,14 @@ mod tests {
 
     fn forest() -> Vec<TraceSpan> {
         vec![TraceSpan {
-            name: "solve_split".into(),
+            name: "solve_sharded".into(),
             label: Some("threads=2".into()),
             tid: 0,
             start_ns: 1_000,
             duration_ns: Some(9_000_000),
             children: vec![
                 TraceSpan {
-                    name: "component".into(),
+                    name: "shard_cell".into(),
                     label: Some("#0".into()),
                     tid: 1,
                     start_ns: 5_000,
@@ -615,7 +615,7 @@ mod tests {
                     children: vec![],
                 },
                 TraceSpan {
-                    name: "component".into(),
+                    name: "shard_cell".into(),
                     label: Some("#1".into()),
                     tid: 0,
                     start_ns: 6_000,
@@ -631,7 +631,7 @@ mod tests {
         let t = chrome_trace(&forest());
         let stats = validate_chrome_trace(&t).expect("valid trace");
         assert_eq!(stats.begins, 3);
-        // `component #1` never closed, but its same-track parent did: its E
+        // `shard_cell #1` never closed, but its same-track parent did: its E
         // is clamped to the parent's end so track 0 stays stack-disciplined.
         assert_eq!(stats.ends, 3);
         assert_eq!(stats.open, 0);
@@ -643,13 +643,13 @@ mod tests {
     #[test]
     fn fully_open_chain_keeps_lone_begins() {
         let spans = vec![TraceSpan {
-            name: "solve_split".into(),
+            name: "solve_sharded".into(),
             label: None,
             tid: 0,
             start_ns: 1_000,
             duration_ns: None,
             children: vec![TraceSpan {
-                name: "component".into(),
+                name: "shard_cell".into(),
                 label: Some("#0".into()),
                 tid: 0,
                 start_ns: 2_000,
@@ -710,7 +710,7 @@ mod tests {
         let html = html_timeline(&forest());
         assert!(html.contains("track t0"));
         assert!(html.contains("track t1"));
-        assert!(html.contains("component #0"));
+        assert!(html.contains("shard_cell #0"));
         assert!(html.contains("class=\"bar open\""), "open span styled");
         assert!(html.contains("self-time rollup"), "flame table embedded");
         assert!(html.starts_with("<!doctype html>"));
@@ -747,14 +747,14 @@ mod tests {
     #[test]
     fn rollup_subtracts_children_and_sorts_by_self_time() {
         let rows = self_time_rollup(&forest());
-        // solve_split: 9ms total, children 2ms + 0ms (open) → 7ms self.
-        // component: 2ms + 0ms total, no children → 2ms self.
+        // solve_sharded: 9ms total, children 2ms + 0ms (open) → 7ms self.
+        // shard_cell: 2ms + 0ms total, no children → 2ms self.
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].name, "solve_split");
+        assert_eq!(rows[0].name, "solve_sharded");
         assert_eq!(rows[0].count, 1);
         assert_eq!(rows[0].total_ns, 9_000_000);
         assert_eq!(rows[0].self_ns, 7_000_000);
-        assert_eq!(rows[1].name, "component");
+        assert_eq!(rows[1].name, "shard_cell");
         assert_eq!(rows[1].count, 2);
         assert_eq!(rows[1].total_ns, 2_000_000);
         assert_eq!(rows[1].self_ns, 2_000_000);
@@ -794,7 +794,7 @@ mod tests {
         let mut lines = text.lines();
         let header = lines.next().unwrap();
         assert!(header.contains("span") && header.contains("self%"));
-        assert!(text.contains("solve_split"));
+        assert!(text.contains("solve_sharded"));
         assert!(render_rollup_text(&[]).lines().count() == 1, "header only");
     }
 }

@@ -58,6 +58,7 @@ impl Value {
     /// Returns a [`ParseError`] locating the first offending byte.
     pub fn parse(text: &str) -> Result<Value, ParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -167,6 +168,7 @@ impl Value {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -307,11 +309,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance one whole UTF-8 scalar (input is &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).map_err(|_| self.err("bad UTF-8"))?;
-                    let c = text.chars().next().expect("peeked non-empty");
+                    // Advance one whole UTF-8 scalar. The input is a &str
+                    // and `pos` only ever moves by whole scalars, so this
+                    // decodes just the next one instead of re-validating
+                    // the rest of the document.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("bad UTF-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }

@@ -127,6 +127,22 @@ fn parse_err(line: usize, message: String) -> AvailabilityError {
     AvailabilityError::Parse { line, message }
 }
 
+/// Cuts a trailing `# comment`, ignoring `#` inside double-quoted strings
+/// (so `name = "rack#2"` keeps its full name).
+fn strip_comment(line: &str) -> &str {
+    let mut in_string = false;
+    let mut prev_backslash = false;
+    for (i, c) in line.char_indices() {
+        match c {
+            '"' if !prev_backslash => in_string = !in_string,
+            '#' if !in_string => return &line[..i],
+            _ => {}
+        }
+        prev_backslash = c == '\\' && !prev_backslash;
+    }
+    line
+}
+
 /// Parses `"0-3,7"`-style disk lists: comma-separated indices and
 /// inclusive ranges. Returns a sorted, deduplicated list.
 fn parse_disk_list(line: usize, raw: &str) -> Result<Vec<usize>, AvailabilityError> {
@@ -228,7 +244,7 @@ impl AvailabilityModel {
         };
         for (i, raw) in text.lines().enumerate() {
             let lineno = i + 1;
-            let line = raw.split('#').next().unwrap_or_default().trim();
+            let line = strip_comment(raw).trim();
             if line.is_empty() {
                 continue;
             }
@@ -522,6 +538,17 @@ probability = 0.02
         assert_eq!(m.spares, vec![6, 7]);
         assert_eq!(m.flaky, Some(0.02));
         assert_eq!(m.max_disk(), Some(7));
+    }
+
+    #[test]
+    fn hash_inside_quotes_is_not_a_comment() {
+        let m = AvailabilityModel::parse(
+            "[[domain]] # racks\nname = \"rack#2\" # the second rack\n\
+             disks = \"0-1\"\nmode = \"crash\"\nmtbf = 5.0\n",
+        )
+        .unwrap();
+        assert_eq!(m.domains[0].name, "rack#2");
+        assert_eq!(m.domains[0].disks, vec![0, 1]);
     }
 
     #[test]

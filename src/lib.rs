@@ -42,10 +42,7 @@ pub use dmig_workloads as workloads;
 
 /// The names most programs need, in one import.
 pub mod prelude {
-    pub use dmig_core::parallel::{
-        default_threads, merge_component_schedules, solve_components, solve_split,
-        split_components, ComponentPart, ParallelSolver,
-    };
+    pub use dmig_core::parallel::{default_threads, ParallelSolver};
     pub use dmig_core::solver::{
         all_solvers, solver_by_name, AutoSolver, BipartiteOptimalSolver, EvenOptimalSolver,
         GeneralSolver, GreedySolver, HomogeneousSolver, SaiaSolver, Solver,
