@@ -1,6 +1,6 @@
 //! E14 — trace-driven end-to-end replay: from an item trace with sizes,
 //! through planning, to simulated wall-clock under three execution
-//! engines.
+//! settings.
 //!
 //! The experimental-study line of related work (Anderson et al., WAE '01)
 //! evaluates migration algorithms on item traces rather than synthetic
@@ -8,17 +8,15 @@
 //! trace (skewed placements, variable item sizes) is written to the trace
 //! format, parsed back, planned by the capacity-aware and homogeneous
 //! schedulers, and executed under (a) the paper's round-barrier model,
-//! (b) work-conserving sharing, and (c) a mid-migration disk slowdown.
+//! (b) work-conserving sharing in the executor, and (c) the same with a
+//! mid-migration disk slowdown injected as a `[[degrade]]` fault.
 
 use dmig_bench::table::Table;
 use dmig_core::solver::{GeneralSolver, HomogeneousSolver, Solver};
 use dmig_core::{bounds, MigrationProblem};
 use dmig_graph::NodeId;
-use dmig_sim::events::{simulate_with_events, BandwidthEvent};
-use dmig_sim::{
-    engine::{simulate_adaptive, simulate_rounds},
-    Cluster,
-};
+use dmig_sim::faults::DegradeFault;
+use dmig_sim::{engine::simulate_rounds, execute, Cluster, ExecutorConfig, FaultPlan};
 use dmig_workloads::trace::{parse_trace, to_trace_text, Trace};
 use dmig_workloads::{capacities, random};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -54,20 +52,28 @@ fn main() {
         let lb = bounds::lower_bound(&p);
         let cluster = Cluster::uniform(nn, 1.0).with_item_sizes(trace.sizes.clone());
         // Disk 0 (the power-law hot spot) degrades halfway through.
-        let events = [BandwidthEvent {
-            time: lb as f64,
-            disk: NodeId::new(0),
-            bandwidth: 0.5,
-        }];
+        let slowdown = FaultPlan {
+            degradations: vec![DegradeFault {
+                disk: NodeId::new(0),
+                time: lb as f64,
+                factor: 0.5,
+                recover_at: None,
+            }],
+            ..FaultPlan::default()
+        };
 
         for solver in [&GeneralSolver::default() as &dyn Solver, &HomogeneousSolver] {
             let s = solver.solve(&p).expect("infallible");
             s.validate(&p).expect("feasible");
             let barrier = simulate_rounds(&p, &s, &cluster).expect("ok").total_time;
-            let adaptive = simulate_adaptive(&p, &s, &cluster).expect("ok").total_time;
-            let degraded = simulate_with_events(&p, &s, &cluster, &events)
-                .expect("ok")
-                .total_time;
+            let run = |faults: &FaultPlan| {
+                execute(&p, &s, &cluster, faults, &ExecutorConfig::default(), solver)
+                    .expect("ok")
+                    .sim
+                    .total_time
+            };
+            let adaptive = run(&FaultPlan::default());
+            let degraded = run(&slowdown);
             assert!(adaptive <= barrier + 1e-9);
             assert!(degraded >= adaptive - 1e-9);
             t.row_owned(vec![

@@ -682,15 +682,37 @@ fn parse_fault_args(
 /// Resolves `--bandwidths B0,B1,…` into a [`Cluster`] (uniform unit
 /// bandwidth when absent).
 fn parse_cluster(args: &[String], problem: &MigrationProblem) -> Result<Cluster, String> {
-    match flag_value(args, "--bandwidths") {
-        Some(spec) => {
-            let bws: Result<Vec<f64>, _> = spec.split(',').map(str::parse::<f64>).collect();
-            Ok(Cluster::from_bandwidths(
-                bws.map_err(|e| format!("bad --bandwidths: {e}"))?,
-            ))
-        }
-        None => Ok(Cluster::uniform(problem.num_disks(), 1.0)),
+    let Some(spec) = optional_flag(args, "--bandwidths")? else {
+        return Ok(Cluster::uniform(problem.num_disks(), 1.0));
+    };
+    spec.split(',')
+        .enumerate()
+        .map(|(v, raw)| {
+            raw.parse::<f64>()
+                .map_err(|_| format!("disk {v} bandwidth `{raw}` is not a number"))
+        })
+        .collect::<Result<Vec<f64>, String>>()
+        .and_then(|bws| checked_cluster(bws, problem.num_disks()))
+        .map_err(|e| format!("bad --bandwidths: {e}"))
+}
+
+/// A cluster with one bandwidth per disk of a `disks`-disk instance, each
+/// finite and > 0; otherwise an error naming the first bad entry.
+fn checked_cluster(bandwidths: Vec<f64>, disks: usize) -> Result<Cluster, String> {
+    if bandwidths.len() != disks {
+        return Err(format!(
+            "{} bandwidths for a {disks}-disk instance",
+            bandwidths.len()
+        ));
     }
+    if let Some((v, b)) = bandwidths
+        .iter()
+        .enumerate()
+        .find(|&(_, &b)| !(b.is_finite() && b > 0.0))
+    {
+        return Err(format!("disk {v} bandwidth {b} must be finite and > 0"));
+    }
+    Ok(Cluster::from_bandwidths(bandwidths))
 }
 
 /// Assembles the data the attribution engine needs: per-disk degree and

@@ -376,18 +376,12 @@ fn load_workspace(ws: &Workspace) -> Result<Loaded, String> {
     let bws_doc = field(&cfg, CONFIG, "bandwidths")?
         .as_array()
         .ok_or(format!("{CONFIG}: `bandwidths` is not an array"))?;
-    if bws_doc.len() != problem.num_disks() {
-        return Err(format!(
-            "{CONFIG}: {} bandwidths for a {}-disk instance",
-            bws_doc.len(),
-            problem.num_disks()
-        ));
-    }
     let mut bws = Vec::with_capacity(bws_doc.len());
     for (i, b) in bws_doc.iter().enumerate() {
         bws.push(f64_of_bits(b, &format!("bandwidths[{i}]"))?);
     }
-    let cluster = Cluster::from_bandwidths(bws);
+    let cluster =
+        crate::checked_cluster(bws, problem.num_disks()).map_err(|e| format!("{CONFIG}: {e}"))?;
 
     let solver_name = field(&manifest, MANIFEST, "solver")?
         .as_str()

@@ -350,3 +350,63 @@ fn crash_safe_outputs_leave_no_temp_files() {
         "temp files left behind: {leftovers:?}"
     );
 }
+
+#[test]
+fn bad_bandwidths_exit_1_and_plan_writes_no_workspace() {
+    let scratch = Scratch::new("bad-bandwidths");
+    let (code, instance) = dmig(&["generate", "k3", "3", "2"]);
+    assert_eq!(code, 0, "{instance}");
+    let ipath = scratch.path("k3.dmig");
+    std::fs::write(&ipath, instance).unwrap();
+    let ws = scratch.path("ws-bad");
+    for (bad, needle) in [
+        ("0,1,1", "disk 0 bandwidth 0 must be finite and > 0"),
+        ("1,-1,1", "disk 1 bandwidth -1 must be finite and > 0"),
+        ("1,1,nan", "disk 2 bandwidth NaN must be finite and > 0"),
+        ("inf,1,1", "disk 0 bandwidth inf must be finite and > 0"),
+        ("1,x,1", "disk 1 bandwidth `x` is not a number"),
+        ("1,1", "2 bandwidths for a 3-disk instance"),
+        ("1,1,1,1", "4 bandwidths for a 3-disk instance"),
+    ] {
+        for args in [
+            vec!["simulate", &ipath, "--bandwidths", bad],
+            vec!["obs", "explain", &ipath, "--bandwidths", bad],
+            vec![
+                "migrate",
+                "plan",
+                &ipath,
+                "--workspace",
+                &ws,
+                "--bandwidths",
+                bad,
+            ],
+        ] {
+            let (code, out) = dmig(&args);
+            assert_eq!(code, 1, "{args:?}: {out}");
+            assert!(
+                out.contains(&format!("bad --bandwidths: {needle}")),
+                "{args:?}: {out}"
+            );
+        }
+        assert!(!Path::new(&ws).exists(), "{bad}: migrate plan wrote {ws}");
+    }
+}
+
+#[test]
+fn tampered_config_bandwidth_is_an_error_not_a_panic() {
+    let scratch = Scratch::new("tampered-config");
+    let (ipath, fpath) = seed_inputs(&scratch, 8);
+    let ws = plan(&scratch, "ws", &ipath, &fpath);
+    let config = Path::new(&ws).join("config.json");
+    let text = std::fs::read_to_string(&config).unwrap();
+    // Disk 0's unit bandwidth becomes the bit pattern of 0.0.
+    let unit = format!("\"{}\"", 1.0f64.to_bits());
+    assert!(text.contains(&unit), "{text}");
+    std::fs::write(&config, text.replacen(&unit, "\"0\"", 1)).unwrap();
+    let (code, out) = dmig(&["migrate", "execute", "--workspace", &ws]);
+    assert_eq!(code, 1, "{out}");
+    assert!(
+        out.contains("config.json: disk 0 bandwidth 0 must be finite and > 0"),
+        "{out}"
+    );
+}

@@ -1,14 +1,17 @@
-//! Schedule execution engines.
+//! The paper's round-barrier model.
+//!
+//! Continuous-time execution (work-conserving fair sharing, bandwidth
+//! that changes mid-round, faults) lives in [`crate::executor`].
 
 use core::fmt;
 
 use dmig_core::{MigrationProblem, MigrationSchedule, ScheduleError};
-use dmig_graph::EdgeId;
+use dmig_graph::{EdgeId, Multigraph};
 
 use crate::progress::RoundTicker;
 use crate::{Cluster, SimReport};
 
-/// Errors from the simulation engines.
+/// Input errors shared by the round model and the executor.
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum SimError {
@@ -21,27 +24,6 @@ pub enum SimError {
         /// Disks in the problem.
         problem: usize,
     },
-    /// A bandwidth event referenced a disk outside the cluster.
-    EventDiskOutOfRange {
-        /// The referenced disk.
-        disk: dmig_graph::NodeId,
-        /// Number of disks in the cluster.
-        disks: usize,
-    },
-    /// A bandwidth event carried a negative/non-finite time or rate.
-    MalformedEvent {
-        /// The event time.
-        time: f64,
-        /// The event bandwidth.
-        bandwidth: f64,
-    },
-    /// Execution deadlocked: every remaining transfer sits at rate zero
-    /// (an endpoint at bandwidth 0) with no future bandwidth event that
-    /// could revive it.
-    Deadlocked {
-        /// Simulation clock at the deadlock.
-        time: f64,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -51,25 +33,6 @@ impl fmt::Display for SimError {
             SimError::ClusterSizeMismatch { cluster, problem } => {
                 write!(f, "cluster has {cluster} disks but problem has {problem}")
             }
-            SimError::EventDiskOutOfRange { disk, disks } => {
-                write!(
-                    f,
-                    "bandwidth event for disk {disk} but cluster has {disks} disks"
-                )
-            }
-            SimError::MalformedEvent { time, bandwidth } => {
-                write!(
-                    f,
-                    "malformed bandwidth event (time {time}, bandwidth {bandwidth})"
-                )
-            }
-            SimError::Deadlocked { time } => {
-                write!(
-                    f,
-                    "deadlock at t={time}: remaining transfers are stuck at \
-                     bandwidth 0 with no recovery event"
-                )
-            }
         }
     }
 }
@@ -78,13 +41,13 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::InfeasibleSchedule(e) => Some(e),
-            _ => None,
+            SimError::ClusterSizeMismatch { .. } => None,
         }
     }
 }
 
-/// Per-round engine telemetry shared by all engines: counters, round-size
-/// histogram, and the progress/stall ticker.
+/// Per-round telemetry shared by [`simulate_rounds`] and the executor:
+/// counters, round-size histogram, and the progress/stall ticker.
 pub(crate) fn record_sim_round(ticker: &mut RoundTicker, transfers: usize) {
     dmig_obs::counter_add(dmig_obs::keys::SIM_ROUNDS, 1);
     dmig_obs::counter_add(dmig_obs::keys::SIM_TRANSFERS, transfers as u64);
@@ -106,6 +69,36 @@ fn check_inputs(
     schedule
         .validate(problem)
         .map_err(SimError::InfeasibleSchedule)
+}
+
+/// One round under the round model. Fills `finish_at[v]` with the time
+/// disk `v`'s last transfer ends (0 for an idle disk) and returns the
+/// round's duration. `concurrency` is scratch of the same length.
+fn round_model(
+    g: &Multigraph,
+    cluster: &Cluster,
+    round: &[EdgeId],
+    concurrency: &mut [usize],
+    finish_at: &mut [f64],
+) -> f64 {
+    concurrency.fill(0);
+    finish_at.fill(0.0);
+    for &e in round {
+        let ep = g.endpoints(e);
+        concurrency[ep.u.index()] += 1;
+        concurrency[ep.v.index()] += 1;
+    }
+    let mut round_time = 0.0f64;
+    for &e in round {
+        let ep = g.endpoints(e);
+        let share_u = cluster.bandwidth(ep.u) / concurrency[ep.u.index()] as f64;
+        let share_v = cluster.bandwidth(ep.v) / concurrency[ep.v.index()] as f64;
+        let t = cluster.item_size(e) / share_u.min(share_v);
+        round_time = round_time.max(t);
+        finish_at[ep.u.index()] = finish_at[ep.u.index()].max(t);
+        finish_at[ep.v.index()] = finish_at[ep.v.index()].max(t);
+    }
+    round_time
 }
 
 /// Executes a schedule under the paper's round model: within a round each
@@ -132,6 +125,7 @@ pub fn simulate_rounds(
     let mut disk_busy = vec![0.0f64; n];
     let mut volume = 0.0f64;
     let mut concurrency = vec![0usize; n];
+    let mut finish_at = vec![0.0f64; n];
     let mut ticker = RoundTicker::new(schedule.makespan());
     let mut base = 0.0f64;
 
@@ -141,27 +135,12 @@ pub fn simulate_rounds(
             transfers: round.len() as u64,
             time: base,
         });
-        concurrency.iter_mut().for_each(|k| *k = 0);
+        let round_time = round_model(g, cluster, round, &mut concurrency, &mut finish_at);
         for &e in round {
-            let ep = g.endpoints(e);
-            concurrency[ep.u.index()] += 1;
-            concurrency[ep.v.index()] += 1;
+            volume += cluster.item_size(e);
         }
-        let mut round_time = 0.0f64;
-        let mut finish_at = vec![0.0f64; n];
-        for &e in round {
-            let ep = g.endpoints(e);
-            let share_u = cluster.bandwidth(ep.u) / concurrency[ep.u.index()] as f64;
-            let share_v = cluster.bandwidth(ep.v) / concurrency[ep.v.index()] as f64;
-            let size = cluster.item_size(e);
-            let t = size / share_u.min(share_v);
-            volume += size;
-            round_time = round_time.max(t);
-            finish_at[ep.u.index()] = finish_at[ep.u.index()].max(t);
-            finish_at[ep.v.index()] = finish_at[ep.v.index()].max(t);
-        }
-        for v in 0..n {
-            disk_busy[v] += finish_at[v];
+        for (busy, &t) in disk_busy.iter_mut().zip(&finish_at) {
+            *busy += t;
         }
         base += round_time;
         dmig_obs::events::emit(dmig_obs::events::Event::RoundEnd {
@@ -185,8 +164,9 @@ pub fn simulate_rounds(
 /// round, its duration plus the sparse per-disk busy times — the input the
 /// attribution engine ([`dmig_obs::explain::attribute`]) needs to find the
 /// binding chain. Emits no events and records no metrics: it is a pure
-/// analysis pass over the same arithmetic as the simulator, so the round
-/// durations match a [`SimReport`] from `simulate_rounds` exactly.
+/// analysis pass over the same per-round arithmetic as the simulator, so
+/// the round durations match a [`SimReport`] from `simulate_rounds`
+/// exactly.
 ///
 /// # Errors
 ///
@@ -201,130 +181,19 @@ pub fn round_profile(
     let g = problem.graph();
     let n = g.num_nodes();
     let mut concurrency = vec![0usize; n];
+    let mut finish_at = vec![0.0f64; n];
     let mut rounds = Vec::with_capacity(schedule.makespan());
     for round in schedule.rounds() {
-        concurrency.iter_mut().for_each(|k| *k = 0);
-        for &e in round {
-            let ep = g.endpoints(e);
-            concurrency[ep.u.index()] += 1;
-            concurrency[ep.v.index()] += 1;
-        }
-        let mut round_time = 0.0f64;
-        let mut finish_at = vec![0.0f64; n];
-        for &e in round {
-            let ep = g.endpoints(e);
-            let share_u = cluster.bandwidth(ep.u) / concurrency[ep.u.index()] as f64;
-            let share_v = cluster.bandwidth(ep.v) / concurrency[ep.v.index()] as f64;
-            let t = cluster.item_size(e) / share_u.min(share_v);
-            round_time = round_time.max(t);
-            finish_at[ep.u.index()] = finish_at[ep.u.index()].max(t);
-            finish_at[ep.v.index()] = finish_at[ep.v.index()].max(t);
-        }
-        let busy: Vec<(usize, f64)> = (0..n)
-            .filter(|&v| finish_at[v] > 0.0)
-            .map(|v| (v, finish_at[v]))
+        let duration = round_model(g, cluster, round, &mut concurrency, &mut finish_at);
+        let busy: Vec<(usize, f64)> = finish_at
+            .iter()
+            .enumerate()
+            .filter(|&(_, &t)| t > 0.0)
+            .map(|(v, &t)| (v, t))
             .collect();
-        rounds.push(dmig_obs::explain::RoundLoad {
-            duration: round_time,
-            busy,
-        });
+        rounds.push(dmig_obs::explain::RoundLoad { duration, busy });
     }
     Ok(rounds)
-}
-
-/// Executes a schedule with work-conserving bandwidth reallocation inside
-/// each round: whenever a transfer completes, the remaining transfers'
-/// rates are recomputed as `min` of the endpoints' fair shares over the
-/// transfers *still active*. Rounds remain barriers.
-///
-/// Always at least as fast per round as [`simulate_rounds`].
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the schedule is infeasible or the cluster size
-/// does not match.
-pub fn simulate_adaptive(
-    problem: &MigrationProblem,
-    schedule: &MigrationSchedule,
-    cluster: &Cluster,
-) -> Result<SimReport, SimError> {
-    check_inputs(problem, schedule, cluster)?;
-    let _span = dmig_obs::span_labeled("simulate_adaptive", || {
-        format!("rounds={}", schedule.makespan())
-    });
-    let g = problem.graph();
-    let n = g.num_nodes();
-    let mut round_durations = Vec::with_capacity(schedule.makespan());
-    let mut disk_busy = vec![0.0f64; n];
-    let mut volume = 0.0f64;
-    let mut ticker = RoundTicker::new(schedule.makespan());
-    let mut base = 0.0f64;
-
-    for round in schedule.rounds() {
-        dmig_obs::events::emit(dmig_obs::events::Event::RoundStart {
-            round: round_durations.len() as u64,
-            transfers: round.len() as u64,
-            time: base,
-        });
-        let mut remaining: Vec<(EdgeId, f64)> =
-            round.iter().map(|&e| (e, cluster.item_size(e))).collect();
-        volume += remaining.iter().map(|&(_, s)| s).sum::<f64>();
-        let mut clock = 0.0f64;
-        let mut active = vec![0usize; n];
-
-        while !remaining.is_empty() {
-            active.iter_mut().for_each(|k| *k = 0);
-            for &(e, _) in &remaining {
-                let ep = g.endpoints(e);
-                active[ep.u.index()] += 1;
-                active[ep.v.index()] += 1;
-            }
-            // Current fair-share rate per transfer.
-            let rates: Vec<f64> = remaining
-                .iter()
-                .map(|&(e, _)| {
-                    let ep = g.endpoints(e);
-                    (cluster.bandwidth(ep.u) / active[ep.u.index()] as f64)
-                        .min(cluster.bandwidth(ep.v) / active[ep.v.index()] as f64)
-                })
-                .collect();
-            // Advance to the next completion.
-            let dt = remaining
-                .iter()
-                .zip(&rates)
-                .map(|(&(_, left), &r)| left / r)
-                .fold(f64::INFINITY, f64::min);
-            clock += dt;
-            for v in 0..n {
-                if active[v] > 0 {
-                    disk_busy[v] += dt;
-                }
-            }
-            let mut next = Vec::with_capacity(remaining.len());
-            for ((e, left), r) in remaining.into_iter().zip(rates) {
-                let left = left - r * dt;
-                if left > 1e-9 {
-                    next.push((e, left));
-                }
-            }
-            remaining = next;
-        }
-        base += clock;
-        dmig_obs::events::emit(dmig_obs::events::Event::RoundEnd {
-            round: round_durations.len() as u64,
-            duration: clock,
-            time: base,
-        });
-        round_durations.push(clock);
-        record_sim_round(&mut ticker, round.len());
-    }
-
-    Ok(SimReport {
-        total_time: round_durations.iter().sum(),
-        round_durations,
-        disk_busy,
-        volume,
-    })
 }
 
 #[cfg(test)]
@@ -379,28 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_never_slower_than_rounds() {
-        let p = MigrationProblem::uniform(star_multigraph(5, 2), 3).unwrap();
-        let s = dmig_core::solver::GreedySolver.solve(&p).unwrap();
-        let cluster = Cluster::from_bandwidths(vec![2.0, 1.0, 0.5, 1.0, 2.0, 1.0]);
-        let fixed = simulate_rounds(&p, &s, &cluster).unwrap();
-        let adaptive = simulate_adaptive(&p, &s, &cluster).unwrap();
-        assert!(adaptive.total_time <= fixed.total_time + 1e-9);
-        assert!((adaptive.volume - fixed.volume).abs() < 1e-9);
-    }
-
-    #[test]
-    fn adaptive_equal_when_symmetric() {
-        let m = 2;
-        let p = fig2(m);
-        let cluster = Cluster::uniform(3, 1.0);
-        let s = EvenOptimalSolver.solve(&p).unwrap();
-        let fixed = simulate_rounds(&p, &s, &cluster).unwrap();
-        let adaptive = simulate_adaptive(&p, &s, &cluster).unwrap();
-        assert!((fixed.total_time - adaptive.total_time).abs() < 1e-9);
-    }
-
-    #[test]
     fn infeasible_schedule_rejected() {
         let p = fig2(1);
         let bogus = dmig_core::MigrationSchedule::from_rounds(vec![vec![0.into()]]);
@@ -428,8 +275,6 @@ mod tests {
         let s = dmig_core::MigrationSchedule::default();
         let r = simulate_rounds(&p, &s, &Cluster::uniform(2, 1.0)).unwrap();
         assert_eq!(r.total_time, 0.0);
-        let r2 = simulate_adaptive(&p, &s, &Cluster::uniform(2, 1.0)).unwrap();
-        assert_eq!(r2.total_time, 0.0);
     }
 
     #[test]

@@ -1,9 +1,13 @@
-//! Closed-loop, fault-tolerant schedule execution.
+//! Continuous-time, fault-tolerant schedule execution.
 //!
-//! The engines in [`crate::engine`] replay a frozen schedule; this module
-//! *executes* one against a [`FaultPlan`] and repairs the plan as reality
-//! diverges from it. Per round (rounds stay barriers, continuous-time
-//! fair-share inside, as in [`crate::engine::simulate_adaptive`]):
+//! [`crate::engine::simulate_rounds`] prices a frozen schedule under the
+//! paper's round model; this module *executes* one in continuous time
+//! against a [`FaultPlan`] and repairs the plan as reality diverges from
+//! it. Rounds stay barriers. Inside a round every transfer runs at the
+//! `min` of its endpoints' fair shares over the transfers still active,
+//! recomputed at every completion, fault event, and retry release
+//! (work-conserving sharing); with an empty plan that is all it does. Per
+//! fault kind:
 //!
 //! * **flaky transfers** fail at their would-be completion and are retried
 //!   from zero after bounded exponential backoff; when
@@ -58,9 +62,9 @@ use crate::faults::{attempt_fails, FaultAction, FaultEvent, FaultPlan, FaultPlan
 use crate::progress::{RoundTicker, StallDetector, STALL_FACTOR};
 use crate::{Cluster, SimReport};
 
-/// Same tolerance the event engine uses to treat an event as "due".
+/// A fault event or retry release this close ahead of the clock is due.
 const EVENT_EPS: f64 = 1e-12;
-/// Same tolerance the engines use to treat a transfer as finished.
+/// A transfer with at most this much volume left has finished.
 const DONE_EPS: f64 = 1e-9;
 
 /// Policy knobs for [`execute`].
@@ -1478,7 +1482,6 @@ fn ck_u64_str_vec(doc: &Value, key: &str) -> Result<Vec<u64>, ExecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate_adaptive;
     use crate::faults::{CrashFault, DegradeFault, FlakySpec};
     use dmig_core::solver::AutoSolver;
     use dmig_graph::builder::complete_multigraph;
@@ -1507,32 +1510,6 @@ mod tests {
             }],
             ..FaultPlan::default()
         }
-    }
-
-    #[test]
-    fn zero_fault_plan_reproduces_adaptive_exactly() {
-        let p = MigrationProblem::uniform(complete_multigraph(3, 4), 2).unwrap();
-        let s = AutoSolver.solve(&p).unwrap();
-        let cluster = Cluster::from_bandwidths(vec![2.0, 1.0, 0.5]);
-        let baseline = simulate_adaptive(&p, &s, &cluster).unwrap();
-        let r = execute(
-            &p,
-            &s,
-            &cluster,
-            &FaultPlan::default(),
-            &ExecutorConfig {
-                replan: true,
-                ..ExecutorConfig::default()
-            },
-            &AutoSolver,
-        )
-        .unwrap();
-        assert_eq!(r.sim.total_time.to_bits(), baseline.total_time.to_bits());
-        assert_eq!(r.sim.round_durations, baseline.round_durations);
-        assert_eq!(r.sim.disk_busy, baseline.disk_busy);
-        assert_eq!(r.sim.volume.to_bits(), baseline.volume.to_bits());
-        assert_eq!(r.delivered(), p.num_items());
-        assert_eq!((r.replans, r.retries, r.crashes), (0, 0, 0));
     }
 
     #[test]

@@ -116,6 +116,23 @@ impl std::fmt::Display for FaultPlanError {
 
 impl std::error::Error for FaultPlanError {}
 
+/// The table a semantic violation sits in: the index of its `[[crash]]`
+/// or `[[degrade]]` table, or `[flaky]`.
+enum Table {
+    Crash(usize),
+    Degrade(usize),
+    Flaky,
+}
+
+/// The 1-based header line of every table a parse read, in plan order
+/// (for `[flaky]`, the last one, whose values the plan keeps).
+#[derive(Default)]
+struct HeaderLines {
+    crash: Vec<usize>,
+    degrade: Vec<usize>,
+    flaky: usize,
+}
+
 /// The section the parser is currently filling.
 enum Section {
     Top,
@@ -149,7 +166,13 @@ impl FaultPlan {
     /// input, and [`FaultPlanError::Invalid`] when a table is missing a
     /// required key or carries an out-of-range value.
     pub fn parse(text: &str) -> Result<FaultPlan, FaultPlanError> {
+        Self::parse_tables(text).map(|(plan, _)| plan)
+    }
+
+    /// [`FaultPlan::parse`], plus the header line of every table it read.
+    fn parse_tables(text: &str) -> Result<(FaultPlan, HeaderLines), FaultPlanError> {
         let mut plan = FaultPlan::default();
+        let mut lines = HeaderLines::default();
         let mut section = Section::Top;
         // Partially built current table; flushed on section change / EOF.
         let mut disk: Option<NodeId> = None;
@@ -217,7 +240,17 @@ impl FaultPlan {
             if line.is_empty() {
                 continue;
             }
-            if let Some(header) = line.strip_prefix("[[").and_then(|s| s.strip_suffix("]]")) {
+            // `[[name]]` opens an array table, `[name]` a plain one.
+            let header = line
+                .strip_prefix("[[")
+                .and_then(|s| s.strip_suffix("]]"))
+                .map(|h| (h.trim(), true))
+                .or_else(|| {
+                    line.strip_prefix('[')
+                        .and_then(|s| s.strip_suffix(']'))
+                        .map(|h| (h.trim(), false))
+                });
+            if let Some((name, array)) = header {
                 flush(
                     &section,
                     &mut plan,
@@ -228,36 +261,29 @@ impl FaultPlan {
                     &mut recover_at,
                     &mut probability,
                 )?;
-                section = match header.trim() {
-                    "crash" => Section::Crash,
-                    "degrade" => Section::Degrade,
-                    other => {
-                        return Err(FaultPlanError::Parse {
-                            line: lineno,
-                            message: format!("unknown table `[[{other}]]`"),
-                        })
+                section = match (name, array) {
+                    ("crash", true) => {
+                        lines.crash.push(lineno);
+                        Section::Crash
                     }
-                };
-                continue;
-            }
-            if let Some(header) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-                flush(
-                    &section,
-                    &mut plan,
-                    &mut disk,
-                    &mut time,
-                    &mut replacement,
-                    &mut factor,
-                    &mut recover_at,
-                    &mut probability,
-                )?;
-                section = match header.trim() {
-                    "flaky" => Section::Flaky,
-                    other => {
+                    ("degrade", true) => {
+                        lines.degrade.push(lineno);
+                        Section::Degrade
+                    }
+                    ("flaky", false) => {
+                        lines.flaky = lineno;
+                        Section::Flaky
+                    }
+                    (other, array) => {
+                        let table = if array {
+                            format!("[[{other}]]")
+                        } else {
+                            format!("[{other}]")
+                        };
                         return Err(FaultPlanError::Parse {
                             line: lineno,
-                            message: format!("unknown table `[{other}]`"),
-                        })
+                            message: format!("unknown table `{table}`"),
+                        });
                     }
                 };
                 continue;
@@ -312,7 +338,7 @@ impl FaultPlan {
             &mut recover_at,
             &mut probability,
         )?;
-        Ok(plan)
+        Ok((plan, lines))
     }
 
     /// Parses *and* validates against a cluster of `num_disks` disks,
@@ -321,120 +347,24 @@ impl FaultPlan {
     /// references disks the instance does not have.
     ///
     /// Accepts exactly the plans that [`FaultPlan::parse`] followed by
-    /// [`FaultPlan::validate`] accepts (pinned by a unit test); only the
-    /// error presentation differs.
+    /// [`FaultPlan::validate`] accepts (both run one checker, and a unit
+    /// test pins it); only the error presentation differs.
     ///
     /// # Errors
     ///
     /// Returns [`FaultPlanError::Parse`] with the offending line for both
     /// malformed input and semantic violations.
     pub fn parse_checked(text: &str, num_disks: usize) -> Result<FaultPlan, FaultPlanError> {
-        let plan = FaultPlan::parse(text)?;
-        // Map each table back to the line of its header. `parse` accepted
-        // the text, so headers appear exactly once per parsed entity, in
-        // order.
-        let mut crash_lines = Vec::new();
-        let mut degrade_lines = Vec::new();
-        let mut flaky_line = 0usize;
-        for (i, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or_default().trim();
-            if let Some(h) = line.strip_prefix("[[").and_then(|s| s.strip_suffix("]]")) {
-                match h.trim() {
-                    "crash" => crash_lines.push(i + 1),
-                    "degrade" => degrade_lines.push(i + 1),
-                    _ => {}
-                }
-            } else if let Some(h) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-                if h.trim() == "flaky" {
-                    flaky_line = i + 1;
-                }
-            }
-        }
-        let at = |line: usize, message: String| FaultPlanError::Parse { line, message };
-        let line_of = |lines: &[usize], i: usize| lines.get(i).copied().unwrap_or(0);
-        // Same checks as `validate`, re-run per table for attribution.
-        let mut crashed = vec![false; num_disks];
-        for (i, c) in plan.crashes.iter().enumerate() {
-            let line = line_of(&crash_lines, i);
-            if c.disk.index() >= num_disks {
-                return Err(at(
-                    line,
-                    format!(
-                        "crash disk {} out of range (cluster has {num_disks} disks)",
-                        c.disk
-                    ),
-                ));
-            }
-            if !c.time.is_finite() || c.time < 0.0 {
-                return Err(at(line, format!("crash time {} invalid", c.time)));
-            }
-            if crashed[c.disk.index()] {
-                return Err(at(line, format!("disk {} crashes twice", c.disk)));
-            }
-            crashed[c.disk.index()] = true;
-        }
-        for (i, c) in plan.crashes.iter().enumerate() {
-            let line = line_of(&crash_lines, i);
-            if let Some(r) = c.replacement {
-                if r.index() >= num_disks {
-                    return Err(at(
-                        line,
-                        format!(
-                            "replacement disk {r} out of range (cluster has {num_disks} disks)"
-                        ),
-                    ));
-                }
-                if crashed[r.index()] {
-                    return Err(at(
-                        line,
-                        format!("replacement {r} for disk {} is itself crashed", c.disk),
-                    ));
-                }
-            }
-        }
-        for (i, d) in plan.degradations.iter().enumerate() {
-            let line = line_of(&degrade_lines, i);
-            if d.disk.index() >= num_disks {
-                return Err(at(
-                    line,
-                    format!(
-                        "degrade disk {} out of range (cluster has {num_disks} disks)",
-                        d.disk
-                    ),
-                ));
-            }
-            if !d.time.is_finite() || d.time < 0.0 {
-                return Err(at(line, format!("degrade time {} invalid", d.time)));
-            }
-            if !(d.factor > 0.0 && d.factor < 1.0 && d.factor.is_finite()) {
-                return Err(at(
-                    line,
-                    format!(
-                        "degrade factor {} must be in (0, 1) — a total failure is a crash",
-                        d.factor
-                    ),
-                ));
-            }
-            if let Some(r) = d.recover_at {
-                if !r.is_finite() || r < 0.0 {
-                    return Err(at(line, format!("recover_at time {r} invalid")));
-                }
-                if r <= d.time {
-                    return Err(at(
-                        line,
-                        format!("recover_at {r} is not after onset {}", d.time),
-                    ));
-                }
-            }
-        }
-        if let Some(f) = &plan.flaky {
-            if !(0.0..=1.0).contains(&f.probability) || !f.probability.is_finite() {
-                return Err(at(
-                    flaky_line,
-                    format!("flaky probability {} must be in [0, 1]", f.probability),
-                ));
-            }
-        }
+        let (plan, lines) = Self::parse_tables(text)?;
+        plan.check(num_disks)
+            .map_err(|(table, message)| FaultPlanError::Parse {
+                line: match table {
+                    Table::Crash(i) => lines.crash[i],
+                    Table::Degrade(i) => lines.degrade[i],
+                    Table::Flaky => lines.flaky,
+                },
+                message,
+            })?;
         Ok(plan)
     }
 
@@ -448,68 +378,73 @@ impl FaultPlan {
     /// crashed, repeat crashes of one disk, or a flaky probability outside
     /// `[0, 1]`.
     pub fn validate(&self, num_disks: usize) -> Result<(), FaultPlanError> {
+        self.check(num_disks)
+            .map_err(|(_, message)| FaultPlanError::Invalid(message))
+    }
+
+    /// The one semantic checker behind [`FaultPlan::validate`] and
+    /// [`FaultPlan::parse_checked`]: the first violation, and the table
+    /// that holds it.
+    fn check(&self, num_disks: usize) -> Result<(), (Table, String)> {
         let check_disk = |what: &str, d: NodeId| {
             if d.index() >= num_disks {
-                return Err(FaultPlanError::Invalid(format!(
+                return Err(format!(
                     "{what} disk {d} out of range (cluster has {num_disks} disks)"
-                )));
+                ));
             }
             Ok(())
         };
         let check_time = |what: &str, t: f64| {
             if !t.is_finite() || t < 0.0 {
-                return Err(FaultPlanError::Invalid(format!("{what} time {t} invalid")));
+                return Err(format!("{what} time {t} invalid"));
             }
             Ok(())
         };
         let mut crashed = vec![false; num_disks];
-        for c in &self.crashes {
-            check_disk("crash", c.disk)?;
-            check_time("crash", c.time)?;
+        for (i, c) in self.crashes.iter().enumerate() {
+            let at = |message| (Table::Crash(i), message);
+            check_disk("crash", c.disk).map_err(at)?;
+            check_time("crash", c.time).map_err(at)?;
             if crashed[c.disk.index()] {
-                return Err(FaultPlanError::Invalid(format!(
-                    "disk {} crashes twice",
-                    c.disk
-                )));
+                return Err(at(format!("disk {} crashes twice", c.disk)));
             }
             crashed[c.disk.index()] = true;
         }
-        for c in &self.crashes {
+        for (i, c) in self.crashes.iter().enumerate() {
+            let at = |message| (Table::Crash(i), message);
             if let Some(r) = c.replacement {
-                check_disk("replacement", r)?;
+                check_disk("replacement", r).map_err(at)?;
                 if crashed[r.index()] {
-                    return Err(FaultPlanError::Invalid(format!(
+                    return Err(at(format!(
                         "replacement {r} for disk {} is itself crashed",
                         c.disk
                     )));
                 }
             }
         }
-        for d in &self.degradations {
-            check_disk("degrade", d.disk)?;
-            check_time("degrade", d.time)?;
+        for (i, d) in self.degradations.iter().enumerate() {
+            let at = |message| (Table::Degrade(i), message);
+            check_disk("degrade", d.disk).map_err(at)?;
+            check_time("degrade", d.time).map_err(at)?;
             if !(d.factor > 0.0 && d.factor < 1.0 && d.factor.is_finite()) {
-                return Err(FaultPlanError::Invalid(format!(
+                return Err(at(format!(
                     "degrade factor {} must be in (0, 1) — a total failure is a crash",
                     d.factor
                 )));
             }
             if let Some(r) = d.recover_at {
-                check_time("recover_at", r)?;
+                check_time("recover_at", r).map_err(at)?;
                 if r <= d.time {
-                    return Err(FaultPlanError::Invalid(format!(
-                        "recover_at {r} is not after onset {}",
-                        d.time
-                    )));
+                    return Err(at(format!("recover_at {r} is not after onset {}", d.time)));
                 }
             }
         }
         if let Some(f) = &self.flaky {
             if !(0.0..=1.0).contains(&f.probability) || !f.probability.is_finite() {
-                return Err(FaultPlanError::Invalid(format!(
-                    "flaky probability {} must be in [0, 1]",
-                    f.probability
-                )));
+                return Err((
+                    Table::Flaky,
+                    format!("flaky probability {} must be in [0, 1]", f.probability),
+                ));
             }
         }
         Ok(())

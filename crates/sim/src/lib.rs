@@ -12,24 +12,21 @@
 //! rounds × 2 time units (each disk halving its bandwidth across two
 //! transfers) — a 1.5× wall-clock win.
 //!
-//! Two execution engines:
+//! Two ways to run a schedule:
 //!
 //! * [`engine::simulate_rounds`] — barrier semantics: a round ends when its
 //!   slowest transfer ends; every transfer runs at the fair-share rate set
 //!   by its round-long concurrency. This is the paper's model.
-//! * [`engine::simulate_adaptive`] — work-conserving refinement: when a
-//!   transfer finishes, the bandwidth it released is immediately
-//!   redistributed among the transfers still running in that round
-//!   (progressive filling). Rounds remain barriers.
-//! * [`events::simulate_with_events`] — failure injection: disk bandwidths
-//!   change at specified times (degradation under live traffic, total
-//!   failure at bandwidth 0, recovery), and the report shows how the
-//!   makespan stretches.
-//! * [`executor::execute`] — closed-loop execution: a seeded
-//!   [`faults::FaultPlan`] injects crash-stops, degradations, and flaky
-//!   transfers; the executor retries with bounded exponential backoff and
+//! * [`executor::execute`] — continuous time: rounds remain barriers, but
+//!   inside a round the bandwidth a finished transfer releases is
+//!   immediately redistributed among the transfers still running
+//!   (work-conserving fair sharing). A seeded [`faults::FaultPlan`]
+//!   injects crash-stops, bandwidth degradations with optional recovery
+//!   (a disk slowing under live traffic, §I), and flaky transfers; the
+//!   executor retries with bounded exponential backoff and, when asked,
 //!   replans the residual migration via [`dmig_core::replan`] when disks
-//!   die, degrade, or rounds stall.
+//!   die, degrade, or rounds stall. With an empty plan it is the plain
+//!   work-conserving simulator.
 //!
 //! ```
 //! use dmig_core::{MigrationProblem, solver::{Solver, HomogeneousSolver, EvenOptimalSolver}};
@@ -51,7 +48,6 @@
 
 pub mod cluster;
 pub mod engine;
-pub mod events;
 pub mod executor;
 pub mod faults;
 pub mod progress;

@@ -2,7 +2,8 @@
 //!
 //! Long simulations (hundreds of thousands of rounds on large instances)
 //! were previously silent until the final report. A [`RoundTicker`] hooks
-//! the per-round telemetry point shared by both engines and adds:
+//! the per-round telemetry point shared by the round model and the
+//! executor and adds:
 //!
 //! * **Progress lines** — `[sim] round 1200/40000 (3.0%) … eta 12.4s` on
 //!   stderr, throttled to one line per [`PRINT_INTERVAL`], behind an
@@ -17,7 +18,7 @@
 //!   hung run shows where it stopped.
 //!
 //! Ticker state is per-simulation (no globals beyond the print opt-in), and
-//! nothing here feeds back into the engines: enabling progress can never
+//! nothing here feeds back into the simulation: enabling progress can never
 //! change a simulation result.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -127,7 +128,7 @@ impl StallDetector {
     }
 }
 
-/// Per-simulation progress/stall tracker; one instance per engine call.
+/// Per-simulation progress/stall tracker; one instance per run.
 #[derive(Debug)]
 pub struct RoundTicker {
     total: usize,

@@ -1,24 +1,134 @@
 //! Property tests for the fault-injecting executor.
 //!
-//! The two load-bearing guarantees:
+//! The load-bearing guarantees:
 //!
 //! * **Determinism** — one fault plan (seed and all) yields a byte-identical
 //!   final report no matter how many solver threads run underneath, and no
 //!   matter how often the run is repeated.
-//! * **Fault-free equivalence** — an empty plan makes `execute` a drop-in
-//!   for `simulate_adaptive`: same times, same volumes, bitwise.
+//! * **Oracle equivalence** — without replanning, an empty plan or a
+//!   degrade-only plan makes `execute` agree bit for bit with [`oracle`], a
+//!   small work-conserving round simulator with bandwidth steps.
 //!
-//! Both are checked over randomized instances and fault plans, with full
-//! item accounting (`delivered + lost == |items|`) along the way.
+//! Both are checked over randomized instances, hardware, and fault plans,
+//! with full item accounting (`delivered + lost == |items|`) along the way.
 
 use dmig_core::parallel::ParallelSolver;
 use dmig_core::solver::{AutoSolver, Solver};
-use dmig_core::MigrationProblem;
-use dmig_sim::engine::simulate_adaptive;
+use dmig_core::{MigrationProblem, MigrationSchedule};
+use dmig_graph::builder::complete_multigraph;
+use dmig_graph::EdgeId;
 use dmig_sim::faults::{CrashFault, DegradeFault, FlakySpec};
-use dmig_sim::{execute, Cluster, ExecutorConfig, FaultPlan};
+use dmig_sim::{execute, Cluster, ExecutorConfig, FaultPlan, SimReport};
 use dmig_workloads::random::uniform_multigraph;
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
+
+/// From `time` on, disk `disk` runs at `bandwidth`.
+type Step = (f64, usize, f64);
+
+/// Test oracle: rounds are barriers, and inside a round every transfer runs
+/// at the `min` of its endpoints' fair shares over the transfers still
+/// active, recomputed at every completion and every bandwidth step. Steps
+/// apply in `(time, disk, bandwidth)` order at the loop head, once the
+/// global clock `base + clock` reaches them.
+fn oracle(
+    problem: &MigrationProblem,
+    schedule: &MigrationSchedule,
+    cluster: &Cluster,
+    steps: &[Step],
+) -> SimReport {
+    let mut steps = steps.to_vec();
+    steps.sort_by(|a, b| {
+        a.0.total_cmp(&b.0)
+            .then(a.1.cmp(&b.1))
+            .then(a.2.total_cmp(&b.2))
+    });
+    let g = problem.graph();
+    let n = g.num_nodes();
+    let mut bw: Vec<f64> = (0..n).map(|v| cluster.bandwidth(v.into())).collect();
+    let mut next = 0;
+    let (mut base, mut volume) = (0.0f64, 0.0f64);
+    let mut round_durations = Vec::new();
+    let mut disk_busy = vec![0.0f64; n];
+    let mut active = vec![0usize; n];
+    for round in schedule.rounds() {
+        let mut remaining: Vec<(EdgeId, f64)> =
+            round.iter().map(|&e| (e, cluster.item_size(e))).collect();
+        volume += remaining.iter().map(|&(_, s)| s).sum::<f64>();
+        let mut clock = 0.0f64;
+        while !remaining.is_empty() {
+            let now = base + clock;
+            while next < steps.len() && steps[next].0 <= now + 1e-12 {
+                bw[steps[next].1] = steps[next].2;
+                next += 1;
+            }
+            active.fill(0);
+            for &(e, _) in &remaining {
+                let ep = g.endpoints(e);
+                active[ep.u.index()] += 1;
+                active[ep.v.index()] += 1;
+            }
+            let share = |v: dmig_graph::NodeId| bw[v.index()] / active[v.index()] as f64;
+            let rates: Vec<f64> = remaining
+                .iter()
+                .map(|&(e, _)| share(g.endpoints(e).u).min(share(g.endpoints(e).v)))
+                .collect();
+            let to_step = steps
+                .get(next)
+                .map_or(f64::INFINITY, |s| (s.0 - now).max(0.0));
+            let dt = remaining
+                .iter()
+                .zip(&rates)
+                .map(|(&(_, left), &r)| left / r)
+                .fold(f64::INFINITY, f64::min)
+                .min(to_step);
+            clock += dt;
+            for (busy, &k) in disk_busy.iter_mut().zip(&active) {
+                if k > 0 {
+                    *busy += dt;
+                }
+            }
+            remaining = remaining
+                .into_iter()
+                .zip(rates)
+                .map(|((e, left), r)| (e, left - r * dt))
+                .filter(|&(_, left)| left > 1e-9)
+                .collect();
+        }
+        base += clock;
+        round_durations.push(clock);
+    }
+    SimReport {
+        total_time: base,
+        round_durations,
+        disk_busy,
+        volume,
+    }
+}
+
+/// Every field the bitwise comparisons cover, as IEEE-754 bit patterns.
+fn bits(r: &SimReport) -> (u64, Vec<u64>, Vec<u64>, u64) {
+    let v = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect();
+    (
+        r.total_time.to_bits(),
+        v(&r.round_durations),
+        v(&r.disk_busy),
+        r.volume.to_bits(),
+    )
+}
+
+/// Heterogeneous hardware for `problem`, drawn from `seed`: bandwidths in
+/// `[0.25, 4)` and item sizes in `[0.25, 2)`.
+fn hetero_cluster(problem: &MigrationProblem, seed: u64) -> Cluster {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let bw = (0..problem.num_disks())
+        .map(|_| 0.25 + 3.75 * rng.gen::<f64>())
+        .collect();
+    let sizes = (0..problem.num_items())
+        .map(|_| 0.25 + 1.75 * rng.gen::<f64>())
+        .collect();
+    Cluster::from_bandwidths(bw).with_item_sizes(sizes)
+}
 
 /// A small random instance that always admits a schedule: `n` live disks
 /// plus one idle spare (disk `n`), uniform capacity 2.
@@ -108,20 +218,25 @@ proptest! {
             prop_assert_eq!(r.lost(), 0, "lost items despite full redundancy");
         }
     }
+}
+
+proptest! {
+    // One small execution per case, so many cases stay cheap.
+    #![proptest_config(ProptestConfig::with_cases(200))]
 
     /// An empty fault plan makes the executor a bitwise drop-in for the
-    /// work-conserving simulator.
+    /// oracle on heterogeneous bandwidths and item sizes.
     #[test]
-    fn zero_faults_matches_adaptive_bitwise(
+    fn zero_faults_matches_oracle_bitwise(
         n in 3usize..7,
         m in 4usize..14,
         gseed in 0u64..1000,
+        cseed in 0u64..1000,
     ) {
         let problem = instance(n, m, gseed);
         let solver = ParallelSolver::with_threads(Box::new(AutoSolver), 2);
         let schedule = solver.solve(&problem).expect("solvable");
-        let cluster = Cluster::uniform(problem.num_disks(), 1.0);
-        let adaptive = simulate_adaptive(&problem, &schedule, &cluster).expect("simulates");
+        let cluster = hetero_cluster(&problem, cseed);
         let r = execute(
             &problem,
             &schedule,
@@ -131,13 +246,66 @@ proptest! {
             &solver,
         )
         .expect("executes");
-        prop_assert_eq!(r.sim.total_time.to_bits(), adaptive.total_time.to_bits());
-        prop_assert_eq!(r.sim.volume.to_bits(), adaptive.volume.to_bits());
-        prop_assert_eq!(r.sim.round_durations.len(), adaptive.round_durations.len());
-        for (a, b) in r.sim.round_durations.iter().zip(&adaptive.round_durations) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
+        prop_assert_eq!(bits(&r.sim), bits(&oracle(&problem, &schedule, &cluster, &[])));
         prop_assert_eq!(r.delivered(), problem.num_items());
         prop_assert_eq!(r.replans, 0);
     }
+
+    /// Without replanning, one `[[degrade]]` fault (with or without
+    /// recovery) is the oracle's bandwidth steps, bit for bit.
+    #[test]
+    fn degrade_plan_matches_oracle_steps_bitwise(
+        n in 3usize..7,
+        m in 4usize..14,
+        gseed in 0u64..1000,
+        cseed in 0u64..1000,
+        fseed in 0u64..1000,
+        recovers in proptest::bool::ANY,
+    ) {
+        let problem = instance(n, m, gseed);
+        let solver = ParallelSolver::with_threads(Box::new(AutoSolver), 2);
+        let schedule = solver.solve(&problem).expect("solvable");
+        let cluster = hetero_cluster(&problem, cseed);
+        let mut rng = StdRng::seed_from_u64(fseed);
+        let disk = rng.gen::<u64>() as usize % n;
+        let time = 8.0 * rng.gen::<f64>();
+        let factor = 0.05 + 0.9 * rng.gen::<f64>();
+        let recover_at = recovers.then(|| time + 0.01 + 8.0 * rng.gen::<f64>());
+        let faults = FaultPlan {
+            degradations: vec![DegradeFault { disk: disk.into(), time, factor, recover_at }],
+            ..FaultPlan::default()
+        };
+        let r = execute(&problem, &schedule, &cluster, &faults, &ExecutorConfig::default(), &solver)
+            .expect("executes");
+        let initial = cluster.bandwidth(disk.into());
+        let mut steps = vec![(time, disk, initial * factor)];
+        steps.extend(recover_at.map(|t| (t, disk, initial)));
+        prop_assert_eq!(bits(&r.sim), bits(&oracle(&problem, &schedule, &cluster, &steps)));
+        prop_assert_eq!(r.delivered(), problem.num_items());
+        prop_assert_eq!(r.replans, 0);
+    }
+}
+
+/// The oracle comparison on a fixed instance, with replanning enabled: an
+/// empty plan never triggers a replan, so nothing changes.
+#[test]
+fn zero_fault_plan_reproduces_oracle_exactly() {
+    let p = MigrationProblem::uniform(complete_multigraph(3, 4), 2).unwrap();
+    let s = AutoSolver.solve(&p).unwrap();
+    let cluster = Cluster::from_bandwidths(vec![2.0, 1.0, 0.5]);
+    let r = execute(
+        &p,
+        &s,
+        &cluster,
+        &FaultPlan::default(),
+        &ExecutorConfig {
+            replan: true,
+            ..ExecutorConfig::default()
+        },
+        &AutoSolver,
+    )
+    .unwrap();
+    assert_eq!(bits(&r.sim), bits(&oracle(&p, &s, &cluster, &[])));
+    assert_eq!(r.delivered(), p.num_items());
+    assert_eq!((r.replans, r.retries, r.crashes), (0, 0, 0));
 }

@@ -51,7 +51,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let cluster = Cluster::from_bandwidths(bw).with_item_sizes(sizes.clone());
         let fixed = simulate_rounds(&problem, &schedule, &cluster)?;
-        let adaptive = simulate_adaptive(&problem, &schedule, &cluster)?;
+        let adaptive = execute(
+            &problem,
+            &schedule,
+            &cluster,
+            &FaultPlan::default(),
+            &ExecutorConfig::default(),
+            &AutoSolver,
+        )?
+        .sim;
         println!(
             "{label:<12} barrier {:>8.1}  work-conserving {:>8.1}  savings {:>5.1}%  util {:>4.0}%",
             fixed.total_time,

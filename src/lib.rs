@@ -53,7 +53,7 @@ pub mod prelude {
     };
     pub use dmig_graph::{EdgeId, GraphBuilder, Multigraph, NodeId};
     pub use dmig_sim::{
-        engine::{simulate_adaptive, simulate_rounds},
-        execute, Cluster, ExecReport, ExecutorConfig, FaultPlan, ItemFate, LostReason, SimReport,
+        engine::simulate_rounds, execute, Cluster, ExecReport, ExecutorConfig, FaultPlan, ItemFate,
+        LostReason, SimReport,
     };
 }

@@ -81,7 +81,16 @@ fn simulation_agrees_with_round_structure() {
             );
         }
         assert!((report.volume - p.num_items() as f64).abs() < 1e-9);
-        let adaptive = simulate_adaptive(&p, &s, &cluster).unwrap();
+        let adaptive = execute(
+            &p,
+            &s,
+            &cluster,
+            &FaultPlan::default(),
+            &ExecutorConfig::default(),
+            &AutoSolver,
+        )
+        .unwrap()
+        .sim;
         assert!(adaptive.total_time <= report.total_time + 1e-9);
     }
 }

@@ -101,7 +101,16 @@ proptest! {
         // Each round moves at least one item and takes ≥ 1 time unit.
         prop_assert!(r.total_time >= s.makespan() as f64 - 1e-9);
         prop_assert!(r.total_time >= p.delta_prime() as f64 - 1e-9);
-        let adaptive = simulate_adaptive(&p, &s, &cluster).expect("feasible");
+        let adaptive = execute(
+            &p,
+            &s,
+            &cluster,
+            &FaultPlan::default(),
+            &ExecutorConfig::default(),
+            &GreedySolver,
+        )
+        .expect("feasible")
+        .sim;
         prop_assert!(adaptive.total_time <= r.total_time + 1e-9);
     }
 
