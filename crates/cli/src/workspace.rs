@@ -13,13 +13,16 @@
 //!   every float persisted as its IEEE-754 bit pattern so reload is exact;
 //! * `journal.jsonl` — the write-ahead journal `execute` appends:
 //!   `dmig-events/1` flight-recorder lines interleaved with
-//!   `dmig-exec-ckpt/1` checkpoints, fsync'd at every round boundary;
+//!   `dmig-exec-ckpt/1` checkpoint records — a full record when a session
+//!   starts or a replan changes the residual instance, a delta of what the
+//!   round changed otherwise — fsync'd at every round boundary;
 //! * `report.json` — the final `dmig-exec-report/1` document.
 //!
 //! `execute` can be `kill -9`ed at any instant; `resume` rebuilds the
-//! executor from the last durable checkpoint (a torn tail line is
-//! expected and skipped) and the finished `report.json` is byte-identical
-//! to an uninterrupted run. `export` packs the directory into an
+//! executor from the last durable full record and the deltas after it (a
+//! torn tail line is expected, skipped, and cut off before the journal
+//! grows again) and the finished `report.json` is byte-identical to an
+//! uninterrupted run. `export` packs the directory into an
 //! integrity-checked `dmig-archive/1` file; `import` unpacks and refuses
 //! anything whose checksums disagree, naming the manifest line.
 //!
@@ -28,7 +31,7 @@
 //! its durable prefix *is* the recovery record.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use dmig_core::parallel::ParallelSolver;
@@ -36,6 +39,7 @@ use dmig_core::solver::{solver_by_name, Solver};
 use dmig_core::{MigrationProblem, MigrationSchedule};
 use dmig_graph::EdgeId;
 use dmig_obs::{fsio, history, Value};
+use dmig_sim::executor::{DELTA_PREFIX, RECORD_PREFIX};
 use dmig_sim::{Cluster, ExecReport, Executor, ExecutorConfig, FaultPlan, StepOutcome};
 
 use crate::archive;
@@ -48,10 +52,6 @@ pub const PLAN_SCHEMA: &str = "dmig-plan/1";
 pub const CONFIG_SCHEMA: &str = "dmig-exec-config/1";
 /// Schema tag of the resume-marker lines `resume` appends to the journal.
 pub const RESUME_SCHEMA: &str = "dmig-resume/1";
-
-/// First bytes of every executor checkpoint line in the journal (the
-/// executor serializes `{"schema": "dmig-exec-ckpt/1", …`).
-const CKPT_PREFIX: &str = "{\"schema\": \"dmig-exec-ckpt/1\"";
 
 const MANIFEST: &str = "manifest.json";
 const INSTANCE: &str = "instance.txt";
@@ -405,15 +405,42 @@ fn load_workspace(ws: &Workspace) -> Result<Loaded, String> {
 
 // --- execute / resume ---------------------------------------------------
 
-/// Scans journal text for the last *parseable* checkpoint line. A torn
-/// final line (the process died mid-write before the fsync) is expected
-/// and skipped — the journal discipline guarantees every line before the
-/// tear was synced at a round boundary.
-fn last_checkpoint(journal: &str) -> Option<String> {
-    journal
-        .lines()
-        .rfind(|l| l.starts_with(CKPT_PREFIX) && Value::parse(l).is_ok())
-        .map(str::to_string)
+/// The journal's durable prefix: every newline-terminated line. A final
+/// line without its newline is the write a kill interrupted — never
+/// fsync'd, so never part of the recovery record.
+fn durable(journal: &str) -> &str {
+    &journal[..journal.rfind('\n').map_or(0, |i| i + 1)]
+}
+
+/// The text `resume` hands [`Executor::restore`]: the last full
+/// checkpoint record of the durable journal and every delta after it, each
+/// on its own journal line, with every other line left blank so that a
+/// restore error's `line N` is journal line N. Lines are told apart by
+/// prefix only, so each record is parsed once, by `restore`. `None` when
+/// the journal holds no full record.
+fn resume_chain(durable: &str) -> Option<String> {
+    let lines: Vec<&str> = durable.lines().collect();
+    let start = lines
+        .iter()
+        .rposition(|l| l.starts_with(RECORD_PREFIX) && !l.starts_with(DELTA_PREFIX))?;
+    let mut chain = "\n".repeat(start);
+    for line in &lines[start..] {
+        if line.starts_with(RECORD_PREFIX) {
+            chain.push_str(line);
+        }
+        chain.push('\n');
+    }
+    Some(chain)
+}
+
+/// Cuts the torn tail off the journal so the next append starts a line of
+/// its own instead of completing the torn one.
+fn cut_torn_tail(path: &Path, durable_len: usize) -> Result<(), String> {
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(path)
+        .and_then(|f| f.set_len(durable_len as u64))
+        .map_err(|e| format!("cannot cut the torn tail off {}: {e}", path.display()))
 }
 
 fn parse_abort_after(args: &[String]) -> Result<Option<u64>, String> {
@@ -464,25 +491,28 @@ fn cmd_execute(args: &[String], resume: bool) -> Result<String, String> {
 
     // Revive (or create) the executor *before* opening the journal so a
     // corrupt checkpoint cannot half-open the sink.
-    let restored_from = if resume {
-        let ck = last_checkpoint(&ws.read(JOURNAL)?).ok_or(format!(
-            "migrate resume: {JOURNAL} holds no usable checkpoint line"
+    let mut exec = if resume {
+        let journal = ws.read(JOURNAL)?;
+        let durable = durable(&journal);
+        let chain = resume_chain(durable).ok_or(format!(
+            "migrate resume: {JOURNAL} holds no full checkpoint record"
         ))?;
-        Some(ck)
-    } else {
-        None
-    };
-    let mut exec = match &restored_from {
-        Some(ck) => Executor::restore(
+        let exec = Executor::restore(
             &loaded.problem,
             &loaded.cluster,
             &loaded.faults,
             &loaded.config,
             &solver,
-            ck,
+            &chain,
         )
-        .map_err(|e| format!("migrate resume: {e}"))?,
-        None => Executor::new(
+        .map_err(|e| format!("migrate resume: {JOURNAL}: {e}"))?;
+        // Only a resume that is about to append touches the journal.
+        if durable.len() < journal.len() {
+            cut_torn_tail(&journal_path, durable.len())?;
+        }
+        exec
+    } else {
+        Executor::new(
             &loaded.problem,
             &loaded.schedule,
             &loaded.cluster,
@@ -490,7 +520,7 @@ fn cmd_execute(args: &[String], resume: bool) -> Result<String, String> {
             &loaded.config,
             &solver,
         )
-        .map_err(|e| format!("migrate execute: {e}"))?,
+        .map_err(|e| format!("migrate execute: {e}"))?
     };
     let resumed_at = exec.executed_rounds();
 
@@ -535,9 +565,10 @@ fn cmd_execute(args: &[String], resume: bool) -> Result<String, String> {
         );
         append_line(&marker, false).map_err(&teardown)?;
     }
-    // The initial checkpoint makes round 0 resumable: a kill before the
-    // first boundary resumes into a full (still byte-identical) re-run.
-    let (mut ck_count, _) = append_line(&exec.checkpoint_json(), true).map_err(&teardown)?;
+    // The session's first record is full, and makes round 0 resumable: a
+    // kill before the first boundary resumes into a full (still
+    // byte-identical) re-run. Later records are deltas until a replan.
+    let (mut ck_count, _) = append_line(&exec.journal_record(), true).map_err(&teardown)?;
     dmig_obs::gauge_set(dmig_obs::keys::WS_ROUND, exec.executed_rounds() as u64);
     if abort_after == Some(ck_count) {
         std::process::abort();
@@ -551,7 +582,7 @@ fn cmd_execute(args: &[String], resume: bool) -> Result<String, String> {
         if outcome == StepOutcome::Finished {
             break;
         }
-        let (c, _) = append_line(&exec.checkpoint_json(), true).map_err(&teardown)?;
+        let (c, _) = append_line(&exec.journal_record(), true).map_err(&teardown)?;
         ck_count = c;
         dmig_obs::gauge_set(dmig_obs::keys::WS_ROUND, exec.executed_rounds() as u64);
         if abort_after == Some(ck_count) {
@@ -711,14 +742,29 @@ mod tests {
     }
 
     #[test]
-    fn last_checkpoint_skips_torn_tails_and_foreign_lines() {
-        let good = "{\"schema\": \"dmig-exec-ckpt/1\", \"disks\": 3}";
+    fn resume_chain_starts_at_the_last_full_record_and_skips_torn_tails() {
+        let event = "{\"schema\": \"dmig-events/1\", \"kind\": \"round\"}";
+        let full = "{\"schema\": \"dmig-exec-ckpt/1\", \"disks\": 3}";
+        let delta = "{\"schema\": \"dmig-exec-ckpt/1\", \"delta\": 1, \"disks\": 3}";
+        let marker = "{\"schema\": \"dmig-resume/1\", \"from_round\": 1}";
         let journal = format!(
-            "{{\"schema\": \"dmig-events/1\", \"kind\": \"round\"}}\n\
-             {good}\n\
-             {{\"schema\": \"dmig-exec-ckpt/1\", \"disks\": 3, \"tor"
+            "{full}\n{event}\n{delta}\n{marker}\n{full}\n{event}\n{delta}\n\
+             {{\"schema\": \"dmig-exec-ckpt/1\", \"delta\": 2, \"tor"
         );
-        assert_eq!(last_checkpoint(&journal).as_deref(), Some(good));
-        assert_eq!(last_checkpoint("no checkpoints here\n"), None);
+        assert_eq!(durable(&journal).len(), journal.rfind('\n').unwrap() + 1);
+        // The chain keeps journal line numbers: lines 5 and 7.
+        assert_eq!(
+            resume_chain(durable(&journal)).unwrap(),
+            format!("\n\n\n\n{full}\n\n{delta}\n")
+        );
+        // A journal of full records only (as older builds wrote) resumes
+        // from its last one; a journal without a full record has no chain.
+        let fulls = format!("{full}\n{event}\n{full}\n");
+        assert_eq!(
+            resume_chain(durable(&fulls)).unwrap(),
+            format!("\n\n{full}\n")
+        );
+        assert_eq!(resume_chain(durable(&format!("{delta}\n{event}\n"))), None);
+        assert_eq!(durable("{\"torn"), "");
     }
 }

@@ -5,6 +5,7 @@
 //! uninterrupted execution. Export/import round-trips and tamper
 //! detection ride on the same workspaces.
 
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -169,6 +170,103 @@ fn deterministic_abort_then_resume_is_byte_identical() {
     let (code, out) = dmig(&["migrate", "resume", "--workspace", &ws]);
     assert_eq!(code, 1);
     assert!(out.contains("complete"), "{out}");
+}
+
+/// A kill mid-write leaves an unterminated final line. Resume cuts it off
+/// before appending, so its marker starts a line of its own, every
+/// journal line parses, and the report is still byte-identical.
+#[test]
+fn resume_cuts_a_torn_tail_before_appending() {
+    let scratch = Scratch::new("torn-tail");
+    let (ipath, fpath) = seed_inputs(&scratch, 16);
+    let ref_ws = plan(&scratch, "ws-ref", &ipath, &fpath);
+    let (code, out) = dmig(&["migrate", "execute", "--workspace", &ref_ws]);
+    assert_eq!(code, 0, "{out}");
+    let reference = read(&ref_ws, "report.json");
+
+    let ws = plan(&scratch, "ws-torn", &ipath, &fpath);
+    let (code, _) = dmig(&[
+        "migrate",
+        "execute",
+        "--workspace",
+        &ws,
+        "--abort-after-checkpoint",
+        "2",
+    ]);
+    assert_ne!(code, 0);
+    let mut journal = std::fs::OpenOptions::new()
+        .append(true)
+        .open(Path::new(&ws).join("journal.jsonl"))
+        .unwrap();
+    journal
+        .write_all(br#"{"schema":"dmig-events/1","seq":99,"kind":"item_deliv"#)
+        .unwrap();
+    drop(journal);
+
+    let (code, out) = dmig(&["migrate", "resume", "--workspace", &ws]);
+    assert_eq!(code, 0, "{out}");
+    assert_eq!(read(&ws, "report.json"), reference);
+    let text = String::from_utf8(read(&ws, "journal.jsonl")).unwrap();
+    for (i, line) in text.lines().enumerate() {
+        if let Err(e) = dmig_obs::Value::parse(line) {
+            panic!("journal line {} does not parse: {e}: {line:.100}", i + 1);
+        }
+    }
+    let markers = text
+        .lines()
+        .filter(|l| l.starts_with("{\"schema\": \"dmig-resume/1\""))
+        .count();
+    assert_eq!(markers, 1, "the marker must start its own line");
+    assert_eq!(text.matches("dmig-resume/1").count(), 1);
+    assert!(!text.contains("item_deliv\""), "the torn tail must be gone");
+}
+
+/// A complete record that does not parse, or does not chain onto the one
+/// before it, stops resume with exit 1 naming its journal line, and leaves
+/// the journal untouched.
+#[test]
+fn resume_rejects_a_broken_chain_naming_the_journal_line() {
+    let scratch = Scratch::new("broken-chain");
+    let (ipath, fpath) = seed_inputs(&scratch, 16);
+    let ws = plan(&scratch, "ws", &ipath, &fpath);
+    let (code, _) = dmig(&[
+        "migrate",
+        "execute",
+        "--workspace",
+        &ws,
+        "--abort-after-checkpoint",
+        "3",
+    ]);
+    assert_ne!(code, 0);
+    let path = Path::new(&ws).join("journal.jsonl");
+    let text = String::from_utf8(read(&ws, "journal.jsonl")).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    let at = lines
+        .iter()
+        .position(|l| l.starts_with("{\"schema\": \"dmig-exec-ckpt/1\", \"delta\": 1,"))
+        .expect("the journal holds a delta");
+    for (broken, needle) in [
+        (
+            lines[at].replacen("\"delta\": 1,", "\"delta\": 7,", 1),
+            "delta 7 does not chain",
+        ),
+        (lines[at][..lines[at].len() / 2].to_string(), "unparseable"),
+    ] {
+        let mut mangled = lines.clone();
+        mangled[at] = &broken;
+        let journal = mangled.join("\n") + "\n";
+        std::fs::write(&path, &journal).unwrap();
+        let (code, out) = dmig(&["migrate", "resume", "--workspace", &ws]);
+        assert_eq!(code, 1, "{out}");
+        assert!(
+            out.contains(&format!(
+                "journal.jsonl: bad checkpoint: line {}: {needle}",
+                at + 1
+            )),
+            "{out}"
+        );
+        assert_eq!(read(&ws, "journal.jsonl"), journal.as_bytes());
+    }
 }
 
 #[test]

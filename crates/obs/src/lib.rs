@@ -230,7 +230,7 @@ metric_keys! {
     WS_RESUMES = "ws.resumes",
         "Times an executor was revived from a journal checkpoint (counter).";
     WS_JOURNAL_BYTES = "ws.journal_bytes",
-        "Bytes appended to the workspace journal so far (gauge).";
+        "Bytes of checkpoint records and resume markers this run appended to the workspace journal; event lines are not counted (gauge).";
 }
 
 /// Name prefix of the sampling profiler's per-span self-time family:

@@ -47,7 +47,9 @@
 //! revives from one ([`Executor::restore`]) — in a different process,
 //! after a `kill -9` — with floating-point state carried as IEEE-754 bit
 //! patterns, so the resumed run's final report is byte-identical to an
-//! uninterrupted one.
+//! uninterrupted one. A journal written at every boundary uses
+//! [`Executor::journal_record`] instead: a full document, then deltas that
+//! carry only what each round changed, which `restore` replays in order.
 
 use dmig_core::replan::{rebuild_residual, replan_with, ItemOrigin, ReplanError, ResidualChanges};
 use dmig_core::solver::Solver;
@@ -163,8 +165,9 @@ pub enum ExecError {
     Fault(FaultPlanError),
     /// A mid-flight replan failed.
     Replan(ReplanError),
-    /// A checkpoint document could not be parsed, or does not match the
-    /// inputs it claims to resume.
+    /// A checkpoint record could not be parsed, does not match the inputs
+    /// it claims to resume, or is a delta that does not chain onto the
+    /// record before it.
     Checkpoint(String),
 }
 
@@ -390,6 +393,13 @@ pub enum StepOutcome {
 /// Schema tag carried by [`Executor::checkpoint_json`] documents.
 pub const CHECKPOINT_SCHEMA: &str = "dmig-exec-ckpt/1";
 
+/// First bytes of every [`Executor::journal_record`], full or delta.
+pub const RECORD_PREFIX: &str = "{\"schema\": \"dmig-exec-ckpt/1\"";
+
+/// First bytes of a delta [`Executor::journal_record`]; a record that
+/// starts with [`RECORD_PREFIX`] but not with this is a full record.
+pub const DELTA_PREFIX: &str = "{\"schema\": \"dmig-exec-ckpt/1\", \"delta\": ";
+
 fn validate_inputs(
     problem: &MigrationProblem,
     schedule: &MigrationSchedule,
@@ -461,6 +471,9 @@ pub struct Executor<'a> {
     // Wall-clock progress reporting; recreated on restore, never
     // checkpointed (it cannot influence the report).
     ticker: RoundTicker,
+    // What the last `journal_record` captured, the base of the next delta;
+    // `None` until an executor, fresh or restored, writes its first record.
+    recorded: Option<Recorded>,
 }
 
 impl<'a> Executor<'a> {
@@ -523,6 +536,7 @@ impl<'a> Executor<'a> {
             round_idx: 0,
             finished: false,
             ticker,
+            recorded: None,
         })
     }
 
@@ -1003,97 +1017,166 @@ impl<'a> Executor<'a> {
     /// JSON document (a single line with deterministic field order).
     /// Floating-point state is encoded as IEEE-754 bit patterns in
     /// decimal strings, so a restore continues with bit-identical
-    /// arithmetic.
+    /// arithmetic. This is a *full* record: it restores on its own.
     #[must_use]
     pub fn checkpoint_json(&self) -> String {
+        self.render(None)
+    }
+
+    /// The next record of a round-boundary journal.
+    ///
+    /// The first record of an executor, fresh or restored, is a full
+    /// [`checkpoint_json`](Self::checkpoint_json) document, and so is the
+    /// first record after a replan, which replaces the residual instance.
+    /// Every other record is a *delta* against the record before it: the
+    /// same document with `"delta": k` (its position in the chain after the
+    /// full record) following the schema, every scalar, no residual
+    /// instance (`cur_edges`, `cur_caps`, `cur_rounds`, `roots`),
+    /// `round_durations` cut to the rounds executed since the previous
+    /// record, and every other array reduced to `[index, value]` pairs for
+    /// the entries that changed. The delta comes from diffing the state
+    /// against a copy of what the previous record captured, so it is as
+    /// large as what the round changed, not as the instance.
+    /// [`restore`](Self::restore) accepts a full record followed by its
+    /// deltas.
+    pub fn journal_record(&mut self) -> String {
+        match self.recorded.take() {
+            Some(mut last) if last.replans == self.replans => {
+                let delta = self.render(Some(&mut last));
+                self.recorded = Some(last);
+                delta
+            }
+            _ => {
+                self.recorded = Some(Recorded::of(self));
+                self.checkpoint_json()
+            }
+        }
+    }
+
+    /// Renders a full record, or, given the state the previous record
+    /// captured, the delta against it (advancing `last` to this state).
+    fn render(&self, mut last: Option<&mut Recorded>) -> String {
         use core::fmt::Write as _;
         let mut o = String::from("{");
         let _ = write!(o, "\"schema\": \"{CHECKPOINT_SCHEMA}\"");
+        if let Some(l) = last.as_deref_mut() {
+            l.deltas += 1;
+            let _ = write!(o, ", \"delta\": {}", l.deltas);
+        }
         let _ = write!(o, ", \"disks\": {}", self.bw.len());
         let _ = write!(o, ", \"items\": {}", self.fates.len());
         let _ = write!(o, ", \"executed_rounds\": {}", self.round_durations.len());
-        push_list(&mut o, "bw", self.bw.iter().map(|x| x.to_bits()), true);
-        push_list(
+        push_array(
+            &mut o,
+            "bw",
+            self.bw.iter().map(|x| x.to_bits()),
+            last.as_deref_mut().map(|l| &mut l.bw),
+            |b| b,
+            true,
+        );
+        push_array(
             &mut o,
             "crashed",
-            self.crashed.iter().map(|&b| u8::from(b)),
+            self.crashed.iter().copied(),
+            last.as_deref_mut().map(|l| &mut l.crashed),
+            u8::from,
             false,
         );
-        push_list(
+        push_array(
             &mut o,
             "replacement",
-            self.replacement_of
-                .iter()
-                .map(|r| r.map_or(-1i64, |d| d.index() as i64)),
+            self.replacement_of.iter().copied(),
+            last.as_deref_mut().map(|l| &mut l.replacement),
+            |r| r.map_or(-1i64, |d| d.index() as i64),
             false,
         );
         let _ = write!(o, ", \"next_fault\": {}", self.next_fault);
-        push_list(
+        push_array(
             &mut o,
             "fates",
-            self.fates
-                .iter()
-                .map(|f| f.map_or("pending", ItemFate::code)),
+            self.fates.iter().copied(),
+            last.as_deref_mut().map(|l| &mut l.fates),
+            |f| f.map_or("pending", ItemFate::code),
             true,
         );
-        push_list(&mut o, "attempts", self.attempts.iter().copied(), false);
-        push_list(
+        push_array(
+            &mut o,
+            "attempts",
+            self.attempts.iter().copied(),
+            last.as_deref_mut().map(|l| &mut l.attempts),
+            |a| a,
+            false,
+        );
+        push_array(
             &mut o,
             "redirected",
-            self.redirected_flag.iter().map(|&b| u8::from(b)),
+            self.redirected_flag.iter().copied(),
+            last.as_deref_mut().map(|l| &mut l.redirected),
+            u8::from,
             false,
         );
-        // The residual instance: endpoints flat [u0, v0, u1, v1, ...],
-        // transfer constraints, and the full current schedule.
-        let g = self.cur_problem.graph();
-        push_list(
-            &mut o,
-            "cur_edges",
-            (0..g.num_edges()).flat_map(|e| {
-                let ep = g.endpoints(EdgeId::new(e));
-                [ep.u.index(), ep.v.index()]
-            }),
-            false,
-        );
-        push_list(
-            &mut o,
-            "cur_caps",
-            self.cur_problem.capacities().as_slice().iter().copied(),
-            false,
-        );
-        o.push_str(", \"cur_rounds\": [");
-        for (i, round) in self.cur_schedule.rounds().iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push('[');
-            for (j, e) in round.iter().enumerate() {
-                if j > 0 {
+        if last.is_none() {
+            // The residual instance: endpoints flat [u0, v0, u1, v1, ...],
+            // transfer constraints, and the full current schedule. Only a
+            // replan changes it, and a replan starts a full record.
+            let g = self.cur_problem.graph();
+            push_list(
+                &mut o,
+                "cur_edges",
+                (0..g.num_edges()).flat_map(|e| {
+                    let ep = g.endpoints(EdgeId::new(e));
+                    [ep.u.index(), ep.v.index()]
+                }),
+                false,
+            );
+            push_list(
+                &mut o,
+                "cur_caps",
+                self.cur_problem.capacities().as_slice().iter().copied(),
+                false,
+            );
+            o.push_str(", \"cur_rounds\": [");
+            for (i, round) in self.cur_schedule.rounds().iter().enumerate() {
+                if i > 0 {
                     o.push(',');
                 }
-                let _ = write!(o, "{}", e.index());
+                o.push('[');
+                for (j, e) in round.iter().enumerate() {
+                    if j > 0 {
+                        o.push(',');
+                    }
+                    let _ = write!(o, "{}", e.index());
+                }
+                o.push(']');
             }
             o.push(']');
+            push_list(&mut o, "roots", self.roots.iter().copied(), false);
         }
-        o.push(']');
-        push_list(&mut o, "roots", self.roots.iter().copied(), false);
-        push_list(
+        push_array(
             &mut o,
             "done",
-            self.done.iter().map(|&b| u8::from(b)),
+            self.done.iter().copied(),
+            last.as_deref_mut().map(|l| &mut l.done),
+            u8::from,
             false,
         );
         let _ = write!(o, ", \"base\": \"{}\"", self.base.to_bits());
+        // Grow-only: a delta carries the rounds executed since `last`.
+        let from = last.as_deref_mut().map_or(0, |l| {
+            std::mem::replace(&mut l.executed_rounds, self.round_durations.len())
+        });
         push_list(
             &mut o,
             "round_durations",
-            self.round_durations.iter().map(|x| x.to_bits()),
+            self.round_durations[from..].iter().map(|x| x.to_bits()),
             true,
         );
-        push_list(
+        push_array(
             &mut o,
             "disk_busy",
             self.disk_busy.iter().map(|x| x.to_bits()),
+            last.as_deref_mut().map(|l| &mut l.disk_busy),
+            |b| b,
             true,
         );
         let _ = write!(o, ", \"volume\": \"{}\"", self.volume.to_bits());
@@ -1103,12 +1186,21 @@ impl<'a> Executor<'a> {
             self.replans, self.retries, self.crashes, self.redirects, self.degraded_rounds
         );
         let (recent, next) = self.stall.window();
-        push_list(&mut o, "stall_recent", recent.iter().copied(), true);
+        push_array(
+            &mut o,
+            "stall_recent",
+            recent.iter().copied(),
+            last.as_deref_mut().map(|l| &mut l.stall_recent),
+            |x| x,
+            true,
+        );
         let _ = write!(o, ", \"stall_next\": {next}");
-        push_list(
+        push_array(
             &mut o,
             "degraded_set",
-            self.degraded_at_last_replan.iter().map(|&b| u8::from(b)),
+            self.degraded_at_last_replan.iter().copied(),
+            last.map(|l| &mut l.degraded_set),
+            u8::from,
             false,
         );
         let _ = write!(o, ", \"crash_dirty\": {}", u8::from(self.crash_dirty));
@@ -1118,19 +1210,23 @@ impl<'a> Executor<'a> {
     }
 
     /// Rebuilds an executor from a [`checkpoint_json`](Self::checkpoint_json)
-    /// document, positioned exactly where the interrupted run was at that
-    /// boundary. `problem`, `cluster`, `faults`, `config`, and `solver`
-    /// must be the ones the original run used (the workspace layer
-    /// persists and re-loads them); the residual schedule is *not*
-    /// re-solved — it is revived verbatim via
-    /// [`dmig_core::replan::rebuild_residual`].
+    /// document — or from a journal chain: that full record followed by the
+    /// [`journal_record`](Self::journal_record) deltas written after it, one
+    /// record per line; blank lines are skipped but counted — positioned
+    /// exactly where the interrupted run was at the last record's
+    /// boundary. Each record is parsed once.
+    /// `problem`, `cluster`, `faults`, `config`, and `solver` must be the
+    /// ones the original run used (the workspace layer persists and
+    /// re-loads them); the residual schedule is *not* re-solved — it is
+    /// revived verbatim via [`dmig_core::replan::rebuild_residual`].
     ///
     /// # Errors
     ///
-    /// [`ExecError::Checkpoint`] when the document is unparseable or does
-    /// not fit the given inputs; [`ExecError::Fault`]/[`ExecError::Sim`]
-    /// when the inputs themselves are invalid.
-    #[allow(clippy::too_many_lines)]
+    /// [`ExecError::Checkpoint`], whose message starts with `line N:` (the
+    /// 1-based line of `checkpoint` at fault), when a record is
+    /// unparseable, does not fit the given inputs, or does not chain onto
+    /// the record before it; [`ExecError::Fault`]/[`ExecError::Sim`] when
+    /// the inputs themselves are invalid.
     pub fn restore(
         problem: &'a MigrationProblem,
         cluster: &Cluster,
@@ -1146,85 +1242,48 @@ impl<'a> Executor<'a> {
             }));
         }
         faults.validate(problem.num_disks())?;
-        let doc = Value::parse(checkpoint.trim())
-            .map_err(|e| ck_err(format!("unparseable checkpoint: {e}")))?;
-        let schema = doc
-            .get_path("schema")
-            .and_then(Value::as_str)
-            .unwrap_or_default();
-        if schema != CHECKPOINT_SCHEMA {
-            return Err(ck_err(format!(
-                "checkpoint schema `{schema}` is not `{CHECKPOINT_SCHEMA}`"
+        let at = |i: usize| {
+            move |e: ExecError| match e {
+                ExecError::Checkpoint(m) => ck_err(format!("line {}: {m}", i + 1)),
+                other => other,
+            }
+        };
+        let mut records = checkpoint
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| !l.trim().is_empty());
+        let (i, full) = records.next().unwrap_or((0, ""));
+        let doc = parse_record(full).map_err(at(i))?;
+        if doc.get_path("delta").is_some() {
+            return Err(at(i)(ck_err(
+                "a delta record needs the full record it extends before it",
             )));
         }
+        let mut exec =
+            Self::from_full(problem, cluster, faults, config, solver, &doc).map_err(at(i))?;
+        for (seq, (i, line)) in (1u64..).zip(records) {
+            parse_record(line)
+                .and_then(|doc| exec.apply_delta(&doc, seq))
+                .map_err(at(i))?;
+        }
+        Ok(exec)
+    }
+
+    /// Builds an executor from a parsed full record.
+    fn from_full(
+        problem: &'a MigrationProblem,
+        cluster: &Cluster,
+        faults: &'a FaultPlan,
+        config: &'a ExecutorConfig,
+        solver: &'a dyn Solver,
+        doc: &Value,
+    ) -> Result<Executor<'a>, ExecError> {
         let n = problem.num_disks();
         let num_roots = problem.num_items();
-        if ck_usize(&doc, "disks")? != n {
-            return Err(ck_err(format!(
-                "checkpoint is for a {}-disk cluster, instance has {n}",
-                ck_usize(&doc, "disks")?
-            )));
-        }
-        if ck_usize(&doc, "items")? != num_roots {
-            return Err(ck_err(format!(
-                "checkpoint accounts {} items, instance has {num_roots}",
-                ck_usize(&doc, "items")?
-            )));
-        }
-        let timeline = faults.timeline();
-        let bw = ck_bits_vec(&doc, "bw", n)?;
-        let crashed = ck_bool_vec(&doc, "crashed", n)?;
-        let replacement_raw = ck_i64_vec(&doc, "replacement", n)?;
-        let mut replacement_of: Vec<Option<NodeId>> = Vec::with_capacity(n);
-        for (i, &r) in replacement_raw.iter().enumerate() {
-            replacement_of.push(match r {
-                -1 => None,
-                d if d >= 0 && (d as usize) < n => Some(NodeId::new(d as usize)),
-                d => return Err(ck_err(format!("replacement[{i}] = {d} is out of range"))),
-            });
-        }
-        let next_fault = ck_usize(&doc, "next_fault")?;
-        if next_fault > timeline.len() {
-            return Err(ck_err(format!(
-                "next_fault {next_fault} exceeds the {}-event timeline",
-                timeline.len()
-            )));
-        }
-        let fate_codes = ck_array(&doc, "fates")?;
-        if fate_codes.len() != num_roots {
-            return Err(ck_err(format!(
-                "fates covers {} items, instance has {num_roots}",
-                fate_codes.len()
-            )));
-        }
-        let mut fates: Vec<Option<ItemFate>> = Vec::with_capacity(num_roots);
-        for (i, v) in fate_codes.iter().enumerate() {
-            let code = v
-                .as_str()
-                .ok_or_else(|| ck_err(format!("fates[{i}] is not a string")))?;
-            fates.push(if code == "pending" {
-                None
-            } else {
-                Some(
-                    ItemFate::from_code(code)
-                        .ok_or_else(|| ck_err(format!("fates[{i}]: unknown fate code `{code}`")))?,
-                )
-            });
-        }
-        let attempts_raw = ck_u64_vec(&doc, "attempts", num_roots)?;
-        let mut attempts: Vec<u32> = Vec::with_capacity(num_roots);
-        for (i, &a) in attempts_raw.iter().enumerate() {
-            attempts.push(
-                u32::try_from(a)
-                    .map_err(|_| ck_err(format!("attempts[{i}] = {a} overflows u32")))?,
-            );
-        }
-        let redirected_flag = ck_bool_vec(&doc, "redirected", num_roots)?;
-        let flat = ck_usize_vec(&doc, "cur_edges")?;
+        check_dims(doc, n, num_roots)?;
+        let flat = ck_vec(doc, "cur_edges", None, ck_index)?;
         if flat.len() % 2 != 0 {
-            return Err(ck_err(
-                "cur_edges has an odd number of endpoints".to_string(),
-            ));
+            return Err(ck_err("cur_edges has an odd number of endpoints"));
         }
         let endpoints: Vec<Endpoints> = flat
             .chunks_exact(2)
@@ -1233,97 +1292,203 @@ impl<'a> Executor<'a> {
                 v: NodeId::new(p[1]),
             })
             .collect();
-        let caps_raw = ck_u64_vec(&doc, "cur_caps", n)?;
-        let mut caps: Vec<u32> = Vec::with_capacity(n);
-        for (i, &c) in caps_raw.iter().enumerate() {
-            caps.push(
-                u32::try_from(c)
-                    .map_err(|_| ck_err(format!("cur_caps[{i}] = {c} overflows u32")))?,
-            );
-        }
-        let rounds_val = ck_array(&doc, "cur_rounds")?;
-        let mut rounds: Vec<Vec<EdgeId>> = Vec::with_capacity(rounds_val.len());
-        for (i, r) in rounds_val.iter().enumerate() {
-            let items = r
-                .as_array()
-                .ok_or_else(|| ck_err(format!("cur_rounds[{i}] is not an array")))?;
-            let mut round = Vec::with_capacity(items.len());
-            for v in items {
-                round.push(EdgeId::new(ck_index(v, "cur_rounds entry")?));
-            }
-            rounds.push(round);
-        }
+        let caps = ck_vec(doc, "cur_caps", Some(n), ck_u32)?;
+        let rounds = ck_vec(doc, "cur_rounds", None, |r, what| {
+            r.as_array()
+                .ok_or_else(|| ck_err(format!("{what} is not an array")))?
+                .iter()
+                .map(|v| Ok(EdgeId::new(ck_index(v, what)?)))
+                .collect()
+        })?;
         let (cur_problem, cur_schedule) =
             rebuild_residual(n, &endpoints, Capacities::from_vec(caps), rounds)?;
-        let roots = ck_usize_vec(&doc, "roots")?;
-        if roots.len() != cur_problem.num_items() {
-            return Err(ck_err(format!(
-                "roots covers {} residual items, residual instance has {}",
-                roots.len(),
-                cur_problem.num_items()
-            )));
-        }
+        let residual_items = cur_problem.num_items();
+        let roots = ck_vec(doc, "roots", Some(residual_items), ck_index)?;
         if let Some(&bad) = roots.iter().find(|&&r| r >= num_roots) {
             return Err(ck_err(format!("root {bad} is out of range")));
         }
-        let done = ck_bool_vec(&doc, "done", cur_problem.num_items())?;
-        let round_idx = ck_usize(&doc, "round_idx")?;
-        if round_idx > cur_schedule.makespan() {
-            return Err(ck_err(format!(
-                "round_idx {round_idx} exceeds the {}-round residual schedule",
-                cur_schedule.makespan()
-            )));
-        }
-        let base = ck_bits(&doc, "base")?;
-        let executed = ck_usize(&doc, "executed_rounds")?;
-        let round_durations = ck_bits_vec(&doc, "round_durations", executed)?;
-        let disk_busy = ck_bits_vec(&doc, "disk_busy", n)?;
-        let volume = ck_bits(&doc, "volume")?;
-        let stall_recent = ck_u64_str_vec(&doc, "stall_recent")?;
-        let stall_next = ck_usize(&doc, "stall_next")?;
-        let degraded_at_last_replan = ck_bool_vec(&doc, "degraded_set", n)?;
-        let crash_dirty = ck_usize(&doc, "crash_dirty")? != 0;
-        let bw_init: Vec<f64> = (0..n).map(|v| cluster.bandwidth(NodeId::new(v))).collect();
-        let sizes: Vec<f64> = (0..num_roots)
-            .map(|e| cluster.item_size(EdgeId::new(e)))
-            .collect();
+        let executed = ck_usize(doc, "executed_rounds")?;
         let ticker = RoundTicker::new(cur_schedule.makespan());
-        Ok(Executor {
+        let mut exec = Executor {
             problem,
             faults,
             config,
             solver,
-            bw_init,
-            sizes,
-            timeline,
+            bw_init: (0..n).map(|v| cluster.bandwidth(NodeId::new(v))).collect(),
+            sizes: (0..num_roots)
+                .map(|e| cluster.item_size(EdgeId::new(e)))
+                .collect(),
+            timeline: faults.timeline(),
             flaky_p: faults.flaky.map_or(0.0, |f| f.probability),
-            bw,
-            crashed,
-            replacement_of,
-            next_fault,
-            fates,
-            attempts,
-            redirected_flag,
+            bw: ck_vec(doc, "bw", Some(n), ck_bits_str)?,
+            crashed: ck_vec(doc, "crashed", Some(n), ck_flag)?,
+            replacement_of: ck_vec(doc, "replacement", Some(n), |v, what| {
+                ck_replacement(v, what, n)
+            })?,
+            fates: ck_vec(doc, "fates", Some(num_roots), ck_fate)?,
+            attempts: ck_vec(doc, "attempts", Some(num_roots), ck_u32)?,
+            redirected_flag: ck_vec(doc, "redirected", Some(num_roots), ck_flag)?,
             cur_problem,
             cur_schedule,
             roots,
-            done,
-            base,
-            round_durations,
-            disk_busy,
-            volume,
-            replans: ck_u64(&doc, "replans")?,
-            retries: ck_u64(&doc, "retries")?,
-            crashes: ck_u64(&doc, "crashes")?,
-            redirects: ck_u64(&doc, "redirects")?,
-            degraded_rounds: ck_u64(&doc, "degraded_rounds")?,
-            stall: StallDetector::from_window(config.stall_factor, stall_recent, stall_next),
-            degraded_at_last_replan,
-            crash_dirty,
-            round_idx,
+            done: ck_vec(doc, "done", Some(residual_items), ck_flag)?,
+            round_durations: ck_vec(doc, "round_durations", Some(executed), ck_bits_str)?,
+            disk_busy: ck_vec(doc, "disk_busy", Some(n), ck_bits_str)?,
+            replans: ck_u64(doc, "replans")?,
+            stall: StallDetector::from_window(
+                config.stall_factor,
+                ck_vec(doc, "stall_recent", None, ck_u64_str)?,
+                ck_usize(doc, "stall_next")?,
+            ),
+            degraded_at_last_replan: ck_vec(doc, "degraded_set", Some(n), ck_flag)?,
+            // The scalars every record carries, full or delta.
+            next_fault: 0,
+            base: 0.0,
+            volume: 0.0,
+            retries: 0,
+            crashes: 0,
+            redirects: 0,
+            degraded_rounds: 0,
+            crash_dirty: false,
+            round_idx: 0,
             finished: false,
             ticker,
-        })
+            recorded: None,
+        };
+        exec.set_scalars(doc)?;
+        Ok(exec)
+    }
+
+    /// Applies a parsed delta record, expected to be the `seq`-th of its
+    /// chain, on top of the state its predecessor left.
+    fn apply_delta(&mut self, doc: &Value, seq: u64) -> Result<(), ExecError> {
+        let got = doc
+            .get_path("delta")
+            .ok_or_else(|| ck_err("a full record can only start a chain"))?;
+        let got = ck_num(got, "delta")?;
+        if got != seq {
+            return Err(ck_err(format!(
+                "delta {got} does not chain: its predecessor expects delta {seq}"
+            )));
+        }
+        check_dims(doc, self.bw.len(), self.fates.len())?;
+        let replans = ck_u64(doc, "replans")?;
+        if replans != self.replans {
+            return Err(ck_err(format!(
+                "delta {seq} records {replans} replans after {}: a replan starts a full record",
+                self.replans
+            )));
+        }
+        let executed = ck_usize(doc, "executed_rounds")?;
+        let tail = ck_vec(doc, "round_durations", None, ck_bits_str)?;
+        if self.round_durations.len() + tail.len() != executed {
+            return Err(ck_err(format!(
+                "delta {seq}: {} new round durations do not take {} executed rounds to {executed}",
+                tail.len(),
+                self.round_durations.len()
+            )));
+        }
+        self.round_durations.extend(tail);
+        let n = self.bw.len();
+        ck_apply(doc, "bw", &mut self.bw, false, ck_bits_str)?;
+        ck_apply(doc, "crashed", &mut self.crashed, false, ck_flag)?;
+        ck_apply(
+            doc,
+            "replacement",
+            &mut self.replacement_of,
+            false,
+            |v, what| ck_replacement(v, what, n),
+        )?;
+        ck_apply(doc, "fates", &mut self.fates, false, ck_fate)?;
+        ck_apply(doc, "attempts", &mut self.attempts, false, ck_u32)?;
+        ck_apply(doc, "redirected", &mut self.redirected_flag, false, ck_flag)?;
+        ck_apply(doc, "done", &mut self.done, false, ck_flag)?;
+        ck_apply(doc, "disk_busy", &mut self.disk_busy, false, ck_bits_str)?;
+        ck_apply(
+            doc,
+            "degraded_set",
+            &mut self.degraded_at_last_replan,
+            false,
+            ck_flag,
+        )?;
+        // The stall window fills up to its size, then overwrites in place.
+        let mut recent = self.stall.window().0.to_vec();
+        ck_apply(doc, "stall_recent", &mut recent, true, ck_u64_str)?;
+        self.stall = StallDetector::from_window(
+            self.config.stall_factor,
+            recent,
+            ck_usize(doc, "stall_next")?,
+        );
+        self.set_scalars(doc)
+    }
+
+    /// Sets the scalars that full and delta records both carry in full.
+    fn set_scalars(&mut self, doc: &Value) -> Result<(), ExecError> {
+        let next_fault = ck_usize(doc, "next_fault")?;
+        if next_fault > self.timeline.len() {
+            return Err(ck_err(format!(
+                "next_fault {next_fault} exceeds the {}-event timeline",
+                self.timeline.len()
+            )));
+        }
+        let round_idx = ck_usize(doc, "round_idx")?;
+        if round_idx > self.cur_schedule.makespan() {
+            return Err(ck_err(format!(
+                "round_idx {round_idx} exceeds the {}-round residual schedule",
+                self.cur_schedule.makespan()
+            )));
+        }
+        self.next_fault = next_fault;
+        self.round_idx = round_idx;
+        self.base = ck_bits(doc, "base")?;
+        self.volume = ck_bits(doc, "volume")?;
+        self.retries = ck_u64(doc, "retries")?;
+        self.crashes = ck_u64(doc, "crashes")?;
+        self.redirects = ck_u64(doc, "redirects")?;
+        self.degraded_rounds = ck_u64(doc, "degraded_rounds")?;
+        self.crash_dirty = ck_usize(doc, "crash_dirty")? != 0;
+        Ok(())
+    }
+}
+
+/// What the last journal record captured: the base the next delta is
+/// diffed against. Floats are kept as the bit patterns records carry.
+struct Recorded {
+    /// Deltas written since the chain's full record.
+    deltas: u64,
+    /// A replan replaces the residual instance and forces a full record.
+    replans: u64,
+    executed_rounds: usize,
+    bw: Vec<u64>,
+    crashed: Vec<bool>,
+    replacement: Vec<Option<NodeId>>,
+    fates: Vec<Option<ItemFate>>,
+    attempts: Vec<u32>,
+    redirected: Vec<bool>,
+    done: Vec<bool>,
+    disk_busy: Vec<u64>,
+    stall_recent: Vec<u64>,
+    degraded_set: Vec<bool>,
+}
+
+impl Recorded {
+    /// The state a full record of `x` captures.
+    fn of(x: &Executor<'_>) -> Recorded {
+        Recorded {
+            deltas: 0,
+            replans: x.replans,
+            executed_rounds: x.round_durations.len(),
+            bw: x.bw.iter().map(|b| b.to_bits()).collect(),
+            crashed: x.crashed.clone(),
+            replacement: x.replacement_of.clone(),
+            fates: x.fates.clone(),
+            attempts: x.attempts.clone(),
+            redirected: x.redirected_flag.clone(),
+            done: x.done.clone(),
+            disk_busy: x.disk_busy.iter().map(|b| b.to_bits()).collect(),
+            stall_recent: x.stall.window().0.to_vec(),
+            degraded_set: x.degraded_at_last_replan.clone(),
+        }
     }
 }
 
@@ -1350,8 +1515,72 @@ fn push_list<T: std::fmt::Display>(
     out.push(']');
 }
 
+/// Writes array `key` whole, or — given the previous record's copy of it —
+/// as the `[index, value]` pairs that differ from that copy, updating the
+/// copy. Entries past the copy's end are new and always written.
+fn push_array<T: Copy + PartialEq, D: std::fmt::Display>(
+    out: &mut String,
+    key: &str,
+    xs: impl Iterator<Item = T>,
+    last: Option<&mut Vec<T>>,
+    show: impl Fn(T) -> D,
+    quote: bool,
+) {
+    use core::fmt::Write as _;
+    let Some(last) = last else {
+        return push_list(out, key, xs.map(show), quote);
+    };
+    let q = if quote { "\"" } else { "" };
+    let _ = write!(out, ", \"{key}\": [");
+    let mut first = true;
+    for (i, x) in xs.enumerate() {
+        match last.get_mut(i) {
+            Some(old) if *old == x => continue,
+            Some(old) => *old = x,
+            None => last.push(x),
+        }
+        if !std::mem::take(&mut first) {
+            out.push(',');
+        }
+        let _ = write!(out, "[{i},{q}{}{q}]", show(x));
+    }
+    out.push(']');
+}
+
 fn ck_err(m: impl Into<String>) -> ExecError {
     ExecError::Checkpoint(m.into())
+}
+
+/// Parses one record line and checks its schema tag.
+fn parse_record(line: &str) -> Result<Value, ExecError> {
+    let doc =
+        Value::parse(line.trim()).map_err(|e| ck_err(format!("unparseable checkpoint: {e}")))?;
+    let schema = doc
+        .get_path("schema")
+        .and_then(Value::as_str)
+        .unwrap_or_default();
+    if schema != CHECKPOINT_SCHEMA {
+        return Err(ck_err(format!(
+            "checkpoint schema `{schema}` is not `{CHECKPOINT_SCHEMA}`"
+        )));
+    }
+    Ok(doc)
+}
+
+fn check_dims(doc: &Value, disks: usize, items: usize) -> Result<(), ExecError> {
+    let d = ck_usize(doc, "disks")?;
+    if d != disks {
+        return Err(ck_err(format!(
+            "checkpoint is for a {d}-disk cluster, instance has {disks}"
+        )));
+    }
+    let i = ck_usize(doc, "items")?;
+    if i != items {
+        return Err(ck_err(format!(
+            "checkpoint accounts {i} items, instance has {items}"
+        )));
+    }
+    Ok(())
 }
 
 fn ck_get<'v>(doc: &'v Value, key: &str) -> Result<&'v Value, ExecError> {
@@ -1378,6 +1607,15 @@ fn ck_index(v: &Value, what: &str) -> Result<usize, ExecError> {
     usize::try_from(ck_num(v, what)?).map_err(|_| ck_err(format!("{what} overflows usize")))
 }
 
+fn ck_u32(v: &Value, what: &str) -> Result<u32, ExecError> {
+    let x = ck_num(v, what)?;
+    u32::try_from(x).map_err(|_| ck_err(format!("{what} = {x} overflows u32")))
+}
+
+fn ck_flag(v: &Value, what: &str) -> Result<bool, ExecError> {
+    Ok(ck_num(v, what)? != 0)
+}
+
 fn ck_u64(doc: &Value, key: &str) -> Result<u64, ExecError> {
     ck_num(ck_get(doc, key)?, key)
 }
@@ -1392,91 +1630,105 @@ fn ck_array<'v>(doc: &'v Value, key: &str) -> Result<&'v [Value], ExecError> {
         .ok_or_else(|| ck_err(format!("`{key}` is not an array")))
 }
 
-fn ck_sized_array<'v>(doc: &'v Value, key: &str, len: usize) -> Result<&'v [Value], ExecError> {
+/// Decodes array `key` element by element; `len`, when given, pins its
+/// length.
+fn ck_vec<T>(
+    doc: &Value,
+    key: &str,
+    len: Option<usize>,
+    decode: impl Fn(&Value, &str) -> Result<T, ExecError>,
+) -> Result<Vec<T>, ExecError> {
     let xs = ck_array(doc, key)?;
-    if xs.len() != len {
+    if let Some(len) = len.filter(|&len| len != xs.len()) {
         return Err(ck_err(format!(
             "`{key}` has {} entries, expected {len}",
             xs.len()
         )));
     }
-    Ok(xs)
-}
-
-fn ck_u64_vec(doc: &Value, key: &str, len: usize) -> Result<Vec<u64>, ExecError> {
-    ck_sized_array(doc, key, len)?
-        .iter()
+    xs.iter()
         .enumerate()
-        .map(|(i, v)| ck_num(v, &format!("{key}[{i}]")))
+        .map(|(i, v)| decode(v, &format!("{key}[{i}]")))
         .collect()
 }
 
-fn ck_usize_vec(doc: &Value, key: &str) -> Result<Vec<usize>, ExecError> {
-    ck_array(doc, key)?
-        .iter()
-        .enumerate()
-        .map(|(i, v)| ck_index(v, &format!("{key}[{i}]")))
-        .collect()
+/// Applies the `[index, value]` pairs of delta array `key` to `xs`. An
+/// index must address an existing entry; a `grow` array may also append
+/// at exactly its current length.
+fn ck_apply<T>(
+    doc: &Value,
+    key: &str,
+    xs: &mut Vec<T>,
+    grow: bool,
+    decode: impl Fn(&Value, &str) -> Result<T, ExecError>,
+) -> Result<(), ExecError> {
+    for (k, pair) in ck_array(doc, key)?.iter().enumerate() {
+        let what = format!("{key}[{k}]");
+        let Some([i, v]) = pair
+            .as_array()
+            .and_then(|p| <&[Value; 2]>::try_from(p).ok())
+        else {
+            return Err(ck_err(format!("{what} is not an [index, value] pair")));
+        };
+        let i = ck_index(i, &what)?;
+        let v = decode(v, &what)?;
+        if i < xs.len() {
+            xs[i] = v;
+        } else if grow && i == xs.len() {
+            xs.push(v);
+        } else {
+            return Err(ck_err(format!(
+                "{what}: index {i} is out of range for {} entries",
+                xs.len()
+            )));
+        }
+    }
+    Ok(())
 }
 
-fn ck_i64_vec(doc: &Value, key: &str, len: usize) -> Result<Vec<i64>, ExecError> {
-    ck_sized_array(doc, key, len)?
-        .iter()
-        .enumerate()
-        .map(|(i, v)| {
-            let x = v
-                .as_f64()
-                .ok_or_else(|| ck_err(format!("{key}[{i}] is not a number")))?;
-            if !(x.is_finite() && x.fract() == 0.0 && x.abs() <= 9_007_199_254_740_992.0) {
-                return Err(ck_err(format!("{key}[{i}]: {x} is not an exact integer")));
-            }
-            #[allow(clippy::cast_possible_truncation)]
-            Ok(x as i64)
-        })
-        .collect()
+fn ck_fate(v: &Value, what: &str) -> Result<Option<ItemFate>, ExecError> {
+    let code = v
+        .as_str()
+        .ok_or_else(|| ck_err(format!("{what} is not a string")))?;
+    if code == "pending" {
+        return Ok(None);
+    }
+    ItemFate::from_code(code)
+        .map(Some)
+        .ok_or_else(|| ck_err(format!("{what}: unknown fate code `{code}`")))
 }
 
-fn ck_bool_vec(doc: &Value, key: &str, len: usize) -> Result<Vec<bool>, ExecError> {
-    Ok(ck_u64_vec(doc, key, len)?
-        .into_iter()
-        .map(|x| x != 0)
-        .collect())
+/// A crashed disk's replacement: `-1` for none, else a disk below `n`.
+fn ck_replacement(v: &Value, what: &str, n: usize) -> Result<Option<NodeId>, ExecError> {
+    let x = v
+        .as_f64()
+        .ok_or_else(|| ck_err(format!("{what} is not a number")))?;
+    if x == -1.0 {
+        return Ok(None);
+    }
+    #[allow(clippy::cast_precision_loss)]
+    if !(x.fract() == 0.0 && x >= 0.0 && x < n as f64) {
+        return Err(ck_err(format!("{what} = {x} is out of range")));
+    }
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    Ok(Some(NodeId::new(x as usize)))
 }
 
 fn ck_bits_str(v: &Value, what: &str) -> Result<f64, ExecError> {
-    let s = v
-        .as_str()
-        .ok_or_else(|| ck_err(format!("{what} is not a bit-pattern string")))?;
-    let bits: u64 = s
-        .parse()
-        .map_err(|_| ck_err(format!("{what}: `{s}` is not a u64 bit pattern")))?;
-    Ok(f64::from_bits(bits))
+    Ok(f64::from_bits(ck_u64_str(v, what)?))
 }
 
 fn ck_bits(doc: &Value, key: &str) -> Result<f64, ExecError> {
     ck_bits_str(ck_get(doc, key)?, key)
 }
 
-fn ck_bits_vec(doc: &Value, key: &str, len: usize) -> Result<Vec<f64>, ExecError> {
-    ck_sized_array(doc, key, len)?
-        .iter()
-        .enumerate()
-        .map(|(i, v)| ck_bits_str(v, &format!("{key}[{i}]")))
-        .collect()
-}
-
-fn ck_u64_str_vec(doc: &Value, key: &str) -> Result<Vec<u64>, ExecError> {
-    ck_array(doc, key)?
-        .iter()
-        .enumerate()
-        .map(|(i, v)| {
-            let s = v
-                .as_str()
-                .ok_or_else(|| ck_err(format!("{key}[{i}] is not a string")))?;
-            s.parse()
-                .map_err(|_| ck_err(format!("{key}[{i}]: `{s}` is not a u64")))
-        })
-        .collect()
+/// A `u64` carried as a decimal string (JSON numbers are exact only to
+/// 2^53).
+fn ck_u64_str(v: &Value, what: &str) -> Result<u64, ExecError> {
+    let s = v
+        .as_str()
+        .ok_or_else(|| ck_err(format!("{what} is not a string")))?;
+    s.parse()
+        .map_err(|_| ck_err(format!("{what}: `{s}` is not a u64")))
 }
 
 #[cfg(test)]

@@ -4,12 +4,14 @@
 //!
 //! `dmig-workloads` emits fault-plan *text*; this test closes the loop by
 //! feeding that text to the simulator's `parse_checked` (the single
-//! validation authority) and executing the result. Sweeping the compile
+//! validation authority) and executing the result, resuming from a
+//! journal chain of full and delta records. Sweeping the compile
 //! seed sweeps chaos scenarios drawn from one availability model.
 
 use dmig_core::parallel::ParallelSolver;
 use dmig_core::solver::{AutoSolver, Solver};
 use dmig_core::MigrationProblem;
+use dmig_sim::executor::DELTA_PREFIX;
 use dmig_sim::{Cluster, Executor, ExecutorConfig, FaultPlan, StepOutcome};
 use dmig_workloads::availability::AvailabilityModel;
 use dmig_workloads::random::uniform_multigraph;
@@ -75,16 +77,28 @@ fn compiled_chaos_plans_load_and_execute() {
         let schedule = solver.solve(&problem).unwrap();
         let mut exec =
             Executor::new(&problem, &schedule, &cluster, &faults, &config, &solver).unwrap();
-        // Run the first half, get killed, resume from the checkpoint.
-        let mut checkpoint = exec.checkpoint_json();
+        // Run the first half journaling every boundary, get killed, resume
+        // from the journal chain: the last full record and its deltas.
+        let mut chain = vec![exec.journal_record()];
         for _ in 0..3 {
             if exec.step().unwrap() == StepOutcome::Finished {
                 break;
             }
-            checkpoint = exec.checkpoint_json();
+            let record = exec.journal_record();
+            if !record.starts_with(DELTA_PREFIX) {
+                chain.clear();
+            }
+            chain.push(record);
         }
-        let mut revived =
-            Executor::restore(&problem, &cluster, &faults, &config, &solver, &checkpoint).unwrap();
+        let mut revived = Executor::restore(
+            &problem,
+            &cluster,
+            &faults,
+            &config,
+            &solver,
+            &chain.join("\n"),
+        )
+        .unwrap();
         while revived.step().unwrap() == StepOutcome::Running {}
         let resumed = revived.into_report();
         // Reference: the same scenario uninterrupted.

@@ -3,15 +3,18 @@
 //! The load-bearing guarantee of the durable-workspace layer: an executor
 //! killed at *any* round boundary and revived from its last checkpoint
 //! produces a final report byte-identical to the uninterrupted run — same
-//! seed, same fault plan, any solver thread count. On top of that:
-//! checkpoints round-trip losslessly (restore → checkpoint is the
-//! identity), accounting stays exact across the kill (`delivered + lost
-//! == |items|`), and corrupt checkpoints are rejected with a diagnostic
-//! instead of resuming into a wrong run.
+//! seed, same fault plan, any solver thread count. The checkpoint is
+//! either one full record or a journal chain: the last full record and the
+//! delta records after it. On top of that: checkpoints round-trip
+//! losslessly (restore → checkpoint is the identity, from a single record
+//! and from a chain alike), accounting stays exact across the kill
+//! (`delivered + lost == |items|`), deltas stay small, and corrupt records
+//! are rejected with a diagnostic instead of resuming into a wrong run.
 
 use dmig_core::parallel::ParallelSolver;
 use dmig_core::solver::{AutoSolver, Solver};
 use dmig_core::MigrationProblem;
+use dmig_sim::executor::DELTA_PREFIX;
 use dmig_sim::faults::{CrashFault, DegradeFault, FlakySpec};
 use dmig_sim::{Cluster, ExecError, Executor, ExecutorConfig, FaultPlan, StepOutcome};
 use dmig_workloads::random::uniform_multigraph;
@@ -64,23 +67,64 @@ fn config() -> ExecutorConfig {
     }
 }
 
-/// Runs to completion, returning every boundary checkpoint (including the
-/// pristine pre-first-round state) and the final report JSON.
-fn run_with_checkpoints(
+/// One uninterrupted run, observed at every boundary (including the
+/// pristine pre-first-round state).
+struct Run {
+    /// `checkpoint_json()` at each boundary.
+    checkpoints: Vec<String>,
+    /// `journal_record()` at each boundary: the journal `migrate execute`
+    /// writes.
+    records: Vec<String>,
+    /// The final report JSON.
+    report: String,
+}
+
+impl Run {
+    /// The chain a kill right after boundary `at` leaves to resume from:
+    /// the last full record up to `at` and the deltas after it.
+    fn chain(&self, at: usize) -> String {
+        chain_at(&self.records, at)
+    }
+
+    fn deltas(&self) -> usize {
+        self.records
+            .iter()
+            .filter(|r| r.starts_with(DELTA_PREFIX))
+            .count()
+    }
+}
+
+fn chain_at(records: &[String], at: usize) -> String {
+    let full = (0..=at)
+        .rfind(|&i| !records[i].starts_with(DELTA_PREFIX))
+        .expect("a journal starts with a full record");
+    records[full..=at].join("\n")
+}
+
+/// Runs to completion, recording every boundary.
+fn run_recorded(
     problem: &MigrationProblem,
     cluster: &Cluster,
     faults: &FaultPlan,
     solver: &dyn Solver,
-) -> (Vec<String>, String) {
+) -> Run {
     let cfg = config();
     let schedule = solver.solve(problem).expect("solvable");
     let mut exec =
         Executor::new(problem, &schedule, cluster, faults, &cfg, solver).expect("executor builds");
-    let mut checkpoints = vec![exec.checkpoint_json()];
-    while exec.step().expect("step") == StepOutcome::Running {
+    let (mut checkpoints, mut records) = (Vec::new(), Vec::new());
+    loop {
         checkpoints.push(exec.checkpoint_json());
+        records.push(exec.journal_record());
+        if exec.step().expect("step") == StepOutcome::Finished {
+            break;
+        }
     }
-    (checkpoints, exec.into_report().to_json())
+    Run {
+        checkpoints,
+        records,
+        report: exec.into_report().to_json(),
+    }
 }
 
 /// Revives from `checkpoint` and runs to completion.
@@ -120,35 +164,35 @@ proptest! {
         faults.validate(problem.num_disks()).expect("plan valid");
         let cluster = Cluster::uniform(problem.num_disks(), 1.0);
         let solver = ParallelSolver::with_threads(Box::new(AutoSolver), threads);
-        let (checkpoints, reference) =
-            run_with_checkpoints(&problem, &cluster, &faults, &solver);
+        let run = run_recorded(&problem, &cluster, &faults, &solver);
+        let checkpoints = &run.checkpoints;
 
         // Sample one kill boundary from the run's own length.
         let at = (kill as usize * checkpoints.len() / 1000).min(checkpoints.len() - 1);
-        let resumed = resume_to_report(&problem, &cluster, &faults, &solver, &checkpoints[at]);
-        prop_assert_eq!(
-            resumed.to_json(),
-            reference.clone(),
-            "kill at boundary {} of {} diverged",
-            at,
-            checkpoints.len()
-        );
-        prop_assert_eq!(resumed.delivered() + resumed.lost(), problem.num_items());
-
-        // A restored executor re-serializes to the exact same document.
         let cfg = config();
-        let revived = Executor::restore(&problem, &cluster, &faults, &cfg, &solver, &checkpoints[at])
-            .expect("restores");
-        prop_assert_eq!(&revived.checkpoint_json(), &checkpoints[at]);
+        for ck in [checkpoints[at].clone(), run.chain(at)] {
+            let resumed = resume_to_report(&problem, &cluster, &faults, &solver, &ck);
+            prop_assert_eq!(
+                resumed.to_json(),
+                run.report.clone(),
+                "kill at boundary {} of {} diverged",
+                at,
+                checkpoints.len()
+            );
+            prop_assert_eq!(resumed.delivered() + resumed.lost(), problem.num_items());
+
+            // A restored executor re-serializes to the exact same document.
+            let revived = Executor::restore(&problem, &cluster, &faults, &cfg, &solver, &ck)
+                .expect("restores");
+            prop_assert_eq!(&revived.checkpoint_json(), &checkpoints[at]);
+        }
     }
 }
 
-/// Exhaustive sweep on a CI-shaped scenario: every boundary of a run with
-/// a crash, a degradation, and flaky transfers is a valid resume point.
-#[test]
-fn every_boundary_of_a_faulty_run_resumes_exactly() {
-    let problem = instance(5, 12, 42);
-    let faults = FaultPlan {
+/// The CI-shaped scenario: a crash with a spare, a degradation, and flaky
+/// transfers.
+fn ci_faults() -> FaultPlan {
+    FaultPlan {
         seed: 2026,
         crashes: vec![CrashFault {
             disk: 2.into(),
@@ -162,46 +206,124 @@ fn every_boundary_of_a_faulty_run_resumes_exactly() {
             recover_at: Some(8.0),
         }],
         flaky: Some(FlakySpec { probability: 0.1 }),
-    };
-    faults.validate(problem.num_disks()).unwrap();
-    let cluster = Cluster::uniform(problem.num_disks(), 1.0);
-    for threads in [1usize, 4] {
-        let solver = ParallelSolver::with_threads(Box::new(AutoSolver), threads);
-        let (checkpoints, reference) = run_with_checkpoints(&problem, &cluster, &faults, &solver);
-        assert!(checkpoints.len() >= 2, "the scenario must span rounds");
-        for (at, ck) in checkpoints.iter().enumerate() {
-            let resumed = resume_to_report(&problem, &cluster, &faults, &solver, ck);
-            assert_eq!(
-                resumed.to_json(),
-                reference,
-                "threads {threads}: boundary {at} diverged"
-            );
-        }
     }
 }
 
-/// Double interruption: checkpoint, resume, checkpoint again mid-flight,
-/// resume again — the chain still lands on the reference report.
+/// Exhaustive sweep: every boundary of crash, degrade, and flaky runs
+/// with replanning is a valid resume point, from its single checkpoint
+/// and from its journal chain, and the chain restores to exactly the
+/// state the uninterrupted run had there.
+#[test]
+fn every_boundary_of_a_faulty_run_resumes_exactly() {
+    let problem = instance(5, 12, 42);
+    let scenarios = [
+        ("crash+degrade+flaky", ci_faults()),
+        ("crash", plan(5, 6, true, false, false)),
+        ("degrade", plan(5, 6, false, true, false)),
+        ("flaky", plan(5, 6, false, false, true)),
+    ];
+    let cluster = Cluster::uniform(problem.num_disks(), 1.0);
+    let cfg = config();
+    for (name, faults) in &scenarios {
+        faults.validate(problem.num_disks()).unwrap();
+        for threads in [1usize, 4] {
+            let solver = ParallelSolver::with_threads(Box::new(AutoSolver), threads);
+            let run = run_recorded(&problem, &cluster, faults, &solver);
+            assert!(
+                run.checkpoints.len() >= 3,
+                "{name}: the scenario must span rounds"
+            );
+            assert!(run.deltas() >= 1, "{name}: the journal must hold deltas");
+            for at in 0..run.checkpoints.len() {
+                let chain = run.chain(at);
+                let revived = Executor::restore(&problem, &cluster, faults, &cfg, &solver, &chain)
+                    .unwrap_or_else(|e| panic!("{name} threads {threads}: boundary {at}: {e}"));
+                assert_eq!(
+                    revived.checkpoint_json(),
+                    run.checkpoints[at],
+                    "{name} threads {threads}: chain at boundary {at} restored another state"
+                );
+                for ck in [&run.checkpoints[at], &chain] {
+                    let resumed = resume_to_report(&problem, &cluster, faults, &solver, ck);
+                    assert_eq!(
+                        resumed.to_json(),
+                        run.report,
+                        "{name} threads {threads}: boundary {at} diverged"
+                    );
+                }
+            }
+        }
+    }
+    // The combined scenario replans, so its journal restarts the chain
+    // with a full record mid-run.
+    let solver = ParallelSolver::with_threads(Box::new(AutoSolver), 1);
+    let run = run_recorded(&problem, &cluster, &ci_faults(), &solver);
+    let fulls = run.records.len() - run.deltas();
+    assert!(fulls >= 2, "a replan must force a full record: {fulls}");
+}
+
+/// Double interruption: resume from a journal chain, journal a couple of
+/// boundaries as a resumed session does (a full record, then deltas), get
+/// killed again, resume from the new chain — it still lands on the
+/// reference report.
 #[test]
 fn chained_resumes_compose() {
     let problem = instance(4, 10, 7);
     let faults = plan(4, 99, true, true, true);
     let cluster = Cluster::uniform(problem.num_disks(), 1.0);
     let solver = ParallelSolver::with_threads(Box::new(AutoSolver), 2);
-    let (checkpoints, reference) = run_with_checkpoints(&problem, &cluster, &faults, &solver);
+    let run = run_recorded(&problem, &cluster, &faults, &solver);
     let cfg = config();
-    let first = &checkpoints[checkpoints.len() / 3];
+    let first = run.chain(run.records.len() / 3);
     let mut exec =
-        Executor::restore(&problem, &cluster, &faults, &cfg, &solver, first).expect("restores");
-    // Advance a couple of boundaries, then get killed again.
-    for _ in 0..2 {
+        Executor::restore(&problem, &cluster, &faults, &cfg, &solver, &first).expect("restores");
+    // Advance a few boundaries, journaling each, then get killed again.
+    let mut session = vec![exec.journal_record()];
+    assert!(
+        !session[0].starts_with(DELTA_PREFIX),
+        "a session starts full"
+    );
+    for _ in 0..3 {
         if exec.step().expect("step") == StepOutcome::Finished {
             break;
         }
+        session.push(exec.journal_record());
     }
-    let second = exec.checkpoint_json();
+    let second = chain_at(&session, session.len() - 1);
     let resumed = resume_to_report(&problem, &cluster, &faults, &solver, &second);
-    assert_eq!(resumed.to_json(), reference);
+    assert_eq!(resumed.to_json(), run.report);
+}
+
+/// A round changes a few dozen of ~1600 items, so a delta is a small
+/// fraction of the full record it follows.
+#[test]
+fn deltas_stay_a_tenth_of_a_full_record() {
+    let problem = instance(40, 1600, 11);
+    let cluster = Cluster::uniform(problem.num_disks(), 1.0);
+    let (faults, cfg, solver) = (FaultPlan::default(), config(), AutoSolver);
+    let run = run_recorded(&problem, &cluster, &faults, &solver);
+    let full = run.records[0].len();
+    assert!(
+        run.deltas() + 1 == run.records.len() && run.deltas() >= 40,
+        "a fault-free run journals one full record, then a delta per round"
+    );
+    for (at, record) in run.records.iter().enumerate().skip(1) {
+        assert!(
+            record.len() * 10 <= full,
+            "delta at boundary {at} is {} bytes, the full record {full}",
+            record.len()
+        );
+    }
+    let revived = Executor::restore(
+        &problem,
+        &cluster,
+        &faults,
+        &cfg,
+        &solver,
+        &run.chain(run.records.len() - 1),
+    )
+    .expect("restores");
+    assert_eq!(revived.checkpoint_json(), *run.checkpoints.last().unwrap());
 }
 
 #[test]
@@ -211,8 +333,8 @@ fn corrupt_checkpoints_are_rejected_with_diagnostics() {
     let cluster = Cluster::uniform(problem.num_disks(), 1.0);
     let solver = AutoSolver;
     let cfg = config();
-    let (checkpoints, _) = run_with_checkpoints(&problem, &cluster, &faults, &solver);
-    let good = &checkpoints[0];
+    let run = run_recorded(&problem, &cluster, &faults, &solver);
+    let good = &run.checkpoints[0];
 
     for (mangle, needle) in [
         ("not json at all".to_string(), "unparseable"),
@@ -245,4 +367,66 @@ fn corrupt_checkpoints_are_rejected_with_diagnostics() {
     .map(|_| ())
     .unwrap_err();
     assert!(matches!(err, ExecError::Checkpoint(_)), "{err}");
+
+    // Delta chains: every record that does not fit its predecessor is
+    // rejected, naming its line.
+    let problem = instance(4, 16, 3);
+    let cluster = Cluster::uniform(problem.num_disks(), 1.0);
+    let run = run_recorded(&problem, &cluster, &faults, &solver);
+    assert!(run.deltas() >= 2, "the run must journal two deltas");
+    let (full, d1, d2) = (&run.records[0], &run.records[1], &run.records[2]);
+    // A fault-free run never touches bandwidths: every delta has `"bw": []`.
+    assert!(d1.contains("\"bw\": []"), "{d1}");
+    // Cut one byte into the first `fates` pair: a truncated array.
+    let truncated = &d1[..d1.find("\"fates\": [[").expect("round 1 delivers items") + 12];
+
+    for (chain, needle) in [
+        (
+            format!(
+                "{full}\n{}",
+                d1.replace("\"bw\": []", "\"bw\": [[9,\"0\"]]")
+            ),
+            "line 2: bw[0]: index 9 is out of range for 5 entries",
+        ),
+        (format!("{full}\n{d2}"), "line 2: delta 2 does not chain"),
+        (
+            format!("{full}\n{d1}\n{d1}"),
+            "line 3: delta 1 does not chain",
+        ),
+        (
+            format!("{full}\n{d1}\n{full}"),
+            "line 3: a full record can only start",
+        ),
+        (
+            format!("{full}\n{}", d1.replace("\"replans\": 0", "\"replans\": 1")),
+            "line 2: delta 1 records 1 replans after 0",
+        ),
+        (
+            format!("{full}\n{}", d1.replace("\"bw\": []", "\"bw\": [[0]]")),
+            "line 2: bw[0] is not an [index, value] pair",
+        ),
+        (format!("{full}\n{truncated}"), "line 2: unparseable"),
+        (d1.clone(), "line 1: a delta record needs the full record"),
+        (
+            format!("{d1}\n{d2}"),
+            "line 1: a delta record needs the full record",
+        ),
+    ] {
+        let err = Executor::restore(&problem, &cluster, &faults, &cfg, &solver, &chain)
+            .map(|_| ())
+            .unwrap_err();
+        assert!(
+            matches!(err, ExecError::Checkpoint(_)),
+            "{chain:.80}: {err}"
+        );
+        assert!(err.to_string().contains(needle), "want `{needle}`: {err}");
+    }
+
+    // A delta cut at any byte is an error, never a panic.
+    for cut in 0..d1.len() {
+        let chain = format!("{full}\n{}", &d1[..cut]);
+        if let Err(err) = Executor::restore(&problem, &cluster, &faults, &cfg, &solver, &chain) {
+            assert!(matches!(err, ExecError::Checkpoint(_)), "cut {cut}: {err}");
+        }
+    }
 }
