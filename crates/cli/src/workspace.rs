@@ -454,11 +454,27 @@ fn parse_abort_after(args: &[String]) -> Result<Option<u64>, String> {
     }
 }
 
-#[allow(clippy::too_many_lines)]
+/// `migrate execute` and `migrate resume`. The span recorder is on for the
+/// whole command, so a `--metrics-out` snapshot breaks it down by phase:
+/// `migrate.load`, `migrate.restore` (resume only), `migrate.step`,
+/// `migrate.record` and `migrate.sync` once per round boundary, and
+/// `migrate.report`.
 fn cmd_execute(args: &[String], resume: bool) -> Result<String, String> {
+    dmig_obs::reset();
+    dmig_obs::set_enabled(true);
+    let out = run_session(args, resume);
+    dmig_obs::set_enabled(false);
+    out
+}
+
+#[allow(clippy::too_many_lines)]
+fn run_session(args: &[String], resume: bool) -> Result<String, String> {
     let verb = if resume { "resume" } else { "execute" };
     let ws = Workspace::at(args)?;
-    let loaded = load_workspace(&ws)?;
+    let loaded = {
+        let _span = dmig_obs::span("migrate.load");
+        load_workspace(&ws)?
+    };
     let abort_after = parse_abort_after(args)?;
     let threads = match crate::flag_value(args, "--threads") {
         Some(_) => crate::parse_threads(args)?,
@@ -492,6 +508,7 @@ fn cmd_execute(args: &[String], resume: bool) -> Result<String, String> {
     // Revive (or create) the executor *before* opening the journal so a
     // corrupt checkpoint cannot half-open the sink.
     let mut exec = if resume {
+        let _span = dmig_obs::span("migrate.restore");
         let journal = ws.read(JOURNAL)?;
         let durable = durable(&journal);
         let chain = resume_chain(durable).ok_or(format!(
@@ -528,8 +545,6 @@ fn cmd_execute(args: &[String], resume: bool) -> Result<String, String> {
     // The flight recorder streams dmig-events/1 lines into the same file;
     // checkpoints are spliced between them via append_sink_line.
     let journal_str = journal_path.display().to_string();
-    dmig_obs::reset();
-    dmig_obs::set_enabled(true);
     dmig_obs::events::reset();
     dmig_obs::events::open_sink(&journal_str)
         .map_err(|e| format!("cannot open {journal_str}: {e}"))?;
@@ -538,13 +553,13 @@ fn cmd_execute(args: &[String], resume: bool) -> Result<String, String> {
         dmig_obs::events::set_enabled(false);
         dmig_obs::events::close_sink();
         dmig_obs::events::reset();
-        dmig_obs::set_enabled(false);
         msg
     };
 
     let mut journal_bytes = 0u64;
     let mut checkpoints = 0u64;
     let mut append_line = |line: &str, checkpoint: bool| -> Result<(u64, u64), String> {
+        let _span = dmig_obs::span("migrate.sync");
         let n = dmig_obs::events::append_sink_line(line)
             .map_err(|e| format!("cannot append to {journal_str}: {e}"))?;
         dmig_obs::events::sync_sink().map_err(|e| format!("cannot sync {journal_str}: {e}"))?;
@@ -555,6 +570,10 @@ fn cmd_execute(args: &[String], resume: bool) -> Result<String, String> {
         }
         dmig_obs::gauge_set(dmig_obs::keys::WS_JOURNAL_BYTES, journal_bytes);
         Ok((checkpoints, journal_bytes))
+    };
+    let record = |exec: &mut Executor<'_>| {
+        let _span = dmig_obs::span("migrate.record");
+        exec.journal_record()
     };
 
     if resume {
@@ -568,21 +587,25 @@ fn cmd_execute(args: &[String], resume: bool) -> Result<String, String> {
     // The session's first record is full, and makes round 0 resumable: a
     // kill before the first boundary resumes into a full (still
     // byte-identical) re-run. Later records are deltas until a replan.
-    let (mut ck_count, _) = append_line(&exec.journal_record(), true).map_err(&teardown)?;
+    let (mut ck_count, _) = append_line(&record(&mut exec), true).map_err(&teardown)?;
     dmig_obs::gauge_set(dmig_obs::keys::WS_ROUND, exec.executed_rounds() as u64);
     if abort_after == Some(ck_count) {
         std::process::abort();
     }
 
     loop {
-        let outcome = match exec.step() {
+        let step = {
+            let _span = dmig_obs::span("migrate.step");
+            exec.step()
+        };
+        let outcome = match step {
             Ok(o) => o,
             Err(e) => return Err(teardown(format!("migrate {verb}: {e}"))),
         };
         if outcome == StepOutcome::Finished {
             break;
         }
-        let (c, _) = append_line(&exec.journal_record(), true).map_err(&teardown)?;
+        let (c, _) = append_line(&record(&mut exec), true).map_err(&teardown)?;
         ck_count = c;
         dmig_obs::gauge_set(dmig_obs::keys::WS_ROUND, exec.executed_rounds() as u64);
         if abort_after == Some(ck_count) {
@@ -596,14 +619,17 @@ fn cmd_execute(args: &[String], resume: bool) -> Result<String, String> {
     dmig_obs::events::set_enabled(false);
     dmig_obs::events::close_sink();
     dmig_obs::events::reset();
-    let report = exec.into_report();
-    ws.write(REPORT, &report.to_json())?;
+    let report = {
+        let _span = dmig_obs::span("migrate.report");
+        let report = exec.into_report();
+        ws.write(REPORT, &report.to_json())?;
+        report
+    };
     if let Some(path) = crate::optional_flag(args, "--metrics-out")? {
         let snap = dmig_obs::snapshot();
         fsio::atomic_write(&path, snap.to_json().as_bytes())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
-    dmig_obs::set_enabled(false);
 
     Ok(render_exec_summary(
         verb,

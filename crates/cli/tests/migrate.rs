@@ -508,3 +508,154 @@ fn tampered_config_bandwidth_is_an_error_not_a_panic() {
         "{out}"
     );
 }
+
+/// The CI fault scenario, planned at one thread: `generate rebalance 6 24
+/// 2` under `ci-faults.toml` with replanning. Its journal is the same
+/// at every thread count and holds crash, replan, retry and delivery
+/// events, full records and deltas.
+fn plan_ci_scenario(scratch: &Scratch, ws: &str) -> String {
+    let (code, instance) = dmig(&["generate", "rebalance", "6", "24", "2"]);
+    assert_eq!(code, 0, "{instance}");
+    let ipath = scratch.path("fault.instance");
+    std::fs::write(&ipath, instance).unwrap();
+    let faults = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci-faults.toml");
+    let dir = scratch.path(ws);
+    let (code, out) = dmig(&[
+        "migrate",
+        "plan",
+        &ipath,
+        "--workspace",
+        &dir,
+        "--faults",
+        faults,
+        "--replan",
+        "--threads",
+        "1",
+    ]);
+    assert_eq!(code, 0, "{out}");
+    dir
+}
+
+/// The journal and report bytes are pinned: `tests/golden/` holds the
+/// output of an uninterrupted `execute`, and of an `execute` aborted after
+/// its second checkpoint followed by `resume`, as written before the
+/// journal codec was rewritten. A journal that build left behind also
+/// resumes to those bytes.
+#[test]
+fn journal_and_report_bytes_match_the_golden_files() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let scratch = Scratch::new("golden");
+    let ws = plan_ci_scenario(&scratch, "ws-execute");
+    let (code, out) = dmig(&["migrate", "execute", "--workspace", &ws]);
+    assert_eq!(code, 0, "{out}");
+    let crashed = plan_ci_scenario(&scratch, "ws-resume");
+    let (code, _) = dmig(&[
+        "migrate",
+        "execute",
+        "--workspace",
+        &crashed,
+        "--abort-after-checkpoint",
+        "2",
+    ]);
+    assert_ne!(code, 0, "the abort must look like a crash");
+    let (code, out) = dmig(&["migrate", "resume", "--workspace", &crashed]);
+    assert_eq!(code, 0, "{out}");
+    // The journal prefix the earlier build's aborted `execute` left,
+    // resumed by this build: the same bytes again.
+    let inherited = plan_ci_scenario(&scratch, "ws-inherited");
+    let golden_journal = std::fs::read_to_string(golden.join("resume/journal.jsonl")).unwrap();
+    let marker = golden_journal
+        .find("{\"schema\": \"dmig-resume/1\"")
+        .expect("the golden resume journal holds its resume marker");
+    std::fs::write(
+        Path::new(&inherited).join("journal.jsonl"),
+        &golden_journal[..marker],
+    )
+    .unwrap();
+    let (code, out) = dmig(&["migrate", "resume", "--workspace", &inherited]);
+    assert_eq!(code, 0, "{out}");
+    for (dir, run) in [
+        (&ws, "execute"),
+        (&crashed, "resume"),
+        (&inherited, "resume"),
+    ] {
+        for file in ["journal.jsonl", "report.json"] {
+            let want = std::fs::read(golden.join(run).join(file)).unwrap();
+            assert!(
+                read(dir, file) == want,
+                "{dir}/{file} differs from tests/golden/{run}/{file}"
+            );
+        }
+    }
+}
+
+/// A record nested deeper than the JSON reader allows is a line-numbered
+/// error, not a stack overflow.
+#[test]
+fn deeply_nested_checkpoint_is_a_line_numbered_error() {
+    let scratch = Scratch::new("deep");
+    let (ipath, fpath) = seed_inputs(&scratch, 8);
+    let ws = plan(&scratch, "ws", &ipath, &fpath);
+    let (code, _) = dmig(&[
+        "migrate",
+        "execute",
+        "--workspace",
+        &ws,
+        "--abort-after-checkpoint",
+        "2",
+    ]);
+    assert_ne!(code, 0);
+    let journal = Path::new(&ws).join("journal.jsonl");
+    let lines = std::fs::read_to_string(&journal).unwrap().lines().count();
+    let mut f = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&journal)
+        .unwrap();
+    let deep = "[".repeat(200_000);
+    writeln!(f, "{{\"schema\": \"dmig-exec-ckpt/1\", \"x\": {deep}").unwrap();
+    let (code, out) = dmig(&["migrate", "resume", "--workspace", &ws]);
+    assert_eq!(code, 1, "{out}");
+    assert!(
+        out.contains(&format!("line {}: unparseable checkpoint", lines + 1)),
+        "{out}"
+    );
+}
+
+/// `--metrics-out` breaks `execute` and `resume` down by phase.
+#[test]
+fn metrics_snapshot_names_every_migrate_phase() {
+    let scratch = Scratch::new("phases");
+    let (ipath, fpath) = seed_inputs(&scratch, 12);
+    let ws = plan(&scratch, "ws", &ipath, &fpath);
+    let (code, _) = dmig(&[
+        "migrate",
+        "execute",
+        "--workspace",
+        &ws,
+        "--abort-after-checkpoint",
+        "2",
+    ]);
+    assert_ne!(code, 0);
+    let metrics = scratch.path("resume-metrics.json");
+    let (code, out) = dmig(&[
+        "migrate",
+        "resume",
+        "--workspace",
+        &ws,
+        "--metrics-out",
+        &metrics,
+    ]);
+    assert_eq!(code, 0, "{out}");
+    let (code, flame) = dmig(&["obs", "flame", &metrics]);
+    assert_eq!(code, 0, "{flame}");
+    for phase in [
+        "migrate.load",
+        "migrate.restore",
+        "migrate.step",
+        "migrate.record",
+        "migrate.sync",
+        "migrate.report",
+    ] {
+        assert!(flame.contains(phase), "{phase} missing from\n{flame}");
+    }
+}

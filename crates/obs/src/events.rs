@@ -18,13 +18,15 @@
 //!   is appended (`O_APPEND`, one `write_all` per line, schema-versioned
 //!   [`EVENTS_SCHEMA`]) *before* it enters the ring, so the file is always
 //!   at least as complete as the ring, and a hard kill loses at most the
-//!   event being formatted. Two durability disciplines: [`open_sink`]
-//!   appends to the final path (journal mode — the partial prefix is the
-//!   recovery record; [`sync_sink`] fences it at round boundaries), while
+//!   event being formatted. Each line is rendered field by field into a
+//!   buffer the sink keeps between lines, with no temporary strings. Two
+//!   durability disciplines: [`open_sink`] appends to the final path
+//!   (journal mode — the partial prefix is the recovery record;
+//!   [`sync_sink`] fences it at round boundaries), while
 //!   [`open_sink_atomic`] streams to a temp file that [`close_sink`]
 //!   publishes by rename (report mode — readers never see a torn file).
 //!   [`append_sink_line`] splices pre-formatted lines (executor
-//!   checkpoints) into the same stream.
+//!   checkpoints) into the same stream, through the same buffer.
 //! * **the crash dump** — [`set_crash_path`] installs a chaining panic
 //!   hook (once per process); on panic the hook writes a
 //!   [`CRASH_SCHEMA`] JSON document with the panic message/location, the
@@ -33,8 +35,9 @@
 //!
 //! **Determinism:** event payloads carry only simulated-time quantities
 //! (round indices, item ids, simulated clocks) — no wall clocks, no
-//! thread ids — and [`Event::to_json_line`] formats floats through
-//! [`crate::json::number`]. A deterministic emitter therefore produces a
+//! thread ids — and [`Event::to_json_line`] formats floats the way
+//! [`crate::json::number`] does. The sink writes exactly the bytes of
+//! `to_json_line`. A deterministic emitter therefore produces a
 //! byte-identical JSONL stream at any thread count, which
 //! `dmig-sim`'s executor proptests pin down.
 
@@ -177,34 +180,65 @@ impl Event {
     /// last event is byte-equal to the last sink line.
     #[must_use]
     pub fn to_json_line(&self, seq: u64) -> String {
-        use std::fmt::Write as _;
-        let mut out = format!(
-            "{{\"schema\":\"{EVENTS_SCHEMA}\",\"seq\":{seq},\"kind\":\"{}\",\"t\":{}",
-            self.kind(),
-            json::number(self.time())
-        );
-        match self {
+        let mut out = Vec::new();
+        self.write_json_line(seq, &mut out);
+        String::from_utf8(out).expect("event lines are UTF-8")
+    }
+
+    /// Appends [`to_json_line`](Self::to_json_line)`(seq)` to `out`, field
+    /// by field, with integers through [`json::push_u64`].
+    fn write_json_line(&self, seq: u64, out: &mut Vec<u8>) {
+        fn int(out: &mut Vec<u8>, key: &str, v: u64) {
+            out.extend_from_slice(b",\"");
+            out.extend_from_slice(key.as_bytes());
+            out.extend_from_slice(b"\":");
+            json::push_u64(out, v);
+        }
+        fn num(out: &mut Vec<u8>, key: &str, v: f64) {
+            out.extend_from_slice(b",\"");
+            out.extend_from_slice(key.as_bytes());
+            out.extend_from_slice(b"\":");
+            json::push_number(out, v);
+        }
+        fn text(out: &mut Vec<u8>, key: &str, v: &str) {
+            out.extend_from_slice(b",\"");
+            out.extend_from_slice(key.as_bytes());
+            out.extend_from_slice(b"\":\"");
+            out.extend_from_slice(v.as_bytes());
+            out.push(b'"');
+        }
+        out.extend_from_slice(b"{\"schema\":\"");
+        out.extend_from_slice(EVENTS_SCHEMA.as_bytes());
+        out.push(b'"');
+        int(out, "seq", seq);
+        text(out, "kind", self.kind());
+        num(out, "t", self.time());
+        match *self {
             Event::RoundStart {
                 round, transfers, ..
             } => {
-                let _ = write!(out, ",\"round\":{round},\"transfers\":{transfers}");
+                int(out, "round", round);
+                int(out, "transfers", transfers);
             }
             Event::RoundEnd {
                 round, duration, ..
             } => {
-                let _ = write!(
-                    out,
-                    ",\"round\":{round},\"duration\":{}",
-                    json::number(*duration)
-                );
+                int(out, "round", round);
+                num(out, "duration", duration);
             }
             Event::ItemDelivered {
                 item, redirected, ..
             } => {
-                let _ = write!(out, ",\"item\":{item},\"redirected\":{redirected}");
+                int(out, "item", item);
+                out.extend_from_slice(if redirected {
+                    b",\"redirected\":true"
+                } else {
+                    b",\"redirected\":false"
+                });
             }
             Event::ItemLost { item, reason, .. } => {
-                let _ = write!(out, ",\"item\":{item},\"reason\":\"{reason}\"");
+                int(out, "item", item);
+                text(out, "reason", reason);
             }
             Event::Retry {
                 item,
@@ -212,26 +246,23 @@ impl Event {
                 resume_at,
                 ..
             } => {
-                let _ = write!(
-                    out,
-                    ",\"item\":{item},\"attempt\":{attempt},\"resume_at\":{}",
-                    json::number(*resume_at)
-                );
+                int(out, "item", item);
+                int(out, "attempt", attempt);
+                num(out, "resume_at", resume_at);
             }
             Event::Replan {
                 pending, reason, ..
             } => {
-                let _ = write!(out, ",\"pending\":{pending},\"reason\":\"{reason}\"");
+                int(out, "pending", pending);
+                text(out, "reason", reason);
             }
             Event::Crash {
                 disk, replacement, ..
             } => {
-                let _ = write!(out, ",\"disk\":{disk},\"replacement\":");
+                int(out, "disk", disk);
                 match replacement {
-                    Some(r) => {
-                        let _ = write!(out, "{r}");
-                    }
-                    None => out.push_str("null"),
+                    Some(r) => int(out, "replacement", r),
+                    None => out.extend_from_slice(b",\"replacement\":null"),
                 }
             }
             Event::Stall {
@@ -240,16 +271,12 @@ impl Event {
                 median,
                 ..
             } => {
-                let _ = write!(
-                    out,
-                    ",\"round\":{round},\"duration\":{},\"median\":{}",
-                    json::number(*duration),
-                    json::number(*median)
-                );
+                int(out, "round", round);
+                num(out, "duration", duration);
+                num(out, "median", median);
             }
         }
-        out.push('}');
-        out
+        out.push(b'}');
     }
 }
 
@@ -269,6 +296,30 @@ struct Sink {
     /// `Some((temp, final))` when the sink writes to a temp file that
     /// [`close_sink`] publishes by rename; `None` for append mode.
     finalize: Option<(PathBuf, PathBuf)>,
+    /// The line being written, newline included: every line is built here
+    /// and handed to one `write_all`, and the buffer is kept for the next.
+    line: Vec<u8>,
+}
+
+impl Sink {
+    fn new(file: std::fs::File, finalize: Option<(PathBuf, PathBuf)>) -> Sink {
+        Sink {
+            file,
+            finalize,
+            line: Vec::new(),
+        }
+    }
+
+    /// Writes the line built by `render`, plus a newline, with one
+    /// `write_all`, so a crash mid-run loses at most this line and never
+    /// interleaves two. Returns the bytes written.
+    fn write_line(&mut self, render: impl FnOnce(&mut Vec<u8>)) -> std::io::Result<u64> {
+        self.line.clear();
+        render(&mut self.line);
+        self.line.push(b'\n');
+        self.file.write_all(&self.line)?;
+        Ok(self.line.len() as u64)
+    }
 }
 
 struct Inner {
@@ -351,10 +402,7 @@ pub fn open_sink(path: &str) -> std::io::Result<()> {
         .create(true)
         .append(true)
         .open(path)?;
-    lock().sink = Some(Sink {
-        file,
-        finalize: None,
-    });
+    lock().sink = Some(Sink::new(file, None));
     Ok(())
 }
 
@@ -370,10 +418,7 @@ pub fn open_sink(path: &str) -> std::io::Result<()> {
 pub fn open_sink_atomic(path: &str) -> std::io::Result<()> {
     let temp = PathBuf::from(format!("{path}.tmp"));
     let file = std::fs::File::create(&temp)?;
-    lock().sink = Some(Sink {
-        file,
-        finalize: Some((temp, PathBuf::from(path))),
-    });
+    lock().sink = Some(Sink::new(file, Some((temp, PathBuf::from(path)))));
     Ok(())
 }
 
@@ -384,6 +429,7 @@ pub fn close_sink() {
     if let Some(Sink {
         file,
         finalize: Some((temp, path)),
+        ..
     }) = sink
     {
         drop(file);
@@ -417,15 +463,10 @@ pub fn sync_sink() -> std::io::Result<()> {
 ///
 /// Propagates the underlying write failure.
 pub fn append_sink_line(line: &str) -> std::io::Result<u64> {
-    let mut inner = lock();
-    if let Some(sink) = inner.sink.as_mut() {
-        let mut buf = String::with_capacity(line.len() + 1);
-        buf.push_str(line);
-        buf.push('\n');
-        sink.file.write_all(buf.as_bytes())?;
-        return Ok(buf.len() as u64);
+    match lock().sink.as_mut() {
+        Some(sink) => sink.write_line(|buf| buf.extend_from_slice(line.as_bytes())),
+        None => Ok(0),
     }
-    Ok(0)
 }
 
 /// Records one event: appends it to the sink (if open), then to the ring,
@@ -441,11 +482,7 @@ pub fn emit(event: Event) {
         let seq = inner.seq;
         inner.seq += 1;
         if let Some(sink) = inner.sink.as_mut() {
-            let mut line = event.to_json_line(seq);
-            line.push('\n');
-            // One write_all per line: a crash mid-run loses at most the
-            // line being written, never interleaves two events.
-            let _ = sink.file.write_all(line.as_bytes());
+            let _ = sink.write_line(|buf| event.write_json_line(seq, buf));
         }
         if inner.ring.len() >= inner.capacity {
             inner.ring.pop_front();
@@ -576,6 +613,7 @@ fn collect_open_spans(nodes: &[crate::SpanNode], out: &mut Vec<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::MutexGuard;
 
     /// Event state is process-global; tests in this binary serialize on
@@ -809,6 +847,184 @@ mod tests {
         }
         // The null replacement renders as JSON null.
         assert!(events[6].to_json_line(0).contains("\"replacement\":null"));
+    }
+
+    /// The `core::fmt` renderer event lines were written with before the
+    /// single-buffer encoder; kept as the oracle the encoder must match
+    /// byte for byte.
+    fn oracle_line(e: &Event, seq: u64) -> String {
+        use std::fmt::Write as _;
+        let mut out = format!(
+            "{{\"schema\":\"{EVENTS_SCHEMA}\",\"seq\":{seq},\"kind\":\"{}\",\"t\":{}",
+            e.kind(),
+            json::number(e.time())
+        );
+        match e {
+            Event::RoundStart {
+                round, transfers, ..
+            } => {
+                let _ = write!(out, ",\"round\":{round},\"transfers\":{transfers}");
+            }
+            Event::RoundEnd {
+                round, duration, ..
+            } => {
+                let _ = write!(
+                    out,
+                    ",\"round\":{round},\"duration\":{}",
+                    json::number(*duration)
+                );
+            }
+            Event::ItemDelivered {
+                item, redirected, ..
+            } => {
+                let _ = write!(out, ",\"item\":{item},\"redirected\":{redirected}");
+            }
+            Event::ItemLost { item, reason, .. } => {
+                let _ = write!(out, ",\"item\":{item},\"reason\":\"{reason}\"");
+            }
+            Event::Retry {
+                item,
+                attempt,
+                resume_at,
+                ..
+            } => {
+                let _ = write!(
+                    out,
+                    ",\"item\":{item},\"attempt\":{attempt},\"resume_at\":{}",
+                    json::number(*resume_at)
+                );
+            }
+            Event::Replan {
+                pending, reason, ..
+            } => {
+                let _ = write!(out, ",\"pending\":{pending},\"reason\":\"{reason}\"");
+            }
+            Event::Crash {
+                disk, replacement, ..
+            } => {
+                let _ = write!(out, ",\"disk\":{disk},\"replacement\":");
+                match replacement {
+                    Some(r) => {
+                        let _ = write!(out, "{r}");
+                    }
+                    None => out.push_str("null"),
+                }
+            }
+            Event::Stall {
+                round,
+                duration,
+                median,
+                ..
+            } => {
+                let _ = write!(
+                    out,
+                    ",\"round\":{round},\"duration\":{},\"median\":{}",
+                    json::number(*duration),
+                    json::number(*median)
+                );
+            }
+        }
+        out.push('}');
+        out
+    }
+
+    /// Counts: small, huge, and the extremes.
+    fn word() -> impl Strategy<Value = u64> {
+        (0u8..4, 0u64..=u64::MAX).prop_map(|(k, x)| match k {
+            0 => x % 1000,
+            1 => u64::MAX,
+            2 => 0,
+            _ => x,
+        })
+    }
+
+    /// Clocks: ordinary values, every bit pattern, and the values `{:.6}`
+    /// and the `null` mapping treat specially.
+    fn clock() -> impl Strategy<Value = f64> {
+        (0u8..9, 0u64..=u64::MAX).prop_map(|(k, x)| match k {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            4 => f64::MAX,
+            5 => f64::from_bits(x % 4096),
+            6 => f64::from_bits(x),
+            _ => (x % 1_000_000) as f64 / 64.0,
+        })
+    }
+
+    fn event() -> impl Strategy<Value = Event> {
+        const REASONS: [&str; 4] = ["crash", "dead-disk", "retries-exhausted", "stall"];
+        (
+            0u8..9,
+            (word(), word()),
+            (clock(), clock(), clock()),
+            proptest::bool::ANY,
+            0usize..REASONS.len(),
+        )
+            .prop_map(|(kind, (a, b), (t, x, y), flag, reason)| {
+                let reason = REASONS[reason];
+                match kind {
+                    0 => Event::RoundStart {
+                        round: a,
+                        transfers: b,
+                        time: t,
+                    },
+                    1 => Event::RoundEnd {
+                        round: a,
+                        duration: x,
+                        time: t,
+                    },
+                    2 => Event::ItemDelivered {
+                        item: a,
+                        redirected: flag,
+                        time: t,
+                    },
+                    3 => Event::ItemLost {
+                        item: a,
+                        reason,
+                        time: t,
+                    },
+                    4 => Event::Retry {
+                        item: a,
+                        attempt: b,
+                        resume_at: x,
+                        time: t,
+                    },
+                    5 => Event::Replan {
+                        pending: a,
+                        reason,
+                        time: t,
+                    },
+                    6 => Event::Crash {
+                        disk: a,
+                        replacement: Some(b),
+                        time: t,
+                    },
+                    7 => Event::Crash {
+                        disk: a,
+                        replacement: None,
+                        time: t,
+                    },
+                    _ => Event::Stall {
+                        round: a,
+                        duration: x,
+                        median: y,
+                        time: t,
+                    },
+                }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Every kind, every field at its extremes: the encoder writes the
+        /// oracle's bytes.
+        #[test]
+        fn event_lines_match_the_fmt_oracle(e in event(), seq in word()) {
+            prop_assert_eq!(e.to_json_line(seq), oracle_line(&e, seq));
+        }
     }
 
     #[test]

@@ -2,12 +2,21 @@
 //!
 //! The workspace has no crates.io access, so the analysis tools that read
 //! telemetry back — `dmig obs diff`, `dmig obs gate`, `dmig obs
-//! export-trace`, history replay — parse with this hand-rolled recursive
-//! descent parser instead of `serde_json`. It accepts standard JSON (RFC
-//! 8259) minus two deliberate simplifications: numbers are parsed as `f64`
-//! (fine for metrics; counters stay exact up to 2^53) and `\uXXXX` escapes
-//! outside the BMP surrogate-pair range are decoded individually.
+//! export-trace`, history replay — parse with this hand-rolled reader
+//! instead of `serde_json`. It accepts standard JSON (RFC 8259) minus two
+//! deliberate simplifications: numbers are parsed as `f64` (fine for
+//! metrics; counters stay exact up to 2^53) and `\uXXXX` escapes outside
+//! the BMP surrogate-pair range are decoded individually. Containers nest
+//! at most [`MAX_DEPTH`] levels deep, so a hostile document is an error,
+//! never a stack overflow.
+//!
+//! There is one grammar and two ways to consume it. [`Value::parse`]
+//! builds a tree; [`Reader`] is the pull reader the tree is built on,
+//! handing out one [`Token`] at a time with strings and numbers borrowed
+//! from the input, for decoders that go straight into typed state (the
+//! executor's checkpoint records).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -57,18 +66,38 @@ impl Value {
     ///
     /// Returns a [`ParseError`] locating the first offending byte.
     pub fn parse(text: &str) -> Result<Value, ParseError> {
-        let mut p = Parser {
-            text,
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after document"));
-        }
+        let mut r = Reader::new(text);
+        let first = r.value()?;
+        let v = Value::build(&mut r, first)?;
+        r.finish()?;
         Ok(v)
+    }
+
+    /// The value that starts with `token`. Recursion is bounded by the
+    /// reader's nesting limit.
+    fn build(r: &mut Reader<'_>, token: Token<'_>) -> Result<Value, ParseError> {
+        Ok(match token {
+            Token::Null => Value::Null,
+            Token::Bool(b) => Value::Bool(b),
+            Token::Number(n) => Value::Number(n.as_f64()),
+            Token::String(s) => Value::String(s.into_owned()),
+            Token::BeginArray => {
+                let mut items = Vec::new();
+                while r.next_element()? {
+                    let t = r.value()?;
+                    items.push(Value::build(r, t)?);
+                }
+                Value::Array(items)
+            }
+            Token::BeginObject => {
+                let mut map = BTreeMap::new();
+                while let Some(key) = r.next_key()? {
+                    let t = r.value()?;
+                    map.insert(key.into_owned(), Value::build(r, t)?);
+                }
+                Value::Object(map)
+            }
+        })
     }
 
     /// The value at a `.`-separated path of object keys (`None` when any
@@ -167,13 +196,116 @@ impl Value {
     }
 }
 
-struct Parser<'a> {
+/// How deep [`Reader`] (and so [`Value::parse`]) lets containers nest.
+/// The deepest document the tools write nests 16 levels; the limit keeps
+/// a hostile `[[[[…` an error instead of a stack overflow in whatever
+/// walks the result.
+pub const MAX_DEPTH: usize = 512;
+
+/// One step of a [`Reader`]: a scalar, or the opening of a container the
+/// reader has entered.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Token<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number, still as its source text.
+    Number(Number<'a>),
+    /// A string: borrowed from the input unless it holds escapes.
+    String(Cow<'a, str>),
+    /// `[`: read the elements with [`Reader::next_element`].
+    BeginArray,
+    /// `{`: read the members with [`Reader::next_key`].
+    BeginObject,
+}
+
+/// A JSON number as its source text, already checked to denote a finite
+/// `f64`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Number<'a>(&'a str);
+
+impl<'a> Number<'a> {
+    /// The number's text as it appears in the input.
+    #[must_use]
+    pub fn text(self) -> &'a str {
+        self.0
+    }
+
+    /// The number's value (what `str::parse::<f64>` gives for its text).
+    #[must_use]
+    pub fn as_f64(self) -> f64 {
+        let digits = self.0.strip_prefix('-').unwrap_or(self.0);
+        if let Some(n) = small_uint(digits) {
+            #[allow(clippy::cast_precision_loss)]
+            let x = n as f64;
+            return if digits.len() < self.0.len() { -x } else { x };
+        }
+        self.0
+            .parse()
+            .expect("the reader only hands out numbers that parse")
+    }
+
+    /// The number's value when its text is a run of at most 15 digits (no
+    /// sign, fraction or exponent), which an `f64` holds exactly; `None`
+    /// for any other text, whose value [`as_f64`](Self::as_f64) gives.
+    #[must_use]
+    pub fn as_small_uint(self) -> Option<u64> {
+        small_uint(self.0)
+    }
+}
+
+/// The value of a run of 1 to 15 ASCII digits: the common case of a
+/// number, and the cheap one to convert.
+fn small_uint(digits: &str) -> Option<u64> {
+    if digits.is_empty() || digits.len() > 15 {
+        return None;
+    }
+    digits.bytes().try_fold(0u64, |n, b| {
+        b.is_ascii_digit().then(|| n * 10 + u64::from(b - b'0'))
+    })
+}
+
+/// A pull reader over one JSON document.
+///
+/// [`value`](Self::value) reads the next value's first token. A scalar
+/// is then complete; after [`Token::BeginArray`] call
+/// [`next_element`](Self::next_element) until it returns `false`, reading
+/// each element with `value`, and after [`Token::BeginObject`] call
+/// [`next_key`](Self::next_key) until it returns `None`, reading each
+/// member's value with `value`. [`skip`](Self::skip) discards the rest of
+/// a value, and [`finish`](Self::finish) checks that nothing but
+/// whitespace follows the document. The reader enforces the whole
+/// grammar, so a document it reads to the end is one [`Value::parse`]
+/// accepts, and both fail at the same byte with the same message.
+#[derive(Debug)]
+pub struct Reader<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around `pos`.
+    depth: usize,
+    /// Bit `d` is set when the container at depth `d + 1` is an object.
+    objects: [u64; MAX_DEPTH / 64],
+    /// The innermost container was just opened: no element or member has
+    /// been read from it yet.
+    fresh: bool,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader positioned before the document in `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+            objects: [0; MAX_DEPTH / 64],
+            fresh: false,
+        }
+    }
+
     fn err(&self, message: &str) -> ParseError {
         ParseError {
             offset: self.pos,
@@ -200,88 +332,194 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, text: &str, value: Value) -> Result<Value, ParseError> {
+    fn literal(&mut self, text: &str, token: Token<'a>) -> Result<Token<'a>, ParseError> {
         if self.bytes[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
-            Ok(value)
+            Ok(token)
         } else {
             Err(self.err(&format!("expected `{text}`")))
         }
     }
 
-    fn value(&mut self) -> Result<Value, ParseError> {
+    fn open(&mut self, object: bool) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("containers nest deeper than {MAX_DEPTH} levels")));
+        }
+        let (word, bit) = (self.depth / 64, self.depth % 64);
+        if object {
+            self.objects[word] |= 1 << bit;
+        } else {
+            self.objects[word] &= !(1 << bit);
+        }
+        self.depth += 1;
+        self.pos += 1;
+        self.fresh = true;
+        Ok(())
+    }
+
+    fn close(&mut self) {
+        self.depth -= 1;
+        self.pos += 1;
+        self.fresh = false;
+    }
+
+    fn in_object(&self) -> bool {
+        let d = self.depth - 1;
+        self.objects[d / 64] >> (d % 64) & 1 == 1
+    }
+
+    /// Reads the first token of the next value, entering it if it is a
+    /// container.
+    ///
+    /// # Errors
+    ///
+    /// A [`ParseError`] at the first byte that breaks the grammar, or at
+    /// the bracket that opens container [`MAX_DEPTH`] + 1.
+    pub fn value(&mut self) -> Result<Token<'a>, ParseError> {
+        self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
+            Some(b'{') => {
+                self.open(true)?;
+                Ok(Token::BeginObject)
+            }
+            Some(b'[') => {
+                self.open(false)?;
+                Ok(Token::BeginArray)
+            }
+            Some(b'"') => Ok(Token::String(self.string()?)),
+            Some(b't') => self.literal("true", Token::Bool(true)),
+            Some(b'f') => self.literal("false", Token::Bool(false)),
+            Some(b'n') => self.literal("null", Token::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
     }
 
-    fn object(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+    /// Inside an array: whether another element follows (read it with
+    /// [`value`](Self::value)); `false` consumes the closing `]`.
+    ///
+    /// # Errors
+    ///
+    /// A [`ParseError`] when neither `,` nor `]` follows an element.
+    pub fn next_element(&mut self) -> Result<bool, ParseError> {
+        debug_assert!(self.depth > 0 && !self.in_object(), "not in an array");
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let v = self.value()?;
-            map.insert(key, v);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => return Err(self.err("expected `,` or `}` in object")),
+        let fresh = std::mem::take(&mut self.fresh);
+        match self.peek() {
+            Some(b']') => {
+                self.close();
+                Ok(false)
             }
+            _ if fresh => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(self.err("expected `,` or `]` in array")),
         }
     }
 
-    fn array(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// Inside an object: the next member's key, with the reader placed
+    /// before its value; `None` consumes the closing `}`.
+    ///
+    /// # Errors
+    ///
+    /// A [`ParseError`] when the member is malformed or neither `,` nor
+    /// `}` follows the previous one.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
+        debug_assert!(self.depth > 0 && self.in_object(), "not in an object");
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected `,` or `]` in array")),
+        let fresh = std::mem::take(&mut self.fresh);
+        match self.peek() {
+            Some(b'}') => {
+                self.close();
+                return Ok(None);
             }
+            _ if fresh => {}
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+            }
+            _ => return Err(self.err("expected `,` or `}` in object")),
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Reads past the rest of the value `token` began: nothing for a
+    /// scalar, everything up to the matching bracket for a container.
+    ///
+    /// # Errors
+    ///
+    /// A [`ParseError`] when the skipped text breaks the grammar.
+    pub fn skip(&mut self, token: &Token<'a>) -> Result<(), ParseError> {
+        if !matches!(token, Token::BeginArray | Token::BeginObject) {
+            return Ok(());
+        }
+        let outer = self.depth - 1;
+        while self.depth > outer {
+            let more = if self.in_object() {
+                self.next_key()?.is_some()
+            } else {
+                self.next_element()?
+            };
+            if more {
+                self.value()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks that only whitespace follows the document.
+    ///
+    /// # Errors
+    ///
+    /// A [`ParseError`] at the first trailing character.
+    pub fn finish(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters after document"))
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        // `"` and `\` are ASCII, and no byte of a multi-byte UTF-8 scalar
+        // is, so a byte scan finds them and slices on scalar boundaries.
+        match self.bytes[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+        {
+            Some(n) if self.bytes[start + n] == b'"' => {
+                self.pos = start + n + 1;
+                Ok(Cow::Borrowed(&self.text[start..start + n]))
+            }
+            Some(n) => {
+                self.pos = start + n;
+                let mut out = self.text[start..self.pos].to_string();
+                self.escaped(&mut out)?;
+                Ok(Cow::Owned(out))
+            }
+            None => {
+                self.pos = self.bytes.len();
+                Err(self.err("unterminated string"))
+            }
+        }
+    }
+
+    /// Decodes the rest of a string that holds escapes into `out`.
+    fn escaped(&mut self, out: &mut String) -> Result<(), ParseError> {
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -309,35 +547,35 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance one whole UTF-8 scalar. The input is a &str
-                    // and `pos` only ever moves by whole scalars, so this
-                    // decodes just the next one instead of re-validating
-                    // the rest of the document.
-                    let c = self
-                        .text
-                        .get(self.pos..)
-                        .and_then(|rest| rest.chars().next())
-                        .ok_or_else(|| self.err("bad UTF-8"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape whole.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
     }
 
-    fn number(&mut self) -> Result<Value, ParseError> {
+    fn number(&mut self) -> Result<Token<'a>, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
+        let int = self.pos;
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
+        let plain = self.pos > int;
+        let mut rest = false;
         if self.peek() == Some(b'.') {
             self.pos += 1;
             while matches!(self.peek(), Some(b'0'..=b'9')) {
                 self.pos += 1;
             }
+            rest = true;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
@@ -347,13 +585,21 @@ impl Parser<'_> {
             while matches!(self.peek(), Some(b'0'..=b'9')) {
                 self.pos += 1;
             }
+            rest = true;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|n| n.is_finite())
-            .map(Value::Number)
-            .ok_or_else(|| self.err("bad number"))
+        let text = &self.text[start..self.pos];
+        // A plain integer of up to 308 digits is a finite f64; anything
+        // else is whatever `str::parse::<f64>` makes of the lexed text.
+        let finite = if plain && !rest && self.pos - int <= 308 {
+            true
+        } else {
+            text.parse::<f64>().is_ok_and(f64::is_finite)
+        };
+        if finite {
+            Ok(Token::Number(Number(text)))
+        } else {
+            Err(self.err("bad number"))
+        }
     }
 }
 
@@ -395,6 +641,60 @@ mod tests {
         }
         let e = Value::parse("[1, ]").unwrap_err();
         assert!(e.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = "[".repeat(100_000);
+        let e = Value::parse(&deep).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH, "{e}");
+        assert!(e.message.contains("deeper than 512"), "{e}");
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&ok).is_ok());
+        let over = format!("{{\"a\": {ok}}}");
+        assert_eq!(Value::parse(&over).unwrap_err().offset, 6 + MAX_DEPTH - 1);
+    }
+
+    #[test]
+    fn reader_borrows_strings_and_numbers() {
+        let text = r#"{"a": "x", "b": [1, {"c": [true, null]}], "d": "e\n", "n": -2.5e1}"#;
+        let mut r = Reader::new(text);
+        assert_eq!(r.value().unwrap(), Token::BeginObject);
+        let mut seen = Vec::new();
+        while let Some(key) = r.next_key().unwrap() {
+            assert!(matches!(key, Cow::Borrowed(_)), "{key}");
+            let t = r.value().unwrap();
+            match &*key {
+                "a" => assert!(matches!(t, Token::String(Cow::Borrowed("x")))),
+                "d" => assert_eq!(t, Token::String(Cow::Owned("e\n".to_string()))),
+                "n" => {
+                    let Token::Number(n) = t else { panic!("{t:?}") };
+                    assert_eq!((n.text(), n.as_f64()), ("-2.5e1", -25.0));
+                }
+                _ => r.skip(&t).unwrap(),
+            }
+            seen.push(key.into_owned());
+        }
+        r.finish().unwrap();
+        assert_eq!(seen, ["a", "b", "d", "n"]);
+    }
+
+    #[test]
+    fn reader_and_tree_fail_alike() {
+        for bad in [
+            "[1,]",
+            "{\"a\":1,}",
+            "[1 2]",
+            "{\"a\" 1}",
+            "[\"x",
+            "[-]",
+            "[1e999]",
+        ] {
+            let tree = Value::parse(bad).unwrap_err();
+            let mut r = Reader::new(bad);
+            let skipped = r.value().and_then(|t| r.skip(&t)).and_then(|()| r.finish());
+            assert_eq!(skipped.unwrap_err(), tree, "{bad}");
+        }
     }
 
     #[test]

@@ -57,12 +57,15 @@ use dmig_core::{Capacities, MigrationProblem, MigrationSchedule};
 use dmig_graph::{EdgeId, Endpoints, NodeId};
 use dmig_obs::events::{emit, Event};
 use dmig_obs::keys;
-use dmig_obs::Value;
 
 use crate::engine::{record_sim_round, SimError};
 use crate::faults::{attempt_fails, FaultAction, FaultEvent, FaultPlan, FaultPlanError};
 use crate::progress::{RoundTicker, StallDetector, STALL_FACTOR};
 use crate::{Cluster, SimReport};
+
+mod codec;
+
+use codec::Recorded;
 
 /// A fault event or retry release this close ahead of the clock is due.
 const EVENT_EPS: f64 = 1e-12;
@@ -1053,162 +1056,6 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Renders a full record, or, given the state the previous record
-    /// captured, the delta against it (advancing `last` to this state).
-    fn render(&self, mut last: Option<&mut Recorded>) -> String {
-        use core::fmt::Write as _;
-        let mut o = String::from("{");
-        let _ = write!(o, "\"schema\": \"{CHECKPOINT_SCHEMA}\"");
-        if let Some(l) = last.as_deref_mut() {
-            l.deltas += 1;
-            let _ = write!(o, ", \"delta\": {}", l.deltas);
-        }
-        let _ = write!(o, ", \"disks\": {}", self.bw.len());
-        let _ = write!(o, ", \"items\": {}", self.fates.len());
-        let _ = write!(o, ", \"executed_rounds\": {}", self.round_durations.len());
-        push_array(
-            &mut o,
-            "bw",
-            self.bw.iter().map(|x| x.to_bits()),
-            last.as_deref_mut().map(|l| &mut l.bw),
-            |b| b,
-            true,
-        );
-        push_array(
-            &mut o,
-            "crashed",
-            self.crashed.iter().copied(),
-            last.as_deref_mut().map(|l| &mut l.crashed),
-            u8::from,
-            false,
-        );
-        push_array(
-            &mut o,
-            "replacement",
-            self.replacement_of.iter().copied(),
-            last.as_deref_mut().map(|l| &mut l.replacement),
-            |r| r.map_or(-1i64, |d| d.index() as i64),
-            false,
-        );
-        let _ = write!(o, ", \"next_fault\": {}", self.next_fault);
-        push_array(
-            &mut o,
-            "fates",
-            self.fates.iter().copied(),
-            last.as_deref_mut().map(|l| &mut l.fates),
-            |f| f.map_or("pending", ItemFate::code),
-            true,
-        );
-        push_array(
-            &mut o,
-            "attempts",
-            self.attempts.iter().copied(),
-            last.as_deref_mut().map(|l| &mut l.attempts),
-            |a| a,
-            false,
-        );
-        push_array(
-            &mut o,
-            "redirected",
-            self.redirected_flag.iter().copied(),
-            last.as_deref_mut().map(|l| &mut l.redirected),
-            u8::from,
-            false,
-        );
-        if last.is_none() {
-            // The residual instance: endpoints flat [u0, v0, u1, v1, ...],
-            // transfer constraints, and the full current schedule. Only a
-            // replan changes it, and a replan starts a full record.
-            let g = self.cur_problem.graph();
-            push_list(
-                &mut o,
-                "cur_edges",
-                (0..g.num_edges()).flat_map(|e| {
-                    let ep = g.endpoints(EdgeId::new(e));
-                    [ep.u.index(), ep.v.index()]
-                }),
-                false,
-            );
-            push_list(
-                &mut o,
-                "cur_caps",
-                self.cur_problem.capacities().as_slice().iter().copied(),
-                false,
-            );
-            o.push_str(", \"cur_rounds\": [");
-            for (i, round) in self.cur_schedule.rounds().iter().enumerate() {
-                if i > 0 {
-                    o.push(',');
-                }
-                o.push('[');
-                for (j, e) in round.iter().enumerate() {
-                    if j > 0 {
-                        o.push(',');
-                    }
-                    let _ = write!(o, "{}", e.index());
-                }
-                o.push(']');
-            }
-            o.push(']');
-            push_list(&mut o, "roots", self.roots.iter().copied(), false);
-        }
-        push_array(
-            &mut o,
-            "done",
-            self.done.iter().copied(),
-            last.as_deref_mut().map(|l| &mut l.done),
-            u8::from,
-            false,
-        );
-        let _ = write!(o, ", \"base\": \"{}\"", self.base.to_bits());
-        // Grow-only: a delta carries the rounds executed since `last`.
-        let from = last.as_deref_mut().map_or(0, |l| {
-            std::mem::replace(&mut l.executed_rounds, self.round_durations.len())
-        });
-        push_list(
-            &mut o,
-            "round_durations",
-            self.round_durations[from..].iter().map(|x| x.to_bits()),
-            true,
-        );
-        push_array(
-            &mut o,
-            "disk_busy",
-            self.disk_busy.iter().map(|x| x.to_bits()),
-            last.as_deref_mut().map(|l| &mut l.disk_busy),
-            |b| b,
-            true,
-        );
-        let _ = write!(o, ", \"volume\": \"{}\"", self.volume.to_bits());
-        let _ = write!(
-            o,
-            ", \"replans\": {}, \"retries\": {}, \"crashes\": {}, \"redirects\": {}, \"degraded_rounds\": {}",
-            self.replans, self.retries, self.crashes, self.redirects, self.degraded_rounds
-        );
-        let (recent, next) = self.stall.window();
-        push_array(
-            &mut o,
-            "stall_recent",
-            recent.iter().copied(),
-            last.as_deref_mut().map(|l| &mut l.stall_recent),
-            |x| x,
-            true,
-        );
-        let _ = write!(o, ", \"stall_next\": {next}");
-        push_array(
-            &mut o,
-            "degraded_set",
-            self.degraded_at_last_replan.iter().copied(),
-            last.map(|l| &mut l.degraded_set),
-            u8::from,
-            false,
-        );
-        let _ = write!(o, ", \"crash_dirty\": {}", u8::from(self.crash_dirty));
-        let _ = write!(o, ", \"round_idx\": {}", self.round_idx);
-        o.push('}');
-        o
-    }
-
     /// Rebuilds an executor from a [`checkpoint_json`](Self::checkpoint_json)
     /// document — or from a journal chain: that full record followed by the
     /// [`journal_record`](Self::journal_record) deltas written after it, one
@@ -1253,482 +1100,17 @@ impl<'a> Executor<'a> {
             .enumerate()
             .filter(|(_, l)| !l.trim().is_empty());
         let (i, full) = records.next().unwrap_or((0, ""));
-        let doc = parse_record(full).map_err(at(i))?;
-        if doc.get_path("delta").is_some() {
-            return Err(at(i)(ck_err(
-                "a delta record needs the full record it extends before it",
-            )));
-        }
         let mut exec =
-            Self::from_full(problem, cluster, faults, config, solver, &doc).map_err(at(i))?;
+            Self::from_full(problem, cluster, faults, config, solver, full).map_err(at(i))?;
         for (seq, (i, line)) in (1u64..).zip(records) {
-            parse_record(line)
-                .and_then(|doc| exec.apply_delta(&doc, seq))
-                .map_err(at(i))?;
+            exec.apply_delta(line, seq).map_err(at(i))?;
         }
         Ok(exec)
     }
-
-    /// Builds an executor from a parsed full record.
-    fn from_full(
-        problem: &'a MigrationProblem,
-        cluster: &Cluster,
-        faults: &'a FaultPlan,
-        config: &'a ExecutorConfig,
-        solver: &'a dyn Solver,
-        doc: &Value,
-    ) -> Result<Executor<'a>, ExecError> {
-        let n = problem.num_disks();
-        let num_roots = problem.num_items();
-        check_dims(doc, n, num_roots)?;
-        let flat = ck_vec(doc, "cur_edges", None, ck_index)?;
-        if flat.len() % 2 != 0 {
-            return Err(ck_err("cur_edges has an odd number of endpoints"));
-        }
-        let endpoints: Vec<Endpoints> = flat
-            .chunks_exact(2)
-            .map(|p| Endpoints {
-                u: NodeId::new(p[0]),
-                v: NodeId::new(p[1]),
-            })
-            .collect();
-        let caps = ck_vec(doc, "cur_caps", Some(n), ck_u32)?;
-        let rounds = ck_vec(doc, "cur_rounds", None, |r, what| {
-            r.as_array()
-                .ok_or_else(|| ck_err(format!("{what} is not an array")))?
-                .iter()
-                .map(|v| Ok(EdgeId::new(ck_index(v, what)?)))
-                .collect()
-        })?;
-        let (cur_problem, cur_schedule) =
-            rebuild_residual(n, &endpoints, Capacities::from_vec(caps), rounds)?;
-        let residual_items = cur_problem.num_items();
-        let roots = ck_vec(doc, "roots", Some(residual_items), ck_index)?;
-        if let Some(&bad) = roots.iter().find(|&&r| r >= num_roots) {
-            return Err(ck_err(format!("root {bad} is out of range")));
-        }
-        let executed = ck_usize(doc, "executed_rounds")?;
-        let ticker = RoundTicker::new(cur_schedule.makespan());
-        let mut exec = Executor {
-            problem,
-            faults,
-            config,
-            solver,
-            bw_init: (0..n).map(|v| cluster.bandwidth(NodeId::new(v))).collect(),
-            sizes: (0..num_roots)
-                .map(|e| cluster.item_size(EdgeId::new(e)))
-                .collect(),
-            timeline: faults.timeline(),
-            flaky_p: faults.flaky.map_or(0.0, |f| f.probability),
-            bw: ck_vec(doc, "bw", Some(n), ck_bits_str)?,
-            crashed: ck_vec(doc, "crashed", Some(n), ck_flag)?,
-            replacement_of: ck_vec(doc, "replacement", Some(n), |v, what| {
-                ck_replacement(v, what, n)
-            })?,
-            fates: ck_vec(doc, "fates", Some(num_roots), ck_fate)?,
-            attempts: ck_vec(doc, "attempts", Some(num_roots), ck_u32)?,
-            redirected_flag: ck_vec(doc, "redirected", Some(num_roots), ck_flag)?,
-            cur_problem,
-            cur_schedule,
-            roots,
-            done: ck_vec(doc, "done", Some(residual_items), ck_flag)?,
-            round_durations: ck_vec(doc, "round_durations", Some(executed), ck_bits_str)?,
-            disk_busy: ck_vec(doc, "disk_busy", Some(n), ck_bits_str)?,
-            replans: ck_u64(doc, "replans")?,
-            stall: StallDetector::from_window(
-                config.stall_factor,
-                ck_vec(doc, "stall_recent", None, ck_u64_str)?,
-                ck_usize(doc, "stall_next")?,
-            ),
-            degraded_at_last_replan: ck_vec(doc, "degraded_set", Some(n), ck_flag)?,
-            // The scalars every record carries, full or delta.
-            next_fault: 0,
-            base: 0.0,
-            volume: 0.0,
-            retries: 0,
-            crashes: 0,
-            redirects: 0,
-            degraded_rounds: 0,
-            crash_dirty: false,
-            round_idx: 0,
-            finished: false,
-            ticker,
-            recorded: None,
-        };
-        exec.set_scalars(doc)?;
-        Ok(exec)
-    }
-
-    /// Applies a parsed delta record, expected to be the `seq`-th of its
-    /// chain, on top of the state its predecessor left.
-    fn apply_delta(&mut self, doc: &Value, seq: u64) -> Result<(), ExecError> {
-        let got = doc
-            .get_path("delta")
-            .ok_or_else(|| ck_err("a full record can only start a chain"))?;
-        let got = ck_num(got, "delta")?;
-        if got != seq {
-            return Err(ck_err(format!(
-                "delta {got} does not chain: its predecessor expects delta {seq}"
-            )));
-        }
-        check_dims(doc, self.bw.len(), self.fates.len())?;
-        let replans = ck_u64(doc, "replans")?;
-        if replans != self.replans {
-            return Err(ck_err(format!(
-                "delta {seq} records {replans} replans after {}: a replan starts a full record",
-                self.replans
-            )));
-        }
-        let executed = ck_usize(doc, "executed_rounds")?;
-        let tail = ck_vec(doc, "round_durations", None, ck_bits_str)?;
-        if self.round_durations.len() + tail.len() != executed {
-            return Err(ck_err(format!(
-                "delta {seq}: {} new round durations do not take {} executed rounds to {executed}",
-                tail.len(),
-                self.round_durations.len()
-            )));
-        }
-        self.round_durations.extend(tail);
-        let n = self.bw.len();
-        ck_apply(doc, "bw", &mut self.bw, false, ck_bits_str)?;
-        ck_apply(doc, "crashed", &mut self.crashed, false, ck_flag)?;
-        ck_apply(
-            doc,
-            "replacement",
-            &mut self.replacement_of,
-            false,
-            |v, what| ck_replacement(v, what, n),
-        )?;
-        ck_apply(doc, "fates", &mut self.fates, false, ck_fate)?;
-        ck_apply(doc, "attempts", &mut self.attempts, false, ck_u32)?;
-        ck_apply(doc, "redirected", &mut self.redirected_flag, false, ck_flag)?;
-        ck_apply(doc, "done", &mut self.done, false, ck_flag)?;
-        ck_apply(doc, "disk_busy", &mut self.disk_busy, false, ck_bits_str)?;
-        ck_apply(
-            doc,
-            "degraded_set",
-            &mut self.degraded_at_last_replan,
-            false,
-            ck_flag,
-        )?;
-        // The stall window fills up to its size, then overwrites in place.
-        let mut recent = self.stall.window().0.to_vec();
-        ck_apply(doc, "stall_recent", &mut recent, true, ck_u64_str)?;
-        self.stall = StallDetector::from_window(
-            self.config.stall_factor,
-            recent,
-            ck_usize(doc, "stall_next")?,
-        );
-        self.set_scalars(doc)
-    }
-
-    /// Sets the scalars that full and delta records both carry in full.
-    fn set_scalars(&mut self, doc: &Value) -> Result<(), ExecError> {
-        let next_fault = ck_usize(doc, "next_fault")?;
-        if next_fault > self.timeline.len() {
-            return Err(ck_err(format!(
-                "next_fault {next_fault} exceeds the {}-event timeline",
-                self.timeline.len()
-            )));
-        }
-        let round_idx = ck_usize(doc, "round_idx")?;
-        if round_idx > self.cur_schedule.makespan() {
-            return Err(ck_err(format!(
-                "round_idx {round_idx} exceeds the {}-round residual schedule",
-                self.cur_schedule.makespan()
-            )));
-        }
-        self.next_fault = next_fault;
-        self.round_idx = round_idx;
-        self.base = ck_bits(doc, "base")?;
-        self.volume = ck_bits(doc, "volume")?;
-        self.retries = ck_u64(doc, "retries")?;
-        self.crashes = ck_u64(doc, "crashes")?;
-        self.redirects = ck_u64(doc, "redirects")?;
-        self.degraded_rounds = ck_u64(doc, "degraded_rounds")?;
-        self.crash_dirty = ck_usize(doc, "crash_dirty")? != 0;
-        Ok(())
-    }
-}
-
-/// What the last journal record captured: the base the next delta is
-/// diffed against. Floats are kept as the bit patterns records carry.
-struct Recorded {
-    /// Deltas written since the chain's full record.
-    deltas: u64,
-    /// A replan replaces the residual instance and forces a full record.
-    replans: u64,
-    executed_rounds: usize,
-    bw: Vec<u64>,
-    crashed: Vec<bool>,
-    replacement: Vec<Option<NodeId>>,
-    fates: Vec<Option<ItemFate>>,
-    attempts: Vec<u32>,
-    redirected: Vec<bool>,
-    done: Vec<bool>,
-    disk_busy: Vec<u64>,
-    stall_recent: Vec<u64>,
-    degraded_set: Vec<bool>,
-}
-
-impl Recorded {
-    /// The state a full record of `x` captures.
-    fn of(x: &Executor<'_>) -> Recorded {
-        Recorded {
-            deltas: 0,
-            replans: x.replans,
-            executed_rounds: x.round_durations.len(),
-            bw: x.bw.iter().map(|b| b.to_bits()).collect(),
-            crashed: x.crashed.clone(),
-            replacement: x.replacement_of.clone(),
-            fates: x.fates.clone(),
-            attempts: x.attempts.clone(),
-            redirected: x.redirected_flag.clone(),
-            done: x.done.clone(),
-            disk_busy: x.disk_busy.iter().map(|b| b.to_bits()).collect(),
-            stall_recent: x.stall.window().0.to_vec(),
-            degraded_set: x.degraded_at_last_replan.clone(),
-        }
-    }
-}
-
-// --- checkpoint encoding/decoding helpers ---
-
-fn push_list<T: std::fmt::Display>(
-    out: &mut String,
-    key: &str,
-    xs: impl Iterator<Item = T>,
-    quote: bool,
-) {
-    use core::fmt::Write as _;
-    let _ = write!(out, ", \"{key}\": [");
-    for (i, x) in xs.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        if quote {
-            let _ = write!(out, "\"{x}\"");
-        } else {
-            let _ = write!(out, "{x}");
-        }
-    }
-    out.push(']');
-}
-
-/// Writes array `key` whole, or — given the previous record's copy of it —
-/// as the `[index, value]` pairs that differ from that copy, updating the
-/// copy. Entries past the copy's end are new and always written.
-fn push_array<T: Copy + PartialEq, D: std::fmt::Display>(
-    out: &mut String,
-    key: &str,
-    xs: impl Iterator<Item = T>,
-    last: Option<&mut Vec<T>>,
-    show: impl Fn(T) -> D,
-    quote: bool,
-) {
-    use core::fmt::Write as _;
-    let Some(last) = last else {
-        return push_list(out, key, xs.map(show), quote);
-    };
-    let q = if quote { "\"" } else { "" };
-    let _ = write!(out, ", \"{key}\": [");
-    let mut first = true;
-    for (i, x) in xs.enumerate() {
-        match last.get_mut(i) {
-            Some(old) if *old == x => continue,
-            Some(old) => *old = x,
-            None => last.push(x),
-        }
-        if !std::mem::take(&mut first) {
-            out.push(',');
-        }
-        let _ = write!(out, "[{i},{q}{}{q}]", show(x));
-    }
-    out.push(']');
 }
 
 fn ck_err(m: impl Into<String>) -> ExecError {
     ExecError::Checkpoint(m.into())
-}
-
-/// Parses one record line and checks its schema tag.
-fn parse_record(line: &str) -> Result<Value, ExecError> {
-    let doc =
-        Value::parse(line.trim()).map_err(|e| ck_err(format!("unparseable checkpoint: {e}")))?;
-    let schema = doc
-        .get_path("schema")
-        .and_then(Value::as_str)
-        .unwrap_or_default();
-    if schema != CHECKPOINT_SCHEMA {
-        return Err(ck_err(format!(
-            "checkpoint schema `{schema}` is not `{CHECKPOINT_SCHEMA}`"
-        )));
-    }
-    Ok(doc)
-}
-
-fn check_dims(doc: &Value, disks: usize, items: usize) -> Result<(), ExecError> {
-    let d = ck_usize(doc, "disks")?;
-    if d != disks {
-        return Err(ck_err(format!(
-            "checkpoint is for a {d}-disk cluster, instance has {disks}"
-        )));
-    }
-    let i = ck_usize(doc, "items")?;
-    if i != items {
-        return Err(ck_err(format!(
-            "checkpoint accounts {i} items, instance has {items}"
-        )));
-    }
-    Ok(())
-}
-
-fn ck_get<'v>(doc: &'v Value, key: &str) -> Result<&'v Value, ExecError> {
-    doc.get_path(key)
-        .ok_or_else(|| ck_err(format!("checkpoint missing `{key}`")))
-}
-
-/// Exact non-negative integer out of a JSON number (f64s are exact to
-/// 2^53, far beyond any count the executor tracks).
-fn ck_num(v: &Value, what: &str) -> Result<u64, ExecError> {
-    let x = v
-        .as_f64()
-        .ok_or_else(|| ck_err(format!("{what} is not a number")))?;
-    if !(x.is_finite() && x >= 0.0 && x.fract() == 0.0 && x <= 9_007_199_254_740_992.0) {
-        return Err(ck_err(format!(
-            "{what}: {x} is not an exact non-negative integer"
-        )));
-    }
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    Ok(x as u64)
-}
-
-fn ck_index(v: &Value, what: &str) -> Result<usize, ExecError> {
-    usize::try_from(ck_num(v, what)?).map_err(|_| ck_err(format!("{what} overflows usize")))
-}
-
-fn ck_u32(v: &Value, what: &str) -> Result<u32, ExecError> {
-    let x = ck_num(v, what)?;
-    u32::try_from(x).map_err(|_| ck_err(format!("{what} = {x} overflows u32")))
-}
-
-fn ck_flag(v: &Value, what: &str) -> Result<bool, ExecError> {
-    Ok(ck_num(v, what)? != 0)
-}
-
-fn ck_u64(doc: &Value, key: &str) -> Result<u64, ExecError> {
-    ck_num(ck_get(doc, key)?, key)
-}
-
-fn ck_usize(doc: &Value, key: &str) -> Result<usize, ExecError> {
-    ck_index(ck_get(doc, key)?, key)
-}
-
-fn ck_array<'v>(doc: &'v Value, key: &str) -> Result<&'v [Value], ExecError> {
-    ck_get(doc, key)?
-        .as_array()
-        .ok_or_else(|| ck_err(format!("`{key}` is not an array")))
-}
-
-/// Decodes array `key` element by element; `len`, when given, pins its
-/// length.
-fn ck_vec<T>(
-    doc: &Value,
-    key: &str,
-    len: Option<usize>,
-    decode: impl Fn(&Value, &str) -> Result<T, ExecError>,
-) -> Result<Vec<T>, ExecError> {
-    let xs = ck_array(doc, key)?;
-    if let Some(len) = len.filter(|&len| len != xs.len()) {
-        return Err(ck_err(format!(
-            "`{key}` has {} entries, expected {len}",
-            xs.len()
-        )));
-    }
-    xs.iter()
-        .enumerate()
-        .map(|(i, v)| decode(v, &format!("{key}[{i}]")))
-        .collect()
-}
-
-/// Applies the `[index, value]` pairs of delta array `key` to `xs`. An
-/// index must address an existing entry; a `grow` array may also append
-/// at exactly its current length.
-fn ck_apply<T>(
-    doc: &Value,
-    key: &str,
-    xs: &mut Vec<T>,
-    grow: bool,
-    decode: impl Fn(&Value, &str) -> Result<T, ExecError>,
-) -> Result<(), ExecError> {
-    for (k, pair) in ck_array(doc, key)?.iter().enumerate() {
-        let what = format!("{key}[{k}]");
-        let Some([i, v]) = pair
-            .as_array()
-            .and_then(|p| <&[Value; 2]>::try_from(p).ok())
-        else {
-            return Err(ck_err(format!("{what} is not an [index, value] pair")));
-        };
-        let i = ck_index(i, &what)?;
-        let v = decode(v, &what)?;
-        if i < xs.len() {
-            xs[i] = v;
-        } else if grow && i == xs.len() {
-            xs.push(v);
-        } else {
-            return Err(ck_err(format!(
-                "{what}: index {i} is out of range for {} entries",
-                xs.len()
-            )));
-        }
-    }
-    Ok(())
-}
-
-fn ck_fate(v: &Value, what: &str) -> Result<Option<ItemFate>, ExecError> {
-    let code = v
-        .as_str()
-        .ok_or_else(|| ck_err(format!("{what} is not a string")))?;
-    if code == "pending" {
-        return Ok(None);
-    }
-    ItemFate::from_code(code)
-        .map(Some)
-        .ok_or_else(|| ck_err(format!("{what}: unknown fate code `{code}`")))
-}
-
-/// A crashed disk's replacement: `-1` for none, else a disk below `n`.
-fn ck_replacement(v: &Value, what: &str, n: usize) -> Result<Option<NodeId>, ExecError> {
-    let x = v
-        .as_f64()
-        .ok_or_else(|| ck_err(format!("{what} is not a number")))?;
-    if x == -1.0 {
-        return Ok(None);
-    }
-    #[allow(clippy::cast_precision_loss)]
-    if !(x.fract() == 0.0 && x >= 0.0 && x < n as f64) {
-        return Err(ck_err(format!("{what} = {x} is out of range")));
-    }
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    Ok(Some(NodeId::new(x as usize)))
-}
-
-fn ck_bits_str(v: &Value, what: &str) -> Result<f64, ExecError> {
-    Ok(f64::from_bits(ck_u64_str(v, what)?))
-}
-
-fn ck_bits(doc: &Value, key: &str) -> Result<f64, ExecError> {
-    ck_bits_str(ck_get(doc, key)?, key)
-}
-
-/// A `u64` carried as a decimal string (JSON numbers are exact only to
-/// 2^53).
-fn ck_u64_str(v: &Value, what: &str) -> Result<u64, ExecError> {
-    let s = v
-        .as_str()
-        .ok_or_else(|| ck_err(format!("{what} is not a string")))?;
-    s.parse()
-        .map_err(|_| ck_err(format!("{what}: `{s}` is not a u64")))
 }
 
 #[cfg(test)]
