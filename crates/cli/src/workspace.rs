@@ -140,6 +140,12 @@ fn cmd_plan(args: &[String]) -> Result<String, String> {
     let problem =
         crate::instance::parse_instance(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
     let ws = Workspace::at(args)?;
+    if ws.path(MANIFEST).exists() {
+        return Err(format!(
+            "{} already holds a workspace ({MANIFEST} present); plan into a fresh directory",
+            ws.display()
+        ));
+    }
     let solver = crate::pick_solver(args)?;
     let solver_name = crate::flag_value(args, "--solver")
         .unwrap_or("auto")
@@ -177,13 +183,6 @@ fn cmd_plan(args: &[String]) -> Result<String, String> {
     let wall = started.elapsed();
 
     std::fs::create_dir_all(&ws.dir).map_err(|e| format!("cannot create {}: {e}", ws.display()))?;
-    if ws.path(MANIFEST).exists() {
-        return Err(format!(
-            "{} already holds a workspace ({MANIFEST} present); plan into a fresh directory",
-            ws.display()
-        ));
-    }
-
     let canonical = crate::instance::to_instance_text(&problem);
     ws.write(INSTANCE, &canonical)?;
     ws.write(FAULTS, &faults_text)?;
@@ -454,6 +453,15 @@ fn parse_abort_after(args: &[String]) -> Result<Option<u64>, String> {
     }
 }
 
+/// Stops recording events and closes the journal sink, which writes the
+/// lines it still holds once the in-flight fdatasync has returned (after a
+/// failed one it holds nothing).
+fn close_journal() {
+    dmig_obs::events::set_enabled(false);
+    dmig_obs::events::close_sink();
+    dmig_obs::events::reset();
+}
+
 /// `migrate execute` and `migrate resume`. The span recorder is on for the
 /// whole command, so a `--metrics-out` snapshot breaks it down by phase:
 /// `migrate.load`, `migrate.restore` (resume only), `migrate.step`,
@@ -541,39 +549,54 @@ fn run_session(args: &[String], resume: bool) -> Result<String, String> {
     };
     let resumed_at = exec.executed_rounds();
 
-    // The journal sink: durable append mode, fenced at round boundaries.
-    // The flight recorder streams dmig-events/1 lines into the same file;
-    // checkpoints are spliced between them via append_sink_line.
+    // The journal sink: durable append mode. The flight recorder's
+    // dmig-events/1 lines and the records spliced in via append_sink_line
+    // are held in memory; each round boundary commits them with one write
+    // and starts their fdatasync, which runs while the next round computes.
     let journal_str = journal_path.display().to_string();
     dmig_obs::events::reset();
     dmig_obs::events::open_sink(&journal_str)
         .map_err(|e| format!("cannot open {journal_str}: {e}"))?;
     dmig_obs::events::set_enabled(true);
     let teardown = |msg: String| -> String {
-        dmig_obs::events::set_enabled(false);
-        dmig_obs::events::close_sink();
-        dmig_obs::events::reset();
+        close_journal();
         msg
     };
 
     let mut journal_bytes = 0u64;
     let mut checkpoints = 0u64;
-    let mut append_line = |line: &str, checkpoint: bool| -> Result<(u64, u64), String> {
-        let _span = dmig_obs::span("migrate.sync");
-        let n = dmig_obs::events::append_sink_line(line)
+    let mut hold = |line: &str, checkpoint: bool| -> Result<u64, String> {
+        journal_bytes += dmig_obs::events::append_sink_line(line)
             .map_err(|e| format!("cannot append to {journal_str}: {e}"))?;
-        dmig_obs::events::sync_sink().map_err(|e| format!("cannot sync {journal_str}: {e}"))?;
-        journal_bytes += n;
         if checkpoint {
             checkpoints += 1;
             dmig_obs::counter_add(dmig_obs::keys::WS_CHECKPOINTS, 1);
         }
         dmig_obs::gauge_set(dmig_obs::keys::WS_JOURNAL_BYTES, journal_bytes);
-        Ok((checkpoints, journal_bytes))
+        Ok(checkpoints)
+    };
+    // `migrate.sync` times all the session spends blocked on the journal:
+    // each commit's write, and each wait for an fdatasync.
+    let commit = || {
+        let _span = dmig_obs::span("migrate.sync");
+        dmig_obs::events::commit_sink().map_err(|e| format!("cannot append to {journal_str}: {e}"))
+    };
+    let wait = || {
+        let _span = dmig_obs::span("migrate.sync");
+        dmig_obs::events::wait_sink().map_err(|e| format!("cannot sync {journal_str}: {e}"))
     };
     let record = |exec: &mut Executor<'_>| {
         let _span = dmig_obs::span("migrate.record");
         exec.journal_record()
+    };
+    // The deterministic stand-in for `kill -9` the crash-resume tests and
+    // CI smoke use: die once record N is durable and before any byte of
+    // the next round is written, with the report unwritten, exactly like a
+    // real mid-run kill.
+    let abort_if_due = |durable_records: u64| {
+        if abort_after == Some(durable_records) {
+            std::process::abort();
+        }
     };
 
     if resume {
@@ -582,49 +605,55 @@ fn run_session(args: &[String], resume: bool) -> Result<String, String> {
             "{{\"schema\": {}, \"from_round\": {resumed_at}}}",
             dmig_obs::json::string(RESUME_SCHEMA)
         );
-        append_line(&marker, false).map_err(&teardown)?;
+        hold(&marker, false).map_err(&teardown)?;
     }
     // The session's first record is full, and makes round 0 resumable: a
     // kill before the first boundary resumes into a full (still
     // byte-identical) re-run. Later records are deltas until a replan.
-    let (mut ck_count, _) = append_line(&record(&mut exec), true).map_err(&teardown)?;
+    let mut ck_count = hold(&record(&mut exec), true).map_err(&teardown)?;
+    commit().map_err(&teardown)?;
     dmig_obs::gauge_set(dmig_obs::keys::WS_ROUND, exec.executed_rounds() as u64);
-    if abort_after == Some(ck_count) {
-        std::process::abort();
-    }
 
+    // Round r+1 steps and renders its record while record r's fdatasync
+    // runs; nothing of round r+1 is committed before that fdatasync
+    // returns. A step error waits for it and meets the abort point too, so
+    // what an abort leaves never depends on how the next round went.
     loop {
         let step = {
             let _span = dmig_obs::span("migrate.step");
             exec.step()
         };
-        let outcome = match step {
-            Ok(o) => o,
-            Err(e) => return Err(teardown(format!("migrate {verb}: {e}"))),
+        let line = match step {
+            Ok(StepOutcome::Finished) => break,
+            Ok(_) => Ok(record(&mut exec)),
+            Err(e) => Err(format!("migrate {verb}: {e}")),
         };
-        if outcome == StepOutcome::Finished {
-            break;
-        }
-        let (c, _) = append_line(&record(&mut exec), true).map_err(&teardown)?;
-        ck_count = c;
+        wait().map_err(&teardown)?;
+        abort_if_due(ck_count);
+        let line = line.map_err(&teardown)?;
+        ck_count = hold(&line, true).map_err(&teardown)?;
+        commit().map_err(&teardown)?;
         dmig_obs::gauge_set(dmig_obs::keys::WS_ROUND, exec.executed_rounds() as u64);
-        if abort_after == Some(ck_count) {
-            // The deterministic stand-in for `kill -9` the crash-resume
-            // tests and CI smoke use: die *after* the fsync, with the
-            // report unwritten, exactly like a real mid-run kill.
-            std::process::abort();
-        }
     }
 
-    dmig_obs::events::set_enabled(false);
-    dmig_obs::events::close_sink();
-    dmig_obs::events::reset();
-    let report = {
+    // The report renders while the last record's fdatasync runs. Then the
+    // final round's events are written, unfenced, as before the report.
+    let (report, report_json) = {
         let _span = dmig_obs::span("migrate.report");
         let report = exec.into_report();
-        ws.write(REPORT, &report.to_json())?;
-        report
+        let json = report.to_json();
+        (report, json)
     };
+    wait().map_err(&teardown)?;
+    abort_if_due(ck_count);
+    {
+        let _span = dmig_obs::span("migrate.sync");
+        close_journal();
+    }
+    {
+        let _span = dmig_obs::span("migrate.report");
+        ws.write(REPORT, &report_json)?;
+    }
     if let Some(path) = crate::optional_flag(args, "--metrics-out")? {
         let snap = dmig_obs::snapshot();
         fsio::atomic_write(&path, snap.to_json().as_bytes())

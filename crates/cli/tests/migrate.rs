@@ -589,6 +589,163 @@ fn journal_and_report_bytes_match_the_golden_files() {
     }
 }
 
+/// The byte offsets just past each checkpoint record line of `journal`.
+fn record_ends(journal: &[u8]) -> Vec<usize> {
+    let mut ends = Vec::new();
+    let mut offset = 0;
+    for line in journal.split_inclusive(|&b| b == b'\n') {
+        offset += line.len();
+        if line.starts_with(b"{\"schema\": \"dmig-exec-ckpt/1\"") {
+            ends.push(offset);
+        }
+    }
+    ends
+}
+
+/// An abort after record N, at every N, leaves exactly the uninterrupted
+/// journal through its Nth record: nothing of a later round reaches the
+/// file before record N is durable. The same holds for a resume's first
+/// record, which is committed together with its marker.
+#[test]
+fn every_abort_point_leaves_a_record_terminated_prefix() {
+    let scratch = Scratch::new("abort-points");
+    let ws = plan_ci_scenario(&scratch, "ws-execute");
+    let (code, out) = dmig(&["migrate", "execute", "--workspace", &ws]);
+    assert_eq!(code, 0, "{out}");
+    let journal = read(&ws, "journal.jsonl");
+    let ends = record_ends(&journal);
+    assert_eq!(ends.len(), 6, "the CI scenario journals 6 records");
+    for (n, &end) in (1..).zip(&ends) {
+        let crashed = plan_ci_scenario(&scratch, &format!("ws-abort-{n}"));
+        let (code, _) = dmig(&[
+            "migrate",
+            "execute",
+            "--workspace",
+            &crashed,
+            "--abort-after-checkpoint",
+            &n.to_string(),
+        ]);
+        assert_ne!(code, 0, "the abort after record {n} must look like a crash");
+        assert!(
+            read(&crashed, "journal.jsonl") == journal[..end],
+            "the abort after record {n} left more or less than records 1..={n}"
+        );
+    }
+
+    let crashed = scratch.path("ws-abort-2");
+    let (code, _) = dmig(&[
+        "migrate",
+        "resume",
+        "--workspace",
+        &crashed,
+        "--abort-after-checkpoint",
+        "1",
+    ]);
+    assert_ne!(code, 0, "the resume's abort must look like a crash");
+    let golden = std::fs::read(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/resume/journal.jsonl"),
+    )
+    .unwrap();
+    let first_resumed = record_ends(&golden)[2];
+    assert!(
+        read(&crashed, "journal.jsonl") == golden[..first_resumed],
+        "the resume's abort after its first record left more or less than it"
+    );
+}
+
+/// A step that fails after record N still meets the abort point first:
+/// `--abort-after-checkpoint N` dies with the journal ending on record N,
+/// as it does when the step succeeds. Here the first step fails: once a
+/// degrade cuts disk 0's capacity of 2 to 1, the even-capacity solver
+/// cannot replan the residual.
+#[test]
+fn a_failing_step_still_aborts_after_the_record() {
+    let scratch = Scratch::new("abort-step-error");
+    let (code, instance) = dmig(&["generate", "rebalance", "6", "24", "2"]);
+    assert_eq!(code, 0, "{instance}");
+    let ipath = scratch.path("even.dmig");
+    std::fs::write(&ipath, instance).unwrap();
+    let fpath = scratch.path("degrade.toml");
+    std::fs::write(
+        &fpath,
+        "seed = 1\n\n[[degrade]]\ndisk = 0\ntime = 0.25\nfactor = 0.4\n",
+    )
+    .unwrap();
+    let plan_even = |ws: &str| {
+        let dir = scratch.path(ws);
+        let (code, out) = dmig(&[
+            "migrate",
+            "plan",
+            &ipath,
+            "--workspace",
+            &dir,
+            "--faults",
+            &fpath,
+            "--replan",
+            "--solver",
+            "even-optimal",
+            "--threads",
+            "1",
+        ]);
+        assert_eq!(code, 0, "{out}");
+        dir
+    };
+    let failing = plan_even("ws-fail");
+    let (code, out) = dmig(&["migrate", "execute", "--workspace", &failing]);
+    assert_eq!(code, 1, "the replan after round 0 must fail: {out}");
+    let journal = read(&failing, "journal.jsonl");
+    let first = record_ends(&journal)[0];
+    assert!(
+        journal.len() > first,
+        "the failed run writes round 0's events after record 1"
+    );
+
+    let crashed = plan_even("ws-abort");
+    let (code, _) = dmig(&[
+        "migrate",
+        "execute",
+        "--workspace",
+        &crashed,
+        "--abort-after-checkpoint",
+        "1",
+    ]);
+    assert!(
+        code != 0 && code != 1,
+        "the abort must look like a crash, not a step error (exit {code})"
+    );
+    assert!(
+        read(&crashed, "journal.jsonl") == journal[..first],
+        "the abort after record 1 left more or less than record 1"
+    );
+}
+
+/// Planning into a directory that already holds a workspace is refused
+/// before the solver runs: the refusal, not a solver error, is the answer.
+#[test]
+fn plan_into_an_existing_workspace_is_refused_before_solving() {
+    let scratch = Scratch::new("replan-existing");
+    let (code, instance) = dmig(&["generate", "uniform", "6", "12", "3", "3"]);
+    assert_eq!(code, 0, "{instance}");
+    let ipath = scratch.path("odd.dmig");
+    std::fs::write(&ipath, instance).unwrap();
+    let ws = scratch.path("ws");
+    let (code, out) = dmig(&["migrate", "plan", &ipath, "--workspace", &ws]);
+    assert_eq!(code, 0, "{out}");
+    let manifest = read(&ws, "manifest.json");
+    let (code, out) = dmig(&[
+        "migrate",
+        "plan",
+        &ipath,
+        "--workspace",
+        &ws,
+        "--solver",
+        "even-optimal",
+    ]);
+    assert_eq!(code, 1, "{out}");
+    assert!(out.contains("already holds a workspace"), "{out}");
+    assert_eq!(read(&ws, "manifest.json"), manifest);
+}
+
 /// A record nested deeper than the JSON reader allows is a line-numbered
 /// error, not a stack overflow.
 #[test]

@@ -14,19 +14,25 @@
 //!   ([`recent`]); older events are evicted (counted in
 //!   [`crate::keys::EVENTS_DROPPED`]). The ring is what a crash dump can
 //!   still show after hours of execution.
-//! * **the JSONL sink** — when a sink is open ([`open_sink`]) every event
-//!   is appended (`O_APPEND`, one `write_all` per line, schema-versioned
-//!   [`EVENTS_SCHEMA`]) *before* it enters the ring, so the file is always
-//!   at least as complete as the ring, and a hard kill loses at most the
-//!   event being formatted. Each line is rendered field by field into a
-//!   buffer the sink keeps between lines, with no temporary strings. Two
-//!   durability disciplines: [`open_sink`] appends to the final path
-//!   (journal mode — the partial prefix is the recovery record;
-//!   [`sync_sink`] fences it at round boundaries), while
-//!   [`open_sink_atomic`] streams to a temp file that [`close_sink`]
-//!   publishes by rename (report mode — readers never see a torn file).
-//!   [`append_sink_line`] splices pre-formatted lines (executor
-//!   checkpoints) into the same stream, through the same buffer.
+//! * **the JSONL sink** — when a sink is open every event is rendered as
+//!   one schema-versioned [`EVENTS_SCHEMA`] line *before* it enters the
+//!   ring, field by field into a buffer the sink keeps, with no temporary
+//!   strings. [`append_sink_line`] splices pre-formatted lines (executor
+//!   checkpoints) into the same stream, through the same buffer. Two
+//!   durability disciplines:
+//!   - journal mode ([`open_sink`]) appends to the final path, whose
+//!     partial prefix is the recovery record. Lines are held in memory
+//!     until a commit ([`commit_sink`]) writes them with one `write_all`
+//!     and starts their `fdatasync` on a helper thread; [`wait_sink`]
+//!     blocks until it returns, and [`sync_sink`] is both. A commit first
+//!     waits for the previous one's `fdatasync`, so nothing written after
+//!     a commit can reach the file before that commit is durable. A hard
+//!     kill loses the lines held since the last commit; the sink is never
+//!     behind the ring at a commit, a close, or a panic with the crash
+//!     hook armed.
+//!   - atomic mode ([`open_sink_atomic`]) writes every line as it is
+//!     emitted to a temp file that [`close_sink`] publishes by rename
+//!     (report mode — readers never see a torn file).
 //! * **the crash dump** — [`set_crash_path`] installs a chaining panic
 //!   hook (once per process); on panic the hook writes a
 //!   [`CRASH_SCHEMA`] JSON document with the panic message/location, the
@@ -37,15 +43,18 @@
 //! (round indices, item ids, simulated clocks) — no wall clocks, no
 //! thread ids — and [`Event::to_json_line`] formats floats the way
 //! [`crate::json::number`] does. The sink writes exactly the bytes of
-//! `to_json_line`. A deterministic emitter therefore produces a
+//! `to_json_line`, in emit order, whenever it writes them. A
+//! deterministic emitter therefore produces a
 //! byte-identical JSONL stream at any thread count, which
 //! `dmig-sim`'s executor proptests pin down.
 
 use std::collections::VecDeque;
-use std::io::Write as _;
+use std::fs::File;
+use std::io::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::{mpsc, Mutex, Once, OnceLock};
+use std::thread::JoinHandle;
 
 use crate::json;
 use crate::keys;
@@ -290,35 +299,150 @@ pub struct EventStats {
     pub dropped: u64,
 }
 
-/// An open JSONL sink plus the rename it owes on close (atomic mode).
+/// The helper thread a journal-mode sink hands its `fdatasync`s to, so a
+/// commit returns as soon as its bytes are written and the caller decides
+/// when to wait for them to be durable.
+struct Syncer {
+    /// One `()` per commit; dropping the sender ends the thread's loop.
+    requests: mpsc::Sender<()>,
+    /// One `fdatasync` result per request, in order.
+    results: mpsc::Receiver<io::Result<()>>,
+    thread: JoinHandle<()>,
+    /// Whether a request is out whose result has not been received.
+    in_flight: bool,
+}
+
+impl Syncer {
+    fn spawn(file: &File) -> io::Result<Syncer> {
+        let file = file.try_clone()?;
+        let (requests, inbox) = mpsc::channel::<()>();
+        let (outbox, results) = mpsc::channel();
+        let thread = std::thread::Builder::new()
+            .name("dmig-journal-sync".to_string())
+            .spawn(move || {
+                while inbox.recv().is_ok() {
+                    if outbox.send(file.sync_data()).is_err() {
+                        break;
+                    }
+                }
+            })?;
+        Ok(Syncer {
+            requests,
+            results,
+            thread,
+            in_flight: false,
+        })
+    }
+
+    /// Starts one `fdatasync` of everything written so far.
+    fn start(&mut self) -> io::Result<()> {
+        self.requests.send(()).map_err(|_| sync_thread_gone())?;
+        self.in_flight = true;
+        Ok(())
+    }
+
+    /// Blocks until the in-flight `fdatasync`, if any, returns its result.
+    fn wait(&mut self) -> io::Result<()> {
+        if !std::mem::take(&mut self.in_flight) {
+            return Ok(());
+        }
+        self.results.recv().map_err(|_| sync_thread_gone())?
+    }
+
+    /// Ends the thread after the `fdatasync` it is running, if any.
+    fn shut_down(self) {
+        drop(self.requests);
+        // The loop cannot panic; a join error would only repeat that.
+        let _ = self.thread.join();
+    }
+}
+
+fn sync_thread_gone() -> io::Error {
+    io::Error::other("the journal sync thread has exited")
+}
+
+/// How a sink's lines reach its file.
+enum Mode {
+    /// Journal mode ([`open_sink`]): lines are held in memory until a
+    /// commit writes them with one `write_all` and starts their
+    /// `fdatasync` on the syncer's thread.
+    Journal(Syncer),
+    /// Atomic mode ([`open_sink_atomic`]): every line is written as it is
+    /// emitted to the temp file, which [`close_sink`] renames to the final
+    /// path.
+    Atomic { temp: PathBuf, path: PathBuf },
+}
+
+/// An open JSONL sink.
 struct Sink {
-    file: std::fs::File,
-    /// `Some((temp, final))` when the sink writes to a temp file that
-    /// [`close_sink`] publishes by rename; `None` for append mode.
-    finalize: Option<(PathBuf, PathBuf)>,
-    /// The line being written, newline included: every line is built here
-    /// and handed to one `write_all`, and the buffer is kept for the next.
-    line: Vec<u8>,
+    file: File,
+    mode: Mode,
+    /// Rendered lines, newlines included. In journal mode: every line
+    /// since the last commit. In atomic mode: the line being written. The
+    /// buffer is cleared, never freed, so it stops reallocating once it
+    /// has held the largest round.
+    held: Vec<u8>,
 }
 
 impl Sink {
-    fn new(file: std::fs::File, finalize: Option<(PathBuf, PathBuf)>) -> Sink {
+    fn new(file: File, mode: Mode) -> Sink {
         Sink {
             file,
-            finalize,
-            line: Vec::new(),
+            mode,
+            held: Vec::new(),
         }
     }
 
-    /// Writes the line built by `render`, plus a newline, with one
-    /// `write_all`, so a crash mid-run loses at most this line and never
-    /// interleaves two. Returns the bytes written.
-    fn write_line(&mut self, render: impl FnOnce(&mut Vec<u8>)) -> std::io::Result<u64> {
-        self.line.clear();
-        render(&mut self.line);
-        self.line.push(b'\n');
-        self.file.write_all(&self.line)?;
-        Ok(self.line.len() as u64)
+    /// Renders one line plus its newline into the buffer; atomic mode
+    /// writes it at once with one `write_all`. Returns the line's bytes.
+    fn push_line(&mut self, render: impl FnOnce(&mut Vec<u8>)) -> io::Result<u64> {
+        let start = self.held.len();
+        render(&mut self.held);
+        self.held.push(b'\n');
+        let len = (self.held.len() - start) as u64;
+        if let Mode::Atomic { .. } = self.mode {
+            let written = self.file.write_all(&self.held);
+            self.held.clear();
+            written?;
+        }
+        Ok(len)
+    }
+
+    /// Journal mode: writes the held lines once the previous commit's
+    /// `fdatasync` has returned, and starts theirs on the helper thread.
+    /// Atomic mode: fences the temp file synchronously.
+    fn commit(&mut self) -> io::Result<()> {
+        self.write_held()?;
+        match &mut self.mode {
+            Mode::Journal(syncer) => syncer.start(),
+            Mode::Atomic { .. } => self.file.sync_data(),
+        }
+    }
+
+    /// Blocks until the last commit's `fdatasync` returns. After a failed
+    /// one the held lines are dropped: nothing may follow a record that is
+    /// not known to be durable.
+    fn wait(&mut self) -> io::Result<()> {
+        let Mode::Journal(syncer) = &mut self.mode else {
+            return Ok(());
+        };
+        let synced = syncer.wait();
+        if synced.is_err() {
+            self.held.clear();
+        }
+        synced
+    }
+
+    /// Writes whatever is held with one `write_all`, without starting an
+    /// `fdatasync`, once the in-flight one has returned; a failed one
+    /// drops the lines instead, and so does a failed write. Close and the
+    /// panic hook call this too, so the file is never behind the ring
+    /// when the sink closes or the process panics.
+    fn write_held(&mut self) -> io::Result<()> {
+        self.wait()?;
+        let written = self.file.write_all(&self.held);
+        self.held.clear();
+        written
     }
 }
 
@@ -388,83 +512,125 @@ pub fn set_ring_capacity(capacity: usize) {
     }
 }
 
-/// Opens (or creates) `path` as the JSONL sink in append mode. Every
-/// subsequent event is written as one line before entering the ring.
-/// This is the *durable* mode: lines land in the final file as they are
-/// emitted, and [`sync_sink`] can fence them to stable storage — the
-/// write-ahead-journal discipline the migration workspace relies on.
+/// Opens (or creates) `path` as the JSONL sink in journal mode, the
+/// *durable* mode the migration workspace's write-ahead journal relies
+/// on. Lines are appended to the final file, but only at a commit
+/// ([`commit_sink`], [`sync_sink`]) or when the sink closes; until then
+/// each event is held in memory in the order it entered the ring.
 ///
 /// # Errors
 ///
-/// Propagates the underlying `open` failure.
-pub fn open_sink(path: &str) -> std::io::Result<()> {
+/// Propagates the underlying `open` failure, or the failure to start the
+/// sink's `fdatasync` thread.
+pub fn open_sink(path: &str) -> io::Result<()> {
     let file = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)?;
-    lock().sink = Some(Sink::new(file, None));
+    let mode = Mode::Journal(Syncer::spawn(&file)?);
+    replace_sink(Some(Sink::new(file, mode)));
     Ok(())
 }
 
 /// Opens the JSONL sink in *atomic* mode: lines stream to `<path>.tmp`
-/// and [`close_sink`] publishes the finished file with one rename, so a
-/// killed process never leaves a half-written document at `path`. Use
-/// this for report-style outputs (`--events-out`); use [`open_sink`] for
-/// journals, where the partial prefix is exactly what resume wants.
+/// as they are emitted, and [`close_sink`] publishes the finished file
+/// with one rename, so a killed process never leaves a half-written
+/// document at `path`. Use this for report-style outputs
+/// (`--events-out`); use [`open_sink`] for journals, where the partial
+/// prefix is exactly what resume wants.
 ///
 /// # Errors
 ///
 /// Propagates the underlying `create` failure.
-pub fn open_sink_atomic(path: &str) -> std::io::Result<()> {
+pub fn open_sink_atomic(path: &str) -> io::Result<()> {
     let temp = PathBuf::from(format!("{path}.tmp"));
-    let file = std::fs::File::create(&temp)?;
-    lock().sink = Some(Sink::new(file, Some((temp, PathBuf::from(path)))));
+    let file = File::create(&temp)?;
+    let mode = Mode::Atomic {
+        temp,
+        path: PathBuf::from(path),
+    };
+    replace_sink(Some(Sink::new(file, mode)));
     Ok(())
 }
 
-/// Closes the sink, if one is open; an atomic-mode sink is published to
-/// its final path by rename here. Events keep flowing to the ring.
+/// Closes the sink, if one is open. A journal-mode sink first waits for
+/// its in-flight `fdatasync` and then writes the lines it holds (unfenced);
+/// an atomic-mode sink is published to its final path by rename. Events
+/// keep flowing to the ring.
 pub fn close_sink() {
-    let sink = lock().sink.take();
-    if let Some(Sink {
-        file,
-        finalize: Some((temp, path)),
-        ..
-    }) = sink
-    {
-        drop(file);
-        let _ = std::fs::rename(temp, path);
+    replace_sink(None);
+}
+
+/// Installs `next` as the sink and closes the previous one, outside the
+/// lock, so waiting on its `fdatasync` never blocks an emitter.
+fn replace_sink(next: Option<Sink>) {
+    let Some(mut sink) = std::mem::replace(&mut lock().sink, next) else {
+        return;
+    };
+    let _ = sink.write_held();
+    match sink.mode {
+        Mode::Journal(syncer) => syncer.shut_down(),
+        Mode::Atomic { temp, path } => {
+            drop(sink.file);
+            let _ = std::fs::rename(temp, path);
+        }
     }
 }
 
-/// Flushes the sink and fences it to stable storage (`fdatasync`). The
-/// executor journal calls this at round boundaries so that a checkpoint
-/// line, once synced, survives `kill -9`.
+/// Commits the sink: waits for the previous commit's `fdatasync`, writes
+/// every held line with one `write_all`, and starts their `fdatasync` on
+/// the sink's helper thread without waiting for it. So no byte held after
+/// a commit reaches the file before that commit is durable. An atomic-mode
+/// sink is fenced synchronously instead.
 ///
 /// # Errors
 ///
-/// Propagates the underlying sync failure. A no-op `Ok` when no sink is
-/// open.
-pub fn sync_sink() -> std::io::Result<()> {
-    let mut inner = lock();
-    if let Some(sink) = inner.sink.as_mut() {
-        sink.file.flush()?;
-        sink.file.sync_data()?;
-    }
-    Ok(())
+/// Propagates the previous `fdatasync`'s or the write's failure; the held
+/// lines are dropped then. A no-op `Ok` when no sink is open.
+pub fn commit_sink() -> io::Result<()> {
+    lock().sink.as_mut().map_or(Ok(()), Sink::commit)
+}
+
+/// Blocks until the last commit's `fdatasync` returns, and hands back its
+/// result. The workspace journal waits here before a round's record
+/// becomes part of the recovery record a later round may build on.
+///
+/// # Errors
+///
+/// Propagates the `fdatasync` failure; the lines held since that commit
+/// are dropped then, because nothing may follow a record that is not known
+/// to be on stable storage. A no-op `Ok` when no sink is open or nothing
+/// is in flight.
+pub fn wait_sink() -> io::Result<()> {
+    lock().sink.as_mut().map_or(Ok(()), Sink::wait)
+}
+
+/// [`commit_sink`] then [`wait_sink`]: every line emitted so far is on
+/// stable storage when this returns `Ok`.
+///
+/// # Errors
+///
+/// As [`commit_sink`] and [`wait_sink`].
+pub fn sync_sink() -> io::Result<()> {
+    lock()
+        .sink
+        .as_mut()
+        .map_or(Ok(()), |s| s.commit().and_then(|()| s.wait()))
 }
 
 /// Appends one pre-formatted line (newline added here) to the sink,
 /// bypassing the ring and the event counters — the hook the workspace
 /// journal uses to interleave `dmig-exec-ckpt/1` checkpoint lines with
-/// the event stream. Returns the bytes written, 0 when no sink is open.
+/// the event stream. In journal mode the line is held for the next commit
+/// like an event. Returns the line's bytes, newline included, 0 when no
+/// sink is open.
 ///
 /// # Errors
 ///
-/// Propagates the underlying write failure.
-pub fn append_sink_line(line: &str) -> std::io::Result<u64> {
+/// Propagates an atomic-mode sink's write failure.
+pub fn append_sink_line(line: &str) -> io::Result<u64> {
     match lock().sink.as_mut() {
-        Some(sink) => sink.write_line(|buf| buf.extend_from_slice(line.as_bytes())),
+        Some(sink) => sink.push_line(|buf| buf.extend_from_slice(line.as_bytes())),
         None => Ok(0),
     }
 }
@@ -482,7 +648,7 @@ pub fn emit(event: Event) {
         let seq = inner.seq;
         inner.seq += 1;
         if let Some(sink) = inner.sink.as_mut() {
-            let _ = sink.write_line(|buf| event.write_json_line(seq, buf));
+            let _ = sink.push_line(|buf| event.write_json_line(seq, buf));
         }
         if inner.ring.len() >= inner.capacity {
             inner.ring.pop_front();
@@ -521,8 +687,9 @@ static CRASH_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
 static HOOK: Once = Once::new();
 
 /// Sets (or clears) the crash-dump destination and installs the panic
-/// hook on first use. While a path is set, any panic writes a
-/// [`CRASH_SCHEMA`] document there; the previous hook still runs after.
+/// hook on first use. While a path is set, any panic writes the lines a
+/// journal-mode sink holds and then a [`CRASH_SCHEMA`] document there;
+/// the previous hook still runs after.
 pub fn set_crash_path(path: Option<PathBuf>) {
     let install = path.is_some();
     *CRASH_PATH
@@ -544,6 +711,11 @@ pub fn install_crash_hook() {
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .clone();
             if let Some(path) = path {
+                // The sink catches up with the ring first, so its last line
+                // is the dump's last event.
+                if let Some(sink) = lock().sink.as_mut() {
+                    let _ = sink.write_held();
+                }
                 let message = if let Some(s) = info.payload().downcast_ref::<&str>() {
                     (*s).to_string()
                 } else if let Some(s) = info.payload().downcast_ref::<String>() {
@@ -781,11 +953,107 @@ mod tests {
     }
 
     #[test]
+    fn journal_sink_writes_only_at_commits_and_close() {
+        let _l = events_lock();
+        let _c = Cleanup;
+        reset();
+        let path = temp("held.jsonl");
+        std::fs::remove_file(&path).ok();
+        open_sink(&path).unwrap();
+        set_enabled(true);
+        let size = || std::fs::metadata(&path).unwrap().len();
+        emit(Event::RoundStart {
+            round: 0,
+            transfers: 1,
+            time: 0.0,
+        });
+        let record = append_sink_line("{\"schema\":\"dmig-exec-ckpt/1\"}").unwrap();
+        assert_eq!(size(), 0, "nothing is written before the first commit");
+        commit_sink().unwrap();
+        let committed = size();
+        assert!(
+            committed > record,
+            "the commit writes the event and the record"
+        );
+        emit(Event::RoundEnd {
+            round: 0,
+            duration: 1.0,
+            time: 1.0,
+        });
+        wait_sink().unwrap();
+        assert_eq!(
+            size(),
+            committed,
+            "a line held after a commit waits for the next"
+        );
+        sync_sink().unwrap();
+        let synced = size();
+        assert!(synced > committed, "sync_sink writes what is held");
+        emit(Event::RoundStart {
+            round: 1,
+            transfers: 1,
+            time: 1.0,
+        });
+        assert_eq!(size(), synced);
+        close_sink();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4, "close_sink writes what is held: {text}");
+        assert!(lines[0].contains("\"kind\":\"round_start\""));
+        assert_eq!(lines[1], "{\"schema\":\"dmig-exec-ckpt/1\"}");
+        assert!(lines[2].contains("\"kind\":\"round_end\""));
+        assert!(lines[3].contains("\"round\":1"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn atomic_sink_writes_every_line_as_it_is_emitted() {
+        let _l = events_lock();
+        let _c = Cleanup;
+        reset();
+        let path = temp("atomic-lines.jsonl");
+        let tmp = format!("{path}.tmp");
+        open_sink_atomic(&path).unwrap();
+        set_enabled(true);
+        let mut written = 0;
+        for round in 0..3 {
+            let event = Event::RoundEnd {
+                round,
+                duration: 1.0,
+                time: round as f64,
+            };
+            written += event.to_json_line(round).len() as u64 + 1;
+            emit(event);
+            assert_eq!(std::fs::metadata(&tmp).unwrap().len(), written);
+        }
+        close_sink();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), written);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// `/dev/null` takes writes but refuses `fdatasync` (EINVAL): the
+    /// helper thread's error reaches the waiter, not the commit.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn wait_hands_back_the_fdatasync_error() {
+        let _l = events_lock();
+        let _c = Cleanup;
+        open_sink("/dev/null").unwrap();
+        append_sink_line("{}").unwrap();
+        commit_sink().unwrap();
+        assert!(wait_sink().is_err());
+        assert!(wait_sink().is_ok(), "nothing is in flight after a wait");
+        assert!(sync_sink().is_err());
+    }
+
+    #[test]
     fn sync_without_sink_is_a_noop() {
         let _l = events_lock();
         let _c = Cleanup;
         close_sink();
         sync_sink().unwrap();
+        commit_sink().unwrap();
+        wait_sink().unwrap();
         assert_eq!(append_sink_line("ignored").unwrap(), 0);
     }
 
@@ -1071,7 +1339,10 @@ mod tests {
         let _c = Cleanup;
         reset();
         let path = temp("crash.json");
+        let journal = temp("crash-journal.jsonl");
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&journal).ok();
+        open_sink(&journal).unwrap();
         set_enabled(true);
         emit(Event::Replan {
             pending: 3,
@@ -1088,7 +1359,12 @@ mod tests {
         assert!(dump.contains("deliberate test panic"));
         assert!(dump.contains("\"kind\":\"replan\""));
         assert!(dump.contains("\"reason\":\"stall\""));
+        // The hook wrote the held line before the sink was closed.
+        let held = std::fs::read_to_string(&journal).unwrap();
+        assert_eq!(held.lines().count(), 1, "{held}");
+        assert!(held.contains("\"kind\":\"replan\""), "{held}");
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&journal).ok();
     }
 
     #[test]

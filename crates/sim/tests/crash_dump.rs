@@ -1,6 +1,6 @@
 //! Panic-hook crash dump: a run that dies mid-execution leaves a
 //! parseable `dmig-crash/1` document whose last ring event is exactly the
-//! last line flushed to the JSONL sink.
+//! last line the panic hook wrote to the JSONL sink.
 
 use dmig_core::solver::{AutoSolver, Solver};
 use dmig_core::{MigrationProblem, MigrationSchedule, SolveError};
@@ -70,6 +70,10 @@ fn panicking_run_leaves_a_parseable_crash_dump() {
         )
     }));
 
+    // Read before the sink closes: closing writes whatever the journal-mode
+    // sink still holds, which would hide a hook that forgot to.
+    let jsonl = std::fs::read_to_string(&sink).expect("sink readable");
+
     dmig_obs::events::set_crash_path(None);
     dmig_obs::events::set_enabled(false);
     dmig_obs::events::close_sink();
@@ -95,9 +99,9 @@ fn panicking_run_leaves_a_parseable_crash_dump() {
     assert!(!events.is_empty(), "the ring saw the round and the crash");
 
     // The dump's last ring event is byte-for-byte the last sink line: both
-    // views come from the same renderer, and the sink flushes before the
-    // ring, so a crash can never leave the file ahead of the dump.
-    let jsonl = std::fs::read_to_string(&sink).expect("sink readable");
+    // views come from the same renderer, and the hook writes the held lines
+    // before the dump, so a crash leaves the file neither ahead of the dump
+    // nor behind it.
     let last_line = jsonl.lines().last().expect("sink is non-empty");
     let last_parsed = dmig_obs::Value::parse(last_line).expect("sink line parses");
     assert_eq!(
