@@ -74,7 +74,8 @@ pub fn parse_instance(text: &str) -> Result<MigrationProblem, InstanceError> {
     let mut edges: Vec<(usize, usize)> = Vec::new();
     let mut default_cap = 1u32;
     let mut caps_vec: Option<Vec<u32>> = None;
-    let mut cap_overrides: Vec<(usize, u32)> = Vec::new();
+    // (line, disk, capacity): the disk is checked once the count is known.
+    let mut cap_overrides: Vec<(usize, usize, u32)> = Vec::new();
 
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or_default().trim();
@@ -114,6 +115,7 @@ pub fn parse_instance(text: &str) -> Result<MigrationProblem, InstanceError> {
                 let v = next_num("disk index")?;
                 let c = next_num("capacity")?;
                 cap_overrides.push((
+                    lineno + 1,
                     v,
                     u32::try_from(c).map_err(|_| InstanceError::Directive {
                         line: lineno + 1,
@@ -163,10 +165,10 @@ pub fn parse_instance(text: &str) -> Result<MigrationProblem, InstanceError> {
         }
         None => vec![default_cap; n],
     };
-    for (v, c) in cap_overrides {
+    for (line, v, c) in cap_overrides {
         if v >= n {
             return Err(InstanceError::Directive {
-                line: 0,
+                line,
                 message: format!("cap directive for unknown disk {v}"),
             });
         }
@@ -244,6 +246,14 @@ mod tests {
             err,
             InstanceError::Problem(ProblemError::ZeroCapacity { .. })
         ));
+    }
+
+    #[test]
+    fn cap_for_an_unknown_disk_names_its_line() {
+        let err = parse_instance("nodes 2\ncap 5 1\nedge 0 1\n").unwrap_err();
+        assert_eq!(err.to_string(), "line 2: cap directive for unknown disk 5");
+        let err = parse_instance("# header\n\nedge 0 1\ncap 1 2\ncap 2 1 # gone\n").unwrap_err();
+        assert_eq!(err.to_string(), "line 5: cap directive for unknown disk 2");
     }
 
     #[test]

@@ -30,6 +30,7 @@
 //! ([`dmig_obs::fsio`]); only the journal is appended in place, because
 //! its durable prefix *is* the recovery record.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -38,6 +39,7 @@ use dmig_core::parallel::ParallelSolver;
 use dmig_core::solver::{solver_by_name, Solver};
 use dmig_core::{MigrationProblem, MigrationSchedule};
 use dmig_graph::EdgeId;
+use dmig_obs::value::{ParseError, Reader, Token};
 use dmig_obs::{fsio, history, Value};
 use dmig_sim::executor::{DELTA_PREFIX, RECORD_PREFIX};
 use dmig_sim::{Cluster, ExecReport, Executor, ExecutorConfig, FaultPlan, StepOutcome};
@@ -129,6 +131,16 @@ fn f64_of_bits(v: &Value, what: &str) -> Result<f64, String> {
         .parse()
         .map_err(|e| format!("{CONFIG}: {what}: bad bit pattern: {e}"))?;
     Ok(f64::from_bits(bits))
+}
+
+/// The executor float `config.json` holds under `key`. It must be finite:
+/// a NaN backoff never releases a retry, and `execute` would spin forever.
+fn finite_of_bits(cfg: &Value, key: &str) -> Result<f64, String> {
+    let v = f64_of_bits(field(cfg, CONFIG, key)?, key)?;
+    if !v.is_finite() {
+        return Err(format!("{CONFIG}: `{key}` is not finite"));
+    }
+    Ok(v)
 }
 
 // --- plan ---------------------------------------------------------------
@@ -301,6 +313,109 @@ fn check_schema(doc: &Value, file: &str, want: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// The rounds of `plan.json`, read in one pass straight into item ids of
+/// an instance with `items` items. It decodes what a `Value` tree of the
+/// file would give, with the same messages: a syntax error anywhere is
+/// reported before any semantic one, the last of a repeated key wins, and
+/// the schema is checked before the rounds.
+fn read_plan(text: &str, items: usize) -> Result<Vec<Vec<EdgeId>>, String> {
+    let mut r = Reader::new(text);
+    // `Some(tag)` once `schema` occurs; a tag that is not a string reads
+    // as "", as `Value::as_str` would have it.
+    let mut schema: Option<Cow<'_, str>> = None;
+    let mut rounds: Option<Result<Vec<Vec<EdgeId>>, String>> = None;
+    let mut members = || -> Result<(), ParseError> {
+        let t = r.value()?;
+        if t != Token::BeginObject {
+            return r.skip(&t);
+        }
+        while let Some(key) = r.next_key()? {
+            let t = r.value()?;
+            match &*key {
+                "schema" => {
+                    schema = Some(match &t {
+                        Token::String(s) => s.clone(),
+                        _ => Cow::Borrowed(""),
+                    });
+                    r.skip(&t)?;
+                }
+                "rounds" if t == Token::BeginArray => rounds = Some(plan_rounds(&mut r, items)?),
+                "rounds" => {
+                    rounds = Some(Err(format!("{PLAN}: `rounds` is not an array")));
+                    r.skip(&t)?;
+                }
+                _ => r.skip(&t)?,
+            }
+        }
+        Ok(())
+    };
+    members()
+        .and_then(|()| r.finish())
+        .map_err(|e| format!("{PLAN}: {e}"))?;
+    let schema = schema.ok_or(format!("{PLAN}: missing `schema`"))?;
+    if schema != PLAN_SCHEMA {
+        return Err(format!("{PLAN}: schema `{schema}` is not `{PLAN_SCHEMA}`"));
+    }
+    rounds.ok_or(format!("{PLAN}: missing `rounds`"))?
+}
+
+/// The elements of the `rounds` array `r` has just entered, or the first
+/// round or edge id in document order that is not one of the instance's
+/// items. The rest of the array is still read, so that a syntax error
+/// after a bad id wins.
+fn plan_rounds(
+    r: &mut Reader<'_>,
+    items: usize,
+) -> Result<Result<Vec<Vec<EdgeId>>, String>, ParseError> {
+    let (mut rounds, mut bad) = (Vec::new(), None);
+    let mut i = 0;
+    while r.next_element()? {
+        let t = r.value()?;
+        if t != Token::BeginArray {
+            bad.get_or_insert_with(|| format!("{PLAN}: round {i} is not an array"));
+            r.skip(&t)?;
+            i += 1;
+            continue;
+        }
+        let mut ids = Vec::new();
+        while r.next_element()? {
+            // An id reads as `Value::as_f64` reads it: booleans are 0/1.
+            #[allow(clippy::cast_precision_loss)]
+            let id = match r.small_uint_element() {
+                Some(n) => Some(n as f64),
+                None => {
+                    let t = r.value()?;
+                    r.skip(&t)?;
+                    match t {
+                        Token::Number(n) => Some(n.as_f64()),
+                        Token::Bool(b) => Some(f64::from(u8::from(b))),
+                        _ => None,
+                    }
+                }
+            };
+            if bad.is_some() {
+                continue;
+            }
+            let Some(id) = id.filter(|v| v.fract() == 0.0 && *v >= 0.0) else {
+                bad = Some(format!("{PLAN}: round {i} holds a non-integer edge id"));
+                continue;
+            };
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            let idx = id as usize;
+            if idx >= items {
+                bad = Some(format!(
+                    "{PLAN}: round {i} references edge {idx} but the instance has {items} items"
+                ));
+                continue;
+            }
+            ids.push(EdgeId::new(idx));
+        }
+        rounds.push(ids);
+        i += 1;
+    }
+    Ok(bad.map_or(Ok(rounds), Err))
+}
+
 fn load_workspace(ws: &Workspace) -> Result<Loaded, String> {
     let manifest = Value::parse(&ws.read(MANIFEST)?).map_err(|e| format!("{MANIFEST}: {e}"))?;
     check_schema(&manifest, MANIFEST, WORKSPACE_SCHEMA)?;
@@ -319,33 +434,7 @@ fn load_workspace(ws: &Workspace) -> Result<Loaded, String> {
     let problem =
         crate::instance::parse_instance(&instance_text).map_err(|e| format!("{INSTANCE}: {e}"))?;
 
-    let plan = Value::parse(&ws.read(PLAN)?).map_err(|e| format!("{PLAN}: {e}"))?;
-    check_schema(&plan, PLAN, PLAN_SCHEMA)?;
-    let rounds_doc = field(&plan, PLAN, "rounds")?
-        .as_array()
-        .ok_or(format!("{PLAN}: `rounds` is not an array"))?;
-    let mut rounds = Vec::with_capacity(rounds_doc.len());
-    for (i, round) in rounds_doc.iter().enumerate() {
-        let edges = round
-            .as_array()
-            .ok_or_else(|| format!("{PLAN}: round {i} is not an array"))?;
-        let mut ids = Vec::with_capacity(edges.len());
-        for e in edges {
-            let idx = e
-                .as_f64()
-                .filter(|v| v.fract() == 0.0 && *v >= 0.0)
-                .ok_or_else(|| format!("{PLAN}: round {i} holds a non-integer edge id"))?;
-            let idx = idx as usize;
-            if idx >= problem.num_items() {
-                return Err(format!(
-                    "{PLAN}: round {i} references edge {idx} but the instance has {} items",
-                    problem.num_items()
-                ));
-            }
-            ids.push(EdgeId::new(idx));
-        }
-        rounds.push(ids);
-    }
+    let rounds = read_plan(&ws.read(PLAN)?, problem.num_items())?;
     let schedule = MigrationSchedule::from_rounds(rounds);
     schedule
         .validate(&problem)
@@ -359,18 +448,18 @@ fn load_workspace(ws: &Workspace) -> Result<Loaded, String> {
     let cfg = Value::parse(&ws.read(CONFIG)?).map_err(|e| format!("{CONFIG}: {e}"))?;
     check_schema(&cfg, CONFIG, CONFIG_SCHEMA)?;
     let config = ExecutorConfig {
-        replan: field(&cfg, CONFIG, "replan")?.as_f64().unwrap_or(0.0) != 0.0,
+        replan: match field(&cfg, CONFIG, "replan")? {
+            Value::Bool(b) => *b,
+            _ => return Err(format!("{CONFIG}: `replan` is not a boolean")),
+        },
         retry_max: field(&cfg, CONFIG, "retry_max")?
             .as_f64()
             .filter(|v| v.fract() == 0.0 && *v >= 0.0)
             .ok_or(format!("{CONFIG}: `retry_max` is not a count"))? as u32,
-        backoff_base: f64_of_bits(field(&cfg, CONFIG, "backoff_base")?, "backoff_base")?,
-        backoff_factor: f64_of_bits(field(&cfg, CONFIG, "backoff_factor")?, "backoff_factor")?,
-        degrade_replan_threshold: f64_of_bits(
-            field(&cfg, CONFIG, "degrade_replan_threshold")?,
-            "degrade_replan_threshold",
-        )?,
-        stall_factor: f64_of_bits(field(&cfg, CONFIG, "stall_factor")?, "stall_factor")?,
+        backoff_base: finite_of_bits(&cfg, "backoff_base")?,
+        backoff_factor: finite_of_bits(&cfg, "backoff_factor")?,
+        degrade_replan_threshold: finite_of_bits(&cfg, "degrade_replan_threshold")?,
+        stall_factor: finite_of_bits(&cfg, "stall_factor")?,
     };
     let bws_doc = field(&cfg, CONFIG, "bandwidths")?
         .as_array()

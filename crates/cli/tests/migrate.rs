@@ -509,6 +509,63 @@ fn tampered_config_bandwidth_is_an_error_not_a_panic() {
     );
 }
 
+/// Replaces the value of member `key` of the one-line JSON object `doc`.
+fn set_member(doc: &str, key: &str, value: &str) -> String {
+    let at = doc.find(&format!("\"{key}\": ")).expect("the member") + key.len() + 4;
+    let end = at + doc[at..].find([',', '}']).expect("a scalar member");
+    format!("{}{value}{}", &doc[..at], &doc[end..])
+}
+
+/// `replan` is `true` or `false`, the only values `migrate plan` writes;
+/// anything else used to read as `false` and quietly turn replanning off,
+/// which on this scenario loses items that replanning would save. The
+/// executor's floats must be finite: a NaN backoff used to make `execute`
+/// spin forever.
+#[test]
+fn tampered_config_replan_or_float_is_an_error() {
+    let scratch = Scratch::new("tampered-replan");
+    let ws = plan_ci_scenario(&scratch, "ws");
+    let config = Path::new(&ws).join("config.json");
+    let text = std::fs::read_to_string(&config).unwrap();
+    assert!(text.contains("\"replan\": true"), "{text}");
+    let replan = ["\"yes\"", "1", "0", "null", "\"true\"", "[true]"].map(|bad| {
+        (
+            set_member(&text, "replan", bad),
+            "`replan` is not a boolean".to_string(),
+        )
+    });
+    let nan = format!("\"{}\"", f64::NAN.to_bits());
+    let inf = format!("\"{}\"", f64::INFINITY.to_bits());
+    let floats = [
+        "backoff_base",
+        "backoff_factor",
+        "degrade_replan_threshold",
+        "stall_factor",
+    ]
+    .map(|key| {
+        (
+            set_member(&text, key, &nan),
+            format!("`{key}` is not finite"),
+        )
+    });
+    let inf_backoff = (
+        set_member(&text, "backoff_base", &inf),
+        "`backoff_base` is not finite".to_string(),
+    );
+    for (bad, message) in replan.into_iter().chain(floats).chain([inf_backoff]) {
+        std::fs::write(&config, &bad).unwrap();
+        let (code, out) = dmig(&["migrate", "execute", "--workspace", &ws]);
+        assert_eq!(code, 1, "{bad}: {out}");
+        assert_eq!(out, format!("error: config.json: {message}\n"), "{bad}");
+        assert!(!Path::new(&ws).join("journal.jsonl").exists(), "{bad}");
+    }
+    std::fs::write(&config, &text).unwrap();
+    let (code, out) = dmig(&["migrate", "execute", "--workspace", &ws]);
+    assert_eq!(code, 0, "{out}");
+    assert!(out.contains("0 lost of 22"), "{out}");
+    assert!(out.contains("recovery: 2 replans"), "{out}");
+}
+
 /// The CI fault scenario, planned at one thread: `generate rebalance 6 24
 /// 2` under `ci-faults.toml` with replanning. Its journal is the same
 /// at every thread count and holds crash, replan, retry and delivery

@@ -278,6 +278,13 @@ fn small_uint(digits: &str) -> Option<u64> {
 /// whitespace follows the document. The reader enforces the whole
 /// grammar, so a document it reads to the end is one [`Value::parse`]
 /// accepts, and both fail at the same byte with the same message.
+///
+/// Two fast paths read the common array elements without a [`Token`]:
+/// [`small_uint_element`](Self::small_uint_element) and
+/// [`plain_str_element`](Self::plain_str_element). Each consumes an
+/// element only where `value` would decode it identically, and leaves any
+/// other element unread for `value`, so they change no result and no
+/// error.
 #[derive(Debug)]
 pub struct Reader<'a> {
     text: &'a str,
@@ -313,10 +320,12 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
@@ -357,6 +366,7 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
+    #[inline]
     fn close(&mut self) {
         self.depth -= 1;
         self.pos += 1;
@@ -401,6 +411,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// A [`ParseError`] when neither `,` nor `]` follows an element.
+    #[inline]
     pub fn next_element(&mut self) -> Result<bool, ParseError> {
         debug_assert!(self.depth > 0 && !self.in_object(), "not in an array");
         self.skip_ws();
@@ -417,6 +428,69 @@ impl<'a> Reader<'a> {
             }
             _ => Err(self.err("expected `,` or `]` in array")),
         }
+    }
+
+    /// After [`next_element`](Self::next_element) returned `true`: the
+    /// element's value when it is a run of 1 to 15 digits not followed by
+    /// `.`, `e` or `E` — the common case of a count, read in one loop.
+    /// Any other element is left unread (`None`), for
+    /// [`value`](Self::value) to read at the same byte, so an error in it
+    /// has the generic path's offset and message.
+    #[inline]
+    pub fn small_uint_element(&mut self) -> Option<u64> {
+        debug_assert!(self.depth > 0 && !self.in_object(), "not in an array");
+        let start = self.ws_end();
+        let (mut i, mut n) = (start, 0u64);
+        while let Some(&b) = self.bytes.get(i) {
+            let d = b.wrapping_sub(b'0');
+            if d > 9 {
+                break;
+            }
+            // A 16th digit ends the fast path, so `n` stays below 10^15.
+            if i - start == 15 {
+                return None;
+            }
+            n = n * 10 + u64::from(d);
+            i += 1;
+        }
+        if i == start || matches!(self.bytes.get(i), Some(b'.' | b'e' | b'E')) {
+            return None;
+        }
+        self.pos = i;
+        Some(n)
+    }
+
+    /// After [`next_element`](Self::next_element) returned `true`: the
+    /// element when it is a string without escapes, borrowed from the
+    /// input. Any other element is left unread (`None`), for
+    /// [`value`](Self::value) to read at the same byte.
+    #[inline]
+    pub fn plain_str_element(&mut self) -> Option<&'a str> {
+        debug_assert!(self.depth > 0 && !self.in_object(), "not in an array");
+        let start = self.ws_end();
+        if self.bytes.get(start) != Some(&b'"') {
+            return None;
+        }
+        let body = start + 1;
+        // As in `string`: a byte scan slices on scalar boundaries.
+        let n = self.bytes[body..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')?;
+        if self.bytes[body + n] != b'"' {
+            return None;
+        }
+        self.pos = body + n + 1;
+        Some(&self.text[body..body + n])
+    }
+
+    /// Where the whitespace at `pos` ends, without consuming it.
+    #[inline]
+    fn ws_end(&self) -> usize {
+        let mut i = self.pos;
+        while matches!(self.bytes.get(i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            i += 1;
+        }
+        i
     }
 
     /// Inside an object: the next member's key, with the reader placed
@@ -695,6 +769,80 @@ mod tests {
             let skipped = r.value().and_then(|t| r.skip(&t)).and_then(|()| r.finish());
             assert_eq!(skipped.unwrap_err(), tree, "{bad}");
         }
+    }
+
+    /// Reads the array `text` element by element, trying the fast paths
+    /// first when `fast`, and returns what it read up to the first error.
+    fn elements(text: &str, fast: bool) -> (Vec<String>, Option<ParseError>) {
+        let mut r = Reader::new(text);
+        let mut seen = Vec::new();
+        let mut read = || -> Result<(), ParseError> {
+            assert_eq!(r.value()?, Token::BeginArray);
+            while r.next_element()? {
+                if fast {
+                    if let Some(n) = r.small_uint_element() {
+                        seen.push(format!("number {}", n as f64));
+                        continue;
+                    }
+                    if let Some(s) = r.plain_str_element() {
+                        seen.push(format!("string {s}"));
+                        continue;
+                    }
+                }
+                let t = r.value()?;
+                seen.push(match &t {
+                    Token::Number(n) => format!("number {}", n.as_f64()),
+                    Token::String(s) => format!("string {s}"),
+                    other => format!("{other:?}"),
+                });
+                r.skip(&t)?;
+            }
+            r.finish()
+        };
+        let err = read().err();
+        (seen, err)
+    }
+
+    #[test]
+    fn element_fast_paths_read_what_value_reads() {
+        for text in [
+            "[1,22,333]",
+            "[ 007 ,\t0,\n12,\r3]",
+            "[123456789012345, 1234567890123456, 99999999999999999999]",
+            "[1.5, 2e3, 4E1, 5.]",
+            "[-1, -0, 0]",
+            "[\"a\", \"\", \"de\\u006civered\", \"x\\\"y\", \"\u{e9}t\u{e9}\"]",
+            "[[1, 2], {\"a\": 3}, null, true]",
+            "[1x]",
+            "[12",
+            "[1,,2]",
+            "[1 2]",
+            "[\"open",
+            "[\"a\\q\"]",
+            "[1e999]",
+            "[12345678901234567890123]",
+        ] {
+            assert_eq!(elements(text, true), elements(text, false), "{text}");
+        }
+        let mut r = Reader::new("[12.5, \"a\\n\", \"b\"]");
+        r.value().unwrap();
+        assert!(r.next_element().unwrap());
+        assert_eq!(
+            (r.small_uint_element(), r.pos),
+            (None, 1),
+            "consumes nothing"
+        );
+        assert_eq!(r.plain_str_element(), None);
+        r.value().unwrap();
+        assert!(r.next_element().unwrap());
+        assert_eq!(
+            (r.plain_str_element(), r.pos),
+            (None, 6),
+            "escapes fall back"
+        );
+        r.value().unwrap();
+        assert!(r.next_element().unwrap());
+        assert_eq!(r.plain_str_element(), Some("b"));
     }
 
     #[test]

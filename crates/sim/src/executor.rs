@@ -281,35 +281,37 @@ impl ExecReport {
     /// is stated over this string).
     #[must_use]
     pub fn to_json(&self) -> String {
-        use core::fmt::Write as _;
-        let mut out = String::from("{");
-        let _ = write!(out, "\"delivered\": {}", self.delivered());
-        let _ = write!(out, ", \"redirected\": {}", self.redirected());
-        let _ = write!(out, ", \"lost\": {}", self.lost());
-        let _ = write!(
-            out,
-            ", \"lost_dead_disk\": {}",
-            self.lost_because(LostReason::DeadDisk)
-        );
-        let _ = write!(
-            out,
-            ", \"lost_retries\": {}",
-            self.lost_because(LostReason::RetriesExhausted)
-        );
-        let _ = write!(out, ", \"replans\": {}", self.replans);
-        let _ = write!(out, ", \"retries\": {}", self.retries);
-        let _ = write!(out, ", \"crashes\": {}", self.crashes);
-        let _ = write!(out, ", \"redirect_events\": {}", self.redirects);
-        let _ = write!(out, ", \"degraded_rounds\": {}", self.degraded_rounds);
-        out.push_str(", \"fates\": [");
+        use dmig_obs::json::push_u64;
+        let mut out = Vec::with_capacity(224 + 24 * self.fates.len() + self.sim.json_capacity());
+        let mut int = |key: &[u8], v: u64| {
+            out.extend_from_slice(key);
+            push_u64(&mut out, v);
+        };
+        int(b"{\"delivered\": ", self.delivered() as u64);
+        int(b", \"redirected\": ", self.redirected() as u64);
+        int(b", \"lost\": ", self.lost() as u64);
+        let dead = self.lost_because(LostReason::DeadDisk);
+        int(b", \"lost_dead_disk\": ", dead as u64);
+        let retries = self.lost_because(LostReason::RetriesExhausted);
+        int(b", \"lost_retries\": ", retries as u64);
+        int(b", \"replans\": ", self.replans);
+        int(b", \"retries\": ", self.retries);
+        int(b", \"crashes\": ", self.crashes);
+        int(b", \"redirect_events\": ", self.redirects);
+        int(b", \"degraded_rounds\": ", self.degraded_rounds);
+        out.extend_from_slice(b", \"fates\": [");
         for (i, f) in self.fates.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.push(b',');
             }
-            let _ = write!(out, "\"{}\"", f.code());
+            out.push(b'"');
+            out.extend_from_slice(f.code().as_bytes());
+            out.push(b'"');
         }
-        let _ = write!(out, "], \"sim\": {}}}", self.sim.to_json());
-        out
+        out.extend_from_slice(b"], \"sim\": ");
+        self.sim.write_json(&mut out);
+        out.push(b'}');
+        String::from_utf8(out).expect("reports are ASCII")
     }
 }
 
@@ -1120,6 +1122,137 @@ mod tests {
     use dmig_core::solver::AutoSolver;
     use dmig_graph::builder::complete_multigraph;
     use dmig_graph::GraphBuilder;
+    use proptest::prelude::*;
+
+    // --- the `core::fmt` renderers reports were written with before the
+    // single-buffer writers: the oracles those must match byte for byte.
+
+    fn fmt_sim_json(r: &SimReport) -> String {
+        use core::fmt::Write as _;
+        use dmig_obs::json::number;
+        let mut out = String::from("{");
+        let _ = write!(out, "\"total_time\": {}", number(r.total_time));
+        let _ = write!(out, ", \"num_rounds\": {}", r.num_rounds());
+        let _ = write!(out, ", \"volume\": {}", number(r.volume));
+        let _ = write!(out, ", \"throughput\": {}", number(r.throughput()));
+        let _ = write!(
+            out,
+            ", \"mean_utilization\": {}",
+            number(r.mean_utilization())
+        );
+        out.push_str(", \"round_durations\": [");
+        for (i, &d) in r.round_durations.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&number(d));
+        }
+        out.push_str("], \"disks\": [");
+        for (v, &busy) in r.disk_busy.iter().enumerate() {
+            if v > 0 {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "{{\"busy\": {}, \"utilization\": {}}}",
+                number(busy),
+                number(r.disk_utilization(v))
+            );
+        }
+        out.push_str("]}");
+        out
+    }
+
+    fn fmt_exec_json(r: &ExecReport) -> String {
+        use core::fmt::Write as _;
+        let mut out = String::from("{");
+        let _ = write!(out, "\"delivered\": {}", r.delivered());
+        let _ = write!(out, ", \"redirected\": {}", r.redirected());
+        let _ = write!(out, ", \"lost\": {}", r.lost());
+        let _ = write!(
+            out,
+            ", \"lost_dead_disk\": {}",
+            r.lost_because(LostReason::DeadDisk)
+        );
+        let _ = write!(
+            out,
+            ", \"lost_retries\": {}",
+            r.lost_because(LostReason::RetriesExhausted)
+        );
+        let _ = write!(out, ", \"replans\": {}", r.replans);
+        let _ = write!(out, ", \"retries\": {}", r.retries);
+        let _ = write!(out, ", \"crashes\": {}", r.crashes);
+        let _ = write!(out, ", \"redirect_events\": {}", r.redirects);
+        let _ = write!(out, ", \"degraded_rounds\": {}", r.degraded_rounds);
+        out.push_str(", \"fates\": [");
+        for (i, f) in r.fates.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{}\"", f.code());
+        }
+        let _ = write!(out, "], \"sim\": {}}}", fmt_sim_json(&r.sim));
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random reports, floats with the bit patterns that render
+        /// specially among them: both writers give the oracles' bytes.
+        #[test]
+        fn reports_match_the_fmt_oracles(
+            seed in 0u64..=u64::MAX,
+            rounds in 0usize..8,
+            disks in 0usize..8,
+            items in 0usize..12,
+        ) {
+            let mut x = seed | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let mut float = || {
+                let r = next();
+                match r % 8 {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => -0.0,
+                    3 => f64::from_bits(r >> 3),
+                    4 => (r >> 40) as f64 / 128.0,
+                    5 => 1e19 * (r >> 60) as f64,
+                    _ => (r >> 20) as f64 / 1e6,
+                }
+            };
+            let sim = SimReport {
+                total_time: float(),
+                round_durations: (0..rounds).map(|_| float()).collect(),
+                disk_busy: (0..disks).map(|_| float()).collect(),
+                volume: float(),
+            };
+            prop_assert_eq!(sim.to_json(), fmt_sim_json(&sim));
+            let fates = (0..items)
+                .map(|i| match (seed >> (i % 60)) % 4 {
+                    0 => ItemFate::Delivered { redirected: false },
+                    1 => ItemFate::Delivered { redirected: true },
+                    2 => ItemFate::Lost(LostReason::DeadDisk),
+                    _ => ItemFate::Lost(LostReason::RetriesExhausted),
+                })
+                .collect();
+            let report = ExecReport {
+                sim,
+                fates,
+                replans: seed % 5,
+                retries: seed >> 3,
+                crashes: u64::MAX,
+                redirects: 0,
+                degraded_rounds: seed % 1000,
+            };
+            prop_assert_eq!(report.to_json(), fmt_exec_json(&report));
+        }
+    }
 
     /// 4 disks: items 0-1 ×2 and 1-2 ×2, disk 3 a spare; c = 2.
     fn spare_instance() -> (MigrationProblem, MigrationSchedule, Cluster) {

@@ -7,7 +7,10 @@
 //! copy of the previous record as it writes.
 //!
 //! **Decode.** A record is read with [`Reader`], the pull reader behind
-//! `dmig_obs::Value::parse`, straight into typed vectors. A member reads as
+//! `dmig_obs::Value::parse`, straight into typed vectors. Array elements
+//! that are plain digit runs or strings without escapes, nearly all of
+//! them, take the reader's element fast paths; any other element is read
+//! as a token, so it decodes and fails as before. A member reads as
 //! it does in a `Value` tree: keys in any order, unknown keys ignored, the
 //! last of duplicate keys winning. Decode failures are kept as a [`Bad`]
 //! and every check runs after the record has parsed, in a fixed order, so
@@ -346,21 +349,19 @@ fn count(t: &Token<'_>) -> Result<u64, Bad> {
     Ok(x as u64)
 }
 
-fn index(t: &Token<'_>) -> Result<usize, Bad> {
-    usize::try_from(count(t)?).map_err(|_| Bad::OverflowsUsize)
+fn index(n: u64) -> Result<usize, Bad> {
+    usize::try_from(n).map_err(|_| Bad::OverflowsUsize)
 }
 
-fn small(t: &Token<'_>) -> Result<u32, Bad> {
-    let x = count(t)?;
-    u32::try_from(x).map_err(|_| Bad::OverflowsU32(x))
+fn small(n: u64) -> Result<u32, Bad> {
+    u32::try_from(n).map_err(|_| Bad::OverflowsU32(n))
 }
 
-fn flag(t: &Token<'_>) -> Result<bool, Bad> {
-    Ok(count(t)? != 0)
+fn flag(n: u64) -> Result<bool, Bad> {
+    Ok(n != 0)
 }
 
-fn fate(t: &Token<'_>) -> Result<Option<ItemFate>, Bad> {
-    let code = string(t)?;
+fn fate(code: &str) -> Result<Option<ItemFate>, Bad> {
     if code == "pending" {
         return Ok(None);
     }
@@ -370,8 +371,7 @@ fn fate(t: &Token<'_>) -> Result<Option<ItemFate>, Bad> {
 }
 
 /// A crashed disk's replacement: `-1` for none, else a disk below `n`.
-fn replacement(t: &Token<'_>, n: usize) -> Result<Option<NodeId>, Bad> {
-    let x = number(t)?;
+fn replacement(x: f64, n: usize) -> Result<Option<NodeId>, Bad> {
     if x == -1.0 {
         return Ok(None);
     }
@@ -385,69 +385,97 @@ fn replacement(t: &Token<'_>, n: usize) -> Result<Option<NodeId>, Bad> {
 
 /// A `u64` carried as a decimal string (JSON numbers are exact only to
 /// 2^53).
-fn word(t: &Token<'_>) -> Result<u64, Bad> {
-    let s = string(t)?;
+fn word(s: &str) -> Result<u64, Bad> {
     s.parse().map_err(|_| Bad::NotU64(s.to_string()))
 }
 
-fn bits(t: &Token<'_>) -> Result<f64, Bad> {
-    word(t).map(f64::from_bits)
+fn bits(s: &str) -> Result<f64, Bad> {
+    word(s).map(f64::from_bits)
 }
 
 /// A decoded element, or why it did not decode; `Err` when the record
 /// itself breaks the JSON grammar.
 type Decoded<T> = Result<Result<T, Bad>, ParseError>;
 
-/// An element decoder that reads one token and skips the rest of the
-/// element.
-fn leaf<'t, T>(
-    decode: impl Fn(&Token<'t>) -> Result<T, Bad>,
-) -> impl FnMut(&mut Reader<'t>, Token<'t>) -> Decoded<T> {
-    move |r, t| {
-        let v = decode(&t);
-        r.skip(&t)?;
-        Ok(v)
+/// Reads the next value whole and decodes it from its first token.
+fn token<'t, T>(
+    r: &mut Reader<'t>,
+    decode: impl FnOnce(&Token<'t>) -> Result<T, Bad>,
+) -> Decoded<T> {
+    let t = r.value()?;
+    let v = decode(&t);
+    r.skip(&t)?;
+    Ok(v)
+}
+
+/// Reads an element that holds a count: a plain digit run through the
+/// reader's fast path, any other value through its token, as [`count`]
+/// reads it; `of` types the count.
+fn uint<T>(r: &mut Reader<'_>, of: impl Fn(u64) -> Result<T, Bad>) -> Decoded<T> {
+    match r.small_uint_element() {
+        Some(n) => Ok(of(n)),
+        None => token(r, |t| count(t).and_then(of)),
     }
 }
 
-/// One round of `cur_rounds`: an array of item ids.
-fn round<'t>(r: &mut Reader<'t>, t: Token<'t>) -> Decoded<Vec<EdgeId>> {
+/// Reads an element that holds a string: one without escapes through the
+/// reader's fast path, any other value through its token.
+fn text<T>(r: &mut Reader<'_>, of: impl Fn(&str) -> Result<T, Bad>) -> Decoded<T> {
+    match r.plain_str_element() {
+        Some(s) => Ok(of(s)),
+        None => token(r, |t| string(t).and_then(of)),
+    }
+}
+
+/// Reads a `replacement` element: `-1` or a disk below `n`.
+fn disk(r: &mut Reader<'_>, n: usize) -> Decoded<Option<NodeId>> {
+    #[allow(clippy::cast_precision_loss)]
+    match r.small_uint_element() {
+        Some(d) => Ok(replacement(d as f64, n)),
+        None => token(r, |t| number(t).and_then(|x| replacement(x, n))),
+    }
+}
+
+/// One round of `cur_rounds`: an array of item ids, each held in a `u32`
+/// like every id.
+fn round(r: &mut Reader<'_>) -> Decoded<Vec<EdgeId>> {
+    let t = r.value()?;
     if t != Token::BeginArray {
         r.skip(&t)?;
         return Ok(Err(Bad::NotArray));
     }
     let (mut ids, mut bad) = (Vec::new(), None);
     while r.next_element()? {
-        let t = r.value()?;
-        match index(&t) {
-            Ok(e) => ids.push(EdgeId::new(e)),
+        match uint(r, small)? {
+            Ok(e) => ids.push(EdgeId::new(e as usize)),
             Err(b) => {
                 bad.get_or_insert(b);
             }
         }
-        r.skip(&t)?;
     }
     Ok(bad.map_or(Ok(ids), Err))
 }
 
-/// One `[index, value]` pair of a delta array.
+/// One `[index, value]` pair of a delta array, its value read by `value`.
 fn pair<'t, T>(
-    value: impl Fn(&Token<'t>) -> Result<T, Bad>,
-) -> impl FnMut(&mut Reader<'t>, Token<'t>) -> Decoded<(usize, T)> {
-    move |r, t| {
+    mut value: impl FnMut(&mut Reader<'t>) -> Decoded<T>,
+) -> impl FnMut(&mut Reader<'t>) -> Decoded<(usize, T)> {
+    move |r| {
+        let t = r.value()?;
         if t != Token::BeginArray {
             r.skip(&t)?;
             return Ok(Err(Bad::NotPair));
         }
         let (mut i, mut v, mut n) = (Err(Bad::NotPair), Err(Bad::NotPair), 0);
         while r.next_element()? {
-            let t = r.value()?;
             match n {
-                0 => i = index(&t),
-                1 => v = value(&t),
-                _ => {}
+                0 => i = uint(r, index)?,
+                1 => v = value(r)?,
+                _ => {
+                    let t = r.value()?;
+                    r.skip(&t)?;
+                }
             }
-            r.skip(&t)?;
             n += 1;
         }
         if n != 2 {
@@ -478,11 +506,12 @@ struct List<T> {
 }
 
 impl<T> Field<T> {
-    /// Reads the member whose first token is `t`.
+    /// Reads the member whose first token is `t`, each element with
+    /// `element`.
     fn read<'t>(
         r: &mut Reader<'t>,
         t: &Token<'t>,
-        mut element: impl FnMut(&mut Reader<'t>, Token<'t>) -> Decoded<T>,
+        mut element: impl FnMut(&mut Reader<'t>) -> Decoded<T>,
     ) -> Result<Field<T>, ParseError> {
         if *t != Token::BeginArray {
             r.skip(t)?;
@@ -490,8 +519,7 @@ impl<T> Field<T> {
         }
         let (mut items, mut len, mut bad) = (Vec::new(), 0, None);
         while r.next_element()? {
-            let t = r.value()?;
-            match element(r, t)? {
+            match element(r)? {
                 Ok(x) if bad.is_none() => items.push(x),
                 Ok(_) => {}
                 Err(b) => {
@@ -569,11 +597,11 @@ impl<'t> Scalars<'t> {
     }
 
     fn usize(&self, key: &str) -> Result<usize, ExecError> {
-        index(self.get(key)?).map_err(|b| b.at(key))
+        count(self.get(key)?).and_then(index).map_err(|b| b.at(key))
     }
 
     fn bits(&self, key: &str) -> Result<f64, ExecError> {
-        bits(self.get(key)?).map_err(|b| b.at(key))
+        string(self.get(key)?).and_then(bits).map_err(|b| b.at(key))
     }
 
     fn check_dims(&self, disks: usize, items: usize) -> Result<(), ExecError> {
@@ -666,7 +694,8 @@ type DeltaArrays = Arrays<
 /// The residual instance a full record carries besides its arrays.
 #[derive(Default)]
 struct Residual {
-    cur_edges: Field<usize>,
+    /// Disk ids, held in a `u32` like every id.
+    cur_edges: Field<u32>,
     cur_caps: Field<u32>,
     cur_rounds: Field<Vec<EdgeId>>,
     roots: Field<usize>,
@@ -687,23 +716,21 @@ impl<'a> Executor<'a> {
         let (mut a, mut res) = (FullArrays::default(), Residual::default());
         let scalars = read_record(line, |key, r, t| {
             match key {
-                "bw" => a.bw = Field::read(r, t, leaf(bits))?,
-                "crashed" => a.crashed = Field::read(r, t, leaf(flag))?,
-                "replacement" => {
-                    a.replacement = Field::read(r, t, leaf(|t| replacement(t, n)))?;
-                }
-                "fates" => a.fates = Field::read(r, t, leaf(fate))?,
-                "attempts" => a.attempts = Field::read(r, t, leaf(small))?,
-                "redirected" => a.redirected = Field::read(r, t, leaf(flag))?,
-                "done" => a.done = Field::read(r, t, leaf(flag))?,
-                "round_durations" => a.round_durations = Field::read(r, t, leaf(bits))?,
-                "disk_busy" => a.disk_busy = Field::read(r, t, leaf(bits))?,
-                "stall_recent" => a.stall_recent = Field::read(r, t, leaf(word))?,
-                "degraded_set" => a.degraded_set = Field::read(r, t, leaf(flag))?,
-                "cur_edges" => res.cur_edges = Field::read(r, t, leaf(index))?,
-                "cur_caps" => res.cur_caps = Field::read(r, t, leaf(small))?,
+                "bw" => a.bw = Field::read(r, t, |r| text(r, bits))?,
+                "crashed" => a.crashed = Field::read(r, t, |r| uint(r, flag))?,
+                "replacement" => a.replacement = Field::read(r, t, |r| disk(r, n))?,
+                "fates" => a.fates = Field::read(r, t, |r| text(r, fate))?,
+                "attempts" => a.attempts = Field::read(r, t, |r| uint(r, small))?,
+                "redirected" => a.redirected = Field::read(r, t, |r| uint(r, flag))?,
+                "done" => a.done = Field::read(r, t, |r| uint(r, flag))?,
+                "round_durations" => a.round_durations = Field::read(r, t, |r| text(r, bits))?,
+                "disk_busy" => a.disk_busy = Field::read(r, t, |r| text(r, bits))?,
+                "stall_recent" => a.stall_recent = Field::read(r, t, |r| text(r, word))?,
+                "degraded_set" => a.degraded_set = Field::read(r, t, |r| uint(r, flag))?,
+                "cur_edges" => res.cur_edges = Field::read(r, t, |r| uint(r, small))?,
+                "cur_caps" => res.cur_caps = Field::read(r, t, |r| uint(r, small))?,
                 "cur_rounds" => res.cur_rounds = Field::read(r, t, round)?,
-                "roots" => res.roots = Field::read(r, t, leaf(index))?,
+                "roots" => res.roots = Field::read(r, t, |r| uint(r, index))?,
                 _ => return Ok(false),
             }
             Ok(true)
@@ -721,8 +748,8 @@ impl<'a> Executor<'a> {
         let endpoints: Vec<Endpoints> = flat
             .chunks_exact(2)
             .map(|p| Endpoints {
-                u: NodeId::new(p[0]),
-                v: NodeId::new(p[1]),
+                u: NodeId::new(p[0] as usize),
+                v: NodeId::new(p[1] as usize),
             })
             .collect();
         let caps = res.cur_caps.take("cur_caps", Some(n))?;
@@ -792,19 +819,17 @@ impl<'a> Executor<'a> {
         let mut a = DeltaArrays::default();
         let scalars = read_record(line, |key, r, t| {
             match key {
-                "bw" => a.bw = Field::read(r, t, pair(bits))?,
-                "crashed" => a.crashed = Field::read(r, t, pair(flag))?,
-                "replacement" => {
-                    a.replacement = Field::read(r, t, pair(|t| replacement(t, n)))?;
-                }
-                "fates" => a.fates = Field::read(r, t, pair(fate))?,
-                "attempts" => a.attempts = Field::read(r, t, pair(small))?,
-                "redirected" => a.redirected = Field::read(r, t, pair(flag))?,
-                "done" => a.done = Field::read(r, t, pair(flag))?,
-                "round_durations" => a.round_durations = Field::read(r, t, leaf(bits))?,
-                "disk_busy" => a.disk_busy = Field::read(r, t, pair(bits))?,
-                "stall_recent" => a.stall_recent = Field::read(r, t, pair(word))?,
-                "degraded_set" => a.degraded_set = Field::read(r, t, pair(flag))?,
+                "bw" => a.bw = Field::read(r, t, pair(|r| text(r, bits)))?,
+                "crashed" => a.crashed = Field::read(r, t, pair(|r| uint(r, flag)))?,
+                "replacement" => a.replacement = Field::read(r, t, pair(|r| disk(r, n)))?,
+                "fates" => a.fates = Field::read(r, t, pair(|r| text(r, fate)))?,
+                "attempts" => a.attempts = Field::read(r, t, pair(|r| uint(r, small)))?,
+                "redirected" => a.redirected = Field::read(r, t, pair(|r| uint(r, flag)))?,
+                "done" => a.done = Field::read(r, t, pair(|r| uint(r, flag)))?,
+                "round_durations" => a.round_durations = Field::read(r, t, |r| text(r, bits))?,
+                "disk_busy" => a.disk_busy = Field::read(r, t, pair(|r| text(r, bits)))?,
+                "stall_recent" => a.stall_recent = Field::read(r, t, pair(|r| text(r, word)))?,
+                "degraded_set" => a.degraded_set = Field::read(r, t, pair(|r| uint(r, flag)))?,
                 _ => return Ok(false),
             }
             Ok(true)

@@ -2,6 +2,8 @@
 
 use core::fmt;
 
+use dmig_obs::json::{push_number, push_u64};
+
 /// The outcome of executing a schedule on a modeled cluster.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimReport {
@@ -87,39 +89,47 @@ impl SimReport {
     /// per-disk detail) as a self-contained JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        use core::fmt::Write as _;
-        use dmig_obs::json::number;
-        let mut out = String::from("{");
-        let _ = write!(out, "\"total_time\": {}", number(self.total_time));
-        let _ = write!(out, ", \"num_rounds\": {}", self.num_rounds());
-        let _ = write!(out, ", \"volume\": {}", number(self.volume));
-        let _ = write!(out, ", \"throughput\": {}", number(self.throughput()));
-        let _ = write!(
-            out,
-            ", \"mean_utilization\": {}",
-            number(self.mean_utilization())
-        );
-        out.push_str(", \"round_durations\": [");
+        let mut out = Vec::with_capacity(self.json_capacity());
+        self.write_json(&mut out);
+        String::from_utf8(out).expect("reports are ASCII")
+    }
+
+    /// Bytes [`to_json`](Self::to_json) takes for typical values: floats
+    /// below a million and short lists need no growth.
+    pub(crate) fn json_capacity(&self) -> usize {
+        160 + 16 * self.round_durations.len() + 48 * self.disk_busy.len()
+    }
+
+    /// Appends [`to_json`](Self::to_json) to `out`, floats through
+    /// [`push_number`].
+    pub(crate) fn write_json(&self, out: &mut Vec<u8>) {
+        let num = |out: &mut Vec<u8>, key: &[u8], v: f64| {
+            out.extend_from_slice(key);
+            push_number(out, v);
+        };
+        num(out, b"{\"total_time\": ", self.total_time);
+        out.extend_from_slice(b", \"num_rounds\": ");
+        push_u64(out, self.num_rounds() as u64);
+        num(out, b", \"volume\": ", self.volume);
+        num(out, b", \"throughput\": ", self.throughput());
+        num(out, b", \"mean_utilization\": ", self.mean_utilization());
+        out.extend_from_slice(b", \"round_durations\": [");
         for (i, &d) in self.round_durations.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.push(b',');
             }
-            out.push_str(&number(d));
+            push_number(out, d);
         }
-        out.push_str("], \"disks\": [");
+        out.extend_from_slice(b"], \"disks\": [");
         for (v, &busy) in self.disk_busy.iter().enumerate() {
             if v > 0 {
-                out.push(',');
+                out.push(b',');
             }
-            let _ = write!(
-                out,
-                "{{\"busy\": {}, \"utilization\": {}}}",
-                number(busy),
-                number(self.disk_utilization(v))
-            );
+            num(out, b"{\"busy\": ", busy);
+            num(out, b", \"utilization\": ", self.disk_utilization(v));
+            out.push(b'}');
         }
-        out.push_str("]}");
-        out
+        out.extend_from_slice(b"]}");
     }
 }
 

@@ -6,10 +6,14 @@
 //! its checks: parse each record into a `dmig_obs::Value` tree, then
 //! decode member by member. Both run over seeded mutations of real full
 //! and delta records — cuts at every byte, byte flips, reordered,
-//! unknown and duplicate keys, escaped digits in bit strings, and counts
-//! written as `1e2` or `1.0` — and must agree: on acceptance with the same
+//! unknown and duplicate keys, escaped digits in bit strings, escaped
+//! letters in fate codes, counts written as `1e2` or `1.0`, padded with
+//! leading zeros or lengthened to 15, 16 or 20 digits, and tabs, newlines
+//! or CRs before elements — and must agree: on acceptance with the same
 //! state (compared through `checkpoint_json()`), on rejection with the
-//! same `ExecError::Checkpoint` message, `line N:` included.
+//! same `ExecError::Checkpoint` message, `line N:` included. The mutations
+//! reach both sides of the reader's element fast paths, which take only
+//! digit runs of at most 15 digits and strings without escapes.
 
 use dmig_core::replan::rebuild_residual;
 use dmig_core::solver::{AutoSolver, Solver};
@@ -232,15 +236,17 @@ fn oracle_full(cx: &Inputs<'_>, doc: &Value) -> Check<State> {
     let n = cx.problem.num_disks();
     let num_roots = cx.problem.num_items();
     check_dims(doc, n, num_roots)?;
-    let flat = ck_vec(doc, "cur_edges", None, ck_index)?;
+    // Ids are `u32`s: one that does not fit is an error, where the replaced
+    // decoder panicked building the id.
+    let flat = ck_vec(doc, "cur_edges", None, ck_u32)?;
     if flat.len() % 2 != 0 {
         return Err("cur_edges has an odd number of endpoints".to_string());
     }
     let endpoints: Vec<Endpoints> = flat
         .chunks_exact(2)
         .map(|p| Endpoints {
-            u: NodeId::new(p[0]),
-            v: NodeId::new(p[1]),
+            u: NodeId::new(p[0] as usize),
+            v: NodeId::new(p[1] as usize),
         })
         .collect();
     let cur_caps = ck_vec(doc, "cur_caps", Some(n), ck_u32)?;
@@ -248,11 +254,11 @@ fn oracle_full(cx: &Inputs<'_>, doc: &Value) -> Check<State> {
         r.as_array()
             .ok_or_else(|| format!("{what} is not an array"))?
             .iter()
-            .map(|v| Ok(EdgeId::new(ck_index(v, what)?)))
+            .map(|v| Ok(EdgeId::new(ck_u32(v, what)? as usize)))
             .collect()
     })?;
-    // The one departure from the replaced decoder: a residual instance
-    // that does not rebuild is a line-numbered checkpoint error.
+    // A departure from the replaced decoder: a residual instance that does
+    // not rebuild is a line-numbered checkpoint error.
     let (residual, schedule) = rebuild_residual(
         n,
         &endpoints,
@@ -557,11 +563,31 @@ fn integers(record: &str) -> Vec<(usize, usize)> {
     out
 }
 
+/// Byte offsets of the ASCII letters inside quoted strings that start with
+/// a letter (the fate codes and the schema tag).
+fn code_letters(record: &str) -> Vec<usize> {
+    let b = record.as_bytes();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < b.len() {
+        if b[i] == b'"' {
+            let end = i + 1 + b[i + 1..].iter().position(|&c| c == b'"').unwrap_or(0);
+            if b.get(i + 1).is_some_and(u8::is_ascii_alphabetic) {
+                out.extend((i + 1..end).filter(|&k| b[k].is_ascii_alphabetic()));
+            }
+            i = end + 1;
+        } else {
+            i += 1;
+        }
+    }
+    out
+}
+
 /// One seeded mutation of `record`.
 fn mutate(record: &str, rng: &mut Mix, others: &[String]) -> String {
     const BYTES: &[u8] = b"[]{}\",:-.0123456789eE \\u";
     let mut m = members(record);
-    match rng.below(9) {
+    match rng.below(13) {
         0 => {
             let mut b = record.as_bytes().to_vec();
             let i = rng.below(b.len());
@@ -626,6 +652,53 @@ fn mutate(record: &str, rng: &mut Mix, others: &[String]) -> String {
             ];
             m[i] = format!("{key}: {}", values[rng.below(values.len())]);
             join(&m)
+        }
+        8 => {
+            // An integer padded or lengthened to 15, 16 or 20 digits, or
+            // given leading zeros: either side of the reader's digit fast
+            // path, which takes runs of at most 15 digits.
+            let ints = integers(record);
+            let (start, end) = ints[rng.below(ints.len())];
+            let digits = &record[start..end];
+            let long: usize = [15, 16, 20][rng.below(3)];
+            let fill = long.saturating_sub(digits.len());
+            let int = match rng.below(4) {
+                0 => format!("{}{digits}", "0".repeat(fill)),
+                1 => format!("{digits}{}", "9".repeat(fill)),
+                // Above 2^53, so only 15 digits read as an exact count.
+                2 => format!("9{digits}{}", "9".repeat(fill.saturating_sub(1))),
+                _ => format!("00{digits}"),
+            };
+            format!("{}{int}{}", &record[..start], &record[end..])
+        }
+        9 => {
+            // Other whitespace before an element or a member's value: a
+            // space swapped for it, or it inserted after `[` or `,`.
+            let ws = ["\t", "\n", "\r", " \t\r "][rng.below(4)];
+            let spots: Vec<usize> = record
+                .bytes()
+                .enumerate()
+                .filter(|&(_, c)| matches!(c, b' ' | b'[' | b','))
+                .map(|(i, _)| i)
+                .collect();
+            let i = spots[rng.below(spots.len())];
+            if record.as_bytes()[i] == b' ' {
+                format!("{}{ws}{}", &record[..i], &record[i + 1..])
+            } else {
+                format!("{}{ws}{}", &record[..=i], &record[i + 1..])
+            }
+        }
+        10 => {
+            // A letter of a fate code written as an escape, as in
+            // `"deliv\u0065red"`: the reader's plain-string fast path
+            // must leave it to the generic path.
+            let letters = code_letters(record);
+            if letters.is_empty() {
+                return record.to_string();
+            }
+            let i = letters[rng.below(letters.len())];
+            let c = record.as_bytes()[i];
+            format!("{}\\u{:04x}{}", &record[..i], c, &record[i + 1..])
         }
         _ => {
             let mut b = record.as_bytes().to_vec();
