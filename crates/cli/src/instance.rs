@@ -15,10 +15,9 @@
 //!
 //! `default_cap` (default 1) applies to disks not covered by `cap`/`caps`.
 
-use std::fmt::Write as _;
-
 use dmig_core::{Capacities, MigrationProblem, ProblemError};
 use dmig_graph::{GraphError, Multigraph, NodeId};
+use dmig_obs::json::push_u64;
 
 /// Errors from parsing an instance file.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -65,134 +64,246 @@ impl From<ProblemError> for InstanceError {
 
 /// Parses an instance from the text format described at module level.
 ///
+/// The text is read in one pass over its bytes. A line that is exactly
+/// `edge`, a space, 1–18 digits, a space and 1–18 digits, ended by `\n` or
+/// the end of the text, is read in place; every other line — a CR, a tab,
+/// a comment, a `+`, a longer number, any other directive — is read by the
+/// directive reader as `str::lines` would yield it (a `\r` is dropped only
+/// before `\n`) and at the same 1-based line number, so values, messages
+/// and the first error are the same on either path. The graph is built
+/// once every line has parsed, at its final size.
+///
 /// # Errors
 ///
 /// Returns [`InstanceError`] on malformed directives, graph errors, or
-/// instance validation failures.
+/// instance validation failures. An edge endpoint that does not fit a
+/// `u32` disk id, or a node count beyond 2^32, is an error at its line;
+/// a self-loop is reported at the line of the first one.
 pub fn parse_instance(text: &str) -> Result<MigrationProblem, InstanceError> {
-    let mut declared_nodes: Option<usize> = None;
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    let mut default_cap = 1u32;
-    let mut caps_vec: Option<Vec<u32>> = None;
-    // (line, disk, capacity): the disk is checked once the count is known.
-    let mut cap_overrides: Vec<(usize, usize, u32)> = Vec::new();
-
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or_default().trim();
-        if line.is_empty() {
+    let mut d = Directives {
+        declared_nodes: None,
+        edges: Vec::new(),
+        inferred: 0,
+        default_cap: 1,
+        caps_vec: None,
+        cap_overrides: Vec::new(),
+        first_loop: None,
+    };
+    let bytes = text.as_bytes();
+    let (mut at, mut line) = (0, 0);
+    while at < bytes.len() {
+        line += 1;
+        if let Some((u, v, len)) = edge_line(&bytes[at..]) {
+            d.edge(line, u, v);
+            at += len;
             continue;
         }
-        let mut parts = line.split_whitespace();
+        let rest = &text[at..];
+        let (raw, len) = match rest.find('\n') {
+            Some(i) => (rest[..i].strip_suffix('\r').unwrap_or(&rest[..i]), i + 1),
+            None => (rest, rest.len()),
+        };
+        d.directive(raw, line)?;
+        at += len;
+    }
+    d.finish()
+}
+
+/// The line `bytes` starts, if it is a fast-path `edge` line (see
+/// [`parse_instance`]) whose endpoints fit `u32`: its endpoints and its
+/// length with the `\n`. The directive reader reads such a line to the
+/// same two values.
+#[inline]
+fn edge_line(bytes: &[u8]) -> Option<(usize, usize, usize)> {
+    let (u, rest) = disk_index(bytes.strip_prefix(b"edge ")?)?;
+    let (v, rest) = disk_index(rest.strip_prefix(b" ")?)?;
+    let len = bytes.len() - rest.len();
+    match rest.first() {
+        None => Some((u, v, len)),
+        Some(b'\n') => Some((u, v, len + 1)),
+        Some(_) => None,
+    }
+}
+
+/// The value of the 1–18 digits `s` starts with, if it fits `u32`, and the
+/// bytes after them. Longer runs are left to the directive reader.
+#[inline]
+fn disk_index(s: &[u8]) -> Option<(usize, &[u8])> {
+    let digits = s.iter().take(19).take_while(|b| b.is_ascii_digit()).count();
+    if digits == 0 || digits > 18 {
+        return None;
+    }
+    let value = s[..digits]
+        .iter()
+        .fold(0u64, |v, &b| v * 10 + u64::from(b - b'0'));
+    let index = u32::try_from(value).ok()?;
+    Some((index as usize, &s[digits..]))
+}
+
+/// What the lines of an instance text declare, in line order.
+struct Directives {
+    declared_nodes: Option<usize>,
+    edges: Vec<(usize, usize)>,
+    /// One more than the largest edge endpoint.
+    inferred: usize,
+    default_cap: u32,
+    caps_vec: Option<Vec<u32>>,
+    /// (line, disk, capacity): the disk is checked once the count is known.
+    cap_overrides: Vec<(usize, usize, u32)>,
+    /// (line, disk) of the first self-loop.
+    first_loop: Option<(usize, usize)>,
+}
+
+impl Directives {
+    fn edge(&mut self, line: usize, u: usize, v: usize) {
+        if u == v && self.first_loop.is_none() {
+            self.first_loop = Some((line, u));
+        }
+        self.inferred = self.inferred.max(u.max(v) + 1);
+        self.edges.push((u, v));
+    }
+
+    /// Reads one line the fast path did not take; `line` is 1-based.
+    fn directive(&mut self, raw: &str, line: usize) -> Result<(), InstanceError> {
+        let content = raw.split('#').next().unwrap_or_default().trim();
+        if content.is_empty() {
+            return Ok(());
+        }
+        let directive_error = |message: String| InstanceError::Directive { line, message };
+        let mut parts = content.split_whitespace();
         let keyword = parts.next().unwrap_or_default();
         let mut next_num = |what: &str| -> Result<usize, InstanceError> {
             parts
                 .next()
-                .ok_or_else(|| InstanceError::Directive {
-                    line: lineno + 1,
-                    message: format!("missing {what}"),
-                })?
+                .ok_or_else(|| directive_error(format!("missing {what}")))?
                 .parse::<usize>()
-                .map_err(|_| InstanceError::Directive {
-                    line: lineno + 1,
-                    message: format!("invalid {what}"),
-                })
+                .map_err(|_| directive_error(format!("invalid {what}")))
         };
         match keyword {
-            "nodes" => declared_nodes = Some(next_num("node count")?),
+            "nodes" => {
+                let n = next_num("node count")?;
+                if n.saturating_sub(1) > u32::MAX as usize {
+                    return Err(directive_error(format!(
+                        "node count {n} exceeds {}",
+                        u64::from(u32::MAX) + 1
+                    )));
+                }
+                self.declared_nodes = Some(n);
+            }
             "edge" => {
                 let u = next_num("edge endpoint")?;
                 let v = next_num("edge endpoint")?;
-                edges.push((u, v));
+                for w in [u, v] {
+                    if w > u32::MAX as usize {
+                        return Err(directive_error(format!(
+                            "edge endpoint {w} exceeds the largest disk index {}",
+                            u32::MAX
+                        )));
+                    }
+                }
+                self.edge(line, u, v);
             }
             "default_cap" => {
-                default_cap =
-                    u32::try_from(next_num("capacity")?).map_err(|_| InstanceError::Directive {
-                        line: lineno + 1,
-                        message: "capacity too large".to_string(),
-                    })?;
+                self.default_cap = u32::try_from(next_num("capacity")?)
+                    .map_err(|_| directive_error("capacity too large".to_string()))?;
             }
             "cap" => {
                 let v = next_num("disk index")?;
                 let c = next_num("capacity")?;
-                cap_overrides.push((
-                    lineno + 1,
+                self.cap_overrides.push((
+                    line,
                     v,
-                    u32::try_from(c).map_err(|_| InstanceError::Directive {
-                        line: lineno + 1,
-                        message: "capacity too large".to_string(),
-                    })?,
+                    u32::try_from(c)
+                        .map_err(|_| directive_error("capacity too large".to_string()))?,
                 ));
             }
             "caps" => {
                 let mut values = Vec::new();
                 for tok in parts.by_ref() {
-                    let c = tok.parse::<u32>().map_err(|_| InstanceError::Directive {
-                        line: lineno + 1,
-                        message: format!("invalid capacity `{tok}`"),
-                    })?;
+                    let c = tok
+                        .parse::<u32>()
+                        .map_err(|_| directive_error(format!("invalid capacity `{tok}`")))?;
                     values.push(c);
                 }
                 if values.is_empty() {
-                    return Err(InstanceError::Directive {
-                        line: lineno + 1,
-                        message: "caps needs at least one value".to_string(),
-                    });
+                    return Err(directive_error("caps needs at least one value".to_string()));
                 }
-                caps_vec = Some(values);
+                self.caps_vec = Some(values);
             }
             other => {
-                return Err(InstanceError::Directive {
-                    line: lineno + 1,
-                    message: format!("unknown directive `{other}`"),
-                });
+                return Err(directive_error(format!("unknown directive `{other}`")));
             }
         }
+        Ok(())
     }
 
-    let inferred = edges.iter().map(|&(u, v)| u.max(v) + 1).max().unwrap_or(0);
-    let n = declared_nodes
-        .unwrap_or(inferred)
-        .max(inferred)
-        .max(caps_vec.as_ref().map_or(0, Vec::len));
-    let mut g = Multigraph::with_nodes(n);
-    for (u, v) in edges {
-        g.try_add_edge(NodeId::new(u), NodeId::new(v))?;
-    }
-    let mut caps = match caps_vec {
-        Some(mut values) => {
-            values.resize(n, default_cap);
-            values
+    /// The instance the lines declare, or the first error found once
+    /// every line has parsed: the graph, then a `cap` for an unknown disk,
+    /// then the first self-loop, then the problem's own validation.
+    fn finish(self) -> Result<MigrationProblem, InstanceError> {
+        let n = self
+            .declared_nodes
+            .unwrap_or(self.inferred)
+            .max(self.inferred)
+            .max(self.caps_vec.as_ref().map_or(0, Vec::len));
+        let g = Multigraph::from_edges(n, &self.edges)?;
+        let mut caps = match self.caps_vec {
+            Some(mut values) => {
+                values.resize(n, self.default_cap);
+                values
+            }
+            None => vec![self.default_cap; n],
+        };
+        for (line, v, c) in self.cap_overrides {
+            if v >= n {
+                return Err(InstanceError::Directive {
+                    line,
+                    message: format!("cap directive for unknown disk {v}"),
+                });
+            }
+            caps[v] = c;
         }
-        None => vec![default_cap; n],
-    };
-    for (line, v, c) in cap_overrides {
-        if v >= n {
+        if let Some((line, disk)) = self.first_loop {
             return Err(InstanceError::Directive {
                 line,
-                message: format!("cap directive for unknown disk {v}"),
+                message: ProblemError::SelfLoop {
+                    node: NodeId::new(disk),
+                }
+                .to_string(),
             });
         }
-        caps[v] = c;
+        Ok(MigrationProblem::new(g, Capacities::from_vec(caps))?)
     }
-    Ok(MigrationProblem::new(g, Capacities::from_vec(caps))?)
 }
 
-/// Serializes an instance back to the text format.
+/// Serializes an instance back to the text format: `nodes`, `caps`, then
+/// one `edge` line per item in item order.
 #[must_use]
 pub fn to_instance_text(problem: &MigrationProblem) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "nodes {}", problem.num_disks());
-    let caps: Vec<String> = problem
-        .capacities()
-        .as_slice()
-        .iter()
-        .map(u32::to_string)
-        .collect();
-    let _ = writeln!(out, "caps {}", caps.join(" "));
-    for (_, ep) in problem.graph().edges() {
-        let _ = writeln!(out, "edge {} {}", ep.u.index(), ep.v.index());
+    let n = problem.num_disks();
+    let caps = problem.capacities().as_slice();
+    let edges = problem.graph().endpoints_slice();
+    // A disk index below `n` has no more digits than `n`.
+    let width = n.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let mut out = Vec::with_capacity(32 + 11 * caps.len() + (7 + 2 * width) * edges.len());
+    out.extend_from_slice(b"nodes ");
+    push_u64(&mut out, n as u64);
+    out.extend_from_slice(b"\ncaps ");
+    for (i, &c) in caps.iter().enumerate() {
+        if i > 0 {
+            out.push(b' ');
+        }
+        push_u64(&mut out, u64::from(c));
     }
-    out
+    out.push(b'\n');
+    for ep in edges {
+        out.extend_from_slice(b"edge ");
+        push_u64(&mut out, ep.u.index() as u64);
+        out.push(b' ');
+        push_u64(&mut out, ep.v.index() as u64);
+        out.push(b'\n');
+    }
+    String::from_utf8(out).expect("instance text is ASCII")
 }
 
 #[cfg(test)]
@@ -254,6 +365,70 @@ mod tests {
         assert_eq!(err.to_string(), "line 2: cap directive for unknown disk 5");
         let err = parse_instance("# header\n\nedge 0 1\ncap 1 2\ncap 2 1 # gone\n").unwrap_err();
         assert_eq!(err.to_string(), "line 5: cap directive for unknown disk 2");
+    }
+
+    #[test]
+    fn a_self_loop_names_its_line() {
+        let err = parse_instance("nodes 3\nedge 0 1\nedge 2 2\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 3: transfer graph has a self-loop at disk v2"
+        );
+        // The first loop in line order, whichever path reads its line.
+        let err = parse_instance("edge 0 1\nedge\t3 3\nedge 2 2\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 2: transfer graph has a self-loop at disk v3"
+        );
+        // A syntax error on a later line, or a `cap` for an unknown disk,
+        // still wins.
+        let err = parse_instance("edge 1 1\nedge 0 x\n").unwrap_err();
+        assert_eq!(err.to_string(), "line 2: invalid edge endpoint");
+        let err = parse_instance("edge 1 1\ncap 9 1\n").unwrap_err();
+        assert_eq!(err.to_string(), "line 2: cap directive for unknown disk 9");
+    }
+
+    #[test]
+    fn indices_beyond_u32_are_errors_at_their_line() {
+        let err = parse_instance("edge 0 4000000000000").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 1: edge endpoint 4000000000000 exceeds the largest disk index 4294967295"
+        );
+        let err = parse_instance("# big\nedge 4294967296 0\r\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 2: edge endpoint 4294967296 exceeds the largest disk index 4294967295"
+        );
+        let err = parse_instance("nodes 4000000000000\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 1: node count 4000000000000 exceeds 4294967296"
+        );
+        let err = parse_instance("edge 0 1\nnodes 4294967297\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 2: node count 4294967297 exceeds 4294967296"
+        );
+    }
+
+    #[test]
+    fn both_paths_read_an_edge_line_alike() {
+        let fast = parse_instance("edge 000000000000000002 1\nedge 0 1").unwrap();
+        for slow in [
+            "edge 0000000000000000002 1\nedge 0 1",
+            "edge +2 1\r\nedge 0 1\n",
+            "edge  2 1 \nedge\t0 1 # item\n",
+            "edge\u{a0}2\u{2003}1\nedge 0 1\r",
+        ] {
+            assert_eq!(parse_instance(slow).unwrap(), fast, "{slow:?}");
+        }
+        // A bare CR is not a line break: the words after it are surplus
+        // words of the same `edge` line.
+        assert_eq!(
+            parse_instance("edge 0 1\redge 0 x\n").unwrap().num_items(),
+            1
+        );
     }
 
     #[test]

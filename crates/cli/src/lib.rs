@@ -86,6 +86,7 @@ fn usage() -> String {
      \x20          [--events-out FILE] [--crash-dump FILE]\n\
      \x20 dmig migrate plan <file> --workspace DIR [--faults FILE] [--solver NAME]\n\
      \x20          [--threads N] [--bandwidths B0,B1,...] [--replan] [--retry-max N]\n\
+     \x20          [--metrics-out FILE]\n\
      \x20 dmig migrate execute --workspace DIR [--threads N] [--metrics-out FILE]\n\
      \x20 dmig migrate resume --workspace DIR [--threads N] [--metrics-out FILE]\n\
      \x20 dmig migrate export --workspace DIR --out FILE\n\

@@ -38,7 +38,8 @@ use std::time::Instant;
 use dmig_core::parallel::ParallelSolver;
 use dmig_core::solver::{solver_by_name, Solver};
 use dmig_core::{MigrationProblem, MigrationSchedule};
-use dmig_graph::EdgeId;
+use dmig_graph::{EdgeId, NodeId};
+use dmig_obs::json::push_u64;
 use dmig_obs::value::{ParseError, Reader, Token};
 use dmig_obs::{fsio, history, Value};
 use dmig_sim::executor::{DELTA_PREFIX, RECORD_PREFIX};
@@ -115,12 +116,15 @@ impl Workspace {
 
 // --- Exact float persistence -------------------------------------------
 
-/// An `f64` as the decimal rendering of its IEEE-754 bit pattern. The
-/// executor's report is bit-for-bit deterministic, so the config that
-/// shapes it must reload *exactly* — a round-trip through decimal
-/// notation would be a silent source of divergence.
-fn f64_bits(v: f64) -> String {
-    v.to_bits().to_string()
+/// Writes an `f64` as a JSON string of the decimal rendering of its
+/// IEEE-754 bit pattern. The executor's report is bit-for-bit
+/// deterministic, so the config that shapes it must reload *exactly* — a
+/// round-trip through decimal notation would be a silent source of
+/// divergence.
+fn push_bits(out: &mut Vec<u8>, v: f64) {
+    out.push(b'"');
+    push_u64(out, v.to_bits());
+    out.push(b'"');
 }
 
 fn f64_of_bits(v: &Value, what: &str) -> Result<f64, String> {
@@ -145,7 +149,27 @@ fn finite_of_bits(cfg: &Value, key: &str) -> Result<f64, String> {
 
 // --- plan ---------------------------------------------------------------
 
+/// `migrate plan`. With `--metrics-out FILE` the span recorder is on for
+/// the whole command, and the snapshot it writes breaks the command down
+/// by phase: `migrate.parse`, `migrate.solve`, `migrate.render` and
+/// `migrate.publish`. Without the flag the recorder stays off.
 fn cmd_plan(args: &[String]) -> Result<String, String> {
+    let Some(path) = crate::optional_flag(args, "--metrics-out")? else {
+        return plan_workspace(args);
+    };
+    dmig_obs::reset();
+    dmig_obs::set_enabled(true);
+    let out = plan_workspace(args);
+    dmig_obs::set_enabled(false);
+    let out = out?;
+    let snap = dmig_obs::snapshot();
+    fsio::atomic_write(&path, snap.to_json().as_bytes())
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    Ok(out)
+}
+
+fn plan_workspace(args: &[String]) -> Result<String, String> {
+    let parse_span = dmig_obs::span("migrate.parse");
     let pos = crate::positional(args);
     let path = pos.first().ok_or("migrate plan: missing instance file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -186,24 +210,41 @@ fn cmd_plan(args: &[String]) -> Result<String, String> {
         },
         ..ExecutorConfig::default()
     };
+    drop(parse_span);
 
     let started = Instant::now();
-    let schedule = solver.solve(&problem).map_err(|e| e.to_string())?;
-    schedule
-        .validate(&problem)
-        .map_err(|e| format!("internal: invalid schedule: {e}"))?;
+    let schedule = {
+        let _span = dmig_obs::span("migrate.solve");
+        let schedule = solver.solve(&problem).map_err(|e| e.to_string())?;
+        schedule
+            .validate(&problem)
+            .map_err(|e| format!("internal: invalid schedule: {e}"))?;
+        schedule
+    };
     let wall = started.elapsed();
 
-    std::fs::create_dir_all(&ws.dir).map_err(|e| format!("cannot create {}: {e}", ws.display()))?;
-    let canonical = crate::instance::to_instance_text(&problem);
-    ws.write(INSTANCE, &canonical)?;
-    ws.write(FAULTS, &faults_text)?;
-    ws.write(PLAN, &render_plan(&schedule))?;
-    ws.write(CONFIG, &render_config(&config, &cluster))?;
-    ws.write(
-        MANIFEST,
-        &render_manifest(&canonical, &solver_name, threads, &problem, &schedule),
-    )?;
+    let files = {
+        let _span = dmig_obs::span("migrate.render");
+        let canonical = crate::instance::to_instance_text(&problem);
+        let plan = render_plan(&schedule);
+        let config = render_config(&config, &cluster);
+        let manifest = render_manifest(&canonical, &solver_name, threads, &problem, &schedule);
+        [
+            (INSTANCE, canonical),
+            (FAULTS, faults_text),
+            (PLAN, plan),
+            (CONFIG, config),
+            (MANIFEST, manifest),
+        ]
+    };
+    {
+        let _span = dmig_obs::span("migrate.publish");
+        std::fs::create_dir_all(&ws.dir)
+            .map_err(|e| format!("cannot create {}: {e}", ws.display()))?;
+        for (name, contents) in &files {
+            ws.write(name, contents)?;
+        }
+    }
 
     let mut out = String::new();
     let _ = writeln!(out, "planned workspace {}", ws.display());
@@ -243,49 +284,58 @@ fn render_manifest(
 }
 
 fn render_plan(schedule: &MigrationSchedule) -> String {
-    let mut out = format!(
-        "{{\"schema\": {}, \"rounds\": [",
-        dmig_obs::json::string(PLAN_SCHEMA)
-    );
-    for (i, round) in schedule.rounds().iter().enumerate() {
+    let rounds = schedule.rounds();
+    let items: usize = rounds.iter().map(Vec::len).sum();
+    let mut out = Vec::with_capacity(64 + 4 * rounds.len() + 12 * items);
+    out.extend_from_slice(b"{\"schema\": \"");
+    out.extend_from_slice(PLAN_SCHEMA.as_bytes());
+    out.extend_from_slice(b"\", \"rounds\": [");
+    for (i, round) in rounds.iter().enumerate() {
         if i > 0 {
-            out.push_str(", ");
+            out.extend_from_slice(b", ");
         }
-        out.push('[');
+        out.push(b'[');
         for (j, e) in round.iter().enumerate() {
             if j > 0 {
-                out.push_str(", ");
+                out.extend_from_slice(b", ");
             }
-            let _ = write!(out, "{}", e.index());
+            push_u64(&mut out, e.index() as u64);
         }
-        out.push(']');
+        out.push(b']');
     }
-    out.push_str("]}\n");
-    out
+    out.extend_from_slice(b"]}\n");
+    String::from_utf8(out).expect("plan.json is ASCII")
 }
 
 fn render_config(config: &ExecutorConfig, cluster: &Cluster) -> String {
-    let bws: Vec<String> = (0..cluster.num_disks())
-        .map(|v| {
-            format!(
-                "\"{}\"",
-                f64_bits(cluster.bandwidth(dmig_graph::NodeId::new(v)))
-            )
-        })
-        .collect();
-    format!(
-        "{{\"schema\": {}, \"replan\": {}, \"retry_max\": {}, \"backoff_base\": \"{}\", \
-         \"backoff_factor\": \"{}\", \"degrade_replan_threshold\": \"{}\", \
-         \"stall_factor\": \"{}\", \"bandwidths\": [{}]}}\n",
-        dmig_obs::json::string(CONFIG_SCHEMA),
-        config.replan,
-        config.retry_max,
-        f64_bits(config.backoff_base),
-        f64_bits(config.backoff_factor),
-        f64_bits(config.degrade_replan_threshold),
-        f64_bits(config.stall_factor),
-        bws.join(", "),
-    )
+    let disks = cluster.num_disks();
+    let mut out = Vec::with_capacity(384 + 24 * disks);
+    out.extend_from_slice(b"{\"schema\": \"");
+    out.extend_from_slice(CONFIG_SCHEMA.as_bytes());
+    out.extend_from_slice(b"\", \"replan\": ");
+    out.extend_from_slice(if config.replan { b"true" } else { b"false" });
+    out.extend_from_slice(b", \"retry_max\": ");
+    push_u64(&mut out, u64::from(config.retry_max));
+    for (key, v) in [
+        ("backoff_base", config.backoff_base),
+        ("backoff_factor", config.backoff_factor),
+        ("degrade_replan_threshold", config.degrade_replan_threshold),
+        ("stall_factor", config.stall_factor),
+    ] {
+        out.extend_from_slice(b", \"");
+        out.extend_from_slice(key.as_bytes());
+        out.extend_from_slice(b"\": ");
+        push_bits(&mut out, v);
+    }
+    out.extend_from_slice(b", \"bandwidths\": [");
+    for v in 0..disks {
+        if v > 0 {
+            out.extend_from_slice(b", ");
+        }
+        push_bits(&mut out, cluster.bandwidth(NodeId::new(v)));
+    }
+    out.extend_from_slice(b"]}\n");
+    String::from_utf8(out).expect("config.json is ASCII")
 }
 
 // --- Loading ------------------------------------------------------------
@@ -875,12 +925,107 @@ pub fn workspace_files() -> &'static [&'static str] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `render_plan` as it was before it wrote bytes: the oracle.
+    fn fmt_render_plan(schedule: &MigrationSchedule) -> String {
+        let mut out = format!(
+            "{{\"schema\": {}, \"rounds\": [",
+            dmig_obs::json::string(PLAN_SCHEMA)
+        );
+        for (i, round) in schedule.rounds().iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push('[');
+            for (j, e) in round.iter().enumerate() {
+                if j > 0 {
+                    out.push_str(", ");
+                }
+                let _ = write!(out, "{}", e.index());
+            }
+            out.push(']');
+        }
+        out.push_str("]}\n");
+        out
+    }
+
+    /// `render_config` as it was before it wrote bytes: the oracle.
+    fn fmt_render_config(config: &ExecutorConfig, cluster: &Cluster) -> String {
+        let f64_bits = |v: f64| v.to_bits().to_string();
+        let bws: Vec<String> = (0..cluster.num_disks())
+            .map(|v| format!("\"{}\"", f64_bits(cluster.bandwidth(NodeId::new(v)))))
+            .collect();
+        format!(
+            "{{\"schema\": {}, \"replan\": {}, \"retry_max\": {}, \"backoff_base\": \"{}\", \
+             \"backoff_factor\": \"{}\", \"degrade_replan_threshold\": \"{}\", \
+             \"stall_factor\": \"{}\", \"bandwidths\": [{}]}}\n",
+            dmig_obs::json::string(CONFIG_SCHEMA),
+            config.replan,
+            config.retry_max,
+            f64_bits(config.backoff_base),
+            f64_bits(config.backoff_factor),
+            f64_bits(config.degrade_replan_threshold),
+            f64_bits(config.stall_factor),
+            bws.join(", "),
+        )
+    }
+
+    /// Edge ids: mostly small, some up to `u32::MAX`.
+    fn arb_id() -> impl Strategy<Value = EdgeId> {
+        (0..4u32, 0..3000usize, 0..=u32::MAX as usize)
+            .prop_map(|(k, small, big)| EdgeId::new(if k == 0 { big } else { small }))
+    }
+
+    /// Any `f64` bit pattern, NaNs and infinities included.
+    fn arb_f64() -> impl Strategy<Value = f64> {
+        (0..=u64::MAX).prop_map(f64::from_bits)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn plan_bytes_match_the_fmt_renderer(
+            rounds in proptest::collection::vec(proptest::collection::vec(arb_id(), 0..40), 0..12),
+        ) {
+            let schedule = MigrationSchedule::from_rounds(rounds);
+            prop_assert_eq!(render_plan(&schedule), fmt_render_plan(&schedule));
+        }
+
+        #[test]
+        fn config_bytes_match_the_fmt_renderer(
+            replan in proptest::bool::ANY,
+            retry_max in 0..=u32::MAX,
+            floats in (arb_f64(), arb_f64(), arb_f64(), arb_f64()),
+            bandwidths in proptest::collection::vec(
+                (1u64..=f64::MAX.to_bits()).prop_map(f64::from_bits),
+                0..40,
+            ),
+        ) {
+            let config = ExecutorConfig {
+                replan,
+                retry_max,
+                backoff_base: floats.0,
+                backoff_factor: floats.1,
+                degrade_replan_threshold: floats.2,
+                stall_factor: floats.3,
+            };
+            let cluster = Cluster::from_bandwidths(bandwidths);
+            prop_assert_eq!(
+                render_config(&config, &cluster),
+                fmt_render_config(&config, &cluster)
+            );
+        }
+    }
 
     #[test]
     fn f64_bit_round_trip_is_exact() {
         for v in [0.25, 2.0, 0.5, 8.0, 1.0e-300, std::f64::consts::PI] {
-            let s = f64_bits(v);
-            let back = f64_of_bits(&Value::String(s), "x").unwrap();
+            let mut out = Vec::new();
+            push_bits(&mut out, v);
+            let doc = Value::parse(std::str::from_utf8(&out).unwrap()).unwrap();
+            let back = f64_of_bits(&doc, "x").unwrap();
             assert_eq!(v.to_bits(), back.to_bits());
         }
     }

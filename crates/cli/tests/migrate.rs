@@ -593,13 +593,14 @@ fn plan_ci_scenario(scratch: &Scratch, ws: &str) -> String {
     dir
 }
 
-/// The journal and report bytes are pinned: `tests/golden/` holds the
-/// output of an uninterrupted `execute`, and of an `execute` aborted after
-/// its second checkpoint followed by `resume`, as written before the
-/// journal codec was rewritten. A journal that build left behind also
-/// resumes to those bytes.
+/// The workspace bytes are pinned: `tests/golden/` holds the four files
+/// `plan` writes, as written before the plan-time writers were rewritten,
+/// and the output of an uninterrupted `execute`, and of an `execute`
+/// aborted after its second checkpoint followed by `resume`, as written
+/// before the journal codec was rewritten. A journal that build left
+/// behind also resumes to those bytes.
 #[test]
-fn journal_and_report_bytes_match_the_golden_files() {
+fn workspace_bytes_match_the_golden_files() {
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let scratch = Scratch::new("golden");
     let ws = plan_ci_scenario(&scratch, "ws-execute");
@@ -636,6 +637,13 @@ fn journal_and_report_bytes_match_the_golden_files() {
         (&crashed, "resume"),
         (&inherited, "resume"),
     ] {
+        for file in ["instance.txt", "plan.json", "config.json", "manifest.json"] {
+            let want = std::fs::read(golden.join("plan").join(file)).unwrap();
+            assert!(
+                read(dir, file) == want,
+                "{dir}/{file} differs from tests/golden/plan/{file}"
+            );
+        }
         for file in ["journal.jsonl", "report.json"] {
             let want = std::fs::read(golden.join(run).join(file)).unwrap();
             assert!(
@@ -835,12 +843,52 @@ fn deeply_nested_checkpoint_is_a_line_numbered_error() {
     );
 }
 
-/// `--metrics-out` breaks `execute` and `resume` down by phase.
+/// `--metrics-out` breaks `plan`, `execute` and `resume` down by phase,
+/// and a traced `plan` writes the same workspace bytes.
 #[test]
 fn metrics_snapshot_names_every_migrate_phase() {
     let scratch = Scratch::new("phases");
     let (ipath, fpath) = seed_inputs(&scratch, 12);
     let ws = plan(&scratch, "ws", &ipath, &fpath);
+    let traced = scratch.path("ws-traced");
+    let plan_metrics = scratch.path("plan-metrics.json");
+    let (code, out) = dmig(&[
+        "migrate",
+        "plan",
+        &ipath,
+        "--workspace",
+        &traced,
+        "--faults",
+        &fpath,
+        "--replan",
+        "--retry-max",
+        "3",
+        "--threads",
+        "2",
+        "--metrics-out",
+        &plan_metrics,
+    ]);
+    assert_eq!(code, 0, "{out}");
+    for file in [
+        "instance.txt",
+        "faults.toml",
+        "plan.json",
+        "config.json",
+        "manifest.json",
+    ] {
+        assert!(read(&ws, file) == read(&traced, file), "{file} differs");
+    }
+    let (code, flame) = dmig(&["obs", "flame", &plan_metrics]);
+    assert_eq!(code, 0, "{flame}");
+    for phase in [
+        "migrate.parse",
+        "migrate.solve",
+        "migrate.render",
+        "migrate.publish",
+    ] {
+        assert!(flame.contains(phase), "{phase} missing from\n{flame}");
+    }
+
     let (code, _) = dmig(&[
         "migrate",
         "execute",

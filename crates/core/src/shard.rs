@@ -284,19 +284,23 @@ fn extract_part(
     for (local, v) in nodes.iter().enumerate() {
         local_of[v.index()] = local;
     }
-    let mut sub = Multigraph::with_capacity(nodes.len(), edges.len());
-    for &e in edges {
-        let ep = g.endpoints(e);
-        let (u, v) = (local_of[ep.u.index()], local_of[ep.v.index()]);
-        assert!(
-            u != usize::MAX && v != usize::MAX,
-            "edge endpoints must lie in the node subset"
-        );
-        sub.add_edge(NodeId::new(u), NodeId::new(v));
-    }
+    let local: Vec<(usize, usize)> = edges
+        .iter()
+        .map(|&e| {
+            let ep = g.endpoints(e);
+            let (u, v) = (local_of[ep.u.index()], local_of[ep.v.index()]);
+            assert!(
+                u != usize::MAX && v != usize::MAX,
+                "edge endpoints must lie in the node subset"
+            );
+            (u, v)
+        })
+        .collect();
     for v in nodes {
         local_of[v.index()] = usize::MAX;
     }
+    let sub = Multigraph::from_edges(nodes.len(), &local)
+        .expect("a subset of a graph is no larger than the graph");
     let caps: Capacities = nodes.iter().map(|&v| problem.capacities().get(v)).collect();
     let problem =
         MigrationProblem::new(sub, caps).expect("a subset of a valid problem is a valid problem");

@@ -1,6 +1,6 @@
 //! Convenience builder for transfer graphs.
 
-use crate::{EdgeId, Multigraph, NodeId};
+use crate::{EdgeId, Multigraph};
 
 /// Incremental builder for a [`Multigraph`] (C-BUILDER).
 ///
@@ -65,6 +65,11 @@ impl GraphBuilder {
     }
 
     /// Builds the multigraph; edge ids follow insertion order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph is too large to build (see
+    /// [`Multigraph::from_edges`]).
     #[must_use]
     pub fn build(&self) -> Multigraph {
         let n = self
@@ -74,11 +79,7 @@ impl GraphBuilder {
             .max()
             .unwrap_or(0)
             .max(self.min_nodes);
-        let mut g = Multigraph::with_capacity(n, self.edges.len());
-        for &(u, v) in &self.edges {
-            g.add_edge(NodeId::new(u), NodeId::new(v));
-        }
-        g
+        Multigraph::from_edges(n, &self.edges).expect("graph too large to build")
     }
 
     /// Builds the graph and also returns the edge ids in insertion order.

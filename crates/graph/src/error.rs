@@ -41,6 +41,14 @@ pub enum GraphError {
         /// Description of the problem.
         message: String,
     },
+    /// A graph too large to build: more nodes or edges than `u32` ids can
+    /// name, or per-node arrays the allocator refused.
+    TooLarge {
+        /// Requested node count.
+        nodes: usize,
+        /// Requested edge count.
+        edges: usize,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -69,6 +77,12 @@ impl fmt::Display for GraphError {
             }
             GraphError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
+            }
+            GraphError::TooLarge { nodes, edges } => {
+                write!(
+                    f,
+                    "cannot allocate a graph of {nodes} nodes and {edges} edges"
+                )
             }
         }
     }
@@ -101,6 +115,10 @@ mod tests {
             GraphError::Parse {
                 line: 4,
                 message: "bad token".into(),
+            },
+            GraphError::TooLarge {
+                nodes: 1 << 33,
+                edges: 0,
             },
         ];
         for e in errs {

@@ -121,6 +121,86 @@ impl Multigraph {
         }
     }
 
+    /// Builds a graph with `n` nodes whose edge `i` joins `edges[i]`: the
+    /// graph [`Multigraph::with_nodes`] and one
+    /// [`Multigraph::try_add_edge`] per pair would give, with the same edge
+    /// ids and incidence order. Degrees are counted first, so each
+    /// incidence list is allocated once, at its final length.
+    ///
+    /// # Errors
+    ///
+    /// * [`GraphError::TooLarge`] if `n` or the edge count exceeds the
+    ///   `u32` id space, or the allocator refuses an array;
+    /// * [`GraphError::NodeOutOfRange`] for the first endpoint, in edge
+    ///   order, that is not a node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint that is not a node does not fit in `u32`
+    /// either (as [`NodeId::new`] does).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use dmig_graph::{Multigraph, NodeId};
+    ///
+    /// let g = Multigraph::from_edges(3, &[(0, 1), (2, 2), (0, 1)])?;
+    /// let mut h = Multigraph::with_nodes(3);
+    /// for (u, v) in [(0, 1), (2, 2), (0, 1)] {
+    ///     h.try_add_edge(NodeId::new(u), NodeId::new(v))?;
+    /// }
+    /// assert_eq!(g, h);
+    /// # Ok::<(), dmig_graph::GraphError>(())
+    /// ```
+    pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Result<Multigraph, GraphError> {
+        let too_large = || GraphError::TooLarge {
+            nodes: n,
+            edges: edges.len(),
+        };
+        let ids_fit = |count: usize| count == 0 || count - 1 <= u32::MAX as usize;
+        if !ids_fit(n) || !ids_fit(edges.len()) {
+            return Err(too_large());
+        }
+        let mut degree: Vec<usize> = Vec::new();
+        degree.try_reserve_exact(n).map_err(|_| too_large())?;
+        degree.resize(n, 0);
+        for &(u, v) in edges {
+            for w in [u, v] {
+                let Some(d) = degree.get_mut(w) else {
+                    return Err(GraphError::NodeOutOfRange {
+                        node: NodeId::new(w),
+                        num_nodes: n,
+                    });
+                };
+                *d += 1;
+            }
+        }
+        let mut adjacency: Vec<Vec<EdgeId>> = Vec::new();
+        adjacency.try_reserve_exact(n).map_err(|_| too_large())?;
+        for d in degree {
+            let mut list = Vec::new();
+            list.try_reserve_exact(d).map_err(|_| too_large())?;
+            adjacency.push(list);
+        }
+        let mut endpoints = Vec::new();
+        endpoints
+            .try_reserve_exact(edges.len())
+            .map_err(|_| too_large())?;
+        for (i, &(u, v)) in edges.iter().enumerate() {
+            let id = EdgeId::new(i);
+            adjacency[u].push(id);
+            adjacency[v].push(id);
+            endpoints.push(Endpoints {
+                u: NodeId::new(u),
+                v: NodeId::new(v),
+            });
+        }
+        Ok(Multigraph {
+            edges: endpoints,
+            adjacency,
+        })
+    }
+
     /// Reserves room for `additional` more edges beyond the current count.
     ///
     /// Useful before a padding loop (the even-capacity solver adds a
@@ -731,6 +811,16 @@ mod tests {
             "new pass clears marks in O(1)"
         );
         assert!(marks.mark(NodeId::new(1)));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn from_edges_refuses_ids_beyond_u32() {
+        let n = u32::MAX as usize + 2;
+        assert_eq!(
+            Multigraph::from_edges(n, &[]).unwrap_err(),
+            GraphError::TooLarge { nodes: n, edges: 0 }
+        );
     }
 
     #[test]

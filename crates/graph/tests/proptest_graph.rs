@@ -154,6 +154,29 @@ proptest! {
         prop_assert_eq!(weighted, g.degree_sum());
     }
 
+    /// The exact-size build is the incremental one: same edge ids, same
+    /// incidence order (loops and parallel edges included), and the same
+    /// first out-of-range endpoint.
+    #[test]
+    fn from_edges_matches_incremental_build(
+        n in 0usize..12,
+        edges in proptest::collection::vec((0usize..13, 0usize..13), 0..40),
+    ) {
+        let mut incremental = Multigraph::with_nodes(n);
+        let mut first_error = None;
+        for &(u, v) in &edges {
+            if let Err(e) = incremental.try_add_edge(NodeId::new(u), NodeId::new(v)) {
+                first_error = Some(e);
+                break;
+            }
+        }
+        match (Multigraph::from_edges(n, &edges), first_error) {
+            (Ok(g), None) => prop_assert_eq!(g, incremental),
+            (Err(e), Some(want)) => prop_assert_eq!(e, want),
+            (got, want) => prop_assert!(false, "from_edges gave {:?}, want {:?}", got, want),
+        }
+    }
+
     /// Subgraph extraction preserves endpoints through the mapping.
     #[test]
     fn edge_subgraph_mapping(g in arb_graph()) {
