@@ -276,8 +276,8 @@ impl Directives {
     }
 }
 
-/// Serializes an instance back to the text format: `nodes`, `caps`, then
-/// one `edge` line per item in item order.
+/// Serializes an instance back to the text format: `nodes`, `caps` (when
+/// there is a disk), then one `edge` line per item in item order.
 #[must_use]
 pub fn to_instance_text(problem: &MigrationProblem) -> String {
     let n = problem.num_disks();
@@ -288,14 +288,17 @@ pub fn to_instance_text(problem: &MigrationProblem) -> String {
     let mut out = Vec::with_capacity(32 + 11 * caps.len() + (7 + 2 * width) * edges.len());
     out.extend_from_slice(b"nodes ");
     push_u64(&mut out, n as u64);
-    out.extend_from_slice(b"\ncaps ");
-    for (i, &c) in caps.iter().enumerate() {
-        if i > 0 {
-            out.push(b' ');
-        }
-        push_u64(&mut out, u64::from(c));
-    }
     out.push(b'\n');
+    // The reader wants at least one value on a `caps` line.
+    if let Some((first, rest)) = caps.split_first() {
+        out.extend_from_slice(b"caps ");
+        push_u64(&mut out, u64::from(*first));
+        for &c in rest {
+            out.push(b' ');
+            push_u64(&mut out, u64::from(c));
+        }
+        out.push(b'\n');
+    }
     for ep in edges {
         out.extend_from_slice(b"edge ");
         push_u64(&mut out, ep.u.index() as u64);

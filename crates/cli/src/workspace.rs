@@ -916,12 +916,6 @@ fn cmd_import(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// Workspace file names, exposed for the integration tests and docs.
-#[must_use]
-pub fn workspace_files() -> &'static [&'static str] {
-    &[MANIFEST, INSTANCE, PLAN, FAULTS, CONFIG, JOURNAL, REPORT]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -135,7 +135,9 @@ fn oracle_parse(text: &str) -> Result<MigrationProblem, InstanceError> {
     Ok(MigrationProblem::new(g, Capacities::from_vec(caps))?)
 }
 
-/// The instance writer as it was before the byte pass.
+/// The instance writer as it was before the byte pass, except that an
+/// instance with no disks gets no `caps` line: the reader rejects one with
+/// no value.
 fn oracle_text(problem: &MigrationProblem) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "nodes {}", problem.num_disks());
@@ -145,7 +147,9 @@ fn oracle_text(problem: &MigrationProblem) -> String {
         .iter()
         .map(u32::to_string)
         .collect();
-    let _ = writeln!(out, "caps {}", caps.join(" "));
+    if !caps.is_empty() {
+        let _ = writeln!(out, "caps {}", caps.join(" "));
+    }
     for (_, ep) in problem.graph().edges() {
         let _ = writeln!(out, "edge {} {}", ep.u.index(), ep.v.index());
     }
@@ -375,11 +379,7 @@ fn check(text: &str) -> bool {
             assert!(got == want, "the problems differ:\n{text:?}");
             let canonical = to_instance_text(&got);
             assert_eq!(canonical, oracle_text(&got), "writer differs:\n{text:?}");
-            // With no disks the writer's `caps ` line has no value, which
-            // the reader rejects, as it always has.
-            if got.num_disks() > 0 {
-                assert!(parse_instance(&canonical).unwrap() == got, "{canonical:?}");
-            }
+            assert!(parse_instance(&canonical).unwrap() == got, "{canonical:?}");
             true
         }
         Err(want) => {

@@ -811,6 +811,23 @@ fn plan_into_an_existing_workspace_is_refused_before_solving() {
     assert_eq!(read(&ws, "manifest.json"), manifest);
 }
 
+/// An instance with no disks plans into a workspace that executes: its
+/// `instance.txt` carries no `caps` line, which would need a value.
+#[test]
+fn an_empty_instance_plans_and_executes() {
+    let scratch = Scratch::new("empty");
+    let ipath = scratch.path("empty.dmig");
+    std::fs::write(&ipath, "nodes 0\n").unwrap();
+    let ws = scratch.path("ws");
+    let (code, out) = dmig(&["migrate", "plan", &ipath, "--workspace", &ws]);
+    assert_eq!(code, 0, "{out}");
+    assert_eq!(read(&ws, "instance.txt"), b"nodes 0\n");
+    let (code, out) = dmig(&["migrate", "execute", "--workspace", &ws]);
+    assert_eq!(code, 0, "{out}");
+    assert_eq!(count_checkpoints(&ws), 1);
+    assert!(Path::new(&ws).join("report.json").exists());
+}
+
 /// A record nested deeper than the JSON reader allows is a line-numbered
 /// error, not a stack overflow.
 #[test]

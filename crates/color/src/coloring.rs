@@ -164,17 +164,6 @@ impl EdgeColoring {
         self.colors.iter().all(Option::is_some)
     }
 
-    /// Ids of edges that still lack a color.
-    #[must_use]
-    pub fn uncolored_edges(&self) -> Vec<EdgeId> {
-        self.colors
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_none())
-            .map(|(i, _)| EdgeId::new(i))
-            .collect()
-    }
-
     /// Groups edge ids by color: `classes()[c]` is color class `c`.
     ///
     /// Uncolored edges are omitted.
@@ -298,7 +287,6 @@ mod tests {
         assert_eq!(c.num_edges(), 3);
         assert_eq!(c.num_colors(), 0);
         assert!(!c.is_complete());
-        assert_eq!(c.uncolored_edges().len(), 3);
     }
 
     #[test]

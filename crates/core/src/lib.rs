@@ -36,8 +36,6 @@
 //!   (reconfiguration workloads) via node splitting + König coloring.
 //! * [`exact`] — branch-and-bound exact optimum for small instances,
 //!   certifying the heuristic solvers' optimality gaps.
-//! * [`orbits`] — diagnostic classification of partial colorings into the
-//!   paper's balancing/color/tight orbits (§V-B, Defs. 5.1–5.4).
 //! * [`replan`] — online replanning: merge the unexecuted remainder of a
 //!   running migration with newly arrived transfers and re-solve.
 //! * [`shard`] — the one solve driver: canonical cells (connected
@@ -78,7 +76,6 @@ pub mod exact;
 pub mod general;
 pub mod greedy_rounds;
 pub mod homogeneous;
-pub mod orbits;
 pub mod parallel;
 pub mod problem;
 pub mod replan;

@@ -113,12 +113,6 @@ impl Capacities {
         &self.values
     }
 
-    /// Capacities as `usize`s (handy for validators).
-    #[must_use]
-    pub fn to_usize_vec(&self) -> Vec<usize> {
-        self.values.iter().map(|&c| c as usize).collect()
-    }
-
     /// Returns `true` if every constraint is even — the case with a
     /// polynomial-time optimal schedule (paper §IV).
     #[must_use]
@@ -260,12 +254,6 @@ impl MigrationProblem {
             .max()
             .unwrap_or(0)
     }
-
-    /// Splits the instance into `(graph, capacities)`.
-    #[must_use]
-    pub fn into_parts(self) -> (Multigraph, Capacities) {
-        (self.graph, self.capacities)
-    }
 }
 
 impl fmt::Display for MigrationProblem {
@@ -352,7 +340,6 @@ mod tests {
         assert!(caps.all_even());
         assert_eq!(caps.min(), Some(2));
         assert_eq!(caps.max(), Some(6));
-        assert_eq!(caps.to_usize_vec(), vec![2, 4, 6]);
         let odd: Capacities = [1u32, 2].into_iter().collect();
         assert!(!odd.all_even());
         assert!(Capacities::from_vec(vec![]).is_empty());
@@ -365,15 +352,6 @@ mod tests {
         let s = p.to_string();
         assert!(s.contains("disks=3"));
         assert!(s.contains("items=3"));
-    }
-
-    #[test]
-    fn into_parts_roundtrip() {
-        let g = complete_multigraph(3, 1);
-        let p = MigrationProblem::uniform(g.clone(), 2).unwrap();
-        let (g2, caps) = p.into_parts();
-        assert_eq!(g, g2);
-        assert_eq!(caps, Capacities::uniform(3, 2));
     }
 
     use dmig_graph::Multigraph;

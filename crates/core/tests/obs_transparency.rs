@@ -3,7 +3,9 @@
 //! predictions of the quota recursion (Theorem 4.1's decomposition does
 //! one flow solve per odd level and one Euler split per even level).
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 use dmig_core::even::solve_even;
 use dmig_core::shard::{solve_sharded, ShardConfig};
@@ -148,7 +150,7 @@ proptest! {
         dmig_obs::set_enabled(true);
         let first = solve_uncut(&p, 2, solve).expect("solves");
         let snap = dmig_obs::snapshot();
-        let trace = dmig_obs::trace::chrome_trace_of(&snap);
+        let trace = dmig_obs::trace::chrome_trace(&snap.spans);
         let stats = match dmig_obs::trace::validate_chrome_trace(&trace) {
             Ok(stats) => stats,
             Err(why) => return Err(TestCaseError::fail(format!("invalid trace: {why}"))),
@@ -157,10 +159,10 @@ proptest! {
         prop_assert_eq!(stats.begins, stats.ends, "every B has a matching E");
         prop_assert_eq!(stats.open, 0, "no span is left open after solving");
         prop_assert!(!stats.tracks.is_empty());
-        prop_assert_eq!(&trace, &dmig_obs::trace::chrome_trace_of(&snap));
+        prop_assert_eq!(&trace, &dmig_obs::trace::chrome_trace(&snap.spans));
         prop_assert_eq!(
             &trace,
-            &dmig_obs::trace::chrome_trace_of(&dmig_obs::snapshot()),
+            &dmig_obs::trace::chrome_trace(&dmig_obs::snapshot().spans),
             "export must not perturb recorder state"
         );
         let second = solve_uncut(&p, 2, solve).expect("solves");
@@ -248,4 +250,53 @@ fn counters_match_quota_recursion_prediction() {
             "euler splits at Δ' = {m}"
         );
     }
+}
+
+/// Spans recorded on a worker thread carry that worker's track. The first
+/// cell solve waits until a second one has started, so two threads are
+/// provably inside cells at once, and the Chrome trace of 500 two-disk
+/// cells at 4 threads shows at least two tracks however the threads are
+/// scheduled.
+#[test]
+fn concurrent_cell_solves_trace_on_two_tracks() {
+    let _g = obs_lock();
+    let _cleanup = Cleanup;
+    let _pool = PoolCleanup;
+    let mut b = GraphBuilder::new();
+    for i in 0..500 {
+        b = b.edge(2 * i, 2 * i + 1).edge(2 * i, 2 * i + 1);
+    }
+    let p = MigrationProblem::uniform(b.build(), 2).unwrap();
+    let started = Mutex::new(0usize);
+    let second_started = Condvar::new();
+    let timed_out = AtomicBool::new(false);
+    let solve = |q: &MigrationProblem| {
+        let mut n = started.lock().unwrap_or_else(PoisonError::into_inner);
+        *n += 1;
+        if *n == 1 {
+            let (_n, wait) = second_started
+                .wait_timeout_while(n, Duration::from_secs(30), |n| *n < 2)
+                .unwrap_or_else(PoisonError::into_inner);
+            timed_out.store(wait.timed_out(), Ordering::Relaxed);
+        } else {
+            second_started.notify_all();
+        }
+        AutoSolver.solve(q)
+    };
+    dmig_obs::reset();
+    dmig_obs::set_enabled(true);
+    solve_uncut(&p, 4, solve).expect("solves");
+    dmig_obs::set_enabled(false);
+    assert!(
+        !timed_out.load(Ordering::Relaxed),
+        "no second cell solve started within 30 s"
+    );
+    let trace = dmig_obs::trace::chrome_trace(&dmig_obs::snapshot().spans);
+    let stats = dmig_obs::trace::validate_chrome_trace(&trace).expect("valid trace");
+    assert!(stats.begins >= 500, "cell spans present: {stats:?}");
+    assert!(
+        stats.tracks.len() >= 2,
+        "expected spans on >= 2 tracks, got {:?}",
+        stats.tracks
+    );
 }

@@ -246,179 +246,9 @@ impl DegreeSubgraphExtractor {
     }
 }
 
-/// Peels successive exact degree-constrained subgraphs from one arc set.
-///
-/// The even-capacity solver extracts `Δ'` subgraphs from a *shrinking* arc
-/// set — the arcs selected in round `r` vanish from rounds `r+1..`. The
-/// peeler exploits that the Fig. 3 topology never changes: it builds the
-/// flow network (and its CSR index) **once**, and each [`DegreePeeler::peel`]
-/// only resets residual capacities, warm-starts with a greedy maximal
-/// selection, lets Dinic augment the deficit, and then *disables* the
-/// selected unit arcs (capacity 0) so later rounds skip them. No per-round
-/// allocation, no per-round CSR counting sort.
-///
-/// # Example
-///
-/// ```
-/// use dmig_flow::DegreePeeler;
-///
-/// // Two oriented 2-cycles; quota 1 in/out per node per round peels one
-/// // cycle's worth of arcs each time, exhausting the arc set in 2 rounds.
-/// let arcs = [(0, 1), (1, 0), (0, 1), (1, 0)];
-/// let mut peeler = DegreePeeler::new(2, &arcs, &[1, 1], &[1, 1]);
-/// let first = peeler.peel()?;
-/// assert_eq!(first.len(), 2);
-/// let second = peeler.peel()?;
-/// assert_eq!(second.len(), 2);
-/// assert_eq!(peeler.remaining(), 0);
-/// # Ok::<(), dmig_flow::DegreeConstraintError>(())
-/// ```
-#[derive(Clone, Debug)]
-pub struct DegreePeeler {
-    net: FlowNetwork,
-    arcs: Vec<(usize, usize)>,
-    arc_handles: Vec<EdgeHandle>,
-    out_handles: Vec<EdgeHandle>,
-    in_handles: Vec<EdgeHandle>,
-    out_quota: Vec<i64>,
-    in_quota: Vec<i64>,
-    active: Vec<bool>,
-    remaining: usize,
-    required: i64,
-    // Greedy scratch, reused across peels.
-    out_rem: Vec<i64>,
-    in_rem: Vec<i64>,
-}
-
-impl DegreePeeler {
-    /// Builds the Fig. 3 network once for `arcs` with per-node quotas.
-    ///
-    /// # Panics
-    ///
-    /// Panics if quota slices are shorter than `num_nodes` or an arc
-    /// endpoint is out of range.
-    #[must_use]
-    pub fn new(
-        num_nodes: usize,
-        arcs: &[(usize, usize)],
-        out_quota: &[u32],
-        in_quota: &[u32],
-    ) -> Self {
-        assert!(
-            out_quota.len() >= num_nodes,
-            "out_quota shorter than node count"
-        );
-        assert!(
-            in_quota.len() >= num_nodes,
-            "in_quota shorter than node count"
-        );
-        let (s, t, out_base, in_base) = (0, 1, 2, 2 + num_nodes);
-        let mut net = FlowNetwork::with_capacity(2 + 2 * num_nodes, 2 * num_nodes + arcs.len());
-        let mut required = 0i64;
-        let mut out_handles = Vec::with_capacity(num_nodes);
-        let mut in_handles = Vec::with_capacity(num_nodes);
-        for v in 0..num_nodes {
-            out_handles.push(net.add_edge(s, out_base + v, i64::from(out_quota[v])));
-            in_handles.push(net.add_edge(in_base + v, t, i64::from(in_quota[v])));
-            required += i64::from(out_quota[v]);
-        }
-        let arc_handles: Vec<EdgeHandle> = arcs
-            .iter()
-            .map(|&(u, v)| {
-                assert!(u < num_nodes && v < num_nodes, "arc endpoint out of range");
-                net.add_edge(out_base + u, in_base + v, 1)
-            })
-            .collect();
-        DegreePeeler {
-            net,
-            arcs: arcs.to_vec(),
-            arc_handles,
-            out_handles,
-            in_handles,
-            out_quota: out_quota[..num_nodes]
-                .iter()
-                .map(|&q| i64::from(q))
-                .collect(),
-            in_quota: in_quota[..num_nodes]
-                .iter()
-                .map(|&q| i64::from(q))
-                .collect(),
-            active: vec![true; arcs.len()],
-            remaining: arcs.len(),
-            required,
-            out_rem: vec![0; num_nodes],
-            in_rem: vec![0; num_nodes],
-        }
-    }
-
-    /// Arcs not yet peeled away.
-    #[inline]
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-
-    /// Extracts one exact degree-constrained subgraph from the still-active
-    /// arcs and removes the selected arcs from future peels.
-    ///
-    /// Returns the selected positions (indices into the original `arcs`
-    /// slice), ascending.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DegreeConstraintError`] when the active arcs admit no
-    /// exact selection; the peeler state is then unspecified (no arcs are
-    /// removed, but residuals are mid-solve).
-    pub fn peel(&mut self) -> Result<Vec<usize>, DegreeConstraintError> {
-        let (s, t) = (0, 1);
-        self.net.reset();
-
-        // Greedy warm start over the active arcs (disabled arcs have
-        // original capacity 0, so pushing through them is impossible).
-        self.out_rem.copy_from_slice(&self.out_quota);
-        self.in_rem.copy_from_slice(&self.in_quota);
-        let mut greedy = 0i64;
-        for (pos, &(u, v)) in self.arcs.iter().enumerate() {
-            if self.active[pos] && self.out_rem[u] > 0 && self.in_rem[v] > 0 {
-                self.out_rem[u] -= 1;
-                self.in_rem[v] -= 1;
-                self.net.push_flow(self.arc_handles[pos], 1);
-                greedy += 1;
-            }
-        }
-        for v in 0..self.out_handles.len() {
-            self.net
-                .push_flow(self.out_handles[v], self.out_quota[v] - self.out_rem[v]);
-            self.net
-                .push_flow(self.in_handles[v], self.in_quota[v] - self.in_rem[v]);
-        }
-
-        let achieved = greedy + self.net.max_flow(s, t);
-        record_flow_solve(greedy, achieved);
-        if achieved != self.required {
-            return Err(DegreeConstraintError {
-                achieved,
-                required: self.required,
-            });
-        }
-
-        let mut selected = Vec::new();
-        for pos in 0..self.arcs.len() {
-            if self.active[pos] && self.net.flow(self.arc_handles[pos]) == 1 {
-                selected.push(pos);
-                self.active[pos] = false;
-                self.remaining -= 1;
-                self.net.set_capacity(self.arc_handles[pos], 0);
-            }
-        }
-        Ok(selected)
-    }
-}
-
-/// Counter bookkeeping shared by [`DegreeSubgraphExtractor::extract`] and
-/// [`DegreePeeler::peel`]: one flow solve, with the units satisfied by the
-/// greedy warm start counted as hits and the deficit Dinic had to augment
-/// as misses.
+/// Counter bookkeeping for [`DegreeSubgraphExtractor::extract`]: one flow
+/// solve, with the units satisfied by the greedy warm start counted as hits
+/// and the deficit Dinic had to augment as misses.
 fn record_flow_solve(greedy: i64, achieved: i64) {
     dmig_obs::counter_add(dmig_obs::keys::FLOW_SOLVES, 1);
     dmig_obs::counter_add(dmig_obs::keys::WARM_START_HITS, greedy.max(0) as u64);
@@ -1057,64 +887,6 @@ mod tests {
     }
 
     #[test]
-    fn peeler_exhausts_regular_arc_set() {
-        // Out/in-degree 3 per node (three cyclic shifts on 5 nodes); quota
-        // 1 per round peels a permutation each time, 3 rounds total.
-        let n = 5;
-        let mut arcs = Vec::new();
-        for k in 1..=3 {
-            for u in 0..n {
-                arcs.push((u, (u + k) % n));
-            }
-        }
-        let quota = vec![1u32; n];
-        let mut peeler = DegreePeeler::new(n, &arcs, &quota, &quota);
-        let mut seen = vec![false; arcs.len()];
-        for _ in 0..3 {
-            let sel = peeler.peel().unwrap();
-            assert_eq!(sel.len(), n);
-            let mut sel_mask = vec![false; arcs.len()];
-            for &pos in &sel {
-                assert!(!seen[pos], "arc peeled twice");
-                seen[pos] = true;
-                sel_mask[pos] = true;
-            }
-            check_quotas(n, &arcs, &sel_mask, &quota, &quota);
-        }
-        assert_eq!(peeler.remaining(), 0);
-        assert!(seen.iter().all(|&b| b));
-    }
-
-    #[test]
-    fn peeler_matches_extractor_per_round() {
-        // Peeling must stay feasible round by round exactly like the
-        // rebuild-from-scratch extractor does on the same shrinking arc set.
-        let n = 4;
-        let arcs = [
-            (0, 1),
-            (1, 0),
-            (2, 3),
-            (3, 2),
-            (0, 2),
-            (2, 0),
-            (1, 3),
-            (3, 1),
-        ];
-        let quota = vec![1u32; n];
-        let mut peeler = DegreePeeler::new(n, &arcs, &quota, &quota);
-        let mut live: Vec<usize> = (0..arcs.len()).collect();
-        for _ in 0..2 {
-            let sel = peeler.peel().unwrap();
-            // Reference: fresh extraction over the same remaining arcs.
-            let remaining_arcs: Vec<(usize, usize)> = live.iter().map(|&p| arcs[p]).collect();
-            let ref_sel = exact_degree_subgraph(n, &remaining_arcs, &quota, &quota).unwrap();
-            assert_eq!(sel.len(), ref_sel.iter().filter(|&&b| b).count());
-            live.retain(|p| !sel.contains(p));
-        }
-        assert_eq!(peeler.remaining(), 0);
-    }
-
-    #[test]
     fn flow_solve_predictors_match_recursion() {
         // E(r): odd levels peel by flow, even levels halve.
         assert_eq!(
@@ -1126,14 +898,6 @@ mod tests {
             (1..=8).map(quota_euler_splits).collect::<Vec<_>>(),
             [0, 1, 1, 3, 3, 3, 3, 7]
         );
-    }
-
-    #[test]
-    fn peeler_reports_infeasible() {
-        // One arc, but node 1 must also emit one: infeasible immediately.
-        let mut peeler = DegreePeeler::new(2, &[(0, 1)], &[1, 1], &[1, 1]);
-        let err = peeler.peel().unwrap_err();
-        assert_eq!(err.required, 2);
     }
 
     /// `rounds` cyclic shifts on `n` nodes: out/in-degree `rounds` per

@@ -168,13 +168,6 @@ impl FlowNetwork {
         self.original_cap.len()
     }
 
-    /// Adds another vertex, returning its index.
-    pub fn add_vertex(&mut self) -> usize {
-        self.csr_valid = false;
-        self.num_vertices += 1;
-        self.num_vertices - 1
-    }
-
     /// Empties the network down to `n` isolated vertices, retaining every
     /// internal allocation so the next build reuses the same buffers.
     ///
@@ -188,36 +181,6 @@ impl FlowNetwork {
         self.arc_tail.clear();
         self.original_cap.clear();
         self.csr_valid = false;
-    }
-
-    /// Restores every edge to its original capacity (zero flow), keeping
-    /// the topology and the CSR index intact.
-    ///
-    /// After a `reset()` the network answers [`FlowNetwork::max_flow`]
-    /// exactly as a freshly built copy would.
-    pub fn reset(&mut self) {
-        for (k, &cap) in self.original_cap.iter().enumerate() {
-            self.arc_cap[2 * k] = cap;
-            self.arc_cap[2 * k + 1] = 0;
-        }
-    }
-
-    /// Sets the capacity of an existing edge, zeroing its flow.
-    ///
-    /// The topology (and therefore the CSR index) is untouched — only the
-    /// capacity changes. Setting a capacity to 0 disables the edge for all
-    /// later [`FlowNetwork::max_flow`]/[`FlowNetwork::reset`] cycles, which
-    /// is how the peeling extractor removes the arcs selected in one round
-    /// from every later round without rebuilding the network.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle is out of range or `cap < 0`.
-    pub fn set_capacity(&mut self, handle: EdgeHandle, cap: i64) {
-        assert!(cap >= 0, "flow capacity must be non-negative");
-        self.original_cap[handle.0] = cap;
-        self.arc_cap[2 * handle.0] = cap;
-        self.arc_cap[2 * handle.0 + 1] = 0;
     }
 
     /// Remaining residual capacity on the forward arc of `handle`.
@@ -299,7 +262,8 @@ impl FlowNetwork {
     /// Computes the maximum `s → t` flow, mutating residual capacities.
     ///
     /// Calling it again continues from the current residual state, so the
-    /// usual pattern is one call per network (or per [`FlowNetwork::reset`]).
+    /// usual pattern is one call per network (or per [`FlowNetwork::clear`]
+    /// and rebuild).
     /// `s == t` yields 0.
     ///
     /// # Panics
@@ -572,16 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn add_vertex_grows_network() {
-        let mut net = FlowNetwork::new(0);
-        let a = net.add_vertex();
-        let b = net.add_vertex();
-        net.add_edge(a, b, 4);
-        assert_eq!(net.max_flow(a, b), 4);
-        assert_eq!(net.to_string(), "flow network(V=2, E=1)");
-    }
-
-    #[test]
     fn parallel_edges_accumulate() {
         let mut net = FlowNetwork::new(2);
         net.add_edge(0, 1, 2);
@@ -600,20 +554,6 @@ mod tests {
         assert_eq!(net.max_flow(0, n - 1), 3);
         let side = net.min_cut_source_side(0);
         assert!(side[25] && !side[26]);
-    }
-
-    #[test]
-    fn reset_restores_fresh_behavior() {
-        let mut net = FlowNetwork::new(4);
-        net.add_edge(0, 1, 3);
-        net.add_edge(0, 2, 2);
-        net.add_edge(1, 3, 2);
-        net.add_edge(2, 3, 3);
-        net.add_edge(1, 2, 5);
-        let first = net.max_flow(0, 3);
-        assert_eq!(net.max_flow(0, 3), 0, "network is saturated");
-        net.reset();
-        assert_eq!(net.max_flow(0, 3), first);
     }
 
     #[test]

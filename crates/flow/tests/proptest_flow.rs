@@ -88,11 +88,11 @@ proptest! {
         prop_assert_eq!(dinic.max_flow(0, n - 1), pr.max_flow(0, n - 1));
     }
 
-    /// A reused network — `reset()` after saturation, then `clear()` +
-    /// re-add of a different topology — answers max-flow exactly like a
-    /// freshly built network, cross-checked against push-relabel.
+    /// A reused network — saturated, then `clear()` + re-add of a
+    /// different topology — answers max-flow exactly like a freshly built
+    /// network, cross-checked against push-relabel.
     #[test]
-    fn reset_and_rebuild_match_fresh_networks(
+    fn rebuild_matches_fresh_networks(
         (n1, edges1) in arb_network(),
         (n2, edges2) in arb_network(),
     ) {
@@ -102,10 +102,7 @@ proptest! {
                 reused.add_edge(u, v, c);
             }
         }
-        let first = reused.max_flow(0, n1 - 1);
-        // Saturated: reset must restore fresh-network behavior.
-        reused.reset();
-        prop_assert_eq!(reused.max_flow(0, n1 - 1), first);
+        reused.max_flow(0, n1 - 1);
 
         // Rebuild in place with an unrelated topology; the answer must
         // match both a fresh Dinic network and the push-relabel engine.

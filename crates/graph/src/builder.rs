@@ -1,6 +1,6 @@
 //! Convenience builder for transfer graphs.
 
-use crate::{EdgeId, Multigraph};
+use crate::Multigraph;
 
 /// Incremental builder for a [`Multigraph`] (C-BUILDER).
 ///
@@ -80,14 +80,6 @@ impl GraphBuilder {
             .unwrap_or(0)
             .max(self.min_nodes);
         Multigraph::from_edges(n, &self.edges).expect("graph too large to build")
-    }
-
-    /// Builds the graph and also returns the edge ids in insertion order.
-    #[must_use]
-    pub fn build_with_edge_ids(&self) -> (Multigraph, Vec<EdgeId>) {
-        let g = self.build();
-        let ids = (0..g.num_edges()).map(EdgeId::new).collect();
-        (g, ids)
     }
 }
 
@@ -180,17 +172,6 @@ mod tests {
             .build();
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.num_nodes(), 3);
-    }
-
-    #[test]
-    fn build_with_edge_ids_orders_match() {
-        let (g, ids) = GraphBuilder::new()
-            .edge(0, 1)
-            .edge(1, 2)
-            .build_with_edge_ids();
-        assert_eq!(ids.len(), 2);
-        assert_eq!(g.endpoints(ids[0]).u.index(), 0);
-        assert_eq!(g.endpoints(ids[1]).u.index(), 1);
     }
 
     #[test]

@@ -22,7 +22,8 @@ pub enum GraphError {
         /// Number of edges in the graph.
         num_edges: usize,
     },
-    /// An Euler circuit was requested on a graph with an odd-degree node.
+    /// An Euler orientation was requested on a graph with an odd-degree
+    /// node.
     OddDegree {
         /// A node whose degree is odd.
         node: NodeId,

@@ -1,4 +1,4 @@
-//! Euler circuits and balanced edge orientations.
+//! Balanced edge orientations.
 //!
 //! Step (2) of the paper's even-capacity algorithm (§IV) finds an Euler
 //! cycle of the padded transfer graph and step (3) uses the traversal
@@ -143,7 +143,7 @@ struct ArcRec {
     min: u32,
 }
 
-/// Reusable buffers for the orientation and circuit routines.
+/// Reusable buffers for the orientation routines.
 ///
 /// The component-parallel and quota-recursion workers orient many padded
 /// graphs in a row; keeping the CSR snapshot, slot permutation, and label
@@ -165,12 +165,6 @@ pub struct OrientScratch {
     label: Vec<AtomicU32>,
     /// Claimed chunks, collected from all workers then stitched.
     arcs: Vec<ArcRec>,
-    // --- classical Hierholzer buffers for `euler_circuits` ---
-    used: Vec<bool>,
-    cursor: Vec<usize>,
-    node_stack: Vec<NodeId>,
-    edge_stack: Vec<EdgeId>,
-    circuit: Vec<EdgeId>,
 }
 
 impl OrientScratch {
@@ -607,90 +601,6 @@ fn orient_edges(
     EulerOrientation { tail, head }
 }
 
-/// Computes an explicit Euler circuit for each connected component with
-/// edges, as sequences of edge ids in traversal order.
-///
-/// This is the classical output of Hierholzer's algorithm; the scheduling
-/// pipeline itself only needs [`euler_orientation`], but explicit circuits
-/// are useful for debugging and for tests that check circuit validity.
-/// The traversal state (CSR snapshot, marks, cursors, stacks) lives in the
-/// same thread-local arena the orientation uses, so back-to-back calls
-/// allocate nothing beyond the returned circuits themselves.
-///
-/// # Errors
-///
-/// Returns [`GraphError::OddDegree`] if any node has odd degree.
-pub fn euler_circuits(g: &Multigraph) -> Result<Vec<Vec<EdgeId>>, GraphError> {
-    for v in g.nodes() {
-        let d = g.degree(v);
-        if d % 2 != 0 {
-            return Err(GraphError::OddDegree { node: v, degree: d });
-        }
-    }
-
-    SCRATCH.with(|cell| {
-        let scratch = &mut *cell.borrow_mut();
-        scratch.csr.rebuild_from(g);
-        let OrientScratch {
-            csr,
-            used,
-            cursor,
-            node_stack,
-            edge_stack,
-            circuit,
-            ..
-        } = scratch;
-        used.clear();
-        used.resize(g.num_edges(), false);
-        cursor.clear();
-        cursor.resize(g.num_nodes(), 0);
-
-        let mut circuits = Vec::new();
-        for start in g.nodes() {
-            // Find an unused incident edge to seed a circuit.
-            let has_unused = csr.incident(start).iter().any(|&(e, _)| !used[e.index()]);
-            if !has_unused {
-                continue;
-            }
-            // Hierholzer with an explicit edge stack: on backtrack, the
-            // popped edges form the circuit in reverse.
-            node_stack.clear();
-            edge_stack.clear();
-            circuit.clear();
-            node_stack.push(start);
-            while let Some(&v) = node_stack.last() {
-                let vi = v.index();
-                let adj = csr.incident(v);
-                let mut advanced = false;
-                while cursor[vi] < adj.len() {
-                    let (e, w) = adj[cursor[vi]];
-                    cursor[vi] += 1;
-                    if used[e.index()] {
-                        continue;
-                    }
-                    used[e.index()] = true;
-                    node_stack.push(w);
-                    edge_stack.push(e);
-                    advanced = true;
-                    break;
-                }
-                if !advanced {
-                    node_stack.pop();
-                    if let Some(e) = edge_stack.pop() {
-                        circuit.push(e);
-                    }
-                }
-            }
-            circuit.reverse();
-            if !circuit.is_empty() {
-                // One exact-size allocation per circuit: the returned value.
-                circuits.push(circuit.as_slice().to_vec());
-            }
-        }
-        Ok(circuits)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -723,7 +633,6 @@ mod tests {
         let g = GraphBuilder::new().edge(0, 1).build();
         let err = euler_orientation(&g).unwrap_err();
         assert!(matches!(err, GraphError::OddDegree { degree: 1, .. }));
-        assert!(euler_circuits(&g).is_err());
     }
 
     #[test]
@@ -771,47 +680,6 @@ mod tests {
             .build();
         let o = euler_orientation(&g).unwrap();
         check_balanced(&g, &o);
-    }
-
-    #[test]
-    fn circuits_cover_all_edges_and_are_walks() {
-        let g = complete_multigraph(5, 2);
-        let circuits = euler_circuits(&g).unwrap();
-        let total: usize = circuits.iter().map(Vec::len).sum();
-        assert_eq!(total, g.num_edges());
-        // Each circuit must be a closed walk: consecutive edges share a node.
-        for circuit in &circuits {
-            let first = g.endpoints(circuit[0]);
-            // Choose the traversal direction of the first edge so that the
-            // walk can continue; try both.
-            let ok = [first.u, first.v].iter().any(|&start| {
-                let mut at_inner = start;
-                for &e in circuit {
-                    let ep = g.endpoints(e);
-                    if ep.u == at_inner {
-                        at_inner = ep.v;
-                    } else if ep.v == at_inner {
-                        at_inner = ep.u;
-                    } else {
-                        return false;
-                    }
-                }
-                at_inner == start
-            });
-            assert!(ok, "circuit is not a closed walk");
-        }
-    }
-
-    #[test]
-    fn circuits_distinct_edges() {
-        let g = complete_multigraph(3, 6);
-        let circuits = euler_circuits(&g).unwrap();
-        let mut seen = std::collections::HashSet::new();
-        for c in &circuits {
-            for &e in c {
-                assert!(seen.insert(e), "edge repeated across circuits");
-            }
-        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Plain-text instance formats and DOT export.
+//! A plain-text edge-list format and DOT export.
 //!
-//! The edge-list format is a line-oriented text format shared by the CLI,
-//! the workload generators, and the experiment harnesses:
+//! `dmig dot` renders an instance with [`to_dot`]. The edge-list format
+//! is line-oriented; only the round-trip tests read and write it (the
+//! CLI reads its own instance format, `dmig_cli::instance`):
 //!
 //! ```text
 //! # comment

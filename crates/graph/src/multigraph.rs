@@ -201,14 +201,6 @@ impl Multigraph {
         })
     }
 
-    /// Reserves room for `additional` more edges beyond the current count.
-    ///
-    /// Useful before a padding loop (the even-capacity solver adds a
-    /// predictable number of self-loops and dummy edges).
-    pub fn reserve_edges(&mut self, additional: usize) {
-        self.edges.reserve(additional);
-    }
-
     /// Number of nodes.
     #[inline]
     #[must_use]
@@ -234,13 +226,6 @@ impl Multigraph {
     pub fn add_node(&mut self) -> NodeId {
         self.adjacency.push(Vec::new());
         NodeId::new(self.adjacency.len() - 1)
-    }
-
-    /// Adds `k` isolated nodes, returning the id of the first.
-    pub fn add_nodes(&mut self, k: usize) -> NodeId {
-        let first = self.adjacency.len();
-        self.adjacency.resize_with(first + k, Vec::new);
-        NodeId::new(first)
     }
 
     /// Adds an undirected edge between `u` and `v` and returns its id.
@@ -309,9 +294,7 @@ impl Multigraph {
 
     /// Ids of the edges incident to `v`, in insertion order.
     ///
-    /// A self-loop at `v` appears **twice**. Use
-    /// [`Multigraph::incident_edges_dedup`] when each incident edge is
-    /// needed once.
+    /// A self-loop at `v` appears **twice**.
     ///
     /// # Panics
     ///
@@ -320,56 +303,6 @@ impl Multigraph {
     #[must_use]
     pub fn incident_edges(&self, v: NodeId) -> &[EdgeId] {
         &self.adjacency[v.index()]
-    }
-
-    /// Ids of the edges incident to `v` with self-loops listed once.
-    ///
-    /// Allocates a fresh `Vec` per call; loops that query many nodes
-    /// should reuse one buffer via
-    /// [`Multigraph::incident_edges_dedup_into`] instead (the same
-    /// convention as [`Multigraph::neighbors`] /
-    /// [`Multigraph::neighbors_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[must_use]
-    pub fn incident_edges_dedup(&self, v: NodeId) -> Vec<EdgeId> {
-        let mut out = Vec::with_capacity(self.degree(v));
-        self.incident_edges_dedup_into(v, &mut out);
-        out
-    }
-
-    /// Writes the ids of the edges incident to `v` (self-loops listed
-    /// once) into `out`, clearing it first — the allocation-free variant
-    /// of [`Multigraph::incident_edges_dedup`] for hot loops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use dmig_graph::{GraphBuilder, NodeId};
-    ///
-    /// let g = GraphBuilder::new().edge(0, 0).edge(0, 1).build();
-    /// let mut buf = Vec::new();
-    /// g.incident_edges_dedup_into(NodeId::new(0), &mut buf);
-    /// assert_eq!(buf.len(), 2, "the loop is listed once");
-    /// ```
-    pub fn incident_edges_dedup_into(&self, v: NodeId, out: &mut Vec<EdgeId>) {
-        out.clear();
-        let mut last: Option<EdgeId> = None;
-        for &e in &self.adjacency[v.index()] {
-            // A loop is pushed twice consecutively at insertion time.
-            if self.endpoints(e).is_loop() && last == Some(e) {
-                last = None;
-                continue;
-            }
-            out.push(e);
-            last = Some(e);
-        }
     }
 
     /// The raw endpoint table, indexed by edge id.
@@ -653,9 +586,6 @@ mod tests {
         let mut g = Multigraph::new();
         let a = g.add_node();
         let b = g.add_node();
-        let first = g.add_nodes(3);
-        assert_eq!(g.num_nodes(), 5);
-        assert_eq!(first, NodeId::new(2));
         let e = g.add_edge(a, b);
         assert_eq!(g.endpoints(e), Endpoints { u: a, v: b });
         assert_eq!(g.degree(a), 1);
@@ -687,10 +617,6 @@ mod tests {
         assert_eq!(g.degree(0.into()), 2);
         assert!(g.endpoints(e).is_loop());
         assert_eq!(g.incident_edges(0.into()), &[e, e]);
-        assert_eq!(g.incident_edges_dedup(0.into()), vec![e]);
-        let mut buf = vec![EdgeId::new(99)];
-        g.incident_edges_dedup_into(0.into(), &mut buf);
-        assert_eq!(buf, vec![e], "into-variant clears and refills the buffer");
         assert_eq!(g.multiplicity(0.into(), 0.into()), 1);
         assert!(!g.is_simple());
         assert!(g.has_loops());
@@ -827,7 +753,6 @@ mod tests {
     fn with_capacity_and_reserve_behave_like_with_nodes() {
         let mut a = Multigraph::with_capacity(3, 8);
         let mut b = Multigraph::with_nodes(3);
-        a.reserve_edges(4);
         for g in [&mut a, &mut b] {
             g.add_edge(0.into(), 1.into());
             g.add_edge(1.into(), 2.into());

@@ -19,11 +19,7 @@
 //!
 //! Edges with both endpoints in one cell are *domestic*; edges spanning
 //! two cells land in the global *boundary* set, identified by a stable
-//! cut-edge id (their rank in ascending original-edge-id order). A shard
-//! sees each incident cut edge as an [`EdgePointer::Foreign`] naming the
-//! cut id and the peer shard, while its own edges stay
-//! [`EdgePointer::Domestic`] — the wire format a multi-process fleet
-//! would exchange.
+//! cut-edge id (their rank in ascending original-edge-id order).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -38,19 +34,6 @@ use crate::{EdgeId, Multigraph, NodeId};
 /// sharded schedule. 2^18 keeps a 1e6-edge giant in 4 cells and a
 /// 1e7-edge giant in ~39 — enough fan-out for any realistic core count.
 pub const DEFAULT_MAX_CELL_EDGES: usize = 1 << 18;
-
-/// A shard's view of one edge, in the style of GraphWorker's
-/// `NodePointer::{Domestic, Foreign}`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum EdgePointer {
-    /// The edge lives entirely inside this shard (original edge id).
-    Domestic(EdgeId),
-    /// A cut edge: `(stable cut-edge id, peer shard holding the other
-    /// endpoint)`. The peer may equal the owning shard when both endpoint
-    /// cells were packed onto the same worker — the edge still spans two
-    /// cells and is scheduled by the boundary pass, not by either cell.
-    Foreign(u32, u32),
-}
 
 /// One cell of the partition: a node-disjoint piece of one component,
 /// carrying every edge whose endpoints both fall inside it.
@@ -386,90 +369,6 @@ pub fn assign_shards(cell_edges: &[usize], shards: usize) -> Vec<u32> {
     shard_of
 }
 
-/// One worker shard's view of the partition: its cells, its domestic edge
-/// count, and an [`EdgePointer::Foreign`] per incident cut edge.
-#[derive(Clone, Debug)]
-pub struct ShardView {
-    /// Shard id (`0..shards`).
-    pub shard: u32,
-    /// Indices into [`CellPartition::cells`] owned by this shard.
-    pub cells: Vec<usize>,
-    /// Total domestic edges across the shard's cells.
-    pub domestic_edges: u64,
-    /// Foreign pointers, ascending cut-edge id: one entry per cut edge
-    /// with at least one endpoint cell in this shard (two shards each
-    /// hold a pointer to the same cut id; a cut edge internal to one
-    /// shard's cell set appears once, with `peer == shard`).
-    pub foreign: Vec<EdgePointer>,
-}
-
-/// Builds the per-shard views for a cell-to-shard assignment.
-///
-/// A boundary endpoint with no cell (every incident edge cut away) does
-/// not pin the edge to a second shard: the pointer appears only in the
-/// shard of the celled endpoint (or shard 0 when neither endpoint has a
-/// cell).
-///
-/// # Panics
-///
-/// Panics if `assignment` is not aligned with `partition.cells` or names
-/// a shard `>= shards`.
-#[must_use]
-pub fn shard_views(
-    g: &Multigraph,
-    partition: &CellPartition,
-    assignment: &[u32],
-    shards: usize,
-) -> Vec<ShardView> {
-    assert_eq!(
-        assignment.len(),
-        partition.cells.len(),
-        "one shard per cell"
-    );
-    let mut views: Vec<ShardView> = (0..shards.max(1))
-        .map(|s| ShardView {
-            shard: u32::try_from(s).expect("shard count fits in u32"),
-            cells: Vec::new(),
-            domestic_edges: 0,
-            foreign: Vec::new(),
-        })
-        .collect();
-    for (cell, (&shard, c)) in assignment.iter().zip(&partition.cells).enumerate() {
-        let view = &mut views[shard as usize];
-        view.cells.push(cell);
-        view.domestic_edges += c.edges.len() as u64;
-    }
-    for (cut_id, &e) in partition.boundary.iter().enumerate() {
-        let cut_id = u32::try_from(cut_id).expect("cut ids fit in u32");
-        let ep = g.endpoints(e);
-        let shard_of = |v: NodeId| {
-            let cell = partition.cell_of[v.index()];
-            (cell != u32::MAX).then(|| assignment[cell as usize])
-        };
-        match (shard_of(ep.u), shard_of(ep.v)) {
-            (Some(su), Some(sv)) => {
-                views[su as usize]
-                    .foreign
-                    .push(EdgePointer::Foreign(cut_id, sv));
-                if sv != su {
-                    views[sv as usize]
-                        .foreign
-                        .push(EdgePointer::Foreign(cut_id, su));
-                }
-            }
-            (Some(s), None) | (None, Some(s)) => {
-                views[s as usize]
-                    .foreign
-                    .push(EdgePointer::Foreign(cut_id, s));
-            }
-            (None, None) => {
-                views[0].foreign.push(EdgePointer::Foreign(cut_id, 0));
-            }
-        }
-    }
-    views
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,49 +515,5 @@ mod tests {
         // More shards than cells, and zero shards, both behave.
         assert_eq!(assign_shards(&[7], 4), vec![0]);
         assert_eq!(assign_shards(&[], 0), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn shard_views_expose_domestic_and_foreign_pointers() {
-        let g = ladder(100);
-        let p = partition_cells(&g, 100);
-        let counts: Vec<usize> = p.cells.iter().map(|c| c.edges.len()).collect();
-        let assignment = assign_shards(&counts, 2);
-        let views = shard_views(&g, &p, &assignment, 2);
-        assert_eq!(views.len(), 2);
-        let domestic: u64 = views.iter().map(|v| v.domestic_edges).sum();
-        assert_eq!(domestic as usize + p.boundary.len(), g.num_edges());
-        // Every cut id appears in the views of both endpoint shards
-        // (once, when both endpoints share a shard).
-        for (cut_id, &e) in p.boundary.iter().enumerate() {
-            let ep = g.endpoints(e);
-            let su = assignment[p.cell_of[ep.u.index()] as usize];
-            let sv = assignment[p.cell_of[ep.v.index()] as usize];
-            let hits: Vec<(u32, u32)> = views
-                .iter()
-                .flat_map(|view| view.foreign.iter().map(move |f| (view.shard, *f)))
-                .filter_map(|(s, f)| match f {
-                    EdgePointer::Foreign(id, peer) if id as usize == cut_id => Some((s, peer)),
-                    _ => None,
-                })
-                .collect();
-            if su == sv {
-                assert_eq!(hits, vec![(su, sv)]);
-            } else {
-                assert_eq!(hits.len(), 2);
-                assert!(hits.contains(&(su, sv)) && hits.contains(&(sv, su)));
-            }
-        }
-        for view in &views {
-            let ids: Vec<u32> = view
-                .foreign
-                .iter()
-                .map(|f| match f {
-                    EdgePointer::Foreign(id, _) => *id,
-                    EdgePointer::Domestic(_) => unreachable!(),
-                })
-                .collect();
-            assert!(ids.windows(2).all(|w| w[0] < w[1]), "foreign ids ascending");
-        }
     }
 }

@@ -67,23 +67,10 @@ pub fn graph_stats(g: &Multigraph) -> GraphStats {
     }
 }
 
-/// Degree histogram: `histogram[d]` = number of nodes with degree `d`.
-#[must_use]
-pub fn degree_histogram(g: &Multigraph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for v in g.nodes() {
-        hist[g.degree(v)] += 1;
-    }
-    if g.num_nodes() == 0 {
-        hist.clear();
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{complete_multigraph, star_multigraph, GraphBuilder};
+    use crate::builder::{complete_multigraph, GraphBuilder};
 
     #[test]
     fn stats_of_k3() {
@@ -114,16 +101,6 @@ mod tests {
         let s = graph_stats(&Multigraph::new());
         assert_eq!(s.num_nodes, 0);
         assert_eq!(s.mean_degree, 0.0);
-        assert!(degree_histogram(&Multigraph::new()).is_empty());
-    }
-
-    #[test]
-    fn histogram_sums_to_node_count() {
-        let g = star_multigraph(5, 2);
-        let h = degree_histogram(&g);
-        assert_eq!(h.iter().sum::<usize>(), g.num_nodes());
-        assert_eq!(h[2], 5); // leaves
-        assert_eq!(h[10], 1); // hub
     }
 
     use crate::Multigraph;

@@ -28,9 +28,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::hist::{bucket_high, bucket_index, HistogramSnapshot};
+use crate::hist::{bucket_high, bucket_index};
 use crate::snapshot::Snapshot;
-use crate::value::Value;
 
 /// Escapes a Prometheus label value: backslash, double quote, and newline
 /// must be backslash-escaped per the text exposition format.
@@ -90,78 +89,6 @@ pub fn render_prometheus(snap: &Snapshot) -> String {
     out
 }
 
-/// Rebuilds the metric side of a snapshot from a `dmig-obs/1` JSON
-/// document (as written by `--metrics-out`), for serving historical runs
-/// with `dmig obs serve FILE`. Spans are not reconstructed — `/snapshot`
-/// serves the original document verbatim, and `/metrics` only needs the
-/// flat metric families.
-///
-/// # Errors
-///
-/// Returns a message when the text is not JSON, is not schema
-/// `dmig-obs/1`, or has a malformed metric section.
-pub fn snapshot_from_json(text: &str) -> Result<Snapshot, String> {
-    let doc = Value::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    match doc.get_path("schema").and_then(Value::as_str) {
-        Some("dmig-obs/1") => {}
-        other => {
-            return Err(format!(
-                "expected schema \"dmig-obs/1\", found {}",
-                other.unwrap_or("none")
-            ))
-        }
-    }
-    let mut snap = Snapshot::default();
-    for (section, out) in [
-        ("counters", &mut snap.counters),
-        ("gauges", &mut snap.gauges),
-    ] {
-        if let Some(map) = doc.get_path(section).and_then(Value::as_object) {
-            for (k, v) in map {
-                let v = v
-                    .as_f64()
-                    .ok_or_else(|| format!("{section}.{k}: not a number"))?;
-                out.insert(k.clone(), v as u64);
-            }
-        }
-    }
-    if let Some(map) = doc.get_path("histograms").and_then(Value::as_object) {
-        for (k, h) in map {
-            let field = |name: &str| {
-                h.get_path(name)
-                    .and_then(Value::as_f64)
-                    .map(|v| v as u64)
-                    .ok_or_else(|| format!("histograms.{k}.{name}: not a number"))
-            };
-            let mut hs = HistogramSnapshot {
-                count: field("count")?,
-                sum: field("sum")?,
-                min: field("min")?,
-                max: field("max")?,
-                buckets: Vec::new(),
-            };
-            let buckets = h
-                .get_path("buckets")
-                .and_then(Value::as_array)
-                .ok_or_else(|| format!("histograms.{k}.buckets: not an array"))?;
-            for pair in buckets {
-                let pair = pair
-                    .as_array()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| format!("histograms.{k}.buckets: expected [low, n] pairs"))?;
-                let low = pair[0].as_f64().unwrap_or(-1.0);
-                let n = pair[1].as_f64().unwrap_or(-1.0);
-                if low < 0.0 || n < 0.0 {
-                    return Err(format!("histograms.{k}.buckets: negative entry"));
-                }
-                hs.buckets.push((low as u64, n as u64));
-            }
-            snap.histograms.insert(k.clone(), hs);
-        }
-    }
-    Ok(snap)
-}
-
 /// What an [`ObsServer`] serves.
 #[derive(Debug)]
 pub enum ServeSource {
@@ -170,7 +97,7 @@ pub enum ServeSource {
     /// Serve one fixed snapshot: `/metrics` renders `snapshot`, while
     /// `/snapshot` returns `raw` (the original JSON document) verbatim.
     Fixed {
-        /// Metrics reconstructed via [`snapshot_from_json`].
+        /// The document read by [`Snapshot::from_value`].
         snapshot: Snapshot,
         /// The original document, served at `/snapshot`.
         raw: String,
@@ -244,12 +171,6 @@ impl ObsServer {
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Requests accepted so far.
-    #[must_use]
-    pub fn requests_served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
     }
 
     /// Blocks until the accept loop exits on its own — only meaningful
@@ -375,6 +296,7 @@ fn handle(mut stream: TcpStream, source: &ServeSource) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hist::HistogramSnapshot;
     use crate::testutil::{obs_lock, Cleanup};
 
     fn fetch(addr: SocketAddr, path: &str) -> (String, String) {
@@ -449,15 +371,6 @@ mod tests {
         assert!(text.contains("dmig_histogram_bucket{key=\"dinic.max_flow_ns\",le=\"+Inf\"} 3"));
         assert!(text.contains("dmig_histogram_sum{key=\"dinic.max_flow_ns\"} 9000"));
         assert!(text.contains("dmig_histogram_count{key=\"dinic.max_flow_ns\"} 3"));
-    }
-
-    #[test]
-    fn snapshot_json_roundtrips_into_same_exposition() {
-        let snap = metric_snapshot();
-        let rebuilt = snapshot_from_json(&snap.to_json()).expect("roundtrip");
-        assert_eq!(render_prometheus(&rebuilt), render_prometheus(&snap));
-        assert!(snapshot_from_json("{}").is_err(), "schema required");
-        assert!(snapshot_from_json("not json").is_err());
     }
 
     #[test]

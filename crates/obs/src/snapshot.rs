@@ -5,6 +5,7 @@ use std::fmt::Write as _;
 
 use crate::hist::HistogramSnapshot;
 use crate::json;
+use crate::value::Value;
 
 /// Flat span copy handed from the recorder to [`Snapshot::assemble`].
 #[derive(Clone, Debug)]
@@ -247,6 +248,128 @@ impl Snapshot {
         out.push_str("\n  ]\n}\n");
         out
     }
+
+    /// Reads a `dmig-obs/1` document (as [`Snapshot::to_json`] writes it)
+    /// back into a snapshot: the one reader behind `dmig obs serve`,
+    /// `export-trace`, `flame`, `diff` and `gate`.
+    ///
+    /// A section may be absent (it reads as empty); every field present
+    /// must have its type. Span times are read back from microseconds to
+    /// the nearest nanosecond; a missing `label` or `duration_us` reads as
+    /// `null`, and missing `children` as none.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the schema or the first mistyped field,
+    /// e.g. `counters.flow_solves: not a number` or
+    /// `spans[0].children[2].thread: not a number`.
+    pub fn from_value(doc: &Value) -> Result<Snapshot, String> {
+        match doc.get_path("schema").and_then(Value::as_str) {
+            Some("dmig-obs/1") => {}
+            other => {
+                return Err(format!(
+                    "expected schema \"dmig-obs/1\", found {}",
+                    other.unwrap_or("none")
+                ))
+            }
+        }
+        let section = |name: &str| match doc.get_path(name) {
+            None => Ok(None),
+            Some(v) => v
+                .as_object()
+                .map(Some)
+                .ok_or_else(|| format!("{name}: not an object")),
+        };
+        let mut snap = Snapshot::default();
+        for (name, out) in [
+            ("counters", &mut snap.counters),
+            ("gauges", &mut snap.gauges),
+        ] {
+            for (k, v) in section(name)?.into_iter().flatten() {
+                let v = v
+                    .as_f64()
+                    .ok_or_else(|| format!("{name}.{k}: not a number"))?;
+                out.insert(k.clone(), v as u64);
+            }
+        }
+        for (k, h) in section("histograms")?.into_iter().flatten() {
+            let field = |name: &str| {
+                h.get_path(name)
+                    .and_then(Value::as_f64)
+                    .map(|v| v as u64)
+                    .ok_or_else(|| format!("histograms.{k}.{name}: not a number"))
+            };
+            let mut hs = HistogramSnapshot {
+                count: field("count")?,
+                sum: field("sum")?,
+                min: field("min")?,
+                max: field("max")?,
+                buckets: Vec::new(),
+            };
+            let buckets = h
+                .get_path("buckets")
+                .and_then(Value::as_array)
+                .ok_or_else(|| format!("histograms.{k}.buckets: not an array"))?;
+            for pair in buckets {
+                let pair = pair
+                    .as_array()
+                    .filter(|p| p.len() == 2)
+                    .ok_or_else(|| format!("histograms.{k}.buckets: expected [low, n] pairs"))?;
+                let low = pair[0].as_f64().unwrap_or(-1.0);
+                let n = pair[1].as_f64().unwrap_or(-1.0);
+                if low < 0.0 || n < 0.0 {
+                    return Err(format!("histograms.{k}.buckets: negative entry"));
+                }
+                hs.buckets.push((low as u64, n as u64));
+            }
+            snap.histograms.insert(k.clone(), hs);
+        }
+        if let Some(spans) = doc.get_path("spans") {
+            snap.spans = spans_from_value(spans, "spans")?;
+        }
+        Ok(snap)
+    }
+}
+
+/// Reads the span array found at `path` (the prefix of every message);
+/// see [`Snapshot::from_value`].
+fn spans_from_value(v: &Value, path: &str) -> Result<Vec<SpanNode>, String> {
+    let spans = v
+        .as_array()
+        .ok_or_else(|| format!("{path}: not an array"))?;
+    let us_to_ns = |x: f64| (x * 1e3).max(0.0).round() as u64;
+    let mut out = Vec::with_capacity(spans.len());
+    for (i, span) in spans.iter().enumerate() {
+        let at = format!("{path}[{i}]");
+        // `None` for an absent or null field, else the typed value.
+        let number = |name: &str| match span.get_path(name) {
+            None | Some(Value::Null) => Ok(None),
+            Some(f) => f
+                .as_f64()
+                .map(Some)
+                .ok_or_else(|| format!("{at}.{name}: not a number")),
+        };
+        let string = |name: &str| match span.get_path(name) {
+            None | Some(Value::Null) => Ok(None),
+            Some(f) => f
+                .as_str()
+                .map(|s| Some(s.to_string()))
+                .ok_or_else(|| format!("{at}.{name}: not a string")),
+        };
+        let missing = |name: &str, kind: &str| format!("{at}.{name}: not a {kind}");
+        out.push(SpanNode {
+            name: string("name")?.ok_or_else(|| missing("name", "string"))?,
+            label: string("label")?,
+            thread: number("thread")?.ok_or_else(|| missing("thread", "number"))? as u64,
+            start_ns: us_to_ns(number("start_us")?.ok_or_else(|| missing("start_us", "number"))?),
+            duration_ns: number("duration_us")?.map(us_to_ns),
+            children: match span.get_path("children") {
+                None => Vec::new(),
+                Some(c) => spans_from_value(c, &format!("{at}.children"))?,
+            },
+        });
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -331,5 +454,168 @@ mod tests {
         }];
         let s = Snapshot::assemble(BTreeMap::new(), BTreeMap::new(), BTreeMap::new(), flat);
         assert_eq!(s.spans.len(), 1);
+    }
+
+    fn read(text: &str) -> Result<Snapshot, String> {
+        Snapshot::from_value(&Value::parse(text).expect("test documents are JSON"))
+    }
+
+    #[test]
+    fn from_value_requires_the_schema() {
+        let err = read(r#"{"counters": {}}"#).unwrap_err();
+        assert_eq!(err, "expected schema \"dmig-obs/1\", found none");
+        let err = read(r#"{"schema": "dmig-history/1"}"#).unwrap_err();
+        assert!(
+            err.contains("schema") && err.contains("dmig-history/1"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn from_value_reads_absent_sections_as_empty() {
+        assert_eq!(read(r#"{"schema": "dmig-obs/1"}"#), Ok(Snapshot::default()));
+        let err = read(r#"{"schema": "dmig-obs/1", "spans": {}}"#).unwrap_err();
+        assert_eq!(err, "spans: not an array");
+        let err = read(r#"{"schema": "dmig-obs/1", "gauges": [1]}"#).unwrap_err();
+        assert_eq!(err, "gauges: not an object");
+    }
+
+    #[test]
+    fn from_value_names_a_mistyped_counter() {
+        let err =
+            read(r#"{"schema": "dmig-obs/1", "counters": {"flow_solves": "3"}}"#).unwrap_err();
+        assert_eq!(err, "counters.flow_solves: not a number");
+    }
+
+    #[test]
+    fn from_value_names_a_mistyped_span_field() {
+        let doc = |child: &str| {
+            format!(
+                r#"{{"schema": "dmig-obs/1", "spans": [{{"name": "solve", "label": null,
+                    "thread": 0, "start_us": 1.5, "duration_us": 9.0,
+                    "children": [{child}]}}]}}"#
+            )
+        };
+        let ok = r##"{"name": "cell", "label": "#0", "thread": 2, "start_us": 2.0,
+                      "duration_us": null, "children": []}"##;
+        let snap = read(&doc(ok)).expect("well-typed spans");
+        let cell = &snap.spans[0].children[0];
+        assert_eq!(
+            (cell.thread, cell.start_ns, cell.duration_ns),
+            (2, 2_000, None)
+        );
+        for (child, message) in [
+            (
+                r#"{"name": "cell", "thread": "2", "start_us": 2.0}"#,
+                "spans[0].children[0].thread: not a number",
+            ),
+            (
+                r#"{"name": "cell", "thread": 2}"#,
+                "spans[0].children[0].start_us: not a number",
+            ),
+            (
+                r#"{"name": "cell", "label": 3, "thread": 2, "start_us": 2.0}"#,
+                "spans[0].children[0].label: not a string",
+            ),
+            (
+                r#"{"name": "cell", "thread": 2, "start_us": 2.0, "children": {}}"#,
+                "spans[0].children[0].children: not an array",
+            ),
+        ] {
+            assert_eq!(read(&doc(child)).unwrap_err(), message, "{child}");
+        }
+    }
+
+    mod roundtrip {
+        use super::*;
+        use crate::hist::HistogramSnapshot;
+        use proptest::prelude::*;
+
+        /// Names drawn from an alphabet with the characters JSON escapes,
+        /// a dot, and non-ASCII.
+        fn arb_name() -> impl Strategy<Value = String> {
+            const ALPHABET: [char; 10] = ['a', 'z', '.', '_', '"', '\\', '\n', ' ', 'µ', '#'];
+            proptest::collection::vec(0..ALPHABET.len(), 1..8)
+                .prop_map(|ix| ix.into_iter().map(|i| ALPHABET[i]).collect())
+        }
+
+        fn arb_metrics() -> impl Strategy<Value = Vec<(String, u64)>> {
+            // Values stay below 2^53: the reader goes through `f64`.
+            proptest::collection::vec((arb_name(), 0u64..1 << 53), 0..4)
+        }
+
+        fn arb_histogram() -> impl Strategy<Value = (String, HistogramSnapshot)> {
+            (
+                arb_name(),
+                (0u64..1 << 53, 0u64..1 << 53, 0u64..1 << 53, 0u64..1 << 53),
+                proptest::collection::vec((0u64..1 << 53, 0u64..1 << 53), 0..4),
+            )
+                .prop_map(|(name, (count, sum, min, max), buckets)| {
+                    let h = HistogramSnapshot {
+                        count,
+                        sum,
+                        min,
+                        max,
+                        buckets,
+                    };
+                    (name, h)
+                })
+        }
+
+        /// Flat spans in open order: each names an earlier span (or none)
+        /// as its parent, so [`Snapshot::assemble`] builds a forest with
+        /// nesting. Times are whole nanoseconds below 2^40 (about 18
+        /// minutes), which `{:.6}` microseconds carry exactly.
+        fn arb_spans() -> impl Strategy<Value = Vec<SnapSpan>> {
+            let span = (
+                arb_name(),
+                (proptest::bool::ANY, arb_name()),
+                (0usize..8, 0u64..6),
+                0u64..1 << 40,
+                (proptest::bool::ANY, 0u64..1 << 40),
+            );
+            proptest::collection::vec(span, 0..12).prop_map(|specs| {
+                specs
+                    .into_iter()
+                    .enumerate()
+                    .map(
+                        |(
+                            i,
+                            (name, (labelled, label), (parent, thread), start_ns, (closed, d)),
+                        )| {
+                            SnapSpan {
+                                name,
+                                label: labelled.then_some(label),
+                                parent: (parent < i).then_some(parent),
+                                thread,
+                                start_ns,
+                                duration_ns: closed.then_some(d),
+                            }
+                        },
+                    )
+                    .collect()
+            })
+        }
+
+        proptest! {
+            /// `from_value` reads back every document `to_json` writes.
+            #[test]
+            fn from_value_inverts_to_json(
+                counters in arb_metrics(),
+                gauges in arb_metrics(),
+                histograms in proptest::collection::vec(arb_histogram(), 0..3),
+                spans in arb_spans(),
+            ) {
+                let snap = Snapshot::assemble(
+                    counters.into_iter().collect(),
+                    gauges.into_iter().collect(),
+                    histograms.into_iter().collect(),
+                    spans,
+                );
+                let text = snap.to_json();
+                let doc = Value::parse(&text).expect("to_json writes JSON");
+                prop_assert_eq!(Snapshot::from_value(&doc), Ok(snap), "{}", text);
+            }
+        }
     }
 }

@@ -20,84 +20,8 @@
 use std::fmt::Write as _;
 
 use crate::json;
-use crate::snapshot::{Snapshot, SpanNode};
+use crate::snapshot::SpanNode;
 use crate::value::Value;
-
-/// One span in track form: the tree structure is kept (children), but all
-/// timing is absolute, ready for event emission. Convertible both from a
-/// live [`Snapshot`] and from a parsed `dmig-obs/1` snapshot JSON
-/// (`dmig obs export-trace`).
-#[derive(Clone, Debug, PartialEq)]
-pub struct TraceSpan {
-    /// Span name.
-    pub name: String,
-    /// Optional per-instance label (becomes `args.label`).
-    pub label: Option<String>,
-    /// Track id (recorder thread ordinal).
-    pub tid: u64,
-    /// Start in nanoseconds since the recorder epoch.
-    pub start_ns: u64,
-    /// Duration in nanoseconds (`None` = still open at snapshot time).
-    pub duration_ns: Option<u64>,
-    /// Child spans in open order.
-    pub children: Vec<TraceSpan>,
-}
-
-impl TraceSpan {
-    fn from_node(node: &SpanNode) -> TraceSpan {
-        TraceSpan {
-            name: node.name.clone(),
-            label: node.label.clone(),
-            tid: node.thread,
-            start_ns: node.start_ns,
-            duration_ns: node.duration_ns,
-            children: node.children.iter().map(TraceSpan::from_node).collect(),
-        }
-    }
-
-    fn from_value(v: &Value) -> Option<TraceSpan> {
-        let us_to_ns = |x: f64| (x * 1e3).max(0.0).round() as u64;
-        Some(TraceSpan {
-            name: v.get_path("name")?.as_str()?.to_string(),
-            label: v
-                .get_path("label")
-                .and_then(Value::as_str)
-                .map(str::to_string),
-            tid: v.get_path("thread")?.as_f64()? as u64,
-            start_ns: us_to_ns(v.get_path("start_us")?.as_f64()?),
-            duration_ns: v
-                .get_path("duration_us")
-                .and_then(Value::as_f64)
-                .map(us_to_ns),
-            children: v
-                .get_path("children")
-                .and_then(Value::as_array)
-                .unwrap_or(&[])
-                .iter()
-                .filter_map(TraceSpan::from_value)
-                .collect(),
-        })
-    }
-}
-
-/// Extracts the span forest of a live snapshot.
-#[must_use]
-pub fn spans_of_snapshot(snapshot: &Snapshot) -> Vec<TraceSpan> {
-    snapshot.spans.iter().map(TraceSpan::from_node).collect()
-}
-
-/// Extracts the span forest of a parsed `dmig-obs/1` snapshot JSON.
-///
-/// # Errors
-///
-/// Returns a message when the document carries no parseable `spans` array.
-pub fn spans_of_snapshot_value(doc: &Value) -> Result<Vec<TraceSpan>, String> {
-    let spans = doc
-        .get_path("spans")
-        .and_then(Value::as_array)
-        .ok_or("snapshot JSON has no \"spans\" array (expected dmig-obs/1 schema)")?;
-    Ok(spans.iter().filter_map(TraceSpan::from_value).collect())
-}
 
 fn push_event(
     out: &mut String,
@@ -124,14 +48,14 @@ fn push_event(
     out.push('}');
 }
 
-fn emit_span(span: &TraceSpan, out: &mut String, first: &mut bool, ancestor_end: Option<u64>) {
+fn emit_span(span: &SpanNode, out: &mut String, first: &mut bool, ancestor_end: Option<u64>) {
     let start_us = span.start_ns as f64 / 1e3;
     push_event(
         out,
         first,
         'B',
         &span.name,
-        span.tid,
+        span.thread,
         start_us,
         span.label.as_deref(),
     );
@@ -153,17 +77,17 @@ fn emit_span(span: &TraceSpan, out: &mut String, first: &mut bool, ancestor_end:
             first,
             'E',
             &span.name,
-            span.tid,
+            span.thread,
             end as f64 / 1e3,
             None,
         );
     }
 }
 
-fn collect_tids(spans: &[TraceSpan], tids: &mut Vec<u64>) {
+fn collect_tids(spans: &[SpanNode], tids: &mut Vec<u64>) {
     for s in spans {
-        if !tids.contains(&s.tid) {
-            tids.push(s.tid);
+        if !tids.contains(&s.thread) {
+            tids.push(s.thread);
         }
         collect_tids(&s.children, tids);
     }
@@ -173,7 +97,7 @@ fn collect_tids(spans: &[TraceSpan], tids: &mut Vec<u64>) {
 /// (`{"traceEvents": [...]}` object form), loadable in Perfetto and
 /// `chrome://tracing`.
 #[must_use]
-pub fn chrome_trace(spans: &[TraceSpan]) -> String {
+pub fn chrome_trace(spans: &[SpanNode]) -> String {
     let mut out = String::from("{\"traceEvents\":[\n");
     let mut first = true;
     // Metadata: process and per-track thread names (tid 0 = the first
@@ -214,12 +138,6 @@ pub fn chrome_trace(spans: &[TraceSpan]) -> String {
     out
 }
 
-/// Convenience: Chrome trace JSON straight from a live snapshot.
-#[must_use]
-pub fn chrome_trace_of(snapshot: &Snapshot) -> String {
-    chrome_trace(&spans_of_snapshot(snapshot))
-}
-
 /// Aggregated timing for all spans sharing one name: a flame-graph-style
 /// rollup row. `self_ns` is wall time minus the summed durations of direct
 /// children (saturating at zero — a parent whose children ran concurrently
@@ -236,7 +154,7 @@ pub struct RollupRow {
     pub self_ns: u64,
 }
 
-fn accumulate_rollup(span: &TraceSpan, acc: &mut std::collections::BTreeMap<String, RollupRow>) {
+fn accumulate_rollup(span: &SpanNode, acc: &mut std::collections::BTreeMap<String, RollupRow>) {
     let dur = span.duration_ns.unwrap_or(0);
     let child_sum: u64 = span
         .children
@@ -257,7 +175,7 @@ fn accumulate_rollup(span: &TraceSpan, acc: &mut std::collections::BTreeMap<Stri
 /// serial chunk of a solve is the first row. Rendered into
 /// [`html_timeline`] and by `dmig obs flame`.
 #[must_use]
-pub fn self_time_rollup(spans: &[TraceSpan]) -> Vec<RollupRow> {
+pub fn self_time_rollup(spans: &[SpanNode]) -> Vec<RollupRow> {
     let mut acc = std::collections::BTreeMap::new();
     for s in spans {
         accumulate_rollup(s, &mut acc);
@@ -310,7 +228,7 @@ pub fn render_rollup_text(rows: &[RollupRow]) -> String {
 }
 
 fn flatten_rows(
-    span: &TraceSpan,
+    span: &SpanNode,
     depth: usize,
     rows: &mut Vec<(u64, usize, String, u64, u64)>,
     end_ns: &mut u64,
@@ -321,7 +239,7 @@ fn flatten_rows(
     if let Some(l) = &span.label {
         let _ = write!(title, " {l}");
     }
-    rows.push((span.tid, depth, title, span.start_ns, dur));
+    rows.push((span.thread, depth, title, span.start_ns, dur));
     for c in &span.children {
         flatten_rows(c, depth + 1, rows, end_ns);
     }
@@ -343,7 +261,7 @@ pub struct DiskUtilRow {
 /// per track, bars positioned by start/duration, hover for exact timings.
 /// No external assets, so the file opens anywhere a browser exists.
 #[must_use]
-pub fn html_timeline(spans: &[TraceSpan]) -> String {
+pub fn html_timeline(spans: &[SpanNode]) -> String {
     html_timeline_with_disks(spans, &[])
 }
 
@@ -352,7 +270,7 @@ pub fn html_timeline(spans: &[TraceSpan]) -> String {
 /// click-to-sort table, so the bottleneck disks of a simulation are
 /// visible without a spreadsheet round-trip.
 #[must_use]
-pub fn html_timeline_with_disks(spans: &[TraceSpan], disks: &[DiskUtilRow]) -> String {
+pub fn html_timeline_with_disks(spans: &[SpanNode], disks: &[DiskUtilRow]) -> String {
     let mut rows = Vec::new();
     let mut end_ns = 1u64;
     for s in spans {
@@ -498,12 +416,6 @@ pub fn html_timeline_with_disks(spans: &[TraceSpan], disks: &[DiskUtilRow]) -> S
     out
 }
 
-/// Convenience: HTML timeline straight from a live snapshot.
-#[must_use]
-pub fn html_timeline_of(snapshot: &Snapshot) -> String {
-    html_timeline(&spans_of_snapshot(snapshot))
-}
-
 /// Structural validation of Chrome trace JSON, used by tests and by
 /// `dmig obs export-trace --check`: parses the document, then checks that
 /// every `E` closes the most recent unclosed `B` with the same name on the
@@ -598,26 +510,26 @@ pub struct TraceStats {
 mod tests {
     use super::*;
 
-    fn forest() -> Vec<TraceSpan> {
-        vec![TraceSpan {
+    fn forest() -> Vec<SpanNode> {
+        vec![SpanNode {
             name: "solve_sharded".into(),
             label: Some("threads=2".into()),
-            tid: 0,
+            thread: 0,
             start_ns: 1_000,
             duration_ns: Some(9_000_000),
             children: vec![
-                TraceSpan {
+                SpanNode {
                     name: "shard_cell".into(),
                     label: Some("#0".into()),
-                    tid: 1,
+                    thread: 1,
                     start_ns: 5_000,
                     duration_ns: Some(2_000_000),
                     children: vec![],
                 },
-                TraceSpan {
+                SpanNode {
                     name: "shard_cell".into(),
                     label: Some("#1".into()),
-                    tid: 0,
+                    thread: 0,
                     start_ns: 6_000,
                     duration_ns: None,
                     children: vec![],
@@ -642,16 +554,16 @@ mod tests {
 
     #[test]
     fn fully_open_chain_keeps_lone_begins() {
-        let spans = vec![TraceSpan {
+        let spans = vec![SpanNode {
             name: "solve_sharded".into(),
             label: None,
-            tid: 0,
+            thread: 0,
             start_ns: 1_000,
             duration_ns: None,
-            children: vec![TraceSpan {
+            children: vec![SpanNode {
                 name: "shard_cell".into(),
                 label: Some("#0".into()),
-                tid: 0,
+                thread: 0,
                 start_ns: 2_000,
                 duration_ns: None,
                 children: vec![],
@@ -682,27 +594,6 @@ mod tests {
         assert!(validate_chrome_trace(backwards)
             .unwrap_err()
             .contains("decreases"));
-    }
-
-    #[test]
-    fn snapshot_json_roundtrips_to_trace() {
-        // Build a live snapshot-shaped JSON and re-import it.
-        let snap_json = r#"{
-          "schema": "dmig-obs/1",
-          "counters": {}, "gauges": {}, "histograms": {},
-          "spans": [{"name": "solve_even", "label": null, "thread": 0,
-                     "start_us": 1.5, "duration_us": 350.0,
-                     "children": [{"name": "quota", "label": "lvl=1",
-                                   "thread": 2, "start_us": 2.0,
-                                   "duration_us": 100.0, "children": []}]}]
-        }"#;
-        let doc = Value::parse(snap_json).unwrap();
-        let spans = spans_of_snapshot_value(&doc).unwrap();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].children[0].tid, 2);
-        let stats = validate_chrome_trace(&chrome_trace(&spans)).unwrap();
-        assert_eq!(stats.begins, 2);
-        assert_eq!(stats.tracks, vec![0, 2]);
     }
 
     #[test]
@@ -764,18 +655,18 @@ mod tests {
     fn rollup_self_time_saturates_for_concurrent_children() {
         // Parent 1ms, two concurrent children of 800µs each on other
         // tracks: self time clamps at zero instead of going negative.
-        let child = |tid| TraceSpan {
+        let child = |thread| SpanNode {
             name: "worker".into(),
             label: None,
-            tid,
+            thread,
             start_ns: 100,
             duration_ns: Some(800_000),
             children: vec![],
         };
-        let spans = vec![TraceSpan {
+        let spans = vec![SpanNode {
             name: "fanout".into(),
             label: None,
-            tid: 0,
+            thread: 0,
             start_ns: 0,
             duration_ns: Some(1_000_000),
             children: vec![child(1), child(2)],

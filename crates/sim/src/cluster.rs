@@ -84,12 +84,6 @@ impl Cluster {
     pub fn item_size(&self, e: dmig_graph::EdgeId) -> f64 {
         self.item_sizes.as_ref().map_or(1.0, |s| s[e.index()])
     }
-
-    /// Whether explicit item sizes were provided, and how many.
-    #[must_use]
-    pub fn explicit_item_sizes(&self) -> Option<usize> {
-        self.item_sizes.as_ref().map(Vec::len)
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +96,6 @@ mod tests {
         assert_eq!(c.num_disks(), 4);
         assert_eq!(c.bandwidth(3.into()), 2.0);
         assert_eq!(c.item_size(0.into()), 1.0);
-        assert_eq!(c.explicit_item_sizes(), None);
     }
 
     #[test]
@@ -116,7 +109,6 @@ mod tests {
         let c = Cluster::uniform(2, 1.0).with_item_sizes(vec![2.0, 0.5]);
         assert_eq!(c.item_size(0.into()), 2.0);
         assert_eq!(c.item_size(1.into()), 0.5);
-        assert_eq!(c.explicit_item_sizes(), Some(2));
     }
 
     #[test]

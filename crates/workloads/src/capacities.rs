@@ -65,35 +65,6 @@ pub fn tiered(n: usize, fast: u32, slow: u32, fast_fraction: f64, seed: u64) -> 
         .collect()
 }
 
-/// Derives transfer constraints from hardware bandwidths: disk `v` gets
-/// `max(1, round(per_unit · B_v))` concurrent-transfer slots, coupling the
-/// scheduling input to the simulator's hardware model (a disk twice as
-/// fast tolerates twice the concurrent migration load).
-///
-/// # Panics
-///
-/// Panics if `per_unit` is not strictly positive and finite, or any
-/// bandwidth is not strictly positive and finite.
-#[must_use]
-pub fn proportional_to_bandwidth(bandwidths: &[f64], per_unit: f64) -> Capacities {
-    assert!(
-        per_unit.is_finite() && per_unit > 0.0,
-        "per_unit must be positive and finite"
-    );
-    bandwidths
-        .iter()
-        .map(|&b| {
-            assert!(
-                b.is_finite() && b > 0.0,
-                "bandwidths must be positive and finite"
-            );
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            let c = (per_unit * b).round() as u32;
-            c.max(1)
-        })
-        .collect()
-}
-
 /// Everyone gets `fast` except disk `slow_disk`, which gets `slow` — the
 /// single-bottleneck profile of experiment E7 (§I: "a slow node can be a
 /// bottleneck in the schedule").
@@ -153,17 +124,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn one_slow_bad_index() {
         let _ = one_slow(3, 2, 1, 3);
-    }
-
-    #[test]
-    fn proportional_scales_and_floors() {
-        let c = proportional_to_bandwidth(&[1.0, 2.0, 0.1, 3.4], 2.0);
-        assert_eq!(c.as_slice(), &[2, 4, 1, 7]);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive and finite")]
-    fn proportional_rejects_bad_bandwidth() {
-        let _ = proportional_to_bandwidth(&[0.0], 1.0);
     }
 }

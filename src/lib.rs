@@ -6,7 +6,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`graph`] | `dmig-graph` | transfer multigraphs, Euler circuits, bipartitions |
+//! | [`graph`] | `dmig-graph` | transfer multigraphs, Euler orientations, bipartitions |
 //! | [`flow`] | `dmig-flow` | Dinic max-flow, degree-constrained subgraphs, densest subgraph |
 //! | [`color`] | `dmig-color` | greedy / Vizing / König / Kempe edge colorers |
 //! | [`core`] | `dmig-core` | the paper's algorithms: lower bounds, even-capacity optimum, general solver, baselines |
