@@ -27,41 +27,92 @@ fn unknown_command_exits_nonzero() {
     assert!(stdout.contains("unknown command"));
 }
 
-/// A disk index or node count beyond the `u32` id space is an error at
-/// its line, not an allocation of that many disks.
+/// A disk index or node count beyond the `u32` id space, in an instance
+/// or a trace, is an error at its line, not an allocation of that many
+/// disks.
 #[test]
 fn huge_disk_indices_exit_one_naming_the_line() {
     let path = std::env::temp_dir().join(format!("dmig-bin-huge-{}.dmig", std::process::id()));
-    for text in ["edge 0 4000000000000", "nodes 4000000000000"] {
+    for (command, text, expected) in [
+        ("solve", "edge 0 4000000000000", ": line 1: "),
+        ("solve", "nodes 4000000000000", ": line 1: "),
+        (
+            "import-trace",
+            "item 0 4000000000000",
+            "line 1: destination disk 4000000000000 exceeds the largest disk index 4294967295",
+        ),
+    ] {
         std::fs::write(&path, text).unwrap();
-        let (code, out) = dmig(&["solve", &path.to_string_lossy()]);
+        let (code, out) = dmig(&[command, &path.to_string_lossy()]);
         assert_eq!(code, 1, "{text}: {out}");
-        assert!(out.contains(": line 1: "), "{text}: {out}");
+        assert!(out.contains(expected), "{text}: {out}");
     }
     std::fs::remove_file(&path).ok();
 }
 
-/// A node count inside the id space whose arrays cannot be allocated
-/// exits 1 naming the count. The address-space limit makes the
-/// allocation fail however much memory the host has.
+/// A disk count inside the id space whose arrays cannot be allocated
+/// exits 1 naming the count, and for a trace the line that named the
+/// largest disk. The address-space limit makes the allocation fail
+/// however much memory the host has.
 #[test]
 #[cfg(target_os = "linux")]
 fn an_unallocatable_disk_count_exits_one_naming_it() {
     let path = std::env::temp_dir().join(format!("dmig-bin-alloc-{}.dmig", std::process::id()));
-    std::fs::write(&path, "nodes 4294967296\nedge 0 1\n").unwrap();
-    let out = Command::new("sh")
-        .args(["-c", "ulimit -v 1000000 && exec \"$0\" solve \"$1\""])
-        .arg(env!("CARGO_BIN_EXE_dmig"))
-        .arg(&path)
-        .output()
-        .expect("sh runs");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(1), "{stdout}");
-    assert!(
-        stdout.contains("cannot allocate a graph of 4294967296 nodes and 1 edges"),
-        "{stdout}"
-    );
+    for (command, text, expected) in [
+        (
+            "solve",
+            "nodes 4294967296\nedge 0 1\n",
+            "cannot allocate a graph of 4294967296 nodes and 1 edges",
+        ),
+        (
+            "import-trace",
+            "item 0 1\nitem 4294967295 2\n",
+            "line 2: cannot allocate a graph of 4294967296 nodes and 2 edges",
+        ),
+    ] {
+        std::fs::write(&path, text).unwrap();
+        let out = Command::new("sh")
+            .args(["-c", "ulimit -v 1000000 && exec \"$0\" \"$1\" \"$2\""])
+            .arg(env!("CARGO_BIN_EXE_dmig"))
+            .arg(command)
+            .arg(&path)
+            .output()
+            .expect("sh runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stdout}");
+        assert!(stdout.contains(expected), "{command}: {stdout}");
+    }
     std::fs::remove_file(&path).ok();
+}
+
+/// A gate rule nested deeper than the expression parser's cap fails that
+/// rule by name instead of overflowing the stack.
+#[test]
+fn deeply_nested_gate_rule_exits_one_naming_the_rule() {
+    let dir = std::env::temp_dir();
+    let rules = dir.join(format!("dmig-bin-deep-{}.toml", std::process::id()));
+    let metrics = dir.join(format!("dmig-bin-deep-{}.json", std::process::id()));
+    std::fs::write(&metrics, "{\"x\": 1}").unwrap();
+    let parens = format!("{}x{}", "(".repeat(20_000), ")".repeat(20_000));
+    let minuses = format!("{}x", "-".repeat(100_000));
+    for expr in [parens, minuses] {
+        std::fs::write(
+            &rules,
+            format!("[[rule]]\nname = \"deep\"\nexpr = \"{expr}\"\n"),
+        )
+        .unwrap();
+        let (code, out) = dmig(&[
+            "obs",
+            "gate",
+            &rules.to_string_lossy(),
+            &metrics.to_string_lossy(),
+        ]);
+        assert_eq!(code, 1);
+        assert!(out.contains("deep"), "{}", &out[..out.len().min(300)]);
+        assert!(out.contains("nests deeper than 512 levels"));
+    }
+    std::fs::remove_file(&rules).ok();
+    std::fs::remove_file(&metrics).ok();
 }
 
 #[test]

@@ -194,12 +194,8 @@ pub fn solve_general_with(problem: &MigrationProblem, config: &GeneralConfig) ->
         }
     }
 
-    let mut coloring = dmig_color::EdgeColoring::uncolored(m);
-    for (i, c) in state.color_of.iter().enumerate() {
-        coloring.set(EdgeId::new(i), c.expect("all edges colored"));
-    }
-    stats.final_colors = coloring.num_colors() as usize;
-    let schedule = MigrationSchedule::from_coloring(&coloring);
+    let (schedule, final_colors) = state.into_schedule();
+    stats.final_colors = final_colors;
     dmig_obs::counter_add("general.direct", stats.direct as u64);
     dmig_obs::counter_add("general.walk_flips", stats.walk_flips as u64);
     dmig_obs::counter_add("general.shifts", stats.shifts as u64);
@@ -208,15 +204,30 @@ pub fn solve_general_with(problem: &MigrationProblem, config: &GeneralConfig) ->
     GeneralReport { schedule, stats }
 }
 
+/// The partial coloring and the structures its moves read (DESIGN §3.2).
 struct State<'a> {
     g: &'a Multigraph,
     caps: Vec<u32>,
     q: usize,
-    /// `count[v][c]`: edges of color `c` incident to `v`.
-    count: Vec<Vec<u32>>,
-    /// `edges_at[v][c]`: those edges, for walk construction.
+    /// Color slots per disk in `count`; doubles when `q` outgrows it, so
+    /// a run of escalations moves the table O(log q) times.
+    stride: usize,
+    /// `count[v * stride + c]`: edges of color `c` incident to `v`.
+    count: Vec<u32>,
+    /// `u64` words per disk in `full`.
+    words: usize,
+    /// `full[v * words + c / 64]` bit `c % 64`: color `c` has no room
+    /// left at `v` (`count ≥ c_v`). Bits at or above `q` are always set.
+    full: Vec<u64>,
+    /// `edges_at[v][c]`: the edges of color `c` at `v`, for walk and
+    /// shift construction. Empty until [`State::build`] fills all `q`
+    /// lists of `v`.
     edges_at: Vec<Vec<Vec<EdgeId>>>,
     color_of: Vec<Option<u32>>,
+    /// `seq[e]`: the position of `e`'s latest coloring in assignment
+    /// order, which is the order of a never-uncolored disk's lists.
+    seq: Vec<u64>,
+    next_seq: u64,
     /// Walk membership stamps (versioned to avoid clearing).
     walk_stamp: Vec<u32>,
     stamp: u32,
@@ -228,15 +239,29 @@ struct State<'a> {
 
 impl<'a> State<'a> {
     fn new(g: &'a Multigraph, caps: &Capacities, q: usize, config: &GeneralConfig) -> Self {
-        let n = g.num_nodes();
+        let (n, m, words) = (g.num_nodes(), g.num_edges(), q.div_ceil(64));
+        // Every color below `q` has room at a disk with `c_v > 0`.
+        let mut full = vec![!0u64; n * words];
+        for (v, &cap) in caps.as_slice().iter().enumerate() {
+            if cap > 0 {
+                for c in 0..q {
+                    full[v * words + c / 64] &= !(1 << (c % 64));
+                }
+            }
+        }
         State {
             g,
             caps: caps.as_slice().to_vec(),
             q,
-            count: vec![vec![0; q]; n],
-            edges_at: vec![vec![Vec::new(); q]; n],
-            color_of: vec![None; g.num_edges()],
-            walk_stamp: vec![0; g.num_edges()],
+            stride: q,
+            count: vec![0; n * q],
+            words,
+            full,
+            edges_at: vec![Vec::new(); n],
+            color_of: vec![None; m],
+            seq: vec![0; m],
+            next_seq: 0,
+            walk_stamp: vec![0; m],
             stamp: 0,
             work_left: 0,
             config: *config,
@@ -244,10 +269,28 @@ impl<'a> State<'a> {
     }
 
     fn add_color(&mut self) {
+        let c = self.q;
         self.q += 1;
-        for v in 0..self.g.num_nodes() {
-            self.count[v].push(0);
-            self.edges_at[v].push(Vec::new());
+        let n = self.g.num_nodes();
+        if self.q > self.stride {
+            let stride = (self.stride * 2).max(1);
+            let words = stride.div_ceil(64);
+            let mut count = vec![0; n * stride];
+            let mut full = vec![!0; n * words];
+            for v in 0..n {
+                count[v * stride..v * stride + self.stride]
+                    .copy_from_slice(&self.count[v * self.stride..(v + 1) * self.stride]);
+                full[v * words..v * words + self.words]
+                    .copy_from_slice(&self.full[v * self.words..(v + 1) * self.words]);
+            }
+            (self.stride, self.count, self.words, self.full) = (stride, count, words, full);
+        }
+        for v in self.g.nodes() {
+            self.sync_full(v, c);
+            let lists = &mut self.edges_at[v.index()];
+            if !lists.is_empty() {
+                lists.push(Vec::new());
+            }
         }
     }
 
@@ -255,29 +298,114 @@ impl<'a> State<'a> {
         self.caps[v.index()]
     }
 
+    fn count(&self, v: NodeId, c: usize) -> u32 {
+        self.count[v.index() * self.stride + c]
+    }
+
     fn is_missing(&self, v: NodeId, c: usize) -> bool {
-        self.count[v.index()][c] < self.cap(v)
+        self.count(v, c) < self.cap(v)
+    }
+
+    /// Sets `v`'s `full` bit for color `c` from its count.
+    #[inline]
+    fn sync_full(&mut self, v: NodeId, c: usize) {
+        let full = u64::from(self.count(v, c) >= self.cap(v));
+        let word = &mut self.full[v.index() * self.words + c / 64];
+        *word = (*word & !(1 << (c % 64))) | (full << (c % 64));
+    }
+
+    /// Word `w` of `v`'s `full` bitset.
+    fn full_word(&self, v: NodeId, w: usize) -> u64 {
+        self.full[v.index() * self.words + w]
+    }
+
+    /// The colors whose bit is set in `word(w)` for the bitset word `w`
+    /// it covers, ascending.
+    fn colors_where(&self, word: impl Fn(usize) -> u64) -> Vec<usize> {
+        let mut colors = Vec::new();
+        for w in 0..self.words {
+            let mut bits = word(w);
+            while bits != 0 {
+                colors.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        colors
+    }
+
+    /// Fills `v`'s lists if no walk, shift or uncoloring has touched `v`
+    /// yet. Until then only colorings happened at `v`, each appending to
+    /// its color's list, so the eagerly kept lists would hold `v`'s
+    /// colored edges in assignment order (a self-loop twice, back to
+    /// back): exactly what sorting them by `seq` gives.
+    #[inline]
+    fn build(&mut self, v: NodeId) {
+        if self.edges_at[v.index()].is_empty() {
+            self.build_lists(v);
+        }
+    }
+
+    /// The cold half of [`State::build`].
+    #[inline(never)]
+    fn build_lists(&mut self, v: NodeId) {
+        let mut colored: Vec<(u64, EdgeId)> = self
+            .g
+            .incident_edges(v)
+            .iter()
+            .filter(|e| self.color_of[e.index()].is_some())
+            .map(|&e| (self.seq[e.index()], e))
+            .collect();
+        colored.sort_unstable();
+        let mut lists = vec![Vec::new(); self.q];
+        for (_, e) in colored {
+            let c = self.color_of[e.index()].expect("filtered to colored edges");
+            lists[c as usize].push(e);
+        }
+        self.edges_at[v.index()] = lists;
     }
 
     fn assign(&mut self, e: EdgeId, c: usize) {
         debug_assert!(self.color_of[e.index()].is_none());
         let ep = self.g.endpoints(e);
         debug_assert!(self.is_missing(ep.u, c) && self.is_missing(ep.v, c));
-        self.count[ep.u.index()][c] += 1;
-        self.count[ep.v.index()][c] += 1;
-        self.edges_at[ep.u.index()][c].push(e);
-        self.edges_at[ep.v.index()][c].push(e);
-        self.color_of[e.index()] = Some(u32::try_from(c).expect("color id overflow"));
+        self.color(e, c);
+        self.sync_full(ep.u, c);
+        self.sync_full(ep.v, c);
     }
 
     fn unassign(&mut self, e: EdgeId) -> usize {
+        let c = self.uncolor(e);
+        let ep = self.g.endpoints(e);
+        self.sync_full(ep.u, c);
+        self.sync_full(ep.v, c);
+        c
+    }
+
+    /// Colors `e` with `c`, leaving the `full` bits to the caller.
+    fn color(&mut self, e: EdgeId, c: usize) {
+        let ep = self.g.endpoints(e);
+        for v in [ep.u, ep.v] {
+            self.count[v.index() * self.stride + c] += 1;
+            if let Some(list) = self.edges_at[v.index()].get_mut(c) {
+                list.push(e);
+            }
+        }
+        self.seq[e.index()] = self.next_seq;
+        self.next_seq += 1;
+        self.color_of[e.index()] = Some(u32::try_from(c).expect("color id overflow"));
+    }
+
+    /// Uncolors `e` and returns its color, leaving the `full` bits to the
+    /// caller.
+    fn uncolor(&mut self, e: EdgeId) -> usize {
+        let ep = self.g.endpoints(e);
+        self.build(ep.u);
+        self.build(ep.v);
         let c = self.color_of[e.index()]
             .take()
             .expect("unassign of uncolored edge") as usize;
-        let ep = self.g.endpoints(e);
-        self.count[ep.u.index()][c] -= 1;
-        self.count[ep.v.index()][c] -= 1;
         for v in [ep.u, ep.v] {
+            self.count[v.index() * self.stride + c] -= 1;
             let list = &mut self.edges_at[v.index()][c];
             let pos = list
                 .iter()
@@ -286,6 +414,27 @@ impl<'a> State<'a> {
             list.swap_remove(pos);
         }
         c
+    }
+
+    /// The schedule of the complete coloring (color `c` is round `c`,
+    /// edges ascending) and the number of colors used.
+    fn into_schedule(self) -> (MigrationSchedule, usize) {
+        let color = |c: &Option<u32>| c.expect("all edges colored") as usize;
+        let mut sizes = vec![0usize; self.q];
+        for c in &self.color_of {
+            sizes[color(c)] += 1;
+        }
+        let used = sizes.iter().rposition(|&k| k > 0).map_or(0, |c| c + 1);
+        let mut rounds: Vec<Vec<EdgeId>> = sizes[..used]
+            .iter()
+            .map(|&k| Vec::with_capacity(k))
+            .collect();
+        for (i, c) in self.color_of.iter().enumerate() {
+            rounds[color(c)].push(EdgeId::new(i));
+        }
+        let mut schedule = MigrationSchedule::from_rounds(rounds);
+        schedule.trim_empty_rounds();
+        (schedule, used)
     }
 
     fn try_color_edge(&mut self, e: EdgeId, stats: &mut GeneralStats) -> bool {
@@ -317,12 +466,16 @@ impl<'a> State<'a> {
         true
     }
 
+    /// Colors `e` with the lowest color missing at both endpoints: the
+    /// lowest zero bit of the two disks' `full` bitsets.
     fn try_direct(&mut self, e: EdgeId) -> bool {
         let ep = self.g.endpoints(e);
-        if let Some(c) = (0..self.q).find(|&c| self.is_missing(ep.u, c) && self.is_missing(ep.v, c))
-        {
-            self.assign(e, c);
-            return true;
+        for w in 0..self.words {
+            let busy = self.full_word(ep.u, w) | self.full_word(ep.v, w);
+            if busy != !0 {
+                self.assign(e, w * 64 + (!busy).trailing_zeros() as usize);
+                return true;
+            }
         }
         false
     }
@@ -332,8 +485,8 @@ impl<'a> State<'a> {
     /// the `ab`-walk from `v` (or the `ba`-walk from `u`) to free a shared
     /// color.
     fn try_walks(&mut self, e: EdgeId, u: NodeId, v: NodeId) -> bool {
-        let free_u: Vec<usize> = (0..self.q).filter(|&c| self.is_missing(u, c)).collect();
-        let free_v: Vec<usize> = (0..self.q).filter(|&c| self.is_missing(v, c)).collect();
+        let free_u = self.colors_where(|w| !self.full_word(u, w));
+        let free_v = self.colors_where(|w| !self.full_word(v, w));
         for &a in &free_u {
             for &b in &free_v {
                 if a == b {
@@ -377,7 +530,15 @@ impl<'a> State<'a> {
         let ok = self.walk_feasible(&walk, want, other)
             && self.is_missing(u, want)
             && self.is_missing(v, want);
-        if !ok {
+        if ok {
+            for &f in &walk {
+                let ep = self.g.endpoints(f);
+                for x in [ep.u, ep.v] {
+                    self.sync_full(x, want);
+                    self.sync_full(x, other);
+                }
+            }
+        } else {
             self.flip(&walk, want, other); // roll back (involutive)
         }
         ok
@@ -413,6 +574,7 @@ impl<'a> State<'a> {
             if !self.spend(1) {
                 return Vec::new();
             }
+            self.build(cur);
             let next = self.edges_at[cur.index()][want]
                 .iter()
                 .copied()
@@ -440,23 +602,20 @@ impl<'a> State<'a> {
     }
 
     /// Swaps colors `a ↔ b` on every walk edge (two-phase; involutive).
+    /// The `full` bits of the walk's disks go stale until the caller
+    /// keeps the flip and syncs them, or flips back.
     fn flip(&mut self, walk: &[EdgeId], a: usize, b: usize) {
         let recolored: Vec<(EdgeId, usize)> = walk
             .iter()
             .map(|&f| {
-                let old = self.unassign(f);
+                let old = self.uncolor(f);
                 (f, if old == a { b } else { a })
             })
             .collect();
         for (f, new) in recolored {
             // Bypass assign()'s feasibility assert: transient overflow is
             // detected by walk_feasible and rolled back.
-            let ep = self.g.endpoints(f);
-            self.count[ep.u.index()][new] += 1;
-            self.count[ep.v.index()][new] += 1;
-            self.edges_at[ep.u.index()][new].push(f);
-            self.edges_at[ep.v.index()][new].push(f);
-            self.color_of[f.index()] = Some(u32::try_from(new).expect("color id overflow"));
+            self.color(f, new);
         }
     }
 
@@ -464,9 +623,9 @@ impl<'a> State<'a> {
     fn walk_feasible(&self, walk: &[EdgeId], a: usize, b: usize) -> bool {
         walk.iter().all(|&f| {
             let ep = self.g.endpoints(f);
-            [ep.u, ep.v].into_iter().all(|x| {
-                self.count[x.index()][a] <= self.cap(x) && self.count[x.index()][b] <= self.cap(x)
-            })
+            [ep.u, ep.v]
+                .into_iter()
+                .all(|x| self.count(x, a) <= self.cap(x) && self.count(x, b) <= self.cap(x))
         })
     }
 
@@ -480,10 +639,10 @@ impl<'a> State<'a> {
         for (anchor, far) in [(ep.u, ep.v), (ep.v, ep.u)] {
             // Colors missing at `anchor` but full at `far`: evict one of
             // far's edges of that color.
-            let candidates: Vec<usize> = (0..self.q)
-                .filter(|&c| self.is_missing(anchor, c) && !self.is_missing(far, c))
-                .collect();
+            let candidates =
+                self.colors_where(|w| !self.full_word(anchor, w) & self.full_word(far, w));
             for c in candidates {
+                self.build(far);
                 let evictable: Vec<EdgeId> = self.edges_at[far.index()][c]
                     .iter()
                     .copied()
@@ -697,6 +856,58 @@ mod tests {
             // within one round of the default.
             assert!(heavy.schedule.makespan() <= input.schedule.makespan() + 1);
         }
+    }
+
+    /// Checks `full` against `count`: bit `c` is set iff color `c` has no
+    /// room left, and every bit at or above `q` is set.
+    fn assert_full_bits(state: &State<'_>) {
+        for v in state.g.nodes() {
+            for c in 0..state.words * 64 {
+                let bit = state.full[v.index() * state.words + c / 64] >> (c % 64) & 1 == 1;
+                let expected = c >= state.q || !state.is_missing(v, c);
+                assert_eq!(bit, expected, "disk {v} color {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn lists_first_built_after_an_escalation_match_the_eager_lists() {
+        // Path 0-1-2-3 at c = 1: e0 = (0,1), e1 = (2,3), e2 = (1,2).
+        let g = dmig_graph::GraphBuilder::new()
+            .edge(0, 1)
+            .edge(2, 3)
+            .edge(1, 2)
+            .build();
+        let p = MigrationProblem::uniform(g, 1).unwrap();
+        let mut state = State::new(p.graph(), p.capacities(), 1, &GeneralConfig::default());
+        let [e0, e1, e2] = [0, 1, 2].map(EdgeId::new);
+        assert!(state.try_direct(e0));
+        // The escalation outgrows the one-color stride and moves the table.
+        state.add_color();
+        assert_eq!((state.q, state.stride), (2, 2));
+        state.assign(e1, 1);
+        assert_full_bits(&state);
+        assert!(
+            state.edges_at.iter().all(Vec::is_empty),
+            "no lists built yet"
+        );
+
+        // e2 finds color 1 free only at disk 1 and color 0 only at disk 2,
+        // so the walk from disk 2 flips e1 to 0: the first lists are built
+        // now, on the grown state.
+        let mut stats = GeneralStats::default();
+        assert!(state.try_color_edge(e2, &mut stats));
+        assert_eq!(stats.walk_flips, 1);
+        assert_eq!(state.color_of, vec![Some(0), Some(0), Some(1)]);
+        assert_full_bits(&state);
+        assert_eq!(state.edges_at[2], vec![vec![e1], vec![e2]]);
+        assert_eq!(state.edges_at[3], vec![vec![e1], vec![]]);
+        assert!(state.edges_at[0].is_empty() && state.edges_at[1].is_empty());
+        // Built late, disks 0 and 1 get what eager lists would hold.
+        state.build(NodeId::new(1));
+        state.build(NodeId::new(0));
+        assert_eq!(state.edges_at[1], vec![vec![e0], vec![e2]]);
+        assert_eq!(state.edges_at[0], vec![vec![e0], vec![]]);
     }
 
     #[test]

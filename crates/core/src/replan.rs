@@ -1,40 +1,28 @@
-//! Online replanning: extend an in-flight migration with new transfers,
-//! and repair it after cluster changes.
+//! Online replanning: repair an in-flight migration after cluster
+//! changes.
 //!
-//! Real clusters do not freeze while a migration runs — demand shifts, new
-//! reconfiguration deltas arrive (the paper's §I notes upgrades "as often
-//! as every few days"), disks fail, and bandwidths collapse under live
-//! traffic. Replanning keeps already-executed work untouched, merges the
-//! *unexecuted* remainder of the current schedule with any newly arrived
-//! transfers into one residual instance, applies cluster changes (disk
-//! crash-stops with optional replacement disks, updated transfer
-//! constraints), and re-solves that with any [`crate::solver::Solver`].
+//! Real clusters do not freeze while a migration runs — disks fail, and
+//! bandwidths collapse under live traffic. Replanning keeps
+//! already-executed work untouched, turns the *unexecuted* remainder of
+//! the current schedule into one residual instance, applies cluster
+//! changes (disk crash-stops with optional replacement disks, updated
+//! transfer constraints), and re-solves that with any
+//! [`crate::solver::Solver`].
 //!
-//! Item identity is preserved through an explicit mapping, so callers can
-//! track a data item from the original plan through any number of
-//! replans. Two entry points:
-//!
-//! * [`replan`] — the round-prefix form: everything in the first
-//!   `executed_rounds` rounds is done, the rest is pending.
-//! * [`replan_with`] — the general form: per-item doneness plus a
-//!   [`ResidualChanges`] describing dead disks (with optional replacement
-//!   redirects) and capacity overrides. Pending items touching a dead disk
-//!   are rewritten to the replacement, or reported in
-//!   [`Replanned::lost`] when none exists.
+//! Item identity is preserved through an explicit mapping: every residual
+//! item names the [`EdgeId`] it came from, so callers can track a data
+//! item from the original plan through any number of replans.
+//! [`replan_with`] takes per-item doneness plus a [`ResidualChanges`]
+//! describing dead disks (with optional replacement redirects) and
+//! capacity overrides. Pending items touching a dead disk are rewritten to
+//! the replacement, or reported in [`Replanned::lost`] when none exists.
+//! [`rebuild_residual`] revives a residual instance and its surviving
+//! schedule from checkpointed parts without solving.
 
 use dmig_graph::{EdgeId, Endpoints, Multigraph, NodeId};
 
 use crate::solver::Solver;
 use crate::{Capacities, MigrationProblem, MigrationSchedule, ProblemError, SolveError};
-
-/// The origin of an item in a replanned instance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ItemOrigin {
-    /// Carried over from the original instance (original edge id).
-    Original(EdgeId),
-    /// Newly arrived (index into the `new_items` slice).
-    New(usize),
-}
 
 /// Cluster changes to apply while building the residual instance.
 #[derive(Clone, Debug, Default)]
@@ -58,37 +46,31 @@ impl ResidualChanges {
     }
 }
 
-/// Result of [`replan`]/[`replan_with`]: the residual instance, a schedule
-/// for it, and the identity mapping back to the caller's item spaces.
+/// Result of [`replan_with`]: the residual instance, a schedule for it,
+/// and the identity mapping back to the caller's item space.
 #[derive(Clone, Debug)]
 pub struct Replanned {
-    /// The residual instance (pending old items + new items, with dead
-    /// endpoints redirected).
+    /// The residual instance (pending items, with dead endpoints
+    /// redirected).
     pub problem: MigrationProblem,
     /// Schedule for the residual instance.
     pub schedule: MigrationSchedule,
-    /// `origin[e]` says where residual item `e` came from.
-    pub origin: Vec<ItemOrigin>,
+    /// `origin[e]` is the item of the replanned instance that residual
+    /// item `e` came from.
+    pub origin: Vec<EdgeId>,
     /// Pending items that could not be carried over: an endpoint died and
     /// no replacement was available.
-    pub lost: Vec<ItemOrigin>,
+    pub lost: Vec<EdgeId>,
     /// Pending items whose endpoints both mapped to the same live disk
     /// after redirection — no transfer is needed any more; the caller
     /// should account them as trivially complete.
-    pub completed: Vec<ItemOrigin>,
+    pub completed: Vec<EdgeId>,
 }
 
-/// Errors from [`replan`]/[`replan_with`].
+/// Errors from [`replan_with`] and [`rebuild_residual`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ReplanError {
-    /// `executed_rounds` exceeds the schedule length.
-    TooManyExecutedRounds {
-        /// Rounds claimed executed.
-        executed: usize,
-        /// Rounds in the schedule.
-        available: usize,
-    },
     /// The `done` vector does not cover every item of the problem.
     DoneLengthMismatch {
         /// Length of the provided doneness vector.
@@ -104,8 +86,8 @@ pub enum ReplanError {
         /// Why the entry was rejected.
         reason: String,
     },
-    /// The residual instance failed validation (e.g. a new item references
-    /// an unknown disk).
+    /// The residual instance failed validation (e.g. a capacity override
+    /// that does not cover every disk).
     Problem(ProblemError),
     /// The solver failed on the residual instance.
     Solve(SolveError),
@@ -114,15 +96,6 @@ pub enum ReplanError {
 impl std::fmt::Display for ReplanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ReplanError::TooManyExecutedRounds {
-                executed,
-                available,
-            } => {
-                write!(
-                    f,
-                    "{executed} rounds marked executed but schedule has {available}"
-                )
-            }
             ReplanError::DoneLengthMismatch { done, items } => {
                 write!(
                     f,
@@ -150,46 +123,6 @@ impl From<SolveError> for ReplanError {
     fn from(e: SolveError) -> Self {
         ReplanError::Solve(e)
     }
-}
-
-/// Replans after `executed_rounds` of `schedule` have run: the remaining
-/// items of `problem` plus `new_items` (source/destination pairs over the
-/// same disks) are merged into a residual instance and solved with
-/// `solver`.
-///
-/// The disk set and capacities are inherited from `problem`. This is
-/// [`replan_with`] with per-round doneness and no cluster changes, so
-/// [`Replanned::lost`] and [`Replanned::completed`] are always empty.
-///
-/// # Errors
-///
-/// See [`ReplanError`].
-pub fn replan(
-    problem: &MigrationProblem,
-    schedule: &MigrationSchedule,
-    executed_rounds: usize,
-    new_items: &[Endpoints],
-    solver: &dyn Solver,
-) -> Result<Replanned, ReplanError> {
-    if executed_rounds > schedule.makespan() {
-        return Err(ReplanError::TooManyExecutedRounds {
-            executed: executed_rounds,
-            available: schedule.makespan(),
-        });
-    }
-    let mut done = vec![false; problem.graph().num_edges()];
-    for round in &schedule.rounds()[..executed_rounds] {
-        for &e in round {
-            done[e.index()] = true;
-        }
-    }
-    replan_with(
-        problem,
-        &done,
-        new_items,
-        &ResidualChanges::default(),
-        solver,
-    )
 }
 
 /// Per-disk fate under a set of redirects: alive, dead with a replacement,
@@ -239,9 +172,10 @@ fn build_redirect_map(
 /// and the remaining rounds as item indices — without invoking a solver.
 ///
 /// A resumed executor continues the rounds the interrupted run already
-/// solved (the [`ItemOrigin`] identity chain stays intact through the next
-/// real replan) instead of re-solving from scratch, so its continuation is
-/// bit-for-bit the one the interrupted run would have taken.
+/// solved (the [`Replanned::origin`] identity chain stays intact through
+/// the next real replan) instead of re-solving from scratch, so its
+/// continuation is bit-for-bit the one the interrupted run would have
+/// taken.
 ///
 /// # Errors
 ///
@@ -254,12 +188,12 @@ pub fn rebuild_residual(
     capacities: Capacities,
     rounds: Vec<Vec<EdgeId>>,
 ) -> Result<(MigrationProblem, MigrationSchedule), ReplanError> {
-    let mut residual = Multigraph::with_nodes(num_disks);
-    for &ep in items {
-        residual
-            .try_add_edge(ep.u, ep.v)
-            .map_err(|e| ReplanError::Solve(SolveError::Internal(e.to_string())))?;
-    }
+    let pairs: Vec<(usize, usize)> = items
+        .iter()
+        .map(|ep| (ep.u.index(), ep.v.index()))
+        .collect();
+    let residual = Multigraph::from_edges(num_disks, &pairs)
+        .map_err(|e| ReplanError::Solve(SolveError::Internal(e.to_string())))?;
     let problem = MigrationProblem::new(residual, capacities)?;
     let schedule = MigrationSchedule::from_rounds(rounds);
     schedule
@@ -268,16 +202,17 @@ pub fn rebuild_residual(
     Ok((problem, schedule))
 }
 
-/// The general replanning form: items with `done[e] == true` are finished,
-/// the rest are pending. Pending items and `new_items` are merged into a
-/// residual instance with `changes` applied — endpoints on dead disks are
+/// Replans an in-flight migration: items with `done[e] == true` are
+/// finished, the rest are pending. The pending items form a residual
+/// instance with `changes` applied — endpoints on dead disks are
 /// redirected to their replacement (or the item is reported lost), and
-/// capacity overrides replace the inherited transfer constraints — then
+/// capacity overrides replace the inherited transfer constraints — and
 /// the residual is solved with `solver`.
 ///
 /// Items whose endpoints both map to the same live disk after redirection
 /// are returned in [`Replanned::completed`] (no transfer needed) rather
-/// than scheduled.
+/// than scheduled. The residual graph is built once, at its final size:
+/// residual item `e` is the `e`-th pending item in ascending id order.
 ///
 /// # Errors
 ///
@@ -285,7 +220,6 @@ pub fn rebuild_residual(
 pub fn replan_with(
     problem: &MigrationProblem,
     done: &[bool],
-    new_items: &[Endpoints],
     changes: &ResidualChanges,
     solver: &dyn Solver,
 ) -> Result<Replanned, ReplanError> {
@@ -298,49 +232,34 @@ pub fn replan_with(
     }
     let n = g.num_nodes();
     let redirect = build_redirect_map(n, changes)?;
-    // Maps one endpoint through the redirect table. `Err(())` = endpoint
-    // is on a dead disk with no replacement.
-    let map_endpoint = |v: NodeId| -> Result<Option<NodeId>, ()> {
-        if v.index() >= n {
-            // Out-of-range endpoints (only possible for new items) fall
-            // through to residual-graph validation below.
-            return Ok(Some(v));
-        }
+    // Maps one endpoint through the redirect table; `None` when it is on
+    // a dead disk with no replacement.
+    let map_endpoint = |v: NodeId| -> Option<NodeId> {
         match redirect[v.index()] {
-            None => Ok(Some(v)),
-            Some(Some(w)) => Ok(Some(w)),
-            Some(None) => Err(()),
+            None => Some(v),
+            Some(replacement) => replacement,
         }
     };
 
-    let mut residual = Multigraph::with_nodes(n);
-    let mut origin = Vec::new();
+    let mut pairs = Vec::with_capacity(g.num_edges());
+    let mut origin = Vec::with_capacity(g.num_edges());
     let mut lost = Vec::new();
     let mut completed = Vec::new();
-    let mut place = |ep: Endpoints, who: ItemOrigin| -> Result<(), ReplanError> {
-        match (map_endpoint(ep.u), map_endpoint(ep.v)) {
-            (Ok(Some(u)), Ok(Some(v))) if u == v => completed.push(who),
-            (Ok(Some(u)), Ok(Some(v))) => {
-                residual.try_add_edge(u, v).map_err(|_| {
-                    ReplanError::Problem(ProblemError::CapacityLengthMismatch {
-                        capacities: problem.capacities().len(),
-                        nodes: n,
-                    })
-                })?;
-                origin.push(who);
-            }
-            _ => lost.push(who),
-        }
-        Ok(())
-    };
     for (e, ep) in g.edges() {
-        if !done[e.index()] {
-            place(ep, ItemOrigin::Original(e))?;
+        if done[e.index()] {
+            continue;
+        }
+        match (map_endpoint(ep.u), map_endpoint(ep.v)) {
+            (Some(u), Some(v)) if u == v => completed.push(e),
+            (Some(u), Some(v)) => {
+                pairs.push((u.index(), v.index()));
+                origin.push(e);
+            }
+            _ => lost.push(e),
         }
     }
-    for (i, &ep) in new_items.iter().enumerate() {
-        place(ep, ItemOrigin::New(i))?;
-    }
+    let residual = Multigraph::from_edges(n, &pairs)
+        .expect("redirected items join disks of the replanned instance");
 
     let caps = match &changes.capacities {
         Some(c) => c.clone(),
@@ -367,24 +286,28 @@ mod tests {
     use dmig_graph::builder::complete_multigraph;
     use dmig_graph::GraphBuilder;
 
-    fn endpoints(u: usize, v: usize) -> Endpoints {
-        Endpoints {
-            u: NodeId::new(u),
-            v: NodeId::new(v),
+    /// Doneness after the first `rounds` rounds of `schedule`.
+    fn done_after(p: &MigrationProblem, schedule: &MigrationSchedule, rounds: usize) -> Vec<bool> {
+        let mut done = vec![false; p.num_items()];
+        for round in &schedule.rounds()[..rounds] {
+            for &e in round {
+                done[e.index()] = true;
+            }
         }
+        done
     }
 
     #[test]
     fn replan_with_no_progress_and_no_news_is_resolve() {
         let p = MigrationProblem::uniform(complete_multigraph(3, 2), 2).unwrap();
         let s = AutoSolver.solve(&p).unwrap();
-        let r = replan(&p, &s, 0, &[], &AutoSolver).unwrap();
+        let done = vec![false; p.num_items()];
+        let r = replan_with(&p, &done, &ResidualChanges::default(), &AutoSolver).unwrap();
         assert_eq!(r.problem.num_items(), p.num_items());
+        assert_eq!(r.problem, p);
         assert_eq!(r.schedule.makespan(), s.makespan());
-        assert!(r
-            .origin
-            .iter()
-            .all(|o| matches!(o, ItemOrigin::Original(_))));
+        let all: Vec<EdgeId> = p.graph().edges().map(|(e, _)| e).collect();
+        assert_eq!(r.origin, all);
         assert!(r.lost.is_empty());
         assert!(r.completed.is_empty());
     }
@@ -395,20 +318,9 @@ mod tests {
         let s = AutoSolver.solve(&p).unwrap();
         let executed = 2;
         let moved: usize = s.rounds()[..executed].iter().map(Vec::len).sum();
-        let r = replan(&p, &s, executed, &[], &AutoSolver).unwrap();
+        let done = done_after(&p, &s, executed);
+        let r = replan_with(&p, &done, &ResidualChanges::default(), &AutoSolver).unwrap();
         assert_eq!(r.problem.num_items(), p.num_items() - moved);
-        r.schedule.validate(&r.problem).unwrap();
-    }
-
-    #[test]
-    fn new_items_merge_and_map_back() {
-        let p = MigrationProblem::uniform(complete_multigraph(3, 1), 2).unwrap();
-        let s = AutoSolver.solve(&p).unwrap();
-        let news = [endpoints(0, 1), endpoints(1, 2)];
-        let r = replan(&p, &s, s.makespan(), &news, &AutoSolver).unwrap();
-        // Everything executed: only the new items remain.
-        assert_eq!(r.problem.num_items(), 2);
-        assert_eq!(r.origin, vec![ItemOrigin::New(0), ItemOrigin::New(1)]);
         r.schedule.validate(&r.problem).unwrap();
     }
 
@@ -416,60 +328,32 @@ mod tests {
     fn mixed_residual_preserves_identities() {
         let p = MigrationProblem::uniform(complete_multigraph(3, 2), 2).unwrap();
         let s = AutoSolver.solve(&p).unwrap();
-        let news = [endpoints(2, 0)];
-        let r = replan(&p, &s, 1, &news, &GreedySolver).unwrap();
-        let originals = r
-            .origin
-            .iter()
-            .filter(|o| matches!(o, ItemOrigin::Original(_)))
-            .count();
+        let done = done_after(&p, &s, 1);
+        let r = replan_with(&p, &done, &ResidualChanges::default(), &GreedySolver).unwrap();
         let moved: usize = s.rounds()[..1].iter().map(Vec::len).sum();
-        assert_eq!(originals, p.num_items() - moved);
-        // Each original origin refers to an edge with identical endpoints.
-        for (res_idx, o) in r.origin.iter().enumerate() {
-            if let ItemOrigin::Original(orig) = o {
-                assert_eq!(
-                    r.problem.graph().endpoints(EdgeId::new(res_idx)),
-                    p.graph().endpoints(*orig)
-                );
-            }
+        assert_eq!(r.origin.len(), p.num_items() - moved);
+        // Each origin refers to a pending edge with identical endpoints,
+        // in ascending id order.
+        assert!(r.origin.windows(2).all(|w| w[0] < w[1]));
+        for (res_idx, &orig) in r.origin.iter().enumerate() {
+            assert!(!done[orig.index()]);
+            assert_eq!(
+                r.problem.graph().endpoints(EdgeId::new(res_idx)),
+                p.graph().endpoints(orig)
+            );
         }
     }
 
     #[test]
-    fn too_many_executed_rounds_rejected() {
-        let p = MigrationProblem::uniform(complete_multigraph(3, 1), 2).unwrap();
-        let s = AutoSolver.solve(&p).unwrap();
-        let err = replan(&p, &s, s.makespan() + 1, &[], &AutoSolver).unwrap_err();
-        assert!(matches!(err, ReplanError::TooManyExecutedRounds { .. }));
-    }
-
-    #[test]
-    fn new_item_on_unknown_disk_rejected() {
-        let p = MigrationProblem::uniform(complete_multigraph(3, 1), 2).unwrap();
-        let s = AutoSolver.solve(&p).unwrap();
-        let err = replan(&p, &s, 0, &[endpoints(0, 9)], &AutoSolver).unwrap_err();
-        assert!(matches!(err, ReplanError::Problem(_)));
-    }
-
-    #[test]
     fn repeated_replanning_converges() {
-        // Run rounds one at a time, adding a trickle of new items; the
-        // migration must still finish (new arrivals stop eventually).
+        // Run rounds one at a time, replanning after each; the migration
+        // must still finish.
         let mut problem = MigrationProblem::uniform(complete_multigraph(3, 3), 2).unwrap();
         let mut schedule = AutoSolver.solve(&problem).unwrap();
-        let mut arrivals = vec![vec![endpoints(0, 1)], vec![endpoints(1, 2)], vec![], vec![]];
         let mut steps = 0;
         while schedule.makespan() > 0 {
-            let news = arrivals.pop().unwrap_or_default();
-            let r = replan(
-                &problem,
-                &schedule,
-                1.min(schedule.makespan()),
-                &news,
-                &AutoSolver,
-            )
-            .unwrap();
+            let done = done_after(&problem, &schedule, 1);
+            let r = replan_with(&problem, &done, &ResidualChanges::default(), &AutoSolver).unwrap();
             problem = r.problem;
             schedule = r.schedule;
             steps += 1;
@@ -494,7 +378,7 @@ mod tests {
             capacities: None,
             redirects: vec![(NodeId::new(1), Some(NodeId::new(3)))],
         };
-        let r = replan_with(&p, &done, &[], &changes, &AutoSolver).unwrap();
+        let r = replan_with(&p, &done, &changes, &AutoSolver).unwrap();
         assert_eq!(r.problem.num_items(), 2);
         assert!(r.lost.is_empty());
         // Every residual edge now touches the spare, none touches disk 1.
@@ -513,15 +397,9 @@ mod tests {
             capacities: None,
             redirects: vec![(NodeId::new(1), None)],
         };
-        let r = replan_with(&p, &done, &[], &changes, &AutoSolver).unwrap();
+        let r = replan_with(&p, &done, &changes, &AutoSolver).unwrap();
         assert_eq!(r.problem.num_items(), 0);
-        assert_eq!(
-            r.lost,
-            vec![
-                ItemOrigin::Original(EdgeId::new(0)),
-                ItemOrigin::Original(EdgeId::new(1))
-            ]
-        );
+        assert_eq!(r.lost, vec![EdgeId::new(0), EdgeId::new(1)]);
     }
 
     #[test]
@@ -532,8 +410,8 @@ mod tests {
             capacities: None,
             redirects: vec![(NodeId::new(1), None)],
         };
-        let r = replan_with(&p, &done, &[], &changes, &AutoSolver).unwrap();
-        assert_eq!(r.lost, vec![ItemOrigin::Original(EdgeId::new(1))]);
+        let r = replan_with(&p, &done, &changes, &AutoSolver).unwrap();
+        assert_eq!(r.lost, vec![EdgeId::new(1)]);
     }
 
     #[test]
@@ -549,9 +427,9 @@ mod tests {
                 (NodeId::new(1), Some(NodeId::new(2))),
             ],
         };
-        let r = replan_with(&p, &[false], &[], &changes, &AutoSolver).unwrap();
+        let r = replan_with(&p, &[false], &changes, &AutoSolver).unwrap();
         assert_eq!(r.problem.num_items(), 0);
-        assert_eq!(r.completed, vec![ItemOrigin::Original(EdgeId::new(0))]);
+        assert_eq!(r.completed, vec![EdgeId::new(0)]);
         assert!(r.lost.is_empty());
     }
 
@@ -574,7 +452,7 @@ mod tests {
                 capacities: None,
                 redirects,
             };
-            let err = replan_with(&p, &done, &[], &changes, &AutoSolver).unwrap_err();
+            let err = replan_with(&p, &done, &changes, &AutoSolver).unwrap_err();
             assert!(matches!(err, ReplanError::BadRedirect { .. }), "{err}");
         }
     }
@@ -587,7 +465,7 @@ mod tests {
             capacities: Some(Capacities::from_vec(vec![1, 1, 1, 1])),
             redirects: vec![],
         };
-        let r = replan_with(&p, &done, &[], &changes, &AutoSolver).unwrap();
+        let r = replan_with(&p, &done, &changes, &AutoSolver).unwrap();
         assert_eq!(r.problem.capacities().as_slice(), &[1, 1, 1, 1]);
         // Disk 1 touches both items at c=1: two rounds now.
         assert_eq!(r.schedule.makespan(), 2);
@@ -596,25 +474,7 @@ mod tests {
     #[test]
     fn done_length_mismatch_rejected() {
         let p = path_problem();
-        let err =
-            replan_with(&p, &[false], &[], &ResidualChanges::default(), &AutoSolver).unwrap_err();
+        let err = replan_with(&p, &[false], &ResidualChanges::default(), &AutoSolver).unwrap_err();
         assert!(matches!(err, ReplanError::DoneLengthMismatch { .. }));
-    }
-
-    #[test]
-    fn new_items_are_redirected_too() {
-        let p = path_problem();
-        let done = vec![true; p.num_items()];
-        let changes = ResidualChanges {
-            capacities: None,
-            redirects: vec![(NodeId::new(1), Some(NodeId::new(3)))],
-        };
-        let news = [endpoints(0, 1), endpoints(1, 2)];
-        let r = replan_with(&p, &done, &news, &changes, &AutoSolver).unwrap();
-        assert_eq!(r.problem.num_items(), 2);
-        assert_eq!(r.origin, vec![ItemOrigin::New(0), ItemOrigin::New(1)]);
-        for (_, ep) in r.problem.graph().edges() {
-            assert!(!ep.contains(NodeId::new(1)));
-        }
     }
 }

@@ -30,6 +30,7 @@
 //! `(threads × shards)` combination; when no component exceeds the cell
 //! budget it equals the [`ShardConfig::uncut`] schedule exactly.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -181,7 +182,7 @@ where
     // the boundary pass appended at the canonical offset.
     dmig_obs::gauge_set(dmig_obs::keys::LIVE_PHASE, dmig_obs::phase::BOUNDARY);
     let reconcile_started = Instant::now();
-    let merged = merge_component_schedules(&parts, &schedules);
+    let merged = merge_component_schedules(&parts, schedules, problem.num_items());
     let boundary = if partition.boundary.is_empty() {
         None
     } else {
@@ -253,11 +254,12 @@ where
 
 /// One piece of a [`MigrationProblem`] (a cell or the boundary), remapped
 /// to dense local ids, plus the mapping back to the original instance.
-struct ComponentPart {
-    /// The piece as a standalone instance (local node/edge ids).
-    problem: MigrationProblem,
+struct ComponentPart<'a> {
+    /// The piece as a standalone instance (local node/edge ids): the
+    /// instance itself when the piece spans every disk.
+    problem: Cow<'a, MigrationProblem>,
     /// `edge_map[local_edge] = original EdgeId`.
-    edge_map: Vec<EdgeId>,
+    edge_map: &'a [EdgeId],
 }
 
 /// Extracts a node/edge subset of `problem` as a standalone
@@ -266,6 +268,13 @@ struct ComponentPart {
 /// (callers pass ascending original edge ids), so a deterministic solver
 /// sees a deterministic subinstance.
 ///
+/// A piece that spans every disk holds every edge too (none can cross to
+/// another piece), so its local ids are the original ones: the piece
+/// borrows `problem` instead of copying it. A piece that misses a disk is
+/// extracted even when it holds every edge, because the isolated disks it
+/// drops can change an inner solver's result: an odd one beside an
+/// all-even component turns `AutoSolver` away from `solve_even`.
+///
 /// `local_of` is caller-owned scratch of one `usize::MAX` slot per disk;
 /// the slots of `nodes` are restored before returning, so extracting every
 /// cell costs `O(n + m)` in total rather than `O(n)` per cell.
@@ -273,14 +282,20 @@ struct ComponentPart {
 /// # Panics
 ///
 /// Panics if an edge in `edges` has an endpoint outside `nodes`.
-fn extract_part(
-    problem: &MigrationProblem,
+fn extract_part<'a>(
+    problem: &'a MigrationProblem,
     nodes: &[NodeId],
-    edges: &[EdgeId],
+    edges: &'a [EdgeId],
     local_of: &mut [usize],
-) -> ComponentPart {
+) -> ComponentPart<'a> {
     debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "nodes ascending");
     let g = problem.graph();
+    if nodes.len() == g.num_nodes() && edges.len() == g.num_edges() {
+        return ComponentPart {
+            problem: Cow::Borrowed(problem),
+            edge_map: edges,
+        };
+    }
     for (local, v) in nodes.iter().enumerate() {
         local_of[v.index()] = local;
     }
@@ -305,27 +320,37 @@ fn extract_part(
     let problem =
         MigrationProblem::new(sub, caps).expect("a subset of a valid problem is a valid problem");
     ComponentPart {
-        problem,
-        edge_map: edges.to_vec(),
+        problem: Cow::Owned(problem),
+        edge_map: edges,
     }
 }
 
 /// Merges node-disjoint piece schedules index-wise back into original
 /// edge ids: merged round `r` concatenates every piece's round `r` (pieces
 /// in `parts` order, edges mapped through [`ComponentPart::edge_map`]), so
-/// the merged makespan is the maximum piece makespan.
+/// the merged makespan is the maximum piece makespan. A single piece that
+/// holds every edge has the original edge ids already, so its schedule is
+/// moved, not copied.
 fn merge_component_schedules(
     parts: &[ComponentPart],
-    schedules: &[MigrationSchedule],
+    mut schedules: Vec<MigrationSchedule>,
+    total_edges: usize,
 ) -> MigrationSchedule {
     assert_eq!(parts.len(), schedules.len(), "one schedule per piece");
+    if let [part] = parts {
+        if part.edge_map.len() == total_edges {
+            let mut merged = schedules.pop().expect("one schedule per piece");
+            merged.trim_empty_rounds();
+            return merged;
+        }
+    }
     let makespan = schedules
         .iter()
         .map(MigrationSchedule::makespan)
         .max()
         .unwrap_or(0);
     let mut rounds: Vec<Vec<EdgeId>> = vec![Vec::new(); makespan];
-    for (part, schedule) in parts.iter().zip(schedules) {
+    for (part, schedule) in parts.iter().zip(&schedules) {
         for (r, round) in schedule.rounds().iter().enumerate() {
             rounds[r].extend(round.iter().map(|&e| part.edge_map[e.index()]));
         }

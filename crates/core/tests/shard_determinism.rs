@@ -94,6 +94,58 @@ fn arb_connected_even_problem() -> impl Strategy<Value = MigrationProblem> {
         })
 }
 
+/// The instances `solve_sharded`'s one-cell case handles: one component over
+/// every disk, the same component with isolated disks among its own (the
+/// shape a replan leaves after a crash: the dead disk keeps no items),
+/// and no items at all. Half of the time the component's capacities are
+/// all even and the isolated disks' odd.
+fn arb_one_cell_problem() -> impl Strategy<Value = MigrationProblem> {
+    (2usize..9, 0usize..4, proptest::bool::ANY)
+        .prop_flat_map(|(k, shape, even)| {
+            (
+                Just((k, shape, even)),
+                proptest::collection::vec(1usize..4, k - 1),
+                proptest::collection::vec((0..k, 0..k), 0..10),
+                proptest::collection::vec(0..=k, 1..4),
+                proptest::collection::vec(1u32..5, k + 3),
+            )
+        })
+        .prop_map(|((k, shape, even), spine, extras, gaps, caps)| {
+            // Component node `i` lives on disk `slot[i]`; with isolated
+            // disks, one is inserted before node `g` for every `g` in
+            // `gaps` (`g = k` puts it after the last node).
+            let isolated = shape == 1 || shape == 2;
+            let gaps: &[usize] = if isolated { &gaps } else { &[] };
+            let slot: Vec<usize> = (0..k)
+                .map(|i| i + gaps.iter().filter(|&&g| g <= i).count())
+                .collect();
+            let n = k + gaps.len();
+            let mut b = GraphBuilder::new().nodes(n);
+            if shape != 3 {
+                for (i, mult) in spine.into_iter().enumerate() {
+                    b = b.parallel_edges(slot[i], slot[i + 1], mult);
+                }
+                for (u, v) in extras {
+                    if u != v {
+                        b = b.edge(slot[u], slot[v]);
+                    }
+                }
+            }
+            // Beside an all-even component the isolated disks are odd:
+            // `AutoSolver` would turn away from `solve_even` if the cell
+            // kept them.
+            let caps: Vec<u32> = (0..n)
+                .map(|v| match (even, slot.contains(&v)) {
+                    (false, _) => caps[v],
+                    (true, true) => 2 * caps[v],
+                    (true, false) => 2 * caps[v] - 1,
+                })
+                .collect();
+            MigrationProblem::new(b.build(), Capacities::from_vec(caps))
+                .expect("generated instance is valid")
+        })
+}
+
 /// Serial reference for the uncut driver: split `p` into its connected
 /// components (local ids in ascending original order), solve each one
 /// alone in canonical order, and merge the rounds index-wise.
@@ -141,6 +193,64 @@ fn component_reference(
     Ok(merged)
 }
 
+/// With nothing cut — no cell budget at all, or the default budget,
+/// which the test instances never exceed — `solve_sharded` must equal the
+/// serial component reference byte-for-byte across shards {1,2,4} ×
+/// threads {1,4} × recorder {off,on}, and so must `ParallelSolver` at
+/// every thread count.
+fn assert_matches_component_reference(p: &MigrationProblem) -> Result<(), TestCaseError> {
+    let _g = obs_lock();
+    let _cleanup = Cleanup;
+    let _pool = PoolCleanup;
+    let solve = |q: &MigrationProblem| AutoSolver.solve(q);
+    dmig_obs::set_enabled(false);
+    dmig_obs::reset();
+    let plain = component_reference(p, solve).expect("solves");
+    for threads in [1usize, 2, 4] {
+        let parallel = ParallelSolver::with_threads(Box::new(AutoSolver), threads)
+            .solve(p)
+            .expect("solves");
+        prop_assert_eq!(&plain, &parallel, "ParallelSolver threads = {}", threads);
+    }
+    for shards in [1usize, 2, 4] {
+        for threads in [1usize, 4] {
+            for recorder in [false, true] {
+                dmig_obs::reset();
+                dmig_obs::set_enabled(recorder);
+                let (uncut, _) =
+                    solve_sharded(p, ShardConfig::uncut(shards), threads, solve).expect("solves");
+                let (sharded, report) =
+                    solve_sharded(p, ShardConfig::with_shards(shards), threads, solve)
+                        .expect("solves");
+                dmig_obs::set_enabled(false);
+                prop_assert_eq!(
+                    &plain,
+                    &uncut,
+                    "uncut shards = {}, threads = {}, recorder = {}",
+                    shards,
+                    threads,
+                    recorder
+                );
+                prop_assert_eq!(
+                    &plain,
+                    &sharded,
+                    "shards = {}, threads = {}, recorder = {}",
+                    shards,
+                    threads,
+                    recorder
+                );
+                prop_assert_eq!(report.cut_edges, 0, "nothing to cut at 2^18");
+                prop_assert_eq!(report.round_gap, 0);
+                prop_assert_eq!(
+                    report.per_shard_edges.iter().sum::<u64>(),
+                    p.num_items() as u64
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Every edge of `g` must land in exactly one cell's domestic set or the
 /// boundary set — no drops, no double coverage.
 fn assert_full_coverage(
@@ -166,60 +276,23 @@ fn assert_full_coverage(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// With nothing cut — no cell budget at all, or the default budget,
-    /// which these instances never exceed — the driver must equal the
-    /// serial component reference byte-for-byte across shards {1,2,4} ×
-    /// threads {1,4} × recorder {off,on}, and so must `ParallelSolver` at
-    /// every thread count.
+    /// Random instances, possibly disconnected, match the serial
+    /// component reference (see [`assert_matches_component_reference`]).
     #[test]
     fn sharded_equals_unsharded_at_default_budget(p in arb_problem()) {
-        let _g = obs_lock();
-        let _cleanup = Cleanup;
-        let _pool = PoolCleanup;
-        let solve = |q: &MigrationProblem| AutoSolver.solve(q);
-        dmig_obs::set_enabled(false);
-        dmig_obs::reset();
-        let plain = component_reference(&p, solve).expect("solves");
-        for threads in [1usize, 2, 4] {
-            let parallel = ParallelSolver::with_threads(Box::new(AutoSolver), threads)
-                .solve(&p)
-                .expect("solves");
-            prop_assert_eq!(&plain, &parallel, "ParallelSolver threads = {}", threads);
-        }
-        for shards in [1usize, 2, 4] {
-            for threads in [1usize, 4] {
-                for recorder in [false, true] {
-                    dmig_obs::reset();
-                    dmig_obs::set_enabled(recorder);
-                    let (uncut, _) = solve_sharded(&p, ShardConfig::uncut(shards), threads, solve)
-                        .expect("solves");
-                    let (sharded, report) = solve_sharded(
-                        &p,
-                        ShardConfig::with_shards(shards),
-                        threads,
-                        solve,
-                    )
-                    .expect("solves");
-                    dmig_obs::set_enabled(false);
-                    prop_assert_eq!(
-                        &plain, &uncut,
-                        "uncut shards = {}, threads = {}, recorder = {}",
-                        shards, threads, recorder
-                    );
-                    prop_assert_eq!(
-                        &plain, &sharded,
-                        "shards = {}, threads = {}, recorder = {}",
-                        shards, threads, recorder
-                    );
-                    prop_assert_eq!(report.cut_edges, 0, "nothing to cut at 2^18");
-                    prop_assert_eq!(report.round_gap, 0);
-                    prop_assert_eq!(
-                        report.per_shard_edges.iter().sum::<u64>(),
-                        p.num_items() as u64
-                    );
-                }
-            }
-        }
+        assert_matches_component_reference(&p)?;
+    }
+
+    /// The same check on the shapes `solve_sharded`'s one-cell case handles:
+    /// one component spanning every disk, one component plus isolated
+    /// disks, and an edgeless instance.
+    #[test]
+    fn one_cell_shapes_equal_the_serial_reference(p in arb_one_cell_problem()) {
+        let m = p.num_items();
+        let (_, report) = solve_sharded(&p, ShardConfig::uncut(1), 1, |q| AutoSolver.solve(q))
+            .expect("solves");
+        prop_assert_eq!(report.cells, usize::from(m > 0));
+        assert_matches_component_reference(&p)?;
     }
 
     /// A tiny cell budget forces real cuts on a connected instance. The

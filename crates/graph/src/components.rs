@@ -97,22 +97,29 @@ pub fn connected_components(g: &Multigraph) -> Components {
 
 /// Returns `true` if every pair of non-isolated nodes is connected, i.e. the
 /// edges of `g` span a single connected component (isolated nodes ignored).
+///
+/// One traversal from the first edge, counting the nodes it reaches
+/// against the nodes with an edge.
 #[must_use]
 pub fn edges_connected(g: &Multigraph) -> bool {
-    let comps = connected_components(g);
-    let mut seen: Option<usize> = None;
-    for v in g.nodes() {
-        if g.degree(v) == 0 {
-            continue;
-        }
-        let c = comps.component_of(v);
-        match seen {
-            None => seen = Some(c),
-            Some(c0) if c0 != c => return false,
-            _ => {}
+    let Some((_, first)) = g.edges().next() else {
+        return true;
+    };
+    let mut seen = vec![false; g.num_nodes()];
+    seen[first.u.index()] = true;
+    let mut reached = 1usize;
+    let mut stack = vec![first.u];
+    while let Some(v) = stack.pop() {
+        for &e in g.incident_edges(v) {
+            let w = g.endpoints(e).other(v);
+            if !seen[w.index()] {
+                seen[w.index()] = true;
+                reached += 1;
+                stack.push(w);
+            }
         }
     }
-    true
+    reached == g.nodes().filter(|&v| g.degree(v) > 0).count()
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::components::connected_components;
+use crate::components::{connected_components, edges_connected};
 use crate::{EdgeId, Multigraph, NodeId};
 
 /// Default per-cell edge budget: components above this are cut.
@@ -92,6 +92,11 @@ impl CellPartition {
 #[must_use]
 pub fn partition_cells(g: &Multigraph, max_cell_edges: usize) -> CellPartition {
     let max_cell_edges = max_cell_edges.max(1);
+    single_cell(g, max_cell_edges).unwrap_or_else(|| grouped_cells(g, max_cell_edges))
+}
+
+/// [`partition_cells`] by connected components, cutting the heavy ones.
+fn grouped_cells(g: &Multigraph, max_cell_edges: usize) -> CellPartition {
     let comps = connected_components(g);
     let groups = comps.groups();
 
@@ -171,6 +176,36 @@ pub fn partition_cells(g: &Multigraph, max_cell_edges: usize) -> CellPartition {
         cell_of,
         total_edges: g.num_edges(),
     }
+}
+
+/// The partition of a graph whose edges form one connected component of
+/// at most `max_cell_edges` edges: that component as the only cell,
+/// without the grouping passes. The result is the one those passes give:
+/// every non-isolated node in the cell, every edge domestic, and the
+/// component's canonical index equal to its smallest node's, since every
+/// smaller node is an isolated singleton. `None` when the graph has no
+/// edges, too many, or more than one component.
+fn single_cell(g: &Multigraph, max_cell_edges: usize) -> Option<CellPartition> {
+    let m = g.num_edges();
+    if m == 0 || m > max_cell_edges || !edges_connected(g) {
+        return None;
+    }
+    let nodes: Vec<NodeId> = g.nodes().filter(|&v| g.degree(v) > 0).collect();
+    let mut cell_of = vec![u32::MAX; g.num_nodes()];
+    for v in &nodes {
+        cell_of[v.index()] = 0;
+    }
+    Some(CellPartition {
+        cells: vec![Cell {
+            component: nodes[0].index(),
+            piece: 0,
+            nodes,
+            edges: (0..m).map(EdgeId::new).collect(),
+        }],
+        boundary: Vec::new(),
+        cell_of,
+        total_edges: m,
+    })
 }
 
 /// Grows at least `⌈m_c / max⌉` pieces over one connected component
@@ -489,6 +524,33 @@ mod tests {
             let ep = g.endpoints(*e);
             ep.u == ep.v
         }));
+    }
+
+    #[test]
+    fn single_cell_matches_the_grouping_passes() {
+        // One component, with isolated nodes before, inside and after it.
+        let one = GraphBuilder::new()
+            .nodes(8)
+            .edge(2, 3)
+            .edge(3, 5)
+            .edge(5, 2)
+            .edge(3, 6)
+            .edge(2, 3)
+            .build();
+        let fast = single_cell(&one, DEFAULT_MAX_CELL_EDGES).expect("one component");
+        assert_eq!(
+            format!("{fast:?}"),
+            format!("{:?}", grouped_cells(&one, DEFAULT_MAX_CELL_EDGES))
+        );
+        assert_eq!(fast.cells[0].component, 2);
+        coverage_ok(&one, &fast);
+        // Two components, an edgeless graph, and a component over the
+        // budget take the grouping passes.
+        let two = GraphBuilder::new().nodes(4).edge(0, 1).edge(2, 3).build();
+        assert!(single_cell(&two, DEFAULT_MAX_CELL_EDGES).is_none());
+        assert!(single_cell(&Multigraph::with_nodes(3), DEFAULT_MAX_CELL_EDGES).is_none());
+        assert!(single_cell(&ladder(4), 5).is_none());
+        assert_eq!(partition_cells(&two, DEFAULT_MAX_CELL_EDGES).cells.len(), 2);
     }
 
     #[test]

@@ -266,6 +266,7 @@ pub fn eval_expr(
     let mut p = ExprParser {
         tokens: &tokens,
         pos: 0,
+        depth: 0,
         metrics,
         funcs,
         eq_tolerance,
@@ -591,9 +592,16 @@ fn tokenize(text: &str) -> Result<Vec<Token>, EvalError> {
     Ok(out)
 }
 
+/// Deepest nesting of parentheses, call arguments and unary minus an
+/// expression may use. The parser recurses once per level, so deeper
+/// input is a syntax error instead of a stack overflow.
+const MAX_EXPR_DEPTH: usize = 512;
+
 struct ExprParser<'a> {
     tokens: &'a [Token],
     pos: usize,
+    /// Nesting levels entered so far (see [`MAX_EXPR_DEPTH`]).
+    depth: usize,
     metrics: &'a BTreeMap<String, f64>,
     funcs: &'a FunctionRegistry,
     eq_tolerance: f64,
@@ -613,6 +621,19 @@ impl ExprParser<'_> {
             }
         }
         None
+    }
+
+    /// Runs `parse` one nesting level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<f64, EvalError>) -> Result<f64, EvalError> {
+        if self.depth == MAX_EXPR_DEPTH {
+            return Err(EvalError::Syntax(format!(
+                "expression nests deeper than {MAX_EXPR_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn or_expr(&mut self) -> Result<f64, EvalError> {
@@ -679,7 +700,7 @@ impl ExprParser<'_> {
 
     fn unary_expr(&mut self) -> Result<f64, EvalError> {
         if self.eat_op(&["-"]).is_some() {
-            return Ok(-self.unary_expr()?);
+            return Ok(-self.nested(Self::unary_expr)?);
         }
         self.atom()
     }
@@ -692,7 +713,7 @@ impl ExprParser<'_> {
             }
             Some(Token::LParen) => {
                 self.pos += 1;
-                let v = self.or_expr()?;
+                let v = self.nested(Self::or_expr)?;
                 match self.peek() {
                     Some(Token::RParen) => {
                         self.pos += 1;
@@ -708,7 +729,7 @@ impl ExprParser<'_> {
                     let mut args = Vec::new();
                     if self.peek() != Some(&Token::RParen) {
                         loop {
-                            args.push(self.or_expr()?);
+                            args.push(self.nested(Self::or_expr)?);
                             match self.peek() {
                                 Some(Token::Comma) => self.pos += 1,
                                 _ => break,
@@ -839,6 +860,41 @@ name = "overhead ceiling"
 expr = "observability.enabled_overhead_pct <= 50"
 tolerance = 0.5
 "#;
+
+    #[test]
+    fn deep_nesting_fails_the_rule_instead_of_the_stack() {
+        // Past the cap, nesting of any shape is a syntax error of the
+        // rule, however deep: the parser must not recurse once per level.
+        let m = metrics(&[("x", 1.0)]);
+        let parens = format!("{}x{}", "(".repeat(20_000), ")".repeat(20_000));
+        let minuses = format!("{}x", "-".repeat(100_000));
+        let calls = format!("{}x{}", "max(".repeat(20_000), ", 1)".repeat(20_000));
+        for expr in [parens, minuses, calls] {
+            let file = RuleFile {
+                rules: vec![Rule {
+                    name: "deep".to_string(),
+                    expr,
+                    ..Rule::default()
+                }],
+                default_tolerance: 1e-9,
+            };
+            let report = evaluate(&file, &m, &FunctionRegistry::default());
+            assert!(report.failed());
+            let outcome = &report.outcomes[0];
+            assert_eq!(outcome.name, "deep");
+            match &outcome.status {
+                RuleStatus::Fail(msg) => {
+                    assert!(msg.ends_with("nests deeper than 512 levels"), "{msg}");
+                }
+                other => panic!("expected a failure, got {other:?}"),
+            }
+        }
+        // Nesting up to the cap still evaluates.
+        let at_cap = format!("{}x{}", "(".repeat(512), ")".repeat(512));
+        assert_eq!(eval(&at_cap, &m), Ok(1.0));
+        assert_eq!(eval(&format!("{}x", "-".repeat(512)), &m), Ok(1.0));
+        assert!(eval(&format!("{}x", "-".repeat(513)), &m).is_err());
+    }
 
     #[test]
     fn rule_file_parses() {

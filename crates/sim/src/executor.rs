@@ -30,9 +30,9 @@
 //! [`ExecutorConfig::degrade_replan_threshold`] × its initial bandwidth,
 //! or recovered), or the round blew past the rolling-median
 //! [`StallDetector`] fed with *simulated* durations. Item identity is
-//! preserved through [`dmig_core::replan::ItemOrigin`] across any number
-//! of replans, so the final [`ExecReport`] accounts every original item
-//! as delivered (possibly redirected) or lost.
+//! preserved through [`dmig_core::replan::Replanned::origin`] across any
+//! number of replans, so the final [`ExecReport`] accounts every original
+//! item as delivered (possibly redirected) or lost.
 //!
 //! **Determinism:** the executor runs entirely in simulated time — the
 //! flaky coin is a seeded hash, the stall detector sees simulated
@@ -51,7 +51,7 @@
 //! [`Executor::journal_record`] instead: a full document, then deltas that
 //! carry only what each round changed, which `restore` replays in order.
 
-use dmig_core::replan::{rebuild_residual, replan_with, ItemOrigin, ReplanError, ResidualChanges};
+use dmig_core::replan::{rebuild_residual, replan_with, ReplanError, ResidualChanges};
 use dmig_core::solver::Solver;
 use dmig_core::{Capacities, MigrationProblem, MigrationSchedule};
 use dmig_graph::{EdgeId, Endpoints, NodeId};
@@ -897,7 +897,7 @@ impl<'a> Executor<'a> {
                 let _span = dmig_obs::span_labeled("exec_replan", || {
                     format!("pending={pending_count} crashes={}", self.crashes)
                 });
-                replan_with(&self.cur_problem, &self.done, &[], &changes, self.solver)?
+                replan_with(&self.cur_problem, &self.done, &changes, self.solver)?
             };
             self.replans += 1;
             dmig_obs::counter_add(keys::EXEC_REPLANS, 1);
@@ -915,13 +915,10 @@ impl<'a> Executor<'a> {
                 time: self.base,
             });
             let mut new_roots = Vec::with_capacity(r.origin.len());
-            for (i, o) in r.origin.iter().enumerate() {
-                let ItemOrigin::Original(e) = o else {
-                    unreachable!("executor replans add no new items");
-                };
+            for (i, &e) in r.origin.iter().enumerate() {
                 let root = self.roots[e.index()];
                 if r.problem.graph().endpoints(EdgeId::new(i))
-                    != self.cur_problem.graph().endpoints(*e)
+                    != self.cur_problem.graph().endpoints(e)
                     && !self.redirected_flag[root]
                 {
                     self.redirected_flag[root] = true;
@@ -930,10 +927,7 @@ impl<'a> Executor<'a> {
                 }
                 new_roots.push(root);
             }
-            for o in &r.lost {
-                let ItemOrigin::Original(e) = o else {
-                    unreachable!("executor replans add no new items");
-                };
+            for e in &r.lost {
                 self.fates[self.roots[e.index()]] = Some(ItemFate::Lost(LostReason::DeadDisk));
                 dmig_obs::counter_add(keys::EXEC_LOST_ITEMS, 1);
                 emit(Event::ItemLost {
@@ -942,10 +936,7 @@ impl<'a> Executor<'a> {
                     time: self.base,
                 });
             }
-            for o in &r.completed {
-                let ItemOrigin::Original(e) = o else {
-                    unreachable!("executor replans add no new items");
-                };
+            for e in &r.completed {
                 let root = self.roots[e.index()];
                 if !self.redirected_flag[root] {
                     self.redirected_flag[root] = true;

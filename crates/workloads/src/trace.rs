@@ -16,7 +16,7 @@
 
 use core::fmt;
 
-use dmig_graph::{Multigraph, NodeId};
+use dmig_graph::Multigraph;
 
 /// A parsed trace: the transfer multigraph plus per-item sizes.
 #[derive(Clone, Debug, PartialEq)]
@@ -54,10 +54,15 @@ impl std::error::Error for TraceError {}
 ///
 /// # Errors
 ///
-/// Returns [`TraceError`] on malformed lines, self-transfers, or
-/// non-positive sizes.
+/// Returns [`TraceError`] on malformed lines, self-transfers,
+/// non-positive sizes, or disk indexes above `u32::MAX`. A disk count
+/// too large to allocate is reported at the line naming the largest disk.
 pub fn parse_trace(text: &str) -> Result<Trace, TraceError> {
-    let mut items: Vec<(usize, usize, f64)> = Vec::new();
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    let mut sizes: Vec<f64> = Vec::new();
+    // The largest disk index and the first line naming it: it sizes the
+    // graph, so an allocation failure is reported at that line.
+    let mut largest: Option<(usize, usize)> = None;
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or_default().trim();
         if line.is_empty() {
@@ -80,6 +85,14 @@ pub fn parse_trace(text: &str) -> Result<Trace, TraceError> {
                     .ok_or_else(|| err("missing destination disk".into()))?
                     .parse()
                     .map_err(|_| err("invalid destination disk".into()))?;
+                for (what, disk) in [("source", src), ("destination", dst)] {
+                    if disk > u32::MAX as usize {
+                        return Err(err(format!(
+                            "{what} disk {disk} exceeds the largest disk index {}",
+                            u32::MAX
+                        )));
+                    }
+                }
                 if src == dst {
                     return Err(err(format!("item moves from disk {src} to itself")));
                 }
@@ -93,23 +106,21 @@ pub fn parse_trace(text: &str) -> Result<Trace, TraceError> {
                 if parts.next().is_some() {
                     return Err(err("trailing tokens".into()));
                 }
-                items.push((src, dst, size));
+                if largest.map_or(true, |(disk, _)| src.max(dst) > disk) {
+                    largest = Some((src.max(dst), lineno + 1));
+                }
+                pairs.push((src, dst));
+                sizes.push(size);
             }
             Some(other) => return Err(err(format!("unknown directive `{other}`"))),
             None => unreachable!("empty lines are skipped"),
         }
     }
-    let n = items
-        .iter()
-        .map(|&(s, d, _)| s.max(d) + 1)
-        .max()
-        .unwrap_or(0);
-    let mut graph = Multigraph::with_nodes(n);
-    let mut sizes = Vec::with_capacity(items.len());
-    for (src, dst, size) in items {
-        graph.add_edge(NodeId::new(src), NodeId::new(dst));
-        sizes.push(size);
-    }
+    let (n, line) = largest.map_or((0, 0), |(disk, line)| (disk + 1, line));
+    let graph = Multigraph::from_edges(n, &pairs).map_err(|e| TraceError {
+        line,
+        message: e.to_string(),
+    })?;
     Ok(Trace { graph, sizes })
 }
 
@@ -139,6 +150,21 @@ mod tests {
         assert_eq!(t.graph.num_nodes(), 4);
         assert_eq!(t.graph.num_edges(), 2);
         assert_eq!(t.sizes, vec![1.0, 0.5]);
+    }
+
+    #[test]
+    fn disk_index_past_u32_is_a_line_error() {
+        // Rejected at its line, before any graph is sized by it.
+        let err = parse_trace("item 0 1\nitem 0 4000000000000\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert_eq!(
+            err.to_string(),
+            "trace parse error at line 2: destination disk 4000000000000 \
+             exceeds the largest disk index 4294967295"
+        );
+        let err = parse_trace("item 4294967296 0\n").unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(err.message.starts_with("source disk 4294967296 exceeds"));
     }
 
     #[test]
