@@ -211,7 +211,7 @@ fn check_name(name: &str) -> Result<(), String> {
         || name.contains('\\')
         || name.contains('\0')
     {
-        return Err(format!("archive: illegal file name `{name}`"));
+        return Err(format!("illegal file name `{name}`"));
     }
     Ok(())
 }
@@ -220,8 +220,11 @@ fn check_name(name: &str) -> Result<(), String> {
 ///
 /// # Errors
 ///
-/// Describes the structural violation: bad header, malformed `file`
-/// record, truncated payload, or an illegal name.
+/// Describes the structural violation: a missing, binary or wrong header,
+/// or, naming the 1-based `file` record (`archive: record N: …`), a
+/// malformed record, a truncated payload, an illegal name, or a name an
+/// earlier record already listed. [`verify_checksums`] checks the one
+/// entry per name that `import` writes, so a second entry is refused here.
 pub fn unpack(data: &[u8]) -> Result<Vec<(String, Vec<u8>)>, String> {
     let header_end = data
         .iter()
@@ -233,33 +236,41 @@ pub fn unpack(data: &[u8]) -> Result<Vec<(String, Vec<u8>)>, String> {
             "archive: header `{header}` is not `{ARCHIVE_SCHEMA}`"
         ));
     }
-    let mut files = Vec::new();
+    let mut files: Vec<(String, Vec<u8>)> = Vec::new();
     let mut at = header_end + 1;
     while at < data.len() {
+        let n = files.len() + 1;
+        let bad = |what: String| format!("archive: record {n}: {what}");
         let line_end = data[at..]
             .iter()
             .position(|&b| b == b'\n')
             .map(|i| at + i)
-            .ok_or("archive: truncated file record")?;
+            .ok_or_else(|| bad("truncated file record".to_string()))?;
         let record = std::str::from_utf8(&data[at..line_end])
-            .map_err(|_| "archive: binary file record".to_string())?;
+            .map_err(|_| bad("binary file record".to_string()))?;
         let mut parts = record.splitn(3, ' ');
         let (kw, name, len) = (parts.next(), parts.next(), parts.next());
         if kw != Some("file") {
-            return Err(format!("archive: expected a `file` record, got `{record}`"));
+            return Err(bad(format!("expected a `file` record, got `{record}`")));
         }
-        let name = name.ok_or_else(|| format!("archive: nameless record `{record}`"))?;
-        check_name(name)?;
+        let name = name.ok_or_else(|| bad(format!("nameless record `{record}`")))?;
+        check_name(name).map_err(bad)?;
+        if let Some(first) = files.iter().position(|(seen, _)| seen == name) {
+            return Err(bad(format!(
+                "`{name}` is listed twice (first as record {})",
+                first + 1
+            )));
+        }
         let len: usize = len
             .and_then(|l| l.parse().ok())
-            .ok_or_else(|| format!("archive: bad length in `{record}`"))?;
+            .ok_or_else(|| bad(format!("bad length in `{record}`")))?;
         let start = line_end + 1;
         let end = start
             .checked_add(len)
-            .filter(|&e| e < data.len() + 1 && data.len() - e >= 1)
-            .ok_or_else(|| format!("archive: `{name}` payload truncated"))?;
+            .filter(|&e| e < data.len())
+            .ok_or_else(|| bad(format!("`{name}` payload truncated")))?;
         if data[end] != b'\n' {
-            return Err(format!("archive: `{name}` payload not newline-terminated"));
+            return Err(bad(format!("`{name}` payload not newline-terminated")));
         }
         files.push((name.to_string(), data[start..end].to_vec()));
         at = end + 1;
@@ -400,6 +411,10 @@ mod tests {
             (
                 b"dmig-archive/1\nfile a/b 0\n\n".to_vec(),
                 "illegal file name",
+            ),
+            (
+                b"dmig-archive/1\nfile a 1\nx\nfile b 0\n\nfile a 1\ny\n".to_vec(),
+                "archive: record 3: `a` is listed twice (first as record 1)",
             ),
         ] {
             let err = unpack(&data).unwrap_err();

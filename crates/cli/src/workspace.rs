@@ -3,28 +3,37 @@
 //! A *workspace* is a directory that holds everything a migration run
 //! needs to survive its operator, its process, and its machine:
 //!
-//! * `manifest.json` — `dmig-workspace/1`: instance fingerprint, solver,
-//!   thread count, and instance dimensions;
+//! * `manifest.json` — `dmig-workspace/1`: the fingerprints of the
+//!   instance and the plan, solver, thread count, and instance dimensions;
 //! * `instance.txt` — the canonical instance text (re-fingerprinted on
 //!   every load, so tampering is caught before execution);
-//! * `plan.json` — `dmig-plan/1`: the solved schedule, round by round;
+//! * `plan.json` — `dmig-plan/1`: the solved schedule, round by round
+//!   (re-fingerprinted on every load as well: a journal's chain can start
+//!   at it, so an edit between `execute` and `resume` would change the
+//!   run);
 //! * `faults.toml` — the fault plan, verbatim;
 //! * `config.json` — `dmig-exec-config/1`: the executor policy, with
 //!   every float persisted as its IEEE-754 bit pattern so reload is exact;
 //! * `journal.jsonl` — the write-ahead journal `execute` appends:
 //!   `dmig-events/1` flight-recorder lines interleaved with
-//!   `dmig-exec-ckpt/1` checkpoint records — a full record when a session
-//!   starts or a replan changes the residual instance, a delta of what the
-//!   round changed otherwise — fsync'd at every round boundary;
+//!   `dmig-exec-ckpt/1` checkpoint records, fsync'd at every round
+//!   boundary. The records form one chain across sessions: deltas of
+//!   what each round changed, whose base is the state the plan starts
+//!   from, and a full record only where a replan replaced the residual
+//!   instance, which starts a new chain;
 //! * `report.json` — the final `dmig-exec-report/1` document.
 //!
 //! `execute` can be `kill -9`ed at any instant; `resume` rebuilds the
-//! executor from the last durable full record and the deltas after it (a
-//! torn tail line is expected, skipped, and cut off before the journal
-//! grows again) and the finished `report.json` is byte-identical to an
-//! uninterrupted run. `export` packs the directory into an
+//! executor from the durable chain — the deltas after the last full
+//! record, or after the plan when no replan happened — (a torn tail line
+//! is expected, skipped, and cut off before the journal grows again; its
+//! bytes need not be text) and continues the chain. The finished
+//! `report.json` is byte-identical to an uninterrupted run. Journals of
+//! earlier builds, which opened each session with a full record, resume
+//! from their last one. `export` packs the directory into an
 //! integrity-checked `dmig-archive/1` file; `import` unpacks and refuses
-//! anything whose checksums disagree, naming the manifest line.
+//! anything whose checksums disagree, naming the manifest line, or that
+//! lists a file twice, naming the record.
 //!
 //! All one-shot files are published with write-to-temp + atomic rename
 //! ([`dmig_obs::fsio`]); only the journal is appended in place, because
@@ -228,7 +237,14 @@ fn plan_workspace(args: &[String]) -> Result<String, String> {
         let canonical = crate::instance::to_instance_text(&problem);
         let plan = render_plan(&schedule);
         let config = render_config(&config, &cluster);
-        let manifest = render_manifest(&canonical, &solver_name, threads, &problem, &schedule);
+        let manifest = render_manifest(
+            &canonical,
+            &plan,
+            &solver_name,
+            threads,
+            &problem,
+            &schedule,
+        );
         [
             (INSTANCE, canonical),
             (FAULTS, faults_text),
@@ -266,16 +282,18 @@ fn plan_workspace(args: &[String]) -> Result<String, String> {
 
 fn render_manifest(
     canonical_instance: &str,
+    plan: &str,
     solver_name: &str,
     threads: usize,
     problem: &MigrationProblem,
     schedule: &MigrationSchedule,
 ) -> String {
     format!(
-        "{{\"schema\": {}, \"instance\": {}, \"solver\": {}, \"threads\": {threads}, \
-         \"disks\": {}, \"items\": {}, \"planned_rounds\": {}}}\n",
+        "{{\"schema\": {}, \"instance\": {}, \"plan\": {}, \"solver\": {}, \
+         \"threads\": {threads}, \"disks\": {}, \"items\": {}, \"planned_rounds\": {}}}\n",
         dmig_obs::json::string(WORKSPACE_SCHEMA),
         dmig_obs::json::string(&history::fingerprint(canonical_instance)),
+        dmig_obs::json::string(&history::fingerprint(plan)),
         dmig_obs::json::string(solver_name),
         problem.num_disks(),
         problem.num_items(),
@@ -343,6 +361,9 @@ fn render_config(config: &ExecutorConfig, cluster: &Cluster) -> String {
 struct Loaded {
     problem: MigrationProblem,
     schedule: MigrationSchedule,
+    /// Whether the manifest pins `plan.json` by fingerprint. Manifests
+    /// written before the pin have no `plan` member.
+    plan_pinned: bool,
     faults: FaultPlan,
     config: ExecutorConfig,
     cluster: Cluster,
@@ -466,6 +487,19 @@ fn plan_rounds(
     Ok(bad.map_or(Ok(rounds), Err))
 }
 
+/// Refuses `text`, read from workspace file `file`, unless it has the
+/// fingerprint the manifest recorded for it.
+fn check_fingerprint(file: &str, text: &str, want: &str) -> Result<(), String> {
+    let got = history::fingerprint(text);
+    if got != want {
+        return Err(format!(
+            "{file} does not match the manifest fingerprint \
+             (manifest {want}, file {got}) — the workspace was modified"
+        ));
+    }
+    Ok(())
+}
+
 fn load_workspace(ws: &Workspace) -> Result<Loaded, String> {
     let manifest = Value::parse(&ws.read(MANIFEST)?).map_err(|e| format!("{MANIFEST}: {e}"))?;
     check_schema(&manifest, MANIFEST, WORKSPACE_SCHEMA)?;
@@ -474,17 +508,24 @@ fn load_workspace(ws: &Workspace) -> Result<Loaded, String> {
     let want_fp = field(&manifest, MANIFEST, "instance")?
         .as_str()
         .ok_or(format!("{MANIFEST}: `instance` is not a string"))?;
-    let got_fp = history::fingerprint(&instance_text);
-    if got_fp != want_fp {
-        return Err(format!(
-            "{INSTANCE} does not match the manifest fingerprint \
-             (manifest {want_fp}, file {got_fp}) — the workspace was modified"
-        ));
-    }
+    check_fingerprint(INSTANCE, &instance_text, want_fp)?;
     let problem =
         crate::instance::parse_instance(&instance_text).map_err(|e| format!("{INSTANCE}: {e}"))?;
 
-    let rounds = read_plan(&ws.read(PLAN)?, problem.num_items())?;
+    // `plan.json` is pinned like the instance: `resume` rebuilds a chain's
+    // base from it, so an edit between sessions would change the run.
+    let plan_text = ws.read(PLAN)?;
+    let plan_pinned = match manifest.get_path("plan") {
+        Some(want) => {
+            let want = want
+                .as_str()
+                .ok_or(format!("{MANIFEST}: `plan` is not a string"))?;
+            check_fingerprint(PLAN, &plan_text, want)?;
+            true
+        }
+        None => false,
+    };
+    let rounds = read_plan(&plan_text, problem.num_items())?;
     let schedule = MigrationSchedule::from_rounds(rounds);
     schedule
         .validate(&problem)
@@ -533,6 +574,7 @@ fn load_workspace(ws: &Workspace) -> Result<Loaded, String> {
     Ok(Loaded {
         problem,
         schedule,
+        plan_pinned,
         faults,
         config,
         cluster,
@@ -545,22 +587,35 @@ fn load_workspace(ws: &Workspace) -> Result<Loaded, String> {
 
 /// The journal's durable prefix: every newline-terminated line. A final
 /// line without its newline is the write a kill interrupted — never
-/// fsync'd, so never part of the recovery record.
-fn durable(journal: &str) -> &str {
-    &journal[..journal.rfind('\n').map_or(0, |i| i + 1)]
+/// fsync'd, so never part of the recovery record — and holds whatever a
+/// power loss left there, zeros or bytes that are not UTF-8. Only the
+/// durable prefix has to be text; a durable line that is not is an error
+/// naming it.
+fn durable(journal: &[u8]) -> Result<&str, String> {
+    let len = journal
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |i| i + 1);
+    std::str::from_utf8(&journal[..len]).map_err(|e| {
+        let before = &journal[..e.valid_up_to()];
+        let line = 1 + before.iter().filter(|&&b| b == b'\n').count();
+        format!("{JOURNAL}: line {line} is not UTF-8")
+    })
 }
 
-/// The text `resume` hands [`Executor::restore`]: the last full
-/// checkpoint record of the durable journal and every delta after it, each
-/// on its own journal line, with every other line left blank so that a
-/// restore error's `line N` is journal line N. Lines are told apart by
-/// prefix only, so each record is parsed once, by `restore`. `None` when
-/// the journal holds no full record.
+/// The text `resume` hands [`Executor::resume`]: the durable journal's
+/// chain, each record on its own journal line, with every other line left
+/// blank so that a restore error's `line N` is journal line N. The chain
+/// starts at the last full record, or, in a journal without one (no
+/// replan happened), at the first record: a delta whose base is the plan.
+/// Lines are told apart by prefix only, so each record is parsed once, by
+/// the executor. `None` when the journal holds no record.
 fn resume_chain(durable: &str) -> Option<String> {
     let lines: Vec<&str> = durable.lines().collect();
     let start = lines
         .iter()
-        .rposition(|l| l.starts_with(RECORD_PREFIX) && !l.starts_with(DELTA_PREFIX))?;
+        .rposition(|l| l.starts_with(RECORD_PREFIX) && !l.starts_with(DELTA_PREFIX))
+        .or_else(|| lines.iter().position(|l| l.starts_with(RECORD_PREFIX)))?;
     let mut chain = "\n".repeat(start);
     for line in &lines[start..] {
         if line.starts_with(RECORD_PREFIX) {
@@ -651,18 +706,38 @@ fn run_session(args: &[String], resume: bool) -> Result<String, String> {
             ws.display()
         ));
     }
+    // A journal's chain can start at the plan: no session starts on an
+    // unpinned one, and no chain that starts there is resumed on one.
+    let unpinned = || {
+        format!(
+            "{MANIFEST}: missing `plan`: {PLAN} is not pinned (the workspace was \
+             planned by an older build); plan it again"
+        )
+    };
+    if !resume && !loaded.plan_pinned {
+        return Err(unpinned());
+    }
 
     // Revive (or create) the executor *before* opening the journal so a
     // corrupt checkpoint cannot half-open the sink.
     let mut exec = if resume {
         let _span = dmig_obs::span("migrate.restore");
-        let journal = ws.read(JOURNAL)?;
-        let durable = durable(&journal);
+        let journal = std::fs::read(&journal_path)
+            .map_err(|e| format!("cannot read {}: {e}", journal_path.display()))?;
+        let durable = durable(&journal).map_err(|e| format!("migrate resume: {e}"))?;
         let chain = resume_chain(durable).ok_or(format!(
-            "migrate resume: {JOURNAL} holds no full checkpoint record"
+            "migrate resume: {JOURNAL} holds no checkpoint record"
         ))?;
-        let exec = Executor::restore(
+        let from_plan = chain
+            .lines()
+            .find(|l| !l.is_empty())
+            .is_some_and(|l| l.starts_with(DELTA_PREFIX));
+        if from_plan && !loaded.plan_pinned {
+            return Err(unpinned());
+        }
+        let exec = Executor::resume(
             &loaded.problem,
+            &loaded.schedule,
             &loaded.cluster,
             &loaded.faults,
             &loaded.config,
@@ -746,9 +821,11 @@ fn run_session(args: &[String], resume: bool) -> Result<String, String> {
         );
         hold(&marker, false).map_err(&teardown)?;
     }
-    // The session's first record is full, and makes round 0 resumable: a
-    // kill before the first boundary resumes into a full (still
-    // byte-identical) re-run. Later records are deltas until a replan.
+    // The session's first record continues the chain: `execute`'s is a
+    // delta against the state the plan starts from, `resume`'s the next
+    // delta of the chain it restored. It makes round 0 resumable: a kill
+    // before the first boundary resumes into a full (still byte-identical)
+    // re-run. Only a replan writes a full record.
     let mut ck_count = hold(&record(&mut exec), true).map_err(&teardown)?;
     commit().map_err(&teardown)?;
     dmig_obs::gauge_set(dmig_obs::keys::WS_ROUND, exec.executed_rounds() as u64);
@@ -1025,29 +1102,62 @@ mod tests {
     }
 
     #[test]
-    fn resume_chain_starts_at_the_last_full_record_and_skips_torn_tails() {
+    fn resume_chain_starts_at_the_last_full_record_or_the_plan_and_skips_torn_tails() {
         let event = "{\"schema\": \"dmig-events/1\", \"kind\": \"round\"}";
         let full = "{\"schema\": \"dmig-exec-ckpt/1\", \"disks\": 3}";
-        let delta = "{\"schema\": \"dmig-exec-ckpt/1\", \"delta\": 1, \"disks\": 3}";
+        let delta =
+            |k: u32| format!("{{\"schema\": \"dmig-exec-ckpt/1\", \"delta\": {k}, \"disks\": 3}}");
+        let (d1, d2, d3) = (delta(1), delta(2), delta(3));
         let marker = "{\"schema\": \"dmig-resume/1\", \"from_round\": 1}";
-        let journal = format!(
-            "{full}\n{event}\n{delta}\n{marker}\n{full}\n{event}\n{delta}\n\
-             {{\"schema\": \"dmig-exec-ckpt/1\", \"delta\": 2, \"tor"
-        );
-        assert_eq!(durable(&journal).len(), journal.rfind('\n').unwrap() + 1);
-        // The chain keeps journal line numbers: lines 5 and 7.
+        let torn = "{\"schema\": \"dmig-exec-ckpt/1\", \"delta\": 2, \"tor";
+        let durable_text = |j: &str| durable(j.as_bytes()).unwrap().to_string();
+
+        // No replan: the chain starts at the first record, a delta whose
+        // base is the plan, and runs on through a resume marker; the chain
+        // keeps journal line numbers.
+        let journal = format!("{d1}\n{event}\n{d2}\n{marker}\n{d3}\n{event}\n{torn}");
+        let text = durable_text(&journal);
+        assert_eq!(text.len(), journal.rfind('\n').unwrap() + 1);
         assert_eq!(
-            resume_chain(durable(&journal)).unwrap(),
-            format!("\n\n\n\n{full}\n\n{delta}\n")
+            resume_chain(&text).unwrap(),
+            format!("{d1}\n\n{d2}\n\n{d3}\n\n")
         );
-        // A journal of full records only (as older builds wrote) resumes
-        // from its last one; a journal without a full record has no chain.
-        let fulls = format!("{full}\n{event}\n{full}\n");
+        // A replan's full record starts the chain anew: lines 4 and 6.
+        let journal = format!("{d1}\n{event}\n{d2}\n{full}\n{event}\n{d1}\n{event}\n");
         assert_eq!(
-            resume_chain(durable(&fulls)).unwrap(),
-            format!("\n\n{full}\n")
+            resume_chain(&durable_text(&journal)).unwrap(),
+            format!("\n\n\n{full}\n\n{d1}\n\n")
         );
-        assert_eq!(resume_chain(durable(&format!("{delta}\n{event}\n"))), None);
-        assert_eq!(durable("{\"torn"), "");
+        // Journals of older builds open each session with a full record
+        // and resume from the last one; a journal without a record has no
+        // chain.
+        let older = format!("{full}\n{event}\n{d1}\n{marker}\n{full}\n{event}\n{d1}\n");
+        assert_eq!(
+            resume_chain(&durable_text(&older)).unwrap(),
+            format!("\n\n\n\n{full}\n\n{d1}\n")
+        );
+        assert_eq!(
+            resume_chain(&durable_text(&format!("{event}\n{marker}\n"))),
+            None
+        );
+        assert_eq!(resume_chain(""), None);
+        assert_eq!(durable_text("{\"torn"), "");
+    }
+
+    /// A power loss can leave any bytes after the last newline. Only the
+    /// durable prefix must be UTF-8; a durable line that is not is named.
+    #[test]
+    fn a_torn_tail_need_not_be_text_but_a_durable_line_must() {
+        let mut journal = b"{\"a\": 1}\n{\"b\": 2}\n{\"c\"".to_vec();
+        journal.extend_from_slice(&[0xFF; 40]);
+        assert_eq!(durable(&journal).unwrap(), "{\"a\": 1}\n{\"b\": 2}\n");
+        journal.extend_from_slice(&[0; 8]);
+        assert_eq!(durable(&journal).unwrap(), "{\"a\": 1}\n{\"b\": 2}\n");
+        let mut broken = b"{\"a\": 1}\n{\"b\": \"".to_vec();
+        broken.extend_from_slice(&[0xC3, b'"', b'}', b'\n']);
+        assert_eq!(
+            durable(&broken).unwrap_err(),
+            "journal.jsonl: line 2 is not UTF-8"
+        );
     }
 }

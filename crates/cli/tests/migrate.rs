@@ -221,9 +221,169 @@ fn resume_cuts_a_torn_tail_before_appending() {
     assert!(!text.contains("item_deliv\""), "the torn tail must be gone");
 }
 
-/// A complete record that does not parse, or does not chain onto the one
-/// before it, stops resume with exit 1 naming its journal line, and leaves
-/// the journal untouched.
+/// A power loss can leave any bytes after the journal's last newline, not
+/// only a torn line: here the rest of the interrupted commit reads back as
+/// `0xFF`, which is not UTF-8. Resume skips it as it skips a torn line,
+/// cuts it off, and finishes with the reference report.
+#[test]
+fn resume_skips_a_torn_tail_that_is_not_text() {
+    let scratch = Scratch::new("torn-binary");
+    let ref_ws = plan_ci_scenario(&scratch, "ws-ref");
+    let (code, out) = dmig(&["migrate", "execute", "--workspace", &ref_ws]);
+    assert_eq!(code, 0, "{out}");
+    let ws = plan_ci_scenario(&scratch, "ws");
+    let (code, _) = dmig(&[
+        "migrate",
+        "execute",
+        "--workspace",
+        &ws,
+        "--abort-after-checkpoint",
+        "2",
+    ]);
+    assert_ne!(code, 0);
+    let path = Path::new(&ws).join("journal.jsonl");
+    let durable = std::fs::read(&path).unwrap();
+    let mut torn = durable.clone();
+    torn.extend_from_slice(b"{\"schema\": \"dmig-ev");
+    torn.extend_from_slice(&[0xFF; 300]);
+    std::fs::write(&path, &torn).unwrap();
+    let (code, out) = dmig(&["migrate", "resume", "--workspace", &ws]);
+    assert_eq!(code, 0, "{out}");
+    assert_eq!(read(&ws, "report.json"), read(&ref_ws, "report.json"));
+    let journal = read(&ws, "journal.jsonl");
+    assert!(journal.starts_with(&durable) && std::str::from_utf8(&journal).is_ok());
+
+    // A durable line that is not UTF-8 is an error naming it.
+    let ws = plan_ci_scenario(&scratch, "ws-bad-line");
+    let mut bad = durable.clone();
+    let second = bad.iter().position(|&b| b == b'\n').unwrap() + 1;
+    bad[second + 5] = 0xFF;
+    std::fs::write(Path::new(&ws).join("journal.jsonl"), &bad).unwrap();
+    let (code, out) = dmig(&["migrate", "resume", "--workspace", &ws]);
+    assert_eq!(code, 1, "{out}");
+    assert_eq!(
+        out,
+        "error: migrate resume: journal.jsonl: line 2 is not UTF-8\n"
+    );
+    assert_eq!(read(&ws, "journal.jsonl"), bad);
+
+    // A journal that is empty, or holds only a torn line, has no record
+    // to resume from.
+    for journal in [&b""[..], &[0xFF; 64][..], &torn[durable.len()..]] {
+        std::fs::write(Path::new(&ws).join("journal.jsonl"), journal).unwrap();
+        let (code, out) = dmig(&["migrate", "resume", "--workspace", &ws]);
+        assert_eq!(code, 1, "{out}");
+        assert_eq!(
+            out,
+            "error: migrate resume: journal.jsonl holds no checkpoint record\n"
+        );
+    }
+}
+
+/// `plan.json` is pinned by a fingerprint in `manifest.json`, as the
+/// instance is: an edit after `plan` makes `execute` and `resume` exit 1
+/// naming the file, before either writes to the journal. A resumed chain
+/// can start at the plan, so without the pin an edit between sessions
+/// would change the resumed run.
+#[test]
+fn an_edited_plan_is_refused_by_execute_and_resume() {
+    let scratch = Scratch::new("edited-plan");
+    let ws = plan_ci_scenario(&scratch, "ws");
+    let path = Path::new(&ws).join("plan.json");
+    let plan = std::fs::read_to_string(&path).unwrap();
+    // Two items of the first round swap places: still a valid schedule.
+    let rounds = &plan[plan.find("[[").unwrap() + 2..];
+    let first = &rounds[..rounds.find(']').unwrap()];
+    let ids: Vec<&str> = first.split(", ").collect();
+    assert!(ids.len() >= 2, "{plan}");
+    let swapped = format!("{}, {}", ids[1], ids[0]);
+    let edited = plan.replacen(&format!("{}, {}", ids[0], ids[1]), &swapped, 1);
+    assert_ne!(edited, plan);
+    let refused = |verb: &str| {
+        let (code, out) = dmig(&["migrate", verb, "--workspace", &ws]);
+        assert_eq!(code, 1, "{verb}: {out}");
+        assert!(
+            out.starts_with("error: plan.json does not match the manifest fingerprint"),
+            "{verb}: {out}"
+        );
+    };
+    std::fs::write(&path, &edited).unwrap();
+    refused("execute");
+    assert!(!Path::new(&ws).join("journal.jsonl").exists());
+    std::fs::write(&path, &plan).unwrap();
+    let (code, _) = dmig(&[
+        "migrate",
+        "execute",
+        "--workspace",
+        &ws,
+        "--abort-after-checkpoint",
+        "1",
+    ]);
+    assert_ne!(code, 0);
+    let journal = read(&ws, "journal.jsonl");
+    std::fs::write(&path, &edited).unwrap();
+    refused("resume");
+    assert_eq!(read(&ws, "journal.jsonl"), journal);
+    std::fs::write(&path, &plan).unwrap();
+    let (code, out) = dmig(&["migrate", "resume", "--workspace", &ws]);
+    assert_eq!(code, 0, "{out}");
+}
+
+/// A manifest written before `plan.json` was pinned has no `plan` member.
+/// Such a workspace still loads: its journal, written by a build that
+/// opened every session with a full record, resumes from that record.
+/// But a session never starts on an unpinned plan, and a chain that starts
+/// at one is not resumed.
+#[test]
+fn a_manifest_without_the_plan_pin_resumes_only_from_a_full_record() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let scratch = Scratch::new("unpinned");
+    let unpin = |ws: &str| {
+        let path = Path::new(ws).join("manifest.json");
+        let manifest = std::fs::read_to_string(&path).unwrap();
+        let at = manifest.find(", \"plan\": ").expect("a pinned manifest");
+        let end = at + 2 + manifest[at + 2..].find(", ").unwrap();
+        std::fs::write(&path, format!("{}{}", &manifest[..at], &manifest[end..])).unwrap();
+    };
+    let missing = "error: manifest.json: missing `plan`: plan.json is not pinned";
+
+    let ws = plan_ci_scenario(&scratch, "ws-older");
+    unpin(&ws);
+    let (code, out) = dmig(&["migrate", "execute", "--workspace", &ws]);
+    assert_eq!(code, 1, "{out}");
+    assert!(out.starts_with(missing), "{out}");
+    assert!(!Path::new(&ws).join("journal.jsonl").exists());
+    std::fs::copy(
+        golden.join("inherited/journal.jsonl"),
+        Path::new(&ws).join("journal.jsonl"),
+    )
+    .unwrap();
+    let (code, out) = dmig(&["migrate", "resume", "--workspace", &ws]);
+    assert_eq!(code, 0, "{out}");
+    assert_eq!(
+        read(&ws, "report.json"),
+        std::fs::read(golden.join("resume/report.json")).unwrap()
+    );
+
+    let ws = plan_ci_scenario(&scratch, "ws-from-plan");
+    let (code, _) = dmig(&[
+        "migrate",
+        "execute",
+        "--workspace",
+        &ws,
+        "--abort-after-checkpoint",
+        "1",
+    ]);
+    assert_ne!(code, 0);
+    unpin(&ws);
+    let (code, out) = dmig(&["migrate", "resume", "--workspace", &ws]);
+    assert_eq!(code, 1, "{out}");
+    assert!(out.starts_with(missing), "{out}");
+}
+
+/// A complete record of the chain that does not parse, or does not chain
+/// onto the one before it, stops resume with exit 1 naming its journal
+/// line, and leaves the journal untouched.
 #[test]
 fn resume_rejects_a_broken_chain_naming_the_journal_line() {
     let scratch = Scratch::new("broken-chain");
@@ -241,9 +401,11 @@ fn resume_rejects_a_broken_chain_naming_the_journal_line() {
     let path = Path::new(&ws).join("journal.jsonl");
     let text = String::from_utf8(read(&ws, "journal.jsonl")).unwrap();
     let lines: Vec<&str> = text.lines().collect();
+    // The first delta of the chain resume reads: the last full record's
+    // first, or the plan's when no replan happened.
     let at = lines
         .iter()
-        .position(|l| l.starts_with("{\"schema\": \"dmig-exec-ckpt/1\", \"delta\": 1,"))
+        .rposition(|l| l.starts_with("{\"schema\": \"dmig-exec-ckpt/1\", \"delta\": 1,"))
         .expect("the journal holds a delta");
     for (broken, needle) in [
         (
@@ -383,6 +545,21 @@ fn export_import_round_trips_and_detects_tampering() {
         !Path::new(&dst2).join("manifest.json").exists(),
         "a failed import must not materialize a workspace"
     );
+
+    // A second `report.json` record with forged bytes appended: checksums
+    // cover the first, and writing every record would let the second win.
+    let mut forged = std::fs::read(&archive).unwrap();
+    let fake = b"{\"delivered\": 0}\n";
+    forged.extend_from_slice(format!("file report.json {}\n", fake.len()).as_bytes());
+    forged.extend_from_slice(fake);
+    forged.push(b'\n');
+    let forged_path = scratch.path("forged.dmig-archive");
+    std::fs::write(&forged_path, &forged).unwrap();
+    let dst3 = scratch.path("ws-forged");
+    let (code, out) = dmig(&["migrate", "import", &forged_path, "--workspace", &dst3]);
+    assert_eq!(code, 1, "{out}");
+    assert!(out.contains("`report.json` is listed twice"), "{out}");
+    assert!(!Path::new(&dst3).exists(), "{out}");
 }
 
 #[test]
@@ -594,11 +771,15 @@ fn plan_ci_scenario(scratch: &Scratch, ws: &str) -> String {
 }
 
 /// The workspace bytes are pinned: `tests/golden/` holds the four files
-/// `plan` writes, as written before the plan-time writers were rewritten,
-/// and the output of an uninterrupted `execute`, and of an `execute`
-/// aborted after its second checkpoint followed by `resume`, as written
-/// before the journal codec was rewritten. A journal that build left
-/// behind also resumes to those bytes.
+/// `plan` writes (`instance.txt`, `plan.json` and `config.json` as written
+/// before the plan-time writers were rewritten, `manifest.json` as it has
+/// been since it pins `plan.json`), and the output of an uninterrupted
+/// `execute`, and of an `execute` aborted after its second checkpoint
+/// followed by `resume` (the reports as written before the journal codec
+/// was rewritten). `golden/inherited/journal.jsonl` is what the same
+/// aborted `execute` left when every session opened with a full record:
+/// this build resumes it to the same report, continuing the chain of its
+/// last full record exactly as it continues its own journal.
 #[test]
 fn workspace_bytes_match_the_golden_files() {
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
@@ -618,20 +799,28 @@ fn workspace_bytes_match_the_golden_files() {
     assert_ne!(code, 0, "the abort must look like a crash");
     let (code, out) = dmig(&["migrate", "resume", "--workspace", &crashed]);
     assert_eq!(code, 0, "{out}");
-    // The journal prefix the earlier build's aborted `execute` left,
-    // resumed by this build: the same bytes again.
+    // The journal an earlier build's aborted `execute` left, resumed by
+    // this build.
     let inherited = plan_ci_scenario(&scratch, "ws-inherited");
-    let golden_journal = std::fs::read_to_string(golden.join("resume/journal.jsonl")).unwrap();
-    let marker = golden_journal
-        .find("{\"schema\": \"dmig-resume/1\"")
-        .expect("the golden resume journal holds its resume marker");
-    std::fs::write(
-        Path::new(&inherited).join("journal.jsonl"),
-        &golden_journal[..marker],
-    )
-    .unwrap();
+    let older = std::fs::read(golden.join("inherited/journal.jsonl")).unwrap();
+    std::fs::write(Path::new(&inherited).join("journal.jsonl"), &older).unwrap();
     let (code, out) = dmig(&["migrate", "resume", "--workspace", &inherited]);
     assert_eq!(code, 0, "{out}");
+    let marker = |journal: &[u8]| {
+        journal
+            .windows(26)
+            .position(|w| w == b"{\"schema\": \"dmig-resume/1\"")
+            .expect("a resumed journal holds its marker")
+    };
+    let resumed = std::fs::read(golden.join("resume/journal.jsonl")).unwrap();
+    let mut want = older.clone();
+    want.extend_from_slice(&resumed[marker(&resumed)..]);
+    assert!(
+        read(&inherited, "journal.jsonl") == want,
+        "the earlier build's journal, resumed, differs from it followed by \
+         tests/golden/resume/journal.jsonl from its marker on"
+    );
+    assert_eq!(marker(&want), older.len());
     for (dir, run) in [
         (&ws, "execute"),
         (&crashed, "resume"),
@@ -644,7 +833,12 @@ fn workspace_bytes_match_the_golden_files() {
                 "{dir}/{file} differs from tests/golden/plan/{file}"
             );
         }
-        for file in ["journal.jsonl", "report.json"] {
+        let files: &[&str] = if dir == &inherited {
+            &["report.json"]
+        } else {
+            &["journal.jsonl", "report.json"]
+        };
+        for file in files {
             let want = std::fs::read(golden.join(run).join(file)).unwrap();
             assert!(
                 read(dir, file) == want,
@@ -652,6 +846,76 @@ fn workspace_bytes_match_the_golden_files() {
             );
         }
     }
+}
+
+/// The records of a journal that are full records, not deltas.
+fn full_records(journal: &[u8]) -> usize {
+    journal
+        .split(|&b| b == b'\n')
+        .filter(|l| {
+            l.starts_with(b"{\"schema\": \"dmig-exec-ckpt/1\"")
+                && !l.starts_with(b"{\"schema\": \"dmig-exec-ckpt/1\", \"delta\": ")
+        })
+        .count()
+}
+
+/// The chain rule on disk: a journal holds one full record per replan and
+/// no other, across sessions. A fault-free run's chain starts at the plan,
+/// so its journal holds no full record, and it resumes from the plan.
+#[test]
+fn journals_hold_one_full_record_per_replan() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let report = String::from_utf8(std::fs::read(golden.join("execute/report.json")).unwrap())
+        .expect("the report is text");
+    assert!(report.contains("\"replans\": 2,"), "{report}");
+    for run in ["execute", "resume"] {
+        let journal = std::fs::read(golden.join(run).join("journal.jsonl")).unwrap();
+        assert_eq!(
+            full_records(&journal),
+            2,
+            "tests/golden/{run}/journal.jsonl"
+        );
+    }
+
+    let scratch = Scratch::new("fault-free");
+    let (code, instance) = dmig(&["generate", "uniform", "6", "24", "2", "2"]);
+    assert_eq!(code, 0, "{instance}");
+    let ipath = scratch.path("instance.dmig");
+    std::fs::write(&ipath, instance).unwrap();
+    let plan_at = |ws: &str| {
+        let dir = scratch.path(ws);
+        let (code, out) = dmig(&["migrate", "plan", &ipath, "--workspace", &dir]);
+        assert_eq!(code, 0, "{out}");
+        dir
+    };
+    let reference = plan_at("ws-ref");
+    let (code, out) = dmig(&["migrate", "execute", "--workspace", &reference]);
+    assert_eq!(code, 0, "{out}");
+    assert!(count_checkpoints(&reference) >= 4, "{out}");
+    assert_eq!(full_records(&read(&reference, "journal.jsonl")), 0);
+    let ws = plan_at("ws");
+    let (code, _) = dmig(&[
+        "migrate",
+        "execute",
+        "--workspace",
+        &ws,
+        "--abort-after-checkpoint",
+        "2",
+    ]);
+    assert_ne!(code, 0);
+    let (code, _) = dmig(&[
+        "migrate",
+        "resume",
+        "--workspace",
+        &ws,
+        "--abort-after-checkpoint",
+        "1",
+    ]);
+    assert_ne!(code, 0);
+    let (code, out) = dmig(&["migrate", "resume", "--workspace", &ws]);
+    assert_eq!(code, 0, "{out}");
+    assert_eq!(read(&ws, "report.json"), read(&reference, "report.json"));
+    assert_eq!(full_records(&read(&ws, "journal.jsonl")), 0);
 }
 
 /// The byte offsets just past each checkpoint record line of `journal`.

@@ -11,7 +11,10 @@
 //! may panic or hang. A rejected file exits 1 with an error that names
 //! the file first. `plan.json` is read in one pass without a `Value`
 //! tree; the oracle here is the `Value`-tree loader it replaced, and both
-//! must reject with the same message or accept the same rounds.
+//! must reject with the same message or accept the same rounds. The
+//! manifest pins `plan.json` by fingerprint, so each mutated `plan.json`
+//! is pinned again before `execute` reads it: the fuzz is of the reader,
+//! not of the pin.
 
 use std::path::Path;
 use std::process::{Command, Stdio};
@@ -19,6 +22,7 @@ use std::time::{Duration, Instant};
 
 use dmig_core::{MigrationProblem, MigrationSchedule};
 use dmig_graph::EdgeId;
+use dmig_obs::history::fingerprint;
 use dmig_obs::Value;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -412,6 +416,11 @@ fn mutated_workspace_json_is_rejected_naming_the_file() {
     let plan_text = std::fs::read_to_string(Path::new(&ws).join(PLAN)).unwrap();
     let planned = oracle_plan(&plan_text, &problem).expect("the planned schedule loads");
 
+    let manifest_path = Path::new(&ws).join("manifest.json");
+    let manifest = std::fs::read_to_string(&manifest_path).unwrap();
+    let pin = format!("\"plan\": \"{}\"", fingerprint(&plan_text));
+    assert!(manifest.contains(&pin), "{manifest}");
+
     let mut rng = StdRng::seed_from_u64(17);
     for (file, cases) in [(PLAN, 1000), ("config.json", 400), ("manifest.json", 400)] {
         let (mut accepted, mut rejected) = (0, 0);
@@ -423,6 +432,10 @@ fn mutated_workspace_json_is_rejected_naming_the_file() {
                 text = mutate(&text, &mut rng);
             }
             std::fs::write(&path, &text).unwrap();
+            if file == PLAN {
+                let repinned = format!("\"plan\": \"{}\"", fingerprint(&text));
+                std::fs::write(&manifest_path, manifest.replace(&pin, &repinned)).unwrap();
+            }
             let (code, out) = dmig(&["migrate", "execute", "--workspace", &ws]);
             assert!(
                 code == 0 || code == 1,
@@ -446,12 +459,15 @@ fn mutated_workspace_json_is_rejected_naming_the_file() {
                 accepted += 1;
             } else {
                 rejected += 1;
-                // A tampered fingerprint names both files, the instance first.
+                // A tampered fingerprint names both files, the pinned one
+                // first.
                 let named = out.starts_with(&format!("error: {file}: "))
                     || (file == "manifest.json"
-                        && out.starts_with(
-                            "error: instance.txt does not match the manifest fingerprint",
-                        ));
+                        && [INSTANCE, PLAN].iter().any(|pinned| {
+                            out.starts_with(&format!(
+                                "error: {pinned} does not match the manifest fingerprint"
+                            ))
+                        }));
                 assert!(
                     named,
                     "{file}: the error does not name the file:\n{text}\n{out}"
@@ -460,6 +476,7 @@ fn mutated_workspace_json_is_rejected_naming_the_file() {
             reset(&ws);
         }
         std::fs::write(&path, &original).unwrap();
+        std::fs::write(&manifest_path, &manifest).unwrap();
         assert!(
             accepted >= cases / 10 && rejected >= cases / 4,
             "{file}: the mutations must exercise both verdicts: {accepted} accepted, {rejected} rejected"

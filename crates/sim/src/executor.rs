@@ -48,8 +48,10 @@
 //! after a `kill -9` — with floating-point state carried as IEEE-754 bit
 //! patterns, so the resumed run's final report is byte-identical to an
 //! uninterrupted one. A journal written at every boundary uses
-//! [`Executor::journal_record`] instead: a full document, then deltas that
-//! carry only what each round changed, which `restore` replays in order.
+//! [`Executor::journal_record`] instead: deltas that carry only what each
+//! round changed, against the state [`Executor::new`] built or, after a
+//! replan, against a full document; [`Executor::resume`] replays them in
+//! order onto their base.
 
 use dmig_core::replan::{rebuild_residual, replan_with, ReplanError, ResidualChanges};
 use dmig_core::solver::Solver;
@@ -476,8 +478,10 @@ pub struct Executor<'a> {
     // Wall-clock progress reporting; recreated on restore, never
     // checkpointed (it cannot influence the report).
     ticker: RoundTicker,
-    // What the last `journal_record` captured, the base of the next delta;
-    // `None` until an executor, fresh or restored, writes its first record.
+    // What the last `journal_record` captured, the base of the next delta.
+    // `None` on a fresh executor until its first record, whose base, the
+    // state `new` built, is rebuilt then; a restored executor starts with
+    // the state it was restored to.
     recorded: Option<Recorded>,
 }
 
@@ -1021,44 +1025,52 @@ impl<'a> Executor<'a> {
 
     /// The next record of a round-boundary journal.
     ///
-    /// The first record of an executor, fresh or restored, is a full
-    /// [`checkpoint_json`](Self::checkpoint_json) document, and so is the
-    /// first record after a replan, which replaces the residual instance.
-    /// Every other record is a *delta* against the record before it: the
-    /// same document with `"delta": k` (its position in the chain after the
-    /// full record) following the schema, every scalar, no residual
-    /// instance (`cur_edges`, `cur_caps`, `cur_rounds`, `roots`),
-    /// `round_durations` cut to the rounds executed since the previous
-    /// record, and every other array reduced to `[index, value]` pairs for
-    /// the entries that changed. The delta comes from diffing the state
-    /// against a copy of what the previous record captured, so it is as
-    /// large as what the round changed, not as the instance.
-    /// [`restore`](Self::restore) accepts a full record followed by its
-    /// deltas.
+    /// Records form a *chain*: a base, then deltas against it, numbered
+    /// from 1. A fresh executor's base is the state [`new`](Self::new)
+    /// built, which the caller can rebuild from the same inputs, so its
+    /// first record is already a delta (one with no changes when no round
+    /// has run yet). A restored executor continues the chain it was
+    /// restored from: its first record is the next delta of that chain.
+    /// Only the first record after a replan, which replaces the residual
+    /// instance, is a full [`checkpoint_json`](Self::checkpoint_json)
+    /// document, and it starts a new chain.
+    ///
+    /// A delta is the full document with `"delta": k` (its position in
+    /// the chain) following the schema, every scalar, no residual instance
+    /// (`cur_edges`, `cur_caps`, `cur_rounds`, `roots`), `round_durations`
+    /// cut to the rounds executed since the previous record, and every
+    /// other array reduced to `[index, value]` pairs for the entries that
+    /// changed. It comes from diffing the state against a copy of what the
+    /// previous record captured, so it is as large as what the round
+    /// changed, not as the instance. [`resume`](Self::resume) reads a
+    /// chain from either base, [`restore`](Self::restore) one whose base
+    /// is a full record.
     pub fn journal_record(&mut self) -> String {
-        match self.recorded.take() {
-            Some(mut last) if last.replans == self.replans => {
-                let delta = self.render(Some(&mut last));
-                self.recorded = Some(last);
-                delta
-            }
+        let mut last = match self.recorded.take() {
+            Some(last) if last.replans == self.replans => last,
+            None if self.replans == 0 => Recorded::start(self),
             _ => {
-                self.recorded = Some(Recorded::of(self));
-                self.checkpoint_json()
+                self.recorded = Some(Recorded::of(self, 0));
+                return self.checkpoint_json();
             }
-        }
+        };
+        let delta = self.render(Some(&mut last));
+        self.recorded = Some(last);
+        delta
     }
 
     /// Rebuilds an executor from a [`checkpoint_json`](Self::checkpoint_json)
-    /// document — or from a journal chain: that full record followed by the
-    /// [`journal_record`](Self::journal_record) deltas written after it, one
-    /// record per line; blank lines are skipped but counted — positioned
-    /// exactly where the interrupted run was at the last record's
-    /// boundary. Each record is parsed once.
+    /// document — or from a journal chain that starts at one: that full
+    /// record followed by the [`journal_record`](Self::journal_record)
+    /// deltas written after it, one record per line; blank lines are
+    /// skipped but counted — positioned exactly where the interrupted run
+    /// was at the last record's boundary. Each record is parsed once. The
+    /// restored executor's next `journal_record` continues the chain.
     /// `problem`, `cluster`, `faults`, `config`, and `solver` must be the
     /// ones the original run used (the workspace layer persists and
     /// re-loads them); the residual schedule is *not* re-solved — it is
-    /// revived verbatim via [`dmig_core::replan::rebuild_residual`].
+    /// revived verbatim via [`dmig_core::replan::rebuild_residual`]. A
+    /// chain whose base is the plan needs [`resume`](Self::resume).
     ///
     /// # Errors
     ///
@@ -1069,6 +1081,53 @@ impl<'a> Executor<'a> {
     /// the inputs themselves are invalid.
     pub fn restore(
         problem: &'a MigrationProblem,
+        cluster: &Cluster,
+        faults: &'a FaultPlan,
+        config: &'a ExecutorConfig,
+        solver: &'a dyn Solver,
+        checkpoint: &str,
+    ) -> Result<Executor<'a>, ExecError> {
+        Self::replay(problem, None, cluster, faults, config, solver, checkpoint)
+    }
+
+    /// Rebuilds an executor from the chain of a journal that a run started
+    /// with `Executor::new(problem, schedule, cluster, …)` wrote. When the
+    /// chain's first record is a full record, this is
+    /// [`restore`](Self::restore). When it is a delta (it starts with
+    /// [`DELTA_PREFIX`]), its base is the state `new` builds from these
+    /// inputs, so the deltas are applied to that state and no full record
+    /// is parsed and no residual is rebuilt. Records are read by the one
+    /// decoder `restore` uses, with the same checks and messages.
+    ///
+    /// # Errors
+    ///
+    /// As [`restore`](Self::restore), and as [`new`](Self::new) when the
+    /// chain's base is the plan.
+    pub fn resume(
+        problem: &'a MigrationProblem,
+        schedule: &MigrationSchedule,
+        cluster: &Cluster,
+        faults: &'a FaultPlan,
+        config: &'a ExecutorConfig,
+        solver: &'a dyn Solver,
+        chain: &str,
+    ) -> Result<Executor<'a>, ExecError> {
+        Self::replay(
+            problem,
+            Some(schedule),
+            cluster,
+            faults,
+            config,
+            solver,
+            chain,
+        )
+    }
+
+    /// Restores a chain whose base is its first record when that is a full
+    /// record, else, given the plan's `schedule`, the state `new` builds.
+    fn replay(
+        problem: &'a MigrationProblem,
+        schedule: Option<&MigrationSchedule>,
         cluster: &Cluster,
         faults: &'a FaultPlan,
         config: &'a ExecutorConfig,
@@ -1091,13 +1150,23 @@ impl<'a> Executor<'a> {
         let mut records = checkpoint
             .lines()
             .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty());
-        let (i, full) = records.next().unwrap_or((0, ""));
-        let mut exec =
-            Self::from_full(problem, cluster, faults, config, solver, full).map_err(at(i))?;
-        for (seq, (i, line)) in (1u64..).zip(records) {
-            exec.apply_delta(line, seq).map_err(at(i))?;
+            .filter(|(_, l)| !l.trim().is_empty())
+            .peekable();
+        let mut exec = match (schedule, records.peek()) {
+            (Some(schedule), Some((_, first))) if first.starts_with(DELTA_PREFIX) => {
+                Self::new(problem, schedule, cluster, faults, config, solver)?
+            }
+            _ => {
+                let (i, full) = records.next().unwrap_or((0, ""));
+                Self::from_full(problem, cluster, faults, config, solver, full).map_err(at(i))?
+            }
+        };
+        let mut deltas = 0;
+        for (i, line) in records {
+            deltas += 1;
+            exec.apply_delta(line, deltas).map_err(at(i))?;
         }
+        exec.recorded = Some(Recorded::of(&exec, deltas));
         Ok(exec)
     }
 }

@@ -31,8 +31,9 @@ use super::{
 
 /// What the last journal record captured: the base the next delta is
 /// diffed against. Floats are kept as the bit patterns records carry.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 pub(super) struct Recorded {
-    /// Deltas written since the chain's full record.
+    /// Deltas written since the chain's base.
     deltas: u64,
     /// A replan replaces the residual instance and forces a full record.
     pub(super) replans: u64,
@@ -50,10 +51,34 @@ pub(super) struct Recorded {
 }
 
 impl Recorded {
-    /// The state a full record of `x` captures.
-    pub(super) fn of(x: &Executor<'_>) -> Recorded {
+    /// The state `Executor::new` builds for `x`'s inputs, before its first
+    /// round: the base of a chain that starts at the plan. It is rebuilt
+    /// from the dimensions, so an executor that never journals never pays
+    /// for it.
+    pub(super) fn start(x: &Executor<'_>) -> Recorded {
+        let (n, roots) = (x.bw_init.len(), x.fates.len());
         Recorded {
             deltas: 0,
+            replans: 0,
+            executed_rounds: 0,
+            bw: x.bw_init.iter().map(|b| b.to_bits()).collect(),
+            crashed: vec![false; n],
+            replacement: vec![None; n],
+            fates: vec![None; roots],
+            attempts: vec![0; roots],
+            redirected: vec![false; roots],
+            done: vec![false; x.problem.num_items()],
+            disk_busy: vec![0.0f64.to_bits(); n],
+            stall_recent: Vec::new(),
+            degraded_set: vec![false; n],
+        }
+    }
+
+    /// The state of `x`, which the `deltas`-th delta after its chain's
+    /// base (0: the base itself) captured.
+    pub(super) fn of(x: &Executor<'_>, deltas: u64) -> Recorded {
+        Recorded {
+            deltas,
             replans: x.replans,
             executed_rounds: x.round_durations.len(),
             bw: x.bw.iter().map(|b| b.to_bits()).collect(),
@@ -1254,7 +1279,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Random states, full records and chains of deltas: the encoder
-        /// writes the oracle's bytes and leaves the same diff base.
+        /// writes the oracle's bytes and leaves the same diff base, and a
+        /// chain that starts at the plan starts at the state `new` built.
         #[test]
         fn records_match_the_fmt_oracle(
             seed in 0u64..=u64::MAX,
@@ -1270,13 +1296,17 @@ mod tests {
             }
             let problem = MigrationProblem::uniform(b.build(), 2).expect("valid instance");
             let schedule = AutoSolver.solve(&problem).expect("solvable");
-            let cluster = Cluster::uniform(disks, 1.0);
+            let bandwidths = (0..disks).map(|_| 0.5 + rng.below(8) as f64).collect();
+            let cluster = Cluster::from_bandwidths(bandwidths);
             let (faults, config) = (FaultPlan::default(), ExecutorConfig::default());
             let mut x = Executor::new(&problem, &schedule, &cluster, &faults, &config, &AutoSolver)
                 .expect("executor builds");
+            // The base a fresh executor's first record is diffed against,
+            // rebuilt from the dimensions, is the state `new` built.
+            prop_assert_eq!(Recorded::start(&x), Recorded::of(&x, 0));
             scramble(&mut x, &mut rng, 1);
             prop_assert_eq!(x.render(None), oracle_render(&x, None));
-            let (mut mine, mut theirs) = (Recorded::of(&x), Recorded::of(&x));
+            let (mut mine, mut theirs) = (Recorded::of(&x, 0), Recorded::of(&x, 0));
             for every in [1, 3, 10, 1000] {
                 scramble(&mut x, &mut rng, every);
                 prop_assert_eq!(

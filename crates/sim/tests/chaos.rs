@@ -78,7 +78,8 @@ fn compiled_chaos_plans_load_and_execute() {
         let mut exec =
             Executor::new(&problem, &schedule, &cluster, &faults, &config, &solver).unwrap();
         // Run the first half journaling every boundary, get killed, resume
-        // from the journal chain: the last full record and its deltas.
+        // from the journal chain: the deltas after the plan, or after the
+        // last replan's full record.
         let mut chain = vec![exec.journal_record()];
         for _ in 0..3 {
             if exec.step().unwrap() == StepOutcome::Finished {
@@ -90,8 +91,9 @@ fn compiled_chaos_plans_load_and_execute() {
             }
             chain.push(record);
         }
-        let mut revived = Executor::restore(
+        let mut revived = Executor::resume(
             &problem,
+            &schedule,
             &cluster,
             &faults,
             &config,

@@ -13,11 +13,15 @@
 //! state (compared through `checkpoint_json()`), on rejection with the
 //! same `ExecError::Checkpoint` message, `line N:` included. The mutations
 //! reach both sides of the reader's element fast paths, which take only
-//! digit runs of at most 15 digits and strings without escapes.
+//! digit runs of at most 15 digits and strings without escapes. Chains
+//! start at a full record or, before the run's first replan, at the plan:
+//! `Executor::resume` must agree with an oracle that decodes a chain whose
+//! first record is a delta onto the state `Executor::new` builds, and
+//! `Executor::restore`, which has no plan, with one that refuses it.
 
 use dmig_core::replan::rebuild_residual;
 use dmig_core::solver::{AutoSolver, Solver};
-use dmig_core::{Capacities, MigrationProblem};
+use dmig_core::{Capacities, MigrationProblem, MigrationSchedule};
 use dmig_graph::{EdgeId, Endpoints, NodeId};
 use dmig_obs::Value;
 use dmig_sim::executor::{ItemFate, CHECKPOINT_SCHEMA, DELTA_PREFIX};
@@ -31,7 +35,7 @@ use dmig_workloads::random::uniform_multigraph;
 /// Everything a record chain restores, as the oracle decodes it. Floats
 /// are bit patterns; the residual instance and the stall window are
 /// normalized the way the executor holds them.
-#[derive(Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 struct State {
     bw: Vec<u64>,
     crashed: Vec<bool>,
@@ -224,6 +228,9 @@ struct Inputs<'a> {
     problem: &'a MigrationProblem,
     timeline: usize,
     stall_factor: f64,
+    /// The state a chain that starts at the plan has as its base: the
+    /// state `Executor::new` builds, as its full record decodes.
+    start: Option<State>,
 }
 
 fn window(cx: &Inputs<'_>, recent: Vec<u64>, next: usize) -> (Vec<u64>, usize) {
@@ -405,21 +412,32 @@ fn set_scalars(cx: &Inputs<'_>, s: &mut State, doc: &Value) -> Check<()> {
     Ok(())
 }
 
-/// The replaced `Executor::restore`, decoding into a [`State`].
-fn oracle_restore(cx: &Inputs<'_>, checkpoint: &str) -> Check<State> {
+/// The replaced `Executor::restore`, decoding into a [`State`]. With
+/// `plan`, a chain whose first line starts with the delta prefix starts
+/// at [`Inputs::start`], as `Executor::resume` has it.
+fn oracle_restore(cx: &Inputs<'_>, checkpoint: &str, plan: bool) -> Check<State> {
     let at = |i: usize| move |m: String| format!("line {}: {m}", i + 1);
     let mut records = checkpoint
         .lines()
         .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let (i, full) = records.next().unwrap_or((0, ""));
-    let doc = parse_record(full).map_err(at(i))?;
-    if doc.get_path("delta").is_some() {
-        return Err(at(i)(
-            "a delta record needs the full record it extends before it".to_string(),
-        ));
-    }
-    let mut state = oracle_full(cx, &doc).map_err(at(i))?;
+        .filter(|(_, l)| !l.trim().is_empty())
+        .peekable();
+    let from_plan = plan
+        && records
+            .peek()
+            .is_some_and(|(_, l)| l.starts_with(DELTA_PREFIX));
+    let mut state = if from_plan {
+        cx.start.clone().expect("the state the plan starts from")
+    } else {
+        let (i, full) = records.next().unwrap_or((0, ""));
+        let doc = parse_record(full).map_err(at(i))?;
+        if doc.get_path("delta").is_some() {
+            return Err(at(i)(
+                "a delta record needs the full record it extends before it".to_string(),
+            ));
+        }
+        oracle_full(cx, &doc).map_err(at(i))?
+    };
     for (seq, (i, line)) in (1u64..).zip(records) {
         parse_record(line)
             .and_then(|doc| oracle_delta(cx, &mut state, &doc, seq))
@@ -431,8 +449,8 @@ fn oracle_restore(cx: &Inputs<'_>, checkpoint: &str) -> Check<State> {
 // --- the fixture: a real journal -------------------------------------------
 
 /// A crash with a spare, a degradation with recovery and flaky transfers,
-/// replanning on: the journal holds full records, deltas, and a replan's
-/// fresh full record.
+/// replanning on: the journal holds deltas from the plan, then a replan's
+/// full record and the deltas after it.
 fn faults() -> FaultPlan {
     FaultPlan {
         seed: 2026,
@@ -467,11 +485,16 @@ fn config() -> ExecutorConfig {
     }
 }
 
-/// `journal_record()` at every boundary of an uninterrupted run.
-fn journal(problem: &MigrationProblem, cluster: &Cluster, faults: &FaultPlan) -> Vec<String> {
+/// `journal_record()` at every boundary of an uninterrupted run of
+/// `schedule`.
+fn journal(
+    problem: &MigrationProblem,
+    schedule: &MigrationSchedule,
+    cluster: &Cluster,
+    faults: &FaultPlan,
+) -> Vec<String> {
     let cfg = config();
-    let schedule = AutoSolver.solve(problem).expect("solvable");
-    let mut exec = Executor::new(problem, &schedule, cluster, faults, &cfg, &AutoSolver)
+    let mut exec = Executor::new(problem, schedule, cluster, faults, &cfg, &AutoSolver)
         .expect("executor builds");
     let mut records = vec![exec.journal_record()];
     while exec.step().expect("step") == StepOutcome::Running {
@@ -709,63 +732,62 @@ fn mutate(record: &str, rng: &mut Mix, others: &[String]) -> String {
     }
 }
 
-/// Restores `chain` with the executor and the oracle and requires the
-/// same verdict.
-fn agree(cx: &Inputs<'_>, cluster: &Cluster, faults: &FaultPlan, chain: &str) -> bool {
+/// Restores `chain` with the executor and the oracle, with the plan
+/// (`Executor::resume`) and without it (`Executor::restore`), and requires
+/// the same verdicts; returns `resume`'s.
+fn agree(
+    cx: &Inputs<'_>,
+    schedule: &MigrationSchedule,
+    cluster: &Cluster,
+    faults: &FaultPlan,
+    chain: &str,
+) -> bool {
     let cfg = config();
-    let mine = Executor::restore(cx.problem, cluster, faults, &cfg, &AutoSolver, chain);
-    let theirs = oracle_restore(cx, chain);
-    match (mine, theirs) {
+    let verdict = |mine: Result<Executor<'_>, ExecError>, plan: bool| match (
+        mine,
+        oracle_restore(cx, chain, plan),
+    ) {
         (Ok(exec), Ok(state)) => {
-            let again = oracle_restore(cx, &exec.checkpoint_json())
+            let again = oracle_restore(cx, &exec.checkpoint_json(), false)
                 .unwrap_or_else(|e| panic!("a restored state re-reads: {e}\n{chain}"));
             assert_eq!(again, state, "restored another state from\n{chain}");
             true
         }
         (Err(ExecError::Checkpoint(m)), Err(o)) => {
-            assert_eq!(m, o, "rejected differently:\n{chain}");
+            assert_eq!(m, o, "rejected differently (plan: {plan}):\n{chain}");
             false
         }
         (mine, theirs) => panic!(
-            "verdicts differ: executor {:?}, oracle {:?}\n{chain}",
+            "verdicts differ (plan: {plan}): executor {:?}, oracle {:?}\n{chain}",
             mine.map(|_| ()),
             theirs.map(|_| ())
         ),
-    }
+    };
+    let p = cx.problem;
+    verdict(
+        Executor::restore(p, cluster, faults, &cfg, &AutoSolver, chain),
+        false,
+    );
+    verdict(
+        Executor::resume(p, schedule, cluster, faults, &cfg, &AutoSolver, chain),
+        true,
+    )
 }
 
 #[test]
 fn typed_decoder_agrees_with_the_value_tree_oracle() {
     let problem = problem();
     let cluster = Cluster::uniform(problem.num_disks(), 1.0);
-    let faults = faults();
     let cfg = config();
-    let cx = Inputs {
-        problem: &problem,
-        timeline: faults.timeline().len(),
-        stall_factor: cfg.stall_factor,
+    let schedule = AutoSolver.solve(&problem).expect("solvable");
+    // Two fixtures: the faulty run replans early, so most of its chains
+    // start at a full record; flaky transfers alone never replan, so every
+    // chain of that run starts at the plan.
+    let flaky = FaultPlan {
+        seed: 2026,
+        flaky: Some(FlakySpec { probability: 0.1 }),
+        ..FaultPlan::default()
     };
-    let records = journal(&problem, &cluster, &faults);
-    let fulls: Vec<usize> = (0..records.len())
-        .filter(|&i| !records[i].starts_with(DELTA_PREFIX))
-        .collect();
-    assert!(
-        fulls.len() >= 2 && records.len() - fulls.len() >= 3,
-        "the fixture must replan and journal deltas: {} records, {} full",
-        records.len(),
-        fulls.len()
-    );
-    // Every chain of the journal as written restores, alike.
-    for at in 0..records.len() {
-        let start = *fulls.iter().rfind(|&&f| f <= at).expect("starts full");
-        assert!(agree(
-            &cx,
-            &cluster,
-            &faults,
-            &records[start..=at].join("\n")
-        ));
-    }
-
     let (mut accepted, mut rejected) = (0, 0);
     let mut tally = |ok: bool| {
         if ok {
@@ -774,30 +796,72 @@ fn typed_decoder_agrees_with_the_value_tree_oracle() {
             rejected += 1;
         }
     };
-    // Cuts at every byte, of a full record alone and of the last delta of
-    // a chain.
-    let full = &records[fulls[0]];
-    let chain = records[fulls[0]..fulls[0] + 3].join("\n");
-    let last = chain.rfind('\n').expect("a chain of three") + 1;
-    for cut in 0..full.len() {
-        tally(agree(&cx, &cluster, &faults, &full[..cut]));
-    }
-    for cut in last..chain.len() {
-        tally(agree(&cx, &cluster, &faults, &chain[..cut]));
-    }
-    // Seeded mutations of one record in a chain, full or delta.
     let mut rng = Mix(15);
-    for _ in 0..6000 {
-        let f = fulls[rng.below(fulls.len())];
-        let end = (f + 1 + rng.below(3)).min(records.len());
-        let mut chain: Vec<String> = records[f..end].to_vec();
-        let k = rng.below(chain.len());
-        chain[k] = mutate(&chain[k], &mut rng, &records);
-        if rng.below(4) == 0 {
-            let j = rng.below(chain.len());
-            chain[j] = mutate(&chain[j], &mut rng, &records);
+    for (faults, replans) in [(faults(), true), (flaky, false)] {
+        let fresh = Executor::new(&problem, &schedule, &cluster, &faults, &cfg, &AutoSolver)
+            .expect("executor builds");
+        let mut cx = Inputs {
+            problem: &problem,
+            timeline: faults.timeline().len(),
+            stall_factor: cfg.stall_factor,
+            start: None,
+        };
+        let start =
+            oracle_restore(&cx, &fresh.checkpoint_json(), false).expect("a fresh state reads");
+        cx.start = Some(start);
+        let records = journal(&problem, &schedule, &cluster, &faults);
+        let fulls: Vec<usize> = (0..records.len())
+            .filter(|&i| !records[i].starts_with(DELTA_PREFIX))
+            .collect();
+        assert!(
+            fulls.is_empty() != replans && records.len() - fulls.len() >= 6,
+            "the fixture must journal deltas, after a replan's full record only if it \
+             replans: {} records, full at {fulls:?}",
+            records.len(),
+        );
+        // Every chain of the journal as written restores, alike: from the
+        // plan before the first full record, from the last full record
+        // after it.
+        let starts: Vec<usize> = std::iter::once(0).chain(fulls.iter().copied()).collect();
+        for at in 0..records.len() {
+            let start = *starts.iter().rfind(|&&f| f <= at).expect("starts at 0");
+            assert!(agree(
+                &cx,
+                &schedule,
+                &cluster,
+                &faults,
+                &records[start..=at].join("\n")
+            ));
         }
-        tally(agree(&cx, &cluster, &faults, &chain.join("\n")));
+
+        // Cuts at every byte, of a full record alone and of the last delta
+        // of a chain of three, from a full record or from the plan.
+        if let Some(&f) = fulls.first() {
+            let full = &records[f];
+            for cut in 0..full.len() {
+                tally(agree(&cx, &schedule, &cluster, &faults, &full[..cut]));
+            }
+        }
+        let start = *starts.last().expect("starts at 0");
+        let chain = records[start..start + 3].join("\n");
+        let last = chain.rfind('\n').expect("a chain of three") + 1;
+        for cut in last..chain.len() {
+            tally(agree(&cx, &schedule, &cluster, &faults, &chain[..cut]));
+        }
+        // Seeded mutations of one record in a chain, full or delta, from a
+        // full record or from the plan.
+        for _ in 0..3000 {
+            let f = starts[rng.below(starts.len())];
+            let end = (f + 1 + rng.below(3)).min(records.len());
+            let mut chain: Vec<String> = records[f..end].to_vec();
+            let k = rng.below(chain.len());
+            chain[k] = mutate(&chain[k], &mut rng, &records);
+            if rng.below(4) == 0 {
+                let j = rng.below(chain.len());
+                chain[j] = mutate(&chain[j], &mut rng, &records);
+            }
+            tally(agree(&cx, &schedule, &cluster, &faults, &chain.join("\n")));
+        }
     }
     assert!(
         accepted >= 300 && rejected >= 3000,
