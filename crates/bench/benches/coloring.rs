@@ -1,12 +1,9 @@
 //! Edge-coloring substrate benchmarks: the colorers behind Saia's
-//! baseline, the homogeneous baseline, the bipartite-optimal solver, and
-//! Phase 2 of the general algorithm.
+//! baseline, the homogeneous baseline, and Phase 2 of the general
+//! algorithm.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dmig_color::{
-    bipartite::bipartite_coloring, greedy::greedy_coloring, kempe::kempe_coloring,
-    misra_gries::misra_gries_coloring,
-};
+use dmig_color::{kempe::kempe_coloring, misra_gries::misra_gries_coloring};
 use dmig_graph::Multigraph;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -39,17 +36,6 @@ fn random_simple(n: usize, p: f64, seed: u64) -> Multigraph {
     g
 }
 
-fn random_bipartite(nl: usize, nr: usize, m: usize, seed: u64) -> Multigraph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = Multigraph::with_nodes(nl + nr);
-    for _ in 0..m {
-        let l = rng.gen_range(0..nl);
-        let r = nl + rng.gen_range(0..nr);
-        g.add_edge(l.into(), r.into());
-    }
-    g
-}
-
 fn colorers(c: &mut Criterion) {
     let mut group = c.benchmark_group("coloring");
     group.sample_size(10);
@@ -57,9 +43,6 @@ fn colorers(c: &mut Criterion) {
         let g = random_multigraph(n, m, 3);
         group.bench_with_input(BenchmarkId::new("kempe", m), &g, |b, g| {
             b.iter(|| kempe_coloring(g));
-        });
-        group.bench_with_input(BenchmarkId::new("greedy", m), &g, |b, g| {
-            b.iter(|| greedy_coloring(g));
         });
     }
     let simple = random_simple(96, 0.3, 4);
@@ -70,10 +53,6 @@ fn colorers(c: &mut Criterion) {
             b.iter(|| misra_gries_coloring(g));
         },
     );
-    let bip = random_bipartite(48, 48, 2400, 5);
-    group.bench_with_input(BenchmarkId::new("koenig", bip.num_edges()), &bip, |b, g| {
-        b.iter(|| bipartite_coloring(g).expect("bipartite"));
-    });
     group.finish();
 }
 

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dmig_core::{bounds, MigrationProblem};
-use dmig_flow::exact_degree_subgraph;
+use dmig_flow::DegreeSubgraphExtractor;
 use dmig_workloads::{capacities, random};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -37,8 +37,12 @@ fn degree_constrained(c: &mut Criterion) {
             BenchmarkId::new("extract", format!("n{n}_d{d}")),
             &(arcs, quota),
             |b, (arcs, quota)| {
+                let mut extractor = DegreeSubgraphExtractor::new();
+                let mut selection = Vec::new();
                 b.iter(|| {
-                    exact_degree_subgraph(n, arcs, quota, quota).expect("regular is feasible")
+                    extractor
+                        .extract_into(n, arcs, quota, quota, &mut selection)
+                        .expect("regular is feasible");
                 });
             },
         );

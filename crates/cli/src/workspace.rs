@@ -968,13 +968,29 @@ fn cmd_import(args: &[String]) -> Result<String, String> {
         ));
     }
     std::fs::create_dir_all(&ws.dir).map_err(|e| format!("cannot create {}: {e}", ws.display()))?;
-    for (name, bytes) in &files {
-        fsio::atomic_write_path(&ws.path(name), bytes)
-            .map_err(|e| format!("cannot write {}: {e}", ws.path(name).display()))?;
-    }
-    // A verified unpack still has to *be* a workspace: full reload, which
-    // re-checks the fingerprint, the schedule, and the fault references.
-    let loaded = load_workspace(&ws)?;
+    // `manifest.json` makes the directory a workspace, so it is published
+    // last, and an import that does not load takes back every file it
+    // wrote: the directory stays free for the next import.
+    let (manifest, rest): (Vec<_>, Vec<_>) = files.iter().partition(|(name, _)| name == MANIFEST);
+    let mut written = Vec::with_capacity(files.len());
+    let publish = || {
+        for (name, bytes) in rest.into_iter().chain(manifest) {
+            let path = ws.path(name);
+            fsio::atomic_write_path(&path, bytes)
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            written.push(path);
+        }
+        // A verified unpack still has to *be* a workspace: full reload,
+        // which re-checks the fingerprint, the schedule, and the fault
+        // references.
+        load_workspace(&ws)
+    };
+    let loaded = publish().map_err(|e| {
+        for path in written.iter().rev() {
+            let _ = std::fs::remove_file(path);
+        }
+        e
+    })?;
     let mut out = String::new();
     let _ = writeln!(
         out,

@@ -562,6 +562,37 @@ fn export_import_round_trips_and_detects_tampering() {
     assert!(!Path::new(&dst3).exists(), "{out}");
 }
 
+/// An archive whose checksums verify but that lacks a file the workspace
+/// needs fails to import without leaving a workspace behind: the failed
+/// import takes back what it wrote, and a good archive then imports into
+/// the same directory.
+#[test]
+fn a_failed_import_leaves_the_directory_free_for_the_next() {
+    let scratch = Scratch::new("import-rollback");
+    let good = plan_ci_scenario(&scratch, "ws-good");
+    let broken = plan_ci_scenario(&scratch, "ws-broken");
+    std::fs::remove_file(Path::new(&broken).join("faults.toml")).unwrap();
+    let [good_archive, broken_archive] =
+        ["good.archive", "broken.archive"].map(|a| scratch.path(a));
+    for (ws, archive) in [(&good, &good_archive), (&broken, &broken_archive)] {
+        let (code, out) = dmig(&["migrate", "export", "--workspace", ws, "--out", archive]);
+        assert_eq!(code, 0, "{out}");
+    }
+
+    let dst = scratch.path("ws-imported");
+    let (code, out) = dmig(&["migrate", "import", &broken_archive, "--workspace", &dst]);
+    assert_eq!(code, 1, "{out}");
+    assert!(out.contains("faults.toml"), "{out}");
+    assert!(
+        !Path::new(&dst).join("manifest.json").exists(),
+        "a failed import must not leave a workspace"
+    );
+    let (code, out) = dmig(&["migrate", "import", &good_archive, "--workspace", &dst]);
+    assert_eq!(code, 0, "{out}");
+    assert!(out.contains("checksums verified"), "{out}");
+    assert_eq!(read(&good, "plan.json"), read(&dst, "plan.json"));
+}
+
 #[test]
 fn fault_plans_are_checked_against_the_instance_with_line_numbers() {
     let scratch = Scratch::new("fault-check");

@@ -6,19 +6,17 @@
 //! of the ICDCS 2011 paper lean on the same machinery — Saia's
 //! 1.5-approximation splits each disk into `c_v` copies and edge-colors the
 //! split graph within Shannon's bound, and Phase 2 of the general algorithm
-//! colors the sparse residue with Vizing's theorem (§V-C3).
+//! colors the sparse residue with Vizing's theorem (§V-C3). Bipartite
+//! transfer graphs need no colorer: `dmig-core` schedules them with the
+//! even solver's quota partition on a left → right orientation.
 //!
 //! Provided colorers:
 //!
-//! * [`greedy::greedy_coloring`] — first-fit, `≤ 2Δ−1` colors; the baseline.
 //! * [`misra_gries::misra_gries_coloring`] — Vizing `Δ+1` for **simple**
 //!   graphs, used to color the residue graph `G_0`.
 //! * [`kempe::kempe_coloring`] — Kempe-chain colorer for multigraphs with
 //!   color-budget escalation; empirically lands at `Δ` or `Δ+μ`, well
 //!   inside Shannon's `⌊3Δ/2⌋` envelope.
-//! * [`bipartite::bipartite_coloring`] — exactly `Δ` colors on bipartite
-//!   multigraphs (König), via regularization + repeated perfect matchings
-//!   extracted with `dmig-flow`.
 //!
 //! All colorers produce an [`EdgeColoring`], which can be validated against
 //! any graph with [`EdgeColoring::validate_proper`].
@@ -26,9 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bipartite;
 pub mod coloring;
-pub mod greedy;
 pub mod kempe;
 pub mod misra_gries;
 

@@ -1,9 +1,6 @@
 //! Property-based tests for the edge-coloring substrate.
 
-use dmig_color::{
-    bipartite::bipartite_coloring, greedy::greedy_coloring, kempe::kempe_coloring,
-    misra_gries::misra_gries_coloring, shannon_bound,
-};
+use dmig_color::{kempe::kempe_coloring, misra_gries::misra_gries_coloring, shannon_bound};
 use dmig_graph::{Multigraph, NodeId};
 use proptest::prelude::*;
 
@@ -40,30 +37,8 @@ fn arb_simple_graph() -> impl Strategy<Value = Multigraph> {
         })
 }
 
-fn arb_bipartite() -> impl Strategy<Value = Multigraph> {
-    ((1usize..6), (1usize..6)).prop_flat_map(|(nl, nr)| {
-        proptest::collection::vec((0..nl, 0..nr), 0..30).prop_map(move |edges| {
-            let mut g = Multigraph::with_nodes(nl + nr);
-            for (l, r) in edges {
-                g.add_edge(NodeId::new(l), NodeId::new(nl + r));
-            }
-            g
-        })
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Greedy is proper and within its 2Δ−1 bound.
-    #[test]
-    fn greedy_proper_and_bounded(g in arb_multigraph()) {
-        let c = greedy_coloring(&g);
-        prop_assert!(c.validate_proper(&g).is_ok());
-        if g.num_edges() > 0 {
-            prop_assert!((c.num_colors() as usize) < 2 * g.max_degree());
-        }
-    }
 
     /// Kempe is proper and within Shannon's bound.
     #[test]
@@ -82,14 +57,6 @@ proptest! {
         if g.num_edges() > 0 {
             prop_assert!((c.num_colors() as usize) <= g.max_degree() + 1);
         }
-    }
-
-    /// König: bipartite multigraphs colored with exactly Δ colors.
-    #[test]
-    fn koenig_exact_on_bipartite(g in arb_bipartite()) {
-        let c = bipartite_coloring(&g).expect("bipartite by construction");
-        prop_assert!(c.validate_proper(&g).is_ok());
-        prop_assert_eq!(c.num_colors() as usize, g.max_degree());
     }
 
     /// Color classes are matchings: each class touches a node at most once.

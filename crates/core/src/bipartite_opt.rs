@@ -3,16 +3,27 @@
 //! Reconfiguration workloads — moving items from an old layout to a new
 //! one, rebuilding onto freshly added disks, draining disks before removal
 //! — produce bipartite transfer graphs. There the problem is solvable
-//! exactly for *any* capacities: split each disk into `c_v` copies with a
-//! balanced distribution (max split degree `Δ' = max ⌈d_v/c_v⌉`) and apply
-//! König's theorem (`χ' = Δ` for bipartite multigraphs). The result is
-//! exactly `Δ' = LB1` rounds — no 1.5 loss, no parity condition. Coffman
-//! et al. \[8\] singled out the bipartite case as optimally solvable; this
-//! is the capacitated version.
+//! exactly for *any* capacities. The even solver (§IV) needs even `c_v`
+//! only to orient edges along Euler circuits; a bipartite graph is already
+//! oriented by its sides. With every edge run left → right and the graph
+//! padded, a left disk `u` sends exactly `c_u` arcs and a right disk `v`
+//! receives exactly `c_v` per round, and the even solver's quota partition
+//! yields exactly `Δ' = LB1` rounds — no 1.5 loss, no parity condition.
+//! Dropping the padding leaves at most `c_v` transfers per disk. This is the
+//! f-coloring setting of Kari's technical report; Coffman et al. \[8\]
+//! singled out the bipartite case as optimally solvable.
+//!
+//! 1. **Pad** every active disk to degree `c_v · Δ'` with left → right
+//!    dummy arcs. The two sides' deficits differ by
+//!    `Δ' · (Σ_L c − Σ_R c)`, which one dummy disk on the side with less
+//!    capacity absorbs at a whole quota of `|Σ_L c − Σ_R c|` per round.
+//! 2. **Decompose** into `Δ'` quota-exact rounds
+//!    ([`dmig_flow::quota_round_partition`]: Euler splits at even levels,
+//!    one max-flow peel at odd ones) and drop the padding.
 
-use dmig_color::bipartite::bipartite_coloring;
+use dmig_graph::bipartite::bipartition;
 
-use crate::split::split_round_robin;
+use crate::even::decompose;
 use crate::{MigrationProblem, MigrationSchedule, SolveError};
 
 /// Computes an optimal schedule (exactly `Δ'` rounds) for a bipartite
@@ -21,7 +32,8 @@ use crate::{MigrationProblem, MigrationSchedule, SolveError};
 /// # Errors
 ///
 /// Returns [`SolveError::NotBipartite`] when the transfer graph is not
-/// bipartite.
+/// bipartite, or [`SolveError::Internal`] if an internal invariant is
+/// violated (a bug).
 ///
 /// # Example
 ///
@@ -42,10 +54,80 @@ use crate::{MigrationProblem, MigrationSchedule, SolveError};
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn solve_bipartite(problem: &MigrationProblem) -> Result<MigrationSchedule, SolveError> {
-    let split = split_round_robin(problem);
-    // The split of a bipartite graph is bipartite (copies inherit sides).
-    let coloring = bipartite_coloring(&split.graph).map_err(|_| SolveError::NotBipartite)?;
-    Ok(MigrationSchedule::from_coloring(&coloring))
+    let g = problem.graph();
+    let sides = bipartition(g).map_err(|_| SolveError::NotBipartite)?;
+    let delta_prime = problem.delta_prime();
+    if delta_prime == 0 {
+        return Ok(MigrationSchedule::default());
+    }
+    let _span = dmig_obs::span_labeled("solve_bipartite", || {
+        format!(
+            "n={} m={} delta_prime={delta_prime}",
+            g.num_nodes(),
+            g.num_edges()
+        )
+    });
+
+    let pad_span = dmig_obs::span("solve_bipartite.pad");
+    // Node `n` is the dummy disk. Arc position i < m is item i.
+    let n = g.num_nodes();
+    let mut arcs: Vec<(usize, usize)> = g
+        .edges()
+        .map(|(_, ep)| {
+            let (l, r) = if sides.is_left(ep.u) {
+                (ep.u, ep.v)
+            } else {
+                (ep.v, ep.u)
+            };
+            (l.index(), r.index())
+        })
+        .collect();
+    // Index 0 is the left side (out-quotas), 1 the right (in-quotas).
+    let mut quota = [vec![0u32; n + 1], vec![0u32; n + 1]];
+    let mut deficit = [vec![0usize; n + 1], vec![0usize; n + 1]];
+    let mut side_caps = [0u64; 2];
+    for v in g.nodes().filter(|&v| g.degree(v) > 0) {
+        let (c, side) = (problem.capacities().get(v), usize::from(!sides.is_left(v)));
+        quota[side][v.index()] = c;
+        side_caps[side] += u64::from(c);
+        deficit[side][v.index()] = c as usize * delta_prime - g.degree(v);
+    }
+    let short = usize::from(side_caps[1] < side_caps[0]);
+    let surplus = side_caps[1 - short] - side_caps[short];
+    quota[short][n] = u32::try_from(surplus)
+        .map_err(|_| SolveError::Internal(format!("capacity surplus {surplus} overflows")))?;
+    deficit[short][n] = surplus as usize * delta_prime;
+    // Both sides' deficits now sum to the same: pair them up.
+    let (mut l, mut r) = (0, 0);
+    loop {
+        while l <= n && deficit[0][l] == 0 {
+            l += 1;
+        }
+        while r <= n && deficit[1][r] == 0 {
+            r += 1;
+        }
+        if l > n || r > n {
+            break;
+        }
+        let k = deficit[0][l].min(deficit[1][r]);
+        arcs.resize(arcs.len() + k, (l, r));
+        deficit[0][l] -= k;
+        deficit[1][r] -= k;
+    }
+    debug_assert!(
+        deficit.iter().flatten().all(|&d| d == 0),
+        "unpaired padding"
+    );
+    drop(pad_span);
+
+    decompose(
+        ["solve_bipartite.decompose", "solve_bipartite.assemble"],
+        n + 1,
+        &arcs,
+        [&quota[0], &quota[1]],
+        delta_prime,
+        g.num_edges(),
+    )
 }
 
 #[cfg(test)]
@@ -62,7 +144,7 @@ mod tests {
         assert_eq!(
             s.makespan(),
             p.delta_prime(),
-            "König split must hit Δ' on {p}"
+            "the quota partition must hit Δ' on {p}"
         );
     }
 

@@ -174,7 +174,6 @@ pub fn solve_even(problem: &MigrationProblem) -> Result<MigrationSchedule, Solve
     );
     drop(orient_span);
     let n = g.num_nodes();
-    let original_edges = g.num_edges();
 
     // Oriented arcs of H. Arc position i is exactly padded edge id i, so no
     // separate arc → edge table is needed.
@@ -192,27 +191,48 @@ pub fn solve_even(problem: &MigrationProblem) -> Result<MigrationSchedule, Solve
             }
         })
         .collect();
+    let schedule = decompose(
+        ["solve_even.decompose", "solve_even.assemble"],
+        n,
+        arcs,
+        [&half_quota, &half_quota],
+        delta_prime,
+        g.num_edges(),
+    );
+    EVEN_SCRATCH.release(scratch);
+    schedule
+}
+
+/// Steps 4–5, shared with [`crate::bipartite_opt`]: partitions `arcs`
+/// into `rounds` groups that meet `[out_quota, in_quota]` exactly, then
+/// drops the padding. Arc position `i < items` is item `i`; every later
+/// arc is padding. `spans` names the two phases.
+pub(crate) fn decompose(
+    spans: [&'static str; 2],
+    num_nodes: usize,
+    arcs: &[(usize, usize)],
+    [out_quota, in_quota]: [&[u32]; 2],
+    rounds: usize,
+    items: usize,
+) -> Result<MigrationSchedule, SolveError> {
     // Divide-and-conquer decomposition: Euler splits halve the round count
     // in linear time, max flow runs only at the O(log Δ') odd levels.
-    let decompose_span = dmig_obs::span("solve_even.decompose");
-    let partition =
-        quota_round_partition(n, arcs.as_slice(), &half_quota, &half_quota, delta_prime)
-            .map_err(|e| SolveError::Internal(format!("round decomposition infeasible: {e}")))?;
+    let decompose_span = dmig_obs::span(spans[0]);
+    let partition = quota_round_partition(num_nodes, arcs, out_quota, in_quota, rounds)
+        .map_err(|e| SolveError::Internal(format!("round decomposition infeasible: {e}")))?;
     drop(decompose_span);
     debug_assert_eq!(partition.iter().map(Vec::len).sum::<usize>(), arcs.len());
-    let _assemble_span = dmig_obs::span("solve_even.assemble");
+    let _assemble_span = dmig_obs::span(spans[1]);
     let rounds: Vec<Vec<EdgeId>> = partition
         .into_iter()
         .map(|selected| {
             selected
                 .into_iter()
-                .filter(|&pos| pos < original_edges)
+                .filter(|&pos| pos < items)
                 .map(EdgeId::new)
                 .collect()
         })
         .collect();
-    EVEN_SCRATCH.release(scratch);
-
     let mut schedule = MigrationSchedule::from_rounds(rounds);
     schedule.trim_empty_rounds();
     Ok(schedule)

@@ -33,7 +33,8 @@
 //! * [`greedy_rounds`] — first-fit maximal round packing, a natural
 //!   systems baseline.
 //! * [`bipartite_opt`] — exact optimum for bipartite transfer graphs
-//!   (reconfiguration workloads) via node splitting + König coloring.
+//!   (reconfiguration workloads), any capacities: the even solver's quota
+//!   partition on the left → right orientation the sides give.
 //! * [`exact`] — branch-and-bound exact optimum for small instances,
 //!   certifying the heuristic solvers' optimality gaps.
 //! * [`replan`] — online replanning: merge the unexecuted remainder of a

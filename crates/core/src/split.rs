@@ -8,8 +8,7 @@
 //! edges, so the split graph has maximum degree `Δ' = LB1`.
 //!
 //! This construction is the engine of Saia's 1.5-approximation (§I–II of
-//! the paper), of the bipartite-optimal solver, and of Phase 2 of the
-//! general algorithm (§V-C3).
+//! the paper) and of Phase 2 of the general algorithm (§V-C3).
 
 use dmig_graph::{Multigraph, NodeId};
 

@@ -75,6 +75,42 @@ fn three_way_agreement_on_even_bipartite_instances() {
     }
 }
 
+/// At `c = 1` the bipartite solver is an edge colorer: König's theorem
+/// (`χ' = Δ` on bipartite multigraphs) on families with known chromatic
+/// index — `K_{a,b}`, hypercubes and a long path.
+#[test]
+fn bipartite_solver_colors_class_one_families_with_delta_rounds() {
+    let complete_bipartite = |a: usize, b: usize| {
+        let mut g = Multigraph::with_nodes(a + b);
+        for l in 0..a {
+            for r in 0..b {
+                g.add_edge(l.into(), (a + r).into());
+            }
+        }
+        g
+    };
+    let hypercube = |d: usize| {
+        let mut g = Multigraph::with_nodes(1 << d);
+        for v in 0..1usize << d {
+            for bit in 0..d {
+                if v < v ^ (1 << bit) {
+                    g.add_edge(v.into(), (v ^ (1 << bit)).into());
+                }
+            }
+        }
+        g
+    };
+    let mut families = vec![(path_multigraph(20, 1), 2)];
+    families.extend([(2, 3), (3, 3), (4, 7), (5, 5)].map(|(a, b)| (complete_bipartite(a, b), b)));
+    families.extend((1..6).map(|d| (hypercube(d), d)));
+    for (g, chromatic_index) in families {
+        let p = MigrationProblem::uniform(g, 1).unwrap();
+        let s = BipartiteOptimalSolver.solve(&p).unwrap();
+        s.validate(&p).unwrap();
+        assert_eq!(s.makespan(), chromatic_index, "{p}");
+    }
+}
+
 #[test]
 fn general_solver_is_deterministic() {
     let g = complete_multigraph(6, 3);

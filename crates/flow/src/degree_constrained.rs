@@ -38,63 +38,29 @@ impl std::error::Error for DegreeConstraintError {}
 
 /// Selects a subset of the oriented arcs such that node `v` is the tail of
 /// exactly `out_quota[v]` selected arcs and the head of exactly
-/// `in_quota[v]` selected arcs.
-///
-/// Returns a selection mask aligned with `arcs`.
+/// `in_quota[v]` selected arcs: one peel of [`quota_round_partition`].
 ///
 /// The quotas must be balanced (`Σ out_quota == Σ in_quota`); when the
-/// input comes from an Euler orientation with quotas `c_v/2` this holds by
-/// construction and a solution exists by the paper's Lemma 4.1.
-///
-/// # Errors
-///
-/// Returns [`DegreeConstraintError`] when the max flow falls short of the
-/// quota sum, i.e. no exact selection exists.
-///
-/// # Panics
-///
-/// Panics if quota slices are shorter than `num_nodes` or an arc endpoint
-/// is out of range.
-///
-/// # Example
-///
-/// ```
-/// use dmig_flow::exact_degree_subgraph;
-///
-/// // Oriented 4-cycle: select exactly one outgoing and one incoming arc
-/// // per node — must take all four arcs.
-/// let arcs = [(0, 1), (1, 2), (2, 3), (3, 0)];
-/// let sel = exact_degree_subgraph(4, &arcs, &[1, 1, 1, 1], &[1, 1, 1, 1])?;
-/// assert_eq!(sel, vec![true; 4]);
-/// # Ok::<(), dmig_flow::DegreeConstraintError>(())
-/// ```
-pub fn exact_degree_subgraph(
-    num_nodes: usize,
-    arcs: &[(usize, usize)],
-    out_quota: &[u32],
-    in_quota: &[u32],
-) -> Result<Vec<bool>, DegreeConstraintError> {
-    DegreeSubgraphExtractor::new().extract(num_nodes, arcs, out_quota, in_quota)
-}
-
-/// Reusable buffer for repeated [`exact_degree_subgraph`] solves.
-///
-/// The even-capacity solver extracts `Δ'` successive subgraphs from a
-/// shrinking arc set; building a fresh Fig. 3 network each round spends
-/// most of its time in the allocator. The extractor keeps one
+/// arcs are `rounds` times as many as the quotas at every node, a solution
+/// exists by the paper's Lemma 4.1. The extractor keeps one
 /// [`FlowNetwork`] (and its CSR/scratch buffers) alive across
-/// [`DegreeSubgraphExtractor::extract`] calls and rebuilds it in place.
+/// [`DegreeSubgraphExtractor::extract_into`] calls and rebuilds it in
+/// place, so a reused extractor stays out of the allocator.
 ///
 /// # Example
 ///
 /// ```
 /// use dmig_flow::DegreeSubgraphExtractor;
 ///
+/// // Oriented 4-cycle: select exactly one outgoing and one incoming arc
+/// // per node — must take all four arcs.
 /// let mut ex = DegreeSubgraphExtractor::new();
-/// let sel = ex.extract(3, &[(0, 1), (1, 2), (2, 0)], &[1; 3], &[1; 3])?;
-/// assert_eq!(sel, vec![true; 3]);
-/// // Second solve reuses the same buffers.
-/// let sel = ex.extract(2, &[(0, 1), (1, 0)], &[1, 1], &[1, 1])?;
+/// let mut sel = Vec::new();
+/// let arcs = [(0, 1), (1, 2), (2, 3), (3, 0)];
+/// ex.extract_into(4, &arcs, &[1; 4], &[1; 4], &mut sel)?;
+/// assert_eq!(sel, vec![true; 4]);
+/// // A second solve reuses the same buffers.
+/// ex.extract_into(2, &[(0, 1), (1, 0)], &[1, 1], &[1, 1], &mut sel)?;
 /// assert_eq!(sel, vec![true, true]);
 /// # Ok::<(), dmig_flow::DegreeConstraintError>(())
 /// ```
@@ -116,47 +82,10 @@ impl DegreeSubgraphExtractor {
         DegreeSubgraphExtractor::default()
     }
 
-    /// Creates an extractor pre-sized for instances with up to `num_nodes`
-    /// nodes and `num_arcs` oriented arcs.
-    #[must_use]
-    pub fn with_capacity(num_nodes: usize, num_arcs: usize) -> Self {
-        DegreeSubgraphExtractor {
-            net: FlowNetwork::with_capacity(2 + 2 * num_nodes, 2 * num_nodes + num_arcs),
-            handles: Vec::with_capacity(num_arcs),
-            out_handles: Vec::with_capacity(num_nodes),
-            in_handles: Vec::with_capacity(num_nodes),
-            out_rem: Vec::with_capacity(num_nodes),
-            in_rem: Vec::with_capacity(num_nodes),
-        }
-    }
-
-    /// Same contract as [`exact_degree_subgraph`], reusing this extractor's
-    /// buffers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DegreeConstraintError`] when no exact selection exists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if quota slices are shorter than `num_nodes` or an arc
-    /// endpoint is out of range.
-    pub fn extract(
-        &mut self,
-        num_nodes: usize,
-        arcs: &[(usize, usize)],
-        out_quota: &[u32],
-        in_quota: &[u32],
-    ) -> Result<Vec<bool>, DegreeConstraintError> {
-        let mut selection = Vec::with_capacity(arcs.len());
-        self.extract_into(num_nodes, arcs, out_quota, in_quota, &mut selection)?;
-        Ok(selection)
-    }
-
-    /// Allocation-free variant of [`DegreeSubgraphExtractor::extract`]: the
-    /// selection mask is written into `selection` (cleared first), so a
-    /// caller that reuses both the extractor and the mask performs no heap
-    /// allocation in steady state. This is the quota recursion's hot path.
+    /// Selects the arcs that meet the quotas exactly and writes the mask,
+    /// aligned with `arcs`, into `selection` (cleared first). A caller that
+    /// reuses both the extractor and the mask performs no heap allocation
+    /// in steady state; this is the quota recursion's hot path.
     ///
     /// # Errors
     ///
@@ -246,7 +175,7 @@ impl DegreeSubgraphExtractor {
     }
 }
 
-/// Counter bookkeeping for [`DegreeSubgraphExtractor::extract`]: one flow
+/// Counter bookkeeping for [`DegreeSubgraphExtractor::extract_into`]: one flow
 /// solve, with the units satisfied by the greedy warm start counted as hits
 /// and the deficit Dinic had to augment as misses.
 fn record_flow_solve(greedy: i64, achieved: i64) {
@@ -804,6 +733,18 @@ fn euler_split_in_place(ctx: &QuotaCtx<'_>, subset: &mut [usize], scratch: &mut 
 mod tests {
     use super::*;
 
+    fn extract(
+        num_nodes: usize,
+        arcs: &[(usize, usize)],
+        out_quota: &[u32],
+        in_quota: &[u32],
+    ) -> Result<Vec<bool>, DegreeConstraintError> {
+        let mut sel = Vec::new();
+        DegreeSubgraphExtractor::new()
+            .extract_into(num_nodes, arcs, out_quota, in_quota, &mut sel)
+            .map(|()| sel)
+    }
+
     fn check_quotas(
         num_nodes: usize,
         arcs: &[(usize, usize)],
@@ -826,21 +767,21 @@ mod tests {
     #[test]
     fn cycle_forced_selection() {
         let arcs = [(0, 1), (1, 2), (2, 0)];
-        let sel = exact_degree_subgraph(3, &arcs, &[1; 3], &[1; 3]).unwrap();
+        let sel = extract(3, &arcs, &[1; 3], &[1; 3]).unwrap();
         assert_eq!(sel, vec![true; 3]);
     }
 
     #[test]
     fn zero_quotas_select_nothing() {
         let arcs = [(0, 1), (1, 0)];
-        let sel = exact_degree_subgraph(2, &arcs, &[0, 0], &[0, 0]).unwrap();
+        let sel = extract(2, &arcs, &[0, 0], &[0, 0]).unwrap();
         assert_eq!(sel, vec![false, false]);
     }
 
     #[test]
     fn parallel_arcs_pick_exact_count() {
         let arcs = [(0, 1), (0, 1), (0, 1), (0, 1)];
-        let sel = exact_degree_subgraph(2, &arcs, &[2, 0], &[0, 2]).unwrap();
+        let sel = extract(2, &arcs, &[2, 0], &[0, 2]).unwrap();
         assert_eq!(sel.iter().filter(|&&b| b).count(), 2);
         check_quotas(2, &arcs, &sel, &[2, 0], &[0, 2]);
     }
@@ -849,7 +790,7 @@ mod tests {
     fn infeasible_reports_shortfall() {
         // Node 1 must emit 1 arc but has none.
         let arcs = [(0, 1)];
-        let err = exact_degree_subgraph(2, &arcs, &[0, 1], &[1, 0]).unwrap_err();
+        let err = extract(2, &arcs, &[0, 1], &[1, 0]).unwrap_err();
         assert_eq!(err.achieved, 0);
         assert_eq!(err.required, 1);
         assert!(err.to_string().contains("max flow 0"));
@@ -860,7 +801,7 @@ mod tests {
         // Every node out-quota 1 / in-quota 1, arcs forming two disjoint
         // 2-cycles plus chords; a valid selection exists.
         let arcs = [(0, 1), (1, 0), (2, 3), (3, 2), (0, 2), (2, 0)];
-        let sel = exact_degree_subgraph(4, &arcs, &[1; 4], &[1; 4]).unwrap();
+        let sel = extract(4, &arcs, &[1; 4], &[1; 4]).unwrap();
         check_quotas(4, &arcs, &sel, &[1; 4], &[1; 4]);
     }
 
@@ -868,7 +809,7 @@ mod tests {
     fn heterogeneous_quotas() {
         // Node 0 sends 2, nodes 1 and 2 each receive 1.
         let arcs = [(0, 1), (0, 1), (0, 2)];
-        let sel = exact_degree_subgraph(3, &arcs, &[2, 0, 0], &[0, 1, 1]).unwrap();
+        let sel = extract(3, &arcs, &[2, 0, 0], &[0, 1, 1]).unwrap();
         check_quotas(3, &arcs, &sel, &[2, 0, 0], &[0, 1, 1]);
     }
 
@@ -876,14 +817,14 @@ mod tests {
     fn self_arc_allowed() {
         // An Euler orientation of a self-loop yields an arc v -> v.
         let arcs = [(0, 0)];
-        let sel = exact_degree_subgraph(1, &arcs, &[1], &[1]).unwrap();
+        let sel = extract(1, &arcs, &[1], &[1]).unwrap();
         assert_eq!(sel, vec![true]);
     }
 
     #[test]
     #[should_panic(expected = "arc endpoint out of range")]
     fn arc_out_of_range_panics() {
-        let _ = exact_degree_subgraph(1, &[(0, 3)], &[1], &[1]);
+        let _ = extract(1, &[(0, 3)], &[1], &[1]);
     }
 
     #[test]

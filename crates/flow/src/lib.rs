@@ -29,8 +29,8 @@ pub mod network;
 pub mod pool;
 
 pub use degree_constrained::{
-    exact_degree_subgraph, quota_euler_splits, quota_flow_solves, quota_round_partition,
-    DegreeConstraintError, DegreeSubgraphExtractor, SolveScratch,
+    quota_euler_splits, quota_flow_solves, quota_round_partition, DegreeConstraintError,
+    DegreeSubgraphExtractor, SolveScratch,
 };
 pub use densest::{max_density_subgraph, DensestResult};
 pub use network::{EdgeHandle, FlowNetwork};

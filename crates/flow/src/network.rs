@@ -138,22 +138,6 @@ impl FlowNetwork {
         }
     }
 
-    /// Creates a network with `n` vertices and room for `edges` edges, so
-    /// edge insertion never reallocates.
-    #[must_use]
-    pub fn with_capacity(n: usize, edges: usize) -> Self {
-        FlowNetwork {
-            num_vertices: n,
-            arc_to: Vec::with_capacity(2 * edges),
-            arc_cap: Vec::with_capacity(2 * edges),
-            arc_tail: Vec::with_capacity(2 * edges),
-            original_cap: Vec::with_capacity(edges),
-            csr_offsets: Vec::with_capacity(n + 1),
-            csr_arcs: Vec::with_capacity(2 * edges),
-            ..FlowNetwork::default()
-        }
-    }
-
     /// Number of vertices.
     #[inline]
     #[must_use]
@@ -558,7 +542,7 @@ mod tests {
 
     #[test]
     fn clear_reuses_buffers_for_new_topology() {
-        let mut net = FlowNetwork::with_capacity(4, 8);
+        let mut net = FlowNetwork::new(4);
         net.add_edge(0, 1, 5);
         net.add_edge(1, 3, 5);
         assert_eq!(net.max_flow(0, 3), 5);
@@ -570,22 +554,5 @@ mod tests {
         assert_eq!(net.flow(e), 7);
         // Old vertex 3 is gone.
         assert_eq!(net.min_cut_source_side(0).len(), 3);
-    }
-
-    #[test]
-    fn with_capacity_matches_new() {
-        let mut a = FlowNetwork::new(5);
-        let mut b = FlowNetwork::with_capacity(5, 6);
-        for &(u, v, c) in &[
-            (0usize, 1usize, 2i64),
-            (1, 2, 2),
-            (2, 4, 1),
-            (0, 3, 1),
-            (3, 4, 9),
-        ] {
-            a.add_edge(u, v, c);
-            b.add_edge(u, v, c);
-        }
-        assert_eq!(a.max_flow(0, 4), b.max_flow(0, 4));
     }
 }

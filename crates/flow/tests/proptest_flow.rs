@@ -1,9 +1,9 @@
 //! Property-based tests for the flow substrate: max-flow/min-cut duality,
-//! degree-constrained extraction, and densest-subgraph exactness.
+//! the quota round partition, and densest-subgraph exactness.
 
 mod push_relabel;
 
-use dmig_flow::{exact_degree_subgraph, max_density_subgraph, FlowNetwork};
+use dmig_flow::{max_density_subgraph, quota_round_partition, FlowNetwork};
 use dmig_graph::{Multigraph, NodeId};
 use proptest::prelude::*;
 use push_relabel::PushRelabelNetwork;
@@ -126,35 +126,44 @@ proptest! {
         }
     }
 
-    /// A union of `d` random permutations always admits an exact
-    /// out/in-degree-`d/2`-subgraph after doubling (Euler-style balance).
+    /// An odd round count makes the quota partition peel by flow: arcs
+    /// pairing every node's `quota · rounds` out-slots with a shuffled
+    /// list of the in-slots always split into `rounds` quota-exact rounds
+    /// (Lemma 4.1), whatever the quotas.
     #[test]
-    fn degree_constrained_on_doubled_permutations(
-        n in 2usize..8,
-        perm_seed in proptest::collection::vec(0usize..1000, 1..4),
+    fn quota_partition_peels_odd_round_counts(
+        quota in proptest::collection::vec(1u32..4, 2..8),
+        rounds in (1usize..5).prop_map(|k| 2 * k + 1),
+        seed in 0u64..u64::MAX,
     ) {
-        // Build arcs as unions of cyclic shifts (simple balanced family).
-        let mut arcs = Vec::new();
-        for (k, _) in perm_seed.iter().enumerate() {
-            for u in 0..n {
-                arcs.push((u, (u + k + 1) % n));
-            }
+        let n = quota.len();
+        let slots: Vec<usize> = (0..n)
+            .flat_map(|v| std::iter::repeat(v).take(quota[v] as usize * rounds))
+            .collect();
+        let mut heads = slots.clone();
+        let mut state = seed;
+        for i in (1..heads.len()).rev() {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            heads.swap(i, (state >> 33) as usize % (i + 1));
         }
-        let d = perm_seed.len();
-        let quota = vec![u32::try_from(d).unwrap(); n];
-        // Each node has out-degree d and in-degree d; selecting all arcs
-        // is one valid solution, so the exact extraction must succeed.
-        let sel = exact_degree_subgraph(n, &arcs, &quota, &quota).expect("balanced family");
-        let mut outd = vec![0u32; n];
-        let mut ind = vec![0u32; n];
-        for (i, &(u, v)) in arcs.iter().enumerate() {
-            if sel[i] {
-                outd[u] += 1;
-                ind[v] += 1;
+        let arcs: Vec<(usize, usize)> = slots.into_iter().zip(heads).collect();
+        let partition = quota_round_partition(n, &arcs, &quota, &quota, rounds)
+            .expect("regular quotas are feasible");
+        prop_assert_eq!(partition.len(), rounds);
+        let mut seen = vec![false; arcs.len()];
+        for round in &partition {
+            let mut outd = vec![0u32; n];
+            let mut ind = vec![0u32; n];
+            for &pos in round {
+                prop_assert!(!seen[pos], "arc {} in two rounds", pos);
+                seen[pos] = true;
+                outd[arcs[pos].0] += 1;
+                ind[arcs[pos].1] += 1;
             }
+            prop_assert_eq!(&outd, &quota);
+            prop_assert_eq!(&ind, &quota);
         }
-        prop_assert_eq!(outd, quota.clone());
-        prop_assert_eq!(ind, quota);
+        prop_assert!(seen.into_iter().all(|s| s), "every arc lands in a round");
     }
 
     /// The densest-subgraph result dominates the density of (a) the whole

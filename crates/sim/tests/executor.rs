@@ -12,13 +12,17 @@
 //! Both are checked over randomized instances, hardware, and fault plans,
 //! with full item accounting (`delivered + lost == |items|`) along the way.
 
+use std::sync::Mutex;
+
 use dmig_core::parallel::ParallelSolver;
 use dmig_core::solver::{AutoSolver, Solver};
-use dmig_core::{MigrationProblem, MigrationSchedule};
+use dmig_core::{Capacities, MigrationProblem, MigrationSchedule, SolveError};
+use dmig_graph::bipartite::is_bipartite;
 use dmig_graph::builder::complete_multigraph;
-use dmig_graph::EdgeId;
+use dmig_graph::{EdgeId, Multigraph};
 use dmig_sim::faults::{CrashFault, DegradeFault, FlakySpec};
 use dmig_sim::{execute, Cluster, ExecutorConfig, FaultPlan, SimReport};
+use dmig_workloads::disk_ops::disk_removal;
 use dmig_workloads::random::uniform_multigraph;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -308,4 +312,96 @@ fn zero_fault_plan_reproduces_oracle_exactly() {
     assert_eq!(bits(&r.sim), bits(&oracle(&p, &s, &cluster, &[])));
     assert_eq!(r.delivered(), p.num_items());
     assert_eq!((r.replans, r.retries, r.crashes), (0, 0, 0));
+}
+
+/// Runs `AutoSolver` at a thread count and notes, for every instance it
+/// solves, whether the instance is bipartite with an odd capacity (the
+/// case `AutoSolver` hands to the bipartite solver) and whether the
+/// schedule takes exactly `Δ'` rounds.
+struct Recording {
+    inner: ParallelSolver,
+    solved: Mutex<Vec<(bool, bool)>>,
+}
+
+impl Solver for Recording {
+    fn name(&self) -> &'static str {
+        "recording"
+    }
+    fn solve(&self, problem: &MigrationProblem) -> Result<MigrationSchedule, SolveError> {
+        let s = self.inner.solve(problem)?;
+        self.solved.lock().unwrap().push((
+            is_bipartite(problem.graph()) && !problem.capacities().all_even(),
+            s.makespan() == problem.delta_prime(),
+        ));
+        Ok(s)
+    }
+}
+
+/// A drain with mixed capacities: disks 0–2 move 150 items onto disks
+/// 3–11, and disk 12 is an idle spare. A survivor crashes onto the spare
+/// and a draining disk degrades, so the executor replans residuals through
+/// `AutoSolver`. Redirecting onto the spare keeps every residual bipartite,
+/// and each one is solved in exactly `Δ'` rounds; the report is the same
+/// bytes at 1 and 4 threads.
+#[test]
+fn drain_replans_stay_bipartite_and_thread_independent() {
+    let drain = disk_removal(12, 3, 150, 23);
+    let pairs: Vec<(usize, usize)> = drain
+        .edges()
+        .map(|(_, ep)| (ep.u.index(), ep.v.index()))
+        .collect();
+    let g = Multigraph::from_edges(13, &pairs).unwrap();
+    let caps = Capacities::from_vec(vec![3, 4, 5, 2, 1, 3, 2, 5, 4, 1, 3, 2, 3]);
+    let problem = MigrationProblem::new(g, caps).unwrap();
+    let faults = FaultPlan {
+        seed: 7,
+        crashes: vec![CrashFault {
+            disk: 4.into(),
+            time: 1.5,
+            replacement: Some(12.into()),
+        }],
+        degradations: vec![DegradeFault {
+            disk: 0.into(),
+            time: 0.5,
+            factor: 0.4,
+            recover_at: Some(6.0),
+        }],
+        ..FaultPlan::default()
+    };
+    let config = ExecutorConfig {
+        replan: true,
+        ..ExecutorConfig::default()
+    };
+    let reports: Vec<String> = [1usize, 4]
+        .iter()
+        .map(|&threads| {
+            let solver = Recording {
+                inner: ParallelSolver::with_threads(Box::new(AutoSolver), threads),
+                solved: Mutex::new(Vec::new()),
+            };
+            let schedule = solver.solve(&problem).unwrap();
+            let cluster = Cluster::uniform(problem.num_disks(), 1.0);
+            let r = execute(&problem, &schedule, &cluster, &faults, &config, &solver).unwrap();
+            assert!(
+                r.replans >= 2,
+                "crash and degrade each replan: {}",
+                r.replans
+            );
+            assert_eq!(
+                r.delivered(),
+                problem.num_items(),
+                "the spare saves every item"
+            );
+            let solved = solver.solved.into_inner().unwrap();
+            assert_eq!(solved.len() as u64, 1 + r.replans);
+            assert!(
+                solved
+                    .iter()
+                    .all(|&(bipartite, optimal)| bipartite && optimal),
+                "{solved:?}"
+            );
+            r.to_json()
+        })
+        .collect();
+    assert_eq!(reports[0], reports[1], "threads 1 vs 4 diverged");
 }

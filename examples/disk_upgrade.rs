@@ -2,8 +2,9 @@
 //!
 //! A search-engine cluster adds four disks; data rebalances from the 24
 //! old disks onto the new ones. The transfer graph is bipartite
-//! (old → new), so the capacitated König solver schedules it *optimally*
-//! for any mix of transfer constraints. Run with:
+//! (old → new), so the bipartite solver, the even solver's quota partition
+//! on the old → new orientation, schedules it *optimally* for any mix of
+//! transfer constraints. Run with:
 //!
 //! ```text
 //! cargo run --example disk_upgrade

@@ -8,8 +8,8 @@
 //! |---|---|---|
 //! | [`graph`] | `dmig-graph` | transfer multigraphs, Euler orientations, bipartitions |
 //! | [`flow`] | `dmig-flow` | Dinic max-flow, degree-constrained subgraphs, densest subgraph |
-//! | [`color`] | `dmig-color` | greedy / Vizing / König / Kempe edge colorers |
-//! | [`core`] | `dmig-core` | the paper's algorithms: lower bounds, even-capacity optimum, general solver, baselines |
+//! | [`color`] | `dmig-color` | Vizing / Kempe edge colorers |
+//! | [`core`] | `dmig-core` | the paper's algorithms: lower bounds, even-capacity optimum, bipartite optimum (the same quota partition, left → right), general solver, baselines |
 //! | [`sim`] | `dmig-sim` | bandwidth-split cluster simulator |
 //! | [`workloads`] | `dmig-workloads` | seeded instance generators |
 //!

@@ -143,7 +143,8 @@ fn lower_bounds_hold_universally() {
 }
 
 /// Bipartite reconfiguration workloads are scheduled exactly optimally
-/// regardless of capacity parity (the capacitated König construction).
+/// regardless of capacity parity (the even solver's quota partition on
+/// the left → right orientation the sides give).
 #[test]
 fn bipartite_workloads_exactly_optimal() {
     for seed in 0..6u64 {

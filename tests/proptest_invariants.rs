@@ -2,6 +2,7 @@
 //! validated schedules and invariant checks out.
 
 use dmig::prelude::*;
+use dmig::workloads::disk_ops;
 use proptest::prelude::*;
 
 /// Strategy: a random loop-free multigraph as an edge list over `n` nodes,
@@ -148,6 +149,62 @@ proptest! {
             prop_assert_eq!(&seq, &par, "schedule differs at {} threads", threads);
         }
         prop_assert_eq!(seq.makespan(), p.delta_prime());
+    }
+
+    /// Bipartite instances (disk additions, drains, and random edge sets
+    /// whose sides interleave by index) with mixed-parity capacities, one
+    /// side all odd in two cases of three, get exactly Δ' rounds from the
+    /// quota partition. `AutoSolver` takes the same path, byte for byte,
+    /// whenever a capacity is odd, and the component-parallel schedule is
+    /// identical at every thread count.
+    #[test]
+    fn bipartite_solver_exactly_optimal(
+        (kind, odd_side) in (0usize..3, 0usize..3),
+        (nl, nr) in (1usize..7, 1usize..7),
+        items in 0usize..300,
+        seed in 0u64..1000,
+        raw_edges in proptest::collection::vec((0usize..6, 0usize..6), 0..120),
+        caps in proptest::collection::vec(1u32..7, 12),
+    ) {
+        let (g, left_count) = match kind {
+            0 => (disk_ops::disk_addition(nl, nr, items, seed), nl),
+            1 => (disk_ops::disk_removal(nl + nr, nl, items, seed), nl),
+            _ => {
+                // Left disks are the even indices, right disks the odd ones.
+                let mut g = Multigraph::with_nodes(2 * nl.max(nr));
+                for &(l, r) in &raw_edges {
+                    g.add_edge((2 * (l % nl)).into(), (2 * (r % nr) + 1).into());
+                }
+                (g, 0)
+            }
+        };
+        let is_left = |v: usize| if kind == 2 { v % 2 == 0 } else { v < left_count };
+        let caps: Vec<u32> = (0..g.num_nodes())
+            .map(|v| match odd_side {
+                0 if is_left(v) => caps[v % 12] | 1,
+                1 if !is_left(v) => caps[v % 12] | 1,
+                _ => caps[v % 12],
+            })
+            .collect();
+        let p = MigrationProblem::new(g, Capacities::from_vec(caps)).expect("valid");
+
+        let s = BipartiteOptimalSolver.solve(&p).expect("bipartite");
+        prop_assert!(s.validate(&p).is_ok());
+        prop_assert_eq!(s.makespan(), p.delta_prime());
+        if !p.capacities().all_even() {
+            prop_assert_eq!(&AutoSolver.solve(&p).expect("infallible"), &s);
+        }
+        let seq = ParallelSolver::with_threads(Box::new(BipartiteOptimalSolver), 1)
+            .solve(&p)
+            .expect("bipartite");
+        prop_assert!(seq.validate(&p).is_ok());
+        prop_assert_eq!(seq.makespan(), p.delta_prime());
+        for threads in [2usize, 4] {
+            let par = ParallelSolver::with_threads(Box::new(BipartiteOptimalSolver), threads)
+                .solve(&p)
+                .expect("bipartite");
+            prop_assert_eq!(&seq, &par, "schedule differs at {} threads", threads);
+        }
     }
 
     /// Schedules partition the items: every item exactly once.
