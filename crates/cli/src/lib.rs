@@ -519,19 +519,19 @@ impl ObsRequest {
 }
 
 /// Sets the per-solve summary gauges on the live recorder so gate rules
-/// can compare round counts against the paper's lower bounds.
+/// can compare round counts against the lower bound `Δ'` (`Γ'` never
+/// exceeds it; `--explain` adds `solve.lb2` from its witness).
 fn record_solve_gauges(problem: &MigrationProblem, rounds: usize) {
     dmig_obs::gauge_set(dmig_obs::keys::SOLVE_ROUNDS, rounds as u64);
     dmig_obs::gauge_set(dmig_obs::keys::SOLVE_LB1, bounds::lb1(problem) as u64);
-    dmig_obs::gauge_set(dmig_obs::keys::SOLVE_LB2, bounds::lb2(problem) as u64);
 }
 
+/// `dmig solve`. With an observability flag the recorder is on for the
+/// whole command, so the span tree breaks it down by phase:
+/// `solve.parse`, `solve_sharded`, `solve.validate` and `solve.render`.
 fn cmd_solve(args: &[String]) -> Result<String, String> {
     let pos = positional(args);
     let path = pos.first().ok_or("solve: missing instance file")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let problem =
-        instance::parse_instance(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
     let solver = pick_solver(args)?;
     let threads = solver.threads();
     // Without --shards the cells are the connected components, exactly as
@@ -539,22 +539,10 @@ fn cmd_solve(args: &[String]) -> Result<String, String> {
     let config = parse_shards(args)?.map_or(ShardConfig::uncut(threads), ShardConfig::with_shards);
     let obs = parse_obs(args)?;
     obs.begin()?;
-    dmig_obs::gauge_set(dmig_obs::keys::LIVE_PHASE, dmig_obs::phase::SOLVE);
-    let started = Instant::now();
-    let solved = solve_sharded(&problem, config, threads, |piece| {
-        solver.inner().solve(piece)
-    });
-    let schedule = match solved.map(|(schedule, _report)| schedule) {
-        Ok(s) => s,
-        Err(e) => {
-            obs.abandon();
-            return Err(e.to_string());
-        }
-    };
-    let wall = started.elapsed();
-    if obs.active() {
-        record_solve_gauges(&problem, schedule.makespan());
-    }
+    let (text, out, wall) = solve_and_render(path, &solver, config).map_err(|e| {
+        obs.abandon();
+        e
+    })?;
     obs.finish(&RunContext {
         source: "cli-solve",
         threads,
@@ -562,10 +550,37 @@ fn cmd_solve(args: &[String]) -> Result<String, String> {
         wall,
         disks: Vec::new(),
     })?;
-    schedule
-        .validate(&problem)
-        .map_err(|e| format!("internal: invalid schedule: {e}"))?;
+    Ok(out)
+}
 
+/// The body of [`cmd_solve`]: returns the instance text, the rendered
+/// schedule and the solve's wall time.
+fn solve_and_render(
+    path: &str,
+    solver: &ParallelSolver,
+    config: ShardConfig,
+) -> Result<(String, String, Duration), String> {
+    let parse_span = dmig_obs::span("solve.parse");
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let problem =
+        instance::parse_instance(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+    drop(parse_span);
+    dmig_obs::gauge_set(dmig_obs::keys::LIVE_PHASE, dmig_obs::phase::SOLVE);
+    let started = Instant::now();
+    let (schedule, _report) = solve_sharded(&problem, config, solver.threads(), |piece| {
+        solver.inner().solve(piece)
+    })
+    .map_err(|e| e.to_string())?;
+    let wall = started.elapsed();
+    {
+        let _span = dmig_obs::span("solve.validate");
+        schedule
+            .validate(&problem)
+            .map_err(|e| format!("internal: invalid schedule: {e}"))?;
+    }
+    record_solve_gauges(&problem, schedule.makespan());
+
+    let _span = dmig_obs::span("solve.render");
     let mut out = String::new();
     let _ = writeln!(out, "{problem}");
     let _ = writeln!(
@@ -586,7 +601,7 @@ fn cmd_solve(args: &[String]) -> Result<String, String> {
             .collect();
         let _ = writeln!(out, "round {i}: {}", items.join(" "));
     }
-    Ok(out)
+    Ok((text, out, wall))
 }
 
 fn cmd_bounds(args: &[String]) -> Result<String, String> {
@@ -749,8 +764,10 @@ fn explain_input(
 }
 
 /// Publishes the attribution summary gauges so gate rules can check the
-/// binding bound against the solver's `solve.lb1`/`solve.lb2`.
+/// binding bound against the solver's `solve.lb1`, and `solve.lb2` from
+/// the witness the attribution already computed.
 fn record_explain_gauges(attr: &dmig_obs::explain::Attribution) {
+    dmig_obs::gauge_set(dmig_obs::keys::SOLVE_LB2, attr.lb2);
     dmig_obs::gauge_set(dmig_obs::keys::EXPLAIN_BINDING_BOUND, attr.binding_bound);
     if let Some(d) = attr.lb1_disk {
         dmig_obs::gauge_set(dmig_obs::keys::EXPLAIN_LB1_DISK, d as u64);
@@ -816,11 +833,9 @@ fn cmd_simulate(args: &[String]) -> Result<String, String> {
     } else {
         None
     };
-    if obs.active() {
-        record_solve_gauges(&problem, schedule.makespan());
-        if let Some((attr, _)) = &explain {
-            record_explain_gauges(attr);
-        }
+    record_solve_gauges(&problem, schedule.makespan());
+    if let Some((attr, _)) = &explain {
+        record_explain_gauges(attr);
     }
     let disks: Vec<trace::DiskUtilRow> = report
         .disk_busy

@@ -143,3 +143,71 @@ fn generate_pipe_solve_roundtrip() {
     assert!(sim.contains("wall-clock time 8.000"), "{sim}");
     std::fs::remove_file(std::path::Path::new(&path)).ok();
 }
+
+/// `dmig solve` never computes Γ': its snapshot carries `solve.lb1` but
+/// no `solve.lb2`, and every Dinic call is a quota-partition flow solve.
+/// Its spans cover the command: parse, solve, validate and render are
+/// the roots. `simulate --explain` computes Γ' once, for the witness it
+/// prints, and publishes it as `solve.lb2`.
+#[test]
+fn only_explain_snapshots_carry_gamma_prime() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let path = dir.join(format!("dmig-bin-lb-{pid}.dmig"));
+    let (code, instance) = dmig(&["generate", "k3", "3", "2"]);
+    assert_eq!(code, 0);
+    std::fs::write(&path, instance).unwrap();
+    let snapshot = |command: &[&str], name: &str| {
+        let metrics = dir.join(format!("dmig-bin-lb-{name}-{pid}.json"));
+        let mut args = command.to_vec();
+        args.extend([
+            path.to_str().unwrap(),
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ]);
+        let (code, out) = dmig(&args);
+        assert_eq!(code, 0, "{out}");
+        let text = std::fs::read_to_string(&metrics).unwrap();
+        std::fs::remove_file(&metrics).ok();
+        dmig_obs::Snapshot::from_value(&dmig_obs::Value::parse(&text).unwrap()).unwrap()
+    };
+
+    let solve = snapshot(&["solve"], "solve");
+    assert_eq!(
+        solve.gauges.get("solve.lb1"),
+        Some(&3),
+        "{:?}",
+        solve.gauges
+    );
+    assert!(
+        !solve.gauges.contains_key("solve.lb2"),
+        "{:?}",
+        solve.gauges
+    );
+    assert_eq!(
+        solve.counters["dinic.calls"], solve.counters["flow_solves"],
+        "{:?}",
+        solve.counters
+    );
+    let roots: Vec<&str> = solve.spans.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(
+        roots,
+        [
+            "solve.parse",
+            "solve_sharded",
+            "solve.validate",
+            "solve.render"
+        ]
+    );
+
+    let explained = snapshot(&["simulate", "--explain"], "explain");
+    // One Γ' max-flow beyond the solve's (one Dinkelbach step on K3).
+    assert_eq!(
+        explained.counters["dinic.calls"],
+        explained.counters["flow_solves"] + 1
+    );
+    let lb1 = explained.gauges["solve.lb1"];
+    assert_eq!(explained.gauges.get("solve.lb2"), Some(&3));
+    assert_eq!(explained.gauges["explain.binding_bound"], lb1);
+    std::fs::remove_file(&path).ok();
+}

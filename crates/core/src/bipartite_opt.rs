@@ -13,13 +13,18 @@
 //! f-coloring setting of Kari's technical report; Coffman et al. \[8\]
 //! singled out the bipartite case as optimally solvable.
 //!
-//! 1. **Pad** every active disk to degree `c_v · Δ'` with left → right
-//!    dummy arcs. The two sides' deficits differ by
-//!    `Δ' · (Σ_L c − Σ_R c)`, which one dummy disk on the side with less
-//!    capacity absorbs at a whole quota of `|Σ_L c − Σ_R c|` per round.
+//! 1. **Group and pad.** A disk with `d_v > Δ'` becomes a node of quota
+//!    `⌈d_v/Δ'⌉ ≤ c_v`; each side's disks with `d_v ≤ Δ'` are packed
+//!    next-fit into quota-1 nodes of total degree at most `Δ'` (stricter
+//!    than `c_v`, and still done in `Δ'` rounds). Left → right dummy arcs
+//!    pad every node to `quota · Δ'`; one dummy node on the side with less
+//!    total quota absorbs the difference `Δ' · |Q_L − Q_R|` at a whole
+//!    quota of `|Q_L − Q_R|` per round. Two consecutive next-fit nodes
+//!    exceed `Δ'` together, so the padding is below `m + Δ'` arcs.
 //! 2. **Decompose** into `Δ'` quota-exact rounds
 //!    ([`dmig_flow::quota_round_partition`]: Euler splits at even levels,
-//!    one max-flow peel at odd ones) and drop the padding.
+//!    one max-flow peel at odd ones) and drop the padding. Item arcs keep
+//!    their positions, so each round maps straight back to its items.
 
 use dmig_graph::bipartite::bipartition;
 
@@ -69,8 +74,30 @@ pub fn solve_bipartite(problem: &MigrationProblem) -> Result<MigrationSchedule, 
     });
 
     let pad_span = dmig_obs::span("solve_bipartite.pad");
-    // Node `n` is the dummy disk. Arc position i < m is item i.
+    // Disk v's arcs run through partition node `node[v]`; nodes are
+    // numbered as they open, and the dummy takes the next number, `nodes`.
+    // `open[side]` is the side's open next-fit node (`n`: none yet). Arc
+    // position i < m is item i.
     let n = g.num_nodes();
+    let (mut node, mut load, mut open) = (vec![n; n], vec![0usize; n + 1], [n, n]);
+    // Index 0 is the left side (out-quotas), 1 the right (in-quotas).
+    let mut quota = [vec![0u32; n + 1], vec![0u32; n + 1]];
+    let (mut side_quota, mut nodes) = ([0u64; 2], 0);
+    for v in g.nodes().filter(|&v| g.degree(v) > 0) {
+        let (d, side) = (g.degree(v), usize::from(!sides.is_left(v)));
+        let fits = d <= delta_prime && open[side] < n && load[open[side]] + d <= delta_prime;
+        let x = if fits { open[side] } else { nodes };
+        if !fits {
+            nodes += 1;
+            if d <= delta_prime {
+                open[side] = x;
+            }
+            quota[side][x] = u32::try_from(d.div_ceil(delta_prime)).expect("⌈d_v/Δ'⌉ ≤ c_v");
+            side_quota[side] += u64::from(quota[side][x]);
+        }
+        node[v.index()] = x;
+        load[x] += d;
+    }
     let mut arcs: Vec<(usize, usize)> = g
         .edges()
         .map(|(_, ep)| {
@@ -79,34 +106,28 @@ pub fn solve_bipartite(problem: &MigrationProblem) -> Result<MigrationSchedule, 
             } else {
                 (ep.v, ep.u)
             };
-            (l.index(), r.index())
+            (node[l.index()], node[r.index()])
         })
         .collect();
-    // Index 0 is the left side (out-quotas), 1 the right (in-quotas).
-    let mut quota = [vec![0u32; n + 1], vec![0u32; n + 1]];
-    let mut deficit = [vec![0usize; n + 1], vec![0usize; n + 1]];
-    let mut side_caps = [0u64; 2];
-    for v in g.nodes().filter(|&v| g.degree(v) > 0) {
-        let (c, side) = (problem.capacities().get(v), usize::from(!sides.is_left(v)));
-        quota[side][v.index()] = c;
-        side_caps[side] += u64::from(c);
-        deficit[side][v.index()] = c as usize * delta_prime - g.degree(v);
-    }
-    let short = usize::from(side_caps[1] < side_caps[0]);
-    let surplus = side_caps[1 - short] - side_caps[short];
-    quota[short][n] = u32::try_from(surplus)
-        .map_err(|_| SolveError::Internal(format!("capacity surplus {surplus} overflows")))?;
-    deficit[short][n] = surplus as usize * delta_prime;
+    let short = usize::from(side_quota[1] < side_quota[0]);
+    let surplus = side_quota[1 - short] - side_quota[short];
+    quota[short][nodes] = u32::try_from(surplus)
+        .map_err(|_| SolveError::Internal(format!("quota surplus {surplus} overflows")))?;
+    let mut deficit = [0, 1].map(|side| {
+        (0..=nodes)
+            .map(|x| (quota[side][x] as usize * delta_prime).saturating_sub(load[x]))
+            .collect::<Vec<usize>>()
+    });
     // Both sides' deficits now sum to the same: pair them up.
     let (mut l, mut r) = (0, 0);
     loop {
-        while l <= n && deficit[0][l] == 0 {
+        while l <= nodes && deficit[0][l] == 0 {
             l += 1;
         }
-        while r <= n && deficit[1][r] == 0 {
+        while r <= nodes && deficit[1][r] == 0 {
             r += 1;
         }
-        if l > n || r > n {
+        if l > nodes || r > nodes {
             break;
         }
         let k = deficit[0][l].min(deficit[1][r]);
@@ -122,7 +143,7 @@ pub fn solve_bipartite(problem: &MigrationProblem) -> Result<MigrationSchedule, 
 
     decompose(
         ["solve_bipartite.decompose", "solve_bipartite.assemble"],
-        n + 1,
+        nodes + 1,
         &arcs,
         [&quota[0], &quota[1]],
         delta_prime,

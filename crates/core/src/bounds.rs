@@ -5,11 +5,14 @@
 //! * `LB2 = Γ' = max_{S⊆V} ⌈2|E(S)| / Σ_{v∈S} c_v⌉` — a subset `S` absorbs
 //!   at most `Σ c_v / 2` internal transfers per round (Lemma 3.1).
 //!
-//! `Γ'` is computed **exactly** in polynomial time: the inner ratio is a
-//! vertex-weighted maximum-density subgraph (weights `c_v`), and the map
-//! `x ↦ ⌈2x⌉` is nondecreasing, so the densest subset also maximizes the
-//! ceiled bound. An exponential reference implementation is provided for
-//! cross-checking on small instances.
+//! `Γ'` never exceeds `Δ'` (see [`lower_bound`]), so the combined bound
+//! is `Δ'` and costs one pass over the degrees. `Γ'` itself is computed
+//! **exactly** in polynomial time, for callers that report it or its
+//! witness: the inner ratio is a vertex-weighted maximum-density subgraph
+//! (weights `c_v`), and the map `x ↦ ⌈2x⌉` is nondecreasing, so the
+//! densest subset also maximizes the ceiled bound. An exponential
+//! reference implementation is provided for cross-checking on small
+//! instances.
 
 use dmig_flow::max_density_subgraph;
 use dmig_graph::NodeId;
@@ -46,8 +49,8 @@ pub struct GammaWitness {
 /// use dmig_core::{bounds, MigrationProblem};
 /// use dmig_graph::builder::complete_multigraph;
 ///
-/// // K3 with unit capacities: Γ' = ⌈2·3 / 3⌉ = 2 > 1 = ... Δ' is 2 as
-/// // well here; on odd structures Γ' can exceed Δ' (see tests).
+/// // K3 with unit capacities: Γ' = ⌈2·3 / 3⌉ = 2, which ties Δ' = 2
+/// // (Γ' never exceeds Δ'; see `lower_bound`).
 /// let p = MigrationProblem::uniform(complete_multigraph(3, 1), 1)?;
 /// let w = bounds::lb2_witness(&p).unwrap();
 /// assert_eq!(w.bound, 2);
@@ -80,10 +83,14 @@ pub fn lb2(problem: &MigrationProblem) -> usize {
     lb2_witness(problem).map_or(0, |w| w.bound)
 }
 
-/// The combined lower bound `max(Δ', Γ')` the paper measures against.
+/// The combined lower bound `max(Δ', Γ')` the paper measures against,
+/// which is `Δ'`: for every subset `S`, each item internal to `S` counts
+/// toward the degree of both its endpoints, so
+/// `2|E(S)| ≤ Σ_{v∈S} d_v ≤ Σ_{v∈S} Δ'·c_v`, hence `Γ' ≤ Δ'`. No max-flow
+/// runs here; [`lb2`] stays the oracle the tests compare against.
 #[must_use]
 pub fn lower_bound(problem: &MigrationProblem) -> usize {
-    lb1(problem).max(lb2(problem))
+    lb1(problem)
 }
 
 /// The **integral sharpening** `Γ'' = max_S ⌈|E(S)| / ⌊Σ_{v∈S} c_v / 2⌋⌉`

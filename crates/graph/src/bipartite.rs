@@ -3,7 +3,7 @@
 //! Reconfiguration workloads (old layout → new layout, disk addition,
 //! drain-before-removal) produce naturally bipartite transfer graphs, for
 //! which `dmig-core` has an exactly-optimal special-case solver. This module
-//! detects bipartiteness and extracts the two sides.
+//! detects bipartiteness and assigns every node its side.
 
 use crate::{GraphError, Multigraph, NodeId};
 
@@ -26,28 +26,6 @@ impl Bipartition {
     #[must_use]
     pub fn is_left(&self, v: NodeId) -> bool {
         !self.side[v.index()]
-    }
-
-    /// Nodes on the left side, ascending.
-    #[must_use]
-    pub fn left(&self) -> Vec<NodeId> {
-        self.side
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| !s)
-            .map(|(i, _)| NodeId::new(i))
-            .collect()
-    }
-
-    /// Nodes on the right side, ascending.
-    #[must_use]
-    pub fn right(&self) -> Vec<NodeId> {
-        self.side
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| s)
-            .map(|(i, _)| NodeId::new(i))
-            .collect()
     }
 }
 
@@ -120,8 +98,8 @@ mod tests {
         for (_, ep) in g.edges() {
             assert_ne!(sides.is_left(ep.u), sides.is_left(ep.v));
         }
-        assert_eq!(sides.left().len(), 3);
-        assert_eq!(sides.right().len(), 3);
+        let left = g.nodes().filter(|&v| sides.is_left(v)).count();
+        assert_eq!((left, g.num_nodes() - left), (3, 3));
     }
 
     #[test]

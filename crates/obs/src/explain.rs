@@ -89,13 +89,13 @@ impl Default for DiskLoad {
     }
 }
 
-/// Which lower bound binds the schedule.
+/// Which lower bound binds the schedule. `Γ'` never exceeds `Δ'` on a
+/// valid instance (`dmig_core::bounds::lower_bound` has the proof), so a
+/// dense subgraph can at most tie a single disk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Binding {
     /// `Δ' > Γ'`: a single disk's per-round work governs.
     Lb1,
-    /// `Γ' > Δ'`: a dense subgraph governs.
-    Lb2,
     /// `Δ' = Γ' > 0`.
     Tie,
     /// Both bounds are zero (empty migration).
@@ -103,12 +103,11 @@ pub enum Binding {
 }
 
 impl Binding {
-    /// Stable lowercase tag (`"lb1"`, `"lb2"`, `"tie"`, `"none"`).
+    /// Stable lowercase tag (`"lb1"`, `"tie"`, `"none"`).
     #[must_use]
     pub fn tag(&self) -> &'static str {
         match self {
             Binding::Lb1 => "lb1",
-            Binding::Lb2 => "lb2",
             Binding::Tie => "tie",
             Binding::None => "none",
         }
@@ -163,7 +162,7 @@ pub struct Attribution {
     pub witness: Option<WitnessSet>,
     /// Which bound binds.
     pub binding: Binding,
-    /// `max(lb1, lb2)`.
+    /// `max(lb1, lb2)`, which is `lb1` on a valid instance.
     pub binding_bound: u64,
     /// Per-round binding chain, in round order.
     pub chain: Vec<ChainLink>,
@@ -190,7 +189,6 @@ pub fn attribute(input: &ExplainInput) -> Attribution {
     let binding = match (lb1, lb2) {
         (0, 0) => Binding::None,
         (a, b) if a > b => Binding::Lb1,
-        (a, b) if b > a => Binding::Lb2,
         _ => Binding::Tie,
     };
 
@@ -526,29 +524,7 @@ mod tests {
 
     #[test]
     fn lb2_binding_when_witness_dominates() {
-        let input = ExplainInput {
-            disks: vec![
-                DiskLoad {
-                    degree: 2,
-                    capacity: 2,
-                },
-                DiskLoad {
-                    degree: 2,
-                    capacity: 2,
-                },
-            ],
-            witness: Some(WitnessSet {
-                nodes: vec![0, 1],
-                internal_edges: 8,
-                capacity_sum: 4,
-                bound: 4,
-            }),
-            rounds: vec![],
-        };
-        let a = attribute(&input);
-        assert_eq!(a.binding, Binding::Lb2);
-        assert_eq!(a.binding_bound, 4);
-        // Equal bounds tie.
+        // Γ' ≤ Δ' on every valid instance, so the witness at best ties.
         let tie = attribute(&ExplainInput {
             witness: Some(WitnessSet {
                 nodes: vec![0],

@@ -165,7 +165,7 @@ metric_keys! {
     SOLVE_LB1 = "solve.lb1",
         "Lower bound Δ' (LB1) of the solved instance (gauge).";
     SOLVE_LB2 = "solve.lb2",
-        "Lower bound Γ' (LB2) of the solved instance (gauge).";
+        "Lower bound Γ' (LB2), written with `simulate --explain` from its witness (gauge).";
     EXEC_REPLANS = "exec.replans",
         "Closed-loop replans performed by the fault-tolerant executor (counter).";
     EXEC_RETRIES = "exec.retries",
@@ -185,7 +185,7 @@ metric_keys! {
     EVENTS_ITEM_LOST = "events.item_lost",
         "`ItemLost` events recorded by the flight recorder (counter).";
     EXPLAIN_BINDING_BOUND = "explain.binding_bound",
-        "Binding lower bound max(Δ', Γ') reported by the attribution engine (gauge).";
+        "Binding lower bound max(Δ', Γ') = Δ' reported by the attribution engine (gauge).";
     EXPLAIN_LB1_DISK = "explain.lb1_disk",
         "The disk realizing LB1 per the attribution engine (gauge).";
     SHARD_COUNT = "shard.count",

@@ -67,6 +67,29 @@ proptest! {
         prop_assert!(flow <= bounds::lb1(&p));
     }
 
+    /// `lower_bound` is Δ' by proof: Γ' never exceeds it. The max-flow Γ'
+    /// stays the oracle, on mixed-parity, all-odd, all-even and bipartite
+    /// instances.
+    #[test]
+    fn lower_bound_is_delta_prime(
+        (n, edges, caps) in instance_strategy(),
+        mix in 0usize..4,
+    ) {
+        let caps: Vec<u32> = match mix {
+            1 => caps.iter().map(|&c| c | 1).collect(),
+            2 => caps.iter().map(|&c| 2 * c).collect(),
+            _ => caps,
+        };
+        let edges: Vec<(usize, usize)> = match mix {
+            // Bipartite: only edges between an even and an odd index.
+            3 => edges.into_iter().filter(|&(u, v)| (u + v) % 2 == 1).collect(),
+            _ => edges,
+        };
+        let p = build_problem(n, &edges, &caps);
+        prop_assert!(bounds::lb2(&p) <= bounds::lb1(&p));
+        prop_assert_eq!(bounds::lb1(&p), bounds::lower_bound(&p));
+    }
+
     /// The general solver respects the Shannon/Saia 1.5 envelope, stays
     /// within Theorem 5.1's `LB + O(√LB)` of `LB = max(LB1, LB2)`, and
     /// never loses to Saia by more than a round (strict dominance is NOT a
@@ -151,15 +174,16 @@ proptest! {
         prop_assert_eq!(seq.makespan(), p.delta_prime());
     }
 
-    /// Bipartite instances (disk additions, drains, and random edge sets
-    /// whose sides interleave by index) with mixed-parity capacities, one
-    /// side all odd in two cases of three, get exactly Δ' rounds from the
-    /// quota partition. `AutoSolver` takes the same path, byte for byte,
-    /// whenever a capacity is odd, and the component-parallel schedule is
-    /// identical at every thread count.
+    /// Bipartite instances (disk additions, drains, single-source drains
+    /// onto many receivers, and random edge sets whose sides interleave by
+    /// index) with mixed-parity capacities, one side all odd in two cases
+    /// of three, get exactly Δ' rounds from the quota partition.
+    /// `AutoSolver` takes the same path, byte for byte, whenever a capacity
+    /// is odd, and the component-parallel schedule is identical at every
+    /// thread count.
     #[test]
     fn bipartite_solver_exactly_optimal(
-        (kind, odd_side) in (0usize..3, 0usize..3),
+        (kind, odd_side) in (0usize..4, 0usize..3),
         (nl, nr) in (1usize..7, 1usize..7),
         items in 0usize..300,
         seed in 0u64..1000,
@@ -169,6 +193,7 @@ proptest! {
         let (g, left_count) = match kind {
             0 => (disk_ops::disk_addition(nl, nr, items, seed), nl),
             1 => (disk_ops::disk_removal(nl + nr, nl, items, seed), nl),
+            3 => (disk_ops::disk_removal(1 + 6 * nr, 1, items, seed), 1),
             _ => {
                 // Left disks are the even indices, right disks the odd ones.
                 let mut g = Multigraph::with_nodes(2 * nl.max(nr));
