@@ -774,19 +774,32 @@ fn record_explain_gauges(attr: &dmig_obs::explain::Attribution) {
     }
 }
 
+/// `dmig simulate`. The recorder is on before the inputs are read, so
+/// `simulate.parse` is a root span beside the solve, the simulation and
+/// `simulate.explain` (Γ' and the attribution, under `--explain`).
 fn cmd_simulate(args: &[String]) -> Result<String, String> {
     let pos = positional(args);
     let path = pos.first().ok_or("simulate: missing instance file")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let problem =
-        instance::parse_instance(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
     let solver = pick_solver(args)?;
-    let cluster = parse_cluster(args, &problem)?;
-    let faulted = parse_fault_args(args, &problem)?;
     let report_out = optional_flag(args, "--report-out")?;
     let obs = parse_obs(args)?;
     let progress = args.iter().any(|a| a == "--progress");
     obs.begin()?;
+    let (text, problem, cluster, faulted) = {
+        let _span = dmig_obs::span("simulate.parse");
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
+        text.and_then(|text| {
+            let problem =
+                instance::parse_instance(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+            let cluster = parse_cluster(args, &problem)?;
+            let faulted = parse_fault_args(args, &problem)?;
+            Ok((text, problem, cluster, faulted))
+        })
+        .map_err(|e| {
+            obs.abandon();
+            e
+        })?
+    };
     dmig_obs::gauge_set(dmig_obs::keys::LIVE_PHASE, dmig_obs::phase::SOLVE);
     if progress {
         dmig_sim::progress::set_progress(true);
@@ -821,6 +834,7 @@ fn cmd_simulate(args: &[String]) -> Result<String, String> {
     // with faults injected, the executed timeline may differ, but the
     // bounds and binding chain are properties of the plan.
     let explain = if args.iter().any(|a| a == "--explain") {
+        let _span = dmig_obs::span("simulate.explain");
         let input = match explain_input(&problem, &schedule, &cluster) {
             Ok(i) => i,
             Err(e) => {

@@ -77,9 +77,9 @@ const REPORT: &str = "report.json";
 pub fn cmd_migrate(args: &[String]) -> Result<String, String> {
     let mut it = args.iter().map(String::as_str);
     match it.next() {
-        Some("plan") => cmd_plan(&args[1..]),
-        Some("execute") => cmd_execute(&args[1..], false),
-        Some("resume") => cmd_execute(&args[1..], true),
+        Some("plan") => recorded(&args[1..], plan_workspace),
+        Some("execute") => recorded(&args[1..], |args| run_session(args, false)),
+        Some("resume") => recorded(&args[1..], |args| run_session(args, true)),
         Some("export") => cmd_export(&args[1..]),
         Some("import") => cmd_import(&args[1..]),
         Some(other) => Err(format!(
@@ -158,17 +158,20 @@ fn finite_of_bits(cfg: &Value, key: &str) -> Result<f64, String> {
 
 // --- plan ---------------------------------------------------------------
 
-/// `migrate plan`. With `--metrics-out FILE` the span recorder is on for
-/// the whole command, and the snapshot it writes breaks the command down
-/// by phase: `migrate.parse`, `migrate.solve`, `migrate.render` and
-/// `migrate.publish`. Without the flag the recorder stays off.
-fn cmd_plan(args: &[String]) -> Result<String, String> {
+/// Runs a `migrate` verb with the span recorder on only when
+/// `--metrics-out FILE` is given, and then writes the snapshot to FILE
+/// once the verb has succeeded. Without the flag the verb pays for no
+/// counters, gauges or spans; its outputs are the same bytes.
+fn recorded(
+    args: &[String],
+    verb: impl FnOnce(&[String]) -> Result<String, String>,
+) -> Result<String, String> {
     let Some(path) = crate::optional_flag(args, "--metrics-out")? else {
-        return plan_workspace(args);
+        return verb(args);
     };
     dmig_obs::reset();
     dmig_obs::set_enabled(true);
-    let out = plan_workspace(args);
+    let out = verb(args);
     dmig_obs::set_enabled(false);
     let out = out?;
     let snap = dmig_obs::snapshot();
@@ -177,6 +180,9 @@ fn cmd_plan(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
+/// `migrate plan`. Its `--metrics-out` snapshot breaks the command down
+/// into `migrate.parse`, `migrate.solve`, `migrate.render` and
+/// `migrate.publish`.
 fn plan_workspace(args: &[String]) -> Result<String, String> {
     let parse_span = dmig_obs::span("migrate.parse");
     let pos = crate::positional(args);
@@ -656,19 +662,10 @@ fn close_journal() {
     dmig_obs::events::reset();
 }
 
-/// `migrate execute` and `migrate resume`. The span recorder is on for the
-/// whole command, so a `--metrics-out` snapshot breaks it down by phase:
-/// `migrate.load`, `migrate.restore` (resume only), `migrate.step`,
-/// `migrate.record` and `migrate.sync` once per round boundary, and
-/// `migrate.report`.
-fn cmd_execute(args: &[String], resume: bool) -> Result<String, String> {
-    dmig_obs::reset();
-    dmig_obs::set_enabled(true);
-    let out = run_session(args, resume);
-    dmig_obs::set_enabled(false);
-    out
-}
-
+/// `migrate execute` and `migrate resume`. Their `--metrics-out` snapshot
+/// breaks the command down into `migrate.load`, `migrate.restore` (resume
+/// only), `migrate.step`, `migrate.record` and `migrate.sync` once per
+/// round boundary, and `migrate.report`.
 #[allow(clippy::too_many_lines)]
 fn run_session(args: &[String], resume: bool) -> Result<String, String> {
     let verb = if resume { "resume" } else { "execute" };
@@ -870,12 +867,6 @@ fn run_session(args: &[String], resume: bool) -> Result<String, String> {
         let _span = dmig_obs::span("migrate.report");
         ws.write(REPORT, &report_json)?;
     }
-    if let Some(path) = crate::optional_flag(args, "--metrics-out")? {
-        let snap = dmig_obs::snapshot();
-        fsio::atomic_write(&path, snap.to_json().as_bytes())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-
     Ok(render_exec_summary(
         verb,
         &ws,

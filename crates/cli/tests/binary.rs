@@ -148,7 +148,8 @@ fn generate_pipe_solve_roundtrip() {
 /// no `solve.lb2`, and every Dinic call is a quota-partition flow solve.
 /// Its spans cover the command: parse, solve, validate and render are
 /// the roots. `simulate --explain` computes Γ' once, for the witness it
-/// prints, and publishes it as `solve.lb2`.
+/// prints, and publishes it as `solve.lb2`; its roots are the parse, the
+/// solve, the simulation and the explanation.
 #[test]
 fn only_explain_snapshots_carry_gamma_prime() {
     let dir = std::env::temp_dir();
@@ -209,5 +210,15 @@ fn only_explain_snapshots_carry_gamma_prime() {
     let lb1 = explained.gauges["solve.lb1"];
     assert_eq!(explained.gauges.get("solve.lb2"), Some(&3));
     assert_eq!(explained.gauges["explain.binding_bound"], lb1);
+    let roots: Vec<&str> = explained.spans.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(
+        roots,
+        [
+            "simulate.parse",
+            "solve_sharded",
+            "simulate_rounds",
+            "simulate.explain"
+        ]
+    );
     std::fs::remove_file(&path).ok();
 }

@@ -347,7 +347,7 @@ fn a_manifest_without_the_plan_pin_resumes_only_from_a_full_record() {
     };
     let missing = "error: manifest.json: missing `plan`: plan.json is not pinned";
 
-    let ws = plan_ci_scenario(&scratch, "ws-older");
+    let ws = plan_inherited(&scratch, "ws-older");
     unpin(&ws);
     let (code, out) = dmig(&["migrate", "execute", "--workspace", &ws]);
     assert_eq!(code, 1, "{out}");
@@ -360,10 +360,15 @@ fn a_manifest_without_the_plan_pin_resumes_only_from_a_full_record() {
     .unwrap();
     let (code, out) = dmig(&["migrate", "resume", "--workspace", &ws]);
     assert_eq!(code, 0, "{out}");
-    assert_eq!(
-        read(&ws, "report.json"),
-        std::fs::read(golden.join("resume/report.json")).unwrap()
-    );
+    for (written, file) in [
+        ("journal.jsonl", "resumed.jsonl"),
+        ("report.json", "report.json"),
+    ] {
+        assert!(
+            read(&ws, written) == std::fs::read(golden.join("inherited").join(file)).unwrap(),
+            "{ws}/{written} differs from tests/golden/inherited/{file}"
+        );
+    }
 
     let ws = plan_ci_scenario(&scratch, "ws-from-plan");
     let (code, _) = dmig(&[
@@ -801,16 +806,29 @@ fn plan_ci_scenario(scratch: &Scratch, ws: &str) -> String {
     dir
 }
 
+/// The CI fault scenario as an earlier build planned it: its `plan.json`
+/// and `manifest.json` from `tests/golden/inherited/`, where the journal
+/// that build's aborted `execute` left was written against them.
+fn plan_inherited(scratch: &Scratch, ws: &str) -> String {
+    let dir = plan_ci_scenario(scratch, ws);
+    let inherited = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/inherited");
+    for file in ["plan.json", "manifest.json"] {
+        std::fs::copy(inherited.join(file), Path::new(&dir).join(file)).unwrap();
+    }
+    dir
+}
+
 /// The workspace bytes are pinned: `tests/golden/` holds the four files
-/// `plan` writes (`instance.txt`, `plan.json` and `config.json` as written
-/// before the plan-time writers were rewritten, `manifest.json` as it has
-/// been since it pins `plan.json`), and the output of an uninterrupted
+/// `plan` writes (`instance.txt` and `config.json` as written before the
+/// plan-time writers were rewritten), and the output of an uninterrupted
 /// `execute`, and of an `execute` aborted after its second checkpoint
 /// followed by `resume` (the reports as written before the journal codec
-/// was rewritten). `golden/inherited/journal.jsonl` is what the same
-/// aborted `execute` left when every session opened with a full record:
-/// this build resumes it to the same report, continuing the chain of its
-/// last full record exactly as it continues its own journal.
+/// was rewritten). `golden/inherited/` holds the same scenario as an
+/// earlier build, with an earlier even solver, planned it (`plan.json`,
+/// `manifest.json`) and the journal that build's aborted `execute` left
+/// when every session opened with a full record (`journal.jsonl`). This
+/// build resumes that journal, continuing the chain of its last full
+/// record, to `resumed.jsonl` and `report.json` there.
 #[test]
 fn workspace_bytes_match_the_golden_files() {
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
@@ -830,33 +848,7 @@ fn workspace_bytes_match_the_golden_files() {
     assert_ne!(code, 0, "the abort must look like a crash");
     let (code, out) = dmig(&["migrate", "resume", "--workspace", &crashed]);
     assert_eq!(code, 0, "{out}");
-    // The journal an earlier build's aborted `execute` left, resumed by
-    // this build.
-    let inherited = plan_ci_scenario(&scratch, "ws-inherited");
-    let older = std::fs::read(golden.join("inherited/journal.jsonl")).unwrap();
-    std::fs::write(Path::new(&inherited).join("journal.jsonl"), &older).unwrap();
-    let (code, out) = dmig(&["migrate", "resume", "--workspace", &inherited]);
-    assert_eq!(code, 0, "{out}");
-    let marker = |journal: &[u8]| {
-        journal
-            .windows(26)
-            .position(|w| w == b"{\"schema\": \"dmig-resume/1\"")
-            .expect("a resumed journal holds its marker")
-    };
-    let resumed = std::fs::read(golden.join("resume/journal.jsonl")).unwrap();
-    let mut want = older.clone();
-    want.extend_from_slice(&resumed[marker(&resumed)..]);
-    assert!(
-        read(&inherited, "journal.jsonl") == want,
-        "the earlier build's journal, resumed, differs from it followed by \
-         tests/golden/resume/journal.jsonl from its marker on"
-    );
-    assert_eq!(marker(&want), older.len());
-    for (dir, run) in [
-        (&ws, "execute"),
-        (&crashed, "resume"),
-        (&inherited, "resume"),
-    ] {
+    for (dir, run) in [(&ws, "execute"), (&crashed, "resume")] {
         for file in ["instance.txt", "plan.json", "config.json", "manifest.json"] {
             let want = std::fs::read(golden.join("plan").join(file)).unwrap();
             assert!(
@@ -864,12 +856,7 @@ fn workspace_bytes_match_the_golden_files() {
                 "{dir}/{file} differs from tests/golden/plan/{file}"
             );
         }
-        let files: &[&str] = if dir == &inherited {
-            &["report.json"]
-        } else {
-            &["journal.jsonl", "report.json"]
-        };
-        for file in files {
+        for file in ["journal.jsonl", "report.json"] {
             let want = std::fs::read(golden.join(run).join(file)).unwrap();
             assert!(
                 read(dir, file) == want,
@@ -877,6 +864,31 @@ fn workspace_bytes_match_the_golden_files() {
             );
         }
     }
+
+    // The journal an earlier build's aborted `execute` left, resumed by
+    // this build on the plan it was written against: the resume appends to
+    // it, writes the pinned bytes, and reports what this build's
+    // uninterrupted `execute` of that plan reports.
+    let older = std::fs::read(golden.join("inherited/journal.jsonl")).unwrap();
+    let resumed = std::fs::read(golden.join("inherited/resumed.jsonl")).unwrap();
+    let report = std::fs::read(golden.join("inherited/report.json")).unwrap();
+    assert!(resumed.starts_with(&older));
+    let inherited = plan_inherited(&scratch, "ws-inherited");
+    std::fs::write(Path::new(&inherited).join("journal.jsonl"), &older).unwrap();
+    let (code, out) = dmig(&["migrate", "resume", "--workspace", &inherited]);
+    assert_eq!(code, 0, "{out}");
+    assert!(
+        read(&inherited, "journal.jsonl") == resumed,
+        "the earlier build's journal, resumed, differs from tests/golden/inherited/resumed.jsonl"
+    );
+    assert!(
+        read(&inherited, "report.json") == report,
+        "the earlier build's journal, resumed, differs from tests/golden/inherited/report.json"
+    );
+    let uninterrupted = plan_inherited(&scratch, "ws-inherited-execute");
+    let (code, out) = dmig(&["migrate", "execute", "--workspace", &uninterrupted]);
+    assert_eq!(code, 0, "{out}");
+    assert_eq!(read(&uninterrupted, "report.json"), report);
 }
 
 /// The records of a journal that are full records, not deltas.
@@ -1153,6 +1165,41 @@ fn deeply_nested_checkpoint_is_a_line_numbered_error() {
         out.contains(&format!("line {}: unparseable checkpoint", lines + 1)),
         "{out}"
     );
+}
+
+/// The span recorder, on only under `--metrics-out`, observes and never
+/// steers: `execute`, and an aborted `execute` then `resume`, write the
+/// same journal, report and stdout with the flag and without it.
+#[test]
+fn metrics_out_changes_no_session_output() {
+    let scratch = Scratch::new("metrics-identity");
+    let metrics = scratch.path("metrics.json");
+    let mut outputs = Vec::new();
+    for flags in [&[][..], &["--metrics-out", &metrics][..]] {
+        let tag = flags.len();
+        let run = |verb: &str, ws: &str, abort: &[&str]| {
+            let mut args = vec!["migrate", verb, "--workspace", ws];
+            args.extend(abort.iter().chain(flags));
+            let (code, out) = dmig(&args);
+            (code, out.replace(ws, "WS").into_bytes())
+        };
+        let ws = plan_ci_scenario(&scratch, &format!("ws-{tag}"));
+        let (code, executed) = run("execute", &ws, &[]);
+        assert_eq!(code, 0);
+        let crashed = plan_ci_scenario(&scratch, &format!("ws-crashed-{tag}"));
+        let (code, _) = run("execute", &crashed, &["--abort-after-checkpoint", "2"]);
+        assert_ne!(code, 0, "the abort must look like a crash");
+        let (code, resumed) = run("resume", &crashed, &[]);
+        assert_eq!(code, 0);
+        let files =
+            [&ws, &crashed].map(|dir| [read(dir, "journal.jsonl"), read(dir, "report.json")]);
+        outputs.push((executed, resumed, files));
+    }
+    assert!(
+        outputs[0] == outputs[1],
+        "--metrics-out changed a session's output"
+    );
+    assert!(read(&scratch.path(""), "metrics.json").starts_with(b"{"));
 }
 
 /// `--metrics-out` breaks `plan`, `execute` and `resume` down by phase,

@@ -19,8 +19,8 @@
 //!   `Γ' = max_S ⌈2|E(S)|/Σc_v⌉`, the latter computed exactly via maximum-
 //!   density subgraph.
 //! * [`even`] — the polynomial-time **optimal** algorithm for even `c_v`
-//!   (§IV): degree padding, Euler orientation, and `Δ'` rounds of
-//!   `c_v/2`-matchings extracted by max-flow.
+//!   (§IV): Euler orientation, grouped degree padding, and `Δ'`
+//!   quota-exact rounds split by Euler walks and max-flow.
 //! * [`general`] — the solver for arbitrary `c_v` (§V): capacitated
 //!   alternating-walk recoloring with orbit-style shift moves, escalating
 //!   the color budget only in the paper's "witness" situation; optional

@@ -253,10 +253,12 @@ fn counters_match_quota_recursion_prediction() {
     }
 }
 
-/// A drain from one disk pads at most `items + Δ'` dummy arcs. Disk 0
-/// (c = 3) sends 300 items to 50 receivers of capacity 1–4, so Δ' = 100;
-/// padding every receiver to `c_v·Δ'` took 12,000 dummy arcs. The quota
-/// partition's span label counts every arc it splits.
+/// A drain from one disk pads at most `items + Δ'` dummy arcs, through
+/// either exact solver. Disk 0 (c = 3) sends 300 items to 50 receivers of
+/// capacity 1–4, so Δ' = 100; padding every receiver to `c_v·Δ'` took
+/// 12,000 dummy arcs. With every capacity doubled the even solver takes
+/// it in Δ' = 50 rounds. The quota partition's span label counts every
+/// arc it splits.
 #[test]
 fn single_disk_drain_pads_at_most_items_plus_delta() {
     let _g = obs_lock();
@@ -265,27 +267,33 @@ fn single_disk_drain_pads_at_most_items_plus_delta() {
     for i in 0..300 {
         b = b.edge(0, 1 + i % 50);
     }
-    let caps = std::iter::once(3)
-        .chain((0..50).map(|i| 1 + i % 4))
-        .collect();
-    let p = MigrationProblem::new(b.build(), Capacities::from_vec(caps)).unwrap();
-    assert_eq!(p.delta_prime(), 100);
-    dmig_obs::reset();
-    dmig_obs::set_enabled(true);
-    let s = solve_bipartite(&p).unwrap();
-    dmig_obs::set_enabled(false);
-    assert_eq!(s.makespan(), 100);
-    let snap = dmig_obs::snapshot();
-    let mut stack: Vec<&dmig_obs::SpanNode> = snap.spans.iter().collect();
-    let label = loop {
-        let span = stack.pop().expect("a quota_round_partition span");
-        if span.name == "quota_round_partition" {
-            break span.label.clone().unwrap_or_default();
-        }
-        stack.extend(&span.children);
-    };
-    let arcs: usize = label.split("arcs=").nth(1).unwrap().parse().unwrap();
-    assert!(arcs - 300 <= 300 + 100, "{label}");
+    let g = b.build();
+    type Solve = fn(&MigrationProblem) -> Result<MigrationSchedule, SolveError>;
+    for (scale, solve) in [(1, solve_bipartite as Solve), (2, solve_even)] {
+        let caps = std::iter::once(3)
+            .chain((0..50).map(|i| 1 + i % 4))
+            .map(|c| scale * c)
+            .collect();
+        let p = MigrationProblem::new(g.clone(), Capacities::from_vec(caps)).unwrap();
+        let delta = 100 / scale as usize;
+        assert_eq!(p.delta_prime(), delta);
+        dmig_obs::reset();
+        dmig_obs::set_enabled(true);
+        let s = solve(&p).unwrap();
+        dmig_obs::set_enabled(false);
+        assert_eq!(s.makespan(), delta);
+        let snap = dmig_obs::snapshot();
+        let mut stack: Vec<&dmig_obs::SpanNode> = snap.spans.iter().collect();
+        let label = loop {
+            let span = stack.pop().expect("a quota_round_partition span");
+            if span.name == "quota_round_partition" {
+                break span.label.clone().unwrap_or_default();
+            }
+            stack.extend(&span.children);
+        };
+        let arcs: usize = label.split("arcs=").nth(1).unwrap().parse().unwrap();
+        assert!(arcs - 300 <= 300 + delta, "{label}");
+    }
 }
 
 /// Spans recorded on a worker thread carry that worker's track. The first

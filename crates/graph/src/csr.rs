@@ -70,17 +70,6 @@ impl CsrAdjacency {
         self.offsets.len() - 1
     }
 
-    /// Degree of `v` (self-loops count twice), as in the source graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[inline]
-    #[must_use]
-    pub fn degree(&self, v: NodeId) -> usize {
-        self.offsets[v.index() + 1] - self.offsets[v.index()]
-    }
-
     /// The `(edge, far endpoint)` incidence slots of `v`, in insertion
     /// order.
     ///
@@ -211,7 +200,6 @@ mod tests {
         let csr = g.to_csr();
         assert_eq!(csr.num_nodes(), g.num_nodes());
         for v in g.nodes() {
-            assert_eq!(csr.degree(v), g.degree(v));
             let slots = csr.incident(v);
             let expected: Vec<(EdgeId, NodeId)> = g
                 .incident_edges(v)

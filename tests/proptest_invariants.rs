@@ -47,11 +47,22 @@ proptest! {
         }
     }
 
-    /// Even capacities: the §IV algorithm is exactly optimal.
+    /// Even capacities: the §IV algorithm is exactly optimal, on random
+    /// instances and on single-source drains onto many receivers, whose
+    /// receivers share the padding's quota-1 nodes.
     #[test]
-    fn even_solver_exactly_optimal((n, edges, caps) in instance_strategy()) {
-        let even: Vec<u32> = caps.iter().map(|&c| 2 * c).collect();
-        let p = build_problem(n, &edges, &even);
+    fn even_solver_exactly_optimal(
+        (n, edges, caps) in instance_strategy(),
+        (kind, receivers, items, seed) in (0usize..2, 1usize..7, 0usize..300, 0u64..1000),
+    ) {
+        let p = if kind == 1 {
+            let g = disk_ops::disk_removal(1 + 6 * receivers, 1, items, seed);
+            let even = (0..g.num_nodes()).map(|v| 2 * caps[v % n]).collect();
+            MigrationProblem::new(g, Capacities::from_vec(even)).expect("valid")
+        } else {
+            let even: Vec<u32> = caps.iter().map(|&c| 2 * c).collect();
+            build_problem(n, &edges, &even)
+        };
         let s = EvenOptimalSolver.solve(&p).expect("even capacities");
         prop_assert!(s.validate(&p).is_ok());
         prop_assert_eq!(s.makespan(), p.delta_prime());
