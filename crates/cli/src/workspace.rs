@@ -97,8 +97,8 @@ struct Workspace {
 
 impl Workspace {
     fn at(args: &[String]) -> Result<Workspace, String> {
-        let dir =
-            crate::optional_flag(args, "--workspace")?.ok_or("migrate: missing --workspace DIR")?;
+        let dir = crate::args::optional_flag(args, "--workspace")?
+            .ok_or("migrate: missing --workspace DIR")?;
         Ok(Workspace {
             dir: PathBuf::from(dir),
         })
@@ -166,7 +166,7 @@ fn recorded(
     args: &[String],
     verb: impl FnOnce(&[String]) -> Result<String, String>,
 ) -> Result<String, String> {
-    let Some(path) = crate::optional_flag(args, "--metrics-out")? else {
+    let Some(path) = crate::args::optional_flag(args, "--metrics-out")? else {
         return verb(args);
     };
     dmig_obs::reset();
@@ -185,7 +185,7 @@ fn recorded(
 /// `migrate.publish`.
 fn plan_workspace(args: &[String]) -> Result<String, String> {
     let parse_span = dmig_obs::span("migrate.parse");
-    let pos = crate::positional(args);
+    let pos = crate::args::positional(args);
     let path = pos.first().ok_or("migrate plan: missing instance file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let problem =
@@ -197,17 +197,17 @@ fn plan_workspace(args: &[String]) -> Result<String, String> {
             ws.display()
         ));
     }
-    let solver = crate::pick_solver(args)?;
-    let solver_name = crate::flag_value(args, "--solver")
+    let solver = crate::args::pick_solver(args)?;
+    let solver_name = crate::args::flag_value(args, "--solver")
         .unwrap_or("auto")
         .to_string();
-    let threads = crate::parse_threads(args)?;
-    let cluster = crate::parse_cluster(args, &problem)?;
+    let threads = crate::args::parse_threads(args)?;
+    let cluster = crate::args::parse_cluster(args, &problem)?;
 
     // The fault plan is validated against *this* instance at plan time —
     // a disk reference beyond the cluster is a line-numbered error here,
     // not a surprise mid-execution.
-    let faults_text = match crate::optional_flag(args, "--faults")? {
+    let faults_text = match crate::args::optional_flag(args, "--faults")? {
         Some(fpath) => {
             let ftext =
                 std::fs::read_to_string(&fpath).map_err(|e| format!("cannot read {fpath}: {e}"))?;
@@ -219,7 +219,7 @@ fn plan_workspace(args: &[String]) -> Result<String, String> {
     };
     let config = ExecutorConfig {
         replan: args.iter().any(|a| a == "--replan"),
-        retry_max: match crate::optional_flag(args, "--retry-max")? {
+        retry_max: match crate::args::optional_flag(args, "--retry-max")? {
             Some(n) => n.parse().map_err(|e| format!("bad --retry-max: {e}"))?,
             None => ExecutorConfig::default().retry_max,
         },
@@ -565,8 +565,8 @@ fn load_workspace(ws: &Workspace) -> Result<Loaded, String> {
     for (i, b) in bws_doc.iter().enumerate() {
         bws.push(f64_of_bits(b, &format!("bandwidths[{i}]"))?);
     }
-    let cluster =
-        crate::checked_cluster(bws, problem.num_disks()).map_err(|e| format!("{CONFIG}: {e}"))?;
+    let cluster = crate::args::checked_cluster(bws, problem.num_disks())
+        .map_err(|e| format!("{CONFIG}: {e}"))?;
 
     let solver_name = field(&manifest, MANIFEST, "solver")?
         .as_str()
@@ -643,7 +643,7 @@ fn cut_torn_tail(path: &Path, durable_len: usize) -> Result<(), String> {
 }
 
 fn parse_abort_after(args: &[String]) -> Result<Option<u64>, String> {
-    match crate::optional_flag(args, "--abort-after-checkpoint")? {
+    match crate::args::optional_flag(args, "--abort-after-checkpoint")? {
         Some(n) => {
             Ok(Some(n.parse().map_err(|e| {
                 format!("bad --abort-after-checkpoint: {e}")
@@ -675,8 +675,8 @@ fn run_session(args: &[String], resume: bool) -> Result<String, String> {
         load_workspace(&ws)?
     };
     let abort_after = parse_abort_after(args)?;
-    let threads = match crate::flag_value(args, "--threads") {
-        Some(_) => crate::parse_threads(args)?,
+    let threads = match crate::args::flag_value(args, "--threads") {
+        Some(_) => crate::args::parse_threads(args)?,
         None => loaded.threads,
     };
     let inner: Box<dyn Solver> = solver_by_name(&loaded.solver_name)
@@ -918,7 +918,7 @@ fn render_exec_summary(
 fn cmd_export(args: &[String]) -> Result<String, String> {
     let ws = Workspace::at(args)?;
     let out_path =
-        crate::optional_flag(args, "--out")?.ok_or("migrate export: missing --out FILE")?;
+        crate::args::optional_flag(args, "--out")?.ok_or("migrate export: missing --out FILE")?;
     if !ws.path(MANIFEST).exists() {
         return Err(format!(
             "migrate export: {} is not a workspace (no {MANIFEST})",
@@ -946,7 +946,7 @@ fn cmd_export(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_import(args: &[String]) -> Result<String, String> {
-    let pos = crate::positional(args);
+    let pos = crate::args::positional(args);
     let apath = pos.first().ok_or("migrate import: missing archive file")?;
     let ws = Workspace::at(args)?;
     let data = std::fs::read(apath).map_err(|e| format!("cannot read {apath}: {e}"))?;
