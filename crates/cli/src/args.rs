@@ -1,105 +1,179 @@
-//! Reading command-line flags.
+//! The one command-line reader. Every command names the flags it takes,
+//! and [`Args::parse`] splits its arguments into operands, flag values
+//! and switches, refusing a flag the command does not take and a value
+//! flag without its value. The readers at the end turn the flags several
+//! commands share into what those commands run with.
+
+use std::fmt::Display;
+use std::str::FromStr;
 
 use dmig_core::parallel::{default_threads, ParallelSolver};
 use dmig_core::solver::{solver_by_name, AutoSolver, Solver};
 use dmig_core::MigrationProblem;
-use dmig_sim::Cluster;
+use dmig_sim::{Cluster, ExecutorConfig, FaultPlan};
+
+use crate::files;
+use crate::record::RECORDER_VALUES;
+
+/// The flags one command takes.
+#[derive(Clone, Copy)]
+pub(crate) struct Flags {
+    /// Flags followed by a value (`--threads N`).
+    pub(crate) values: &'static [&'static str],
+    /// Flags that stand alone (`--replan`).
+    pub(crate) switches: &'static [&'static str],
+    /// Whether the command also takes the recorder's flags: `--trace` and
+    /// [`RECORDER_VALUES`].
+    pub(crate) recorder: bool,
+}
+
+impl Flags {
+    /// A command that takes no flag.
+    pub(crate) const NONE: Flags = Flags::new(&[], &[]);
+
+    /// A command that takes the value flags `values` and the switches
+    /// `switches`, and no recorder flag.
+    pub(crate) const fn new(
+        values: &'static [&'static str],
+        switches: &'static [&'static str],
+    ) -> Flags {
+        Flags {
+            values,
+            switches,
+            recorder: false,
+        }
+    }
+
+    pub(crate) fn takes_value(&self, flag: &str) -> bool {
+        self.values.contains(&flag) || (self.recorder && RECORDER_VALUES.contains(&flag))
+    }
+
+    pub(crate) fn takes_switch(&self, flag: &str) -> bool {
+        self.switches.contains(&flag) || (self.recorder && flag == "--trace")
+    }
+}
+
+/// One command's arguments, split by the [`Flags`] it takes.
+pub(crate) struct Args<'a> {
+    cmd: &'a str,
+    operands: Vec<&'a str>,
+    /// Every value flag given, with its value, in order; the first
+    /// occurrence of a flag is the one read.
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    /// Splits `args`, the arguments after the command `cmd`. An argument
+    /// that starts with `--` is a flag; a value flag takes the argument
+    /// after it, whatever it is.
+    ///
+    /// # Errors
+    ///
+    /// A flag `cmd` does not take, or a value flag that ends the line.
+    pub(crate) fn parse(
+        cmd: &'a str,
+        flags: Flags,
+        args: &'a [String],
+    ) -> Result<Args<'a>, String> {
+        let mut out = Args {
+            cmd,
+            operands: Vec::new(),
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut it = args.iter().map(String::as_str);
+        while let Some(arg) = it.next() {
+            if !arg.starts_with("--") {
+                out.operands.push(arg);
+            } else if flags.takes_switch(arg) {
+                out.switches.push(arg);
+            } else if flags.takes_value(arg) {
+                let value = it.next().ok_or(format!("bad {arg}: missing value"))?;
+                out.values.push((arg, value));
+            } else {
+                return Err(format!("{cmd}: unknown flag `{arg}`; try `dmig help`"));
+            }
+        }
+        Ok(out)
+    }
+
+    /// The operands: the arguments that are neither flags nor flag values,
+    /// in order.
+    pub(crate) fn operands(&self) -> &[&'a str] {
+        &self.operands
+    }
+
+    /// The first operand, or `CMD: missing WHAT`.
+    pub(crate) fn first(&self, what: &str) -> Result<&'a str, String> {
+        self.operands
+            .first()
+            .copied()
+            .ok_or_else(|| format!("{}: missing {what}", self.cmd))
+    }
+
+    /// The value of `flag`, if given.
+    pub(crate) fn value(&self, flag: &str) -> Option<&'a str> {
+        self.values
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|&(_, v)| v)
+    }
+
+    /// Whether the switch `flag` was given.
+    pub(crate) fn switch(&self, flag: &str) -> bool {
+        self.switches.contains(&flag)
+    }
+
+    /// The value of `flag` read as a `T`.
+    ///
+    /// # Errors
+    ///
+    /// `bad FLAG: …` when the value does not parse.
+    pub(crate) fn number<T>(&self, flag: &str) -> Result<Option<T>, String>
+    where
+        T: FromStr,
+        T::Err: Display,
+    {
+        self.value(flag)
+            .map(|v| v.parse().map_err(|e| format!("bad {flag}: {e}")))
+            .transpose()
+    }
+
+    /// The value of `flag` read as a count of at least 1.
+    ///
+    /// # Errors
+    ///
+    /// `bad FLAG: …` when the value is not such a count.
+    pub(crate) fn count(&self, flag: &str) -> Result<Option<usize>, String> {
+        match self.number::<usize>(flag)? {
+            Some(0) => Err(format!("bad {flag}: must be at least 1")),
+            n => Ok(n),
+        }
+    }
+}
+
+/// `--threads N`, all cores when absent.
+pub(crate) fn threads(args: &Args<'_>) -> Result<usize, String> {
+    Ok(args.count("--threads")?.unwrap_or_else(default_threads))
+}
 
 /// Resolves `--solver`/`--threads` into a component-parallel wrapper around
 /// the named solver. The schedule does not depend on the thread count, so
 /// the wrapper is always applied; display code prints the inner name.
-pub(crate) fn pick_solver(args: &[String]) -> Result<ParallelSolver, String> {
-    let inner: Box<dyn Solver> = match flag_value(args, "--solver") {
+pub(crate) fn solver(args: &Args<'_>) -> Result<ParallelSolver, String> {
+    let inner: Box<dyn Solver> = match args.value("--solver") {
         Some(name) => solver_by_name(name)
             .ok_or_else(|| format!("unknown solver `{name}`; try `dmig help`"))?,
         None => Box::new(AutoSolver),
     };
-    Ok(ParallelSolver::with_threads(inner, parse_threads(args)?))
-}
-
-pub(crate) fn parse_threads(args: &[String]) -> Result<usize, String> {
-    match flag_value(args, "--threads") {
-        Some(s) => match s.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            Ok(_) => Err("bad --threads: must be at least 1".to_string()),
-            Err(e) => Err(format!("bad --threads: {e}")),
-        },
-        None if args.iter().any(|a| a == "--threads") => {
-            Err("bad --threads: missing value".to_string())
-        }
-        None => Ok(default_threads()),
-    }
-}
-
-/// Parses the optional `--shards K` of `solve`: `None` solves whole
-/// connected components, `Some(k)` also cuts components over the default
-/// cell budget and groups the cells onto `k` workers.
-pub(crate) fn parse_shards(args: &[String]) -> Result<Option<usize>, String> {
-    match flag_value(args, "--shards") {
-        Some(s) => match s.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
-            Ok(_) => Err("bad --shards: must be at least 1".to_string()),
-            Err(e) => Err(format!("bad --shards: {e}")),
-        },
-        None if args.iter().any(|a| a == "--shards") => {
-            Err("bad --shards: missing value".to_string())
-        }
-        None => Ok(None),
-    }
-}
-
-pub(crate) fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-/// Flags that take no value (every other `--flag` consumes the next arg).
-pub(crate) const BOOLEAN_FLAGS: &[&str] = &[
-    "--trace",
-    "--progress",
-    "--all",
-    "--check",
-    "--replan",
-    "--explain",
-    "--json",
-];
-
-/// Parses an optional `--flag VALUE`; a dangling flag is an error, not a
-/// silent fallback.
-pub(crate) fn optional_flag(args: &[String], flag: &str) -> Result<Option<String>, String> {
-    match flag_value(args, flag) {
-        Some(v) => Ok(Some(v.to_string())),
-        None if args.iter().any(|a| a == flag) => Err(format!("bad {flag}: missing value")),
-        None => Ok(None),
-    }
-}
-
-pub(crate) fn positional(args: &[String]) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            skip = !BOOLEAN_FLAGS.contains(&a.as_str());
-            continue;
-        }
-        out.push(a.as_str());
-    }
-    out
+    Ok(ParallelSolver::with_threads(inner, threads(args)?))
 }
 
 /// Resolves `--bandwidths B0,B1,…` into a [`Cluster`] (uniform unit
 /// bandwidth when absent).
-pub(crate) fn parse_cluster(
-    args: &[String],
-    problem: &MigrationProblem,
-) -> Result<Cluster, String> {
-    let Some(spec) = optional_flag(args, "--bandwidths")? else {
+pub(crate) fn cluster(args: &Args<'_>, problem: &MigrationProblem) -> Result<Cluster, String> {
+    let Some(spec) = args.value("--bandwidths") else {
         return Ok(Cluster::uniform(problem.num_disks(), 1.0));
     };
     spec.split(',')
@@ -130,4 +204,120 @@ pub(crate) fn checked_cluster(bandwidths: Vec<f64>, disks: usize) -> Result<Clus
         return Err(format!("disk {v} bandwidth {b} must be finite and > 0"));
     }
     Ok(Cluster::from_bandwidths(bandwidths))
+}
+
+/// The fault flags of `simulate` and `migrate plan`: the plan of
+/// `--faults FILE`, as its text and as checked against `problem` (a disk
+/// beyond the cluster fails at its line), and the recovery policy of
+/// `--replan` and `--retry-max N`.
+pub(crate) fn faults(
+    args: &Args<'_>,
+    problem: &MigrationProblem,
+) -> Result<(Option<(String, FaultPlan)>, ExecutorConfig), String> {
+    let plan = match args.value("--faults") {
+        Some(path) => {
+            let text = files::read_text(path)?;
+            let plan = FaultPlan::parse_checked(&text, problem.num_disks())
+                .map_err(|e| format!("{path}: {e}"))?;
+            Some((text, plan))
+        }
+        None => None,
+    };
+    let default = ExecutorConfig::default();
+    let config = ExecutorConfig {
+        replan: args.switch("--replan"),
+        retry_max: args.number("--retry-max")?.unwrap_or(default.retry_max),
+        ..default
+    };
+    Ok((plan, config))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const FLAGS: Flags = Flags::new(&["--threads", "--out"], &["--check"]);
+
+    fn parse<'a>(args: &'a [String]) -> Result<Args<'a>, String> {
+        Args::parse("cmd", FLAGS, args)
+    }
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(ToString::to_string).collect()
+    }
+
+    #[test]
+    fn splits_operands_values_and_switches() {
+        let line = strings(&[
+            "a",
+            "--threads",
+            "3",
+            "-1",
+            "--check",
+            "--out",
+            "--check",
+            "b",
+        ]);
+        let args = parse(&line).unwrap();
+        assert_eq!(args.operands(), ["a", "-1", "b"]);
+        assert_eq!(args.value("--threads"), Some("3"));
+        // A value flag takes the next argument, whatever it is.
+        assert_eq!(args.value("--out"), Some("--check"));
+        assert!(args.switch("--check"));
+        assert_eq!(args.first("thing"), Ok("a"));
+        assert_eq!(args.count("--threads"), Ok(Some(3)));
+    }
+
+    #[test]
+    fn the_first_occurrence_of_a_flag_wins() {
+        let line = strings(&["--threads", "2", "--threads", "x"]);
+        assert_eq!(parse(&line).unwrap().count("--threads"), Ok(Some(2)));
+    }
+
+    #[test]
+    fn unknown_and_dangling_flags_are_errors() {
+        let err = |line: &[&str]| parse(&strings(line)).err().unwrap();
+        assert_eq!(
+            err(&["--thread", "1"]),
+            "cmd: unknown flag `--thread`; try `dmig help`"
+        );
+        assert_eq!(
+            err(&["--trace"]),
+            "cmd: unknown flag `--trace`; try `dmig help`"
+        );
+        assert_eq!(err(&["x", "--threads"]), "bad --threads: missing value");
+        let line = strings(&[]);
+        assert_eq!(
+            parse(&line).unwrap().first("thing"),
+            Err("cmd: missing thing".into())
+        );
+    }
+
+    #[test]
+    fn the_recorder_flags_ride_along_when_asked_for() {
+        let flags = Flags {
+            recorder: true,
+            ..Flags::NONE
+        };
+        let line = strings(&["--trace", "--metrics-out", "m.json"]);
+        let args = Args::parse("cmd", flags, &line).unwrap();
+        assert!(args.switch("--trace"));
+        assert_eq!(args.value("--metrics-out"), Some("m.json"));
+        assert!(Args::parse("cmd", Flags::NONE, &line).is_err());
+    }
+
+    #[test]
+    fn numbers_share_one_error_form() {
+        let line = strings(&["--threads", "0", "--out", "x"]);
+        let args = parse(&line).unwrap();
+        assert_eq!(
+            args.count("--threads"),
+            Err("bad --threads: must be at least 1".into())
+        );
+        assert_eq!(
+            args.number::<u64>("--out"),
+            Err("bad --out: invalid digit found in string".into())
+        );
+        assert_eq!(args.number::<u64>("--absent"), Ok(None));
+    }
 }

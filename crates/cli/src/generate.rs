@@ -3,36 +3,36 @@
 
 use dmig_core::MigrationProblem;
 
-use crate::args::{flag_value, positional};
-use crate::instance;
+use crate::args::{Args, Flags};
+use crate::{files, instance};
 
-pub(crate) fn cmd_import_trace(args: &[String]) -> Result<String, String> {
-    let pos = positional(args);
-    let path = pos.first().ok_or("import-trace: missing trace file")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+/// The flags of `dmig generate`.
+pub(crate) const GENERATE: Flags = Flags::new(&["--seed"], &[]);
+
+/// The flags of `dmig import-trace`.
+pub(crate) const IMPORT_TRACE: Flags = Flags::new(&["--default-cap"], &[]);
+
+pub(crate) fn cmd_import_trace(args: &Args<'_>) -> Result<String, String> {
+    let text = files::read_text(args.first("trace file")?)?;
     let trace = dmig_workloads::trace::parse_trace(&text).map_err(|e| e.to_string())?;
-    let cap: u32 = flag_value(args, "--default-cap")
-        .map_or(Ok(1), str::parse)
-        .map_err(|e| format!("bad --default-cap: {e}"))?;
+    let cap = args.number("--default-cap")?.unwrap_or(1);
     let problem =
         dmig_core::MigrationProblem::uniform(trace.graph, cap).map_err(|e| e.to_string())?;
     Ok(instance::to_instance_text(&problem))
 }
 
-pub(crate) fn cmd_generate(args: &[String]) -> Result<String, String> {
+pub(crate) fn cmd_generate(args: &Args<'_>) -> Result<String, String> {
     use dmig_workloads::{capacities, disk_ops, random, reconfigure};
-    let pos = positional(args);
-    let kind = pos.first().ok_or("generate: missing kind")?;
-    let seed: u64 = flag_value(args, "--seed")
-        .map_or(Ok(42), str::parse)
-        .map_err(|e| format!("bad --seed: {e}"))?;
+    let pos = args.operands();
+    let kind = args.first("kind")?;
+    let seed = args.number("--seed")?.unwrap_or(42);
     let num = |i: usize, what: &str| -> Result<usize, String> {
         pos.get(i)
             .ok_or_else(|| format!("generate {kind}: missing {what}"))?
             .parse::<usize>()
             .map_err(|_| format!("generate {kind}: invalid {what}"))
     };
-    let problem = match *kind {
+    let problem = match kind {
         "k3" => {
             let m = num(1, "M")?;
             let cap = num(2, "cap")?;

@@ -28,6 +28,8 @@ mod solve;
 mod testutil;
 pub mod workspace;
 
+use args::{Args, Flags};
+
 /// Exit status plus rendered output of a CLI invocation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CliOutcome {
@@ -52,21 +54,63 @@ pub fn run(args: &[String]) -> CliOutcome {
     }
 }
 
+/// A command's body: it gets its arguments split by the flags it takes.
+type Body = fn(&Args<'_>) -> Result<String, String>;
+
+/// Every command `dmig` runs: its name (with the verb under `migrate` and
+/// `obs`), the flags it takes, and its body.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, Flags, Body)] = &[
+    ("solve",            solve::SOLVE,             solve::cmd_solve),
+    ("bounds",           Flags::NONE,              solve::cmd_bounds),
+    ("compare",          Flags::NONE,              solve::cmd_compare),
+    ("simulate",         simulate::SIMULATE,       simulate::cmd_simulate),
+    ("migrate plan",     workspace::PLAN_FLAGS,    workspace::cmd_plan),
+    ("migrate execute",  workspace::SESSION_FLAGS, workspace::cmd_execute),
+    ("migrate resume",   workspace::SESSION_FLAGS, workspace::cmd_resume),
+    ("migrate export",   workspace::EXPORT_FLAGS,  workspace::cmd_export),
+    ("migrate import",   workspace::IMPORT_FLAGS,  workspace::cmd_import),
+    ("generate",         generate::GENERATE,       generate::cmd_generate),
+    ("stats",            Flags::NONE,              solve::cmd_stats),
+    ("dot",              Flags::NONE,              solve::cmd_dot),
+    ("import-trace",     generate::IMPORT_TRACE,   generate::cmd_import_trace),
+    ("obs diff",         obs::DIFF,                obs::cmd_diff),
+    ("obs gate",         obs::GATE,                obs::cmd_gate),
+    ("obs serve",        obs::SERVE,               obs::cmd_serve),
+    ("obs export-trace", obs::EXPORT_TRACE,        obs::cmd_export_trace),
+    ("obs flame",        obs::FLAME,               obs::cmd_flame),
+    ("obs explain",      obs::EXPLAIN,             obs::cmd_explain),
+    ("obs compact",      obs::COMPACT,             obs::cmd_compact),
+];
+
 fn run_inner(args: &[String]) -> Result<String, String> {
-    let mut it = args.iter().map(String::as_str);
-    match it.next() {
-        None | Some("help" | "--help" | "-h") => Ok(usage()),
-        Some("solve") => solve::cmd_solve(&args[1..]),
-        Some("bounds") => solve::cmd_bounds(&args[1..]),
-        Some("compare") => solve::cmd_compare(&args[1..]),
-        Some("simulate") => simulate::cmd_simulate(&args[1..]),
-        Some("migrate") => workspace::cmd_migrate(&args[1..]),
-        Some("generate") => generate::cmd_generate(&args[1..]),
-        Some("stats") => solve::cmd_stats(&args[1..]),
-        Some("dot") => solve::cmd_dot(&args[1..]),
-        Some("import-trace") => generate::cmd_import_trace(&args[1..]),
-        Some("obs") => obs::cmd_obs(&args[1..]),
-        Some(other) => Err(format!("unknown command `{other}`; try `dmig help`")),
+    let words = match args.first().map(String::as_str) {
+        None | Some("help" | "--help" | "-h") => return Ok(usage()),
+        Some("migrate" | "obs") => args.len().min(2),
+        Some(_) => 1,
+    };
+    let name = args[..words].join(" ");
+    match COMMANDS.iter().find(|(n, ..)| *n == name) {
+        Some(&(name, flags, body)) => body(&Args::parse(name, flags, &args[words..])?),
+        None => Err(no_command(&args[0], args.get(1).map(String::as_str))),
+    }
+}
+
+/// The error for a command line whose first words name no command.
+fn no_command(first: &str, verb: Option<&str>) -> String {
+    match (first, verb) {
+        ("migrate", Some(verb)) => {
+            format!("migrate: unknown verb `{verb}` (plan|execute|resume|export|import)")
+        }
+        ("migrate", None) => "migrate: missing verb (plan|execute|resume|export|import)".into(),
+        ("obs", Some(verb)) => format!(
+            "obs: unknown subcommand `{verb}` (expected diff, gate, export-trace, flame, \
+             explain, compact, or serve)"
+        ),
+        ("obs", None) => "obs: expected a subcommand: diff, gate, export-trace, flame, \
+                          explain, compact, or serve"
+            .into(),
+        (other, _) => format!("unknown command `{other}`; try `dmig help`"),
     }
 }
 
@@ -174,7 +218,33 @@ fn usage() -> String {
 }
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use super::{usage, COMMANDS};
+    use crate::record::RECORDER_VALUES;
     use crate::testutil::run_str;
+
+    /// Every flag a command takes is in `dmig help`, and every flag `dmig
+    /// help` names is taken by some command. The one flag left out of the
+    /// help is the test hook `--abort-after-checkpoint`.
+    #[test]
+    fn help_names_exactly_the_flags_the_commands_take() {
+        let help = usage();
+        let in_help: BTreeSet<&str> = help
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--") && w.len() > 2)
+            .collect();
+        let mut taken = BTreeSet::new();
+        for (_, flags, _) in COMMANDS {
+            taken.extend(flags.values.iter().chain(flags.switches).copied());
+            if flags.recorder {
+                taken.extend(RECORDER_VALUES);
+                taken.insert("--trace");
+            }
+        }
+        assert!(taken.remove("--abort-after-checkpoint"));
+        assert_eq!(in_help, taken);
+    }
 
     #[test]
     fn help_by_default() {

@@ -4,59 +4,54 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use dmig_core::solver::Solver;
 use dmig_obs::{diff, gate, history, trace, Snapshot, SpanNode, Value};
 
-use dmig_core::solver::Solver;
-
-use crate::args::{optional_flag, parse_cluster, pick_solver, positional};
-use crate::files::load;
+use crate::args::{self, Args, Flags};
+use crate::files::{self, read_instance};
 use crate::simulate::explain_input;
 
-pub(crate) fn cmd_obs(args: &[String]) -> Result<String, String> {
-    match args.first().map(String::as_str) {
-        Some("diff") => cmd_obs_diff(&args[1..]),
-        Some("gate") => cmd_obs_gate(&args[1..]),
-        Some("export-trace") => cmd_obs_export_trace(&args[1..]),
-        Some("flame") => cmd_obs_flame(&args[1..]),
-        Some("explain") => cmd_obs_explain(&args[1..]),
-        Some("compact") => cmd_obs_compact(&args[1..]),
-        Some("serve") => cmd_obs_serve(&args[1..]),
-        Some(other) => Err(format!(
-            "obs: unknown subcommand `{other}` (expected diff, gate, export-trace, flame, explain, compact, or serve)"
-        )),
-        None => Err(
-            "obs: expected a subcommand: diff, gate, export-trace, flame, explain, compact, or serve"
-                .to_string(),
-        ),
-    }
-}
+/// The flags of `dmig obs diff`.
+pub(crate) const DIFF: Flags = Flags::new(&["--tolerance"], &["--all"]);
+
+/// The flags of `dmig obs gate`.
+pub(crate) const GATE: Flags = Flags::new(&["--tolerance", "--baseline"], &["--explain"]);
+
+/// The flags of `dmig obs serve`.
+pub(crate) const SERVE: Flags = Flags::new(&["--addr", "--addr-file", "--requests"], &[]);
+
+/// The flags of `dmig obs export-trace`.
+pub(crate) const EXPORT_TRACE: Flags = Flags::new(&["--out", "--html"], &["--check"]);
+
+/// The flags of `dmig obs flame`.
+pub(crate) const FLAME: Flags = Flags::new(&["--out"], &[]);
+
+/// The flags of `dmig obs explain`.
+pub(crate) const EXPLAIN: Flags = Flags::new(
+    &["--solver", "--threads", "--bandwidths", "--out"],
+    &["--json"],
+);
+
+/// The flags of `dmig obs compact`.
+pub(crate) const COMPACT: Flags = Flags::new(&["--keep"], &[]);
 
 /// `dmig obs explain <instance>`: solves the instance, replays the
 /// schedule's per-round busy profile, and prints which disk realizes LB1,
 /// which witness realizes LB2, and the per-disk binding-chain ranking
 /// (`--json` for the machine-readable `dmig-explain/1` form).
-fn cmd_obs_explain(args: &[String]) -> Result<String, String> {
-    let pos = positional(args);
-    let path = pos.first().ok_or("obs explain: missing instance file")?;
-    let problem = load(path)?;
-    let solver = pick_solver(args)?;
+pub(crate) fn cmd_explain(args: &Args<'_>) -> Result<String, String> {
+    let (_, problem) = read_instance(args.first("instance file")?)?;
+    let solver = args::solver(args)?;
     let schedule = solver.solve(&problem).map_err(|e| e.to_string())?;
-    let cluster = parse_cluster(args, &problem)?;
+    let cluster = args::cluster(args, &problem)?;
     let input = explain_input(&problem, &schedule, &cluster)?;
     let attr = dmig_obs::explain::attribute(&input);
-    let rendered = if args.iter().any(|a| a == "--json") {
+    let rendered = if args.switch("--json") {
         attr.to_json()
     } else {
         attr.render_text(&input.disks)
     };
-    match optional_flag(args, "--out")? {
-        Some(out_path) => {
-            dmig_obs::fsio::atomic_write(&out_path, rendered.as_bytes())
-                .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-            Ok(format!("wrote explanation to {out_path}\n"))
-        }
-        None => Ok(rendered),
-    }
+    files::print_or_write(args, rendered, "explanation")
 }
 
 /// Functions available in gate/diff expressions: the numeric basics plus
@@ -83,7 +78,7 @@ fn load_metrics(spec: &str) -> Result<BTreeMap<String, f64>, String> {
         }
         _ => (spec, 0),
     };
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let text = files::read_text(path)?;
     if let Ok(doc) = Value::parse(&text) {
         return Ok(match doc.get_path("schema").and_then(Value::as_str) {
             Some("dmig-obs/1") => Snapshot::from_value(&doc)
@@ -109,50 +104,40 @@ fn load_metrics(spec: &str) -> Result<BTreeMap<String, f64>, String> {
     Ok(history::entry_metrics(&entries[idx]))
 }
 
-fn cmd_obs_diff(args: &[String]) -> Result<String, String> {
-    let pos = positional(args);
-    let [old_spec, new_spec] = pos.as_slice() else {
+pub(crate) fn cmd_diff(args: &Args<'_>) -> Result<String, String> {
+    let [old_spec, new_spec] = args.operands() else {
         return Err("obs diff: expected exactly two metrics files".to_string());
     };
-    let tolerance = match optional_flag(args, "--tolerance")? {
-        Some(t) => t
-            .parse::<f64>()
-            .map_err(|e| format!("bad --tolerance: {e}"))?,
-        // Default noise floor: timing metrics jitter run to run; 5% keeps
-        // the diff focused on real movement.
-        None => 0.05,
-    };
+    // Default noise floor: timing metrics jitter run to run; 5% keeps the
+    // diff focused on real movement.
+    let tolerance = args.number("--tolerance")?.unwrap_or(0.05);
     let old = load_metrics(old_spec)?;
     let new = load_metrics(new_spec)?;
     let d = diff::diff_metrics(&old, &new, tolerance);
-    Ok(d.render(!args.iter().any(|a| a == "--all")))
+    Ok(d.render(!args.switch("--all")))
 }
 
-fn cmd_obs_gate(args: &[String]) -> Result<String, String> {
-    let pos = positional(args);
-    let [rules_path, metrics_spec] = pos.as_slice() else {
+pub(crate) fn cmd_gate(args: &Args<'_>) -> Result<String, String> {
+    let [rules_path, metrics_spec] = args.operands() else {
         return Err("obs gate: expected <rules.toml> <metrics-file>".to_string());
     };
-    let rules_text = std::fs::read_to_string(rules_path)
-        .map_err(|e| format!("cannot read {rules_path}: {e}"))?;
+    let rules_text = files::read_text(rules_path)?;
     let mut rules = gate::parse_rules(&rules_text).map_err(|e| format!("{rules_path}: {e}"))?;
-    if let Some(t) = optional_flag(args, "--tolerance")? {
-        rules.default_tolerance = t
-            .parse::<f64>()
-            .map_err(|e| format!("bad --tolerance: {e}"))?;
+    if let Some(t) = args.number("--tolerance")? {
+        rules.default_tolerance = t;
     }
     let mut metrics = load_metrics(metrics_spec)?;
-    if let Some(baseline_spec) = optional_flag(args, "--baseline")? {
+    if let Some(baseline_spec) = args.value("--baseline") {
         // Baseline metrics join the namespace under a `baseline.` prefix so
         // rules can express drift bounds like
         // `sim.rounds <= baseline.sim.rounds * 1.1`. Current-run keys win on
         // the (pathological) chance of a collision.
-        for (k, v) in load_metrics(&baseline_spec)? {
+        for (k, v) in load_metrics(baseline_spec)? {
             metrics.entry(format!("baseline.{k}")).or_insert(v);
         }
     }
     let report = gate::evaluate(&rules, &metrics, &gate_functions());
-    let rendered = if args.iter().any(|a| a == "--explain") {
+    let rendered = if args.switch("--explain") {
         report.render_explained()
     } else {
         report.render()
@@ -168,22 +153,15 @@ fn cmd_obs_gate(args: &[String]) -> Result<String, String> {
 /// HTTP: `/metrics` in Prometheus text exposition, `/snapshot` as the
 /// original JSON. Blocks until `--requests N` requests have been served
 /// (without `--requests` it runs until killed).
-fn cmd_obs_serve(args: &[String]) -> Result<String, String> {
-    let pos = positional(args);
-    let path = pos.first().ok_or("obs serve: missing snapshot file")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+pub(crate) fn cmd_serve(args: &Args<'_>) -> Result<String, String> {
+    let path = args.first("snapshot file")?;
+    let text = files::read_text(path)?;
     let doc = Value::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
     let snapshot = Snapshot::from_value(&doc).map_err(|e| format!("{path}: {e}"))?;
-    let addr = optional_flag(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:9464".to_string());
-    let max_requests = match optional_flag(args, "--requests")? {
-        Some(n) => Some(
-            n.parse::<u64>()
-                .map_err(|e| format!("bad --requests: {e}"))?,
-        ),
-        None => None,
-    };
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:9464");
+    let max_requests = args.number("--requests")?;
     let server = dmig_obs::serve::ObsServer::start(
-        &addr,
+        addr,
         dmig_obs::serve::ServeSource::Fixed {
             snapshot,
             raw: text,
@@ -191,9 +169,8 @@ fn cmd_obs_serve(args: &[String]) -> Result<String, String> {
         max_requests,
     )?;
     let local = server.local_addr();
-    if let Some(addr_file) = optional_flag(args, "--addr-file")? {
-        dmig_obs::fsio::atomic_write(&addr_file, format!("{local}\n").as_bytes())
-            .map_err(|e| format!("cannot write {addr_file}: {e}"))?;
+    if let Some(addr_file) = args.value("--addr-file") {
+        files::write(addr_file, format!("{local}\n").as_bytes())?;
     }
     let served = server.join();
     Ok(format!("served {served} request(s) on http://{local}\n"))
@@ -202,81 +179,59 @@ fn cmd_obs_serve(args: &[String]) -> Result<String, String> {
 /// The span forest of the `dmig-obs/1` snapshot at `path`, for
 /// `export-trace` and `flame`.
 fn read_snapshot_spans(path: &str) -> Result<Vec<SpanNode>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let text = files::read_text(path)?;
     let doc = Value::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     Ok(Snapshot::from_value(&doc)
         .map_err(|e| format!("{path}: {e}"))?
         .spans)
 }
 
-fn cmd_obs_export_trace(args: &[String]) -> Result<String, String> {
-    let pos = positional(args);
-    let path = pos
-        .first()
-        .ok_or("obs export-trace: missing snapshot file")?;
-    let spans = read_snapshot_spans(path)?;
+pub(crate) fn cmd_export_trace(args: &Args<'_>) -> Result<String, String> {
+    let spans = read_snapshot_spans(args.first("snapshot file")?)?;
     let chrome = trace::chrome_trace(&spans);
-    let stats = if args.iter().any(|a| a == "--check") {
+    let stats = if args.switch("--check") {
         Some(trace::validate_chrome_trace(&chrome).map_err(|e| format!("invalid trace: {e}"))?)
     } else {
         None
     };
     let mut out = String::new();
-    if let Some(html_path) = optional_flag(args, "--html")? {
-        dmig_obs::fsio::atomic_write(&html_path, trace::html_timeline(&spans).as_bytes())
-            .map_err(|e| format!("cannot write {html_path}: {e}"))?;
+    if let Some(html_path) = args.value("--html") {
+        files::write(html_path, trace::html_timeline(&spans).as_bytes())?;
         let _ = writeln!(out, "wrote HTML timeline to {html_path}");
     }
-    match optional_flag(args, "--out")? {
-        Some(out_path) => {
-            dmig_obs::fsio::atomic_write(&out_path, chrome.as_bytes())
-                .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-            let _ = writeln!(out, "wrote Chrome trace to {out_path}");
-            if let Some(s) = stats {
-                let _ = writeln!(
-                    out,
-                    "checked: {} begin / {} end events, {} open, {} track(s)",
-                    s.begins,
-                    s.ends,
-                    s.open,
-                    s.tracks.len()
-                );
-            }
-        }
-        // No --out: the trace itself is the output, pipeable to a file.
-        None => out.push_str(&chrome),
+    // No --out: the trace itself is the output, pipeable to a file.
+    out.push_str(&files::print_or_write(args, chrome, "Chrome trace")?);
+    if let (Some(s), Some(_)) = (stats, args.value("--out")) {
+        let _ = writeln!(
+            out,
+            "checked: {} begin / {} end events, {} open, {} track(s)",
+            s.begins,
+            s.ends,
+            s.open,
+            s.tracks.len()
+        );
     }
     Ok(out)
 }
 
-fn cmd_obs_flame(args: &[String]) -> Result<String, String> {
-    let pos = positional(args);
-    let path = pos.first().ok_or("obs flame: missing snapshot file")?;
-    let spans = read_snapshot_spans(path)?;
+pub(crate) fn cmd_flame(args: &Args<'_>) -> Result<String, String> {
+    let spans = read_snapshot_spans(args.first("snapshot file")?)?;
     let table = trace::render_rollup_text(&trace::self_time_rollup(&spans));
-    match optional_flag(args, "--out")? {
-        Some(out_path) => {
-            dmig_obs::fsio::atomic_write(&out_path, table.as_bytes())
-                .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-            Ok(format!("wrote self-time rollup to {out_path}\n"))
-        }
-        None => Ok(table),
-    }
+    files::print_or_write(args, table, "self-time rollup")
 }
 
-fn cmd_obs_compact(args: &[String]) -> Result<String, String> {
-    let pos = positional(args);
-    let path = pos.first().ok_or("obs compact: missing history file")?;
-    let keep: usize = optional_flag(args, "--keep")?
-        .ok_or("obs compact: --keep N is required")?
-        .parse()
-        .map_err(|e| format!("bad --keep: {e}"))?;
+pub(crate) fn cmd_compact(args: &Args<'_>) -> Result<String, String> {
+    let path = args.first("history file")?;
+    let keep = args
+        .number("--keep")?
+        .ok_or("obs compact: --keep N is required")?;
     let (kept, dropped) = history::compact(path, keep)?;
     Ok(format!(
         "compacted {path}: kept {kept} entr{}, dropped {dropped}\n",
         if kept == 1 { "y" } else { "ies" }
     ))
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,29 +3,40 @@
 
 use std::time::Duration;
 
-use dmig_obs::{history, trace};
+use dmig_obs::{history, trace, KeyKind};
 
-use crate::args::optional_flag;
+use crate::args::Args;
+use crate::files;
+
+/// The value flags of the recorder; `--trace` is its one switch. `solve`
+/// and `simulate` take all of them, `migrate plan|execute|resume` only
+/// `--metrics-out`.
+pub(crate) const RECORDER_VALUES: [&str; 8] = [
+    "--metrics-out",
+    "--trace-out",
+    "--trace-html",
+    "--history",
+    "--events-out",
+    "--crash-dump",
+    "--serve",
+    "--serve-addr-file",
+];
 
 /// The observability request of one invocation (`--trace`,
 /// `--metrics-out`, `--trace-out`, `--trace-html`, `--history`,
 /// `--events-out`, `--crash-dump`, `--serve`). When no flag is given the
-/// recorder stays disabled and the solve runs exactly as before (the
-/// instrumentation is a no-op).
-pub(crate) struct ObsRequest {
+/// recorder stays disabled and the command runs exactly as without it
+/// (the instrumentation is a no-op).
+pub(crate) struct ObsRequest<'a> {
     trace: bool,
-    metrics_out: Option<String>,
-    trace_out: Option<String>,
-    trace_html: Option<String>,
-    history: Option<String>,
-    events_out: Option<String>,
-    crash_dump: Option<String>,
-    serve: Option<String>,
-    serve_addr_file: Option<String>,
-    /// The live plane started by [`ObsRequest::begin`] when `--serve` is
-    /// given. The CLI is single-threaded, so interior mutability keeps
-    /// `begin`/`finish` taking `&self` like every other accessor.
-    live: std::cell::RefCell<Option<LivePlane>>,
+    metrics_out: Option<&'a str>,
+    trace_out: Option<&'a str>,
+    trace_html: Option<&'a str>,
+    history: Option<&'a str>,
+    events_out: Option<&'a str>,
+    crash_dump: Option<&'a str>,
+    serve: Option<&'a str>,
+    serve_addr_file: Option<&'a str>,
 }
 
 /// The background half of `--serve`: the HTTP listener plus the sampling
@@ -37,12 +48,24 @@ struct LivePlane {
     sampler: dmig_obs::sampler::SamplerHandle,
 }
 
-/// Per-run metadata handed to [`ObsRequest::finish`] for the history line
-/// and the per-disk utilization lane of the HTML timeline.
-pub(crate) struct RunContext<'a> {
-    pub(crate) source: &'a str,
+impl LivePlane {
+    /// Stops the sampler and the HTTP listener. Joining both threads here
+    /// means no background thread outlives the command that spawned it.
+    fn stop(self) {
+        self.sampler.stop();
+        let served = self.server.shutdown();
+        dmig_obs::counter_add(dmig_obs::keys::SERVE_REQUESTS, served);
+    }
+}
+
+/// Per-run metadata for the history line and the per-disk utilization
+/// lane of the HTML timeline. A command that takes neither `--history`
+/// nor `--trace-html` leaves it empty.
+#[derive(Default)]
+pub(crate) struct RunContext {
+    pub(crate) source: &'static str,
     pub(crate) threads: usize,
-    pub(crate) instance_text: &'a str,
+    pub(crate) instance_text: String,
     pub(crate) wall: Duration,
     pub(crate) disks: Vec<trace::DiskUtilRow>,
 }
@@ -51,53 +74,22 @@ fn hardware_threads() -> u64 {
     std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
 }
 
-/// Counters pre-registered before an instrumented run so the JSON export
-/// always contains them, even when a small instance never hits a path.
-const WELL_KNOWN_COUNTERS: &[&str] = &[
-    dmig_obs::keys::FLOW_SOLVES,
-    dmig_obs::keys::EULER_SPLITS,
-    dmig_obs::keys::WARM_START_HITS,
-    dmig_obs::keys::WARM_START_MISSES,
-    dmig_obs::keys::EULER_ORIENTATIONS,
-    dmig_obs::keys::DINIC_CALLS,
-    dmig_obs::keys::DINIC_BFS_PHASES,
-    dmig_obs::keys::DINIC_AUGMENTING_PATHS,
-    dmig_obs::keys::SIM_ROUNDS,
-    dmig_obs::keys::SIM_TRANSFERS,
-    dmig_obs::keys::SIM_STALLS,
-    dmig_obs::keys::POOL_ACQUIRES,
-    dmig_obs::keys::POOL_ACQUIRE_DENIED,
-    dmig_obs::keys::POOL_TASKS,
-    dmig_obs::keys::POOL_STEALS,
-    dmig_obs::keys::SCRATCH_REUSES,
-    dmig_obs::keys::SCRATCH_ALLOCS,
-    dmig_obs::keys::EXEC_REPLANS,
-    dmig_obs::keys::EXEC_RETRIES,
-    dmig_obs::keys::EXEC_LOST_ITEMS,
-    dmig_obs::keys::EXEC_DEGRADED_ROUNDS,
-    dmig_obs::keys::EXEC_REDIRECTS,
-    dmig_obs::keys::EXEC_CRASHES,
-    dmig_obs::keys::EVENTS_EMITTED,
-    dmig_obs::keys::EVENTS_DROPPED,
-    dmig_obs::keys::EVENTS_ITEM_LOST,
-];
+impl<'a> ObsRequest<'a> {
+    /// The recorder flags among `args`.
+    pub(crate) fn new(args: &Args<'a>) -> ObsRequest<'a> {
+        ObsRequest {
+            trace: args.switch("--trace"),
+            metrics_out: args.value("--metrics-out"),
+            trace_out: args.value("--trace-out"),
+            trace_html: args.value("--trace-html"),
+            history: args.value("--history"),
+            events_out: args.value("--events-out"),
+            crash_dump: args.value("--crash-dump"),
+            serve: args.value("--serve"),
+            serve_addr_file: args.value("--serve-addr-file"),
+        }
+    }
 
-pub(crate) fn parse_obs(args: &[String]) -> Result<ObsRequest, String> {
-    Ok(ObsRequest {
-        trace: args.iter().any(|a| a == "--trace"),
-        metrics_out: optional_flag(args, "--metrics-out")?,
-        trace_out: optional_flag(args, "--trace-out")?,
-        trace_html: optional_flag(args, "--trace-html")?,
-        history: optional_flag(args, "--history")?,
-        events_out: optional_flag(args, "--events-out")?,
-        crash_dump: optional_flag(args, "--crash-dump")?,
-        serve: optional_flag(args, "--serve")?,
-        serve_addr_file: optional_flag(args, "--serve-addr-file")?,
-        live: std::cell::RefCell::new(None),
-    })
-}
-
-impl ObsRequest {
     fn active(&self) -> bool {
         self.trace
             || self.metrics_out.is_some()
@@ -113,70 +105,98 @@ impl ObsRequest {
         self.events_out.is_some() || self.crash_dump.is_some()
     }
 
-    /// Starts collection (clearing anything a previous `run` left behind).
-    pub(crate) fn begin(&self) -> Result<(), String> {
+    /// Runs `body` with the requested outputs recorded: collection starts
+    /// before it, and once it has filled in its [`RunContext`] and
+    /// succeeded, the outputs are written. When it fails, collection stops
+    /// and nothing is written.
+    pub(crate) fn around<T>(
+        &self,
+        body: impl FnOnce(&mut RunContext) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let mut run = RunContext::default();
         if !self.active() {
-            return Ok(());
+            return body(&mut run);
         }
+        let live = self.begin()?;
+        match body(&mut run) {
+            Ok(out) => {
+                self.finish(live, &run)?;
+                Ok(out)
+            }
+            Err(e) => {
+                self.abandon(live);
+                Err(e)
+            }
+        }
+    }
+
+    /// Starts collection (clearing anything a previous `run` left behind).
+    fn begin(&self) -> Result<Option<LivePlane>, String> {
         dmig_obs::reset();
         dmig_obs::set_enabled(true);
-        for key in WELL_KNOWN_COUNTERS {
-            dmig_obs::counter_add(key, 0);
+        // Every counter is in the export, even when a small instance never
+        // hits its path; live gauges start from a known state so the very
+        // first scrape (or an early snapshot) already carries them.
+        for (key, kind, _) in dmig_obs::keys_reference() {
+            if *kind == KeyKind::Counter {
+                dmig_obs::counter_add(key, 0);
+            }
         }
-        // Live gauges start from a known state so the very first scrape
-        // (or an early snapshot) already carries the full key set.
         dmig_obs::gauge_set(dmig_obs::keys::LIVE_PHASE, dmig_obs::phase::IDLE);
         dmig_obs::gauge_set(dmig_obs::keys::LIVE_ROUND, 0);
         dmig_obs::gauge_set(dmig_obs::keys::LIVE_ITEMS_DONE, 0);
         dmig_obs::gauge_set(dmig_obs::keys::LIVE_SHARD_ACTIVE, 0);
-        dmig_obs::counter_add(dmig_obs::keys::PROF_SAMPLES, 0);
-        if let Some(addr) = &self.serve {
-            let sampler = dmig_obs::sampler::start(dmig_obs::sampler::DEFAULT_INTERVAL);
-            let server = match dmig_obs::serve::ObsServer::start(
-                addr,
-                dmig_obs::serve::ServeSource::Live,
-                None,
-            ) {
-                Ok(s) => s,
-                Err(e) => {
-                    sampler.stop();
-                    self.abandon();
-                    return Err(format!("--serve: {e}"));
-                }
-            };
-            if let Some(path) = &self.serve_addr_file {
-                // Written *after* bind so a watcher reading the file can
-                // immediately connect (port 0 is resolved by now).
-                if let Err(e) = dmig_obs::fsio::atomic_write(
-                    path,
-                    format!("{}\n", server.local_addr()).as_bytes(),
-                ) {
-                    sampler.stop();
-                    drop(server);
-                    self.abandon();
-                    return Err(format!("cannot write {path}: {e}"));
-                }
+        let live = match self.serve.map(|addr| self.start_live(addr)).transpose() {
+            Ok(live) => live,
+            Err(e) => {
+                self.abandon(None);
+                return Err(e);
             }
-            *self.live.borrow_mut() = Some(LivePlane { server, sampler });
-        }
+        };
         if self.events() {
             dmig_obs::events::reset();
-            if let Some(path) = &self.events_out {
+            if let Some(path) = self.events_out {
                 // Atomic mode: the stream lands at `path` only when the
                 // run completes, so a killed process never leaves a
                 // half-written event file behind. (The workspace journal
                 // wants the opposite discipline and uses `open_sink`.)
                 if let Err(e) = dmig_obs::events::open_sink_atomic(path) {
-                    self.abandon();
+                    self.abandon(live);
                     return Err(format!("cannot open {path}: {e}"));
                 }
             }
-            if let Some(path) = &self.crash_dump {
+            if let Some(path) = self.crash_dump {
                 dmig_obs::events::set_crash_path(Some(std::path::PathBuf::from(path)));
             }
             dmig_obs::events::set_enabled(true);
         }
-        Ok(())
+        Ok(live)
+    }
+
+    /// Starts the plane of `--serve ADDR`, and writes the address it bound
+    /// to `--serve-addr-file`.
+    fn start_live(&self, addr: &str) -> Result<LivePlane, String> {
+        let sampler = dmig_obs::sampler::start(dmig_obs::sampler::DEFAULT_INTERVAL);
+        let server =
+            match dmig_obs::serve::ObsServer::start(addr, dmig_obs::serve::ServeSource::Live, None)
+            {
+                Ok(s) => s,
+                Err(e) => {
+                    sampler.stop();
+                    return Err(format!("--serve: {e}"));
+                }
+            };
+        let plane = LivePlane { server, sampler };
+        if let Some(path) = self.serve_addr_file {
+            // Written *after* bind so a watcher reading the file can
+            // immediately connect (port 0 is resolved by now).
+            let bound = format!("{}\n", plane.server.local_addr());
+            if let Err(e) = files::write(path, bound.as_bytes()) {
+                plane.stop();
+                return Err(e);
+            }
+        }
+        Ok(plane)
     }
 
     /// Disarms the flight recorder: stops emission, closes the sink, and
@@ -194,40 +214,36 @@ impl ObsRequest {
     /// stderr (`--trace`), the JSON snapshot (`--metrics-out`), the Chrome
     /// trace / HTML timeline (`--trace-out` / `--trace-html`), and the
     /// JSONL history entry (`--history`).
-    pub(crate) fn finish(&self, run: &RunContext<'_>) -> Result<(), String> {
-        if !self.active() {
-            return Ok(());
-        }
+    fn finish(&self, live: Option<LivePlane>, run: &RunContext) -> Result<(), String> {
         // Mark completion while the recorder is still enabled, then stop
         // the live plane *before* disabling so a final scrape racing the
         // shutdown still sees a coherent (DONE) snapshot.
         dmig_obs::gauge_set(dmig_obs::keys::LIVE_PHASE, dmig_obs::phase::DONE);
-        self.stop_live();
+        if let Some(plane) = live {
+            plane.stop();
+        }
         dmig_obs::set_enabled(false);
         self.teardown_events();
         let snap = dmig_obs::snapshot();
         if self.trace {
             eprint!("{}", snap.render_tree());
         }
-        if let Some(path) = &self.metrics_out {
-            dmig_obs::fsio::atomic_write(path, snap.to_json().as_bytes())
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
+        if let Some(path) = self.metrics_out {
+            files::write(path, snap.to_json().as_bytes())?;
         }
-        if let Some(path) = &self.trace_out {
-            dmig_obs::fsio::atomic_write(path, trace::chrome_trace(&snap.spans).as_bytes())
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
+        if let Some(path) = self.trace_out {
+            files::write(path, trace::chrome_trace(&snap.spans).as_bytes())?;
         }
-        if let Some(path) = &self.trace_html {
+        if let Some(path) = self.trace_html {
             let html = trace::html_timeline_with_disks(&snap.spans, &run.disks);
-            dmig_obs::fsio::atomic_write(path, html.as_bytes())
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
+            files::write(path, html.as_bytes())?;
         }
-        if let Some(path) = &self.history {
+        if let Some(path) = self.history {
             let meta = history::RunMeta {
                 git_rev: history::detect_git_rev(),
                 threads: Some(run.threads as u64),
                 hardware_threads: Some(hardware_threads()),
-                instance: Some(history::fingerprint(run.instance_text)),
+                instance: Some(history::fingerprint(&run.instance_text)),
                 wall_ms: Some(run.wall.as_secs_f64() * 1e3),
                 source: run.source.to_string(),
             };
@@ -236,23 +252,12 @@ impl ObsRequest {
         Ok(())
     }
 
-    /// Stops the sampler and HTTP listener started by `--serve` (no-op
-    /// otherwise). Joining both threads here means no background thread
-    /// outlives the command that spawned it.
-    fn stop_live(&self) {
-        if let Some(plane) = self.live.borrow_mut().take() {
-            plane.sampler.stop();
-            let served = plane.server.shutdown();
-            dmig_obs::counter_add(dmig_obs::keys::SERVE_REQUESTS, served);
-        }
-    }
-
     /// Stops collection without emitting (the command failed mid-run).
-    pub(crate) fn abandon(&self) {
-        if self.active() {
-            self.stop_live();
-            dmig_obs::set_enabled(false);
-            self.teardown_events();
+    fn abandon(&self, live: Option<LivePlane>) {
+        if let Some(plane) = live {
+            plane.stop();
         }
+        dmig_obs::set_enabled(false);
+        self.teardown_events();
     }
 }

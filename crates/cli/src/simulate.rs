@@ -7,41 +7,28 @@ use std::time::Instant;
 use dmig_core::solver::Solver;
 use dmig_core::{bounds, MigrationProblem};
 use dmig_obs::trace;
-use dmig_sim::{engine::simulate_rounds, Cluster, ExecutorConfig, FaultPlan};
+use dmig_sim::{engine::simulate_rounds, Cluster};
 
-use crate::args::{optional_flag, parse_cluster, parse_threads, pick_solver, positional};
-use crate::instance;
-use crate::record::{parse_obs, RunContext};
+use crate::args::{self, Args, Flags};
+use crate::files::{self, read_instance};
+use crate::record::{ObsRequest, RunContext};
 use crate::solve::record_solve_gauges;
 
-/// Parses the fault-execution flags of `simulate`: a [`FaultPlan`] from
-/// `--faults FILE` plus the recovery policy (`--replan`, `--retry-max`).
-/// The plan is checked against the instance, so a disk reference beyond
-/// the cluster fails here with the offending `faults.toml` line.
-fn parse_fault_args(
-    args: &[String],
-    problem: &MigrationProblem,
-) -> Result<Option<(FaultPlan, ExecutorConfig)>, String> {
-    let Some(fpath) = optional_flag(args, "--faults")? else {
-        for flag in ["--replan", "--retry-max"] {
-            if args.iter().any(|a| a == flag) {
-                return Err(format!("simulate: {flag} requires --faults FILE"));
-            }
-        }
-        return Ok(None);
-    };
-    let ftext = std::fs::read_to_string(&fpath).map_err(|e| format!("cannot read {fpath}: {e}"))?;
-    let plan = FaultPlan::parse_checked(&ftext, problem.num_disks())
-        .map_err(|e| format!("{fpath}: {e}"))?;
-    let mut config = ExecutorConfig {
-        replan: args.iter().any(|a| a == "--replan"),
-        ..ExecutorConfig::default()
-    };
-    if let Some(n) = optional_flag(args, "--retry-max")? {
-        config.retry_max = n.parse().map_err(|e| format!("bad --retry-max: {e}"))?;
-    }
-    Ok(Some((plan, config)))
-}
+/// The flags of `dmig simulate`.
+pub(crate) const SIMULATE: Flags = Flags {
+    recorder: true,
+    ..Flags::new(
+        &[
+            "--solver",
+            "--threads",
+            "--bandwidths",
+            "--faults",
+            "--retry-max",
+            "--report-out",
+        ],
+        &["--replan", "--progress", "--explain"],
+    )
+};
 
 /// Assembles the data the attribution engine needs: per-disk degree and
 /// capacity, the LB2 witness, and the schedule's per-round busy profile
@@ -90,36 +77,34 @@ fn record_explain_gauges(attr: &dmig_obs::explain::Attribution) {
 /// `dmig simulate`. The recorder is on before the inputs are read, so
 /// `simulate.parse` is a root span beside the solve, the simulation and
 /// `simulate.explain` (Γ' and the attribution, under `--explain`).
-pub(crate) fn cmd_simulate(args: &[String]) -> Result<String, String> {
-    let pos = positional(args);
-    let path = pos.first().ok_or("simulate: missing instance file")?;
-    let solver = pick_solver(args)?;
-    let report_out = optional_flag(args, "--report-out")?;
-    let obs = parse_obs(args)?;
-    let progress = args.iter().any(|a| a == "--progress");
-    obs.begin()?;
-    let (text, problem, cluster, faulted) = {
-        let _span = dmig_obs::span("simulate.parse");
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
-        text.and_then(|text| {
-            let problem =
-                instance::parse_instance(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
-            let cluster = parse_cluster(args, &problem)?;
-            let faulted = parse_fault_args(args, &problem)?;
-            Ok((text, problem, cluster, faulted))
-        })
-        .map_err(|e| {
-            obs.abandon();
-            e
-        })?
-    };
-    dmig_obs::gauge_set(dmig_obs::keys::LIVE_PHASE, dmig_obs::phase::SOLVE);
-    if progress {
-        dmig_sim::progress::set_progress(true);
-    }
-    let started = Instant::now();
-    let run =
-        solver
+pub(crate) fn cmd_simulate(args: &Args<'_>) -> Result<String, String> {
+    let path = args.first("instance file")?;
+    let solver = args::solver(args)?;
+    let progress = args.switch("--progress");
+    let (problem, schedule, report, exec, explain) = ObsRequest::new(args).around(|run| {
+        let (text, problem, cluster, faulted) = {
+            let _span = dmig_obs::span("simulate.parse");
+            let (text, problem) = read_instance(path)?;
+            let cluster = args::cluster(args, &problem)?;
+            let faulted = match args::faults(args, &problem)? {
+                (Some((_, plan)), config) => Some((plan, config)),
+                (None, _) => {
+                    for flag in ["--replan", "--retry-max"] {
+                        if args.switch(flag) || args.value(flag).is_some() {
+                            return Err(format!("simulate: {flag} requires --faults FILE"));
+                        }
+                    }
+                    None
+                }
+            };
+            (text, problem, cluster, faulted)
+        };
+        dmig_obs::gauge_set(dmig_obs::keys::LIVE_PHASE, dmig_obs::phase::SOLVE);
+        if progress {
+            dmig_sim::progress::set_progress(true);
+        }
+        let started = Instant::now();
+        let ran = solver
             .solve(&problem)
             .map_err(|e| e.to_string())
             .and_then(|schedule| match &faulted {
@@ -132,65 +117,52 @@ pub(crate) fn cmd_simulate(args: &[String]) -> Result<String, String> {
                     .map(|report| (schedule, report, None))
                     .map_err(|e| e.to_string()),
             });
-    let wall = started.elapsed();
-    if progress {
-        dmig_sim::progress::set_progress(false);
-    }
-    let (schedule, report, exec) = match run {
-        Ok(triple) => triple,
-        Err(e) => {
-            obs.abandon();
-            return Err(e);
+        let wall = started.elapsed();
+        if progress {
+            dmig_sim::progress::set_progress(false);
         }
-    };
-    // Attribution explains the planned schedule under the round model —
-    // with faults injected, the executed timeline may differ, but the
-    // bounds and binding chain are properties of the plan.
-    let explain = if args.iter().any(|a| a == "--explain") {
-        let _span = dmig_obs::span("simulate.explain");
-        let input = match explain_input(&problem, &schedule, &cluster) {
-            Ok(i) => i,
-            Err(e) => {
-                obs.abandon();
-                return Err(e);
-            }
-        };
-        let attr = dmig_obs::explain::attribute(&input);
-        Some((attr, input))
-    } else {
-        None
-    };
-    record_solve_gauges(&problem, schedule.makespan());
-    if let Some((attr, _)) = &explain {
-        record_explain_gauges(attr);
-    }
-    let disks: Vec<trace::DiskUtilRow> = report
-        .disk_busy
-        .iter()
-        .enumerate()
-        .map(|(v, &busy)| trace::DiskUtilRow {
-            disk: v,
-            busy,
-            utilization: report.disk_utilization(v),
-        })
-        .collect();
-    obs.finish(&RunContext {
-        source: if exec.is_some() {
-            "cli-simulate-faults"
+        let (schedule, report, exec) = ran?;
+        // Attribution explains the planned schedule under the round model —
+        // with faults injected, the executed timeline may differ, but the
+        // bounds and binding chain are properties of the plan.
+        let explain = if args.switch("--explain") {
+            let _span = dmig_obs::span("simulate.explain");
+            let input = explain_input(&problem, &schedule, &cluster)?;
+            Some((dmig_obs::explain::attribute(&input), input))
         } else {
-            "cli-simulate"
-        },
-        threads: parse_threads(args)?,
-        instance_text: &text,
-        wall,
-        disks,
+            None
+        };
+        record_solve_gauges(&problem, schedule.makespan());
+        if let Some((attr, _)) = &explain {
+            record_explain_gauges(attr);
+        }
+        *run = RunContext {
+            source: if exec.is_some() {
+                "cli-simulate-faults"
+            } else {
+                "cli-simulate"
+            },
+            threads: solver.threads(),
+            instance_text: text,
+            wall,
+            disks: report
+                .disk_busy
+                .iter()
+                .enumerate()
+                .map(|(v, &busy)| trace::DiskUtilRow {
+                    disk: v,
+                    busy,
+                    utilization: report.disk_utilization(v),
+                })
+                .collect(),
+        };
+        Ok((problem, schedule, report, exec, explain))
     })?;
-    if let Some(out_path) = &report_out {
+    if let Some(out_path) = args.value("--report-out") {
         let json = exec
             .as_ref()
             .map_or_else(|| report.to_json(), dmig_sim::ExecReport::to_json);
-        dmig_obs::fsio::atomic_write(out_path, json.as_bytes())
-            .map_err(|e| format!("cannot write {out_path}: {e}"))?;
+        files::write(out_path, json.as_bytes())?;
     }
     let mut out = String::new();
     let _ = writeln!(out, "{problem}");
@@ -229,6 +201,7 @@ pub(crate) fn cmd_simulate(args: &[String]) -> Result<String, String> {
     }
     Ok(out)
 }
+
 #[cfg(test)]
 mod tests {
     use crate::testutil::{run_str, write_temp, K3};

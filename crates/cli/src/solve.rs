@@ -9,10 +9,15 @@ use dmig_core::shard::{solve_sharded, ShardConfig};
 use dmig_core::solver::all_solvers;
 use dmig_core::{bounds, MigrationProblem};
 
-use crate::args::{parse_shards, pick_solver, positional};
-use crate::files::load;
-use crate::instance;
-use crate::record::{parse_obs, RunContext};
+use crate::args::{self, Args, Flags};
+use crate::files::read_instance;
+use crate::record::{ObsRequest, RunContext};
+
+/// The flags of `dmig solve`.
+pub(crate) const SOLVE: Flags = Flags {
+    recorder: true,
+    ..Flags::new(&["--solver", "--threads", "--shards"], &[])
+};
 
 /// Sets the per-solve summary gauges on the live recorder so gate rules
 /// can compare round counts against the lower bound `Δ'` (`Γ'` never
@@ -25,28 +30,26 @@ pub(crate) fn record_solve_gauges(problem: &MigrationProblem, rounds: usize) {
 /// `dmig solve`. With an observability flag the recorder is on for the
 /// whole command, so the span tree breaks it down by phase:
 /// `solve.parse`, `solve_sharded`, `solve.validate` and `solve.render`.
-pub(crate) fn cmd_solve(args: &[String]) -> Result<String, String> {
-    let pos = positional(args);
-    let path = pos.first().ok_or("solve: missing instance file")?;
-    let solver = pick_solver(args)?;
+pub(crate) fn cmd_solve(args: &Args<'_>) -> Result<String, String> {
+    let path = args.first("instance file")?;
+    let solver = args::solver(args)?;
     let threads = solver.threads();
     // Without --shards the cells are the connected components, exactly as
     // `ParallelSolver` solves them; --shards K also cuts heavy components.
-    let config = parse_shards(args)?.map_or(ShardConfig::uncut(threads), ShardConfig::with_shards);
-    let obs = parse_obs(args)?;
-    obs.begin()?;
-    let (text, out, wall) = solve_and_render(path, &solver, config).map_err(|e| {
-        obs.abandon();
-        e
-    })?;
-    obs.finish(&RunContext {
-        source: "cli-solve",
-        threads,
-        instance_text: &text,
-        wall,
-        disks: Vec::new(),
-    })?;
-    Ok(out)
+    let config = args
+        .count("--shards")?
+        .map_or(ShardConfig::uncut(threads), ShardConfig::with_shards);
+    ObsRequest::new(args).around(|run| {
+        let (text, out, wall) = solve_and_render(path, &solver, config)?;
+        *run = RunContext {
+            source: "cli-solve",
+            threads,
+            instance_text: text,
+            wall,
+            disks: Vec::new(),
+        };
+        Ok(out)
+    })
 }
 
 /// The body of [`cmd_solve`]: returns the instance text, the rendered
@@ -57,9 +60,7 @@ fn solve_and_render(
     config: ShardConfig,
 ) -> Result<(String, String, Duration), String> {
     let parse_span = dmig_obs::span("solve.parse");
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let problem =
-        instance::parse_instance(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+    let (text, problem) = read_instance(path)?;
     drop(parse_span);
     dmig_obs::gauge_set(dmig_obs::keys::LIVE_PHASE, dmig_obs::phase::SOLVE);
     let started = Instant::now();
@@ -100,10 +101,8 @@ fn solve_and_render(
     Ok((text, out, wall))
 }
 
-pub(crate) fn cmd_bounds(args: &[String]) -> Result<String, String> {
-    let pos = positional(args);
-    let path = pos.first().ok_or("bounds: missing instance file")?;
-    let problem = load(path)?;
+pub(crate) fn cmd_bounds(args: &Args<'_>) -> Result<String, String> {
+    let (_, problem) = read_instance(args.first("instance file")?)?;
     let mut out = String::new();
     let _ = writeln!(out, "{problem}");
     let _ = writeln!(out, "LB1 (Δ' = max ⌈d_v/c_v⌉): {}", bounds::lb1(&problem));
@@ -127,10 +126,8 @@ pub(crate) fn cmd_bounds(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-pub(crate) fn cmd_compare(args: &[String]) -> Result<String, String> {
-    let pos = positional(args);
-    let path = pos.first().ok_or("compare: missing instance file")?;
-    let problem = load(path)?;
+pub(crate) fn cmd_compare(args: &Args<'_>) -> Result<String, String> {
+    let (_, problem) = read_instance(args.first("instance file")?)?;
     let lb = bounds::lower_bound(&problem);
     let mut out = String::new();
     let _ = writeln!(out, "{problem}  lower bound {lb}");
@@ -161,10 +158,8 @@ pub(crate) fn cmd_compare(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-pub(crate) fn cmd_stats(args: &[String]) -> Result<String, String> {
-    let pos = positional(args);
-    let path = pos.first().ok_or("stats: missing instance file")?;
-    let problem = load(path)?;
+pub(crate) fn cmd_stats(args: &Args<'_>) -> Result<String, String> {
+    let (_, problem) = read_instance(args.first("instance file")?)?;
     let s = dmig_graph::stats::graph_stats(problem.graph());
     let caps = problem.capacities();
     let mut out = String::new();
@@ -196,10 +191,8 @@ pub(crate) fn cmd_stats(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-pub(crate) fn cmd_dot(args: &[String]) -> Result<String, String> {
-    let pos = positional(args);
-    let path = pos.first().ok_or("dot: missing instance file")?;
-    let problem = load(path)?;
+pub(crate) fn cmd_dot(args: &Args<'_>) -> Result<String, String> {
+    let (_, problem) = read_instance(args.first("instance file")?)?;
     Ok(dmig_graph::io::to_dot(problem.graph()))
 }
 #[cfg(test)]

@@ -50,11 +50,14 @@ use dmig_core::{MigrationProblem, MigrationSchedule};
 use dmig_graph::{EdgeId, NodeId};
 use dmig_obs::json::push_u64;
 use dmig_obs::value::{ParseError, Reader, Token};
-use dmig_obs::{fsio, history, Value};
+use dmig_obs::{history, Value};
 use dmig_sim::executor::{DELTA_PREFIX, RECORD_PREFIX};
 use dmig_sim::{Cluster, ExecReport, Executor, ExecutorConfig, FaultPlan, StepOutcome};
 
-use crate::archive;
+use crate::args::{self, Args, Flags};
+use crate::files::{self, read_instance};
+use crate::record::ObsRequest;
+use crate::{archive, instance};
 
 /// Schema tag of `manifest.json`.
 pub const WORKSPACE_SCHEMA: &str = "dmig-workspace/1";
@@ -73,20 +76,52 @@ const CONFIG: &str = "config.json";
 const JOURNAL: &str = "journal.jsonl";
 const REPORT: &str = "report.json";
 
-/// `dmig migrate <verb> …` dispatch.
-pub fn cmd_migrate(args: &[String]) -> Result<String, String> {
-    let mut it = args.iter().map(String::as_str);
-    match it.next() {
-        Some("plan") => recorded(&args[1..], plan_workspace),
-        Some("execute") => recorded(&args[1..], |args| run_session(args, false)),
-        Some("resume") => recorded(&args[1..], |args| run_session(args, true)),
-        Some("export") => cmd_export(&args[1..]),
-        Some("import") => cmd_import(&args[1..]),
-        Some(other) => Err(format!(
-            "migrate: unknown verb `{other}` (plan|execute|resume|export|import)"
-        )),
-        None => Err("migrate: missing verb (plan|execute|resume|export|import)".to_string()),
-    }
+/// The flags of `dmig migrate plan`. Of the recorder's flags, `migrate`
+/// takes only `--metrics-out`.
+pub(crate) const PLAN_FLAGS: Flags = Flags::new(
+    &[
+        "--workspace",
+        "--faults",
+        "--solver",
+        "--threads",
+        "--bandwidths",
+        "--retry-max",
+        "--metrics-out",
+    ],
+    &["--replan"],
+);
+
+/// The flags of `dmig migrate execute` and `resume`. The test hook
+/// `--abort-after-checkpoint N` is left out of `dmig help`.
+pub(crate) const SESSION_FLAGS: Flags = Flags::new(
+    &[
+        "--workspace",
+        "--threads",
+        "--metrics-out",
+        "--abort-after-checkpoint",
+    ],
+    &[],
+);
+
+/// The flags of `dmig migrate export`.
+pub(crate) const EXPORT_FLAGS: Flags = Flags::new(&["--workspace", "--out"], &[]);
+
+/// The flags of `dmig migrate import`.
+pub(crate) const IMPORT_FLAGS: Flags = Flags::new(&["--workspace"], &[]);
+
+/// `dmig migrate plan`.
+pub(crate) fn cmd_plan(args: &Args<'_>) -> Result<String, String> {
+    ObsRequest::new(args).around(|_| plan_workspace(args))
+}
+
+/// `dmig migrate execute`.
+pub(crate) fn cmd_execute(args: &Args<'_>) -> Result<String, String> {
+    ObsRequest::new(args).around(|_| run_session(args, false))
+}
+
+/// `dmig migrate resume`.
+pub(crate) fn cmd_resume(args: &Args<'_>) -> Result<String, String> {
+    ObsRequest::new(args).around(|_| run_session(args, true))
 }
 
 // --- Workspace directory plumbing --------------------------------------
@@ -96,8 +131,9 @@ struct Workspace {
 }
 
 impl Workspace {
-    fn at(args: &[String]) -> Result<Workspace, String> {
-        let dir = crate::args::optional_flag(args, "--workspace")?
+    fn at(args: &Args<'_>) -> Result<Workspace, String> {
+        let dir = args
+            .value("--workspace")
             .ok_or("migrate: missing --workspace DIR")?;
         Ok(Workspace {
             dir: PathBuf::from(dir),
@@ -109,13 +145,11 @@ impl Workspace {
     }
 
     fn read(&self, name: &str) -> Result<String, String> {
-        let path = self.path(name);
-        std::fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))
+        files::read_text(self.path(name))
     }
 
     fn write(&self, name: &str, contents: &str) -> Result<(), String> {
-        fsio::atomic_write_path(&self.path(name), contents.as_bytes())
-            .map_err(|e| format!("cannot write {}: {e}", self.path(name).display()))
+        files::write(self.path(name), contents.as_bytes())
     }
 
     fn display(&self) -> String {
@@ -158,38 +192,12 @@ fn finite_of_bits(cfg: &Value, key: &str) -> Result<f64, String> {
 
 // --- plan ---------------------------------------------------------------
 
-/// Runs a `migrate` verb with the span recorder on only when
-/// `--metrics-out FILE` is given, and then writes the snapshot to FILE
-/// once the verb has succeeded. Without the flag the verb pays for no
-/// counters, gauges or spans; its outputs are the same bytes.
-fn recorded(
-    args: &[String],
-    verb: impl FnOnce(&[String]) -> Result<String, String>,
-) -> Result<String, String> {
-    let Some(path) = crate::args::optional_flag(args, "--metrics-out")? else {
-        return verb(args);
-    };
-    dmig_obs::reset();
-    dmig_obs::set_enabled(true);
-    let out = verb(args);
-    dmig_obs::set_enabled(false);
-    let out = out?;
-    let snap = dmig_obs::snapshot();
-    fsio::atomic_write(&path, snap.to_json().as_bytes())
-        .map_err(|e| format!("cannot write {path}: {e}"))?;
-    Ok(out)
-}
-
 /// `migrate plan`. Its `--metrics-out` snapshot breaks the command down
 /// into `migrate.parse`, `migrate.solve`, `migrate.render` and
 /// `migrate.publish`.
-fn plan_workspace(args: &[String]) -> Result<String, String> {
+fn plan_workspace(args: &Args<'_>) -> Result<String, String> {
     let parse_span = dmig_obs::span("migrate.parse");
-    let pos = crate::args::positional(args);
-    let path = pos.first().ok_or("migrate plan: missing instance file")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let problem =
-        crate::instance::parse_instance(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+    let (_, problem) = read_instance(args.first("instance file")?)?;
     let ws = Workspace::at(args)?;
     if ws.path(MANIFEST).exists() {
         return Err(format!(
@@ -197,34 +205,15 @@ fn plan_workspace(args: &[String]) -> Result<String, String> {
             ws.display()
         ));
     }
-    let solver = crate::args::pick_solver(args)?;
-    let solver_name = crate::args::flag_value(args, "--solver")
-        .unwrap_or("auto")
-        .to_string();
-    let threads = crate::args::parse_threads(args)?;
-    let cluster = crate::args::parse_cluster(args, &problem)?;
-
+    let solver = args::solver(args)?;
+    let solver_name = args.value("--solver").unwrap_or("auto");
+    let threads = solver.threads();
+    let cluster = args::cluster(args, &problem)?;
     // The fault plan is validated against *this* instance at plan time —
     // a disk reference beyond the cluster is a line-numbered error here,
     // not a surprise mid-execution.
-    let faults_text = match crate::args::optional_flag(args, "--faults")? {
-        Some(fpath) => {
-            let ftext =
-                std::fs::read_to_string(&fpath).map_err(|e| format!("cannot read {fpath}: {e}"))?;
-            FaultPlan::parse_checked(&ftext, problem.num_disks())
-                .map_err(|e| format!("{fpath}: {e}"))?;
-            ftext
-        }
-        None => "seed = 0\n".to_string(),
-    };
-    let config = ExecutorConfig {
-        replan: args.iter().any(|a| a == "--replan"),
-        retry_max: match crate::args::optional_flag(args, "--retry-max")? {
-            Some(n) => n.parse().map_err(|e| format!("bad --retry-max: {e}"))?,
-            None => ExecutorConfig::default().retry_max,
-        },
-        ..ExecutorConfig::default()
-    };
+    let (faults, config) = args::faults(args, &problem)?;
+    let faults_text = faults.map_or_else(|| "seed = 0\n".to_string(), |(text, _)| text);
     drop(parse_span);
 
     let started = Instant::now();
@@ -240,17 +229,11 @@ fn plan_workspace(args: &[String]) -> Result<String, String> {
 
     let files = {
         let _span = dmig_obs::span("migrate.render");
-        let canonical = crate::instance::to_instance_text(&problem);
+        let canonical = instance::to_instance_text(&problem);
         let plan = render_plan(&schedule);
         let config = render_config(&config, &cluster);
-        let manifest = render_manifest(
-            &canonical,
-            &plan,
-            &solver_name,
-            threads,
-            &problem,
-            &schedule,
-        );
+        let manifest =
+            render_manifest(&canonical, &plan, solver_name, threads, &problem, &schedule);
         [
             (INSTANCE, canonical),
             (FAULTS, faults_text),
@@ -516,7 +499,7 @@ fn load_workspace(ws: &Workspace) -> Result<Loaded, String> {
         .ok_or(format!("{MANIFEST}: `instance` is not a string"))?;
     check_fingerprint(INSTANCE, &instance_text, want_fp)?;
     let problem =
-        crate::instance::parse_instance(&instance_text).map_err(|e| format!("{INSTANCE}: {e}"))?;
+        instance::parse_instance(&instance_text).map_err(|e| format!("{INSTANCE}: {e}"))?;
 
     // `plan.json` is pinned like the instance: `resume` rebuilds a chain's
     // base from it, so an edit between sessions would change the run.
@@ -565,8 +548,8 @@ fn load_workspace(ws: &Workspace) -> Result<Loaded, String> {
     for (i, b) in bws_doc.iter().enumerate() {
         bws.push(f64_of_bits(b, &format!("bandwidths[{i}]"))?);
     }
-    let cluster = crate::args::checked_cluster(bws, problem.num_disks())
-        .map_err(|e| format!("{CONFIG}: {e}"))?;
+    let cluster =
+        args::checked_cluster(bws, problem.num_disks()).map_err(|e| format!("{CONFIG}: {e}"))?;
 
     let solver_name = field(&manifest, MANIFEST, "solver")?
         .as_str()
@@ -642,17 +625,6 @@ fn cut_torn_tail(path: &Path, durable_len: usize) -> Result<(), String> {
         .map_err(|e| format!("cannot cut the torn tail off {}: {e}", path.display()))
 }
 
-fn parse_abort_after(args: &[String]) -> Result<Option<u64>, String> {
-    match crate::args::optional_flag(args, "--abort-after-checkpoint")? {
-        Some(n) => {
-            Ok(Some(n.parse().map_err(|e| {
-                format!("bad --abort-after-checkpoint: {e}")
-            })?))
-        }
-        None => Ok(None),
-    }
-}
-
 /// Stops recording events and closes the journal sink, which writes the
 /// lines it still holds once the in-flight fdatasync has returned (after a
 /// failed one it holds nothing).
@@ -667,18 +639,15 @@ fn close_journal() {
 /// only), `migrate.step`, `migrate.record` and `migrate.sync` once per
 /// round boundary, and `migrate.report`.
 #[allow(clippy::too_many_lines)]
-fn run_session(args: &[String], resume: bool) -> Result<String, String> {
+fn run_session(args: &Args<'_>, resume: bool) -> Result<String, String> {
     let verb = if resume { "resume" } else { "execute" };
     let ws = Workspace::at(args)?;
     let loaded = {
         let _span = dmig_obs::span("migrate.load");
         load_workspace(&ws)?
     };
-    let abort_after = parse_abort_after(args)?;
-    let threads = match crate::args::flag_value(args, "--threads") {
-        Some(_) => crate::args::parse_threads(args)?,
-        None => loaded.threads,
-    };
+    let abort_after = args.number::<u64>("--abort-after-checkpoint")?;
+    let threads = args.count("--threads")?.unwrap_or(loaded.threads);
     let inner: Box<dyn Solver> = solver_by_name(&loaded.solver_name)
         .ok_or_else(|| format!("{MANIFEST}: unknown solver `{}`", loaded.solver_name))?;
     let solver = ParallelSolver::with_threads(inner, threads);
@@ -719,8 +688,7 @@ fn run_session(args: &[String], resume: bool) -> Result<String, String> {
     // corrupt checkpoint cannot half-open the sink.
     let mut exec = if resume {
         let _span = dmig_obs::span("migrate.restore");
-        let journal = std::fs::read(&journal_path)
-            .map_err(|e| format!("cannot read {}: {e}", journal_path.display()))?;
+        let journal = files::read_bytes(&journal_path)?;
         let durable = durable(&journal).map_err(|e| format!("migrate resume: {e}"))?;
         let chain = resume_chain(durable).ok_or(format!(
             "migrate resume: {JOURNAL} holds no checkpoint record"
@@ -915,10 +883,12 @@ fn render_exec_summary(
 
 // --- export / import ----------------------------------------------------
 
-fn cmd_export(args: &[String]) -> Result<String, String> {
+/// `dmig migrate export`.
+pub(crate) fn cmd_export(args: &Args<'_>) -> Result<String, String> {
     let ws = Workspace::at(args)?;
-    let out_path =
-        crate::args::optional_flag(args, "--out")?.ok_or("migrate export: missing --out FILE")?;
+    let out_path = args
+        .value("--out")
+        .ok_or("migrate export: missing --out FILE")?;
     if !ws.path(MANIFEST).exists() {
         return Err(format!(
             "migrate export: {} is not a workspace (no {MANIFEST})",
@@ -933,7 +903,7 @@ fn cmd_export(args: &[String]) -> Result<String, String> {
     files.push((archive::CHECKSUM_FILE.to_string(), sums.into_bytes()));
     files.sort_by(|a, b| a.0.cmp(&b.0));
     let packed = archive::pack(&files);
-    fsio::atomic_write(&out_path, &packed).map_err(|e| format!("cannot write {out_path}: {e}"))?;
+    files::write(out_path, &packed)?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -945,11 +915,11 @@ fn cmd_export(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_import(args: &[String]) -> Result<String, String> {
-    let pos = crate::args::positional(args);
-    let apath = pos.first().ok_or("migrate import: missing archive file")?;
+/// `dmig migrate import`.
+pub(crate) fn cmd_import(args: &Args<'_>) -> Result<String, String> {
+    let apath = args.first("archive file")?;
     let ws = Workspace::at(args)?;
-    let data = std::fs::read(apath).map_err(|e| format!("cannot read {apath}: {e}"))?;
+    let data = files::read_bytes(apath)?;
     let files = archive::unpack(&data).map_err(|e| format!("{apath}: {e}"))?;
     archive::verify_checksums(&files).map_err(|e| format!("{apath}: {e}"))?;
     if ws.path(MANIFEST).exists() {
@@ -967,8 +937,7 @@ fn cmd_import(args: &[String]) -> Result<String, String> {
     let publish = || {
         for (name, bytes) in rest.into_iter().chain(manifest) {
             let path = ws.path(name);
-            fsio::atomic_write_path(&path, bytes)
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            files::write(&path, bytes)?;
             written.push(path);
         }
         // A verified unpack still has to *be* a workspace: full reload,

@@ -222,3 +222,77 @@ fn only_explain_snapshots_carry_gamma_prime() {
     );
     std::fs::remove_file(&path).ok();
 }
+
+/// A flag a command does not take, or a value flag without its value,
+/// exits 1 naming the flag, and a refused `migrate plan` creates no
+/// workspace. Each of these once ran with the flag ignored and exited 0.
+#[test]
+fn misspelt_and_dangling_flags_exit_one_naming_the_flag() {
+    let dir = std::env::temp_dir().join(format!("dmig-bin-flags-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (code, instance) = dmig(&["generate", "rebalance", "6", "24", "2"]);
+    assert_eq!(code, 0, "{instance}");
+    std::fs::write(path("fault.instance"), instance).unwrap();
+    std::fs::write(path("t.trace"), "item 0 1\n").unwrap();
+    let faults = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci-faults.toml");
+    let planned = path("planned");
+    let (code, out) = dmig(&[
+        "migrate",
+        "plan",
+        &path("fault.instance"),
+        "--workspace",
+        &planned,
+    ]);
+    assert_eq!(code, 0, "{out}");
+    let ws = path("ws");
+    for (args, flag) in [
+        (
+            vec![
+                "migrate",
+                "plan",
+                &path("fault.instance"),
+                "--workspace",
+                &ws,
+                "--fault",
+                faults,
+            ],
+            "unknown flag `--fault`",
+        ),
+        (
+            vec!["solve", &path("fault.instance"), "--thread", "1"],
+            "unknown flag `--thread`",
+        ),
+        (
+            vec![
+                "migrate",
+                "plan",
+                &path("fault.instance"),
+                "--workspace",
+                &ws,
+                "--trace",
+            ],
+            "unknown flag `--trace`",
+        ),
+        (
+            vec!["generate", "k3", "2", "2", "--seed"],
+            "bad --seed: missing value",
+        ),
+        (
+            vec!["import-trace", &path("t.trace"), "--default-cap"],
+            "bad --default-cap: missing value",
+        ),
+        (
+            vec!["migrate", "execute", "--workspace", &planned, "--threads"],
+            "bad --threads: missing value",
+        ),
+    ] {
+        let (code, out) = dmig(&args);
+        assert_eq!(code, 1, "{args:?}: {out}");
+        assert!(out.contains(flag), "{args:?}: {out}");
+        assert!(!dir.join("ws").exists(), "{args:?} created a workspace");
+    }
+    assert!(!dir.join("planned").join("journal.jsonl").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -80,12 +80,49 @@ pub mod phase {
     pub const DONE: u64 = 6;
 }
 
+/// The kind of a well-known metric key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum KeyKind {
+    /// A monotonic count, pre-registered at 0 by an instrumented run.
+    Counter,
+    /// A value set to its latest reading.
+    Gauge,
+    /// A log2 histogram of observations.
+    Histogram,
+}
+
+impl KeyKind {
+    /// The kind's name as the key table prints it.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            KeyKind::Counter => "counter",
+            KeyKind::Gauge => "gauge",
+            KeyKind::Histogram => "histogram",
+        }
+    }
+}
+
+/// The [`KeyKind`] a `metric_keys!` row names.
+macro_rules! key_kind {
+    (counter) => {
+        KeyKind::Counter
+    };
+    (gauge) => {
+        KeyKind::Gauge
+    };
+    (histogram) => {
+        KeyKind::Histogram
+    };
+}
+
 /// Declares every well-known metric key exactly once: one
-/// `NAME = "key", "description";` row yields the [`keys`] constant, its
-/// rustdoc, and its row in [`keys_reference`] (and therefore in the README
-/// table). Each description is one line and names the metric type.
+/// `NAME = "key", kind, "description";` row yields the [`keys`] constant,
+/// its rustdoc, and its row in [`keys_reference`] (and therefore in the
+/// README table). Each description is one line; the kind is `counter`,
+/// `gauge` or `histogram`.
 macro_rules! metric_keys {
-    ($($name:ident = $key:literal, $doc:literal;)+) => {
+    ($($name:ident = $key:literal, $kind:ident, $doc:literal;)+) => {
         /// Well-known counter, gauge, and histogram names.
         ///
         /// Naming convention: bare snake_case for pipeline-level totals that
@@ -95,142 +132,142 @@ macro_rules! metric_keys {
         /// time.
         pub mod keys {
             $(
-                #[doc = $doc]
+                #[doc = concat!($doc, " (", stringify!($kind), ").")]
                 pub const $name: &str = $key;
             )+
         }
 
-        const KEYS_REFERENCE: &[(&str, &str)] = &[$((keys::$name, $doc)),+];
+        const KEYS_REFERENCE: &[(&str, KeyKind, &str)] =
+            &[$((keys::$name, key_kind!($kind), $doc)),+];
     };
 }
 
 metric_keys! {
-    FLOW_SOLVES = "flow_solves",
-        "Max-flow problems solved while peeling quota levels (counter).";
-    EULER_SPLITS = "euler_splits",
-        "Euler-split halvings performed by the quota partitioner (counter).";
-    WARM_START_HITS = "warm_start_hits",
-        "Degree-subgraph units satisfied by the greedy warm start (counter).";
-    WARM_START_MISSES = "warm_start_misses",
-        "Degree-subgraph units that needed the flow solver (counter).";
-    EULER_ORIENTATIONS = "euler_orientations",
-        "Euler orientations computed by `solve_even` (counter).";
-    EULER_CHUNKS = "euler.chunks",
-        "Cycle/ear chunks claimed while labeling pairing cycles; thread-count dependent by design \
-         (counter).";
-    EULER_STITCHES = "euler.stitches",
-        "Chunk junctions merged by the deterministic stitch pass (counter).";
-    EULER_PAR_MS = "euler.par_ms",
-        "Milliseconds spent inside chunked Euler orientation (counter).";
-    QUOTA_MAX_DEPTH = "quota.max_recursion_depth",
-        "Deepest recursion reached by the quota partitioner (gauge).";
-    DINIC_CALLS = "dinic.calls",
-        "Dinic max-flow invocations (counter).";
-    DINIC_BFS_PHASES = "dinic.bfs_phases",
-        "BFS level-graph phases across all Dinic runs (counter).";
-    DINIC_AUGMENTING_PATHS = "dinic.augmenting_paths",
-        "Augmenting paths found across all Dinic runs (counter).";
-    DINIC_MAX_FLOW_NS = "dinic.max_flow_ns",
-        "Per-call Dinic wall time in nanoseconds (histogram).";
-    POOL_ACQUIRES = "pool.acquires",
-        "Worker permits handed out by the shared thread budget (counter).";
-    POOL_ACQUIRE_DENIED = "pool.acquire_denied",
-        "Worker-permit requests denied because the budget was spent (counter).";
-    POOL_TASKS = "pool.tasks",
-        "Subproblem tasks enqueued on the intra-component work pool (counter).";
-    POOL_STEALS = "pool.steals",
-        "Tasks executed by a worker other than the one that enqueued them (counter).";
-    POOL_MAX_WORKERS = "pool.max_workers",
-        "Widest worker fan-out a single quota recursion reached (gauge).";
-    POOL_MAX_QUEUE_DEPTH = "pool.max_queue_depth",
-        "Deepest pending-task queue a quota recursion reached (gauge).";
-    SCRATCH_REUSES = "scratch.reuses",
-        "Solver scratch arenas reused from the process-wide pool (counter).";
-    SCRATCH_ALLOCS = "scratch.allocs",
-        "Solver scratch arenas freshly allocated on pool miss (counter).";
-    SIM_ROUNDS = "sim.rounds",
-        "Rounds executed by the simulation engine (counter).";
-    SIM_TRANSFERS = "sim.transfers",
-        "Object transfers executed by the simulation engine (counter).";
-    SIM_ROUND_TRANSFERS = "sim.round_transfers",
-        "Transfers per simulated round (histogram).";
-    SIM_ROUND_WALL_NS = "sim.round_wall_ns",
-        "Wall-clock nanoseconds the engine spent per round (histogram).";
-    SIM_STALLS = "sim.stalls",
-        "Rounds whose wall time exceeded the stall threshold (counter).";
-    SIM_PROGRESS_PCT = "sim.progress_pct",
-        "Percentage of scheduled rounds the engine has executed (gauge).";
-    SOLVE_ROUNDS = "solve.rounds",
-        "Rounds of the schedule the CLI produced (gauge).";
-    SOLVE_LB1 = "solve.lb1",
-        "Lower bound Δ' (LB1) of the solved instance (gauge).";
-    SOLVE_LB2 = "solve.lb2",
-        "Lower bound Γ' (LB2), written with `simulate --explain` from its witness (gauge).";
-    EXEC_REPLANS = "exec.replans",
-        "Closed-loop replans performed by the fault-tolerant executor (counter).";
-    EXEC_RETRIES = "exec.retries",
-        "Transfer attempts retried after a flaky failure (counter).";
-    EXEC_LOST_ITEMS = "exec.lost_items",
-        "Items lost to dead disks or exhausted retries (counter).";
-    EXEC_DEGRADED_ROUNDS = "exec.degraded_rounds",
-        "Executed rounds with some disk below the degradation threshold (counter).";
-    EXEC_REDIRECTS = "exec.redirects",
-        "Items rerouted to a replacement disk after a crash-stop (counter).";
-    EXEC_CRASHES = "exec.crashes",
-        "Crash-stop fault events applied by the executor (counter).";
-    EVENTS_EMITTED = "events.emitted",
-        "Structured events recorded by the flight recorder (counter).";
-    EVENTS_DROPPED = "events.dropped",
-        "Events evicted from the flight recorder's bounded ring (counter).";
-    EVENTS_ITEM_LOST = "events.item_lost",
-        "`ItemLost` events recorded by the flight recorder (counter).";
-    EXPLAIN_BINDING_BOUND = "explain.binding_bound",
-        "Binding lower bound max(Δ', Γ') = Δ' reported by the attribution engine (gauge).";
-    EXPLAIN_LB1_DISK = "explain.lb1_disk",
-        "The disk realizing LB1 per the attribution engine (gauge).";
-    SHARD_COUNT = "shard.count",
-        "Worker shards used by the sharded solve pipeline (gauge).";
-    SHARD_CUT_EDGES = "shard.cut_edges",
-        "Edges cut to the boundary set by the cell partition (gauge).";
-    SHARD_CUT_FRACTION = "shard.cut_fraction",
-        "Cut fraction in basis points: `cut_edges * 10000 / total` (gauge).";
-    SHARD_RECONCILE_MS = "shard.reconcile_ms",
-        "Milliseconds spent merging shard schedules and aligning the boundary rounds (counter).";
-    SHARD_BOUNDARY_ROUNDS = "shard.boundary_rounds",
-        "Rounds of the boundary pass appended after the cell rounds (gauge).";
-    LIVE_PHASE = "live.phase",
-        "Current pipeline stage code; see the `phase` module (gauge).";
-    LIVE_ROUND = "live.round",
-        "Rounds the live engine has executed in the current plan (gauge).";
-    LIVE_ITEMS_DONE = "live.items_done",
+    FLOW_SOLVES = "flow_solves", counter,
+        "Max-flow problems solved while peeling quota levels";
+    EULER_SPLITS = "euler_splits", counter,
+        "Euler-split halvings performed by the quota partitioner";
+    WARM_START_HITS = "warm_start_hits", counter,
+        "Degree-subgraph units satisfied by the greedy warm start";
+    WARM_START_MISSES = "warm_start_misses", counter,
+        "Degree-subgraph units that needed the flow solver";
+    EULER_ORIENTATIONS = "euler_orientations", counter,
+        "Euler orientations computed by `solve_even`";
+    EULER_CHUNKS = "euler.chunks", counter,
+        "Cycle/ear chunks claimed while labeling pairing cycles; thread-count dependent by design";
+    EULER_STITCHES = "euler.stitches", counter,
+        "Chunk junctions merged by the deterministic stitch pass";
+    EULER_PAR_MS = "euler.par_ms", counter,
+        "Milliseconds spent inside chunked Euler orientation";
+    QUOTA_MAX_DEPTH = "quota.max_recursion_depth", gauge,
+        "Deepest recursion reached by the quota partitioner";
+    DINIC_CALLS = "dinic.calls", counter,
+        "Dinic max-flow invocations";
+    DINIC_BFS_PHASES = "dinic.bfs_phases", counter,
+        "BFS level-graph phases across all Dinic runs";
+    DINIC_AUGMENTING_PATHS = "dinic.augmenting_paths", counter,
+        "Augmenting paths found across all Dinic runs";
+    DINIC_MAX_FLOW_NS = "dinic.max_flow_ns", histogram,
+        "Per-call Dinic wall time in nanoseconds";
+    POOL_ACQUIRES = "pool.acquires", counter,
+        "Worker permits handed out by the shared thread budget";
+    POOL_ACQUIRE_DENIED = "pool.acquire_denied", counter,
+        "Worker-permit requests denied because the budget was spent";
+    POOL_TASKS = "pool.tasks", counter,
+        "Subproblem tasks enqueued on the intra-component work pool";
+    POOL_STEALS = "pool.steals", counter,
+        "Tasks executed by a worker other than the one that enqueued them";
+    POOL_MAX_WORKERS = "pool.max_workers", gauge,
+        "Widest worker fan-out a single quota recursion reached";
+    POOL_MAX_QUEUE_DEPTH = "pool.max_queue_depth", gauge,
+        "Deepest pending-task queue a quota recursion reached";
+    SCRATCH_REUSES = "scratch.reuses", counter,
+        "Solver scratch arenas reused from the process-wide pool";
+    SCRATCH_ALLOCS = "scratch.allocs", counter,
+        "Solver scratch arenas freshly allocated on pool miss";
+    SIM_ROUNDS = "sim.rounds", counter,
+        "Rounds executed by the simulation engine";
+    SIM_TRANSFERS = "sim.transfers", counter,
+        "Object transfers executed by the simulation engine";
+    SIM_ROUND_TRANSFERS = "sim.round_transfers", histogram,
+        "Transfers per simulated round";
+    SIM_ROUND_WALL_NS = "sim.round_wall_ns", histogram,
+        "Wall-clock nanoseconds the engine spent per round";
+    SIM_STALLS = "sim.stalls", counter,
+        "Rounds whose wall time exceeded the stall threshold";
+    SIM_PROGRESS_PCT = "sim.progress_pct", gauge,
+        "Percentage of scheduled rounds the engine has executed";
+    SOLVE_ROUNDS = "solve.rounds", gauge,
+        "Rounds of the schedule the CLI produced";
+    SOLVE_LB1 = "solve.lb1", gauge,
+        "Lower bound Δ' (LB1) of the solved instance";
+    SOLVE_LB2 = "solve.lb2", gauge,
+        "Lower bound Γ' (LB2), written with `simulate --explain` from its witness";
+    EXEC_REPLANS = "exec.replans", counter,
+        "Closed-loop replans performed by the fault-tolerant executor";
+    EXEC_RETRIES = "exec.retries", counter,
+        "Transfer attempts retried after a flaky failure";
+    EXEC_LOST_ITEMS = "exec.lost_items", counter,
+        "Items lost to dead disks or exhausted retries";
+    EXEC_DEGRADED_ROUNDS = "exec.degraded_rounds", counter,
+        "Executed rounds with some disk below the degradation threshold";
+    EXEC_REDIRECTS = "exec.redirects", counter,
+        "Items rerouted to a replacement disk after a crash-stop";
+    EXEC_CRASHES = "exec.crashes", counter,
+        "Crash-stop fault events applied by the executor";
+    EVENTS_EMITTED = "events.emitted", counter,
+        "Structured events recorded by the flight recorder";
+    EVENTS_DROPPED = "events.dropped", counter,
+        "Events evicted from the flight recorder's bounded ring";
+    EVENTS_ITEM_LOST = "events.item_lost", counter,
+        "`ItemLost` events recorded by the flight recorder";
+    EXPLAIN_BINDING_BOUND = "explain.binding_bound", gauge,
+        "Binding lower bound max(Δ', Γ') = Δ' reported by the attribution engine";
+    EXPLAIN_LB1_DISK = "explain.lb1_disk", gauge,
+        "The disk realizing LB1 per the attribution engine";
+    SHARD_COUNT = "shard.count", gauge,
+        "Worker shards used by the sharded solve pipeline";
+    SHARD_CUT_EDGES = "shard.cut_edges", gauge,
+        "Edges cut to the boundary set by the cell partition";
+    SHARD_CUT_FRACTION = "shard.cut_fraction", gauge,
+        "Cut fraction in basis points: `cut_edges * 10000 / total`";
+    SHARD_RECONCILE_MS = "shard.reconcile_ms", counter,
+        "Milliseconds spent merging shard schedules and aligning the boundary rounds";
+    SHARD_BOUNDARY_ROUNDS = "shard.boundary_rounds", gauge,
+        "Rounds of the boundary pass appended after the cell rounds";
+    LIVE_PHASE = "live.phase", gauge,
+        "Current pipeline stage code; see the `phase` module";
+    LIVE_ROUND = "live.round", gauge,
+        "Rounds the live engine has executed in the current plan";
+    LIVE_ITEMS_DONE = "live.items_done", gauge,
         "Work items finished by the current phase: cells solved while sharding, transfers \
-         executed while simulating (gauge).";
-    LIVE_SHARD_ACTIVE = "live.shard_active",
-        "Shard bins being solved right now (gauge).";
-    MEM_RSS_BYTES = "mem.rss_bytes",
-        "Resident set size (VmRSS) sampled from /proc/self/status (gauge).";
-    MEM_RSS_PEAK_BYTES = "mem.rss_peak_bytes",
-        "Peak resident set size (VmHWM) from /proc/self/status (gauge).";
-    POOL_PERMITS_AVAILABLE = "pool.permits_available",
-        "Extra-worker permits currently free in the shared budget (gauge).";
-    POOL_PERMITS_CAPACITY = "pool.permits_capacity",
-        "Extra-worker permits the budget was last reset to (gauge).";
-    POOL_PARKED = "pool.parked",
-        "Scratch arenas currently parked in the process-wide pool (gauge).";
-    POOL_PARKED_HIGH_WATER = "pool.parked_high_water",
-        "High-water mark of parked scratch arenas (gauge).";
-    PROF_SAMPLES = "prof.samples",
-        "Ticks taken by the background sampling profiler (counter).";
-    SERVE_REQUESTS = "serve.requests",
-        "HTTP requests answered by the `--serve` listener (counter).";
-    WS_ROUND = "ws.round",
-        "Round index of the last checkpoint the workspace journal holds (gauge).";
-    WS_CHECKPOINTS = "ws.checkpoints",
-        "Executor checkpoints appended to the workspace journal (counter).";
-    WS_RESUMES = "ws.resumes",
-        "Times an executor was revived from a journal checkpoint (counter).";
-    WS_JOURNAL_BYTES = "ws.journal_bytes",
-        "Bytes of checkpoint records and resume markers this run appended to the workspace journal; event lines are not counted (gauge).";
+         executed while simulating";
+    LIVE_SHARD_ACTIVE = "live.shard_active", gauge,
+        "Shard bins being solved right now";
+    MEM_RSS_BYTES = "mem.rss_bytes", gauge,
+        "Resident set size (VmRSS) sampled from /proc/self/status";
+    MEM_RSS_PEAK_BYTES = "mem.rss_peak_bytes", gauge,
+        "Peak resident set size (VmHWM) from /proc/self/status";
+    POOL_PERMITS_AVAILABLE = "pool.permits_available", gauge,
+        "Extra-worker permits currently free in the shared budget";
+    POOL_PERMITS_CAPACITY = "pool.permits_capacity", gauge,
+        "Extra-worker permits the budget was last reset to";
+    POOL_PARKED = "pool.parked", gauge,
+        "Scratch arenas currently parked in the process-wide pool";
+    POOL_PARKED_HIGH_WATER = "pool.parked_high_water", gauge,
+        "High-water mark of parked scratch arenas";
+    PROF_SAMPLES = "prof.samples", counter,
+        "Ticks taken by the background sampling profiler";
+    SERVE_REQUESTS = "serve.requests", counter,
+        "HTTP requests answered by the `--serve` listener";
+    WS_ROUND = "ws.round", gauge,
+        "Round index of the last checkpoint the workspace journal holds";
+    WS_CHECKPOINTS = "ws.checkpoints", counter,
+        "Executor checkpoints appended to the workspace journal";
+    WS_RESUMES = "ws.resumes", counter,
+        "Times an executor was revived from a journal checkpoint";
+    WS_JOURNAL_BYTES = "ws.journal_bytes", gauge,
+        "Bytes of checkpoint records and resume markers this run appended to the workspace journal; event lines are not counted";
 }
 
 /// Name prefix of the sampling profiler's per-span self-time family:
@@ -239,11 +276,12 @@ metric_keys! {
 /// is the span name observed at runtime.
 pub const PROF_SELF_NS_PREFIX: &str = "prof.self_ns.";
 
-/// One row per [`keys`] constant, in declaration order: `(key, one-line
-/// description)`. The README carries the rendered [`render_keys_table`]
-/// between `<!-- keys:begin/end -->` markers, kept in sync by a unit test.
+/// One row per [`keys`] constant, in declaration order: `(key, kind,
+/// one-line description)`. The README carries the rendered
+/// [`render_keys_table`] between `<!-- keys:begin/end -->` markers, kept
+/// in sync by a unit test.
 #[must_use]
-pub fn keys_reference() -> &'static [(&'static str, &'static str)] {
+pub fn keys_reference() -> &'static [(&'static str, KeyKind, &'static str)] {
     KEYS_REFERENCE
 }
 
@@ -252,8 +290,8 @@ pub fn keys_reference() -> &'static [(&'static str, &'static str)] {
 #[must_use]
 pub fn render_keys_table() -> String {
     let mut out = String::from("| key | description |\n| --- | --- |\n");
-    for (key, doc) in keys_reference() {
-        out.push_str(&format!("| `{key}` | {doc} |\n"));
+    for (key, kind, doc) in keys_reference() {
+        out.push_str(&format!("| `{key}` | {doc} ({}). |\n", kind.name()));
     }
     // The sampler's self-time family is open-ended (one histogram per span
     // name), so it is documented as a prefix row rather than a constant.
@@ -490,12 +528,13 @@ mod tests {
     }
 
     #[test]
-    fn keys_reference_docs_are_one_line_and_typed() {
-        for (key, doc) in super::keys_reference() {
+    fn keys_reference_docs_are_one_line_and_leave_the_kind_to_the_token() {
+        for (key, kind, doc) in super::keys_reference() {
             assert!(!doc.contains('\n'), "{key}: doc must be one line");
             assert!(
-                doc.contains("(counter)") || doc.contains("(gauge)") || doc.contains("(histogram)"),
-                "{key}: doc must state the metric type"
+                !doc.ends_with(')') && !doc.ends_with('.'),
+                "{key}: the table appends ` ({}).` to the doc",
+                kind.name()
             );
         }
     }
