@@ -401,13 +401,16 @@ fn comparison_detail(
 ///
 /// # Errors
 ///
-/// Returns `line-number: message` for the first offending line.
+/// Returns `line N: message` for the first offending line; a rule without
+/// an `expr` is reported at its `[[rule]]` header.
 pub fn parse_rules(text: &str) -> Result<RuleFile, String> {
     let mut file = RuleFile {
         rules: Vec::new(),
         default_tolerance: 1e-9,
     };
     let mut in_rule = false;
+    // The 1-based `[[rule]]` header line of each rule.
+    let mut headers = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = strip_comment(raw).trim().to_string();
         if line.is_empty() {
@@ -416,6 +419,7 @@ pub fn parse_rules(text: &str) -> Result<RuleFile, String> {
         let err = |msg: &str| format!("line {}: {msg}", lineno + 1);
         if line == "[[rule]]" {
             file.rules.push(Rule::default());
+            headers.push(lineno + 1);
             in_rule = true;
             continue;
         }
@@ -457,9 +461,9 @@ pub fn parse_rules(text: &str) -> Result<RuleFile, String> {
             other => return Err(err(&format!("unknown rule key `{other}`"))),
         }
     }
-    for (i, rule) in file.rules.iter().enumerate() {
+    for (i, (rule, line)) in file.rules.iter().zip(headers).enumerate() {
         if rule.expr.is_empty() {
-            return Err(format!("rule {} has no `expr`", i + 1));
+            return Err(format!("line {line}: rule {} has no `expr`", i + 1));
         }
     }
     Ok(file)
@@ -904,7 +908,10 @@ tolerance = 0.5
         assert_eq!(f.rules[0].when.as_deref(), Some("hardware_threads >= 4"));
         assert_eq!(f.rules[1].name, "");
         assert_eq!(f.rules[2].tolerance, Some(0.5));
-        assert!(parse_rules("[[rule]]\n").unwrap_err().contains("no `expr`"));
+        assert_eq!(
+            parse_rules("[[rule]]\nexpr = \"1\"\n\n[[rule]]\nname = \"x\"\n").unwrap_err(),
+            "line 4: rule 2 has no `expr`"
+        );
         assert!(parse_rules("[section]\n")
             .unwrap_err()
             .contains("unsupported"));

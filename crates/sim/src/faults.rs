@@ -141,6 +141,55 @@ enum Section {
     Flaky,
 }
 
+/// The keys read under the current table header.
+#[derive(Default)]
+struct Keys {
+    disk: Option<NodeId>,
+    time: Option<f64>,
+    replacement: Option<NodeId>,
+    factor: Option<f64>,
+    recover_at: Option<f64>,
+    probability: Option<f64>,
+}
+
+impl Keys {
+    /// Adds the table that opened at line `header` in `section` to `plan`;
+    /// a required key it lacks is an error at that line.
+    fn flush(
+        self,
+        section: &Section,
+        header: usize,
+        plan: &mut FaultPlan,
+    ) -> Result<(), FaultPlanError> {
+        let needs = |table: &str, key: &str| FaultPlanError::Parse {
+            line: header,
+            message: format!("{table} needs `{key}`"),
+        };
+        match section {
+            Section::Top => {}
+            Section::Crash => plan.crashes.push(CrashFault {
+                disk: self.disk.ok_or_else(|| needs("[[crash]]", "disk"))?,
+                time: self.time.ok_or_else(|| needs("[[crash]]", "time"))?,
+                replacement: self.replacement,
+            }),
+            Section::Degrade => plan.degradations.push(DegradeFault {
+                disk: self.disk.ok_or_else(|| needs("[[degrade]]", "disk"))?,
+                time: self.time.ok_or_else(|| needs("[[degrade]]", "time"))?,
+                factor: self.factor.ok_or_else(|| needs("[[degrade]]", "factor"))?,
+                recover_at: self.recover_at,
+            }),
+            Section::Flaky => {
+                plan.flaky = Some(FlakySpec {
+                    probability: self
+                        .probability
+                        .ok_or_else(|| needs("[flaky]", "probability"))?,
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
 fn parse_number(line: usize, key: &str, raw: &str) -> Result<f64, FaultPlanError> {
     raw.parse::<f64>().map_err(|_| FaultPlanError::Parse {
         line,
@@ -149,8 +198,9 @@ fn parse_number(line: usize, key: &str, raw: &str) -> Result<f64, FaultPlanError
 }
 
 fn parse_disk(line: usize, key: &str, raw: &str) -> Result<NodeId, FaultPlanError> {
-    raw.parse::<usize>()
-        .map(NodeId::new)
+    // A disk id is a `u32`; a larger index is no disk, not a panic.
+    raw.parse::<u32>()
+        .map(|d| NodeId::new(d as usize))
         .map_err(|_| FaultPlanError::Parse {
             line,
             message: format!("{key}: expected a disk index, got `{raw}`"),
@@ -163,8 +213,9 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Returns [`FaultPlanError::Parse`] with a line number on malformed
-    /// input, and [`FaultPlanError::Invalid`] when a table is missing a
-    /// required key or carries an out-of-range value.
+    /// input and on a table missing a required key (the line of the
+    /// table's header). Values are range-checked by
+    /// [`FaultPlan::validate`].
     pub fn parse(text: &str) -> Result<FaultPlan, FaultPlanError> {
         Self::parse_tables(text).map(|(plan, _)| plan)
     }
@@ -174,66 +225,10 @@ impl FaultPlan {
         let mut plan = FaultPlan::default();
         let mut lines = HeaderLines::default();
         let mut section = Section::Top;
-        // Partially built current table; flushed on section change / EOF.
-        let mut disk: Option<NodeId> = None;
-        let mut time: Option<f64> = None;
-        let mut replacement: Option<NodeId> = None;
-        let mut factor: Option<f64> = None;
-        let mut recover_at: Option<f64> = None;
-        let mut probability: Option<f64> = None;
-        let flush = |section: &Section,
-                     plan: &mut FaultPlan,
-                     disk: &mut Option<NodeId>,
-                     time: &mut Option<f64>,
-                     replacement: &mut Option<NodeId>,
-                     factor: &mut Option<f64>,
-                     recover_at: &mut Option<f64>,
-                     probability: &mut Option<f64>|
-         -> Result<(), FaultPlanError> {
-            match section {
-                Section::Top => {}
-                Section::Crash => {
-                    plan.crashes.push(CrashFault {
-                        disk: disk.take().ok_or_else(|| {
-                            FaultPlanError::Invalid("[[crash]] needs `disk`".into())
-                        })?,
-                        time: time.take().ok_or_else(|| {
-                            FaultPlanError::Invalid("[[crash]] needs `time`".into())
-                        })?,
-                        replacement: replacement.take(),
-                    });
-                }
-                Section::Degrade => {
-                    plan.degradations.push(DegradeFault {
-                        disk: disk.take().ok_or_else(|| {
-                            FaultPlanError::Invalid("[[degrade]] needs `disk`".into())
-                        })?,
-                        time: time.take().ok_or_else(|| {
-                            FaultPlanError::Invalid("[[degrade]] needs `time`".into())
-                        })?,
-                        factor: factor.take().ok_or_else(|| {
-                            FaultPlanError::Invalid("[[degrade]] needs `factor`".into())
-                        })?,
-                        recover_at: recover_at.take(),
-                    });
-                }
-                Section::Flaky => {
-                    plan.flaky = Some(FlakySpec {
-                        probability: probability.take().ok_or_else(|| {
-                            FaultPlanError::Invalid("[flaky] needs `probability`".into())
-                        })?,
-                    });
-                }
-            }
-            *disk = None;
-            *time = None;
-            *replacement = None;
-            *factor = None;
-            *recover_at = None;
-            *probability = None;
-            Ok(())
-        };
-
+        // The current table's header line and the keys read under it;
+        // flushed into the plan at the next header and at the end.
+        let mut header = 0;
+        let mut table = Keys::default();
         for (i, raw) in text.lines().enumerate() {
             let lineno = i + 1;
             let line = raw.split('#').next().unwrap_or_default().trim();
@@ -241,7 +236,7 @@ impl FaultPlan {
                 continue;
             }
             // `[[name]]` opens an array table, `[name]` a plain one.
-            let header = line
+            let opened = line
                 .strip_prefix("[[")
                 .and_then(|s| s.strip_suffix("]]"))
                 .map(|h| (h.trim(), true))
@@ -250,17 +245,9 @@ impl FaultPlan {
                         .and_then(|s| s.strip_suffix(']'))
                         .map(|h| (h.trim(), false))
                 });
-            if let Some((name, array)) = header {
-                flush(
-                    &section,
-                    &mut plan,
-                    &mut disk,
-                    &mut time,
-                    &mut replacement,
-                    &mut factor,
-                    &mut recover_at,
-                    &mut probability,
-                )?;
+            if let Some((name, array)) = opened {
+                std::mem::take(&mut table).flush(&section, header, &mut plan)?;
+                header = lineno;
                 section = match (name, array) {
                     ("crash", true) => {
                         lines.crash.push(lineno);
@@ -303,22 +290,22 @@ impl FaultPlan {
                     })?;
                 }
                 (Section::Crash | Section::Degrade, "disk") => {
-                    disk = Some(parse_disk(lineno, key, value)?);
+                    table.disk = Some(parse_disk(lineno, key, value)?);
                 }
                 (Section::Crash | Section::Degrade, "time") => {
-                    time = Some(parse_number(lineno, key, value)?);
+                    table.time = Some(parse_number(lineno, key, value)?);
                 }
                 (Section::Crash, "replacement") => {
-                    replacement = Some(parse_disk(lineno, key, value)?);
+                    table.replacement = Some(parse_disk(lineno, key, value)?);
                 }
                 (Section::Degrade, "factor") => {
-                    factor = Some(parse_number(lineno, key, value)?);
+                    table.factor = Some(parse_number(lineno, key, value)?);
                 }
                 (Section::Degrade, "recover_at") => {
-                    recover_at = Some(parse_number(lineno, key, value)?);
+                    table.recover_at = Some(parse_number(lineno, key, value)?);
                 }
                 (Section::Flaky, "probability") => {
-                    probability = Some(parse_number(lineno, key, value)?);
+                    table.probability = Some(parse_number(lineno, key, value)?);
                 }
                 _ => {
                     return Err(FaultPlanError::Parse {
@@ -328,16 +315,7 @@ impl FaultPlan {
                 }
             }
         }
-        flush(
-            &section,
-            &mut plan,
-            &mut disk,
-            &mut time,
-            &mut replacement,
-            &mut factor,
-            &mut recover_at,
-            &mut probability,
-        )?;
+        table.flush(&section, header, &mut plan)?;
         Ok((plan, lines))
     }
 
@@ -571,15 +549,29 @@ probability = 0.05
             ("seed = many\n", "expected an integer"),
             ("[[crash]]\ndisk = x\n", "disk index"),
             ("[[crash]]\nwhat = 1\n", "unknown key"),
+            ("[[crash]]\ndisk = 4294967296\n", "disk index"),
             ("gibberish\n", "key = value"),
         ] {
             let err = FaultPlan::parse(text).unwrap_err();
             assert!(matches!(err, FaultPlanError::Parse { .. }), "{text}: {err}");
             assert!(err.to_string().contains(needle), "{text}: {err}");
         }
-        // Missing required keys are caught at flush.
-        let err = FaultPlan::parse("[[crash]]\ntime = 1\n").unwrap_err();
-        assert!(err.to_string().contains("needs `disk`"), "{err}");
+        // A missing required key is reported at its table's header.
+        for (text, message) in [
+            ("[[crash]]\ntime = 1\n", "line 1: [[crash]] needs `disk`"),
+            (
+                "seed = 1\n\n[[crash]]\ndisk = 0\ntime = 1\n[[degrade]]\ndisk = 1\ntime = 2\n",
+                "line 6: [[degrade]] needs `factor`",
+            ),
+            (
+                "[flaky]\n# none\n[[crash]]\n",
+                "line 1: [flaky] needs `probability`",
+            ),
+        ] {
+            let err = FaultPlan::parse(text).unwrap_err();
+            assert_eq!(err.to_string(), message, "{text}");
+            assert_eq!(FaultPlan::parse_checked(text, 8).unwrap_err(), err);
+        }
     }
 
     #[test]
