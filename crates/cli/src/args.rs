@@ -1,8 +1,8 @@
 //! The one command-line reader. Every command names the flags it takes,
-//! and [`Args::parse`] splits its arguments into operands, flag values
-//! and switches, refusing a flag the command does not take and a value
-//! flag without its value. The readers at the end turn the flags several
-//! commands share into what those commands run with.
+//! and [`Args::parse`] splits its arguments into operands and flags,
+//! refusing a flag the command does not take and a value flag without its
+//! value. The readers at the end turn the flags several commands share
+//! into what those commands run with.
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -13,54 +13,32 @@ use dmig_core::MigrationProblem;
 use dmig_sim::{Cluster, ExecutorConfig, FaultPlan};
 
 use crate::files;
-use crate::record::RECORDER_VALUES;
 
-/// The flags one command takes.
-#[derive(Clone, Copy)]
-pub(crate) struct Flags {
-    /// Flags followed by a value (`--threads N`).
-    pub(crate) values: &'static [&'static str],
-    /// Flags that stand alone (`--replan`).
-    pub(crate) switches: &'static [&'static str],
-    /// Whether the command also takes the recorder's flags: `--trace` and
-    /// [`RECORDER_VALUES`].
-    pub(crate) recorder: bool,
-}
+/// The flags a command takes, written as `dmig help` writes them: a flag
+/// followed by a placeholder (`--threads N`) takes a value, and a flag
+/// followed by another flag or by nothing (`--replan`) stands alone.
+pub(crate) type Flags = &'static [&'static str];
 
-impl Flags {
-    /// A command that takes no flag.
-    pub(crate) const NONE: Flags = Flags::new(&[], &[]);
-
-    /// A command that takes the value flags `values` and the switches
-    /// `switches`, and no recorder flag.
-    pub(crate) const fn new(
-        values: &'static [&'static str],
-        switches: &'static [&'static str],
-    ) -> Flags {
-        Flags {
-            values,
-            switches,
-            recorder: false,
+/// Whether `flags` take `flag`, and if so whether it takes a value.
+fn lookup(flags: Flags, flag: &str) -> Option<bool> {
+    flags.iter().find_map(|spec| {
+        let mut words = spec.split_whitespace().peekable();
+        while let Some(word) = words.next() {
+            if word == flag {
+                return Some(words.peek().is_some_and(|next| !next.starts_with("--")));
+            }
         }
-    }
-
-    pub(crate) fn takes_value(&self, flag: &str) -> bool {
-        self.values.contains(&flag) || (self.recorder && RECORDER_VALUES.contains(&flag))
-    }
-
-    pub(crate) fn takes_switch(&self, flag: &str) -> bool {
-        self.switches.contains(&flag) || (self.recorder && flag == "--trace")
-    }
+        None
+    })
 }
 
 /// One command's arguments, split by the [`Flags`] it takes.
 pub(crate) struct Args<'a> {
     cmd: &'a str,
     operands: Vec<&'a str>,
-    /// Every value flag given, with its value, in order; the first
-    /// occurrence of a flag is the one read.
-    values: Vec<(&'a str, &'a str)>,
-    switches: Vec<&'a str>,
+    /// Every flag given, with its value (none for a switch), in order; the
+    /// first occurrence of a flag is the one read.
+    flags: Vec<(&'a str, Option<&'a str>)>,
 }
 
 impl<'a> Args<'a> {
@@ -79,21 +57,20 @@ impl<'a> Args<'a> {
         let mut out = Args {
             cmd,
             operands: Vec::new(),
-            values: Vec::new(),
-            switches: Vec::new(),
+            flags: Vec::new(),
         };
         let mut it = args.iter().map(String::as_str);
         while let Some(arg) = it.next() {
             if !arg.starts_with("--") {
                 out.operands.push(arg);
-            } else if flags.takes_switch(arg) {
-                out.switches.push(arg);
-            } else if flags.takes_value(arg) {
-                let value = it.next().ok_or(format!("bad {arg}: missing value"))?;
-                out.values.push((arg, value));
-            } else {
-                return Err(format!("{cmd}: unknown flag `{arg}`; try `dmig help`"));
+                continue;
             }
+            let value = match lookup(flags, arg) {
+                None => return Err(format!("{cmd}: unknown flag `{arg}`; try `dmig help`")),
+                Some(false) => None,
+                Some(true) => Some(it.next().ok_or(format!("bad {arg}: missing value"))?),
+            };
+            out.flags.push((arg, value));
         }
         Ok(out)
     }
@@ -112,17 +89,17 @@ impl<'a> Args<'a> {
             .ok_or_else(|| format!("{}: missing {what}", self.cmd))
     }
 
-    /// The value of `flag`, if given.
-    pub(crate) fn value(&self, flag: &str) -> Option<&'a str> {
-        self.values
-            .iter()
-            .find(|(f, _)| *f == flag)
-            .map(|&(_, v)| v)
+    /// Whether `flag` was given.
+    pub(crate) fn given(&self, flag: &str) -> bool {
+        self.flags.iter().any(|&(f, _)| f == flag)
     }
 
-    /// Whether the switch `flag` was given.
-    pub(crate) fn switch(&self, flag: &str) -> bool {
-        self.switches.contains(&flag)
+    /// The value of `flag`, if given.
+    pub(crate) fn value(&self, flag: &str) -> Option<&'a str> {
+        self.flags
+            .iter()
+            .find(|&&(f, _)| f == flag)
+            .and_then(|&(_, v)| v)
     }
 
     /// The value of `flag` read as a `T`.
@@ -225,7 +202,7 @@ pub(crate) fn faults(
     };
     let default = ExecutorConfig::default();
     let config = ExecutorConfig {
-        replan: args.switch("--replan"),
+        replan: args.given("--replan"),
         retry_max: args.number("--retry-max")?.unwrap_or(default.retry_max),
         ..default
     };
@@ -236,80 +213,43 @@ pub(crate) fn faults(
 mod tests {
     use super::*;
 
-    const FLAGS: Flags = Flags::new(&["--threads", "--out"], &["--check"]);
-
-    fn parse<'a>(args: &'a [String]) -> Result<Args<'a>, String> {
-        Args::parse("cmd", FLAGS, args)
-    }
-
-    fn strings(args: &[&str]) -> Vec<String> {
-        args.iter().map(ToString::to_string).collect()
+    fn parse(line: &[&str]) -> Result<Args<'static>, String> {
+        let line: Vec<String> = line.iter().map(ToString::to_string).collect();
+        let flags = &["--threads N --check", "--out FILE"];
+        Args::parse("cmd", flags, Vec::leak(line))
     }
 
     #[test]
-    fn splits_operands_values_and_switches() {
-        let line = strings(&[
-            "a",
-            "--threads",
-            "3",
-            "-1",
-            "--check",
-            "--out",
-            "--check",
-            "b",
-        ]);
-        let args = parse(&line).unwrap();
-        assert_eq!(args.operands(), ["a", "-1", "b"]);
-        assert_eq!(args.value("--threads"), Some("3"));
-        // A value flag takes the next argument, whatever it is.
-        assert_eq!(args.value("--out"), Some("--check"));
-        assert!(args.switch("--check"));
+    fn splits_operands_and_flags() {
+        let args = parse(&["a", "--threads", "3", "-1", "--check", "--out", "--check"]).unwrap();
+        assert_eq!(args.operands(), ["a", "-1"]);
         assert_eq!(args.first("thing"), Ok("a"));
         assert_eq!(args.count("--threads"), Ok(Some(3)));
+        assert!(args.given("--check"));
+        // A value flag takes the next argument, whatever it is, and the
+        // first occurrence of a flag wins.
+        assert_eq!(args.value("--out"), Some("--check"));
+        let args = parse(&["--threads", "2", "--threads", "x"]).unwrap();
+        assert_eq!(args.count("--threads"), Ok(Some(2)));
     }
 
     #[test]
-    fn the_first_occurrence_of_a_flag_wins() {
-        let line = strings(&["--threads", "2", "--threads", "x"]);
-        assert_eq!(parse(&line).unwrap().count("--threads"), Ok(Some(2)));
-    }
-
-    #[test]
-    fn unknown_and_dangling_flags_are_errors() {
-        let err = |line: &[&str]| parse(&strings(line)).err().unwrap();
+    fn errors_name_the_flag() {
+        let err = |line: &[&str]| parse(line).err().unwrap();
         assert_eq!(
-            err(&["--thread", "1"]),
+            err(&["--thread"]),
             "cmd: unknown flag `--thread`; try `dmig help`"
         );
         assert_eq!(
             err(&["--trace"]),
             "cmd: unknown flag `--trace`; try `dmig help`"
         );
-        assert_eq!(err(&["x", "--threads"]), "bad --threads: missing value");
-        let line = strings(&[]);
+        assert_eq!(err(&["x", "--out"]), "bad --out: missing value");
         assert_eq!(
-            parse(&line).unwrap().first("thing"),
+            parse(&[]).unwrap().first("thing"),
             Err("cmd: missing thing".into())
         );
-    }
-
-    #[test]
-    fn the_recorder_flags_ride_along_when_asked_for() {
-        let flags = Flags {
-            recorder: true,
-            ..Flags::NONE
-        };
-        let line = strings(&["--trace", "--metrics-out", "m.json"]);
-        let args = Args::parse("cmd", flags, &line).unwrap();
-        assert!(args.switch("--trace"));
-        assert_eq!(args.value("--metrics-out"), Some("m.json"));
-        assert!(Args::parse("cmd", Flags::NONE, &line).is_err());
-    }
-
-    #[test]
-    fn numbers_share_one_error_form() {
-        let line = strings(&["--threads", "0", "--out", "x"]);
-        let args = parse(&line).unwrap();
+        let args = parse(&["--threads", "0", "--out", "x"]).unwrap();
         assert_eq!(
             args.count("--threads"),
             Err("bad --threads: must be at least 1".into())

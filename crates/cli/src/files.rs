@@ -23,7 +23,7 @@ pub(crate) fn read_bytes(path: impl AsRef<Path>) -> Result<Vec<u8>, String> {
 /// Publishes `bytes` at `path` by write-to-temp and atomic rename.
 pub(crate) fn write(path: impl AsRef<Path>, bytes: &[u8]) -> Result<(), String> {
     let path = path.as_ref();
-    dmig_obs::fsio::atomic_write_path(path, bytes)
+    dmig_obs::fsio::atomic_write(path, bytes)
         .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 

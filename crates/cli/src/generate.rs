@@ -3,14 +3,8 @@
 
 use dmig_core::MigrationProblem;
 
-use crate::args::{Args, Flags};
+use crate::args::Args;
 use crate::{files, instance};
-
-/// The flags of `dmig generate`.
-pub(crate) const GENERATE: Flags = Flags::new(&["--seed"], &[]);
-
-/// The flags of `dmig import-trace`.
-pub(crate) const IMPORT_TRACE: Flags = Flags::new(&["--default-cap"], &[]);
 
 pub(crate) fn cmd_import_trace(args: &Args<'_>) -> Result<String, String> {
     let text = files::read_text(args.first("trace file")?)?;
@@ -107,7 +101,7 @@ pub(crate) fn cmd_generate(args: &Args<'_>) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use crate::instance;
-    use crate::testutil::{run_str, write_temp};
+    use crate::testutil::{run_ok, run_str, write_temp};
 
     #[test]
     fn generate_then_solve() {
@@ -150,9 +144,8 @@ mod tests {
     #[test]
     fn import_trace_command() {
         let path = write_temp("trace", "item 0 1\nitem 1 2 0.5\nitem 0 2\n");
-        let out = run_str(&["import-trace", &path, "--default-cap", "2"]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
-        let p = instance::parse_instance(&out.stdout).unwrap();
+        let out = run_ok(&["import-trace", &path, "--default-cap", "2"]);
+        let p = instance::parse_instance(&out).unwrap();
         assert_eq!(p.num_items(), 3);
         assert_eq!(p.capacities().as_slice(), &[2, 2, 2]);
         let bad = run_str(&["import-trace", &path, "--default-cap", "x"]);

@@ -1,16 +1,7 @@
-//! `dmig` command-line planner.
-//!
-//! Subcommands (see `dmig help`):
-//!
-//! * `solve <file> [--solver NAME]` — plan a migration and print the rounds,
-//! * `bounds <file>` — print the lower bounds `Δ'` and `Γ'` with witness,
-//! * `compare <file>` — run every applicable solver head-to-head,
-//! * `simulate <file> [--solver NAME] [--bandwidths B0,B1,…]` — wall-clock
-//!   simulation in the paper's bandwidth-split model,
-//! * `generate <kind> …` — emit a synthetic instance (see `help`).
-//!
-//! The library exposes [`run`] so the whole CLI is unit-testable; the
-//! binary is a thin wrapper.
+//! `dmig` command-line planner (see `dmig help`). The library exposes
+//! [`run`] so the whole CLI is unit-testable; the binary is a thin
+//! wrapper. Each command's body lives in a module of its own; the table
+//! here maps a command line to the body and to the flags it takes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +20,7 @@ mod testutil;
 pub mod workspace;
 
 use args::{Args, Flags};
+use record::RECORDER;
 
 /// Exit status plus rendered output of a CLI invocation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -57,61 +49,66 @@ pub fn run(args: &[String]) -> CliOutcome {
 /// A command's body: it gets its arguments split by the flags it takes.
 type Body = fn(&Args<'_>) -> Result<String, String>;
 
+const SIMULATE: &str = "--solver NAME --threads N --bandwidths B0,B1,... --faults FILE \
+    --replan --retry-max N --report-out FILE --explain --progress";
+const PLAN: &str = "--workspace DIR --faults FILE --solver NAME --threads N \
+    --bandwidths B0,B1,... --replan --retry-max N --metrics-out FILE";
+/// `--abort-after-checkpoint N` is a test hook, left out of `dmig help`.
+const SESSION: &str = "--workspace DIR --threads N --metrics-out FILE --abort-after-checkpoint N";
+const EXPLAIN: &str = "--solver NAME --threads N --bandwidths B0,B1,... --json --out FILE";
+
 /// Every command `dmig` runs: its name (with the verb under `migrate` and
 /// `obs`), the flags it takes, and its body.
 #[rustfmt::skip]
 const COMMANDS: &[(&str, Flags, Body)] = &[
-    ("solve",            solve::SOLVE,             solve::cmd_solve),
-    ("bounds",           Flags::NONE,              solve::cmd_bounds),
-    ("compare",          Flags::NONE,              solve::cmd_compare),
-    ("simulate",         simulate::SIMULATE,       simulate::cmd_simulate),
-    ("migrate plan",     workspace::PLAN_FLAGS,    workspace::cmd_plan),
-    ("migrate execute",  workspace::SESSION_FLAGS, workspace::cmd_execute),
-    ("migrate resume",   workspace::SESSION_FLAGS, workspace::cmd_resume),
-    ("migrate export",   workspace::EXPORT_FLAGS,  workspace::cmd_export),
-    ("migrate import",   workspace::IMPORT_FLAGS,  workspace::cmd_import),
-    ("generate",         generate::GENERATE,       generate::cmd_generate),
-    ("stats",            Flags::NONE,              solve::cmd_stats),
-    ("dot",              Flags::NONE,              solve::cmd_dot),
-    ("import-trace",     generate::IMPORT_TRACE,   generate::cmd_import_trace),
-    ("obs diff",         obs::DIFF,                obs::cmd_diff),
-    ("obs gate",         obs::GATE,                obs::cmd_gate),
-    ("obs serve",        obs::SERVE,               obs::cmd_serve),
-    ("obs export-trace", obs::EXPORT_TRACE,        obs::cmd_export_trace),
-    ("obs flame",        obs::FLAME,               obs::cmd_flame),
-    ("obs explain",      obs::EXPLAIN,             obs::cmd_explain),
-    ("obs compact",      obs::COMPACT,             obs::cmd_compact),
+    ("solve", &["--solver NAME --threads N --shards K", RECORDER], solve::cmd_solve),
+    ("bounds", &[], solve::cmd_bounds),
+    ("compare", &[], solve::cmd_compare),
+    ("simulate", &[SIMULATE, RECORDER], simulate::cmd_simulate),
+    ("migrate plan", &[PLAN], workspace::cmd_plan),
+    ("migrate execute", &[SESSION], workspace::cmd_execute),
+    ("migrate resume", &[SESSION], workspace::cmd_resume),
+    ("migrate export", &["--workspace DIR --out FILE"], workspace::cmd_export),
+    ("migrate import", &["--workspace DIR"], workspace::cmd_import),
+    ("generate", &["--seed S"], generate::cmd_generate),
+    ("stats", &[], solve::cmd_stats),
+    ("dot", &[], solve::cmd_dot),
+    ("import-trace", &["--default-cap K"], generate::cmd_import_trace),
+    ("obs diff", &["--tolerance T --all"], obs::cmd_diff),
+    ("obs gate", &["--tolerance T --baseline SPEC --explain"], obs::cmd_gate),
+    ("obs serve", &["--addr A --addr-file F --requests N"], obs::cmd_serve),
+    ("obs export-trace", &["--out FILE --html FILE --check"], obs::cmd_export_trace),
+    ("obs flame", &["--out FILE"], obs::cmd_flame),
+    ("obs explain", &[EXPLAIN], obs::cmd_explain),
+    ("obs compact", &["--keep N"], obs::cmd_compact),
 ];
 
 fn run_inner(args: &[String]) -> Result<String, String> {
-    let words = match args.first().map(String::as_str) {
+    let group = match args.first().map(String::as_str) {
         None | Some("help" | "--help" | "-h") => return Ok(usage()),
-        Some("migrate" | "obs") => args.len().min(2),
-        Some(_) => 1,
+        Some(group @ ("migrate" | "obs")) => Some(group),
+        Some(_) => None,
+    };
+    let words = if group.is_some() {
+        args.len().min(2)
+    } else {
+        1
     };
     let name = args[..words].join(" ");
-    match COMMANDS.iter().find(|(n, ..)| *n == name) {
-        Some(&(name, flags, body)) => body(&Args::parse(name, flags, &args[words..])?),
-        None => Err(no_command(&args[0], args.get(1).map(String::as_str))),
+    if let Some(&(name, flags, body)) = COMMANDS.iter().find(|(n, ..)| *n == name) {
+        return body(&Args::parse(name, flags, &args[words..])?);
     }
-}
-
-/// The error for a command line whose first words name no command.
-fn no_command(first: &str, verb: Option<&str>) -> String {
-    match (first, verb) {
-        ("migrate", Some(verb)) => {
-            format!("migrate: unknown verb `{verb}` (plan|execute|resume|export|import)")
-        }
-        ("migrate", None) => "migrate: missing verb (plan|execute|resume|export|import)".into(),
-        ("obs", Some(verb)) => format!(
-            "obs: unknown subcommand `{verb}` (expected diff, gate, export-trace, flame, \
-             explain, compact, or serve)"
-        ),
-        ("obs", None) => "obs: expected a subcommand: diff, gate, export-trace, flame, \
-                          explain, compact, or serve"
-            .into(),
-        (other, _) => format!("unknown command `{other}`; try `dmig help`"),
-    }
+    let Some(group) = group else {
+        return Err(format!("unknown command `{}`; try `dmig help`", args[0]));
+    };
+    let verbs: Vec<&str> = COMMANDS
+        .iter()
+        .filter_map(|(n, ..)| n.strip_prefix(group)?.strip_prefix(' '))
+        .collect();
+    Err(match args.get(1) {
+        Some(verb) => format!("{group}: unknown verb `{verb}` ({})", verbs.join("|")),
+        None => format!("{group}: missing verb ({})", verbs.join("|")),
+    })
 }
 
 fn usage() -> String {
@@ -221,29 +218,32 @@ mod tests {
     use std::collections::BTreeSet;
 
     use super::{usage, COMMANDS};
-    use crate::record::RECORDER_VALUES;
     use crate::testutil::run_str;
 
-    /// Every flag a command takes is in `dmig help`, and every flag `dmig
-    /// help` names is taken by some command. The one flag left out of the
-    /// help is the test hook `--abort-after-checkpoint`.
+    /// `dmig help` names every command, and exactly the flags the commands
+    /// take, but for the test hook `--abort-after-checkpoint`.
     #[test]
-    fn help_names_exactly_the_flags_the_commands_take() {
+    fn help_names_every_command_and_exactly_the_flags_they_take() {
+        fn flags(text: &str) -> BTreeSet<&str> {
+            text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|w| w.starts_with("--") && w.len() > 2)
+                .collect()
+        }
         let help = usage();
-        let in_help: BTreeSet<&str> = help
-            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
-            .filter(|w| w.starts_with("--") && w.len() > 2)
-            .collect();
         let mut taken = BTreeSet::new();
-        for (_, flags, _) in COMMANDS {
-            taken.extend(flags.values.iter().chain(flags.switches).copied());
-            if flags.recorder {
-                taken.extend(RECORDER_VALUES);
-                taken.insert("--trace");
-            }
+        for (name, specs, _) in COMMANDS {
+            assert!(
+                help.contains(&format!("dmig {name} ")),
+                "usage() misses {name}"
+            );
+            specs.iter().for_each(|spec| taken.extend(flags(spec)));
         }
         assert!(taken.remove("--abort-after-checkpoint"));
-        assert_eq!(in_help, taken);
+        assert_eq!(flags(&help), taken);
+        assert!(
+            help.contains("clustered"),
+            "usage() misses the clustered kind"
+        );
     }
 
     #[test]
@@ -259,30 +259,5 @@ mod tests {
         let out = run_str(&["frobnicate"]);
         assert_eq!(out.code, 1);
         assert!(out.stdout.contains("unknown command"));
-    }
-
-    #[test]
-    fn help_documents_observability_and_threads() {
-        let help = run_str(&["help"]).stdout;
-        for flag in ["--threads", "--trace", "--metrics-out", "--shards"] {
-            assert!(help.contains(flag), "usage() missing {flag}");
-        }
-        assert!(help.contains("clustered"), "usage() missing clustered kind");
-    }
-
-    #[test]
-    fn help_documents_events_and_explain() {
-        let help = run_str(&["help"]).stdout;
-        for needle in [
-            "--events-out",
-            "--crash-dump",
-            "--explain",
-            "obs explain",
-            "--serve",
-            "--serve-addr-file",
-            "obs serve",
-        ] {
-            assert!(help.contains(needle), "usage() missing {needle}");
-        }
     }
 }

@@ -5,35 +5,11 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use dmig_core::solver::Solver;
-use dmig_obs::{diff, gate, history, trace, Snapshot, SpanNode, Value};
+use dmig_obs::{diff, gate, history, trace, Snapshot, Value};
 
-use crate::args::{self, Args, Flags};
+use crate::args::{self, Args};
 use crate::files::{self, read_instance};
 use crate::simulate::explain_input;
-
-/// The flags of `dmig obs diff`.
-pub(crate) const DIFF: Flags = Flags::new(&["--tolerance"], &["--all"]);
-
-/// The flags of `dmig obs gate`.
-pub(crate) const GATE: Flags = Flags::new(&["--tolerance", "--baseline"], &["--explain"]);
-
-/// The flags of `dmig obs serve`.
-pub(crate) const SERVE: Flags = Flags::new(&["--addr", "--addr-file", "--requests"], &[]);
-
-/// The flags of `dmig obs export-trace`.
-pub(crate) const EXPORT_TRACE: Flags = Flags::new(&["--out", "--html"], &["--check"]);
-
-/// The flags of `dmig obs flame`.
-pub(crate) const FLAME: Flags = Flags::new(&["--out"], &[]);
-
-/// The flags of `dmig obs explain`.
-pub(crate) const EXPLAIN: Flags = Flags::new(
-    &["--solver", "--threads", "--bandwidths", "--out"],
-    &["--json"],
-);
-
-/// The flags of `dmig obs compact`.
-pub(crate) const COMPACT: Flags = Flags::new(&["--keep"], &[]);
 
 /// `dmig obs explain <instance>`: solves the instance, replays the
 /// schedule's per-round busy profile, and prints which disk realizes LB1,
@@ -46,7 +22,7 @@ pub(crate) fn cmd_explain(args: &Args<'_>) -> Result<String, String> {
     let cluster = args::cluster(args, &problem)?;
     let input = explain_input(&problem, &schedule, &cluster)?;
     let attr = dmig_obs::explain::attribute(&input);
-    let rendered = if args.switch("--json") {
+    let rendered = if args.given("--json") {
         attr.to_json()
     } else {
         attr.render_text(&input.disks)
@@ -114,7 +90,7 @@ pub(crate) fn cmd_diff(args: &Args<'_>) -> Result<String, String> {
     let old = load_metrics(old_spec)?;
     let new = load_metrics(new_spec)?;
     let d = diff::diff_metrics(&old, &new, tolerance);
-    Ok(d.render(!args.switch("--all")))
+    Ok(d.render(!args.given("--all")))
 }
 
 pub(crate) fn cmd_gate(args: &Args<'_>) -> Result<String, String> {
@@ -137,7 +113,7 @@ pub(crate) fn cmd_gate(args: &Args<'_>) -> Result<String, String> {
         }
     }
     let report = gate::evaluate(&rules, &metrics, &gate_functions());
-    let rendered = if args.switch("--explain") {
+    let rendered = if args.given("--explain") {
         report.render_explained()
     } else {
         report.render()
@@ -154,18 +130,12 @@ pub(crate) fn cmd_gate(args: &Args<'_>) -> Result<String, String> {
 /// original JSON. Blocks until `--requests N` requests have been served
 /// (without `--requests` it runs until killed).
 pub(crate) fn cmd_serve(args: &Args<'_>) -> Result<String, String> {
-    let path = args.first("snapshot file")?;
-    let text = files::read_text(path)?;
-    let doc = Value::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
-    let snapshot = Snapshot::from_value(&doc).map_err(|e| format!("{path}: {e}"))?;
+    let (raw, snapshot) = read_snapshot(args.first("snapshot file")?)?;
     let addr = args.value("--addr").unwrap_or("127.0.0.1:9464");
     let max_requests = args.number("--requests")?;
     let server = dmig_obs::serve::ObsServer::start(
         addr,
-        dmig_obs::serve::ServeSource::Fixed {
-            snapshot,
-            raw: text,
-        },
+        dmig_obs::serve::ServeSource::Fixed { snapshot, raw },
         max_requests,
     )?;
     let local = server.local_addr();
@@ -176,20 +146,18 @@ pub(crate) fn cmd_serve(args: &Args<'_>) -> Result<String, String> {
     Ok(format!("served {served} request(s) on http://{local}\n"))
 }
 
-/// The span forest of the `dmig-obs/1` snapshot at `path`, for
-/// `export-trace` and `flame`.
-fn read_snapshot_spans(path: &str) -> Result<Vec<SpanNode>, String> {
+/// The `dmig-obs/1` snapshot at `path`, and its text.
+fn read_snapshot(path: &str) -> Result<(String, Snapshot), String> {
     let text = files::read_text(path)?;
     let doc = Value::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    Ok(Snapshot::from_value(&doc)
-        .map_err(|e| format!("{path}: {e}"))?
-        .spans)
+    let snapshot = Snapshot::from_value(&doc).map_err(|e| format!("{path}: {e}"))?;
+    Ok((text, snapshot))
 }
 
 pub(crate) fn cmd_export_trace(args: &Args<'_>) -> Result<String, String> {
-    let spans = read_snapshot_spans(args.first("snapshot file")?)?;
+    let spans = read_snapshot(args.first("snapshot file")?)?.1.spans;
     let chrome = trace::chrome_trace(&spans);
-    let stats = if args.switch("--check") {
+    let stats = if args.given("--check") {
         Some(trace::validate_chrome_trace(&chrome).map_err(|e| format!("invalid trace: {e}"))?)
     } else {
         None
@@ -215,7 +183,7 @@ pub(crate) fn cmd_export_trace(args: &Args<'_>) -> Result<String, String> {
 }
 
 pub(crate) fn cmd_flame(args: &Args<'_>) -> Result<String, String> {
-    let spans = read_snapshot_spans(args.first("snapshot file")?)?;
+    let spans = read_snapshot(args.first("snapshot file")?)?.1.spans;
     let table = trace::render_rollup_text(&trace::self_time_rollup(&spans));
     files::print_or_write(args, table, "self-time rollup")
 }
@@ -235,7 +203,7 @@ pub(crate) fn cmd_compact(args: &Args<'_>) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{run_str, write_temp, K3};
+    use crate::testutil::{run_ok, run_str, temp_path, write_temp, K3};
     use std::time::{Duration, Instant};
 
     #[test]
@@ -255,9 +223,8 @@ mod tests {
         );
         let low = write_temp("gate-low", "{\"hardware_threads\": 2}");
 
-        let ok = run_str(&["obs", "gate", &rules, &good]);
-        assert_eq!(ok.code, 0, "{}", ok.stdout);
-        assert!(ok.stdout.contains("PASS"));
+        let ok = run_ok(&["obs", "gate", &rules, &good]);
+        assert!(ok.contains("PASS"));
 
         let fail = run_str(&["obs", "gate", &rules, &bad]);
         assert_eq!(fail.code, 1, "regressed metrics must gate nonzero");
@@ -285,22 +252,20 @@ mod tests {
                 dmig_flow::quota_flow_solves(4)
             ),
         );
-        let out = run_str(&["obs", "gate", &rules, &metrics]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
-        assert!(out.stdout.contains("PASS"));
+        let out = run_ok(&["obs", "gate", &rules, &metrics]);
+        assert!(out.contains("PASS"));
     }
 
     #[test]
     fn obs_diff_reports_changes_only() {
         let old = write_temp("diff-old", "{\"rounds\": 10, \"flow_solves\": 5}");
         let new = write_temp("diff-new", "{\"rounds\": 12, \"flow_solves\": 5}");
-        let out = run_str(&["obs", "diff", &old, &new]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
-        assert!(out.stdout.contains("rounds"), "{}", out.stdout);
+        let out = run_ok(&["obs", "diff", &old, &new]);
+        assert!(out.contains("rounds"), "{}", out);
         assert!(
-            !out.stdout.contains("flow_solves"),
+            !out.contains("flow_solves"),
             "unchanged metric hidden by default:\n{}",
-            out.stdout
+            out
         );
         let all = run_str(&["obs", "diff", &old, &new, "--all"]);
         assert!(all.stdout.contains("flow_solves"), "{}", all.stdout);
@@ -309,31 +274,24 @@ mod tests {
     #[test]
     fn obs_export_trace_roundtrip() {
         let instance = write_temp("export-in", K3);
-        let snap_path =
-            std::env::temp_dir().join(format!("dmig-cli-test-export-{}.json", std::process::id()));
-        let snap_str = snap_path.to_string_lossy().into_owned();
-        let out = run_str(&["solve", &instance, "--metrics-out", &snap_str]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
+        let snap_str = temp_path("export.json");
+        run_ok(&["solve", &instance, "--metrics-out", &snap_str]);
         let exported = run_str(&["obs", "export-trace", &snap_str, "--check"]);
         assert_eq!(exported.code, 0, "{}", exported.stdout);
         assert!(exported.stdout.contains("\"traceEvents\""));
         dmig_obs::trace::validate_chrome_trace(&exported.stdout).expect("re-exported trace valid");
-        std::fs::remove_file(&snap_path).ok();
+        std::fs::remove_file(&snap_str).ok();
     }
 
     #[test]
     fn obs_flame_prints_self_time_rollup() {
         let instance = write_temp("flame-in", K3);
-        let snap_path =
-            std::env::temp_dir().join(format!("dmig-cli-test-flame-{}.json", std::process::id()));
-        let snap_str = snap_path.to_string_lossy().into_owned();
-        let out = run_str(&["solve", &instance, "--metrics-out", &snap_str]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
-        let flame = run_str(&["obs", "flame", &snap_str]);
-        assert_eq!(flame.code, 0, "{}", flame.stdout);
-        assert!(flame.stdout.contains("self ms"), "{}", flame.stdout);
-        assert!(flame.stdout.contains("solve_even"), "{}", flame.stdout);
-        std::fs::remove_file(&snap_path).ok();
+        let snap_str = temp_path("flame.json");
+        run_ok(&["solve", &instance, "--metrics-out", &snap_str]);
+        let flame = run_ok(&["obs", "flame", &snap_str]);
+        assert!(flame.contains("self ms"), "{}", flame);
+        assert!(flame.contains("solve_even"), "{}", flame);
+        std::fs::remove_file(&snap_str).ok();
     }
 
     #[test]
@@ -389,8 +347,7 @@ mod tests {
         let ok_base = write_temp("gate-base-ok", "{\"rounds\": 8}");
         let bad_base = write_temp("gate-base-bad", "{\"rounds\": 4}");
 
-        let ok = run_str(&["obs", "gate", &rules, &current, "--baseline", &ok_base]);
-        assert_eq!(ok.code, 0, "{}", ok.stdout);
+        run_ok(&["obs", "gate", &rules, &current, "--baseline", &ok_base]);
         let fail = run_str(&["obs", "gate", &rules, &current, "--baseline", &bad_base]);
         assert_eq!(fail.code, 1, "drift past baseline must gate nonzero");
         // Without --baseline the rule's baseline.* operand is missing.
@@ -411,10 +368,9 @@ mod tests {
             text.push_str(&line("bbb", round));
         }
         let hist = write_temp("compact-hist", &text);
-        let out = run_str(&["obs", "compact", &hist, "--keep", "1"]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
-        assert!(out.stdout.contains("kept 2"), "{}", out.stdout);
-        assert!(out.stdout.contains("dropped 4"), "{}", out.stdout);
+        let out = run_ok(&["obs", "compact", &hist, "--keep", "1"]);
+        assert!(out.contains("kept 2"), "{}", out);
+        assert!(out.contains("dropped 4"), "{}", out);
         let survivors = std::fs::read_to_string(&hist).unwrap();
         assert_eq!(survivors.lines().count(), 2);
         assert!(survivors.contains("\"round\":2"));
@@ -480,8 +436,7 @@ mod tests {
         );
         // --out writes the same document to a file.
         let out_path = write_temp("explain-json-out", "");
-        let wrote = run_str(&["obs", "explain", &path, "--json", "--out", &out_path]);
-        assert_eq!(wrote.code, 0, "{}", wrote.stdout);
+        run_ok(&["obs", "explain", &path, "--json", "--out", &out_path]);
         assert_eq!(std::fs::read_to_string(&out_path).unwrap(), out.stdout);
         std::fs::remove_file(&out_path).ok();
     }
@@ -490,17 +445,14 @@ mod tests {
     fn obs_diff_summary_counts_one_sided_keys() {
         let old = write_temp("diff-sum-old", "{\"kept\": 1.0, \"gone\": 3.0}");
         let new = write_temp("diff-sum-new", "{\"kept\": 1.0, \"fresh\": 2.0}");
-        let out = run_str(&["obs", "diff", &old, &new]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
+        let out = run_ok(&["obs", "diff", &old, &new]);
         assert!(
-            out.stdout.contains(
-                "3 metrics compared, 0 changed beyond 5.0% tolerance, 1 added, 1 removed"
-            ),
+            out.contains("3 metrics compared, 0 changed beyond 5.0% tolerance, 1 added, 1 removed"),
             "{}",
-            out.stdout
+            out
         );
-        assert!(out.stdout.contains("fresh"), "{}", out.stdout);
-        assert!(out.stdout.contains("gone"), "{}", out.stdout);
+        assert!(out.contains("fresh"), "{}", out);
+        assert!(out.contains("gone"), "{}", out);
     }
 
     #[test]
@@ -510,9 +462,8 @@ mod tests {
             "[[rule]]\nname = \"rounds bound\"\nexpr = \"rounds <= 5\"\n",
         );
         let metrics = write_temp("gate-explain-metrics", "{\"rounds\": 3}");
-        let plain = run_str(&["obs", "gate", &rules, &metrics]);
-        assert_eq!(plain.code, 0, "{}", plain.stdout);
-        assert!(!plain.stdout.contains("left `"), "{}", plain.stdout);
+        let plain = run_ok(&["obs", "gate", &rules, &metrics]);
+        assert!(!plain.contains("left `"), "{}", plain);
         let explained = run_str(&["obs", "gate", &rules, &metrics, "--explain"]);
         assert_eq!(explained.code, 0, "{}", explained.stdout);
         assert!(
@@ -539,22 +490,13 @@ mod tests {
     #[test]
     fn obs_serve_serves_fixed_snapshot_over_http() {
         let instance = write_temp("serve-fixed-in", K3);
-        let snap_path = std::env::temp_dir().join(format!(
-            "dmig-cli-test-serve-snap-{}.json",
-            std::process::id()
-        ));
-        let snap_str = snap_path.to_string_lossy().into_owned();
-        let out = run_str(&["solve", &instance, "--metrics-out", &snap_str]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
-        let raw = std::fs::read_to_string(&snap_path).unwrap();
+        let snap_str = temp_path("serve-snap.json");
+        run_ok(&["solve", &instance, "--metrics-out", &snap_str]);
+        let raw = std::fs::read_to_string(&snap_str).unwrap();
 
-        let addr_file = std::env::temp_dir().join(format!(
-            "dmig-cli-test-serve-addr-{}.txt",
-            std::process::id()
-        ));
-        std::fs::remove_file(&addr_file).ok();
-        let addr_str = addr_file.to_string_lossy().into_owned();
-        let addr_for_client = addr_file.clone();
+        let addr_str = temp_path("serve-addr.txt");
+        std::fs::remove_file(&addr_str).ok();
+        let addr_for_client = addr_str.clone();
         let client = std::thread::spawn(move || {
             use std::io::{Read as _, Write as _};
             let deadline = Instant::now() + Duration::from_secs(10);
@@ -595,7 +537,7 @@ mod tests {
             "{metrics}"
         );
         assert!(snapshot.ends_with(&raw), "/snapshot returns the raw JSON");
-        std::fs::remove_file(&snap_path).ok();
-        std::fs::remove_file(&addr_file).ok();
+        std::fs::remove_file(&snap_str).ok();
+        std::fs::remove_file(&addr_str).ok();
     }
 }

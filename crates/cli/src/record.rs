@@ -3,41 +3,23 @@
 
 use std::time::Duration;
 
-use dmig_obs::{history, trace, KeyKind};
+use dmig_obs::{history, trace};
 
 use crate::args::Args;
 use crate::files;
 
-/// The value flags of the recorder; `--trace` is its one switch. `solve`
-/// and `simulate` take all of them, `migrate plan|execute|resume` only
-/// `--metrics-out`.
-pub(crate) const RECORDER_VALUES: [&str; 8] = [
-    "--metrics-out",
-    "--trace-out",
-    "--trace-html",
-    "--history",
-    "--events-out",
-    "--crash-dump",
-    "--serve",
-    "--serve-addr-file",
-];
+/// The recorder's flags, which `solve` and `simulate` take; `migrate
+/// plan|execute|resume` take only `--metrics-out`.
+pub(crate) const RECORDER: &str = "--trace --metrics-out FILE --trace-out FILE \
+    --trace-html FILE --history FILE --events-out FILE --crash-dump FILE --serve ADDR \
+    --serve-addr-file F";
 
-/// The observability request of one invocation (`--trace`,
-/// `--metrics-out`, `--trace-out`, `--trace-html`, `--history`,
-/// `--events-out`, `--crash-dump`, `--serve`). When no flag is given the
-/// recorder stays disabled and the command runs exactly as without it
-/// (the instrumentation is a no-op).
-pub(crate) struct ObsRequest<'a> {
-    trace: bool,
-    metrics_out: Option<&'a str>,
-    trace_out: Option<&'a str>,
-    trace_html: Option<&'a str>,
-    history: Option<&'a str>,
-    events_out: Option<&'a str>,
-    crash_dump: Option<&'a str>,
-    serve: Option<&'a str>,
-    serve_addr_file: Option<&'a str>,
-}
+/// The observability request of one invocation: the recorder flags among
+/// its arguments (`--trace`, `--metrics-out`, `--trace-out`,
+/// `--trace-html`, `--history`, `--events-out`, `--crash-dump`,
+/// `--serve`). When none is given the recorder stays disabled and the
+/// command runs exactly as without it (the instrumentation is a no-op).
+pub(crate) struct ObsRequest<'a>(&'a Args<'a>);
 
 /// The background half of `--serve`: the HTTP listener plus the sampling
 /// profiler that feeds `prof.self_ns.*` and the RSS gauges. Both threads
@@ -70,39 +52,27 @@ pub(crate) struct RunContext {
     pub(crate) disks: Vec<trace::DiskUtilRow>,
 }
 
-fn hardware_threads() -> u64 {
-    std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
-}
-
 impl<'a> ObsRequest<'a> {
     /// The recorder flags among `args`.
-    pub(crate) fn new(args: &Args<'a>) -> ObsRequest<'a> {
-        ObsRequest {
-            trace: args.switch("--trace"),
-            metrics_out: args.value("--metrics-out"),
-            trace_out: args.value("--trace-out"),
-            trace_html: args.value("--trace-html"),
-            history: args.value("--history"),
-            events_out: args.value("--events-out"),
-            crash_dump: args.value("--crash-dump"),
-            serve: args.value("--serve"),
-            serve_addr_file: args.value("--serve-addr-file"),
-        }
+    pub(crate) fn new(args: &'a Args<'a>) -> ObsRequest<'a> {
+        ObsRequest(args)
     }
 
+    fn out(&self, flag: &str) -> Option<&'a str> {
+        self.0.value(flag)
+    }
+
+    /// Whether an output was requested: any recorder flag but
+    /// `--serve-addr-file`, which only says where `--serve` writes.
     fn active(&self) -> bool {
-        self.trace
-            || self.metrics_out.is_some()
-            || self.trace_out.is_some()
-            || self.trace_html.is_some()
-            || self.history.is_some()
-            || self.serve.is_some()
-            || self.events()
+        RECORDER
+            .split_whitespace()
+            .any(|word| word != "--serve-addr-file" && self.0.given(word))
     }
 
     /// Whether the flight recorder itself was requested.
     fn events(&self) -> bool {
-        self.events_out.is_some() || self.crash_dump.is_some()
+        self.0.given("--events-out") || self.0.given("--crash-dump")
     }
 
     /// Runs `body` with the requested outputs recorded: collection starts
@@ -138,7 +108,7 @@ impl<'a> ObsRequest<'a> {
         // hits its path; live gauges start from a known state so the very
         // first scrape (or an early snapshot) already carries them.
         for (key, kind, _) in dmig_obs::keys_reference() {
-            if *kind == KeyKind::Counter {
+            if *kind == "counter" {
                 dmig_obs::counter_add(key, 0);
             }
         }
@@ -146,7 +116,11 @@ impl<'a> ObsRequest<'a> {
         dmig_obs::gauge_set(dmig_obs::keys::LIVE_ROUND, 0);
         dmig_obs::gauge_set(dmig_obs::keys::LIVE_ITEMS_DONE, 0);
         dmig_obs::gauge_set(dmig_obs::keys::LIVE_SHARD_ACTIVE, 0);
-        let live = match self.serve.map(|addr| self.start_live(addr)).transpose() {
+        let live = match self
+            .out("--serve")
+            .map(|addr| self.start_live(addr))
+            .transpose()
+        {
             Ok(live) => live,
             Err(e) => {
                 self.abandon(None);
@@ -155,7 +129,7 @@ impl<'a> ObsRequest<'a> {
         };
         if self.events() {
             dmig_obs::events::reset();
-            if let Some(path) = self.events_out {
+            if let Some(path) = self.out("--events-out") {
                 // Atomic mode: the stream lands at `path` only when the
                 // run completes, so a killed process never leaves a
                 // half-written event file behind. (The workspace journal
@@ -165,7 +139,7 @@ impl<'a> ObsRequest<'a> {
                     return Err(format!("cannot open {path}: {e}"));
                 }
             }
-            if let Some(path) = self.crash_dump {
+            if let Some(path) = self.out("--crash-dump") {
                 dmig_obs::events::set_crash_path(Some(std::path::PathBuf::from(path)));
             }
             dmig_obs::events::set_enabled(true);
@@ -187,7 +161,7 @@ impl<'a> ObsRequest<'a> {
                 }
             };
         let plane = LivePlane { server, sampler };
-        if let Some(path) = self.serve_addr_file {
+        if let Some(path) = self.out("--serve-addr-file") {
             // Written *after* bind so a watcher reading the file can
             // immediately connect (port 0 is resolved by now).
             let bound = format!("{}\n", plane.server.local_addr());
@@ -225,24 +199,26 @@ impl<'a> ObsRequest<'a> {
         dmig_obs::set_enabled(false);
         self.teardown_events();
         let snap = dmig_obs::snapshot();
-        if self.trace {
+        if self.0.given("--trace") {
             eprint!("{}", snap.render_tree());
         }
-        if let Some(path) = self.metrics_out {
+        if let Some(path) = self.out("--metrics-out") {
             files::write(path, snap.to_json().as_bytes())?;
         }
-        if let Some(path) = self.trace_out {
+        if let Some(path) = self.out("--trace-out") {
             files::write(path, trace::chrome_trace(&snap.spans).as_bytes())?;
         }
-        if let Some(path) = self.trace_html {
+        if let Some(path) = self.out("--trace-html") {
             let html = trace::html_timeline_with_disks(&snap.spans, &run.disks);
             files::write(path, html.as_bytes())?;
         }
-        if let Some(path) = self.history {
+        if let Some(path) = self.out("--history") {
             let meta = history::RunMeta {
                 git_rev: history::detect_git_rev(),
                 threads: Some(run.threads as u64),
-                hardware_threads: Some(hardware_threads()),
+                hardware_threads: Some(
+                    std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
+                ),
                 instance: Some(history::fingerprint(&run.instance_text)),
                 wall_ms: Some(run.wall.as_secs_f64() * 1e3),
                 source: run.source.to_string(),

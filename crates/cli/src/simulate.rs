@@ -9,26 +9,10 @@ use dmig_core::{bounds, MigrationProblem};
 use dmig_obs::trace;
 use dmig_sim::{engine::simulate_rounds, Cluster};
 
-use crate::args::{self, Args, Flags};
+use crate::args::{self, Args};
 use crate::files::{self, read_instance};
 use crate::record::{ObsRequest, RunContext};
 use crate::solve::record_solve_gauges;
-
-/// The flags of `dmig simulate`.
-pub(crate) const SIMULATE: Flags = Flags {
-    recorder: true,
-    ..Flags::new(
-        &[
-            "--solver",
-            "--threads",
-            "--bandwidths",
-            "--faults",
-            "--retry-max",
-            "--report-out",
-        ],
-        &["--replan", "--progress", "--explain"],
-    )
-};
 
 /// Assembles the data the attribution engine needs: per-disk degree and
 /// capacity, the LB2 witness, and the schedule's per-round busy profile
@@ -80,23 +64,20 @@ fn record_explain_gauges(attr: &dmig_obs::explain::Attribution) {
 pub(crate) fn cmd_simulate(args: &Args<'_>) -> Result<String, String> {
     let path = args.first("instance file")?;
     let solver = args::solver(args)?;
-    let progress = args.switch("--progress");
+    let progress = args.given("--progress");
     let (problem, schedule, report, exec, explain) = ObsRequest::new(args).around(|run| {
         let (text, problem, cluster, faulted) = {
             let _span = dmig_obs::span("simulate.parse");
             let (text, problem) = read_instance(path)?;
             let cluster = args::cluster(args, &problem)?;
-            let faulted = match args::faults(args, &problem)? {
-                (Some((_, plan)), config) => Some((plan, config)),
-                (None, _) => {
-                    for flag in ["--replan", "--retry-max"] {
-                        if args.switch(flag) || args.value(flag).is_some() {
-                            return Err(format!("simulate: {flag} requires --faults FILE"));
-                        }
-                    }
-                    None
-                }
-            };
+            let (plan, config) = args::faults(args, &problem)?;
+            let missing = ["--replan", "--retry-max"]
+                .into_iter()
+                .find(|f| args.given(f));
+            if let (None, Some(flag)) = (&plan, missing) {
+                return Err(format!("simulate: {flag} requires --faults FILE"));
+            }
+            let faulted = plan.map(|(_, plan)| (plan, config));
             (text, problem, cluster, faulted)
         };
         dmig_obs::gauge_set(dmig_obs::keys::LIVE_PHASE, dmig_obs::phase::SOLVE);
@@ -125,7 +106,7 @@ pub(crate) fn cmd_simulate(args: &Args<'_>) -> Result<String, String> {
         // Attribution explains the planned schedule under the round model —
         // with faults injected, the executed timeline may differ, but the
         // bounds and binding chain are properties of the plan.
-        let explain = if args.switch("--explain") {
+        let explain = if args.given("--explain") {
             let _span = dmig_obs::span("simulate.explain");
             let input = explain_input(&problem, &schedule, &cluster)?;
             Some((dmig_obs::explain::attribute(&input), input))
@@ -204,31 +185,25 @@ pub(crate) fn cmd_simulate(args: &Args<'_>) -> Result<String, String> {
 
 #[cfg(test)]
 mod tests {
-    use crate::testutil::{run_str, write_temp, K3};
+    use crate::testutil::{run_ok, run_str, temp_path, write_temp, K3};
     use dmig_obs::Value;
 
     #[test]
     fn simulate_reports_time() {
         let path = write_temp("simulate", K3);
-        let out = run_str(&["simulate", &path, "--bandwidths", "1,1,1"]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
-        assert!(out.stdout.contains("wall-clock time"));
+        let out = run_ok(&["simulate", &path, "--bandwidths", "1,1,1"]);
+        assert!(out.contains("wall-clock time"));
     }
 
     #[test]
     fn simulate_metrics_include_sim_counters() {
         let instance = write_temp("sim-metrics-in", K3);
-        let out_path = std::env::temp_dir().join(format!(
-            "dmig-cli-test-sim-metrics-{}.json",
-            std::process::id()
-        ));
-        let out_str = out_path.to_string_lossy().into_owned();
-        let out = run_str(&["simulate", &instance, "--metrics-out", &out_str]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
-        let json = std::fs::read_to_string(&out_path).unwrap();
+        let out_str = temp_path("sim-metrics.json");
+        run_ok(&["simulate", &instance, "--metrics-out", &out_str]);
+        let json = std::fs::read_to_string(&out_str).unwrap();
         assert!(json.contains("\"sim.rounds\""), "{json}");
         assert!(json.contains("simulate_rounds"), "{json}");
-        std::fs::remove_file(&out_path).ok();
+        std::fs::remove_file(&out_str).ok();
     }
 
     /// K3 plus an idle spare disk 3, so a crashed disk has a replacement.
@@ -241,7 +216,7 @@ mod tests {
             "faults-plan",
             "seed = 7\n\n[[crash]]\ndisk = 2\ntime = 0.25\nreplacement = 3\n",
         );
-        let out = run_str(&[
+        let out = run_ok(&[
             "simulate",
             &instance,
             "--faults",
@@ -250,9 +225,8 @@ mod tests {
             "--retry-max",
             "2",
         ]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
-        assert!(out.stdout.contains("0 lost"), "{}", out.stdout);
-        assert!(out.stdout.contains("replans"), "{}", out.stdout);
+        assert!(out.contains("0 lost"), "{}", out);
+        assert!(out.contains("replans"), "{}", out);
     }
 
     #[test]
@@ -266,7 +240,7 @@ mod tests {
         let mut reports = Vec::new();
         for threads in ["1", "4"] {
             let rpt = write_temp(&format!("faults-det-report-{threads}"), "");
-            let out = run_str(&[
+            run_ok(&[
                 "simulate",
                 &instance,
                 "--faults",
@@ -277,7 +251,6 @@ mod tests {
                 "--report-out",
                 &rpt,
             ]);
-            assert_eq!(out.code, 0, "{}", out.stdout);
             reports.push(std::fs::read_to_string(&rpt).unwrap());
             std::fs::remove_file(&rpt).ok();
         }
@@ -304,23 +277,14 @@ mod tests {
     fn simulate_explain_appends_attribution() {
         let path = write_temp("sim-explain", K3);
         let plain = run_str(&["simulate", &path]);
-        let explained = run_str(&["simulate", &path, "--explain"]);
-        assert_eq!(explained.code, 0, "{}", explained.stdout);
+        let explained = run_ok(&["simulate", &path, "--explain"]);
         assert!(
-            explained.stdout.starts_with(&plain.stdout),
+            explained.starts_with(&plain.stdout),
             "--explain only appends:\n{}",
-            explained.stdout
+            explained
         );
-        assert!(
-            explained.stdout.contains("makespan attribution"),
-            "{}",
-            explained.stdout
-        );
-        assert!(
-            explained.stdout.contains("binding lower bound"),
-            "{}",
-            explained.stdout
-        );
+        assert!(explained.contains("makespan attribution"), "{}", explained);
+        assert!(explained.contains("binding lower bound"), "{}", explained);
     }
 
     #[test]
@@ -330,11 +294,9 @@ mod tests {
             "events-plan",
             "seed = 7\n\n[[crash]]\ndisk = 2\ntime = 0.25\nreplacement = 3\n",
         );
-        let events_path =
-            std::env::temp_dir().join(format!("dmig-cli-test-events-{}.jsonl", std::process::id()));
-        std::fs::remove_file(&events_path).ok();
-        let events_str = events_path.to_string_lossy().into_owned();
-        let out = run_str(&[
+        let events_str = temp_path("events.jsonl");
+        std::fs::remove_file(&events_str).ok();
+        run_ok(&[
             "simulate",
             &instance,
             "--faults",
@@ -343,8 +305,7 @@ mod tests {
             "--events-out",
             &events_str,
         ]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
-        let jsonl = std::fs::read_to_string(&events_path).unwrap();
+        let jsonl = std::fs::read_to_string(&events_str).unwrap();
         assert!(!jsonl.is_empty());
         for line in jsonl.lines() {
             let v = Value::parse(line).expect("each event line is JSON");
@@ -359,20 +320,17 @@ mod tests {
                 "missing {kind}:\n{jsonl}"
             );
         }
-        std::fs::remove_file(&events_path).ok();
+        std::fs::remove_file(&events_str).ok();
     }
 
     #[test]
     fn crash_dump_flag_is_quiet_on_success() {
         let instance = write_temp("crash-dump-instance", K3);
-        let dump_path =
-            std::env::temp_dir().join(format!("dmig-cli-test-crash-{}.json", std::process::id()));
-        std::fs::remove_file(&dump_path).ok();
-        let dump_str = dump_path.to_string_lossy().into_owned();
-        let out = run_str(&["simulate", &instance, "--crash-dump", &dump_str]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
+        let dump_str = temp_path("crash.json");
+        std::fs::remove_file(&dump_str).ok();
+        run_ok(&["simulate", &instance, "--crash-dump", &dump_str]);
         assert!(
-            !dump_path.exists(),
+            !std::path::Path::new(&dump_str).exists(),
             "a clean run must not leave a crash dump"
         );
     }
@@ -380,17 +338,12 @@ mod tests {
     #[test]
     fn simulate_trace_html_includes_disk_lanes() {
         let instance = write_temp("disk-lane-in", K3);
-        let out_path = std::env::temp_dir().join(format!(
-            "dmig-cli-test-disk-lane-{}.html",
-            std::process::id()
-        ));
-        let out_str = out_path.to_string_lossy().into_owned();
-        let out = run_str(&["simulate", &instance, "--trace-html", &out_str]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
-        let html = std::fs::read_to_string(&out_path).unwrap();
+        let out_str = temp_path("disk-lane.html");
+        run_ok(&["simulate", &instance, "--trace-html", &out_str]);
+        let html = std::fs::read_to_string(&out_str).unwrap();
         assert!(html.contains("disk utilization"), "{html}");
         assert!(html.contains("id=\"disks\""), "{html}");
         assert!(html.contains("sortDisks"), "{html}");
-        std::fs::remove_file(&out_path).ok();
+        std::fs::remove_file(&out_str).ok();
     }
 }

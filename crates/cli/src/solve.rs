@@ -2,22 +2,15 @@
 //! read one instance and print what the solvers and bounds make of it.
 
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use dmig_core::parallel::ParallelSolver;
 use dmig_core::shard::{solve_sharded, ShardConfig};
 use dmig_core::solver::all_solvers;
 use dmig_core::{bounds, MigrationProblem};
 
-use crate::args::{self, Args, Flags};
+use crate::args::{self, Args};
 use crate::files::read_instance;
 use crate::record::{ObsRequest, RunContext};
-
-/// The flags of `dmig solve`.
-pub(crate) const SOLVE: Flags = Flags {
-    recorder: true,
-    ..Flags::new(&["--solver", "--threads", "--shards"], &[])
-};
 
 /// Sets the per-solve summary gauges on the live recorder so gate rules
 /// can compare round counts against the lower bound `Δ'` (`Γ'` never
@@ -40,65 +33,53 @@ pub(crate) fn cmd_solve(args: &Args<'_>) -> Result<String, String> {
         .count("--shards")?
         .map_or(ShardConfig::uncut(threads), ShardConfig::with_shards);
     ObsRequest::new(args).around(|run| {
-        let (text, out, wall) = solve_and_render(path, &solver, config)?;
+        let parse_span = dmig_obs::span("solve.parse");
+        let (text, problem) = read_instance(path)?;
+        drop(parse_span);
+        dmig_obs::gauge_set(dmig_obs::keys::LIVE_PHASE, dmig_obs::phase::SOLVE);
+        let started = Instant::now();
+        let (schedule, _report) = solve_sharded(&problem, config, solver.threads(), |piece| {
+            solver.inner().solve(piece)
+        })
+        .map_err(|e| e.to_string())?;
         *run = RunContext {
             source: "cli-solve",
             threads,
             instance_text: text,
-            wall,
+            wall: started.elapsed(),
             disks: Vec::new(),
         };
+        {
+            let _span = dmig_obs::span("solve.validate");
+            schedule
+                .validate(&problem)
+                .map_err(|e| format!("internal: invalid schedule: {e}"))?;
+        }
+        record_solve_gauges(&problem, schedule.makespan());
+
+        let _span = dmig_obs::span("solve.render");
+        let mut out = String::new();
+        let _ = writeln!(out, "{problem}");
+        let _ = writeln!(
+            out,
+            "solver {}: {} rounds (lower bound {})",
+            solver.inner().name(),
+            schedule.makespan(),
+            bounds::lower_bound(&problem)
+        );
+        let g = problem.graph();
+        for (i, round) in schedule.rounds().iter().enumerate() {
+            let items: Vec<String> = round
+                .iter()
+                .map(|&e| {
+                    let ep = g.endpoints(e);
+                    format!("{e}({}->{})", ep.u, ep.v)
+                })
+                .collect();
+            let _ = writeln!(out, "round {i}: {}", items.join(" "));
+        }
         Ok(out)
     })
-}
-
-/// The body of [`cmd_solve`]: returns the instance text, the rendered
-/// schedule and the solve's wall time.
-fn solve_and_render(
-    path: &str,
-    solver: &ParallelSolver,
-    config: ShardConfig,
-) -> Result<(String, String, Duration), String> {
-    let parse_span = dmig_obs::span("solve.parse");
-    let (text, problem) = read_instance(path)?;
-    drop(parse_span);
-    dmig_obs::gauge_set(dmig_obs::keys::LIVE_PHASE, dmig_obs::phase::SOLVE);
-    let started = Instant::now();
-    let (schedule, _report) = solve_sharded(&problem, config, solver.threads(), |piece| {
-        solver.inner().solve(piece)
-    })
-    .map_err(|e| e.to_string())?;
-    let wall = started.elapsed();
-    {
-        let _span = dmig_obs::span("solve.validate");
-        schedule
-            .validate(&problem)
-            .map_err(|e| format!("internal: invalid schedule: {e}"))?;
-    }
-    record_solve_gauges(&problem, schedule.makespan());
-
-    let _span = dmig_obs::span("solve.render");
-    let mut out = String::new();
-    let _ = writeln!(out, "{problem}");
-    let _ = writeln!(
-        out,
-        "solver {}: {} rounds (lower bound {})",
-        solver.inner().name(),
-        schedule.makespan(),
-        bounds::lower_bound(&problem)
-    );
-    let g = problem.graph();
-    for (i, round) in schedule.rounds().iter().enumerate() {
-        let items: Vec<String> = round
-            .iter()
-            .map(|&e| {
-                let ep = g.endpoints(e);
-                format!("{e}({}->{})", ep.u, ep.v)
-            })
-            .collect();
-        let _ = writeln!(out, "round {i}: {}", items.join(" "));
-    }
-    Ok((text, out, wall))
 }
 
 pub(crate) fn cmd_bounds(args: &Args<'_>) -> Result<String, String> {
@@ -198,26 +179,25 @@ pub(crate) fn cmd_dot(args: &Args<'_>) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{run_str, write_temp, K3};
+    use crate::testutil::{run_ok, run_str, temp_path, write_temp, K3};
     use dmig_obs::Value;
 
     #[test]
     fn solve_roundtrip() {
         let path = write_temp("solve", K3);
-        let out = run_str(&["solve", &path]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
-        assert!(out.stdout.contains("rounds"));
-        assert!(out.stdout.contains("round 0:"));
+        let out = run_ok(&["solve", &path]);
+        assert!(out.contains("rounds"));
+        assert!(out.contains("round 0:"));
     }
 
     #[test]
     fn solve_with_named_solver() {
         let path = write_temp("solve2", K3);
-        let out = run_str(&["solve", &path, "--solver", "greedy"]);
-        assert_eq!(out.code, 0);
-        assert!(out.stdout.contains("solver greedy"));
-        let bad = run_str(&["solve", &path, "--solver", "nope"]);
-        assert_eq!(bad.code, 1);
+        for name in ["greedy", "exact", "parallel"] {
+            let out = run_ok(&["solve", &path, "--solver", name, "--threads", "2"]);
+            assert!(out.contains(&format!("solver {name}")), "{out}");
+        }
+        assert_eq!(run_str(&["solve", &path, "--solver", "nope"]).code, 1);
     }
 
     #[test]
@@ -232,8 +212,7 @@ mod tests {
     #[test]
     fn compare_lists_all_solvers() {
         let path = write_temp("compare", K3);
-        let out = run_str(&["compare", &path]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
+        let out = run_ok(&["compare", &path]);
         for name in [
             "auto",
             "even-optimal",
@@ -242,22 +221,17 @@ mod tests {
             "homogeneous",
             "greedy",
         ] {
-            assert!(
-                out.stdout.contains(name),
-                "missing {name} in:\n{}",
-                out.stdout
-            );
+            assert!(out.contains(name), "missing {name} in:\n{}", out);
         }
     }
 
     #[test]
     fn stats_command() {
         let path = write_temp("stats", K3);
-        let out = run_str(&["stats", &path]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
-        assert!(out.stdout.contains("bipartite: false"));
-        assert!(out.stdout.contains("all even: true"));
-        assert!(out.stdout.contains("LB1"));
+        let out = run_ok(&["stats", &path]);
+        assert!(out.contains("bipartite: false"));
+        assert!(out.contains("all even: true"));
+        assert!(out.contains("LB1"));
     }
 
     #[test]
@@ -267,14 +241,6 @@ mod tests {
         assert_eq!(out.code, 0);
         assert!(out.stdout.starts_with("graph transfer {"));
         assert_eq!(out.stdout.matches("--").count(), 3);
-    }
-
-    #[test]
-    fn exact_solver_via_cli() {
-        let path = write_temp("exact", K3);
-        let out = run_str(&["solve", &path, "--solver", "exact"]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
-        assert!(out.stdout.contains("solver exact"));
     }
 
     #[test]
@@ -322,38 +288,18 @@ mod tests {
     }
 
     #[test]
-    fn bad_shards_is_clean_error() {
-        let path = write_temp("shards-bad", K3);
-        for bad in ["0", "-2", "many"] {
-            let out = run_str(&["solve", &path, "--shards", bad]);
-            assert_eq!(out.code, 1, "--shards {bad} accepted: {}", out.stdout);
-            assert!(out.stdout.contains("--shards"));
+    fn bad_counts_are_clean_errors() {
+        let path = write_temp("counts-bad", K3);
+        for flag in ["--shards", "--threads"] {
+            for bad in ["0", "-2", "many"] {
+                let out = run_str(&["solve", &path, flag, bad]);
+                assert_eq!(out.code, 1, "{flag} {bad} accepted: {}", out.stdout);
+                assert!(out.stdout.contains(flag));
+            }
+            // A dangling flag is an error, not a silent fallback to the default.
+            let out = run_str(&["solve", &path, flag]);
+            assert_eq!(out.stdout, format!("error: bad {flag}: missing value\n"));
         }
-        let out = run_str(&["solve", &path, "--shards"]);
-        assert_eq!(out.code, 1, "dangling --shards accepted: {}", out.stdout);
-        assert!(out.stdout.contains("missing value"));
-    }
-
-    #[test]
-    fn bad_threads_is_clean_error() {
-        let path = write_temp("threads-bad", K3);
-        for bad in ["0", "-1", "lots"] {
-            let out = run_str(&["solve", &path, "--threads", bad]);
-            assert_eq!(out.code, 1, "--threads {bad} accepted: {}", out.stdout);
-            assert!(out.stdout.contains("--threads"));
-        }
-        // A dangling flag is an error, not a silent fallback to the default.
-        let out = run_str(&["solve", &path, "--threads"]);
-        assert_eq!(out.code, 1, "dangling --threads accepted: {}", out.stdout);
-        assert!(out.stdout.contains("missing value"));
-    }
-
-    #[test]
-    fn parallel_solver_selectable_by_name() {
-        let path = write_temp("parallel-name", K3);
-        let out = run_str(&["solve", &path, "--solver", "parallel", "--threads", "2"]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
-        assert!(out.stdout.contains("solver parallel"));
     }
 
     #[test]
@@ -377,12 +323,9 @@ mod tests {
     #[test]
     fn metrics_out_writes_json_snapshot() {
         let instance = write_temp("metrics-in", K3);
-        let out_path =
-            std::env::temp_dir().join(format!("dmig-cli-test-metrics-{}.json", std::process::id()));
-        let out_str = out_path.to_string_lossy().into_owned();
-        let out = run_str(&["solve", &instance, "--metrics-out", &out_str]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
-        let json = std::fs::read_to_string(&out_path).unwrap();
+        let out_str = temp_path("metrics.json");
+        run_ok(&["solve", &instance, "--metrics-out", &out_str]);
+        let json = std::fs::read_to_string(&out_str).unwrap();
         for key in [
             "\"schema\"",
             "\"flow_solves\"",
@@ -394,7 +337,7 @@ mod tests {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        std::fs::remove_file(&out_path).ok();
+        std::fs::remove_file(&out_str).ok();
     }
 
     /// Acceptance: a 1k-node instance solved with `--threads 4` exports a
@@ -415,47 +358,32 @@ mod tests {
             let _ = writeln!(inst, "edge {u} {v}\nedge {u} {v}");
         }
         let path = write_temp("trace-out-in", &inst);
-        let out_path = std::env::temp_dir().join(format!(
-            "dmig-cli-test-trace-out-{}.json",
-            std::process::id()
-        ));
-        let out_str = out_path.to_string_lossy().into_owned();
-        let out = run_str(&["solve", &path, "--threads", "4", "--trace-out", &out_str]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
-        let text = std::fs::read_to_string(&out_path).unwrap();
+        let out_str = temp_path("trace-out.json");
+        run_ok(&["solve", &path, "--threads", "4", "--trace-out", &out_str]);
+        let text = std::fs::read_to_string(&out_str).unwrap();
         let stats = dmig_obs::trace::validate_chrome_trace(&text).expect("exported trace valid");
         assert!(stats.begins >= 500, "cell spans present: {stats:?}");
-        std::fs::remove_file(&out_path).ok();
+        std::fs::remove_file(&out_str).ok();
     }
 
     #[test]
     fn trace_html_writes_timeline() {
         let instance = write_temp("trace-html-in", K3);
-        let out_path = std::env::temp_dir().join(format!(
-            "dmig-cli-test-trace-html-{}.html",
-            std::process::id()
-        ));
-        let out_str = out_path.to_string_lossy().into_owned();
-        let out = run_str(&["solve", &instance, "--trace-html", &out_str]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
-        let html = std::fs::read_to_string(&out_path).unwrap();
+        let out_str = temp_path("trace-html.html");
+        run_ok(&["solve", &instance, "--trace-html", &out_str]);
+        let html = std::fs::read_to_string(&out_str).unwrap();
         assert!(html.starts_with("<!doctype html>"));
         assert!(html.contains("solve_even"), "{html}");
-        std::fs::remove_file(&out_path).ok();
+        std::fs::remove_file(&out_str).ok();
     }
 
     #[test]
     fn history_appends_one_entry_per_run() {
         let instance = write_temp("history-in", K3);
-        let hist_path = std::env::temp_dir().join(format!(
-            "dmig-cli-test-history-{}.jsonl",
-            std::process::id()
-        ));
-        std::fs::remove_file(&hist_path).ok();
-        let hist_str = hist_path.to_string_lossy().into_owned();
+        let hist_str = temp_path("history.jsonl");
+        std::fs::remove_file(&hist_str).ok();
         for _ in 0..2 {
-            let out = run_str(&["solve", &instance, "--history", &hist_str]);
-            assert_eq!(out.code, 0, "{}", out.stdout);
+            run_ok(&["solve", &instance, "--history", &hist_str]);
         }
         let (entries, skipped) = dmig_obs::history::read_entries(&hist_str).unwrap();
         assert_eq!(entries.len(), 2, "exactly one entry per run");
@@ -468,7 +396,7 @@ mod tests {
         let fp0 = entries[0].get_path("instance").and_then(Value::as_str);
         let fp1 = entries[1].get_path("instance").and_then(Value::as_str);
         assert!(fp0.is_some() && fp0 == fp1);
-        std::fs::remove_file(&hist_path).ok();
+        std::fs::remove_file(&hist_str).ok();
     }
 
     #[test]
@@ -512,26 +440,18 @@ mod tests {
         std::fs::remove_file(&addr_file).ok();
     }
 
-    /// A live scrape during `solve --serve` sees the full key set the
-    /// tentpole promises: live.*, mem.*, pool.*, prof.samples.
+    /// A live scrape during `solve --serve` sees the full live key set:
+    /// live.*, mem.*, pool.*, prof.samples.
     #[test]
     fn solve_serve_exposes_live_keys() {
         // Big enough that the run outlives one scrape round-trip is NOT
         // required: begin() pre-registers the live keys, so even a scrape
         // racing the final rounds sees them.
         let path = write_temp("serve-live", K3);
-        let addr_file = std::env::temp_dir().join(format!(
-            "dmig-cli-test-serve-live-{}.txt",
-            std::process::id()
-        ));
-        std::fs::remove_file(&addr_file).ok();
-        let addr_str = addr_file.to_string_lossy().into_owned();
-        let metrics_path = std::env::temp_dir().join(format!(
-            "dmig-cli-test-serve-live-{}.json",
-            std::process::id()
-        ));
-        let metrics_str = metrics_path.to_string_lossy().into_owned();
-        let out = run_str(&[
+        let addr_str = temp_path("serve-live.txt");
+        std::fs::remove_file(&addr_str).ok();
+        let metrics_str = temp_path("serve-live.json");
+        run_ok(&[
             "solve",
             &path,
             "--serve",
@@ -541,10 +461,9 @@ mod tests {
             "--metrics-out",
             &metrics_str,
         ]);
-        assert_eq!(out.code, 0, "{}", out.stdout);
         // The final snapshot (written after the plane stops) carries the
         // live gauges at their terminal values plus the serve counter.
-        let json = std::fs::read_to_string(&metrics_path).unwrap();
+        let json = std::fs::read_to_string(&metrics_str).unwrap();
         for key in [
             "\"live.phase\"",
             "\"live.round\"",
@@ -563,7 +482,7 @@ mod tests {
             .and_then(|g| g.get("live.phase"))
             .and_then(Value::as_f64);
         assert_eq!(phase, Some(6.0), "terminal phase is DONE (= 6)");
-        std::fs::remove_file(&addr_file).ok();
-        std::fs::remove_file(&metrics_path).ok();
+        std::fs::remove_file(&addr_str).ok();
+        std::fs::remove_file(&metrics_str).ok();
     }
 }

@@ -18,10 +18,23 @@ pub(crate) fn run_str(args: &[&str]) -> CliOutcome {
     run(&args.iter().map(ToString::to_string).collect::<Vec<_>>())
 }
 
-pub(crate) fn write_temp(name: &str, content: &str) -> String {
+/// The stdout of a run that must succeed.
+pub(crate) fn run_ok(args: &[&str]) -> String {
+    let out = run_str(args);
+    assert_eq!(out.code, 0, "{args:?}: {}", out.stdout);
+    out.stdout
+}
+
+/// A path in the temp directory, unique to this test process.
+pub(crate) fn temp_path(name: &str) -> String {
     let path = std::env::temp_dir().join(format!("dmig-cli-test-{name}-{}", std::process::id()));
-    std::fs::write(&path, content).unwrap();
     path.to_string_lossy().into_owned()
+}
+
+pub(crate) fn write_temp(name: &str, content: &str) -> String {
+    let path = temp_path(name);
+    std::fs::write(&path, content).unwrap();
+    path
 }
 
 pub(crate) const K3: &str = "nodes 3\ncaps 2 2 2\nedge 0 1\nedge 1 2\nedge 0 2\n";

@@ -54,7 +54,7 @@ use dmig_obs::{history, Value};
 use dmig_sim::executor::{DELTA_PREFIX, RECORD_PREFIX};
 use dmig_sim::{Cluster, ExecReport, Executor, ExecutorConfig, FaultPlan, StepOutcome};
 
-use crate::args::{self, Args, Flags};
+use crate::args::{self, Args};
 use crate::files::{self, read_instance};
 use crate::record::ObsRequest;
 use crate::{archive, instance};
@@ -75,39 +75,6 @@ const FAULTS: &str = "faults.toml";
 const CONFIG: &str = "config.json";
 const JOURNAL: &str = "journal.jsonl";
 const REPORT: &str = "report.json";
-
-/// The flags of `dmig migrate plan`. Of the recorder's flags, `migrate`
-/// takes only `--metrics-out`.
-pub(crate) const PLAN_FLAGS: Flags = Flags::new(
-    &[
-        "--workspace",
-        "--faults",
-        "--solver",
-        "--threads",
-        "--bandwidths",
-        "--retry-max",
-        "--metrics-out",
-    ],
-    &["--replan"],
-);
-
-/// The flags of `dmig migrate execute` and `resume`. The test hook
-/// `--abort-after-checkpoint N` is left out of `dmig help`.
-pub(crate) const SESSION_FLAGS: Flags = Flags::new(
-    &[
-        "--workspace",
-        "--threads",
-        "--metrics-out",
-        "--abort-after-checkpoint",
-    ],
-    &[],
-);
-
-/// The flags of `dmig migrate export`.
-pub(crate) const EXPORT_FLAGS: Flags = Flags::new(&["--workspace", "--out"], &[]);
-
-/// The flags of `dmig migrate import`.
-pub(crate) const IMPORT_FLAGS: Flags = Flags::new(&["--workspace"], &[]);
 
 /// `dmig migrate plan`.
 pub(crate) fn cmd_plan(args: &Args<'_>) -> Result<String, String> {
@@ -904,15 +871,12 @@ pub(crate) fn cmd_export(args: &Args<'_>) -> Result<String, String> {
     files.sort_by(|a, b| a.0.cmp(&b.0));
     let packed = archive::pack(&files);
     files::write(out_path, &packed)?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "exported {} files ({} bytes) from {} to {out_path}",
+    Ok(format!(
+        "exported {} files ({} bytes) from {} to {out_path}\n",
         files.len(),
         packed.len(),
         ws.display()
-    );
-    Ok(out)
+    ))
 }
 
 /// `dmig migrate import`.
@@ -951,22 +915,16 @@ pub(crate) fn cmd_import(args: &Args<'_>) -> Result<String, String> {
         }
         e
     })?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "imported {} files into {} (checksums verified)",
+    Ok(format!(
+        "imported {} files into {} (checksums verified)\n\
+         workspace: {} items on {} disks, solver {}, {} planned rounds\n",
         files.len(),
-        ws.display()
-    );
-    let _ = writeln!(
-        out,
-        "workspace: {} items on {} disks, solver {}, {} planned rounds",
+        ws.display(),
         loaded.problem.num_items(),
         loaded.problem.num_disks(),
         loaded.solver_name,
         loaded.schedule.makespan()
-    );
-    Ok(out)
+    ))
 }
 
 #[cfg(test)]

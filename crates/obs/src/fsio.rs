@@ -25,8 +25,10 @@ use std::path::Path;
 ///
 /// Propagates the underlying create/write/sync/rename failure; the temp
 /// file is removed on any of them.
-pub fn atomic_write(path: &str, contents: &[u8]) -> std::io::Result<()> {
-    let temp = format!("{path}.tmp.{}", std::process::id());
+pub fn atomic_write(path: impl AsRef<Path>, contents: &[u8]) -> std::io::Result<()> {
+    let path = path.as_ref();
+    let mut temp = path.as_os_str().to_owned();
+    temp.push(format!(".tmp.{}", std::process::id()));
     let result = (|| {
         let mut file = std::fs::File::create(&temp)?;
         file.write_all(contents)?;
@@ -39,18 +41,6 @@ pub fn atomic_write(path: &str, contents: &[u8]) -> std::io::Result<()> {
         let _ = std::fs::remove_file(&temp);
     }
     result
-}
-
-/// [`atomic_write`] for callers holding a `Path`.
-///
-/// # Errors
-///
-/// As [`atomic_write`]; additionally fails on non-UTF-8 paths.
-pub fn atomic_write_path(path: &Path, contents: &[u8]) -> std::io::Result<()> {
-    let s = path
-        .to_str()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "non-UTF-8 path"))?;
-    atomic_write(s, contents)
 }
 
 #[cfg(test)]
@@ -70,7 +60,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         atomic_write(&path, b"{\"v\":1}\n").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"v\":1}\n");
-        atomic_write(&path, b"{\"v\":2}\n").unwrap();
+        atomic_write(Path::new(&path), b"{\"v\":2}\n").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"v\":2}\n");
         std::fs::remove_file(&path).ok();
     }
@@ -101,14 +91,5 @@ mod tests {
         let path = temp("c-dir/impossible.json");
         // The parent directory does not exist: create fails, no panic.
         assert!(atomic_write(&path, b"x").is_err());
-    }
-
-    #[test]
-    fn path_variant_round_trips() {
-        let path = temp("d.json");
-        std::fs::remove_file(&path).ok();
-        atomic_write_path(std::path::Path::new(&path), b"ok").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "ok");
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -80,42 +80,6 @@ pub mod phase {
     pub const DONE: u64 = 6;
 }
 
-/// The kind of a well-known metric key.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KeyKind {
-    /// A monotonic count, pre-registered at 0 by an instrumented run.
-    Counter,
-    /// A value set to its latest reading.
-    Gauge,
-    /// A log2 histogram of observations.
-    Histogram,
-}
-
-impl KeyKind {
-    /// The kind's name as the key table prints it.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            KeyKind::Counter => "counter",
-            KeyKind::Gauge => "gauge",
-            KeyKind::Histogram => "histogram",
-        }
-    }
-}
-
-/// The [`KeyKind`] a `metric_keys!` row names.
-macro_rules! key_kind {
-    (counter) => {
-        KeyKind::Counter
-    };
-    (gauge) => {
-        KeyKind::Gauge
-    };
-    (histogram) => {
-        KeyKind::Histogram
-    };
-}
-
 /// Declares every well-known metric key exactly once: one
 /// `NAME = "key", kind, "description";` row yields the [`keys`] constant,
 /// its rustdoc, and its row in [`keys_reference`] (and therefore in the
@@ -137,8 +101,8 @@ macro_rules! metric_keys {
             )+
         }
 
-        const KEYS_REFERENCE: &[(&str, KeyKind, &str)] =
-            &[$((keys::$name, key_kind!($kind), $doc)),+];
+        const KEYS_REFERENCE: &[(&str, &str, &str)] =
+            &[$((keys::$name, stringify!($kind), $doc)),+];
     };
 }
 
@@ -281,7 +245,7 @@ pub const PROF_SELF_NS_PREFIX: &str = "prof.self_ns.";
 /// [`render_keys_table`] between `<!-- keys:begin/end -->` markers, kept
 /// in sync by a unit test.
 #[must_use]
-pub fn keys_reference() -> &'static [(&'static str, KeyKind, &'static str)] {
+pub fn keys_reference() -> &'static [(&'static str, &'static str, &'static str)] {
     KEYS_REFERENCE
 }
 
@@ -291,7 +255,7 @@ pub fn keys_reference() -> &'static [(&'static str, KeyKind, &'static str)] {
 pub fn render_keys_table() -> String {
     let mut out = String::from("| key | description |\n| --- | --- |\n");
     for (key, kind, doc) in keys_reference() {
-        out.push_str(&format!("| `{key}` | {doc} ({}). |\n", kind.name()));
+        out.push_str(&format!("| `{key}` | {doc} ({kind}). |\n"));
     }
     // The sampler's self-time family is open-ended (one histogram per span
     // name), so it is documented as a prefix row rather than a constant.
@@ -528,13 +492,16 @@ mod tests {
     }
 
     #[test]
-    fn keys_reference_docs_are_one_line_and_leave_the_kind_to_the_token() {
+    fn keys_reference_rows_are_typed_one_line_docs() {
         for (key, kind, doc) in super::keys_reference() {
+            assert!(
+                ["counter", "gauge", "histogram"].contains(kind),
+                "{key}: kind {kind}"
+            );
             assert!(!doc.contains('\n'), "{key}: doc must be one line");
             assert!(
                 !doc.ends_with(')') && !doc.ends_with('.'),
-                "{key}: the table appends ` ({}).` to the doc",
-                kind.name()
+                "{key}: the table appends ` ({kind}).` to the doc"
             );
         }
     }
