@@ -130,21 +130,18 @@ impl<'a> Args<'a> {
     }
 }
 
-/// `--threads N`, all cores when absent.
-pub(crate) fn threads(args: &Args<'_>) -> Result<usize, String> {
-    Ok(args.count("--threads")?.unwrap_or_else(default_threads))
-}
-
 /// Resolves `--solver`/`--threads` into a component-parallel wrapper around
-/// the named solver. The schedule does not depend on the thread count, so
-/// the wrapper is always applied; display code prints the inner name.
+/// the named solver (all cores without `--threads`). The schedule does not
+/// depend on the thread count, so the wrapper is always applied; display
+/// code prints the inner name.
 pub(crate) fn solver(args: &Args<'_>) -> Result<ParallelSolver, String> {
     let inner: Box<dyn Solver> = match args.value("--solver") {
         Some(name) => solver_by_name(name)
             .ok_or_else(|| format!("unknown solver `{name}`; try `dmig help`"))?,
         None => Box::new(AutoSolver),
     };
-    Ok(ParallelSolver::with_threads(inner, threads(args)?))
+    let threads = args.count("--threads")?.unwrap_or_else(default_threads);
+    Ok(ParallelSolver::with_threads(inner, threads))
 }
 
 /// Resolves `--bandwidths B0,B1,…` into a [`Cluster`] (uniform unit

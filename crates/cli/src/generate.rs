@@ -98,6 +98,7 @@ pub(crate) fn cmd_generate(args: &Args<'_>) -> Result<String, String> {
     .map_err(|e| e.to_string())?;
     Ok(instance::to_instance_text(&problem))
 }
+
 #[cfg(test)]
 mod tests {
     use crate::instance;

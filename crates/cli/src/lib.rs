@@ -49,6 +49,7 @@ pub fn run(args: &[String]) -> CliOutcome {
 /// A command's body: it gets its arguments split by the flags it takes.
 type Body = fn(&Args<'_>) -> Result<String, String>;
 
+// Flag lists too long for a row of `COMMANDS`.
 const SIMULATE: &str = "--solver NAME --threads N --bandwidths B0,B1,... --faults FILE \
     --replan --retry-max N --report-out FILE --explain --progress";
 const PLAN: &str = "--workspace DIR --faults FILE --solver NAME --threads N \
@@ -213,6 +214,7 @@ fn usage() -> String {
      \x20 remove <n> <gone> <items> <cap> disk drain (bipartite)\n"
         .to_string()
 }
+
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeSet;

@@ -116,16 +116,12 @@ impl<'a> ObsRequest<'a> {
         dmig_obs::gauge_set(dmig_obs::keys::LIVE_ROUND, 0);
         dmig_obs::gauge_set(dmig_obs::keys::LIVE_ITEMS_DONE, 0);
         dmig_obs::gauge_set(dmig_obs::keys::LIVE_SHARD_ACTIVE, 0);
-        let live = match self
-            .out("--serve")
-            .map(|addr| self.start_live(addr))
-            .transpose()
-        {
-            Ok(live) => live,
-            Err(e) => {
+        let live = match self.out("--serve") {
+            Some(addr) => Some(self.start_live(addr).map_err(|e| {
                 self.abandon(None);
-                return Err(e);
-            }
+                e
+            })?),
+            None => None,
         };
         if self.events() {
             dmig_obs::events::reset();

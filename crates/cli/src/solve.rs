@@ -176,6 +176,7 @@ pub(crate) fn cmd_dot(args: &Args<'_>) -> Result<String, String> {
     let (_, problem) = read_instance(args.first("instance file")?)?;
     Ok(dmig_graph::io::to_dot(problem.graph()))
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
