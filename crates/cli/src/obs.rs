@@ -191,7 +191,7 @@ pub(crate) fn cmd_flame(args: &Args<'_>) -> Result<String, String> {
 pub(crate) fn cmd_compact(args: &Args<'_>) -> Result<String, String> {
     let path = args.first("history file")?;
     let keep = args
-        .number("--keep")?
+        .count("--keep")?
         .ok_or("obs compact: --keep N is required")?;
     let (kept, dropped) = history::compact(path, keep)?;
     Ok(format!(
@@ -377,7 +377,10 @@ mod tests {
         assert!(!survivors.contains("\"round\":0"));
         // --keep is mandatory and must be positive.
         assert_eq!(run_str(&["obs", "compact", &hist]).code, 1);
-        assert_eq!(run_str(&["obs", "compact", &hist, "--keep", "0"]).code, 1);
+        assert_eq!(
+            run_str(&["obs", "compact", &hist, "--keep", "0"]).stdout,
+            "error: bad --keep: must be at least 1\n"
+        );
         std::fs::remove_file(&hist).ok();
     }
 
