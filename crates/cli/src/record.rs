@@ -62,12 +62,9 @@ impl<'a> ObsRequest<'a> {
         self.0.value(flag)
     }
 
-    /// Whether an output was requested: any recorder flag but
-    /// `--serve-addr-file`, which only says where `--serve` writes.
+    /// Whether an output was requested: any recorder flag.
     fn active(&self) -> bool {
-        RECORDER
-            .split_whitespace()
-            .any(|word| word != "--serve-addr-file" && self.0.given(word))
+        RECORDER.split_whitespace().any(|word| self.0.given(word))
     }
 
     /// Whether the flight recorder itself was requested.
@@ -78,11 +75,15 @@ impl<'a> ObsRequest<'a> {
     /// Runs `body` with the requested outputs recorded: collection starts
     /// before it, and once it has filled in its [`RunContext`] and
     /// succeeded, the outputs are written. When it fails, collection stops
-    /// and nothing is written.
+    /// and nothing is written. `--serve-addr-file` without `--serve` is an
+    /// error before `body` runs: there is no address to write.
     pub(crate) fn around<T>(
         &self,
         body: impl FnOnce(&mut RunContext) -> Result<T, String>,
     ) -> Result<T, String> {
+        if self.0.given("--serve-addr-file") && !self.0.given("--serve") {
+            return Err("bad --serve-addr-file: missing --serve ADDR".to_string());
+        }
         let mut run = RunContext::default();
         if !self.active() {
             return body(&mut run);

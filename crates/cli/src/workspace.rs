@@ -16,18 +16,22 @@
 //!   every float persisted as its IEEE-754 bit pattern so reload is exact;
 //! * `journal.jsonl` — the write-ahead journal `execute` appends:
 //!   `dmig-events/1` flight-recorder lines interleaved with
-//!   `dmig-exec-ckpt/1` checkpoint records, fsync'd at every round
-//!   boundary. The records form one chain across sessions: deltas of
+//!   `dmig-exec-ckpt/1` checkpoint records, one record per round
+//!   boundary. The journal is group-committed: a commit writes, and
+//!   fdatasyncs, every round that finished while the previous commit's
+//!   fdatasync ran, and nothing is written before that fdatasync has
+//!   returned. The records form one chain across sessions: deltas of
 //!   what each round changed, whose base is the state the plan starts
 //!   from, and a full record only where a replan replaced the residual
 //!   instance, which starts a new chain;
 //! * `report.json` — the final `dmig-exec-report/1` document.
 //!
-//! `execute` can be `kill -9`ed at any instant; `resume` rebuilds the
-//! executor from the durable chain — the deltas after the last full
-//! record, or after the plan when no replan happened — (a torn tail line
-//! is expected, skipped, and cut off before the journal grows again; its
-//! bytes need not be text) and continues the chain. The finished
+//! `execute` can be `kill -9`ed at any instant, and loses at most the
+//! rounds of the commit in flight; `resume` rebuilds the executor from
+//! the durable chain — the deltas after the last full record, or after
+//! the plan when no replan happened — (a torn tail line is expected,
+//! skipped, and cut off before the journal grows again; its bytes need
+//! not be text) and continues the chain. The finished
 //! `report.json` is byte-identical to an uninterrupted run. Journals of
 //! earlier builds, which opened each session with a full record, resume
 //! from their last one. `export` packs the directory into an
@@ -613,7 +617,7 @@ fn run_session(args: &Args<'_>, resume: bool) -> Result<String, String> {
         let _span = dmig_obs::span("migrate.load");
         load_workspace(&ws)?
     };
-    let abort_after = args.number::<u64>("--abort-after-checkpoint")?;
+    let abort_after = args.count("--abort-after-checkpoint")?.map(|n| n as u64);
     let threads = args.count("--threads")?.unwrap_or(loaded.threads);
     let inner: Box<dyn Solver> = solver_by_name(&loaded.solver_name)
         .ok_or_else(|| format!("{MANIFEST}: unknown solver `{}`", loaded.solver_name))?;
@@ -697,8 +701,10 @@ fn run_session(args: &Args<'_>, resume: bool) -> Result<String, String> {
 
     // The journal sink: durable append mode. The flight recorder's
     // dmig-events/1 lines and the records spliced in via append_sink_line
-    // are held in memory; each round boundary commits them with one write
-    // and starts their fdatasync, which runs while the next round computes.
+    // are held in memory. Each round boundary group-commits: the lines go
+    // out with one write, and their fdatasync starts, only once the
+    // previous fdatasync has returned; until then they stay held, and the
+    // session steps on.
     let journal_str = journal_path.display().to_string();
     dmig_obs::events::reset();
     dmig_obs::events::open_sink(&journal_str)
@@ -708,6 +714,7 @@ fn run_session(args: &Args<'_>, resume: bool) -> Result<String, String> {
         close_journal();
         msg
     };
+    let sync_error = |e: std::io::Error| format!("cannot sync {journal_str}: {e}");
 
     let mut journal_bytes = 0u64;
     let mut checkpoints = 0u64;
@@ -721,28 +728,30 @@ fn run_session(args: &Args<'_>, resume: bool) -> Result<String, String> {
         dmig_obs::gauge_set(dmig_obs::keys::WS_JOURNAL_BYTES, journal_bytes);
         Ok(checkpoints)
     };
-    // `migrate.sync` times all the session spends blocked on the journal:
-    // each commit's write, and each wait for an fdatasync.
-    let commit = || {
-        let _span = dmig_obs::span("migrate.sync");
-        dmig_obs::events::commit_sink().map_err(|e| format!("cannot append to {journal_str}: {e}"))
-    };
-    let wait = || {
-        let _span = dmig_obs::span("migrate.sync");
-        dmig_obs::events::wait_sink().map_err(|e| format!("cannot sync {journal_str}: {e}"))
-    };
     let record = |exec: &mut Executor<'_>| {
         let _span = dmig_obs::span("migrate.record");
         exec.journal_record()
     };
-    // The deterministic stand-in for `kill -9` the crash-resume tests and
-    // CI smoke use: die once record N is durable and before any byte of
-    // the next round is written, with the report unwritten, exactly like a
-    // real mid-run kill.
-    let abort_if_due = |durable_records: u64| {
-        if abort_after == Some(durable_records) {
+    // A group commit after the session's `records`-th record; it returns
+    // whether it wrote. `migrate.sync` times all the session spends
+    // blocked on the journal: each commit's write, and each wait for an
+    // fdatasync. `ws.round` moves when a commit writes, so it names the
+    // last record the journal holds. `--abort-after-checkpoint N` is the
+    // deterministic stand-in for `kill -9` the crash-resume tests and CI
+    // smoke use: the commit that holds record N waits until it is durable,
+    // and the process dies before any byte of the next round is written,
+    // with the report unwritten, exactly like a real mid-run kill.
+    let commit = |exec: &Executor<'_>, records: u64| -> Result<bool, String> {
+        let _span = dmig_obs::span("migrate.sync");
+        if abort_after == Some(records) {
+            dmig_obs::events::sync_sink().map_err(sync_error)?;
             std::process::abort();
         }
+        let wrote = dmig_obs::events::commit_sink().map_err(sync_error)?;
+        if wrote {
+            dmig_obs::gauge_set(dmig_obs::keys::WS_ROUND, exec.executed_rounds() as u64);
+        }
+        Ok(wrote)
     };
 
     if resume {
@@ -757,45 +766,53 @@ fn run_session(args: &Args<'_>, resume: bool) -> Result<String, String> {
     // delta against the state the plan starts from, `resume`'s the next
     // delta of the chain it restored. It makes round 0 resumable: a kill
     // before the first boundary resumes into a full (still byte-identical)
-    // re-run. Only a replan writes a full record.
-    let mut ck_count = hold(&record(&mut exec), true).map_err(&teardown)?;
-    commit().map_err(&teardown)?;
-    dmig_obs::gauge_set(dmig_obs::keys::WS_ROUND, exec.executed_rounds() as u64);
+    // re-run. Only a replan writes a full record. Nothing is in flight
+    // yet, so this commit writes.
+    let records = hold(&record(&mut exec), true).map_err(&teardown)?;
+    let mut record_held = !commit(&exec, records).map_err(&teardown)?;
 
-    // Round r+1 steps and renders its record while record r's fdatasync
-    // runs; nothing of round r+1 is committed before that fdatasync
-    // returns. A step error waits for it and meets the abort point too, so
-    // what an abort leaves never depends on how the next round went.
+    // Each round's events and record are held, and committed with every
+    // other round that finished while the previous fdatasync ran. A step
+    // error writes what is held when the journal closes.
     loop {
         let step = {
             let _span = dmig_obs::span("migrate.step");
             exec.step()
         };
-        let line = match step {
+        match step {
             Ok(StepOutcome::Finished) => break,
-            Ok(_) => Ok(record(&mut exec)),
-            Err(e) => Err(format!("migrate {verb}: {e}")),
-        };
-        wait().map_err(&teardown)?;
-        abort_if_due(ck_count);
-        let line = line.map_err(&teardown)?;
-        ck_count = hold(&line, true).map_err(&teardown)?;
-        commit().map_err(&teardown)?;
-        dmig_obs::gauge_set(dmig_obs::keys::WS_ROUND, exec.executed_rounds() as u64);
+            Ok(_) => {}
+            Err(e) => return Err(teardown(format!("migrate {verb}: {e}"))),
+        }
+        let records = hold(&record(&mut exec), true).map_err(&teardown)?;
+        record_held = !commit(&exec, records).map_err(&teardown)?;
     }
 
-    // The report renders while the last record's fdatasync runs. Then the
-    // final round's events are written, unfenced, as before the report.
+    // The session's last commit, when records are still held: they and
+    // the final round's events go out once the running fdatasync has
+    // returned, and their fdatasync runs while the report renders. When
+    // the last record went out with its own commit, the report renders
+    // while that fdatasync runs, and the final round's events are written
+    // unfenced when the journal closes.
+    if record_held {
+        let _span = dmig_obs::span("migrate.sync");
+        dmig_obs::events::wait_sink()
+            .and_then(|()| dmig_obs::events::commit_sink())
+            .map_err(sync_error)
+            .map_err(&teardown)?;
+        dmig_obs::gauge_set(dmig_obs::keys::WS_ROUND, exec.executed_rounds() as u64);
+    }
     let (report, report_json) = {
         let _span = dmig_obs::span("migrate.report");
         let report = exec.into_report();
         let json = report.to_json();
         (report, json)
     };
-    wait().map_err(&teardown)?;
-    abort_if_due(ck_count);
     {
         let _span = dmig_obs::span("migrate.sync");
+        dmig_obs::events::wait_sink()
+            .map_err(sync_error)
+            .map_err(&teardown)?;
         close_journal();
     }
     {

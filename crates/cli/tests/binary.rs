@@ -287,6 +287,17 @@ fn misspelt_and_dangling_flags_exit_one_naming_the_flag() {
             vec!["migrate", "execute", "--workspace", &planned, "--threads"],
             "bad --threads: missing value",
         ),
+        (
+            vec![
+                "migrate",
+                "execute",
+                "--workspace",
+                &planned,
+                "--abort-after-checkpoint",
+                "0",
+            ],
+            "bad --abort-after-checkpoint: must be at least 1",
+        ),
     ] {
         let (code, out) = dmig(&args);
         assert_eq!(code, 1, "{args:?}: {out}");
@@ -294,5 +305,37 @@ fn misspelt_and_dangling_flags_exit_one_naming_the_flag() {
         assert!(!dir.join("ws").exists(), "{args:?} created a workspace");
     }
     assert!(!dir.join("planned").join("journal.jsonl").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--serve-addr-file F` names where `--serve` writes the address it bound;
+/// without `--serve` it exits 1 naming the missing flag, before the command
+/// runs, and writes no `F`. It once exited 0 with the flag ignored.
+#[test]
+fn serve_addr_file_without_serve_exits_one_naming_serve() {
+    let dir = std::env::temp_dir().join(format!("dmig-bin-addr-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (code, instance) = dmig(&["generate", "k3", "3", "2"]);
+    assert_eq!(code, 0, "{instance}");
+    std::fs::write(path("k3.txt"), instance).unwrap();
+    for command in ["solve", "simulate"] {
+        let (code, out) = dmig(&[
+            command,
+            &path("k3.txt"),
+            "--serve-addr-file",
+            &path("addr.txt"),
+            "--metrics-out",
+            &path("m.json"),
+        ]);
+        assert_eq!(code, 1, "{command}: {out}");
+        assert_eq!(out, "error: bad --serve-addr-file: missing --serve ADDR\n");
+        assert!(
+            !dir.join("addr.txt").exists(),
+            "{command} wrote the address file"
+        );
+        assert!(!dir.join("m.json").exists(), "{command} ran");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

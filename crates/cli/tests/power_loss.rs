@@ -1,24 +1,29 @@
 //! Power loss on the journal, simulated byte by byte.
 //!
-//! A commit writes a round's event lines and its checkpoint record with
-//! one `write(2)` and then `fdatasync`s them. A power cut during a commit
-//! can leave the file with any prefix of the commit's bytes followed, up
-//! to the commit's length, by whatever the disk held: zeros after the file
-//! grew, or arbitrary bytes. The journal before the commit is durable.
+//! A commit writes every line held since the previous commit that wrote
+//! (the event lines and checkpoint records of one round, or of every round
+//! that finished while the previous `fdatasync` ran) with one `write(2)`
+//! and then `fdatasync`s them. A power cut during a commit can leave the
+//! file with any prefix of the commit's bytes followed, up to the commit's
+//! length, by whatever the disk held: zeros after the file grew, or
+//! arbitrary bytes. The journal before the commit is durable.
 //!
-//! The CI fault scenario's uninterrupted journal is cut inside two
+//! The CI fault scenario's uninterrupted journal is cut inside four
 //! commits, and the rest of each commit is filled once with zeros and once
 //! with `0xFF`. `migrate resume` must then either finish with the
 //! uninterrupted run's `report.json`, byte for byte, or exit 1 naming a
-//! journal line. The first commit follows the first record, a delta whose
-//! base is the plan; the second follows a delta whose base is the full
-//! record a replan wrote. What a resume does depends on which whole lines
-//! precede the cut and on the torn bytes after it, so the cuts are every
-//! byte within two of a line's first byte or of its newline, where that
-//! changes, and every 11th byte in between: 988 resumes, where every byte
-//! would take 8,922. Every resume runs in this process through
-//! `dmig_cli::run`; the file holds one test because the journal sink is
-//! process-wide.
+//! journal line. Two commits hold one record: the first follows the first
+//! record, a delta whose base is the plan; the second follows a delta
+//! whose base is the full record a replan wrote. Two hold three records,
+//! as a grouped commit does, and each crosses a replan's full record, so
+//! the chain's base moves inside the commit. What a resume does depends on
+//! which whole lines precede the cut and on the torn bytes after it, so
+//! the cuts are every byte within two of a line's first byte or of its
+//! newline, where that changes, and every 11th byte in between within a
+//! one-record commit, every 37th within a three-record one: 1,958
+//! resumes, where every byte would take 28,516. Every resume runs in this
+//! process through `dmig_cli::run`; the file holds one test because the
+//! journal sink is process-wide.
 
 use std::path::{Path, PathBuf};
 
@@ -90,18 +95,19 @@ fn a_power_cut_in_any_commit_resumes_to_the_same_report_or_names_a_line() {
     let journal_path = Path::new(&ws).join("journal.jsonl");
     let report_path = Path::new(&ws).join("report.json");
     let (mut resumed, mut refused) = (0, 0);
-    // `ends[k]..ends[k + 1]` is the commit after record k + 1. After
+    // `ends[a]..ends[b]` is a commit of records a + 2 ..= b + 1. After
     // record 1 the chain's base is the plan; after record 4 it is record
-    // 2, a replan's full record.
-    for k in [0, 3] {
-        let (from, to) = (ends[k], ends[k + 1]);
+    // 2, a replan's full record. The three-record commits carry records
+    // 2–4 and 4–6, so they cross records 2 and 5, the two full records.
+    for (a, b, stride) in [(0, 1, 11), (3, 4, 11), (0, 3, 37), (2, 5, 37)] {
+        let (from, to) = (ends[a], ends[b]);
         // A line's first byte, and the byte after its newline.
         let starts: Vec<usize> = std::iter::once(from)
             .chain((from..to).filter(|&i| journal[i] == b'\n').map(|i| i + 1))
             .collect();
         let near_a_boundary = |cut: usize| starts.iter().any(|&s| cut.abs_diff(s) <= 2);
         let cuts: Vec<usize> = (from..to)
-            .filter(|&cut| near_a_boundary(cut) || (cut - from) % 11 == 0)
+            .filter(|&cut| near_a_boundary(cut) || (cut - from) % stride == 0)
             .collect();
         for fill in [0x00, 0xFF] {
             for &cut in &cuts {
@@ -111,8 +117,9 @@ fn a_power_cut_in_any_commit_resumes_to_the_same_report_or_names_a_line() {
                 std::fs::remove_file(&report_path).ok();
                 let (code, out) = dmig(&["migrate", "resume", "--workspace", &ws]);
                 let case = format!(
-                    "commit after record {}, cut at {cut}, fill {fill:#04x}",
-                    k + 1
+                    "commit of records {}..={}, cut at {cut}, fill {fill:#04x}",
+                    a + 2,
+                    b + 1
                 );
                 match code {
                     0 => {
@@ -142,6 +149,6 @@ fn a_power_cut_in_any_commit_resumes_to_the_same_report_or_names_a_line() {
     // A fill never holds a newline, so every cut leaves whole lines of the
     // uninterrupted journal before a torn tail, and resumes.
     assert_eq!(refused, 0);
-    assert!(resumed >= 600, "{resumed} cases");
+    assert!(resumed >= 1500, "{resumed} cases");
     std::fs::remove_dir_all(&dir).ok();
 }

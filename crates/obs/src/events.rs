@@ -22,14 +22,18 @@
 //!   durability disciplines:
 //!   - journal mode ([`open_sink`]) appends to the final path, whose
 //!     partial prefix is the recovery record. Lines are held in memory
-//!     until a commit ([`commit_sink`]) writes them with one `write_all`
-//!     and starts their `fdatasync` on a helper thread; [`wait_sink`]
-//!     blocks until it returns, and [`sync_sink`] is both. A commit first
-//!     waits for the previous one's `fdatasync`, so nothing written after
-//!     a commit can reach the file before that commit is durable. A hard
-//!     kill loses the lines held since the last commit; the sink is never
-//!     behind the ring at a commit, a close, or a panic with the crash
-//!     hook armed.
+//!     until a commit writes them with one `write_all` and starts their
+//!     `fdatasync` on a helper thread. The commits are grouped:
+//!     [`commit_sink`] writes only once the previous commit's `fdatasync`
+//!     has returned, and while it runs leaves the lines held, so the next
+//!     commit that writes carries every line emitted in the meantime.
+//!     [`wait_sink`] blocks until the running `fdatasync` returns, and
+//!     [`sync_sink`] waits for it, commits and waits again. So nothing is
+//!     written before the previous commit is durable, at most one write is
+//!     ever un-synced, and a hard kill loses the lines held since the last
+//!     commit that wrote, and can tear only that commit. The sink is never
+//!     behind the ring at a [`sync_sink`], a close, or a panic with the
+//!     crash hook armed.
 //!   - atomic mode ([`open_sink_atomic`]) writes every line as it is
 //!     emitted to a temp file that [`close_sink`] publishes by rename
 //!     (report mode — readers never see a torn file).
@@ -308,20 +312,25 @@ struct Syncer {
     /// One `fdatasync` result per request, in order.
     results: mpsc::Receiver<io::Result<()>>,
     thread: JoinHandle<()>,
-    /// Whether a request is out whose result has not been received.
+    /// Whether a request is out whose result has not been taken by
+    /// [`wait`](Self::wait).
     in_flight: bool,
+    /// The in-flight request's result, once [`running`](Self::running)
+    /// has seen it arrive.
+    returned: Option<io::Result<()>>,
 }
 
 impl Syncer {
-    fn spawn(file: &File) -> io::Result<Syncer> {
-        let file = file.try_clone()?;
+    /// Starts the thread; each request runs `sync`, the `fdatasync` of the
+    /// sink's file.
+    fn spawn(mut sync: impl FnMut() -> io::Result<()> + Send + 'static) -> io::Result<Syncer> {
         let (requests, inbox) = mpsc::channel::<()>();
         let (outbox, results) = mpsc::channel();
         let thread = std::thread::Builder::new()
             .name("dmig-journal-sync".to_string())
             .spawn(move || {
                 while inbox.recv().is_ok() {
-                    if outbox.send(file.sync_data()).is_err() {
+                    if outbox.send(sync()).is_err() {
                         break;
                     }
                 }
@@ -331,6 +340,7 @@ impl Syncer {
             results,
             thread,
             in_flight: false,
+            returned: None,
         })
     }
 
@@ -341,12 +351,29 @@ impl Syncer {
         Ok(())
     }
 
+    /// Whether the in-flight `fdatasync` is still running. Never blocks; a
+    /// result that has arrived is kept for [`wait`](Self::wait).
+    fn running(&mut self) -> bool {
+        if !self.in_flight || self.returned.is_some() {
+            return false;
+        }
+        self.returned = match self.results.try_recv() {
+            Ok(result) => Some(result),
+            Err(mpsc::TryRecvError::Empty) => return true,
+            Err(mpsc::TryRecvError::Disconnected) => Some(Err(sync_thread_gone())),
+        };
+        false
+    }
+
     /// Blocks until the in-flight `fdatasync`, if any, returns its result.
     fn wait(&mut self) -> io::Result<()> {
         if !std::mem::take(&mut self.in_flight) {
             return Ok(());
         }
-        self.results.recv().map_err(|_| sync_thread_gone())?
+        match self.returned.take() {
+            Some(result) => result,
+            None => self.results.recv().map_err(|_| sync_thread_gone())?,
+        }
     }
 
     /// Ends the thread after the `fdatasync` it is running, if any.
@@ -378,9 +405,9 @@ struct Sink {
     file: File,
     mode: Mode,
     /// Rendered lines, newlines included. In journal mode: every line
-    /// since the last commit. In atomic mode: the line being written. The
-    /// buffer is cleared, never freed, so it stops reallocating once it
-    /// has held the largest round.
+    /// since the last commit that wrote. In atomic mode: the line being
+    /// written. The buffer is cleared, never freed, so it stops
+    /// reallocating once it has held the largest group.
     held: Vec<u8>,
 }
 
@@ -409,8 +436,9 @@ impl Sink {
     }
 
     /// Journal mode: writes the held lines once the previous commit's
-    /// `fdatasync` has returned, and starts theirs on the helper thread.
-    /// Atomic mode: fences the temp file synchronously.
+    /// `fdatasync` has returned, waiting for it if need be, and starts
+    /// theirs on the helper thread. Atomic mode: fences the temp file
+    /// synchronously.
     fn commit(&mut self) -> io::Result<()> {
         self.write_held()?;
         match &mut self.mode {
@@ -514,9 +542,9 @@ pub fn set_ring_capacity(capacity: usize) {
 
 /// Opens (or creates) `path` as the JSONL sink in journal mode, the
 /// *durable* mode the migration workspace's write-ahead journal relies
-/// on. Lines are appended to the final file, but only at a commit
-/// ([`commit_sink`], [`sync_sink`]) or when the sink closes; until then
-/// each event is held in memory in the order it entered the ring.
+/// on. Lines are appended to the final file, but only at a commit that
+/// writes ([`commit_sink`], [`sync_sink`]) or when the sink closes; until
+/// then each event is held in memory in the order it entered the ring.
 ///
 /// # Errors
 ///
@@ -527,7 +555,8 @@ pub fn open_sink(path: &str) -> io::Result<()> {
         .create(true)
         .append(true)
         .open(path)?;
-    let mode = Mode::Journal(Syncer::spawn(&file)?);
+    let synced = file.try_clone()?;
+    let mode = Mode::Journal(Syncer::spawn(move || synced.sync_data())?);
     replace_sink(Some(Sink::new(file, mode)));
     Ok(())
 }
@@ -577,23 +606,32 @@ fn replace_sink(next: Option<Sink>) {
     }
 }
 
-/// Commits the sink: waits for the previous commit's `fdatasync`, writes
-/// every held line with one `write_all`, and starts their `fdatasync` on
-/// the sink's helper thread without waiting for it. So no byte held after
-/// a commit reaches the file before that commit is durable. An atomic-mode
-/// sink is fenced synchronously instead.
+/// Group-commits the sink, without blocking. Once the previous commit's
+/// `fdatasync` has returned, it writes every held line with one
+/// `write_all`, starts their `fdatasync` on the sink's helper thread, and
+/// returns `true`. While that `fdatasync` still runs, it returns `false`
+/// and leaves the lines held, so the next commit that writes carries every
+/// line emitted in the meantime. Either way no byte held after a commit
+/// reaches the file before that commit is durable. An atomic-mode sink is
+/// fenced synchronously instead.
 ///
 /// # Errors
 ///
 /// Propagates the previous `fdatasync`'s or the write's failure; the held
-/// lines are dropped then. A no-op `Ok` when no sink is open.
-pub fn commit_sink() -> io::Result<()> {
-    lock().sink.as_mut().map_or(Ok(()), Sink::commit)
+/// lines are dropped then. A no-op `Ok(false)` when no sink is open.
+pub fn commit_sink() -> io::Result<bool> {
+    lock().sink.as_mut().map_or(Ok(false), |sink| {
+        if let Mode::Journal(syncer) = &mut sink.mode {
+            if syncer.running() {
+                return Ok(false);
+            }
+        }
+        sink.commit().map(|()| true)
+    })
 }
 
 /// Blocks until the last commit's `fdatasync` returns, and hands back its
-/// result. The workspace journal waits here before a round's record
-/// becomes part of the recovery record a later round may build on.
+/// result. After it, a [`commit_sink`] always writes.
 ///
 /// # Errors
 ///
@@ -605,8 +643,9 @@ pub fn wait_sink() -> io::Result<()> {
     lock().sink.as_mut().map_or(Ok(()), Sink::wait)
 }
 
-/// [`commit_sink`] then [`wait_sink`]: every line emitted so far is on
-/// stable storage when this returns `Ok`.
+/// [`wait_sink`], a commit that writes every held line, and
+/// [`wait_sink`] again: every line emitted so far is on stable storage
+/// when this returns `Ok`.
 ///
 /// # Errors
 ///
@@ -622,8 +661,8 @@ pub fn sync_sink() -> io::Result<()> {
 /// bypassing the ring and the event counters — the hook the workspace
 /// journal uses to interleave `dmig-exec-ckpt/1` checkpoint lines with
 /// the event stream. In journal mode the line is held for the next commit
-/// like an event. Returns the line's bytes, newline included, 0 when no
-/// sink is open.
+/// that writes, like an event. Returns the line's bytes, newline included,
+/// 0 when no sink is open.
 ///
 /// # Errors
 ///
@@ -969,7 +1008,10 @@ mod tests {
         });
         let record = append_sink_line("{\"schema\":\"dmig-exec-ckpt/1\"}").unwrap();
         assert_eq!(size(), 0, "nothing is written before the first commit");
-        commit_sink().unwrap();
+        assert!(
+            commit_sink().unwrap(),
+            "nothing is in flight: the commit writes"
+        );
         let committed = size();
         assert!(
             committed > record,
@@ -1031,8 +1073,85 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Opens `path` as a journal sink whose every `fdatasync` first waits
+    /// until the returned gate is signalled or dropped, so that the test
+    /// decides when an `fdatasync` returns.
+    fn open_gated_sink(path: &str) -> mpsc::Sender<()> {
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .unwrap();
+        let synced = file.try_clone().unwrap();
+        let (gate, opened) = mpsc::channel::<()>();
+        let syncer = Syncer::spawn(move || {
+            let _ = opened.recv();
+            synced.sync_data()
+        })
+        .unwrap();
+        replace_sink(Some(Sink::new(file, Mode::Journal(syncer))));
+        gate
+    }
+
+    /// Lines held while an `fdatasync` runs reach the file exactly once,
+    /// in emit order, with the first commit that writes after it returns,
+    /// whichever way the race between that commit and the `fdatasync`
+    /// goes; `sync_sink` returns with every line written and synced.
+    #[test]
+    fn grouped_commits_write_each_held_line_once_in_order() {
+        let _l = events_lock();
+        let _c = Cleanup;
+        reset();
+        let path = temp("grouped.jsonl");
+        std::fs::remove_file(&path).ok();
+        let gate = open_gated_sink(&path);
+        let line = |i: usize| format!("{{\"line\": {i}}}\n");
+        let hold = |i: usize| {
+            append_sink_line(line(i).trim_end()).unwrap();
+        };
+        let upto = |n: usize| (0..n).map(line).collect::<String>();
+        let file = || std::fs::read_to_string(&path).unwrap();
+
+        hold(0);
+        assert!(commit_sink().unwrap(), "nothing is in flight: it writes");
+        assert_eq!(file(), upto(1));
+        // The gate holds that fdatasync, so every commit leaves its lines.
+        for i in 1..4 {
+            hold(i);
+            assert!(
+                !commit_sink().unwrap(),
+                "commit {i} wrote during an fdatasync"
+            );
+            assert_eq!(file(), upto(1));
+        }
+        gate.send(()).unwrap();
+        wait_sink().unwrap();
+        hold(4);
+        assert!(commit_sink().unwrap(), "nothing is in flight after a wait");
+        assert_eq!(file(), upto(5), "one commit carries the held group");
+
+        // Ungated, each commit races the previous commit's fdatasync.
+        drop(gate);
+        let mut written = 5;
+        for i in 5..300 {
+            hold(i);
+            if commit_sink().unwrap() {
+                written = i + 1;
+            }
+            assert_eq!(file(), upto(written), "after commit {i}");
+        }
+        sync_sink().unwrap();
+        assert_eq!(file(), upto(300));
+        match &lock().sink.as_ref().unwrap().mode {
+            Mode::Journal(syncer) => assert!(!syncer.in_flight, "sync_sink left an fdatasync"),
+            Mode::Atomic { .. } => unreachable!(),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     /// `/dev/null` takes writes but refuses `fdatasync` (EINVAL): the
-    /// helper thread's error reaches the waiter, not the commit.
+    /// helper thread's error reaches the waiter, not the commit, and the
+    /// first grouped commit to see it drops every line held behind it.
     #[cfg(target_os = "linux")]
     #[test]
     fn wait_hands_back_the_fdatasync_error() {
@@ -1040,10 +1159,26 @@ mod tests {
         let _c = Cleanup;
         open_sink("/dev/null").unwrap();
         append_sink_line("{}").unwrap();
-        commit_sink().unwrap();
+        assert!(commit_sink().unwrap());
         assert!(wait_sink().is_err());
         assert!(wait_sink().is_ok(), "nothing is in flight after a wait");
         assert!(sync_sink().is_err());
+
+        append_sink_line("{}").unwrap();
+        assert!(commit_sink().unwrap(), "nothing is in flight after a sync");
+        for _ in 0..3 {
+            append_sink_line("{\"held\": true}").unwrap();
+        }
+        loop {
+            match commit_sink() {
+                Ok(false) => std::thread::yield_now(),
+                Ok(true) => panic!("a commit wrote behind a failed fdatasync"),
+                Err(_) => break,
+            }
+        }
+        let held = lock().sink.as_ref().map_or(0, |sink| sink.held.len());
+        assert_eq!(held, 0, "the failed fdatasync left the group held");
+        assert!(wait_sink().is_ok(), "the failure was handed back once");
     }
 
     #[test]
