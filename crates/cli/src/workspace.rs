@@ -141,7 +141,7 @@ fn push_bits(out: &mut Vec<u8>, v: f64) {
     out.push(b'"');
 }
 
-fn f64_of_bits(v: &Value, what: &str) -> Result<f64, String> {
+fn f64_of_bits(v: &Value, what: impl std::fmt::Display) -> Result<f64, String> {
     let s = v
         .as_str()
         .ok_or_else(|| format!("{CONFIG}: {what} is not a bit-pattern string"))?;
@@ -149,6 +149,18 @@ fn f64_of_bits(v: &Value, what: &str) -> Result<f64, String> {
         .parse()
         .map_err(|e| format!("{CONFIG}: {what}: bad bit pattern: {e}"))?;
     Ok(f64::from_bits(bits))
+}
+
+/// The `bandwidths` of `config.json`, one bit pattern per disk. An
+/// element's label, `bandwidths[i]`, is formatted only for its error.
+fn bandwidths(cfg: &Value) -> Result<Vec<f64>, String> {
+    field(cfg, CONFIG, "bandwidths")?
+        .as_array()
+        .ok_or_else(|| format!("{CONFIG}: `bandwidths` is not an array"))?
+        .iter()
+        .enumerate()
+        .map(|(i, b)| f64_of_bits(b, format_args!("bandwidths[{i}]")))
+        .collect()
 }
 
 /// The executor float `config.json` holds under `key`. It must be finite:
@@ -512,15 +524,8 @@ fn load_workspace(ws: &Workspace) -> Result<Loaded, String> {
         degrade_replan_threshold: finite_of_bits(&cfg, "degrade_replan_threshold")?,
         stall_factor: finite_of_bits(&cfg, "stall_factor")?,
     };
-    let bws_doc = field(&cfg, CONFIG, "bandwidths")?
-        .as_array()
-        .ok_or(format!("{CONFIG}: `bandwidths` is not an array"))?;
-    let mut bws = Vec::with_capacity(bws_doc.len());
-    for (i, b) in bws_doc.iter().enumerate() {
-        bws.push(f64_of_bits(b, &format!("bandwidths[{i}]"))?);
-    }
-    let cluster =
-        args::checked_cluster(bws, problem.num_disks()).map_err(|e| format!("{CONFIG}: {e}"))?;
+    let cluster = args::checked_cluster(bandwidths(&cfg)?, problem.num_disks())
+        .map_err(|e| format!("{CONFIG}: {e}"))?;
 
     let solver_name = field(&manifest, MANIFEST, "solver")?
         .as_str()
@@ -790,9 +795,8 @@ fn run_session(args: &Args<'_>, resume: bool) -> Result<String, String> {
 
     // The session's last commit, when records are still held: they and
     // the final round's events go out once the running fdatasync has
-    // returned, and their fdatasync runs while the report renders. When
-    // the last record went out with its own commit, the report renders
-    // while that fdatasync runs, and the final round's events are written
+    // returned. When the last record went out with its own commit, its
+    // fdatasync may still run, and the final round's events are written
     // unfenced when the journal closes.
     if record_held {
         let _span = dmig_obs::span("migrate.sync");
@@ -802,11 +806,20 @@ fn run_session(args: &Args<'_>, resume: bool) -> Result<String, String> {
             .map_err(&teardown)?;
         dmig_obs::gauge_set(dmig_obs::keys::WS_ROUND, exec.executed_rounds() as u64);
     }
-    let (report, report_json) = {
+    // The report renders and is staged, written beside its path and
+    // fdatasynced, while the journal's last fdatasync runs. It is renamed
+    // into place only once that has returned and the journal is closed,
+    // so `report.json` never appears before the last record is durable;
+    // a failed wait drops the staged file, which removes it.
+    let report_path = ws.path(REPORT);
+    let write_error = |e: std::io::Error| format!("cannot write {}: {e}", report_path.display());
+    let (report, staged) = {
         let _span = dmig_obs::span("migrate.report");
         let report = exec.into_report();
-        let json = report.to_json();
-        (report, json)
+        let staged = dmig_obs::fsio::stage(&report_path, report.to_json().as_bytes())
+            .map_err(write_error)
+            .map_err(&teardown)?;
+        (report, staged)
     };
     {
         let _span = dmig_obs::span("migrate.sync");
@@ -817,7 +830,7 @@ fn run_session(args: &Args<'_>, resume: bool) -> Result<String, String> {
     }
     {
         let _span = dmig_obs::span("migrate.report");
-        ws.write(REPORT, &report_json)?;
+        staged.publish().map_err(write_error)?;
     }
     Ok(render_exec_summary(
         verb,
@@ -1039,6 +1052,31 @@ mod tests {
                 fmt_render_config(&config, &cluster)
             );
         }
+    }
+
+    #[test]
+    fn a_bad_bandwidth_is_named_by_its_index() {
+        let cfg = |list: &str| Value::parse(&format!("{{\"bandwidths\": [{list}]}}")).unwrap();
+        let one = 1.0f64.to_bits();
+        assert_eq!(
+            bandwidths(&cfg(&format!("\"{one}\", \"{one}\""))),
+            Ok(vec![1.0, 1.0])
+        );
+        assert_eq!(
+            bandwidths(&cfg(&format!("\"{one}\", 2"))),
+            Err("config.json: bandwidths[1] is not a bit-pattern string".to_string())
+        );
+        assert_eq!(
+            bandwidths(&cfg("\"-1\"")),
+            Err(
+                "config.json: bandwidths[0]: bad bit pattern: invalid digit found in string"
+                    .to_string()
+            )
+        );
+        assert_eq!(
+            bandwidths(&Value::parse("{\"bandwidths\": 1}").unwrap()),
+            Err("config.json: `bandwidths` is not an array".to_string())
+        );
     }
 
     #[test]

@@ -26,8 +26,9 @@ use crate::{GraphError, Multigraph, NodeId};
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::Parse`] on malformed lines and
-/// [`GraphError::NodeOutOfRange`] if an edge references a node beyond a
+/// Returns [`GraphError::Parse`], naming the 1-based line at fault, on a
+/// malformed line, on a node count or edge endpoint beyond what a
+/// [`NodeId`] can name, and on an edge that references a node beyond a
 /// declared `nodes` count that it would otherwise extend implicitly —
 /// implicit extension only happens when no `nodes` directive was given.
 ///
@@ -42,59 +43,70 @@ use crate::{GraphError, Multigraph, NodeId};
 /// ```
 pub fn parse_edge_list(text: &str) -> Result<Multigraph, GraphError> {
     let mut declared_nodes: Option<usize> = None;
-    let mut edges: Vec<(usize, usize)> = Vec::new();
+    // (line, u, v): the endpoints are checked against the node count once
+    // every line has been read.
+    let mut edges: Vec<(usize, NodeId, NodeId)> = Vec::new();
 
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
+        let error = |message: String| GraphError::Parse {
+            line: lineno + 1,
+            message,
+        };
         let mut parts = line.split_whitespace();
         let keyword = parts.next().unwrap_or_default();
         let parse_usize = |tok: Option<&str>, what: &str| -> Result<usize, GraphError> {
-            tok.ok_or_else(|| GraphError::Parse {
-                line: lineno + 1,
-                message: format!("missing {what}"),
-            })?
-            .parse::<usize>()
-            .map_err(|_| GraphError::Parse {
-                line: lineno + 1,
-                message: format!("invalid {what}"),
-            })
+            tok.ok_or_else(|| error(format!("missing {what}")))?
+                .parse::<usize>()
+                .map_err(|_| error(format!("invalid {what}")))
+        };
+        let endpoint = |tok: Option<&str>| -> Result<NodeId, GraphError> {
+            let w = parse_usize(tok, "edge endpoint")?;
+            if w > u32::MAX as usize {
+                return Err(error(format!(
+                    "edge endpoint {w} exceeds the largest node index {}",
+                    u32::MAX
+                )));
+            }
+            Ok(NodeId::new(w))
         };
         match keyword {
             "nodes" => {
                 let n = parse_usize(parts.next(), "node count")?;
+                if n.saturating_sub(1) > u32::MAX as usize {
+                    return Err(error(format!(
+                        "node count {n} exceeds {}",
+                        u64::from(u32::MAX) + 1
+                    )));
+                }
                 declared_nodes = Some(n);
             }
             "edge" => {
-                let u = parse_usize(parts.next(), "edge endpoint")?;
-                let v = parse_usize(parts.next(), "edge endpoint")?;
-                edges.push((u, v));
+                let u = endpoint(parts.next())?;
+                let v = endpoint(parts.next())?;
+                edges.push((lineno + 1, u, v));
             }
-            other => {
-                return Err(GraphError::Parse {
-                    line: lineno + 1,
-                    message: format!("unknown directive `{other}`"),
-                });
-            }
+            other => return Err(error(format!("unknown directive `{other}`"))),
         }
         if parts.next().is_some() {
-            return Err(GraphError::Parse {
-                line: lineno + 1,
-                message: "trailing tokens".to_string(),
-            });
+            return Err(error("trailing tokens".to_string()));
         }
     }
 
-    let inferred = edges.iter().map(|&(u, v)| u.max(v) + 1).max().unwrap_or(0);
-    let n = match declared_nodes {
-        Some(n) => n,
-        None => inferred,
-    };
-    let mut g = Multigraph::with_nodes(n);
-    for (u, v) in edges {
-        g.try_add_edge(NodeId::new(u), NodeId::new(v))?;
+    let inferred = edges
+        .iter()
+        .map(|&(_, u, v)| u.index().max(v.index()) + 1)
+        .max()
+        .unwrap_or(0);
+    let mut g = Multigraph::with_nodes(declared_nodes.unwrap_or(inferred));
+    for (line, u, v) in edges {
+        g.try_add_edge(u, v).map_err(|e| GraphError::Parse {
+            line,
+            message: e.to_string(),
+        })?;
     }
     Ok(g)
 }
@@ -181,9 +193,31 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_edge_beyond_declared_nodes() {
-        let err = parse_edge_list("nodes 2\nedge 0 5\n").unwrap_err();
-        assert!(matches!(err, GraphError::NodeOutOfRange { .. }));
+    fn parse_rejects_edge_beyond_declared_nodes_at_its_line() {
+        let err = parse_edge_list("nodes 2\nedge 0 1\n\nedge 0 5\nedge 7 0\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error at line 4: node v5 out of range for graph with 2 nodes"
+        );
+        // The count may follow the edges it bounds.
+        let err = parse_edge_list("edge 0 2\nnodes 2\n").unwrap_err();
+        assert!(matches!(err, GraphError::Parse { line: 1, .. }), "{err}");
+    }
+
+    #[test]
+    fn indices_beyond_u32_are_errors_at_their_line() {
+        let err = parse_edge_list("nodes 3\nedge 0 5000000000\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error at line 2: edge endpoint 5000000000 exceeds the largest node index 4294967295"
+        );
+        let err = parse_edge_list("# big\nedge 4294967296 0\n").unwrap_err();
+        assert!(matches!(err, GraphError::Parse { line: 2, .. }), "{err}");
+        let err = parse_edge_list("edge 0 1\nnodes 4294967297\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error at line 2: node count 4294967297 exceeds 4294967296"
+        );
     }
 
     #[test]

@@ -9,13 +9,19 @@
 //! the temp file lives next to its destination so the rename never
 //! crosses a filesystem boundary.
 //!
+//! The write splits in two where a caller has something to overlap with
+//! the `fdatasync`: [`stage`] writes and fences the temp file, and
+//! [`Staged::publish`] renames it into place. A migration session stages
+//! its report while the journal's last `fdatasync` runs, and publishes it
+//! once that has returned.
+//!
 //! Streaming outputs (event journals) need the opposite discipline —
 //! durable appends whose partial prefix *is* the recovery record — and
 //! use [`crate::events::open_sink`] + [`crate::events::sync_sink`]
 //! instead.
 
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Writes `contents` to `path` atomically: the bytes stream to a sibling
 /// `<path>.tmp.<pid>` file, are fsynced, and land at `path` via rename.
@@ -26,21 +32,63 @@ use std::path::Path;
 /// Propagates the underlying create/write/sync/rename failure; the temp
 /// file is removed on any of them.
 pub fn atomic_write(path: impl AsRef<Path>, contents: &[u8]) -> std::io::Result<()> {
-    let path = path.as_ref();
+    stage(path, contents)?.publish()
+}
+
+/// A document written to its temp file and fenced there, not yet at its
+/// path. [`publish`](Self::publish) renames it into place; dropping it
+/// unpublished removes the temp file.
+#[derive(Debug)]
+#[must_use = "a staged file is removed unless it is published"]
+pub struct Staged {
+    temp: PathBuf,
+    path: PathBuf,
+    published: bool,
+}
+
+/// The first half of [`atomic_write`]: writes `contents` to the sibling
+/// `<path>.tmp.<pid>` file and `fdatasync`s it, leaving `path` untouched.
+///
+/// # Errors
+///
+/// Propagates the create/write/sync failure; the temp file is removed.
+pub fn stage(path: impl AsRef<Path>, contents: &[u8]) -> std::io::Result<Staged> {
+    let path = path.as_ref().to_path_buf();
     let mut temp = path.as_os_str().to_owned();
     temp.push(format!(".tmp.{}", std::process::id()));
-    let result = (|| {
-        let mut file = std::fs::File::create(&temp)?;
-        file.write_all(contents)?;
-        // Fence the data before the rename publishes the name: otherwise
-        // a power cut could expose a named-but-empty file.
-        file.sync_data()?;
-        std::fs::rename(&temp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&temp);
+    let staged = Staged {
+        temp: PathBuf::from(temp),
+        path,
+        published: false,
+    };
+    let mut file = std::fs::File::create(&staged.temp)?;
+    file.write_all(contents)?;
+    // Fence the data before the rename publishes the name: otherwise a
+    // power cut could expose a named-but-empty file.
+    file.sync_data()?;
+    Ok(staged)
+}
+
+impl Staged {
+    /// The second half of [`atomic_write`]: renames the temp file to the
+    /// path.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the rename failure; the temp file is removed.
+    pub fn publish(mut self) -> std::io::Result<()> {
+        std::fs::rename(&self.temp, &self.path)?;
+        self.published = true;
+        Ok(())
     }
-    result
+}
+
+impl Drop for Staged {
+    fn drop(&mut self) {
+        if !self.published {
+            let _ = std::fs::remove_file(&self.temp);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -83,6 +131,25 @@ mod tests {
             .filter(|n| n.starts_with(&stem) && n.contains(".tmp."))
             .collect();
         assert!(leftovers.is_empty(), "{leftovers:?}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_staged_file_appears_only_when_published() {
+        let path = temp("d.json");
+        std::fs::remove_file(&path).ok();
+        atomic_write(&path, b"old").unwrap();
+        let temp = format!("{path}.tmp.{}", std::process::id());
+        let staged = stage(&path, b"new").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"old");
+        assert_eq!(std::fs::read(&temp).unwrap(), b"new");
+        staged.publish().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"new");
+        assert!(!Path::new(&temp).exists());
+        // Dropped unpublished, a staged file leaves nothing behind.
+        drop(stage(&path, b"newer").unwrap());
+        assert_eq!(std::fs::read(&path).unwrap(), b"new");
+        assert!(!Path::new(&temp).exists());
         std::fs::remove_file(&path).ok();
     }
 

@@ -67,7 +67,7 @@ use crate::{Cluster, SimReport};
 
 mod codec;
 
-use codec::Recorded;
+use codec::{Recorded, Touched};
 
 /// A fault event or retry release this close ahead of the clock is due.
 const EVENT_EPS: f64 = 1e-12;
@@ -483,6 +483,9 @@ pub struct Executor<'a> {
     // state `new` built, is rebuilt then; a restored executor starts with
     // the state it was restored to.
     recorded: Option<Recorded>,
+    // The residual items whose per-item state was written since the last
+    // record: the entries the next delta diffs.
+    touched: Touched,
 }
 
 impl<'a> Executor<'a> {
@@ -546,6 +549,7 @@ impl<'a> Executor<'a> {
             finished: false,
             ticker,
             recorded: None,
+            touched: Touched::new(),
         })
     }
 
@@ -593,6 +597,10 @@ impl<'a> Executor<'a> {
             let mut remaining: Vec<Active> = Vec::with_capacity(round.len());
             let mut waiting: Vec<Waiting> = Vec::new();
             for &e in &round {
+                // Every per-item write of this round (attempts, retry
+                // releases, deliveries, losses at round start, on a crash
+                // abort or when retries run out) is to one of its items.
+                self.touched.note(e, self.fates.len());
                 let ep = g.endpoints(e);
                 let root = self.roots[e.index()];
                 if self.crashed[ep.u.index()] || self.crashed[ep.v.index()] {
@@ -918,6 +926,8 @@ impl<'a> Executor<'a> {
                 },
                 time: self.base,
             });
+            // A replan's per-item writes go unnoted: the record after a
+            // replan is a full one.
             let mut new_roots = Vec::with_capacity(r.origin.len());
             for (i, &e) in r.origin.iter().enumerate() {
                 let root = self.roots[e.index()];
@@ -968,6 +978,7 @@ impl<'a> Executor<'a> {
             for (e, d) in self.done.iter().enumerate() {
                 if !d {
                     self.fates[self.roots[e]] = Some(ItemFate::Lost(LostReason::DeadDisk));
+                    self.touched.note(EdgeId::new(e), self.fates.len());
                     dmig_obs::counter_add(keys::EXEC_LOST_ITEMS, 1);
                     emit(Event::ItemLost {
                         item: self.roots[e] as u64,
@@ -1042,20 +1053,25 @@ impl<'a> Executor<'a> {
     /// other array reduced to `[index, value]` pairs for the entries that
     /// changed. It comes from diffing the state against a copy of what the
     /// previous record captured, so it is as large as what the round
-    /// changed, not as the instance. [`resume`](Self::resume) reads a
-    /// chain from either base, [`restore`](Self::restore) one whose base
-    /// is a full record.
+    /// changed, not as the instance. The per-item arrays are diffed only at
+    /// the items the executor wrote since that record (the rounds' items),
+    /// so a delta also costs what the rounds touched; when more were
+    /// written than the instance has items, every item is diffed.
+    /// [`resume`](Self::resume) reads a chain from either base,
+    /// [`restore`](Self::restore) one whose base is a full record.
     pub fn journal_record(&mut self) -> String {
         let mut last = match self.recorded.take() {
             Some(last) if last.replans == self.replans => last,
             None if self.replans == 0 => Recorded::start(self),
             _ => {
                 self.recorded = Some(Recorded::of(self, 0));
+                self.touched.clear();
                 return self.checkpoint_json();
             }
         };
         let delta = self.render(Some(&mut last));
         self.recorded = Some(last);
+        self.touched.clear();
         delta
     }
 
@@ -1167,6 +1183,7 @@ impl<'a> Executor<'a> {
             exec.apply_delta(line, deltas).map_err(at(i))?;
         }
         exec.recorded = Some(Recorded::of(&exec, deltas));
+        exec.touched.clear();
         Ok(exec)
     }
 }

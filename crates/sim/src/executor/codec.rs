@@ -4,7 +4,8 @@
 //! **Encode.** A record is written field by field into one pre-sized byte
 //! buffer; integers and the decimal IEEE-754 bit patterns of floats go
 //! through [`push_u64`]. A delta diffs the state against the [`Recorded`]
-//! copy of the previous record as it writes.
+//! copy of the previous record as it writes: the per-disk arrays whole,
+//! the per-item arrays only at the residual items [`Touched`] lists.
 //!
 //! **Decode.** A record is read with [`Reader`], the pull reader behind
 //! `dmig_obs::Value::parse`, straight into typed vectors. Array elements
@@ -95,6 +96,47 @@ impl Recorded {
     }
 }
 
+/// The residual items whose per-item state (their `done` flag, and the
+/// `fates`, `attempts` and `redirected` entries of their root) the
+/// executor wrote since the last record: the only per-item entries the
+/// next delta diffs. It lists at most as many ids as the instance has
+/// items; past that it gives up, and the next delta diffs every item.
+pub(super) struct Touched(Option<Vec<EdgeId>>);
+
+impl Touched {
+    pub(super) fn new() -> Touched {
+        Touched(Some(Vec::new()))
+    }
+
+    /// Notes that residual item `e`'s state is written, in an instance of
+    /// `items` items.
+    pub(super) fn note(&mut self, e: EdgeId, items: usize) {
+        match &mut self.0 {
+            Some(ids) if ids.len() < items => ids.push(e),
+            Some(_) => self.0 = None,
+            None => {}
+        }
+    }
+
+    /// Starts a new list, at a record or a restore.
+    pub(super) fn clear(&mut self) {
+        match &mut self.0 {
+            Some(ids) => ids.clear(),
+            None => self.0 = Some(Vec::new()),
+        }
+    }
+
+    /// The residual items listed and their roots, each ascending, or
+    /// `None` when every item must be diffed.
+    fn entries(&self, roots: &[usize]) -> Option<(Vec<usize>, Vec<usize>)> {
+        let mut items: Vec<usize> = self.0.as_ref()?.iter().map(|e| e.index()).collect();
+        items.sort_unstable();
+        let mut of: Vec<usize> = items.iter().map(|&e| roots[e]).collect();
+        of.sort_unstable();
+        Some((items, of))
+    }
+}
+
 // --- encode ---------------------------------------------------------------
 
 /// Writes `, "key": `.
@@ -155,6 +197,19 @@ fn list<T>(o: &mut Vec<u8>, k: &str, xs: impl Iterator<Item = T>, put: fn(&mut V
     o.push(b']');
 }
 
+/// Writes one `[index, value]` pair of a delta array, after a comma unless
+/// it is the array's `first`.
+fn pair_of<T>(o: &mut Vec<u8>, first: &mut bool, i: usize, x: T, put: fn(&mut Vec<u8>, T)) {
+    if !std::mem::take(first) {
+        o.push(b',');
+    }
+    o.push(b'[');
+    put_index(o, i);
+    o.push(b',');
+    put(o, x);
+    o.push(b']');
+}
+
 /// Writes array `k` whole, or — given the previous record's copy of it —
 /// as the `[index, value]` pairs that differ from that copy, updating the
 /// copy. Entries past the copy's end are new and always written.
@@ -177,14 +232,34 @@ fn array<T: Copy + PartialEq>(
             Some(old) => *old = x,
             None => last.push(x),
         }
-        if !std::mem::take(&mut first) {
-            o.push(b',');
+        pair_of(o, &mut first, i, x, put);
+    }
+    o.push(b']');
+}
+
+/// Writes per-item array `k` as [`array`] does, except that a delta given
+/// the entries `at` (ascending; a repeat compares equal the second time)
+/// diffs only those: every other entry is unchanged since `last`.
+fn per_item<T: Copy + PartialEq>(
+    o: &mut Vec<u8>,
+    k: &str,
+    xs: &[T],
+    last: Option<&mut Vec<T>>,
+    at: Option<&[usize]>,
+    put: fn(&mut Vec<u8>, T),
+) {
+    let (last, at) = match (last, at) {
+        (Some(last), Some(at)) => (last, at),
+        (last, _) => return array(o, k, xs.iter().copied(), last, put),
+    };
+    key(o, k);
+    o.push(b'[');
+    let mut first = true;
+    for &i in at {
+        if last[i] != xs[i] {
+            last[i] = xs[i];
+            pair_of(o, &mut first, i, xs[i], put);
         }
-        o.push(b'[');
-        put_index(o, i);
-        o.push(b',');
-        put(o, x);
-        o.push(b']');
     }
     o.push(b']');
 }
@@ -192,8 +267,14 @@ fn array<T: Copy + PartialEq>(
 impl Executor<'_> {
     /// Renders a full record, or, given the state the previous record
     /// captured, the delta against it (advancing `last` to this state).
+    /// A delta diffs the per-item arrays only at the items `touched` lists.
     pub(super) fn render(&self, mut last: Option<&mut Recorded>) -> String {
         let (disks, items) = (self.bw.len(), self.fates.len());
+        let touched = last
+            .as_ref()
+            .and_then(|_| self.touched.entries(&self.roots));
+        let at_item = touched.as_ref().map(|(item, _)| item.as_slice());
+        let at_root = touched.as_ref().map(|(_, root)| root.as_slice());
         // Bytes per entry of the widest encodings (a quoted 20-digit bit
         // pattern, a `"delivered-redirected"` fate, a residual item's
         // endpoints, round and root); a delta is a small fraction of that.
@@ -228,15 +309,19 @@ impl Executor<'_> {
         let l = last.as_deref_mut().map(|l| &mut l.replacement);
         array(&mut o, "replacement", replacement, l, put_replacement);
         int(&mut o, "next_fault", self.next_fault as u64);
-        let fates = self.fates.iter().copied();
         let l = last.as_deref_mut().map(|l| &mut l.fates);
-        array(&mut o, "fates", fates, l, put_fate);
-        let attempts = self.attempts.iter().copied();
+        per_item(&mut o, "fates", &self.fates, l, at_root, put_fate);
         let l = last.as_deref_mut().map(|l| &mut l.attempts);
-        array(&mut o, "attempts", attempts, l, put_u32);
-        let redirected = self.redirected_flag.iter().copied();
+        per_item(&mut o, "attempts", &self.attempts, l, at_root, put_u32);
         let l = last.as_deref_mut().map(|l| &mut l.redirected);
-        array(&mut o, "redirected", redirected, l, put_flag);
+        per_item(
+            &mut o,
+            "redirected",
+            &self.redirected_flag,
+            l,
+            at_root,
+            put_flag,
+        );
         if last.is_none() {
             // The residual instance: endpoints flat [u0, v0, u1, v1, ...],
             // transfer constraints, and the full current schedule. Only a
@@ -267,9 +352,8 @@ impl Executor<'_> {
             o.push(b']');
             list(&mut o, "roots", self.roots.iter().copied(), put_index);
         }
-        let done = self.done.iter().copied();
         let l = last.as_deref_mut().map(|l| &mut l.done);
-        array(&mut o, "done", done, l, put_flag);
+        per_item(&mut o, "done", &self.done, l, at_item, put_flag);
         key(&mut o, "base");
         put_bits(&mut o, self.base.to_bits());
         // Grow-only: a delta carries the rounds executed since `last`.
@@ -832,6 +916,7 @@ impl<'a> Executor<'a> {
             finished: false,
             ticker,
             recorded: None,
+            touched: Touched::new(),
         };
         exec.set_scalars(&scalars)?;
         Ok(exec)
@@ -941,7 +1026,9 @@ impl<'a> Executor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::LostReason;
+    use crate::executor::{LostReason, StepOutcome, DELTA_PREFIX};
+    use crate::faults::{CrashFault, DegradeFault, FlakySpec};
+    use dmig_core::parallel::ParallelSolver;
     use dmig_core::solver::AutoSolver;
     use dmig_graph::GraphBuilder;
     use proptest::prelude::*;
@@ -1195,8 +1282,21 @@ mod tests {
         }
     }
 
+    fn fate(rng: &mut Mix) -> Option<ItemFate> {
+        match rng.below(5) {
+            0 => None,
+            1 => Some(ItemFate::Delivered { redirected: false }),
+            2 => Some(ItemFate::Delivered { redirected: true }),
+            3 => Some(ItemFate::Lost(LostReason::DeadDisk)),
+            _ => Some(ItemFate::Lost(LostReason::RetriesExhausted)),
+        }
+    }
+
     /// Redraws each entry of the checkpointed state with probability
-    /// `1/every`; round durations only grow, as they do in a run.
+    /// `1/every`; round durations only grow, as they do in a run. Per-item
+    /// state is written as a run writes it: through a residual item (its
+    /// `done` flag, its root's `fates`, `attempts` and `redirected`), which
+    /// is noted for the next delta.
     fn scramble(x: &mut Executor<'_>, rng: &mut Mix, every: u64) {
         let n = x.bw.len() as u64;
         for v in &mut x.bw {
@@ -1209,13 +1309,7 @@ mod tests {
                 *v = rng.float();
             }
         }
-        for v in x
-            .crashed
-            .iter_mut()
-            .chain(&mut x.redirected_flag)
-            .chain(&mut x.done)
-            .chain(&mut x.degraded_at_last_replan)
-        {
+        for v in x.crashed.iter_mut().chain(&mut x.degraded_at_last_replan) {
             if rng.below(every) == 0 {
                 *v = rng.flag();
             }
@@ -1225,29 +1319,31 @@ mod tests {
                 *v = rng.flag().then(|| NodeId::new(rng.below(n) as usize));
             }
         }
-        for v in &mut x.fates {
+        for e in 0..x.done.len() {
+            let root = x.roots[e];
+            let mut wrote = false;
             if rng.below(every) == 0 {
-                *v = match rng.below(5) {
-                    0 => None,
-                    1 => Some(ItemFate::Delivered { redirected: false }),
-                    2 => Some(ItemFate::Delivered { redirected: true }),
-                    3 => Some(ItemFate::Lost(LostReason::DeadDisk)),
-                    _ => Some(ItemFate::Lost(LostReason::RetriesExhausted)),
-                };
+                x.done[e] = rng.flag();
+                wrote = true;
             }
-        }
-        for v in &mut x.attempts {
             if rng.below(every) == 0 {
-                *v = if rng.flag() {
+                x.fates[root] = fate(rng);
+                wrote = true;
+            }
+            if rng.below(every) == 0 {
+                x.attempts[root] = if rng.flag() {
                     u32::MAX
                 } else {
                     rng.below(5) as u32
                 };
+                wrote = true;
             }
-        }
-        for v in &mut x.roots {
             if rng.below(every) == 0 {
-                *v = rng.word() as usize;
+                x.redirected_flag[root] = rng.flag();
+                wrote = true;
+            }
+            if wrote {
+                x.touched.note(EdgeId::new(e), x.fates.len());
             }
         }
         for _ in 0..rng.below(4) {
@@ -1275,12 +1371,88 @@ mod tests {
         x.crash_dirty = rng.flag();
     }
 
+    /// `journal_record` by the oracle: a full record after a replan, else
+    /// the delta against `base`, diffed over every entry.
+    fn oracle_record(x: &Executor<'_>, base: &mut Recorded) -> String {
+        if base.replans == x.replans {
+            return oracle_render(x, Some(base));
+        }
+        *base = Recorded::of(x, 0);
+        oracle_render(x, None)
+    }
+
+    /// The inputs of a real run: `disks` live disks and an idle spare,
+    /// `items` items between live disks, and one of five fault scenarios:
+    /// a crash with the spare as replacement, a crash without one, a
+    /// degradation that replans, flaky transfers that exhaust their
+    /// retries, and a crash with flaky transfers and no replanning.
+    fn scenario(
+        seed: u64,
+        disks: usize,
+        items: usize,
+        kind: u64,
+    ) -> (MigrationProblem, FaultPlan, ExecutorConfig) {
+        let mut rng = Mix(seed);
+        let mut b = GraphBuilder::new().nodes(disks + 1);
+        for _ in 0..items {
+            let u = rng.below(disks as u64) as usize;
+            let v = (u + 1 + rng.below(disks as u64 - 1) as usize) % disks;
+            b = b.edge(u, v);
+        }
+        let problem = MigrationProblem::uniform(b.build(), 2).expect("valid instance");
+        let crash = |replacement: Option<usize>| CrashFault {
+            disk: NodeId::new(seed as usize % disks),
+            time: 0.25 + (seed % 4) as f64 * 0.5,
+            replacement: replacement.map(NodeId::new),
+        };
+        let mut faults = FaultPlan {
+            seed,
+            ..FaultPlan::default()
+        };
+        let mut config = ExecutorConfig {
+            replan: true,
+            ..ExecutorConfig::default()
+        };
+        match kind {
+            0 => faults.crashes.push(crash(Some(disks))),
+            1 => faults.crashes.push(crash(None)),
+            2 => faults.degradations.push(DegradeFault {
+                disk: NodeId::new((seed as usize / 3) % disks),
+                time: 0.5,
+                factor: 0.25,
+                recover_at: Some(4.0),
+            }),
+            3 => {
+                faults.flaky = Some(FlakySpec { probability: 0.6 });
+                config.retry_max = 1;
+            }
+            _ => {
+                faults.crashes.push(crash(Some(disks)));
+                faults.flaky = Some(FlakySpec { probability: 0.3 });
+                config.replan = false;
+            }
+        }
+        (problem, faults, config)
+    }
+
+    /// The chain a journal of `records` resumes from: the last full
+    /// record and the deltas after it, or every delta from the plan.
+    fn chain(records: &[String]) -> String {
+        let start = records
+            .iter()
+            .rposition(|r| !r.starts_with(DELTA_PREFIX))
+            .unwrap_or(0);
+        records[start..].join("\n")
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Random states, full records and chains of deltas: the encoder
         /// writes the oracle's bytes and leaves the same diff base, and a
         /// chain that starts at the plan starts at the state `new` built.
+        /// Each delta diffs the items noted since the last one, or, after
+        /// more notes than items, every item.
         #[test]
         fn records_match_the_fmt_oracle(
             seed in 0u64..=u64::MAX,
@@ -1305,15 +1477,96 @@ mod tests {
             // rebuilt from the dimensions, is the state `new` built.
             prop_assert_eq!(Recorded::start(&x), Recorded::of(&x, 0));
             scramble(&mut x, &mut rng, 1);
+            for v in &mut x.roots {
+                *v = rng.word() as usize;
+            }
             prop_assert_eq!(x.render(None), oracle_render(&x, None));
+            // Only a replan writes `roots`, and a delta never crosses one:
+            // the chain runs on a residual map, shuffled so that roots do
+            // not ascend with items.
+            x.roots = (0..items).collect();
+            for i in (1..items).rev() {
+                x.roots.swap(i, rng.below(i as u64 + 1) as usize);
+            }
             let (mut mine, mut theirs) = (Recorded::of(&x, 0), Recorded::of(&x, 0));
-            for every in [1, 3, 10, 1000] {
+            x.touched.clear();
+            for (every, pad) in [(1, 0), (3, items), (10, 0), (1000, 0), (1, 0)] {
+                // `pad` notes of one item fill the list, so the notes the
+                // scramble adds overflow it and the delta diffs every item.
+                for _ in 0..pad {
+                    x.touched.note(EdgeId::new(0), items);
+                }
                 scramble(&mut x, &mut rng, every);
                 prop_assert_eq!(
                     x.render(Some(&mut mine)),
                     oracle_render(&x, Some(&mut theirs))
                 );
+                x.touched.clear();
+                prop_assert_eq!(&mine, &theirs);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Real runs at 1 and 4 threads under every fault scenario: each
+        /// record `journal_record` writes is the oracle's, uninterrupted
+        /// and across a kill after every record, where each session
+        /// resumes the journal so far, records, steps once and records;
+        /// the chained sessions end with the uninterrupted report.
+        #[test]
+        fn real_runs_record_what_the_oracle_records(
+            seed in 0u64..=u64::MAX,
+            disks in 3usize..9,
+            items in 4usize..40,
+            kind in 0u64..5,
+            four in proptest::bool::ANY,
+        ) {
+            let (problem, faults, config) = scenario(seed, disks, items, kind);
+            let solver = ParallelSolver::with_threads(Box::new(AutoSolver), if four { 4 } else { 1 });
+            let schedule = solver.solve(&problem).expect("solvable");
+            let cluster = Cluster::uniform(disks + 1, 1.0);
+            let fresh = || {
+                Executor::new(&problem, &schedule, &cluster, &faults, &config, &solver)
+                    .expect("executor builds")
+            };
+            let mut x = fresh();
+            let mut base = Recorded::start(&x);
+            loop {
+                let want = oracle_record(&x, &mut base);
+                prop_assert_eq!(x.journal_record(), want);
+                if x.step().expect("step") == StepOutcome::Finished {
+                    break;
+                }
+            }
+            let report = x.into_report().to_json();
+
+            let mut journal: Vec<String> = Vec::new();
+            let resumed = loop {
+                let mut x = if journal.is_empty() {
+                    fresh()
+                } else {
+                    Executor::resume(
+                        &problem, &schedule, &cluster, &faults, &config, &solver, &chain(&journal),
+                    )
+                    .expect("the journal resumes")
+                };
+                let mut base = match &x.recorded {
+                    Some(last) => Recorded::of(&x, last.deltas),
+                    None => Recorded::start(&x),
+                };
+                let want = oracle_record(&x, &mut base);
+                journal.push(x.journal_record());
+                prop_assert_eq!(journal.last().unwrap(), &want);
+                if x.step().expect("step") == StepOutcome::Finished {
+                    break x.into_report().to_json();
+                }
+                let want = oracle_record(&x, &mut base);
+                journal.push(x.journal_record());
+                prop_assert_eq!(journal.last().unwrap(), &want);
+            };
+            prop_assert_eq!(resumed, report);
         }
     }
 }

@@ -265,50 +265,4 @@ mod tests {
         }
         assert_eq!(d.observe(u64::MAX), None, "zero median disables the check");
     }
-
-    /// Serializes tests that flip global recorder state (only this one in
-    /// the sim unit-test binary today, but the lock keeps that invariant
-    /// local).
-    fn obs_lock() -> &'static std::sync::Mutex<()> {
-        static LOCK: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
-        LOCK.get_or_init(|| std::sync::Mutex::new(()))
-    }
-
-    #[test]
-    fn ticker_records_obs_events() {
-        let _guard = obs_lock().lock().unwrap();
-        dmig_obs::reset();
-        dmig_obs::set_enabled(true);
-        let mut t = RoundTicker::new(3);
-        for _ in 0..3 {
-            t.round_done(7);
-        }
-        let snap = dmig_obs::snapshot();
-        dmig_obs::set_enabled(false);
-        dmig_obs::reset();
-        assert_eq!(
-            snap.histograms
-                .get(dmig_obs::keys::SIM_ROUND_WALL_NS)
-                .map(|h| h.count),
-            Some(3)
-        );
-        assert_eq!(
-            snap.gauges.get(dmig_obs::keys::SIM_PROGRESS_PCT).copied(),
-            Some(100)
-        );
-        assert_eq!(
-            snap.gauges.get(dmig_obs::keys::LIVE_PHASE).copied(),
-            Some(dmig_obs::phase::SIMULATE)
-        );
-        assert_eq!(
-            snap.gauges.get(dmig_obs::keys::LIVE_ROUND).copied(),
-            Some(3)
-        );
-        assert_eq!(
-            snap.gauges.get(dmig_obs::keys::LIVE_ITEMS_DONE).copied(),
-            Some(21),
-            "cumulative transfers across rounds"
-        );
-        assert_eq!(snap.counters.get(dmig_obs::keys::SIM_STALLS), None);
-    }
 }
