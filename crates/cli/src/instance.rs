@@ -1,6 +1,5 @@
-//! Text format for migration instances (transfer graph + capacities).
-//!
-//! Extends the `dmig-graph` edge-list format with capacity directives:
+//! Text format for migration instances: the transfer graph as one `edge`
+//! line per item, and the disks' transfer constraints:
 //!
 //! ```text
 //! # disks and transfer constraints
@@ -88,6 +87,8 @@ pub fn parse_instance(text: &str) -> Result<MigrationProblem, InstanceError> {
         caps_vec: None,
         cap_overrides: Vec::new(),
         first_loop: None,
+        default_cap_line: 0,
+        caps_line: 0,
     };
     let bytes = text.as_bytes();
     let (mut at, mut line) = (0, 0);
@@ -152,6 +153,9 @@ struct Directives {
     cap_overrides: Vec<(usize, usize, u32)>,
     /// (line, disk) of the first self-loop.
     first_loop: Option<(usize, usize)>,
+    /// The lines of the last `default_cap` and `caps` directives.
+    default_cap_line: usize,
+    caps_line: usize,
 }
 
 impl Directives {
@@ -206,6 +210,7 @@ impl Directives {
             "default_cap" => {
                 self.default_cap = u32::try_from(next_num("capacity")?)
                     .map_err(|_| directive_error("capacity too large".to_string()))?;
+                self.default_cap_line = line;
             }
             "cap" => {
                 let v = next_num("disk index")?;
@@ -229,6 +234,7 @@ impl Directives {
                     return Err(directive_error("caps needs at least one value".to_string()));
                 }
                 self.caps_vec = Some(values);
+                self.caps_line = line;
             }
             other => {
                 return Err(directive_error(format!("unknown directive `{other}`")));
@@ -239,13 +245,15 @@ impl Directives {
 
     /// The instance the lines declare, or the first error found once
     /// every line has parsed: the graph, then a `cap` for an unknown disk,
-    /// then the first self-loop, then the problem's own validation.
+    /// then the first self-loop, then the problem's own validation, with a
+    /// zero capacity named at the line that gave it.
     fn finish(self) -> Result<MigrationProblem, InstanceError> {
+        let listed = self.caps_vec.as_ref().map_or(0, Vec::len);
         let n = self
             .declared_nodes
             .unwrap_or(self.inferred)
             .max(self.inferred)
-            .max(self.caps_vec.as_ref().map_or(0, Vec::len));
+            .max(listed);
         let g = Multigraph::from_edges(n, &self.edges)?;
         let mut caps = match self.caps_vec {
             Some(mut values) => {
@@ -254,7 +262,7 @@ impl Directives {
             }
             None => vec![self.default_cap; n],
         };
-        for (line, v, c) in self.cap_overrides {
+        for &(line, v, c) in &self.cap_overrides {
             if v >= n {
                 return Err(InstanceError::Directive {
                     line,
@@ -272,7 +280,23 @@ impl Directives {
                 .to_string(),
             });
         }
-        Ok(MigrationProblem::new(g, Capacities::from_vec(caps))?)
+        MigrationProblem::new(g, Capacities::from_vec(caps)).map_err(|e| match e {
+            ProblemError::ZeroCapacity { node } => {
+                // The disk's last `cap` line, else the `caps` line that
+                // lists it, else the `default_cap` line.
+                let disk = node.index();
+                let line = match self.cap_overrides.iter().rev().find(|o| o.1 == disk) {
+                    Some(&(line, _, _)) => line,
+                    None if disk < listed => self.caps_line,
+                    None => self.default_cap_line,
+                };
+                InstanceError::Directive {
+                    line,
+                    message: e.to_string(),
+                }
+            }
+            e => e.into(),
+        })
     }
 }
 
@@ -354,12 +378,25 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_cap_on_busy_disk() {
-        let err = parse_instance("caps 0 1\nedge 0 1\n").unwrap_err();
-        assert!(matches!(
-            err,
-            InstanceError::Problem(ProblemError::ZeroCapacity { .. })
-        ));
+    fn a_zero_capacity_on_a_busy_disk_names_its_line() {
+        // Its `cap` line, else the `caps` line, else the `default_cap` line;
+        // the last of each kind wins.
+        for (text, line, disk) in [
+            ("nodes 2\ncaps 0 1\nedge 0 1\n", 2, 0),
+            (
+                "caps 1 1\ncap 0 0\ncaps 0 1\ncap 0 0 # last\nedge 0 1\n",
+                4,
+                0,
+            ),
+            ("default_cap 0\ncaps 0\ndefault_cap 1\nedge 0 1\n", 2, 0),
+            ("caps 2\ndefault_cap 0\ndefault_cap 0\nedge 1 0\n", 3, 1),
+        ] {
+            let err = parse_instance(text).unwrap_err();
+            let want = format!(
+                "line {line}: disk v{disk} has transfer constraint 0 but incident transfers"
+            );
+            assert_eq!(err.to_string(), want, "{text:?}");
+        }
     }
 
     #[test]

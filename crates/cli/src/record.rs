@@ -170,12 +170,14 @@ impl<'a> ObsRequest<'a> {
         Ok(plane)
     }
 
-    /// Disarms the flight recorder: stops emission, closes the sink, and
-    /// clears the crash path so a later run cannot dump stale events.
-    fn teardown_events(&self) {
+    /// Disarms the flight recorder: stops emission, closes the sink with
+    /// `close` (`close_sink` publishes it, `discard_sink` drops a failed
+    /// run's), and clears the crash path so a later run cannot dump stale
+    /// events.
+    fn teardown_events(&self, close: fn()) {
         if self.events() {
             dmig_obs::events::set_enabled(false);
-            dmig_obs::events::close_sink();
+            close();
             dmig_obs::events::set_crash_path(None);
             dmig_obs::events::reset();
         }
@@ -194,7 +196,7 @@ impl<'a> ObsRequest<'a> {
             plane.stop();
         }
         dmig_obs::set_enabled(false);
-        self.teardown_events();
+        self.teardown_events(dmig_obs::events::close_sink);
         let snap = dmig_obs::snapshot();
         if self.0.given("--trace") {
             eprint!("{}", snap.render_tree());
@@ -231,6 +233,6 @@ impl<'a> ObsRequest<'a> {
             plane.stop();
         }
         dmig_obs::set_enabled(false);
-        self.teardown_events();
+        self.teardown_events(dmig_obs::events::discard_sink);
     }
 }

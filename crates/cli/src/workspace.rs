@@ -395,11 +395,11 @@ fn read_plan(text: &str, items: usize) -> Result<Vec<Vec<EdgeId>>, String> {
     members()
         .and_then(|()| r.finish())
         .map_err(|e| format!("{PLAN}: {e}"))?;
-    let schema = schema.ok_or(format!("{PLAN}: missing `schema`"))?;
+    let schema = schema.ok_or_else(|| format!("{PLAN}: missing `schema`"))?;
     if schema != PLAN_SCHEMA {
         return Err(format!("{PLAN}: schema `{schema}` is not `{PLAN_SCHEMA}`"));
     }
-    rounds.ok_or(format!("{PLAN}: missing `rounds`"))?
+    rounds.ok_or_else(|| format!("{PLAN}: missing `rounds`"))?
 }
 
 /// The elements of the `rounds` array `r` has just entered, or the first
@@ -479,7 +479,7 @@ fn load_workspace(ws: &Workspace) -> Result<Loaded, String> {
     let instance_text = ws.read(INSTANCE)?;
     let want_fp = field(&manifest, MANIFEST, "instance")?
         .as_str()
-        .ok_or(format!("{MANIFEST}: `instance` is not a string"))?;
+        .ok_or_else(|| format!("{MANIFEST}: `instance` is not a string"))?;
     check_fingerprint(INSTANCE, &instance_text, want_fp)?;
     let problem =
         instance::parse_instance(&instance_text).map_err(|e| format!("{INSTANCE}: {e}"))?;
@@ -491,7 +491,7 @@ fn load_workspace(ws: &Workspace) -> Result<Loaded, String> {
         Some(want) => {
             let want = want
                 .as_str()
-                .ok_or(format!("{MANIFEST}: `plan` is not a string"))?;
+                .ok_or_else(|| format!("{MANIFEST}: `plan` is not a string"))?;
             check_fingerprint(PLAN, &plan_text, want)?;
             true
         }
@@ -518,7 +518,8 @@ fn load_workspace(ws: &Workspace) -> Result<Loaded, String> {
         retry_max: field(&cfg, CONFIG, "retry_max")?
             .as_f64()
             .filter(|v| v.fract() == 0.0 && *v >= 0.0)
-            .ok_or(format!("{CONFIG}: `retry_max` is not a count"))? as u32,
+            .ok_or_else(|| format!("{CONFIG}: `retry_max` is not a count"))?
+            as u32,
         backoff_base: finite_of_bits(&cfg, "backoff_base")?,
         backoff_factor: finite_of_bits(&cfg, "backoff_factor")?,
         degrade_replan_threshold: finite_of_bits(&cfg, "degrade_replan_threshold")?,
@@ -529,12 +530,12 @@ fn load_workspace(ws: &Workspace) -> Result<Loaded, String> {
 
     let solver_name = field(&manifest, MANIFEST, "solver")?
         .as_str()
-        .ok_or(format!("{MANIFEST}: `solver` is not a string"))?
+        .ok_or_else(|| format!("{MANIFEST}: `solver` is not a string"))?
         .to_string();
     let threads = field(&manifest, MANIFEST, "threads")?
         .as_f64()
         .filter(|v| v.fract() == 0.0 && *v >= 1.0)
-        .ok_or(format!("{MANIFEST}: `threads` is not a count"))? as usize;
+        .ok_or_else(|| format!("{MANIFEST}: `threads` is not a count"))? as usize;
 
     Ok(Loaded {
         problem,
@@ -666,9 +667,8 @@ fn run_session(args: &Args<'_>, resume: bool) -> Result<String, String> {
         let _span = dmig_obs::span("migrate.restore");
         let journal = files::read_bytes(&journal_path)?;
         let durable = durable(&journal).map_err(|e| format!("migrate resume: {e}"))?;
-        let chain = resume_chain(durable).ok_or(format!(
-            "migrate resume: {JOURNAL} holds no checkpoint record"
-        ))?;
+        let chain = resume_chain(durable)
+            .ok_or_else(|| format!("migrate resume: {JOURNAL} holds no checkpoint record"))?;
         let from_plan = chain
             .lines()
             .find(|l| !l.is_empty())

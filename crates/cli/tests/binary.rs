@@ -339,3 +339,63 @@ fn serve_addr_file_without_serve_exits_one_naming_serve() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A command that fails publishes no `--events-out` file: a missing
+/// instance leaves none, and a fault plan naming a disk the instance lacks
+/// leaves the events file of an earlier run byte for byte, with no temp
+/// file beside either. Both once renamed an empty stream into place.
+#[test]
+fn a_failed_command_publishes_no_events_file() {
+    let dir = std::env::temp_dir().join(format!("dmig-bin-events-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let no_temps = || {
+        let temps: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.contains(".tmp"))
+            .collect();
+        assert!(temps.is_empty(), "{temps:?}");
+    };
+
+    let (code, out) = dmig(&[
+        "solve",
+        &path("missing.txt"),
+        "--events-out",
+        &path("ev.jsonl"),
+    ]);
+    assert_eq!(code, 1, "{out}");
+    assert!(
+        !dir.join("ev.jsonl").exists(),
+        "a failed solve published events"
+    );
+    no_temps();
+
+    let (code, instance) = dmig(&["generate", "rebalance", "6", "24", "2"]);
+    assert_eq!(code, 0, "{instance}");
+    std::fs::write(path("fault.instance"), instance).unwrap();
+    let faults = format!("{}/../../ci-faults.toml", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(path("bad.toml"), "[[crash]]\ndisk = 99\ntime = 0.5\n").unwrap();
+    let simulate = |faults: &str| {
+        dmig(&[
+            "simulate",
+            &path("fault.instance"),
+            "--faults",
+            faults,
+            "--replan",
+            "--events-out",
+            &path("events.jsonl"),
+        ])
+    };
+    let (code, out) = simulate(&faults);
+    assert_eq!(code, 0, "{out}");
+    let good = std::fs::read(dir.join("events.jsonl")).unwrap();
+    assert!(!good.is_empty());
+    let (code, out) = simulate(&path("bad.toml"));
+    assert_eq!(code, 1, "{out}");
+    assert!(out.contains("disk v99 out of range"), "{out}");
+    assert_eq!(std::fs::read(dir.join("events.jsonl")).unwrap(), good);
+    no_temps();
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -10,11 +10,13 @@
 //! lines anywhere. `parse_instance` reads the text in one byte pass; the
 //! oracle is the `str::lines` + `split_whitespace` reader it replaced,
 //! kept here, and both must accept the same `MigrationProblem` or reject
-//! with the same message. Two departures are stated: the oracle sizes its
-//! graph from the largest index, so disk indices and node counts stay far
-//! below the `u32` limit the reader enforces (a 20-digit value above
-//! `u64::MAX` fails to parse in both); and the oracle reports a self-loop
-//! without its line, which the reader names.
+//! with the same message. Three departures are stated: the oracle sizes
+//! its graph from the largest index, so disk indices and node counts stay
+//! far below the `u32` limit the reader enforces (a 20-digit value above
+//! `u64::MAX` fails to parse in both); the oracle reports a self-loop
+//! without its line, which the reader names; and the oracle reports a
+//! zero capacity on a busy disk without its line, which the reader names
+//! at the line that gave the disk its 0.
 
 use std::fmt::Write as _;
 
@@ -171,6 +173,29 @@ fn first_loop_line(text: &str) -> usize {
         }
     }
     panic!("the oracle reported a self-loop that no line holds:\n{text}");
+}
+
+/// The 1-based line that gave `disk` the zero capacity the oracle reports
+/// without a line: the disk's last `cap` line, else the last `caps` line
+/// when it lists the disk, else the last `default_cap` line.
+fn zero_capacity_line(text: &str, disk: usize) -> usize {
+    let (mut cap, mut caps, mut default_cap) = (None, None, None);
+    for (lineno, raw) in text.lines().enumerate() {
+        let mut parts = raw.split('#').next().unwrap_or_default().split_whitespace();
+        match parts.next() {
+            Some("cap") if parts.next().and_then(|t| t.parse().ok()) == Some(disk) => {
+                cap = Some(lineno + 1);
+            }
+            Some("caps") => caps = Some((lineno + 1, parts.count())),
+            Some("default_cap") => default_cap = Some(lineno + 1),
+            _ => {}
+        }
+    }
+    cap.or(caps
+        .filter(|&(_, listed)| disk < listed)
+        .map(|(line, _)| line))
+        .or(default_cap)
+        .unwrap_or_else(|| panic!("no line gave disk {disk} its 0:\n{text}"))
 }
 
 // --- the mutations -----------------------------------------------------------
@@ -370,7 +395,7 @@ fn mutate(doc: &mut Doc, rng: &mut StdRng, disks: usize) {
 }
 
 /// The reader's verdict on `text` against the oracle's, with the stated
-/// self-loop departure.
+/// self-loop and zero-capacity departures.
 fn check(text: &str) -> bool {
     let got = parse_instance(text);
     match oracle_parse(text) {
@@ -386,6 +411,9 @@ fn check(text: &str) -> bool {
             let want = match want {
                 InstanceError::Problem(e @ ProblemError::SelfLoop { .. }) => {
                     format!("line {}: {e}", first_loop_line(text))
+                }
+                InstanceError::Problem(e @ ProblemError::ZeroCapacity { node }) => {
+                    format!("line {}: {e}", zero_capacity_line(text, node.index()))
                 }
                 other => other.to_string(),
             };

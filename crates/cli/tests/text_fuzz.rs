@@ -1,19 +1,18 @@
 //! Seeded mutation fuzz of the text readers the CLI hands user files to:
 //! the fault plan (`FaultPlan::parse_checked`, behind `--faults`), the gate
-//! rules (`gate::parse_rules`, behind `obs gate`) and the item trace
-//! (`trace::parse_trace`, behind `import-trace`), and of the graph crate's
-//! edge list (`io::parse_edge_list`).
+//! rules (`gate::parse_rules`, behind `obs gate`), the item trace
+//! (`trace::parse_trace`, behind `import-trace`) and the instance
+//! (`instance::parse_instance`, behind every command that reads one).
 //!
 //! Each case mutates a committed or generated text with one to three
 //! seeded edits — characters flipped, inserted or deleted, lines dropped,
 //! duplicated or swapped, numbers replaced by extreme ones, headers and
 //! `key = value` lines spliced in from elsewhere — and reads it. No reader
 //! may panic, and every error must name a line of the text. A trace that
-//! reads renders with `to_trace_text`, and an edge list with
-//! `to_edge_list`, and reads back to itself.
+//! reads renders with `to_trace_text`, and an instance with
+//! `to_instance_text`, and reads back to itself.
 
-use dmig_graph::io::{parse_edge_list, to_edge_list};
-use dmig_graph::GraphError;
+use dmig_cli::instance::{parse_instance, to_instance_text, InstanceError};
 use dmig_obs::gate;
 use dmig_sim::{FaultPlan, FaultPlanError};
 use dmig_workloads::trace::{parse_trace, to_trace_text};
@@ -293,11 +292,11 @@ fn mutated_traces_fail_at_a_line_or_round_trip() {
     );
 }
 
-/// Whether an edge list `text` names a node count or an endpoint that
+/// Whether an instance `text` names a node count or a disk index that
 /// would size a graph beyond what this test may allocate. A node count
 /// may be `u32::MAX + 1`, an endpoint at most `u32::MAX`; larger ones are
 /// rejected at their line before any graph is built, so they stay in.
-fn sizes_a_large_edge_list(text: &str) -> bool {
+fn sizes_a_large_instance(text: &str) -> bool {
     text.lines().any(|line| {
         let mut tokens = line.split_whitespace();
         let largest = u128::from(u32::MAX) + u128::from(tokens.next() == Some("nodes"));
@@ -308,35 +307,37 @@ fn sizes_a_large_edge_list(text: &str) -> bool {
 }
 
 #[test]
-fn mutated_edge_lists_fail_at_a_line_or_round_trip() {
-    let mut rng = StdRng::seed_from_u64(53);
-    let mut generated = String::from("# an edge list\nnodes 12\n\n");
+fn mutated_instances_fail_at_a_line_or_round_trip() {
+    let mut rng = StdRng::seed_from_u64(59);
+    let mut generated = String::from("# an instance\nnodes 12\ndefault_cap 2\ncaps 3 1 2\n\n");
     for _ in 0..40 {
         let (u, v) = (rng.gen_range(0..12), rng.gen_range(0..12));
-        generated.push_str(&format!("edge {u} {v}\n"));
+        if u != v {
+            generated.push_str(&format!("edge {u} {v}\n"));
+        }
     }
     let seeds = [
         generated,
-        "edge 0 1\n  # no node count: it is inferred\nedge 3 2\nedge 2 2\n".to_string(),
+        "edge 0 1\n  # no node count: it is inferred\nedge 3 2  # item\ncap 2 4\n".to_string(),
     ];
     let (mut accepted, mut rejected, mut skipped) = (0, 0, 0);
     for i in 0..CASES {
         let text = case(&seeds[i % seeds.len()], &mut rng);
-        if sizes_a_large_edge_list(&text) {
+        if sizes_a_large_instance(&text) {
             skipped += 1;
             continue;
         }
-        match parse_edge_list(&text) {
-            Ok(g) => {
+        match parse_instance(&text) {
+            Ok(p) => {
                 accepted += 1;
-                let rendered = to_edge_list(&g);
+                let rendered = to_instance_text(&p);
                 assert_eq!(
-                    parse_edge_list(&rendered).as_ref(),
-                    Ok(&g),
+                    parse_instance(&rendered).as_ref(),
+                    Ok(&p),
                     "{text}\nrendered as\n{rendered}"
                 );
             }
-            Err(GraphError::Parse { line, message }) => {
+            Err(InstanceError::Directive { line, message }) => {
                 rejected += 1;
                 assert!(names_a_line(&text, line), "line {line}: {message}\n{text}");
             }

@@ -109,7 +109,7 @@ pub fn lower_bound(problem: &MigrationProblem) -> usize {
 /// a valid lower bound): the exact `Γ'` witness, its single-node
 /// perturbations, every connected component, and every closed
 /// neighborhood. The result is always a valid lower bound; on instances
-/// small enough for [`lb3_bruteforce`] the tests compare the two.
+/// small enough for an exhaustive search the tests compare the two.
 #[must_use]
 pub fn lb3(problem: &MigrationProblem) -> usize {
     let g = problem.graph();
@@ -145,7 +145,7 @@ pub fn lb3(problem: &MigrationProblem) -> usize {
         consider(&subset);
     }
     // Candidate 3: closed neighborhoods N[v]. One marks/buffer pair is
-    // reused across all nodes instead of allocating per neighbors() call.
+    // reused across all nodes instead of allocating per node.
     let mut marks = dmig_graph::NodeMarks::new();
     let mut nbrs = Vec::new();
     for v in g.nodes() {
@@ -191,24 +191,6 @@ fn evaluate_floored(problem: &MigrationProblem, subset: &[bool]) -> usize {
         return 0;
     }
     usize::try_from(edges.div_ceil(half)).expect("bound fits usize")
-}
-
-/// Exponential (`O(2^n)`) exact `Γ''` for cross-checking [`lb3`].
-///
-/// # Panics
-///
-/// Panics if the instance has more than 20 disks.
-#[must_use]
-pub fn lb3_bruteforce(problem: &MigrationProblem) -> usize {
-    let g = problem.graph();
-    let n = g.num_nodes();
-    assert!(n <= 20, "brute-force Γ'' is exponential; use lb3() instead");
-    let mut best = 0usize;
-    for mask in 1u32..(1u32 << n) {
-        let subset: Vec<bool> = (0..n).map(|i| mask & (1 << i) != 0).collect();
-        best = best.max(evaluate_floored(problem, &subset));
-    }
-    best
 }
 
 /// The sharpest lower bound available: `max(Δ', Γ', Γ'')`.
@@ -261,6 +243,19 @@ mod tests {
     use dmig_graph::builder::{complete_multigraph, cycle_multigraph, star_multigraph};
     use dmig_graph::Multigraph;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// Exponential (`O(2^n)`) exact `Γ''`, the oracle [`lb3`] is checked
+    /// against on instances of at most 20 disks.
+    fn lb3_bruteforce(problem: &MigrationProblem) -> usize {
+        let n = problem.graph().num_nodes();
+        assert!(n <= 20, "brute-force Γ'' is exponential; use lb3() instead");
+        let mut best = 0usize;
+        for mask in 1u32..(1u32 << n) {
+            let subset: Vec<bool> = (0..n).map(|i| mask & (1 << i) != 0).collect();
+            best = best.max(evaluate_floored(problem, &subset));
+        }
+        best
+    }
 
     #[test]
     fn empty_instance_bounds_are_zero() {

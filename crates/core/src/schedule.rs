@@ -183,22 +183,6 @@ impl MigrationSchedule {
         Ok(())
     }
 
-    /// Per-round load of disk `v` (how many of its transfers run in each
-    /// round) — useful for utilization metrics.
-    #[must_use]
-    pub fn disk_loads(&self, problem: &MigrationProblem, v: NodeId) -> Vec<usize> {
-        let g = problem.graph();
-        self.rounds
-            .iter()
-            .map(|round| {
-                round
-                    .iter()
-                    .filter(|&&e| g.endpoints(e).contains(v))
-                    .count()
-            })
-            .collect()
-    }
-
     /// Sum over all items of the (1-based) round in which they complete —
     /// the *total completion time* objective studied by Kim [J. Alg. '05]
     /// and Gandhi et al. [ICALP '04] as an alternative to makespan.
@@ -388,16 +372,6 @@ mod tests {
         let s = MigrationSchedule::from_coloring(&c);
         assert_eq!(s.makespan(), 2, "empty classes trimmed");
         assert_eq!(s.num_items(), 3);
-    }
-
-    #[test]
-    fn disk_loads_per_round() {
-        let g = GraphBuilder::new().edge(0, 1).edge(0, 2).build();
-        let p = MigrationProblem::uniform(g, 2).unwrap();
-        let s = MigrationSchedule::from_rounds(vec![vec![0.into(), 1.into()]]);
-        s.validate(&p).unwrap();
-        assert_eq!(s.disk_loads(&p, 0.into()), vec![2]);
-        assert_eq!(s.disk_loads(&p, 1.into()), vec![1]);
     }
 
     #[test]

@@ -149,8 +149,8 @@ mod tests {
 
     #[test]
     fn zero_capacity_isolated_nodes_allowed() {
-        let mut g = complete_multigraph(2, 1);
-        g.add_node(); // isolated
+        // Disk 2 is isolated.
+        let g = Multigraph::from_edges(3, &[(0, 1)]).unwrap();
         let p = MigrationProblem::new(g, Capacities::from_vec(vec![1, 1, 0])).unwrap();
         let split = split_round_robin(&p);
         assert_eq!(split.graph.num_nodes(), 2);

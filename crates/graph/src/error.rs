@@ -1,8 +1,8 @@
-//! Error types for graph construction and parsing.
+//! Error types for graph construction.
 
 use core::fmt;
 
-use crate::{EdgeId, NodeId};
+use crate::NodeId;
 
 /// Errors produced by graph operations in this crate.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -14,13 +14,6 @@ pub enum GraphError {
         node: NodeId,
         /// Number of nodes in the graph.
         num_nodes: usize,
-    },
-    /// An edge id referenced an edge outside the graph.
-    EdgeOutOfRange {
-        /// The offending edge.
-        edge: EdgeId,
-        /// Number of edges in the graph.
-        num_edges: usize,
     },
     /// An Euler orientation was requested on a graph with an odd-degree
     /// node.
@@ -34,13 +27,6 @@ pub enum GraphError {
     NotBipartite {
         /// A node on an odd cycle witnessing non-bipartiteness.
         witness: NodeId,
-    },
-    /// A textual instance failed to parse.
-    Parse {
-        /// 1-based line number of the offending input line.
-        line: usize,
-        /// Description of the problem.
-        message: String,
     },
     /// A graph too large to build: more nodes or edges than `u32` ids can
     /// name, or per-node arrays the allocator refused.
@@ -61,12 +47,6 @@ impl fmt::Display for GraphError {
                     "node {node} out of range for graph with {num_nodes} nodes"
                 )
             }
-            GraphError::EdgeOutOfRange { edge, num_edges } => {
-                write!(
-                    f,
-                    "edge {edge} out of range for graph with {num_edges} edges"
-                )
-            }
             GraphError::OddDegree { node, degree } => {
                 write!(
                     f,
@@ -75,9 +55,6 @@ impl fmt::Display for GraphError {
             }
             GraphError::NotBipartite { witness } => {
                 write!(f, "graph is not bipartite (odd cycle through {witness})")
-            }
-            GraphError::Parse { line, message } => {
-                write!(f, "parse error at line {line}: {message}")
             }
             GraphError::TooLarge { nodes, edges } => {
                 write!(
@@ -102,20 +79,12 @@ mod tests {
                 node: NodeId::new(7),
                 num_nodes: 3,
             },
-            GraphError::EdgeOutOfRange {
-                edge: EdgeId::new(9),
-                num_edges: 2,
-            },
             GraphError::OddDegree {
                 node: NodeId::new(1),
                 degree: 3,
             },
             GraphError::NotBipartite {
                 witness: NodeId::new(0),
-            },
-            GraphError::Parse {
-                line: 4,
-                message: "bad token".into(),
             },
             GraphError::TooLarge {
                 nodes: 1 << 33,

@@ -13,7 +13,7 @@
 //!   steps 2–3),
 //! * [`components`] — connected components,
 //! * [`bipartite`] — bipartition detection for the bipartite special case,
-//! * [`io`] — a plain-text edge-list format plus DOT export for debugging.
+//! * [`io`] — DOT export for debugging (`dmig dot`).
 //!
 //! # Example
 //!

@@ -222,12 +222,6 @@ impl Multigraph {
         self.edges.is_empty()
     }
 
-    /// Adds an isolated node and returns its id.
-    pub fn add_node(&mut self) -> NodeId {
-        self.adjacency.push(Vec::new());
-        NodeId::new(self.adjacency.len() - 1)
-    }
-
     /// Adds an undirected edge between `u` and `v` and returns its id.
     ///
     /// Self-loops (`u == v`) are allowed and count twice toward degree.
@@ -406,39 +400,10 @@ impl Multigraph {
         self.edges.iter().any(|ep| ep.is_loop())
     }
 
-    /// Distinct neighbors of `v` (excluding `v` itself even when loops
-    /// exist), in first-seen order.
-    ///
-    /// Low-degree nodes (the common case) are deduplicated by scanning the
-    /// output, so no `O(n)` mark buffer is allocated per call; hot loops
-    /// that visit many nodes should prefer [`Multigraph::neighbors_into`]
-    /// with a reusable [`NodeMarks`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[must_use]
-    pub fn neighbors(&self, v: NodeId) -> Vec<NodeId> {
-        let adj = &self.adjacency[v.index()];
-        let mut out = Vec::new();
-        if adj.len() <= 32 {
-            for &e in adj {
-                let w = self.endpoints(e).other(v);
-                if w != v && !out.contains(&w) {
-                    out.push(w);
-                }
-            }
-        } else {
-            let mut marks = NodeMarks::new();
-            self.neighbors_into(v, &mut marks, &mut out);
-        }
-        out
-    }
-
-    /// Appends the distinct neighbors of `v` to `out` (cleared first), in
-    /// first-seen order, using `marks` as scratch — zero allocations once
-    /// both buffers are warm. This is the hot-loop variant of
-    /// [`Multigraph::neighbors`].
+    /// Appends the distinct neighbors of `v` to `out` (cleared first),
+    /// excluding `v` itself even when loops exist, in first-seen order,
+    /// using `marks` as scratch — zero allocations once both buffers are
+    /// warm.
     ///
     /// # Panics
     ///
@@ -546,14 +511,6 @@ impl NodeMarks {
             true
         }
     }
-
-    /// Returns `true` if `v` has been marked this pass.
-    #[must_use]
-    pub fn is_marked(&self, v: NodeId) -> bool {
-        self.stamp
-            .get(v.index())
-            .is_some_and(|&s| s == self.generation)
-    }
 }
 
 #[cfg(test)]
@@ -583,9 +540,8 @@ mod tests {
 
     #[test]
     fn add_nodes_and_edges() {
-        let mut g = Multigraph::new();
-        let a = g.add_node();
-        let b = g.add_node();
+        let mut g = Multigraph::with_nodes(2);
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
         let e = g.add_edge(a, b);
         assert_eq!(g.endpoints(e), Endpoints { u: a, v: b });
         assert_eq!(g.degree(a), 1);
@@ -638,7 +594,8 @@ mod tests {
     fn neighbors_dedup_and_exclude_self() {
         let mut g = triangle(2);
         g.add_edge(1.into(), 1.into());
-        let nbrs = g.neighbors(1.into());
+        let mut nbrs = Vec::new();
+        g.neighbors_into(1.into(), &mut NodeMarks::new(), &mut nbrs);
         assert_eq!(nbrs, vec![NodeId::new(0), NodeId::new(2)]);
     }
 
@@ -698,30 +655,24 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_into_matches_neighbors_and_reuses_buffers() {
-        let mut g = triangle(3);
-        g.add_edge(1.into(), 1.into());
-        let mut marks = NodeMarks::new();
-        let mut out = Vec::new();
-        for v in g.nodes() {
-            g.neighbors_into(v, &mut marks, &mut out);
-            assert_eq!(out, g.neighbors(v), "mismatch at {v}");
-        }
-    }
-
-    #[test]
-    fn neighbors_dedups_above_scan_threshold() {
-        // Degree > 32 at the hub forces the mark-buffer path.
+    fn neighbors_into_reuses_buffers_across_nodes() {
+        // The hub's parallel edges repeat each neighbor many times; every
+        // query reuses one marks/buffer pair.
         let mut g = Multigraph::with_nodes(4);
         for _ in 0..20 {
             g.add_edge(0.into(), 1.into());
             g.add_edge(0.into(), 2.into());
         }
         g.add_edge(0.into(), 3.into());
-        assert_eq!(
-            g.neighbors(0.into()),
-            vec![NodeId::new(1), NodeId::new(2), NodeId::new(3)]
-        );
+        g.add_edge(3.into(), 3.into());
+        let mut marks = NodeMarks::new();
+        let mut out = Vec::new();
+        let want: [&[usize]; 4] = [&[1, 2, 3], &[0], &[0], &[0]];
+        for (v, want) in g.nodes().zip(want) {
+            g.neighbors_into(v, &mut marks, &mut out);
+            let want: Vec<NodeId> = want.iter().map(|&w| NodeId::new(w)).collect();
+            assert_eq!(out, want, "mismatch at {v}");
+        }
     }
 
     #[test]
@@ -730,13 +681,8 @@ mod tests {
         marks.begin(3);
         assert!(marks.mark(NodeId::new(1)));
         assert!(!marks.mark(NodeId::new(1)));
-        assert!(marks.is_marked(NodeId::new(1)));
         marks.begin(3);
-        assert!(
-            !marks.is_marked(NodeId::new(1)),
-            "new pass clears marks in O(1)"
-        );
-        assert!(marks.mark(NodeId::new(1)));
+        assert!(marks.mark(NodeId::new(1)), "new pass clears marks in O(1)");
     }
 
     #[test]

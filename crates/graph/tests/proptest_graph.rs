@@ -4,7 +4,6 @@ use dmig_graph::{
     bipartite::{bipartition, is_bipartite},
     components::connected_components,
     euler::{euler_orientation, euler_orientation_parallel, OrientScratch},
-    io::{parse_edge_list, to_edge_list},
     stats::graph_stats,
     Multigraph, NodeId,
 };
@@ -112,14 +111,6 @@ proptest! {
             }
             Err(_) => prop_assert!(!is_bipartite(&g)),
         }
-    }
-
-    /// Edge-list round trip is the identity.
-    #[test]
-    fn io_roundtrip(g in arb_graph()) {
-        let text = to_edge_list(&g);
-        let parsed = parse_edge_list(&text).expect("self-emitted text parses");
-        prop_assert_eq!(g, parsed);
     }
 
     /// Stats agree with first principles.

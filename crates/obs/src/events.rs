@@ -35,8 +35,9 @@
 //!     behind the ring at a [`sync_sink`], a close, or a panic with the
 //!     crash hook armed.
 //!   - atomic mode ([`open_sink_atomic`]) writes every line as it is
-//!     emitted to a temp file that [`close_sink`] publishes by rename
-//!     (report mode — readers never see a torn file).
+//!     emitted to a temp file that [`close_sink`] fences and publishes by
+//!     rename, and [`discard_sink`] removes (report mode — readers never
+//!     see a torn file, nor one from a failed run).
 //! * **the crash dump** — [`set_crash_path`] installs a chaining panic
 //!   hook (once per process); on panic the hook writes a
 //!   [`CRASH_SCHEMA`] JSON document with the panic message/location, the
@@ -557,7 +558,7 @@ pub fn open_sink(path: &str) -> io::Result<()> {
         .open(path)?;
     let synced = file.try_clone()?;
     let mode = Mode::Journal(Syncer::spawn(move || synced.sync_data())?);
-    replace_sink(Some(Sink::new(file, mode)));
+    replace_sink(Some(Sink::new(file, mode)), true);
     Ok(())
 }
 
@@ -578,21 +579,31 @@ pub fn open_sink_atomic(path: &str) -> io::Result<()> {
         temp,
         path: PathBuf::from(path),
     };
-    replace_sink(Some(Sink::new(file, mode)));
+    replace_sink(Some(Sink::new(file, mode)), true);
     Ok(())
 }
 
 /// Closes the sink, if one is open. A journal-mode sink first waits for
 /// its in-flight `fdatasync` and then writes the lines it holds (unfenced);
-/// an atomic-mode sink is published to its final path by rename. Events
-/// keep flowing to the ring.
+/// an atomic-mode sink is fenced with `fdatasync` and published to its
+/// final path by rename (a failed fence publishes nothing). Events keep
+/// flowing to the ring.
 pub fn close_sink() {
-    replace_sink(None);
+    replace_sink(None, true);
+}
+
+/// Closes the sink without publishing it, for a run that failed: an
+/// atomic-mode sink's temp file is removed and whatever is at its final
+/// path stays as it was. A journal-mode sink closes as with
+/// [`close_sink`], since its file is the recovery record.
+pub fn discard_sink() {
+    replace_sink(None, false);
 }
 
 /// Installs `next` as the sink and closes the previous one, outside the
-/// lock, so waiting on its `fdatasync` never blocks an emitter.
-fn replace_sink(next: Option<Sink>) {
+/// lock, so waiting on its `fdatasync` never blocks an emitter. An
+/// atomic-mode sink is published when `publish` holds, else removed.
+fn replace_sink(next: Option<Sink>, publish: bool) {
     let Some(mut sink) = std::mem::replace(&mut lock().sink, next) else {
         return;
     };
@@ -600,8 +611,15 @@ fn replace_sink(next: Option<Sink>) {
     match sink.mode {
         Mode::Journal(syncer) => syncer.shut_down(),
         Mode::Atomic { temp, path } => {
+            // Fence the data before the rename publishes the name, as
+            // `fsio::stage` does.
+            let fenced = publish && sink.file.sync_data().is_ok();
             drop(sink.file);
-            let _ = std::fs::rename(temp, path);
+            let _ = if fenced {
+                std::fs::rename(temp, path)
+            } else {
+                std::fs::remove_file(temp)
+            };
         }
     }
 }
@@ -954,6 +972,16 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 1);
         assert!(text.contains("\"kind\":\"round_start\""));
+        // A discarded sink removes its temp and leaves the file as it was.
+        open_sink_atomic(&path).unwrap();
+        emit(Event::RoundStart {
+            round: 1,
+            transfers: 1,
+            time: 1.0,
+        });
+        discard_sink();
+        assert!(!std::path::Path::new(&format!("{path}.tmp")).exists());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1089,7 +1117,7 @@ mod tests {
             synced.sync_data()
         })
         .unwrap();
-        replace_sink(Some(Sink::new(file, Mode::Journal(syncer))));
+        replace_sink(Some(Sink::new(file, Mode::Journal(syncer))), true);
         gate
     }
 

@@ -66,25 +66,6 @@ impl SimReport {
             .map_or(0.0, |&b| b / self.total_time)
     }
 
-    /// Renders the timeline as long-format CSV for external plotting:
-    /// `kind,id,start,duration,utilization`. Round rows carry start and
-    /// duration (utilization empty); disk rows carry busy time as duration
-    /// and the per-disk utilization (start empty).
-    #[must_use]
-    pub fn timeline_csv(&self) -> String {
-        use core::fmt::Write as _;
-        let mut out = String::from("kind,id,start,duration,utilization\n");
-        let mut start = 0.0f64;
-        for (i, &d) in self.round_durations.iter().enumerate() {
-            let _ = writeln!(out, "round,{i},{start:.6},{d:.6},");
-            start += d;
-        }
-        for (v, &busy) in self.disk_busy.iter().enumerate() {
-            let _ = writeln!(out, "disk,{v},,{busy:.6},{:.6}", self.disk_utilization(v));
-        }
-        out
-    }
-
     /// Serializes the report (totals, derived metrics, per-round and
     /// per-disk detail) as a self-contained JSON object.
     #[must_use]
@@ -161,24 +142,6 @@ mod tests {
         assert!((r.mean_utilization() - 0.75).abs() < 1e-12);
         assert!((r.throughput() - 2.0).abs() < 1e-12);
         assert!(r.to_string().contains("rounds=2"));
-    }
-
-    #[test]
-    fn timeline_csv_accumulates_starts_and_lists_disks() {
-        let r = SimReport {
-            total_time: 5.0,
-            round_durations: vec![2.0, 3.0],
-            disk_busy: vec![5.0, 2.5],
-            volume: 4.0,
-        };
-        let csv = r.timeline_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "kind,id,start,duration,utilization");
-        assert_eq!(lines[1], "round,0,0.000000,2.000000,");
-        assert_eq!(lines[2], "round,1,2.000000,3.000000,");
-        assert_eq!(lines[3], "disk,0,,5.000000,1.000000");
-        assert_eq!(lines[4], "disk,1,,2.500000,0.500000");
-        assert_eq!(lines.len(), 5);
     }
 
     #[test]

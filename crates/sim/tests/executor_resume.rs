@@ -18,7 +18,9 @@ use dmig_core::solver::{AutoSolver, Solver};
 use dmig_core::{MigrationProblem, MigrationSchedule};
 use dmig_sim::executor::DELTA_PREFIX;
 use dmig_sim::faults::{CrashFault, DegradeFault, FlakySpec};
-use dmig_sim::{Cluster, ExecError, Executor, ExecutorConfig, FaultPlan, StepOutcome};
+use dmig_sim::{
+    Cluster, ExecError, Executor, ExecutorConfig, FaultPlan, ItemFate, LostReason, StepOutcome,
+};
 use dmig_workloads::random::uniform_multigraph;
 use proptest::prelude::*;
 
@@ -573,4 +575,69 @@ fn corrupt_checkpoints_are_rejected_with_diagnostics() {
             }
         }
     }
+}
+
+/// A record whose `round_idx` is the makespan while items are still
+/// pending, which only a journal edited on disk holds, resumed with
+/// replanning off: the first step loses every pending item to a dead disk
+/// and finishes, with every item accounted for, and the record after it
+/// restores that state.
+#[test]
+fn an_exhausted_schedule_without_replanning_loses_what_is_pending() {
+    let problem = instance(4, 16, 3);
+    let faults = FaultPlan::default();
+    let cluster = Cluster::uniform(problem.num_disks(), 1.0);
+    let solver = AutoSolver;
+    let run = run_recorded(&problem, &cluster, &faults, &solver);
+    let rounds = run.schedule.rounds();
+    assert!(rounds.len() >= 3, "the plan must span rounds");
+    let at = 1;
+    let record = run.records[at]
+        .strip_suffix(&format!("\"round_idx\": {at}}}"))
+        .expect("a record ends with its round");
+    let record = format!("{record}\"round_idx\": {}}}", rounds.len());
+    let chain = format!("{}\n{record}", run.records[..at].join("\n"));
+    let cfg = ExecutorConfig {
+        replan: false,
+        ..config()
+    };
+    let mut exec = Executor::resume(
+        &problem,
+        &run.schedule,
+        &cluster,
+        &faults,
+        &cfg,
+        &solver,
+        &chain,
+    )
+    .expect("the edited chain restores");
+    assert_eq!(exec.step().expect("step"), StepOutcome::Finished);
+    // The sweep notes the items it settles, so the next delta carries
+    // their fates.
+    let journal = format!("{chain}\n{}", exec.journal_record());
+    let revived = Executor::resume(
+        &problem,
+        &run.schedule,
+        &cluster,
+        &faults,
+        &cfg,
+        &solver,
+        &journal,
+    )
+    .expect("the longer chain restores");
+    assert_eq!(revived.checkpoint_json(), exec.checkpoint_json());
+    let report = exec.into_report();
+    for (r, round) in rounds.iter().enumerate() {
+        let want = if r < at {
+            ItemFate::Delivered { redirected: false }
+        } else {
+            ItemFate::Lost(LostReason::DeadDisk)
+        };
+        for &e in round {
+            assert_eq!(report.fates[e.index()], want, "item {e} of round {r}");
+        }
+    }
+    let pending: usize = rounds[at..].iter().map(Vec::len).sum();
+    assert_eq!(report.lost(), pending);
+    assert_eq!(report.delivered() + report.lost(), problem.num_items());
 }

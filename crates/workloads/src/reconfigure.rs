@@ -31,35 +31,6 @@ pub fn load_balance_delta(n: usize, items: usize, seed: u64) -> Multigraph {
     g
 }
 
-/// A *partial* rebalance: only a fraction `move_fraction` of items change
-/// disks (demand shifted mildly). Deterministic in `seed`.
-///
-/// # Panics
-///
-/// Panics if `move_fraction` is outside `[0, 1]` or `n < 2` while
-/// `items > 0`.
-#[must_use]
-pub fn partial_rebalance(n: usize, items: usize, move_fraction: f64, seed: u64) -> Multigraph {
-    assert!(
-        (0.0..=1.0).contains(&move_fraction),
-        "move_fraction must be in [0, 1]"
-    );
-    assert!(items == 0 || n >= 2, "need at least two disks to rebalance");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = Multigraph::with_nodes(n);
-    for _ in 0..items {
-        if rng.gen_bool(move_fraction) {
-            let old = rng.gen_range(0..n);
-            let mut new = rng.gen_range(0..n - 1);
-            if new >= old {
-                new += 1;
-            }
-            g.add_edge(old.into(), new.into());
-        }
-    }
-    g
-}
-
 /// A hot-spot drain: a fraction of the items on one overloaded disk are
 /// spread across the others — a skewed star-shaped delta.
 ///
@@ -95,14 +66,6 @@ mod tests {
     }
 
     #[test]
-    fn partial_rebalance_fraction_respected() {
-        let g = partial_rebalance(10, 1000, 0.1, 5);
-        assert!((60..=150).contains(&g.num_edges()), "got {}", g.num_edges());
-        let none = partial_rebalance(10, 100, 0.0, 5);
-        assert_eq!(none.num_edges(), 0);
-    }
-
-    #[test]
     fn hot_spot_is_a_star() {
         let g = hot_spot_drain(6, 2, 50, 1);
         assert_eq!(g.num_edges(), 50);
@@ -117,10 +80,6 @@ mod tests {
     #[test]
     fn deterministic() {
         assert_eq!(load_balance_delta(8, 100, 3), load_balance_delta(8, 100, 3));
-        assert_eq!(
-            partial_rebalance(8, 100, 0.5, 3),
-            partial_rebalance(8, 100, 0.5, 3)
-        );
         assert_eq!(hot_spot_drain(8, 0, 30, 3), hot_spot_drain(8, 0, 30, 3));
     }
 }
