@@ -197,11 +197,11 @@ pub(crate) fn faults(
         }
         None => None,
     };
-    let default = ExecutorConfig::default();
     let config = ExecutorConfig {
         replan: args.given("--replan"),
-        retry_max: args.number("--retry-max")?.unwrap_or(default.retry_max),
-        ..default
+        retry_max: args
+            .number("--retry-max")?
+            .unwrap_or(ExecutorConfig::default().retry_max),
     };
     Ok((plan, config))
 }

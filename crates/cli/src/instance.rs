@@ -77,16 +77,19 @@ impl From<ProblemError> for InstanceError {
 /// Returns [`InstanceError`] on malformed directives, graph errors, or
 /// instance validation failures. An edge endpoint that does not fit a
 /// `u32` disk id, or a node count beyond 2^32, is an error at its line;
-/// a self-loop is reported at the line of the first one.
+/// a self-loop is reported at the line of the first one, and a disk count
+/// too large to allocate at the line that set it.
 pub fn parse_instance(text: &str) -> Result<MigrationProblem, InstanceError> {
     let mut d = Directives {
         declared_nodes: None,
         edges: Vec::new(),
         inferred: 0,
+        inferred_line: 0,
         default_cap: 1,
         caps_vec: None,
         cap_overrides: Vec::new(),
         first_loop: None,
+        nodes_line: 0,
         default_cap_line: 0,
         caps_line: 0,
     };
@@ -145,15 +148,18 @@ fn disk_index(s: &[u8]) -> Option<(usize, &[u8])> {
 struct Directives {
     declared_nodes: Option<usize>,
     edges: Vec<(usize, usize)>,
-    /// One more than the largest edge endpoint.
+    /// One more than the largest edge endpoint, and the first line naming
+    /// that endpoint.
     inferred: usize,
+    inferred_line: usize,
     default_cap: u32,
     caps_vec: Option<Vec<u32>>,
     /// (line, disk, capacity): the disk is checked once the count is known.
     cap_overrides: Vec<(usize, usize, u32)>,
     /// (line, disk) of the first self-loop.
     first_loop: Option<(usize, usize)>,
-    /// The lines of the last `default_cap` and `caps` directives.
+    /// The lines of the last `nodes`, `default_cap` and `caps` directives.
+    nodes_line: usize,
     default_cap_line: usize,
     caps_line: usize,
 }
@@ -163,7 +169,11 @@ impl Directives {
         if u == v && self.first_loop.is_none() {
             self.first_loop = Some((line, u));
         }
-        self.inferred = self.inferred.max(u.max(v) + 1);
+        let n = u.max(v) + 1;
+        if n > self.inferred {
+            self.inferred = n;
+            self.inferred_line = line;
+        }
         self.edges.push((u, v));
     }
 
@@ -193,6 +203,7 @@ impl Directives {
                     )));
                 }
                 self.declared_nodes = Some(n);
+                self.nodes_line = line;
             }
             "edge" => {
                 let u = next_num("edge endpoint")?;
@@ -244,9 +255,11 @@ impl Directives {
     }
 
     /// The instance the lines declare, or the first error found once
-    /// every line has parsed: the graph, then a `cap` for an unknown disk,
-    /// then the first self-loop, then the problem's own validation, with a
-    /// zero capacity named at the line that gave it.
+    /// every line has parsed: the graph (a disk count too large to
+    /// allocate is named at the `nodes` line, else the `caps` line, else
+    /// the edge line that set it), then a `cap` for an unknown disk, then
+    /// the first self-loop, then the problem's own validation, with a zero
+    /// capacity named at the line that gave it.
     fn finish(self) -> Result<MigrationProblem, InstanceError> {
         let listed = self.caps_vec.as_ref().map_or(0, Vec::len);
         let n = self
@@ -254,7 +267,19 @@ impl Directives {
             .unwrap_or(self.inferred)
             .max(self.inferred)
             .max(listed);
-        let g = Multigraph::from_edges(n, &self.edges)?;
+        let g = Multigraph::from_edges(n, &self.edges).map_err(|e| {
+            let line = if self.declared_nodes == Some(n) {
+                self.nodes_line
+            } else if listed == n {
+                self.caps_line
+            } else {
+                self.inferred_line
+            };
+            InstanceError::Directive {
+                line,
+                message: e.to_string(),
+            }
+        })?;
         let mut caps = match self.caps_vec {
             Some(mut values) => {
                 values.resize(n, self.default_cap);

@@ -280,7 +280,6 @@ mod tests {
         assert_eq!(exported.code, 0, "{}", exported.stdout);
         assert!(exported.stdout.contains("\"traceEvents\""));
         dmig_obs::trace::validate_chrome_trace(&exported.stdout).expect("re-exported trace valid");
-        std::fs::remove_file(&snap_str).ok();
     }
 
     #[test]
@@ -291,7 +290,6 @@ mod tests {
         let flame = run_ok(&["obs", "flame", &snap_str]);
         assert!(flame.contains("self ms"), "{}", flame);
         assert!(flame.contains("solve_even"), "{}", flame);
-        std::fs::remove_file(&snap_str).ok();
     }
 
     #[test]
@@ -332,7 +330,7 @@ mod tests {
         ] {
             let out = run_str(&args);
             assert_eq!(out.code, 1, "{args:?}: {}", out.stdout);
-            let needle = format!("{snap}: spans[0].thread: not a number");
+            let needle = format!("{}: spans[0].thread: not a number", &*snap);
             assert!(out.stdout.contains(&needle), "{args:?}: {}", out.stdout);
         }
     }
@@ -381,7 +379,6 @@ mod tests {
             run_str(&["obs", "compact", &hist, "--keep", "0"]).stdout,
             "error: bad --keep: must be at least 1\n"
         );
-        std::fs::remove_file(&hist).ok();
     }
 
     /// The paper's E7 hot-spot shape: every item touches disk 0, which is
@@ -441,7 +438,6 @@ mod tests {
         let out_path = write_temp("explain-json-out", "");
         run_ok(&["obs", "explain", &path, "--json", "--out", &out_path]);
         assert_eq!(std::fs::read_to_string(&out_path).unwrap(), out.stdout);
-        std::fs::remove_file(&out_path).ok();
     }
 
     #[test]
@@ -499,7 +495,7 @@ mod tests {
 
         let addr_str = temp_path("serve-addr.txt");
         std::fs::remove_file(&addr_str).ok();
-        let addr_for_client = addr_str.clone();
+        let addr_for_client = addr_str.to_string();
         let client = std::thread::spawn(move || {
             use std::io::{Read as _, Write as _};
             let deadline = Instant::now() + Duration::from_secs(10);
@@ -540,7 +536,5 @@ mod tests {
             "{metrics}"
         );
         assert!(snapshot.ends_with(&raw), "/snapshot returns the raw JSON");
-        std::fs::remove_file(&snap_str).ok();
-        std::fs::remove_file(&addr_str).ok();
     }
 }

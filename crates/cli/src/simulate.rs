@@ -203,7 +203,6 @@ mod tests {
         let json = std::fs::read_to_string(&out_str).unwrap();
         assert!(json.contains("\"sim.rounds\""), "{json}");
         assert!(json.contains("simulate_rounds"), "{json}");
-        std::fs::remove_file(&out_str).ok();
     }
 
     /// K3 plus an idle spare disk 3, so a crashed disk has a replacement.
@@ -252,7 +251,6 @@ mod tests {
                 &rpt,
             ]);
             reports.push(std::fs::read_to_string(&rpt).unwrap());
-            std::fs::remove_file(&rpt).ok();
         }
         assert_eq!(
             reports[0], reports[1],
@@ -320,7 +318,6 @@ mod tests {
                 "missing {kind}:\n{jsonl}"
             );
         }
-        std::fs::remove_file(&events_str).ok();
     }
 
     #[test]
@@ -330,7 +327,7 @@ mod tests {
         std::fs::remove_file(&dump_str).ok();
         run_ok(&["simulate", &instance, "--crash-dump", &dump_str]);
         assert!(
-            !std::path::Path::new(&dump_str).exists(),
+            !std::path::Path::new(&*dump_str).exists(),
             "a clean run must not leave a crash dump"
         );
     }
@@ -344,6 +341,5 @@ mod tests {
         assert!(html.contains("disk utilization"), "{html}");
         assert!(html.contains("id=\"disks\""), "{html}");
         assert!(html.contains("sortDisks"), "{html}");
-        std::fs::remove_file(&out_str).ok();
     }
 }

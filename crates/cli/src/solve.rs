@@ -338,7 +338,6 @@ mod tests {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        std::fs::remove_file(&out_str).ok();
     }
 
     /// Acceptance: a 1k-node instance solved with `--threads 4` exports a
@@ -364,7 +363,6 @@ mod tests {
         let text = std::fs::read_to_string(&out_str).unwrap();
         let stats = dmig_obs::trace::validate_chrome_trace(&text).expect("exported trace valid");
         assert!(stats.begins >= 500, "cell spans present: {stats:?}");
-        std::fs::remove_file(&out_str).ok();
     }
 
     #[test]
@@ -375,7 +373,6 @@ mod tests {
         let html = std::fs::read_to_string(&out_str).unwrap();
         assert!(html.starts_with("<!doctype html>"));
         assert!(html.contains("solve_even"), "{html}");
-        std::fs::remove_file(&out_str).ok();
     }
 
     #[test]
@@ -397,7 +394,6 @@ mod tests {
         let fp0 = entries[0].get_path("instance").and_then(Value::as_str);
         let fp1 = entries[1].get_path("instance").and_then(Value::as_str);
         assert!(fp0.is_some() && fp0 == fp1);
-        std::fs::remove_file(&hist_str).ok();
     }
 
     #[test]
@@ -438,7 +434,6 @@ mod tests {
             addr.trim().starts_with("127.0.0.1:") && !addr.trim().ends_with(":0"),
             "addr file resolves port 0: {addr:?}"
         );
-        std::fs::remove_file(&addr_file).ok();
     }
 
     /// A live scrape during `solve --serve` sees the full live key set:
@@ -483,7 +478,5 @@ mod tests {
             .and_then(|g| g.get("live.phase"))
             .and_then(Value::as_f64);
         assert_eq!(phase, Some(6.0), "terminal phase is DONE (= 6)");
-        std::fs::remove_file(&addr_str).ok();
-        std::fs::remove_file(&metrics_str).ok();
     }
 }

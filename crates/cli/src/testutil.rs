@@ -25,13 +25,36 @@ pub(crate) fn run_ok(args: &[&str]) -> String {
     out.stdout
 }
 
-/// A path in the temp directory, unique to this test process.
-pub(crate) fn temp_path(name: &str) -> String {
-    let path = std::env::temp_dir().join(format!("dmig-cli-test-{name}-{}", std::process::id()));
-    path.to_string_lossy().into_owned()
+/// A path in the temp directory, unique to this test process, that reads
+/// as a `&str`. Dropping it removes the file there.
+pub(crate) struct TempFile(String);
+
+impl std::ops::Deref for TempFile {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
 }
 
-pub(crate) fn write_temp(name: &str, content: &str) -> String {
+impl AsRef<std::path::Path> for TempFile {
+    fn as_ref(&self) -> &std::path::Path {
+        self.0.as_ref()
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+pub(crate) fn temp_path(name: &str) -> TempFile {
+    let path = std::env::temp_dir().join(format!("dmig-cli-test-{name}-{}", std::process::id()));
+    TempFile(path.to_string_lossy().into_owned())
+}
+
+pub(crate) fn write_temp(name: &str, content: &str) -> TempFile {
     let path = temp_path(name);
     std::fs::write(&path, content).unwrap();
     path

@@ -12,8 +12,9 @@
 //!   at it, so an edit between `execute` and `resume` would change the
 //!   run);
 //! * `faults.toml` — the fault plan, verbatim;
-//! * `config.json` — `dmig-exec-config/1`: the executor policy, with
-//!   every float persisted as its IEEE-754 bit pattern so reload is exact;
+//! * `config.json` — `dmig-exec-config/1`: the executor policy (`replan`
+//!   and `retry_max`) and the disks' bandwidths, each bandwidth persisted
+//!   as its IEEE-754 bit pattern so reload is exact;
 //! * `journal.jsonl` — the write-ahead journal `execute` appends:
 //!   `dmig-events/1` flight-recorder lines interleaved with
 //!   `dmig-exec-ckpt/1` checkpoint records, one record per round
@@ -163,16 +164,6 @@ fn bandwidths(cfg: &Value) -> Result<Vec<f64>, String> {
         .collect()
 }
 
-/// The executor float `config.json` holds under `key`. It must be finite:
-/// a NaN backoff never releases a retry, and `execute` would spin forever.
-fn finite_of_bits(cfg: &Value, key: &str) -> Result<f64, String> {
-    let v = f64_of_bits(field(cfg, CONFIG, key)?, key)?;
-    if !v.is_finite() {
-        return Err(format!("{CONFIG}: `{key}` is not finite"));
-    }
-    Ok(v)
-}
-
 // --- plan ---------------------------------------------------------------
 
 /// `migrate plan`. Its `--metrics-out` snapshot breaks the command down
@@ -299,24 +290,13 @@ fn render_plan(schedule: &MigrationSchedule) -> String {
 
 fn render_config(config: &ExecutorConfig, cluster: &Cluster) -> String {
     let disks = cluster.num_disks();
-    let mut out = Vec::with_capacity(384 + 24 * disks);
+    let mut out = Vec::with_capacity(96 + 24 * disks);
     out.extend_from_slice(b"{\"schema\": \"");
     out.extend_from_slice(CONFIG_SCHEMA.as_bytes());
     out.extend_from_slice(b"\", \"replan\": ");
     out.extend_from_slice(if config.replan { b"true" } else { b"false" });
     out.extend_from_slice(b", \"retry_max\": ");
     push_u64(&mut out, u64::from(config.retry_max));
-    for (key, v) in [
-        ("backoff_base", config.backoff_base),
-        ("backoff_factor", config.backoff_factor),
-        ("degrade_replan_threshold", config.degrade_replan_threshold),
-        ("stall_factor", config.stall_factor),
-    ] {
-        out.extend_from_slice(b", \"");
-        out.extend_from_slice(key.as_bytes());
-        out.extend_from_slice(b"\": ");
-        push_bits(&mut out, v);
-    }
     out.extend_from_slice(b", \"bandwidths\": [");
     for v in 0..disks {
         if v > 0 {
@@ -520,10 +500,6 @@ fn load_workspace(ws: &Workspace) -> Result<Loaded, String> {
             .filter(|v| v.fract() == 0.0 && *v >= 0.0)
             .ok_or_else(|| format!("{CONFIG}: `retry_max` is not a count"))?
             as u32,
-        backoff_base: finite_of_bits(&cfg, "backoff_base")?,
-        backoff_factor: finite_of_bits(&cfg, "backoff_factor")?,
-        degrade_replan_threshold: finite_of_bits(&cfg, "degrade_replan_threshold")?,
-        stall_factor: finite_of_bits(&cfg, "stall_factor")?,
     };
     let cluster = args::checked_cluster(bandwidths(&cfg)?, problem.num_disks())
         .map_err(|e| format!("{CONFIG}: {e}"))?;
@@ -992,16 +968,10 @@ mod tests {
             .map(|v| format!("\"{}\"", f64_bits(cluster.bandwidth(NodeId::new(v)))))
             .collect();
         format!(
-            "{{\"schema\": {}, \"replan\": {}, \"retry_max\": {}, \"backoff_base\": \"{}\", \
-             \"backoff_factor\": \"{}\", \"degrade_replan_threshold\": \"{}\", \
-             \"stall_factor\": \"{}\", \"bandwidths\": [{}]}}\n",
+            "{{\"schema\": {}, \"replan\": {}, \"retry_max\": {}, \"bandwidths\": [{}]}}\n",
             dmig_obs::json::string(CONFIG_SCHEMA),
             config.replan,
             config.retry_max,
-            f64_bits(config.backoff_base),
-            f64_bits(config.backoff_factor),
-            f64_bits(config.degrade_replan_threshold),
-            f64_bits(config.stall_factor),
             bws.join(", "),
         )
     }
@@ -1010,11 +980,6 @@ mod tests {
     fn arb_id() -> impl Strategy<Value = EdgeId> {
         (0..4u32, 0..3000usize, 0..=u32::MAX as usize)
             .prop_map(|(k, small, big)| EdgeId::new(if k == 0 { big } else { small }))
-    }
-
-    /// Any `f64` bit pattern, NaNs and infinities included.
-    fn arb_f64() -> impl Strategy<Value = f64> {
-        (0..=u64::MAX).prop_map(f64::from_bits)
     }
 
     proptest! {
@@ -1032,20 +997,12 @@ mod tests {
         fn config_bytes_match_the_fmt_renderer(
             replan in proptest::bool::ANY,
             retry_max in 0..=u32::MAX,
-            floats in (arb_f64(), arb_f64(), arb_f64(), arb_f64()),
             bandwidths in proptest::collection::vec(
                 (1u64..=f64::MAX.to_bits()).prop_map(f64::from_bits),
                 0..40,
             ),
         ) {
-            let config = ExecutorConfig {
-                replan,
-                retry_max,
-                backoff_base: floats.0,
-                backoff_factor: floats.1,
-                degrade_replan_threshold: floats.2,
-                stall_factor: floats.3,
-            };
+            let config = ExecutorConfig { replan, retry_max };
             let cluster = Cluster::from_bandwidths(bandwidths);
             prop_assert_eq!(
                 render_config(&config, &cluster),

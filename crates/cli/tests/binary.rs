@@ -51,9 +51,11 @@ fn huge_disk_indices_exit_one_naming_the_line() {
 }
 
 /// A disk count inside the id space whose arrays cannot be allocated
-/// exits 1 naming the count, and for a trace the line that named the
-/// largest disk. The address-space limit makes the allocation fail
-/// however much memory the host has.
+/// exits 1 naming the count and the line that set it: an instance's
+/// `nodes` line or else the first line that named the largest disk, as
+/// for a trace. The
+/// address-space limit makes the allocation fail however much memory the
+/// host has.
 #[test]
 #[cfg(target_os = "linux")]
 fn an_unallocatable_disk_count_exits_one_naming_it() {
@@ -62,7 +64,12 @@ fn an_unallocatable_disk_count_exits_one_naming_it() {
         (
             "solve",
             "nodes 4294967296\nedge 0 1\n",
-            "cannot allocate a graph of 4294967296 nodes and 1 edges",
+            "line 1: cannot allocate a graph of 4294967296 nodes and 1 edges",
+        ),
+        (
+            "solve",
+            "# no nodes line\nedge 0 1\nedge 4294967295 0\nedge 1 4294967295\n",
+            "line 3: cannot allocate a graph of 4294967296 nodes and 3 edges",
         ),
         (
             "import-trace",

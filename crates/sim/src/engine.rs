@@ -55,7 +55,7 @@ pub(crate) fn record_sim_round(ticker: &mut RoundTicker, transfers: usize) {
     ticker.round_done(transfers);
 }
 
-fn check_inputs(
+pub(crate) fn check_inputs(
     problem: &MigrationProblem,
     schedule: &MigrationSchedule,
     cluster: &Cluster,

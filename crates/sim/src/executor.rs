@@ -10,7 +10,8 @@
 //! fault kind:
 //!
 //! * **flaky transfers** fail at their would-be completion and are retried
-//!   from zero after bounded exponential backoff; when
+//!   from zero after an exponential backoff (0.25 simulated time units,
+//!   doubling with every further retry); when
 //!   [`ExecutorConfig::retry_max`] retries are spent the item is
 //!   [`LostReason::RetriesExhausted`];
 //! * **crash-stop failures** zero a disk's bandwidth forever and abort its
@@ -26,13 +27,12 @@
 //! At each round boundary the executor replans — re-solving the residual
 //! multigraph via [`dmig_core::replan::replan_with`] with per-item
 //! doneness — when any of three triggers fires: a crash happened since the
-//! last replan, the set of degraded disks changed (a disk fell below
-//! [`ExecutorConfig::degrade_replan_threshold`] × its initial bandwidth,
-//! or recovered), or the round blew past the rolling-median
-//! [`StallDetector`] fed with *simulated* durations. Item identity is
-//! preserved through [`dmig_core::replan::Replanned::origin`] across any
-//! number of replans, so the final [`ExecReport`] accounts every original
-//! item as delivered (possibly redirected) or lost.
+//! last replan, the set of degraded disks changed (a disk fell below half
+//! its initial bandwidth, or recovered), or the round blew past the
+//! rolling-median [`StallDetector`] fed with *simulated* durations. Item
+//! identity is preserved through [`dmig_core::replan::Replanned::origin`]
+//! across any number of replans, so the final [`ExecReport`] accounts
+//! every original item as delivered (possibly redirected) or lost.
 //!
 //! **Determinism:** the executor runs entirely in simulated time — the
 //! flaky coin is a seeded hash, the stall detector sees simulated
@@ -60,9 +60,9 @@ use dmig_graph::{EdgeId, Endpoints, NodeId};
 use dmig_obs::events::{emit, Event};
 use dmig_obs::keys;
 
-use crate::engine::{record_sim_round, SimError};
+use crate::engine::{check_inputs, record_sim_round, SimError};
 use crate::faults::{attempt_fails, FaultAction, FaultEvent, FaultPlan, FaultPlanError};
-use crate::progress::{RoundTicker, StallDetector, STALL_FACTOR};
+use crate::progress::{RoundTicker, StallDetector};
 use crate::{Cluster, SimReport};
 
 mod codec;
@@ -74,7 +74,16 @@ const EVENT_EPS: f64 = 1e-12;
 /// A transfer with at most this much volume left has finished.
 const DONE_EPS: f64 = 1e-9;
 
-/// Policy knobs for [`execute`].
+/// Backoff before the first retry, in simulated time units.
+const BACKOFF_BASE: f64 = 0.25;
+/// Multiplier applied to the backoff on every further retry.
+const BACKOFF_FACTOR: f64 = 2.0;
+/// A live disk counts as degraded while its bandwidth is below this
+/// fraction of its initial bandwidth; a change in the degraded set
+/// triggers a replan.
+const DEGRADE_THRESHOLD: f64 = 0.5;
+
+/// The recovery policy of [`execute`].
 #[derive(Clone, Debug)]
 pub struct ExecutorConfig {
     /// Enables closed-loop replanning. Without it the executor still
@@ -84,17 +93,6 @@ pub struct ExecutorConfig {
     /// Retries allowed per item after its first attempt; the attempt
     /// budget is `retry_max + 1`.
     pub retry_max: u32,
-    /// Backoff before the first retry, in simulated time units.
-    pub backoff_base: f64,
-    /// Multiplier applied to the backoff on every further retry.
-    pub backoff_factor: f64,
-    /// A live disk counts as degraded while its bandwidth is below this
-    /// fraction of its initial bandwidth; a change in the degraded set
-    /// triggers a replan.
-    pub degrade_replan_threshold: f64,
-    /// Multiple-of-rolling-median threshold for the simulated-time stall
-    /// trigger (see [`StallDetector`]).
-    pub stall_factor: f64,
 }
 
 impl Default for ExecutorConfig {
@@ -102,10 +100,6 @@ impl Default for ExecutorConfig {
         ExecutorConfig {
             replan: false,
             retry_max: 3,
-            backoff_base: 0.25,
-            backoff_factor: 2.0,
-            degrade_replan_threshold: 0.5,
-            stall_factor: STALL_FACTOR,
         }
     }
 }
@@ -348,10 +342,32 @@ struct Waiting {
     resume_at: f64,
 }
 
-fn degraded_set(bw: &[f64], bw_init: &[f64], crashed: &[bool], threshold: f64) -> Vec<bool> {
+fn degraded_set(bw: &[f64], bw_init: &[f64], crashed: &[bool]) -> Vec<bool> {
     (0..bw.len())
-        .map(|v| !crashed[v] && bw[v] < threshold * bw_init[v])
+        .map(|v| !crashed[v] && bw[v] < DEGRADE_THRESHOLD * bw_init[v])
         .collect()
+}
+
+/// Records `fate` as the final fate of original item `root`, with its
+/// `ItemDelivered` or `ItemLost` event at simulated time `time`.
+fn settle(fates: &mut [Option<ItemFate>], root: usize, fate: ItemFate, time: f64) {
+    fates[root] = Some(fate);
+    let item = root as u64;
+    emit(match fate {
+        ItemFate::Delivered { redirected } => Event::ItemDelivered {
+            item,
+            redirected,
+            time,
+        },
+        ItemFate::Lost(reason) => {
+            dmig_obs::counter_add(keys::EXEC_LOST_ITEMS, 1);
+            let reason = match reason {
+                LostReason::DeadDisk => "dead-disk",
+                LostReason::RetriesExhausted => "retries-exhausted",
+            };
+            Event::ItemLost { item, reason, time }
+        }
+    });
 }
 
 /// Executes `schedule` against `faults`, recovering per `config`, and
@@ -406,25 +422,6 @@ pub const RECORD_PREFIX: &str = "{\"schema\": \"dmig-exec-ckpt/1\"";
 /// First bytes of a delta [`Executor::journal_record`]; a record that
 /// starts with [`RECORD_PREFIX`] but not with this is a full record.
 pub const DELTA_PREFIX: &str = "{\"schema\": \"dmig-exec-ckpt/1\", \"delta\": ";
-
-fn validate_inputs(
-    problem: &MigrationProblem,
-    schedule: &MigrationSchedule,
-    cluster: &Cluster,
-    faults: &FaultPlan,
-) -> Result<(), ExecError> {
-    if cluster.num_disks() != problem.num_disks() {
-        return Err(ExecError::Sim(SimError::ClusterSizeMismatch {
-            cluster: cluster.num_disks(),
-            problem: problem.num_disks(),
-        }));
-    }
-    schedule
-        .validate(problem)
-        .map_err(|e| ExecError::Sim(SimError::InfeasibleSchedule(e)))?;
-    faults.validate(problem.num_disks())?;
-    Ok(())
-}
 
 /// Resumable form of [`execute`]: the same closed loop, advanced one
 /// round-boundary iteration at a time with [`step`](Executor::step).
@@ -504,7 +501,8 @@ impl<'a> Executor<'a> {
         config: &'a ExecutorConfig,
         solver: &'a dyn Solver,
     ) -> Result<Executor<'a>, ExecError> {
-        validate_inputs(problem, schedule, cluster, faults)?;
+        check_inputs(problem, schedule, cluster)?;
+        faults.validate(problem.num_disks())?;
         let n = problem.num_disks();
         let num_roots = problem.num_items();
         let bw_init: Vec<f64> = (0..n).map(|v| cluster.bandwidth(NodeId::new(v))).collect();
@@ -542,7 +540,7 @@ impl<'a> Executor<'a> {
             crashes: 0,
             redirects: 0,
             degraded_rounds: 0,
-            stall: StallDetector::new(config.stall_factor),
+            stall: StallDetector::default(),
             degraded_at_last_replan: vec![false; n],
             crash_dirty: false,
             round_idx: 0,
@@ -604,18 +602,12 @@ impl<'a> Executor<'a> {
                 let ep = g.endpoints(e);
                 let root = self.roots[e.index()];
                 if self.crashed[ep.u.index()] || self.crashed[ep.v.index()] {
-                    if self.config.replan {
-                        // Stays pending; the crash-triggered replan at this
-                        // round's boundary redirects or loses it.
-                    } else {
+                    // With replanning it stays pending; the crash-triggered
+                    // replan at this round's boundary redirects or loses it.
+                    if !self.config.replan {
                         self.done[e.index()] = true;
-                        self.fates[root] = Some(ItemFate::Lost(LostReason::DeadDisk));
-                        dmig_obs::counter_add(keys::EXEC_LOST_ITEMS, 1);
-                        emit(Event::ItemLost {
-                            item: root as u64,
-                            reason: "dead-disk",
-                            time: self.base,
-                        });
+                        let lost = ItemFate::Lost(LostReason::DeadDisk);
+                        settle(&mut self.fates, root, lost, self.base);
                     }
                     continue;
                 }
@@ -664,46 +656,26 @@ impl<'a> Executor<'a> {
                                 replacement: repl.map(|r| r.index() as u64),
                                 time: ev.time,
                             });
-                            let mut keep = Vec::with_capacity(remaining.len());
-                            for t in remaining {
-                                if g.endpoints(t.edge).contains(d) {
-                                    // Abort: un-count the bytes never moved.
+                            // Abort the transfers and retries on `d`; without
+                            // replanning their items are lost where they stand.
+                            let mut abort = |edge: EdgeId, root: usize| {
+                                let hit = g.endpoints(edge).contains(d);
+                                if hit && !self.config.replan {
+                                    self.done[edge.index()] = true;
+                                    let lost = ItemFate::Lost(LostReason::DeadDisk);
+                                    settle(&mut self.fates, root, lost, ev.time);
+                                }
+                                !hit
+                            };
+                            remaining.retain(|t| {
+                                let keep = abort(t.edge, t.root);
+                                if !keep {
+                                    // Un-count the bytes never moved.
                                     self.volume -= t.left;
-                                    if !self.config.replan {
-                                        self.done[t.edge.index()] = true;
-                                        self.fates[t.root] =
-                                            Some(ItemFate::Lost(LostReason::DeadDisk));
-                                        dmig_obs::counter_add(keys::EXEC_LOST_ITEMS, 1);
-                                        emit(Event::ItemLost {
-                                            item: t.root as u64,
-                                            reason: "dead-disk",
-                                            time: ev.time,
-                                        });
-                                    }
-                                } else {
-                                    keep.push(t);
                                 }
-                            }
-                            remaining = keep;
-                            let mut keepw = Vec::with_capacity(waiting.len());
-                            for w in waiting {
-                                if g.endpoints(w.edge).contains(d) {
-                                    if !self.config.replan {
-                                        self.done[w.edge.index()] = true;
-                                        self.fates[w.root] =
-                                            Some(ItemFate::Lost(LostReason::DeadDisk));
-                                        dmig_obs::counter_add(keys::EXEC_LOST_ITEMS, 1);
-                                        emit(Event::ItemLost {
-                                            item: w.root as u64,
-                                            reason: "dead-disk",
-                                            time: ev.time,
-                                        });
-                                    }
-                                } else {
-                                    keepw.push(w);
-                                }
-                            }
-                            waiting = keepw;
+                                keep
+                            });
+                            waiting.retain(|w| abort(w.edge, w.root));
                         }
                     }
                 }
@@ -793,18 +765,13 @@ impl<'a> Executor<'a> {
                         // transfer is only detected when verified).
                         if self.attempts[t.root] > self.config.retry_max {
                             self.done[t.edge.index()] = true;
-                            self.fates[t.root] = Some(ItemFate::Lost(LostReason::RetriesExhausted));
-                            dmig_obs::counter_add(keys::EXEC_LOST_ITEMS, 1);
-                            emit(Event::ItemLost {
-                                item: t.root as u64,
-                                reason: "retries-exhausted",
-                                time: self.base + local,
-                            });
+                            let lost = ItemFate::Lost(LostReason::RetriesExhausted);
+                            settle(&mut self.fates, t.root, lost, self.base + local);
                         } else {
                             self.retries += 1;
                             dmig_obs::counter_add(keys::EXEC_RETRIES, 1);
-                            let delay = self.config.backoff_base
-                                * self.config.backoff_factor.powi(
+                            let delay = BACKOFF_BASE
+                                * BACKOFF_FACTOR.powi(
                                     i32::try_from(self.attempts[t.root]).unwrap_or(i32::MAX) - 1,
                                 );
                             emit(Event::Retry {
@@ -821,14 +788,9 @@ impl<'a> Executor<'a> {
                         }
                     } else {
                         self.done[t.edge.index()] = true;
-                        self.fates[t.root] = Some(ItemFate::Delivered {
-                            redirected: self.redirected_flag[t.root],
-                        });
-                        emit(Event::ItemDelivered {
-                            item: t.root as u64,
-                            redirected: self.redirected_flag[t.root],
-                            time: self.base + local,
-                        });
+                        let redirected = self.redirected_flag[t.root];
+                        let delivered = ItemFate::Delivered { redirected };
+                        settle(&mut self.fates, t.root, delivered, self.base + local);
                     }
                 }
                 remaining = next_remaining;
@@ -855,12 +817,7 @@ impl<'a> Executor<'a> {
             }
         }
 
-        let now_degraded = degraded_set(
-            &self.bw,
-            &self.bw_init,
-            &self.crashed,
-            self.config.degrade_replan_threshold,
-        );
+        let now_degraded = degraded_set(&self.bw, &self.bw_init, &self.crashed);
         if executed_round && now_degraded.iter().any(|&d| d) {
             self.degraded_rounds += 1;
             dmig_obs::counter_add(keys::EXEC_DEGRADED_ROUNDS, 1);
@@ -942,13 +899,8 @@ impl<'a> Executor<'a> {
                 new_roots.push(root);
             }
             for e in &r.lost {
-                self.fates[self.roots[e.index()]] = Some(ItemFate::Lost(LostReason::DeadDisk));
-                dmig_obs::counter_add(keys::EXEC_LOST_ITEMS, 1);
-                emit(Event::ItemLost {
-                    item: self.roots[e.index()] as u64,
-                    reason: "dead-disk",
-                    time: self.base,
-                });
+                let lost = ItemFate::Lost(LostReason::DeadDisk);
+                settle(&mut self.fates, self.roots[e.index()], lost, self.base);
             }
             for e in &r.completed {
                 let root = self.roots[e.index()];
@@ -957,12 +909,8 @@ impl<'a> Executor<'a> {
                     self.redirects += 1;
                     dmig_obs::counter_add(keys::EXEC_REDIRECTS, 1);
                 }
-                self.fates[root] = Some(ItemFate::Delivered { redirected: true });
-                emit(Event::ItemDelivered {
-                    item: root as u64,
-                    redirected: true,
-                    time: self.base,
-                });
+                let delivered = ItemFate::Delivered { redirected: true };
+                settle(&mut self.fates, root, delivered, self.base);
             }
             self.cur_problem = r.problem;
             self.cur_schedule = r.schedule;
@@ -977,14 +925,9 @@ impl<'a> Executor<'a> {
             // where they stand.
             for (e, d) in self.done.iter().enumerate() {
                 if !d {
-                    self.fates[self.roots[e]] = Some(ItemFate::Lost(LostReason::DeadDisk));
+                    let lost = ItemFate::Lost(LostReason::DeadDisk);
+                    settle(&mut self.fates, self.roots[e], lost, self.base);
                     self.touched.note(EdgeId::new(e), self.fates.len());
-                    dmig_obs::counter_add(keys::EXEC_LOST_ITEMS, 1);
-                    emit(Event::ItemLost {
-                        item: self.roots[e] as u64,
-                        reason: "dead-disk",
-                        time: self.base,
-                    });
                 }
             }
             self.finished = true;

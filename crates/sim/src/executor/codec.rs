@@ -898,7 +898,6 @@ impl<'a> Executor<'a> {
             disk_busy: a.disk_busy.take("disk_busy", Some(n))?,
             replans: scalars.u64("replans")?,
             stall: StallDetector::from_window(
-                config.stall_factor,
                 a.stall_recent.take("stall_recent", None)?,
                 scalars.usize("stall_next")?,
             ),
@@ -986,11 +985,7 @@ impl<'a> Executor<'a> {
         // The stall window fills up to its size, then overwrites in place.
         let mut recent = self.stall.window().0.to_vec();
         a.stall_recent.apply("stall_recent", &mut recent, true)?;
-        self.stall = StallDetector::from_window(
-            self.config.stall_factor,
-            recent,
-            scalars.usize("stall_next")?,
-        );
+        self.stall = StallDetector::from_window(recent, scalars.usize("stall_next")?);
         self.set_scalars(&scalars)
     }
 
@@ -1358,7 +1353,7 @@ mod tests {
         for _ in 0..rng.below(3) {
             recent.push(rng.float().to_bits());
         }
-        x.stall = StallDetector::from_window(2.0, recent, rng.word() as usize);
+        x.stall = StallDetector::from_window(recent, rng.word() as usize);
         x.next_fault = rng.word() as usize;
         x.round_idx = rng.word() as usize;
         x.base = rng.float();

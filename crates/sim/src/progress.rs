@@ -51,34 +51,23 @@ pub fn progress_enabled() -> bool {
     PROGRESS.load(Ordering::Relaxed)
 }
 
-/// Flags rounds whose wall duration blows past `factor ×` the rolling
+/// Flags rounds whose duration blows past [`STALL_FACTOR`] × the rolling
 /// median of the last [`WINDOW`] rounds. Pure state machine — no clocks,
 /// no I/O — so the threshold logic is unit-testable with synthetic
 /// durations.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct StallDetector {
     recent: Vec<u64>,
     next: usize,
-    factor: f64,
 }
 
 impl StallDetector {
-    /// Creates a detector with the given multiple-of-median threshold.
-    #[must_use]
-    pub fn new(factor: f64) -> StallDetector {
-        StallDetector {
-            recent: Vec::with_capacity(WINDOW),
-            next: 0,
-            factor,
-        }
-    }
-
     /// Feeds one round duration; returns `Some(median_ns)` when the round
     /// is a stall relative to the rolling median *before* this observation.
     pub fn observe(&mut self, dur_ns: u64) -> Option<u64> {
         let verdict = if self.recent.len() >= MIN_SAMPLES {
             let med = self.median();
-            (med > 0 && dur_ns as f64 > self.factor * med as f64).then_some(med)
+            (med > 0 && dur_ns as f64 > STALL_FACTOR * med as f64).then_some(med)
         } else {
             None
         };
@@ -109,9 +98,9 @@ impl StallDetector {
 
     /// Rebuilds a detector from a [`window`](Self::window) snapshot, so a
     /// restored executor sees exactly the median the interrupted run saw.
-    /// Samples beyond the configured window are dropped defensively.
+    /// Samples beyond the window are dropped defensively.
     #[must_use]
-    pub fn from_window(factor: f64, mut samples: Vec<u64>, next: usize) -> StallDetector {
+    pub fn from_window(mut samples: Vec<u64>, next: usize) -> StallDetector {
         samples.truncate(WINDOW);
         // `next` only steers overwrites once the window is full; a partial
         // window still appends, exactly as a fresh detector would.
@@ -123,7 +112,6 @@ impl StallDetector {
         StallDetector {
             recent: samples,
             next,
-            factor,
         }
     }
 }
@@ -155,7 +143,7 @@ impl RoundTicker {
             round_started: now,
             // Backdate so the first eligible round prints immediately.
             last_print: now.checked_sub(PRINT_INTERVAL).unwrap_or(now),
-            detector: StallDetector::new(STALL_FACTOR),
+            detector: StallDetector::default(),
         }
     }
 
@@ -220,7 +208,7 @@ mod tests {
 
     #[test]
     fn quiet_until_enough_samples() {
-        let mut d = StallDetector::new(8.0);
+        let mut d = StallDetector::default();
         for _ in 0..MIN_SAMPLES - 1 {
             assert_eq!(d.observe(100), None);
         }
@@ -230,7 +218,7 @@ mod tests {
 
     #[test]
     fn flags_outlier_against_rolling_median() {
-        let mut d = StallDetector::new(8.0);
+        let mut d = StallDetector::default();
         for _ in 0..10 {
             assert_eq!(d.observe(100), None);
         }
@@ -240,7 +228,7 @@ mod tests {
 
     #[test]
     fn median_adapts_to_persistent_slowdown() {
-        let mut d = StallDetector::new(8.0);
+        let mut d = StallDetector::default();
         for _ in 0..WINDOW {
             d.observe(100);
         }
@@ -259,7 +247,7 @@ mod tests {
 
     #[test]
     fn zero_median_never_divides_or_flags() {
-        let mut d = StallDetector::new(8.0);
+        let mut d = StallDetector::default();
         for _ in 0..10 {
             d.observe(0);
         }

@@ -62,7 +62,6 @@ fn compiled_chaos_plans_load_and_execute() {
     let config = ExecutorConfig {
         replan: true,
         retry_max: 3,
-        ..ExecutorConfig::default()
     };
     let mut scenarios_with_faults = 0;
     for seed in 0..12u64 {

@@ -227,14 +227,13 @@ fn ck_bits(doc: &Value, key: &str) -> Check<u64> {
 struct Inputs<'a> {
     problem: &'a MigrationProblem,
     timeline: usize,
-    stall_factor: f64,
     /// The state a chain that starts at the plan has as its base: the
     /// state `Executor::new` builds, as its full record decodes.
     start: Option<State>,
 }
 
-fn window(cx: &Inputs<'_>, recent: Vec<u64>, next: usize) -> (Vec<u64>, usize) {
-    let d = StallDetector::from_window(cx.stall_factor, recent, next);
+fn window(recent: Vec<u64>, next: usize) -> (Vec<u64>, usize) {
+    let d = StallDetector::from_window(recent, next);
     let (recent, next) = d.window();
     (recent.to_vec(), next)
 }
@@ -304,7 +303,7 @@ fn oracle_full(cx: &Inputs<'_>, doc: &Value) -> Check<State> {
     let disk_busy = ck_vec(doc, "disk_busy", Some(n), ck_u64_str)?;
     let replans = ck_u64(doc, "replans")?;
     let recent = ck_vec(doc, "stall_recent", None, ck_u64_str)?;
-    let (stall_recent, stall_next) = window(cx, recent, ck_usize(doc, "stall_next")?);
+    let (stall_recent, stall_next) = window(recent, ck_usize(doc, "stall_next")?);
     let degraded_set = ck_vec(doc, "degraded_set", Some(n), ck_flag)?;
     let mut state = State {
         bw,
@@ -381,7 +380,7 @@ fn oracle_delta(cx: &Inputs<'_>, s: &mut State, doc: &Value, seq: u64) -> Check<
     ck_apply(doc, "degraded_set", &mut s.degraded_set, false, ck_flag)?;
     let mut recent = s.stall_recent.clone();
     ck_apply(doc, "stall_recent", &mut recent, true, ck_u64_str)?;
-    (s.stall_recent, s.stall_next) = window(cx, recent, ck_usize(doc, "stall_next")?);
+    (s.stall_recent, s.stall_next) = window(recent, ck_usize(doc, "stall_next")?);
     set_scalars(cx, s, doc)
 }
 
@@ -481,7 +480,6 @@ fn config() -> ExecutorConfig {
     ExecutorConfig {
         replan: true,
         retry_max: 3,
-        ..ExecutorConfig::default()
     }
 }
 
@@ -803,7 +801,6 @@ fn typed_decoder_agrees_with_the_value_tree_oracle() {
         let mut cx = Inputs {
             problem: &problem,
             timeline: faults.timeline().len(),
-            stall_factor: cfg.stall_factor,
             start: None,
         };
         let start =

@@ -72,7 +72,6 @@ fn run(problem: &MigrationProblem, faults: &FaultPlan, threads: usize) -> (Strin
     let config = ExecutorConfig {
         replan: true,
         retry_max: 3,
-        ..ExecutorConfig::default()
     };
     let report = execute(problem, &schedule, &cluster, faults, &config, &solver).expect("executes");
     (format!("{:?}", schedule.rounds()), report.to_json())

@@ -182,7 +182,6 @@ fn run(problem: &MigrationProblem, faults: &FaultPlan, threads: usize) -> dmig_s
     let config = ExecutorConfig {
         replan: true,
         retry_max: 3,
-        ..ExecutorConfig::default()
     };
     execute(problem, &schedule, &cluster, faults, &config, &solver).expect("executes")
 }

@@ -67,7 +67,6 @@ fn config() -> ExecutorConfig {
     ExecutorConfig {
         replan: true,
         retry_max: 3,
-        ..ExecutorConfig::default()
     }
 }
 

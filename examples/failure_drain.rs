@@ -67,7 +67,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ExecutorConfig {
         replan: true,
         retry_max: 4,
-        ..ExecutorConfig::default()
     };
     let report = execute(
         &problem,

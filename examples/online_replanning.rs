@@ -77,7 +77,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ExecutorConfig {
         replan: true,
         retry_max: 3,
-        ..ExecutorConfig::default()
     };
     let healed = execute(&problem, &schedule, &cluster, &faults, &config, &AutoSolver)?;
     println!(
