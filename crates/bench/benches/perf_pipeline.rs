@@ -87,18 +87,6 @@ fn obs_overhead(c: &mut Criterion) {
             b.iter(|| solve_even(p).expect("solves").makespan());
         },
     );
-    // Third column: the recorder enabled *and* the sampling profiler
-    // ticking, isolating the sampler's span-lock contention on top of
-    // plain instrumentation.
-    let sampler = dmig_obs::sampler::start(dmig_obs::sampler::DEFAULT_INTERVAL);
-    group.bench_with_input(
-        BenchmarkId::new("recorder_enabled_sampler", p.num_disks()),
-        &p,
-        |b, p| {
-            b.iter(|| solve_even(p).expect("solves").makespan());
-        },
-    );
-    sampler.stop();
     dmig_obs::set_enabled(false);
     dmig_obs::reset();
     group.finish();

@@ -557,23 +557,6 @@ fn main() {
     let predicted_flow = reps as u64 * quota_flow_solves(delta_prime);
     let predicted_splits = reps as u64 * quota_euler_splits(delta_prime);
 
-    // Marginal cost of the background sampling profiler on an already
-    // instrumented run (measured after the counter snapshot above so the
-    // cross-checked totals stay untouched). The sampler only reads open
-    // spans under the recorder's span lock, so this is the contention it
-    // adds — gated at <= 2% by ci-rules.toml.
-    dmig_obs::reset();
-    dmig_obs::set_enabled(true);
-    let sampler = dmig_obs::sampler::start(dmig_obs::sampler::DEFAULT_INTERVAL);
-    let sampler_ms = time_ms(reps, || {
-        solve_even(&problem)
-            .expect("even instance solves")
-            .makespan() as u64
-    });
-    sampler.stop();
-    dmig_obs::set_enabled(false);
-    dmig_obs::reset();
-
     // Direct cost of the disabled fast path: one facade call.
     let noop_iters: u64 = if smoke { 1_000_000 } else { 10_000_000 };
     let start = Instant::now();
@@ -599,12 +582,6 @@ fn main() {
         json,
         "    \"enabled_overhead_pct\": {:.2},",
         (enabled_ms / disabled_ms.max(1e-6) - 1.0) * 100.0
-    );
-    let _ = writeln!(json, "    \"sampler_ms\": {sampler_ms:.3},");
-    let _ = writeln!(
-        json,
-        "    \"sampler_overhead_pct\": {:.2},",
-        (sampler_ms / enabled_ms.max(1e-6) - 1.0) * 100.0
     );
     let _ = writeln!(json, "    \"disabled_noop_ns_per_call\": {noop_ns:.2}");
     let _ = writeln!(json, "  }},");

@@ -15,18 +15,14 @@
 //! `default_cap` (default 1) applies to disks not covered by `cap`/`caps`.
 
 use dmig_core::{Capacities, MigrationProblem, ProblemError};
-use dmig_graph::{GraphError, Multigraph, NodeId};
+use dmig_graph::Multigraph;
 use dmig_obs::json::push_u64;
 
 /// Errors from parsing an instance file.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum InstanceError {
-    /// Graph-level parse problem.
-    Graph(GraphError),
-    /// Instance-level validation problem.
-    Problem(ProblemError),
-    /// Instance-specific directive problem.
+    /// A line that is malformed, or that declares an invalid instance.
     Directive {
         /// 1-based line number.
         line: usize,
@@ -38,8 +34,6 @@ pub enum InstanceError {
 impl std::fmt::Display for InstanceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            InstanceError::Graph(e) => write!(f, "{e}"),
-            InstanceError::Problem(e) => write!(f, "{e}"),
             InstanceError::Directive { line, message } => {
                 write!(f, "line {line}: {message}")
             }
@@ -48,18 +42,6 @@ impl std::fmt::Display for InstanceError {
 }
 
 impl std::error::Error for InstanceError {}
-
-impl From<GraphError> for InstanceError {
-    fn from(e: GraphError) -> Self {
-        InstanceError::Graph(e)
-    }
-}
-
-impl From<ProblemError> for InstanceError {
-    fn from(e: ProblemError) -> Self {
-        InstanceError::Problem(e)
-    }
-}
 
 /// Parses an instance from the text format described at module level.
 ///
@@ -74,11 +56,11 @@ impl From<ProblemError> for InstanceError {
 ///
 /// # Errors
 ///
-/// Returns [`InstanceError`] on malformed directives, graph errors, or
-/// instance validation failures. An edge endpoint that does not fit a
-/// `u32` disk id, or a node count beyond 2^32, is an error at its line;
-/// a self-loop is reported at the line of the first one, and a disk count
-/// too large to allocate at the line that set it.
+/// Returns [`InstanceError`], naming a line, on malformed directives,
+/// graph errors, or instance validation failures. An edge endpoint that
+/// does not fit a `u32` disk id, or a node count beyond 2^32, is an error
+/// at its line; a self-loop is reported at the line of the first one, and
+/// a disk count too large to allocate at the line that set it.
 pub fn parse_instance(text: &str) -> Result<MigrationProblem, InstanceError> {
     let mut d = Directives {
         declared_nodes: None,
@@ -156,8 +138,8 @@ struct Directives {
     caps_vec: Option<Vec<u32>>,
     /// (line, disk, capacity): the disk is checked once the count is known.
     cap_overrides: Vec<(usize, usize, u32)>,
-    /// (line, disk) of the first self-loop.
-    first_loop: Option<(usize, usize)>,
+    /// The line of the first self-loop.
+    first_loop: Option<usize>,
     /// The lines of the last `nodes`, `default_cap` and `caps` directives.
     nodes_line: usize,
     default_cap_line: usize,
@@ -167,7 +149,7 @@ struct Directives {
 impl Directives {
     fn edge(&mut self, line: usize, u: usize, v: usize) {
         if u == v && self.first_loop.is_none() {
-            self.first_loop = Some((line, u));
+            self.first_loop = Some(line);
         }
         let n = u.max(v) + 1;
         if n > self.inferred {
@@ -258,8 +240,8 @@ impl Directives {
     /// every line has parsed: the graph (a disk count too large to
     /// allocate is named at the `nodes` line, else the `caps` line, else
     /// the edge line that set it), then a `cap` for an unknown disk, then
-    /// the first self-loop, then the problem's own validation, with a zero
-    /// capacity named at the line that gave it.
+    /// the problem's own validation: the first self-loop, named at its
+    /// line, then a zero capacity, named at the line that gave it.
     fn finish(self) -> Result<MigrationProblem, InstanceError> {
         let listed = self.caps_vec.as_ref().map_or(0, Vec::len);
         let n = self
@@ -296,31 +278,28 @@ impl Directives {
             }
             caps[v] = c;
         }
-        if let Some((line, disk)) = self.first_loop {
-            return Err(InstanceError::Directive {
-                line,
-                message: ProblemError::SelfLoop {
-                    node: NodeId::new(disk),
-                }
-                .to_string(),
-            });
-        }
-        MigrationProblem::new(g, Capacities::from_vec(caps)).map_err(|e| match e {
-            ProblemError::ZeroCapacity { node } => {
+        MigrationProblem::new(g, Capacities::from_vec(caps)).map_err(|e| {
+            let line = match e {
+                // `new` reports the first loop in edge order, which is
+                // line order.
+                ProblemError::SelfLoop { .. } => self.first_loop.unwrap_or_default(),
                 // The disk's last `cap` line, else the `caps` line that
                 // lists it, else the `default_cap` line.
-                let disk = node.index();
-                let line = match self.cap_overrides.iter().rev().find(|o| o.1 == disk) {
-                    Some(&(line, _, _)) => line,
-                    None if disk < listed => self.caps_line,
-                    None => self.default_cap_line,
-                };
-                InstanceError::Directive {
-                    line,
-                    message: e.to_string(),
+                ProblemError::ZeroCapacity { node } => {
+                    let disk = node.index();
+                    match self.cap_overrides.iter().rev().find(|o| o.1 == disk) {
+                        Some(&(line, _, _)) => line,
+                        None if disk < listed => self.caps_line,
+                        None => self.default_cap_line,
+                    }
                 }
+                // `caps` has one entry per disk, so the lengths agree.
+                _ => self.caps_line,
+            };
+            InstanceError::Directive {
+                line,
+                message: e.to_string(),
             }
-            e => e.into(),
         })
     }
 }

@@ -174,8 +174,8 @@ fn usage() -> String {
      \x20                     per-round binding chain (see `dmig obs explain`)\n\
      \x20 --serve ADDR        expose live telemetry over HTTP while the run\n\
      \x20                     executes: /metrics (Prometheus text) and\n\
-     \x20                     /snapshot (JSON); also starts the sampling\n\
-     \x20                     profiler (prof.self_ns.*, mem.rss_*, live.*)\n\
+     \x20                     /snapshot (JSON), with RSS (mem.rss_*); /metrics\n\
+     \x20                     adds each span name's self time (prof.self_ns.*)\n\
      \x20 --serve-addr-file F write the bound address (port 0 resolved) to F\n\
      \x20 none of these flags changes the computed schedule.\n\
      fault injection (simulate):\n\

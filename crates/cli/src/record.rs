@@ -3,6 +3,7 @@
 
 use std::time::Duration;
 
+use dmig_obs::serve::{ObsServer, ServeSource};
 use dmig_obs::{history, trace};
 
 use crate::args::Args;
@@ -20,25 +21,6 @@ pub(crate) const RECORDER: &str = "--trace --metrics-out FILE --trace-out FILE \
 /// `--serve`). When none is given the recorder stays disabled and the
 /// command runs exactly as without it (the instrumentation is a no-op).
 pub(crate) struct ObsRequest<'a>(&'a Args<'a>);
-
-/// The background half of `--serve`: the HTTP listener plus the sampling
-/// profiler that feeds `prof.self_ns.*` and the RSS gauges. Both threads
-/// only ever *read* recorder state (and write their own sampler keys), so
-/// the solve schedule cannot depend on their timing.
-struct LivePlane {
-    server: dmig_obs::serve::ObsServer,
-    sampler: dmig_obs::sampler::SamplerHandle,
-}
-
-impl LivePlane {
-    /// Stops the sampler and the HTTP listener. Joining both threads here
-    /// means no background thread outlives the command that spawned it.
-    fn stop(self) {
-        self.sampler.stop();
-        let served = self.server.shutdown();
-        dmig_obs::counter_add(dmig_obs::keys::SERVE_REQUESTS, served);
-    }
-}
 
 /// Per-run metadata for the history line and the per-disk utilization
 /// lane of the HTML timeline. A command that takes neither `--history`
@@ -102,7 +84,7 @@ impl<'a> ObsRequest<'a> {
     }
 
     /// Starts collection (clearing anything a previous `run` left behind).
-    fn begin(&self) -> Result<Option<LivePlane>, String> {
+    fn begin(&self) -> Result<Option<ObsServer>, String> {
         dmig_obs::reset();
         dmig_obs::set_enabled(true);
         // Every counter is in the export, even when a small instance never
@@ -144,30 +126,18 @@ impl<'a> ObsRequest<'a> {
         Ok(live)
     }
 
-    /// Starts the plane of `--serve ADDR`, and writes the address it bound
-    /// to `--serve-addr-file`.
-    fn start_live(&self, addr: &str) -> Result<LivePlane, String> {
-        let sampler = dmig_obs::sampler::start(dmig_obs::sampler::DEFAULT_INTERVAL);
+    /// Starts the listener of `--serve ADDR`, and writes the address it
+    /// bound to `--serve-addr-file`.
+    fn start_live(&self, addr: &str) -> Result<ObsServer, String> {
         let server =
-            match dmig_obs::serve::ObsServer::start(addr, dmig_obs::serve::ServeSource::Live, None)
-            {
-                Ok(s) => s,
-                Err(e) => {
-                    sampler.stop();
-                    return Err(format!("--serve: {e}"));
-                }
-            };
-        let plane = LivePlane { server, sampler };
+            ObsServer::start(addr, ServeSource::Live, None).map_err(|e| format!("--serve: {e}"))?;
         if let Some(path) = self.out("--serve-addr-file") {
             // Written *after* bind so a watcher reading the file can
-            // immediately connect (port 0 is resolved by now).
-            let bound = format!("{}\n", plane.server.local_addr());
-            if let Err(e) = files::write(path, bound.as_bytes()) {
-                plane.stop();
-                return Err(e);
-            }
+            // immediately connect (port 0 is resolved by now). On an
+            // error the dropped server stops its thread.
+            files::write(path, format!("{}\n", server.local_addr()).as_bytes())?;
         }
-        Ok(plane)
+        Ok(server)
     }
 
     /// Disarms the flight recorder: stops emission, closes the sink with
@@ -187,13 +157,17 @@ impl<'a> ObsRequest<'a> {
     /// stderr (`--trace`), the JSON snapshot (`--metrics-out`), the Chrome
     /// trace / HTML timeline (`--trace-out` / `--trace-html`), and the
     /// JSONL history entry (`--history`).
-    fn finish(&self, live: Option<LivePlane>, run: &RunContext) -> Result<(), String> {
+    fn finish(&self, live: Option<ObsServer>, run: &RunContext) -> Result<(), String> {
         // Mark completion while the recorder is still enabled, then stop
         // the live plane *before* disabling so a final scrape racing the
         // shutdown still sees a coherent (DONE) snapshot.
         dmig_obs::gauge_set(dmig_obs::keys::LIVE_PHASE, dmig_obs::phase::DONE);
-        if let Some(plane) = live {
-            plane.stop();
+        if let Some(server) = live {
+            // Joined here, the listener does not outlive the command; the
+            // final snapshot carries one more RSS reading.
+            let served = server.shutdown();
+            dmig_obs::counter_add(dmig_obs::keys::SERVE_REQUESTS, served);
+            dmig_obs::serve::refresh_rss();
         }
         dmig_obs::set_enabled(false);
         self.teardown_events(dmig_obs::events::close_sink);
@@ -228,10 +202,8 @@ impl<'a> ObsRequest<'a> {
     }
 
     /// Stops collection without emitting (the command failed mid-run).
-    fn abandon(&self, live: Option<LivePlane>) {
-        if let Some(plane) = live {
-            plane.stop();
-        }
+    fn abandon(&self, live: Option<ObsServer>) {
+        drop(live); // stops and joins the listener
         dmig_obs::set_enabled(false);
         self.teardown_events(dmig_obs::events::discard_sink);
     }

@@ -29,8 +29,28 @@ use rand::{Rng, SeedableRng};
 
 // --- the oracles: the reader and writer before the byte pass ---------------
 
+/// What the oracle rejects a text with: a directive error at its line, or
+/// a problem error it reports without one.
+#[derive(Debug)]
+enum OracleError {
+    Directive(InstanceError),
+    Problem(ProblemError),
+}
+
+impl From<InstanceError> for OracleError {
+    fn from(e: InstanceError) -> Self {
+        OracleError::Directive(e)
+    }
+}
+
+impl From<ProblemError> for OracleError {
+    fn from(e: ProblemError) -> Self {
+        OracleError::Problem(e)
+    }
+}
+
 /// The instance reader as it was before the byte pass.
-fn oracle_parse(text: &str) -> Result<MigrationProblem, InstanceError> {
+fn oracle_parse(text: &str) -> Result<MigrationProblem, OracleError> {
     let mut declared_nodes: Option<usize> = None;
     let mut edges: Vec<(usize, usize)> = Vec::new();
     let mut default_cap = 1u32;
@@ -96,7 +116,8 @@ fn oracle_parse(text: &str) -> Result<MigrationProblem, InstanceError> {
                     return Err(InstanceError::Directive {
                         line: lineno + 1,
                         message: "caps needs at least one value".to_string(),
-                    });
+                    }
+                    .into());
                 }
                 caps_vec = Some(values);
             }
@@ -104,7 +125,8 @@ fn oracle_parse(text: &str) -> Result<MigrationProblem, InstanceError> {
                 return Err(InstanceError::Directive {
                     line: lineno + 1,
                     message: format!("unknown directive `{other}`"),
-                });
+                }
+                .into());
             }
         }
     }
@@ -116,7 +138,8 @@ fn oracle_parse(text: &str) -> Result<MigrationProblem, InstanceError> {
         .max(caps_vec.as_ref().map_or(0, Vec::len));
     let mut g = Multigraph::with_nodes(n);
     for (u, v) in edges {
-        g.try_add_edge(NodeId::new(u), NodeId::new(v))?;
+        g.try_add_edge(NodeId::new(u), NodeId::new(v))
+            .expect("every endpoint is below the node count");
     }
     let mut caps = match caps_vec {
         Some(mut values) => {
@@ -130,7 +153,8 @@ fn oracle_parse(text: &str) -> Result<MigrationProblem, InstanceError> {
             return Err(InstanceError::Directive {
                 line,
                 message: format!("cap directive for unknown disk {v}"),
-            });
+            }
+            .into());
         }
         caps[v] = c;
     }
@@ -409,13 +433,14 @@ fn check(text: &str) -> bool {
         }
         Err(want) => {
             let want = match want {
-                InstanceError::Problem(e @ ProblemError::SelfLoop { .. }) => {
+                OracleError::Problem(e @ ProblemError::SelfLoop { .. }) => {
                     format!("line {}: {e}", first_loop_line(text))
                 }
-                InstanceError::Problem(e @ ProblemError::ZeroCapacity { node }) => {
+                OracleError::Problem(e @ ProblemError::ZeroCapacity { node }) => {
                     format!("line {}: {e}", zero_capacity_line(text, node.index()))
                 }
-                other => other.to_string(),
+                OracleError::Problem(e) => e.to_string(),
+                OracleError::Directive(e) => e.to_string(),
             };
             match got {
                 Ok(_) => panic!("oracle says {want}, reader accepts:\n{text:?}"),

@@ -171,33 +171,6 @@ proptest! {
         prop_assert_eq!(&first, &second, "export must not steer the solver");
     }
 
-    /// The background sampling profiler is schedule-transparent: with the
-    /// recorder enabled and the sampler ticking at an aggressive 1ms
-    /// interval, the schedule stays byte-identical to the unsampled,
-    /// uninstrumented run at every thread count. The sampler only *reads*
-    /// open spans and writes its own `prof.*`/`mem.*` keys — nothing the
-    /// solver ever consults.
-    #[test]
-    fn sampler_never_changes_the_schedule(p in arb_problem()) {
-        let _g = obs_lock();
-        let _cleanup = Cleanup;
-        let _pool = PoolCleanup;
-        dmig_flow::pool::set_spawn_min_work(0);
-        let solve = |q: &MigrationProblem| AutoSolver.solve(q);
-        for threads in [1usize, 4] {
-            dmig_obs::set_enabled(false);
-            dmig_obs::reset();
-            let plain = solve_uncut(&p, threads, solve).expect("solves");
-            dmig_obs::reset();
-            dmig_obs::set_enabled(true);
-            let sampler = dmig_obs::sampler::start(std::time::Duration::from_millis(1));
-            let sampled = solve_uncut(&p, threads, solve).expect("solves");
-            sampler.stop();
-            dmig_obs::set_enabled(false);
-            prop_assert_eq!(&plain, &sampled, "threads = {}", threads);
-        }
-    }
-
     /// Intra-component parallelism is schedule-transparent: on a single
     /// connected component every spare thread flows to the quota
     /// recursion, and the schedule must stay byte-identical across thread

@@ -10,8 +10,8 @@
 //!
 //! Three consumers, all fed by the same [`emit`] call:
 //!
-//! * **the ring** — the last [`ring_capacity`] events are kept in memory
-//!   ([`recent`]); older events are evicted (counted in
+//! * **the ring** — the last [`DEFAULT_RING_CAPACITY`] events are kept
+//!   in memory ([`recent`]); older events are evicted (counted in
 //!   [`crate::keys::EVENTS_DROPPED`]). The ring is what a crash dump can
 //!   still show after hours of execution.
 //! * **the JSONL sink** — when a sink is open every event is rendered as

@@ -48,14 +48,13 @@ pub mod hist;
 pub mod history;
 pub mod json;
 mod recorder;
-pub mod sampler;
 pub mod serve;
 mod snapshot;
 pub mod trace;
 pub mod value;
 
 pub use hist::{Histogram, HistogramSnapshot};
-pub use recorder::{global as recorder, OpenSpan, Recorder, SpanGuard, SpanId, Stopwatch};
+pub use recorder::{global as recorder, Recorder, SpanGuard, SpanId, Stopwatch};
 pub use snapshot::{Snapshot, SpanNode};
 pub use value::Value;
 
@@ -209,9 +208,9 @@ metric_keys! {
     LIVE_SHARD_ACTIVE = "live.shard_active", gauge,
         "Shard bins being solved right now";
     MEM_RSS_BYTES = "mem.rss_bytes", gauge,
-        "Resident set size (VmRSS) sampled from /proc/self/status";
+        "Resident set size (VmRSS) from /proc/self/status, read under `--serve`";
     MEM_RSS_PEAK_BYTES = "mem.rss_peak_bytes", gauge,
-        "Peak resident set size (VmHWM) from /proc/self/status";
+        "Peak resident set size (VmHWM) from /proc/self/status, read under `--serve`";
     POOL_PERMITS_AVAILABLE = "pool.permits_available", gauge,
         "Extra-worker permits currently free in the shared budget";
     POOL_PERMITS_CAPACITY = "pool.permits_capacity", gauge,
@@ -220,8 +219,6 @@ metric_keys! {
         "Scratch arenas currently parked in the process-wide pool";
     POOL_PARKED_HIGH_WATER = "pool.parked_high_water", gauge,
         "High-water mark of parked scratch arenas";
-    PROF_SAMPLES = "prof.samples", counter,
-        "Ticks taken by the background sampling profiler";
     SERVE_REQUESTS = "serve.requests", counter,
         "HTTP requests answered by the `--serve` listener";
     WS_ROUND = "ws.round", gauge,
@@ -234,10 +231,10 @@ metric_keys! {
         "Bytes of checkpoint records and resume markers this run appended to the workspace journal; event lines are not counted";
 }
 
-/// Name prefix of the sampling profiler's per-span self-time family:
-/// each distinct open span name gets a `prof.self_ns.<span>` histogram.
-/// Lives outside [`keys`] because the family is open-ended — the suffix
-/// is the span name observed at runtime.
+/// Name prefix of the per-span self-time family on `/metrics`: one
+/// `prof.self_ns.<span>` gauge per span name of the snapshot (see
+/// [`serve::render_prometheus`]). Lives outside [`keys`] because the
+/// family is open-ended — the suffix is a span name.
 pub const PROF_SELF_NS_PREFIX: &str = "prof.self_ns.";
 
 /// One row per [`keys`] constant, in declaration order: `(key, kind,
@@ -257,11 +254,11 @@ pub fn render_keys_table() -> String {
     for (key, kind, doc) in keys_reference() {
         out.push_str(&format!("| `{key}` | {doc} ({kind}). |\n"));
     }
-    // The sampler's self-time family is open-ended (one histogram per span
-    // name), so it is documented as a prefix row rather than a constant.
+    // The self-time family is open-ended (one gauge per span name), so it
+    // is documented as a prefix row rather than a constant.
     out.push_str(&format!(
-        "| `{PROF_SELF_NS_PREFIX}<span>` | Sampled self-time per open span \
-         name, one tick interval per hit (histogram). |\n"
+        "| `{PROF_SELF_NS_PREFIX}<span>` | Self time of the spans named `<span>` in ns, \
+         the `self ms` column of `dmig obs flame`; on `/metrics` only (gauge). |\n"
     ));
     out
 }
@@ -346,7 +343,7 @@ pub fn snapshot() -> Snapshot {
 }
 
 /// Shared helpers for in-crate tests that touch the process-global
-/// recorder: one lock serializes them all (lib, sampler, serve tests run
+/// recorder: one lock serializes them all (lib and serve tests run
 /// in the same binary), and [`testutil::Cleanup`] restores the
 /// disabled/empty state on exit even on panic.
 #[cfg(test)]

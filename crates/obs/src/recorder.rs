@@ -44,18 +44,6 @@ pub(crate) struct SpanRecord {
     pub(crate) duration_ns: Option<u64>,
 }
 
-/// A span that was still open (unfinished) at observation time — the unit
-/// of attribution for the sampling profiler in [`crate::sampler`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OpenSpan {
-    /// Static span name.
-    pub name: &'static str,
-    /// Dense ordinal of the thread that opened the span.
-    pub thread: u64,
-    /// Open time in nanoseconds since the recorder epoch.
-    pub start_ns: u64,
-}
-
 /// The process-wide telemetry sink. Use [`crate::recorder`] to reach the
 /// global instance; tests may leak (`Box::leak`) private instances.
 #[derive(Debug)]
@@ -141,8 +129,9 @@ impl Recorder {
         }
     }
 
-    /// Nanoseconds since the recorder's epoch (monotonic).
-    fn now_ns(&self) -> u64 {
+    /// Nanoseconds since the recorder's epoch (monotonic): the clock of
+    /// every span's `start_ns` and `duration_ns`.
+    pub(crate) fn now_ns(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
@@ -436,38 +425,6 @@ impl Recorder {
             })
             .collect();
         Snapshot::assemble(counters, gauges, histograms, spans)
-    }
-
-    /// The innermost open span of every thread that currently has one,
-    /// ordered by thread ordinal. Spans obey stack discipline per thread,
-    /// so a thread's *last* open record in the buffer is its innermost.
-    /// This is the sampling profiler's read side: one brief buffer lock,
-    /// no allocation proportional to history (open spans only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a collecting thread panicked while holding the span
-    /// buffer lock (poisoning).
-    #[must_use]
-    pub fn leaf_open_spans(&self) -> Vec<OpenSpan> {
-        if !self.is_enabled() {
-            return Vec::new();
-        }
-        let spans = self.spans.lock().expect("span buffer poisoned");
-        let mut leaves: BTreeMap<u64, OpenSpan> = BTreeMap::new();
-        for r in spans.iter() {
-            if r.duration_ns.is_none() {
-                leaves.insert(
-                    r.thread,
-                    OpenSpan {
-                        name: r.name,
-                        thread: r.thread,
-                        start_ns: r.start_ns,
-                    },
-                );
-            }
-        }
-        leaves.into_values().collect()
     }
 }
 

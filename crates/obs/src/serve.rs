@@ -9,16 +9,19 @@
 //!   the `key` label, so the full key namespace (`live.phase`,
 //!   `prof.self_ns.solve_even`) survives verbatim and scrape configs need
 //!   no name mangling. Label values are escaped per the exposition spec.
+//!   The gauges include each span name's self time, from the same
+//!   rollup of the span tree that `dmig obs flame` prints.
 //! * `GET /snapshot` — the full snapshot as `dmig-obs/1` JSON, the same
 //!   document `--metrics-out` writes.
 //!
 //! The server is deliberately minimal: one background thread, a
-//! non-blocking accept loop, one request at a time. Every request takes a
-//! fresh [`crate::snapshot`] — atomic counter/gauge reads plus a brief
-//! span-buffer lock, the same read path `--metrics-out` uses — so
-//! scraping never blocks the solver's hot path and never perturbs the
-//! schedule (held to byte-identity by the `obs_transparency` proptests in
-//! `dmig-core`).
+//! non-blocking accept loop, one request at a time. Every live request
+//! refreshes the `mem.rss_*` gauges and takes a fresh [`crate::snapshot`]
+//! — atomic counter/gauge reads plus a brief span-buffer lock, the same
+//! read path `--metrics-out` uses — so scraping never blocks the solver's
+//! hot path and never perturbs the schedule (held to byte-identity by the
+//! `obs_transparency` proptests in `dmig-core`). A live `/metrics` charges
+//! each span still open up to the scrape; `/snapshot` leaves it open.
 
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read as _, Write as _};
@@ -29,7 +32,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::hist::{bucket_high, bucket_index};
-use crate::snapshot::Snapshot;
+use crate::snapshot::{Snapshot, SpanNode};
+use crate::{keys, trace};
 
 /// Escapes a Prometheus label value: backslash, double quote, and newline
 /// must be backslash-escaped per the text exposition format.
@@ -49,9 +53,12 @@ pub fn escape_label_value(s: &str) -> String {
 
 /// Renders a snapshot in the Prometheus text exposition format.
 ///
-/// Histograms become the conventional cumulative `_bucket` series (the
-/// `le` bound is the inclusive upper edge of each occupied log₂ bucket,
-/// closed by `le="+Inf"`), plus `_sum` and `_count`.
+/// The gauge family ends with one `prof.self_ns.<span>` sample per row of
+/// [`trace::self_time_rollup`] over the snapshot's spans: the summed self
+/// time of the spans of that name in nanoseconds, as `dmig obs flame`
+/// prints it. Histograms become the conventional cumulative `_bucket`
+/// series (the `le` bound is the inclusive upper edge of each occupied
+/// log₂ bucket, closed by `le="+Inf"`), plus `_sum` and `_count`.
 #[must_use]
 pub fn render_prometheus(snap: &Snapshot) -> String {
     let mut out = String::new();
@@ -64,6 +71,15 @@ pub fn render_prometheus(snap: &Snapshot) -> String {
     out.push_str("# TYPE dmig_gauge gauge\n");
     for (k, v) in &snap.gauges {
         let _ = writeln!(out, "dmig_gauge{{key=\"{}\"}} {v}", escape_label_value(k));
+    }
+    for row in trace::self_time_rollup(&snap.spans) {
+        let _ = writeln!(
+            out,
+            "dmig_gauge{{key=\"{}{}\"}} {}",
+            crate::PROF_SELF_NS_PREFIX,
+            escape_label_value(&row.name),
+            row.self_ns
+        );
     }
     out.push_str("# HELP dmig_histogram Log2-bucketed distributions, by recorder key.\n");
     out.push_str("# TYPE dmig_histogram histogram\n");
@@ -107,17 +123,74 @@ pub enum ServeSource {
 impl ServeSource {
     fn metrics(&self) -> String {
         match self {
-            ServeSource::Live => render_prometheus(&crate::snapshot()),
+            ServeSource::Live => {
+                let mut snap = live_snapshot();
+                charge_open(&mut snap.spans, crate::recorder().now_ns());
+                render_prometheus(&snap)
+            }
             ServeSource::Fixed { snapshot, .. } => render_prometheus(snapshot),
         }
     }
 
     fn snapshot_json(&self) -> String {
         match self {
-            ServeSource::Live => crate::snapshot().to_json(),
+            ServeSource::Live => live_snapshot().to_json(),
             ServeSource::Fixed { raw, .. } => raw.clone(),
         }
     }
+}
+
+/// Refreshes the RSS gauges, then snapshots the global recorder.
+fn live_snapshot() -> Snapshot {
+    refresh_rss();
+    crate::snapshot()
+}
+
+/// Charges each span still open in `spans` up to `now_ns`, the recorder
+/// clock at the scrape, so its self time runs to the scrape and a parent
+/// stops accruing self time while a child is open.
+fn charge_open(spans: &mut [SpanNode], now_ns: u64) {
+    for span in spans {
+        if span.duration_ns.is_none() {
+            span.duration_ns = Some(now_ns.saturating_sub(span.start_ns));
+        }
+        charge_open(&mut span.children, now_ns);
+    }
+}
+
+/// Sets `mem.rss_bytes` and raises `mem.rss_peak_bytes` from
+/// `/proc/self/status`; a no-op where procfs is unavailable or while the
+/// recorder is off. Every live request calls it.
+pub fn refresh_rss() {
+    if let Some((current, peak)) = rss_bytes() {
+        crate::gauge_set(keys::MEM_RSS_BYTES, current);
+        crate::gauge_max(keys::MEM_RSS_PEAK_BYTES, peak);
+    }
+}
+
+/// Current and peak resident set size in bytes, from `/proc/self/status`
+/// (`VmRSS` / `VmHWM`). `None` where procfs is unavailable.
+fn rss_bytes() -> Option<(u64, u64)> {
+    let text = std::fs::read_to_string("/proc/self/status").ok()?;
+    let mut current = None;
+    let mut peak = None;
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("VmRSS:") {
+            current = parse_kb(rest);
+        } else if let Some(rest) = line.strip_prefix("VmHWM:") {
+            peak = parse_kb(rest);
+        }
+    }
+    Some((current?, peak?))
+}
+
+fn parse_kb(rest: &str) -> Option<u64> {
+    rest.trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse::<u64>()
+        .ok()
+        .map(|kb| kb * 1024)
 }
 
 /// Handle to a running telemetry listener. Stops the accept loop and
@@ -298,6 +371,7 @@ mod tests {
     use super::*;
     use crate::hist::HistogramSnapshot;
     use crate::testutil::{obs_lock, Cleanup};
+    use std::collections::BTreeMap;
 
     fn fetch(addr: SocketAddr, path: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).expect("connect");
@@ -306,6 +380,28 @@ mod tests {
         stream.read_to_string(&mut response).expect("response");
         let (head, body) = response.split_once("\r\n\r\n").expect("header split");
         (head.to_string(), body.to_string())
+    }
+
+    /// The `prof.self_ns.<span>` gauges of an exposition, by span name.
+    fn self_ns_gauges(text: &str) -> BTreeMap<String, u64> {
+        text.lines()
+            .filter_map(|l| l.strip_prefix("dmig_gauge{key=\"prof.self_ns."))
+            .map(|rest| {
+                let (name, value) = rest.split_once("\"} ").expect("a sample line");
+                (name.to_string(), value.parse().expect("an integer sample"))
+            })
+            .collect()
+    }
+
+    fn span(name: &str, thread: u64, start_ns: u64, duration_ns: Option<u64>) -> SpanNode {
+        SpanNode {
+            name: name.into(),
+            label: None,
+            thread,
+            start_ns,
+            duration_ns,
+            children: Vec::new(),
+        }
     }
 
     fn metric_snapshot() -> Snapshot {
@@ -371,6 +467,76 @@ mod tests {
         assert!(text.contains("dmig_histogram_bucket{key=\"dinic.max_flow_ns\",le=\"+Inf\"} 3"));
         assert!(text.contains("dmig_histogram_sum{key=\"dinic.max_flow_ns\"} 9000"));
         assert!(text.contains("dmig_histogram_count{key=\"dinic.max_flow_ns\"} 3"));
+    }
+
+    #[test]
+    fn self_time_gauges_equal_the_flame_rollup() {
+        // Two `cell` spans on worker threads covering their parent more
+        // than once over, a repeated name, and a span left open.
+        let mut solve = span("solve", 0, 0, Some(10_000));
+        solve.children = vec![
+            span("cell", 1, 1_000, Some(7_000)),
+            span("cell", 2, 1_500, Some(6_000)),
+        ];
+        let mut render = span("render", 0, 10_000, Some(3_000));
+        render.children = vec![span("cell", 0, 11_000, Some(500))];
+        let snap = Snapshot {
+            spans: vec![solve, render, span("open", 0, 13_000, None)],
+            ..metric_snapshot()
+        };
+        let rollup: BTreeMap<String, u64> = trace::self_time_rollup(&snap.spans)
+            .into_iter()
+            .map(|row| (row.name, row.self_ns))
+            .collect();
+        assert_eq!(rollup.len(), 4);
+        let text = render_prometheus(&snap);
+        assert_eq!(self_ns_gauges(&text), rollup);
+        // Inside the gauge family: after its TYPE line, before histograms.
+        let at = |needle: &str| text.find(needle).expect(needle);
+        assert!(at("# TYPE dmig_gauge") < at("prof.self_ns.solve"));
+        assert!(at("prof.self_ns.solve") < at("# TYPE dmig_histogram"));
+    }
+
+    #[test]
+    fn live_scrapes_charge_open_spans_up_to_the_scrape() {
+        let _l = obs_lock();
+        let _c = Cleanup;
+        crate::reset();
+        crate::set_enabled(true);
+        let _outer = crate::span("serve_outer");
+        std::thread::sleep(Duration::from_millis(2));
+        let _inner = crate::span("serve_inner");
+        let server =
+            ObsServer::start("127.0.0.1:0", ServeSource::Live, None).expect("bind ephemeral");
+        let (_, first) = fetch(server.local_addr(), "/metrics");
+        std::thread::sleep(Duration::from_millis(2));
+        let (_, second) = fetch(server.local_addr(), "/metrics");
+        let (_, raw) = fetch(server.local_addr(), "/snapshot");
+        server.shutdown();
+        if rss_bytes().is_some() {
+            assert!(second.contains("dmig_gauge{key=\"mem.rss_peak_bytes\"}"));
+        }
+        assert!(
+            raw.contains("\"duration_us\":null"),
+            "/snapshot leaves spans open"
+        );
+        let (first, second) = (self_ns_gauges(&first), self_ns_gauges(&second));
+        assert!(
+            second["serve_inner"] > first["serve_inner"],
+            "{first:?} {second:?}"
+        );
+        assert!(first["serve_outer"] >= 2_000_000, "{first:?}");
+        assert_eq!(
+            first["serve_outer"], second["serve_outer"],
+            "a parent accrues no self time while its child is open"
+        );
+    }
+
+    #[test]
+    fn parse_kb_reads_proc_status_lines() {
+        assert_eq!(parse_kb("  1234 kB"), Some(1234 * 1024));
+        assert_eq!(parse_kb("0 kB"), Some(0));
+        assert_eq!(parse_kb("garbage"), None);
     }
 
     #[test]

@@ -1093,13 +1093,6 @@ impl<'a> Executor<'a> {
         solver: &'a dyn Solver,
         checkpoint: &str,
     ) -> Result<Executor<'a>, ExecError> {
-        if cluster.num_disks() != problem.num_disks() {
-            return Err(ExecError::Sim(SimError::ClusterSizeMismatch {
-                cluster: cluster.num_disks(),
-                problem: problem.num_disks(),
-            }));
-        }
-        faults.validate(problem.num_disks())?;
         let at = |i: usize| {
             move |e: ExecError| match e {
                 ExecError::Checkpoint(m) => ck_err(format!("line {}: {m}", i + 1)),
@@ -1116,6 +1109,14 @@ impl<'a> Executor<'a> {
                 Self::new(problem, schedule, cluster, faults, config, solver)?
             }
             _ => {
+                // The input checks `new` makes for a chain from the plan.
+                if cluster.num_disks() != problem.num_disks() {
+                    return Err(ExecError::Sim(SimError::ClusterSizeMismatch {
+                        cluster: cluster.num_disks(),
+                        problem: problem.num_disks(),
+                    }));
+                }
+                faults.validate(problem.num_disks())?;
                 let (i, full) = records.next().unwrap_or((0, ""));
                 Self::from_full(problem, cluster, faults, config, solver, full).map_err(at(i))?
             }

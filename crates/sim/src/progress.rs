@@ -6,7 +6,7 @@
 //! executor and adds:
 //!
 //! * **Progress lines** — `[sim] round 1200/40000 (3.0%) … eta 12.4s` on
-//!   stderr, throttled to one line per [`PRINT_INTERVAL`], behind an
+//!   stderr, throttled to one line per 200 ms, behind an
 //!   explicit opt-in ([`set_progress`], the CLI's `--progress` flag) so
 //!   batch runs and tests stay quiet.
 //! * **Stall detection** — each round's wall duration is checked against
@@ -52,7 +52,7 @@ pub fn progress_enabled() -> bool {
 }
 
 /// Flags rounds whose duration blows past [`STALL_FACTOR`] × the rolling
-/// median of the last [`WINDOW`] rounds. Pure state machine — no clocks,
+/// median of the last 64 rounds. Pure state machine — no clocks,
 /// no I/O — so the threshold logic is unit-testable with synthetic
 /// durations.
 #[derive(Debug, Default)]

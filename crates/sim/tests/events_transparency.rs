@@ -144,41 +144,4 @@ proptest! {
         }
         prop_assert_eq!(delivered + lost, problem.num_items());
     }
-
-    /// The sampling profiler is report-transparent: with the recorder on
-    /// and the sampler ticking at an aggressive 1ms interval, both the
-    /// schedule and the final report JSON stay byte-identical to the
-    /// uninstrumented single-thread run, at 1 and 4 solver threads. The
-    /// sampler only reads open spans and writes its own `prof.*`/`mem.*`
-    /// keys — nothing the executor consults.
-    #[test]
-    fn sampler_is_report_transparent(
-        n in 3usize..6,
-        m in 4usize..10,
-        gseed in 0u64..500,
-        fseed in 0u64..500,
-    ) {
-        let _guard = events_lock();
-        let problem = instance(n, m, gseed);
-        let faults = plan(n, fseed, true, true);
-        faults.validate(problem.num_disks()).expect("plan valid");
-
-        let (sched_off, rep_off) = run(&problem, &faults, 1);
-        for threads in [1usize, 4] {
-            dmig_obs::reset();
-            dmig_obs::set_enabled(true);
-            let sampler = dmig_obs::sampler::start(std::time::Duration::from_millis(1));
-            let (sched, rep) = run(&problem, &faults, threads);
-            sampler.stop();
-            dmig_obs::set_enabled(false);
-            dmig_obs::reset();
-            if threads == 1 {
-                prop_assert_eq!(&sched_off, &sched, "sampler changed the schedule");
-            }
-            prop_assert_eq!(
-                &rep_off, &rep,
-                "sampler changed the report (threads = {})", threads
-            );
-        }
-    }
 }

@@ -576,6 +576,54 @@ fn corrupt_checkpoints_are_rejected_with_diagnostics() {
     }
 }
 
+/// A cluster of the wrong size and a fault plan naming a disk the
+/// instance lacks are rejected with the same error whatever the chain's
+/// base: by `resume` through a chain that starts at the plan, which `new`
+/// checks, and by `restore` through a full record.
+#[test]
+fn invalid_inputs_are_rejected_alike_from_either_base() {
+    let problem = instance(3, 6, 1);
+    let faults = FaultPlan::default();
+    let cluster = Cluster::uniform(problem.num_disks(), 1.0);
+    let solver = AutoSolver;
+    let cfg = config();
+    let run = run_recorded(&problem, &cluster, &faults, &solver);
+    let (chain, full) = (run.chain(1), &run.checkpoints[1]);
+    assert!(
+        chain.starts_with(DELTA_PREFIX),
+        "the chain's base is the plan"
+    );
+    let wrong_size = Cluster::uniform(problem.num_disks() + 1, 1.0);
+    let unknown_disk = FaultPlan {
+        crashes: vec![CrashFault {
+            disk: problem.num_disks().into(),
+            time: 0.5,
+            replacement: None,
+        }],
+        ..FaultPlan::default()
+    };
+    for (cluster, faults, variant) in [
+        (&wrong_size, &faults, "Sim("),
+        (&cluster, &unknown_disk, "Fault("),
+    ] {
+        let errors = [
+            Executor::resume(
+                &problem,
+                &run.schedule,
+                cluster,
+                faults,
+                &cfg,
+                &solver,
+                &chain,
+            ),
+            Executor::restore(&problem, cluster, faults, &cfg, &solver, full),
+        ]
+        .map(|r| format!("{:?}", r.map(|_| ()).unwrap_err()));
+        assert!(errors[0].starts_with(variant), "{}", errors[0]);
+        assert_eq!(errors[0], errors[1]);
+    }
+}
+
 /// A record whose `round_idx` is the makespan while items are still
 /// pending, which only a journal edited on disk holds, resumed with
 /// replanning off: the first step loses every pending item to a dead disk
