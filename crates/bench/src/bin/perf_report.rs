@@ -496,7 +496,6 @@ fn main() {
     let _ = writeln!(json, "    \"round_gap\": {},", shard_report.round_gap);
     let _ = writeln!(json, "    \"gap_bound\": {},", shard_report.gap_bound);
     let _ = writeln!(json, "    \"gap_asserted\": {},", shard_report.gap_asserted);
-    let _ = writeln!(json, "    \"reconcile_ms\": {},", shard_report.reconcile_ms);
     let per_shard: Vec<String> = shard_report
         .per_shard_edges
         .iter()

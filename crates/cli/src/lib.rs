@@ -146,7 +146,7 @@ fn usage() -> String {
      \x20 dmig obs compact <history.jsonl> --keep N\n\
      \n\
      solvers: auto even-optimal general saia-1.5 homogeneous greedy\n\
-     \x20        bipartite-optimal exact parallel\n\
+     \x20        bipartite-optimal exact\n\
      \x20 connected components are always solved independently and merged;\n\
      \x20 --threads N caps the worker threads (default: all cores). The\n\
      \x20 schedule is identical for every N.\n\
@@ -157,7 +157,7 @@ fn usage() -> String {
      observability:\n\
      \x20 --trace             print the phase-timing span tree to stderr\n\
      \x20 --metrics-out FILE  write a JSON snapshot of spans, counters\n\
-     \x20                     (flow_solves, euler_splits, ...), and histograms\n\
+     \x20                     (flow_solves, euler_splits, ...), and gauges\n\
      \x20 --trace-out FILE    write the span tree as Chrome trace_event JSON\n\
      \x20                     (load in Perfetto or chrome://tracing)\n\
      \x20 --trace-html FILE   write a self-contained HTML timeline\n\

@@ -194,11 +194,16 @@ mod tests {
     #[test]
     fn solve_with_named_solver() {
         let path = write_temp("solve2", K3);
-        for name in ["greedy", "exact", "parallel"] {
+        for name in ["greedy", "exact"] {
             let out = run_ok(&["solve", &path, "--solver", name, "--threads", "2"]);
             assert!(out.contains(&format!("solver {name}")), "{out}");
         }
-        assert_eq!(run_str(&["solve", &path, "--solver", "nope"]).code, 1);
+        // Every command wraps its solver in `ParallelSolver` already.
+        for name in ["nope", "parallel"] {
+            let out = run_str(&["solve", &path, "--solver", name]);
+            assert_eq!(out.code, 1, "{}", out.stdout);
+            assert!(out.stdout.contains(&format!("unknown solver `{name}`")));
+        }
     }
 
     #[test]
@@ -338,6 +343,20 @@ mod tests {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+        // Every registry counter is exported, the general solver's too,
+        // though the even solver planned this instance.
+        let snap = dmig_obs::Snapshot::from_value(&Value::parse(&json).unwrap()).unwrap();
+        use dmig_obs::keys;
+        for key in [
+            keys::GENERAL_DIRECT,
+            keys::GENERAL_WALK_FLIPS,
+            keys::GENERAL_SHIFTS,
+            keys::GENERAL_ESCALATIONS,
+            keys::GENERAL_RESIDUE_COLORED,
+        ] {
+            assert_eq!(snap.counters.get(key), Some(&0), "{key} in:\n{json}");
+        }
+        assert!(!json.contains("histograms"), "{json}");
     }
 
     /// Acceptance: a 1k-node instance solved with `--threads 4` exports a

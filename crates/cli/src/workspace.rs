@@ -601,8 +601,14 @@ fn run_session(args: &Args<'_>, resume: bool) -> Result<String, String> {
     };
     let abort_after = args.count("--abort-after-checkpoint")?.map(|n| n as u64);
     let threads = args.count("--threads")?.unwrap_or(loaded.threads);
-    let inner: Box<dyn Solver> = solver_by_name(&loaded.solver_name)
-        .ok_or_else(|| format!("{MANIFEST}: unknown solver `{}`", loaded.solver_name))?;
+    // Earlier builds could plan with `parallel`, the registry's
+    // `ParallelSolver` around `auto`; the wrapper below is that solver.
+    let name = match loaded.solver_name.as_str() {
+        "parallel" => "auto",
+        name => name,
+    };
+    let inner: Box<dyn Solver> =
+        solver_by_name(name).ok_or_else(|| format!("{MANIFEST}: unknown solver `{name}`"))?;
     let solver = ParallelSolver::with_threads(inner, threads);
 
     if ws.path(REPORT).exists() {

@@ -761,6 +761,34 @@ fn tampered_config_replan_is_an_error() {
     assert!(out.contains("recovery: 2 replans"), "{out}");
 }
 
+/// Earlier builds offered `parallel`, `ParallelSolver` around `auto`, as a
+/// solver name, so a manifest may carry it: such a workspace executes,
+/// replans and resumes as `auto`.
+#[test]
+fn a_manifest_naming_the_parallel_solver_runs_as_auto() {
+    let scratch = Scratch::new("parallel-manifest");
+    let auto = plan_ci_scenario(&scratch, "ws-auto");
+    let (code, out) = dmig(&["migrate", "execute", "--workspace", &auto]);
+    assert_eq!(code, 0, "{out}");
+    let older = plan_ci_scenario(&scratch, "ws-parallel");
+    let manifest = Path::new(&older).join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    std::fs::write(&manifest, set_member(&text, "solver", "\"parallel\"")).unwrap();
+    let (code, _) = dmig(&[
+        "migrate",
+        "execute",
+        "--workspace",
+        &older,
+        "--abort-after-checkpoint",
+        "2",
+    ]);
+    assert_ne!(code, 0, "the abort must look like a crash");
+    let (code, out) = dmig(&["migrate", "resume", "--workspace", &older]);
+    assert_eq!(code, 0, "{out}");
+    assert!(out.contains("recovery: 2 replans"), "{out}");
+    assert!(read(&older, "report.json") == read(&auto, "report.json"));
+}
+
 /// The CI fault scenario, planned at one thread: `generate rebalance 6 24
 /// 2` under `ci-faults.toml` with replanning. Its journal is the same
 /// at every thread count and holds crash, replan, retry and delivery

@@ -24,8 +24,6 @@
 //! paper pads every disk to `c_v·Δ'` before orienting; padding the
 //! grouped nodes after it keeps the padding below `m + Δ'` arcs.
 
-use std::time::Instant;
-
 use dmig_flow::pool::{self, ObjectPool};
 use dmig_flow::quota_round_partition;
 use dmig_graph::euler::{orient_csr_parallel, OrientScratch};
@@ -135,7 +133,6 @@ fn orient(g: &Multigraph, scratch: &mut EvenScratch) -> Result<(), SolveError> {
     // shows up in the schedule.
     let permits =
         pool::budget().try_acquire_many(scratch.csr.num_edges() / PARALLEL_ORIENT_MIN_EDGES);
-    let started = Instant::now();
     let EvenScratch {
         csr, orient, arcs, ..
     } = scratch;
@@ -145,10 +142,6 @@ fn orient(g: &Multigraph, scratch: &mut EvenScratch) -> Result<(), SolveError> {
     dmig_obs::counter_add(dmig_obs::keys::EULER_ORIENTATIONS, 1);
     dmig_obs::counter_add(dmig_obs::keys::EULER_CHUNKS, stats.chunks);
     dmig_obs::counter_add(dmig_obs::keys::EULER_STITCHES, stats.stitches);
-    dmig_obs::counter_add(
-        dmig_obs::keys::EULER_PAR_MS,
-        started.elapsed().as_millis() as u64,
-    );
     // Edge id i is arc position i; the pairing's ids come after the items.
     arcs.clear();
     arcs.extend(

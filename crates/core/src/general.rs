@@ -34,6 +34,7 @@
 use dmig_color::kempe::kempe_coloring;
 use dmig_color::misra_gries::misra_gries_coloring;
 use dmig_graph::{EdgeId, Multigraph, NodeId};
+use dmig_obs::keys;
 
 use crate::split::split_graph_round_robin;
 use crate::{Capacities, MigrationProblem, MigrationSchedule};
@@ -196,11 +197,11 @@ pub fn solve_general_with(problem: &MigrationProblem, config: &GeneralConfig) ->
 
     let (schedule, final_colors) = state.into_schedule();
     stats.final_colors = final_colors;
-    dmig_obs::counter_add("general.direct", stats.direct as u64);
-    dmig_obs::counter_add("general.walk_flips", stats.walk_flips as u64);
-    dmig_obs::counter_add("general.shifts", stats.shifts as u64);
-    dmig_obs::counter_add("general.escalations", stats.escalations as u64);
-    dmig_obs::counter_add("general.residue_colored", stats.residue_colored as u64);
+    dmig_obs::counter_add(keys::GENERAL_DIRECT, stats.direct as u64);
+    dmig_obs::counter_add(keys::GENERAL_WALK_FLIPS, stats.walk_flips as u64);
+    dmig_obs::counter_add(keys::GENERAL_SHIFTS, stats.shifts as u64);
+    dmig_obs::counter_add(keys::GENERAL_ESCALATIONS, stats.escalations as u64);
+    dmig_obs::counter_add(keys::GENERAL_RESIDUE_COLORED, stats.residue_colored as u64);
     GeneralReport { schedule, stats }
 }
 

@@ -63,13 +63,6 @@ impl std::fmt::Debug for ParallelSolver {
 }
 
 impl ParallelSolver {
-    /// Wraps `inner`, using all available hardware threads.
-    #[must_use]
-    pub fn new(inner: Box<dyn Solver>) -> Self {
-        let threads = default_threads();
-        ParallelSolver { inner, threads }
-    }
-
     /// Wraps `inner` with an explicit worker-thread budget (min 1).
     #[must_use]
     pub fn with_threads(inner: Box<dyn Solver>, threads: usize) -> Self {
@@ -194,9 +187,9 @@ mod tests {
             let s = solver.solve(&p).unwrap();
             s.validate(&p).unwrap();
         }
-        let default = ParallelSolver::new(Box::new(EvenOptimalSolver));
-        assert!(default.threads() >= 1);
-        assert_eq!(default.name(), "parallel");
-        assert_eq!(default.inner().name(), "even-optimal");
+        let wrapped = ParallelSolver::with_threads(Box::new(EvenOptimalSolver), 0);
+        assert_eq!(wrapped.threads(), 1);
+        assert_eq!(wrapped.name(), "parallel");
+        assert_eq!(wrapped.inner().name(), "even-optimal");
     }
 }

@@ -33,7 +33,6 @@
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use dmig_flow::pool;
 use dmig_graph::partition::{assign_shards, partition_cells, DEFAULT_MAX_CELL_EDGES};
@@ -107,9 +106,6 @@ pub struct ShardReport {
     /// which holds for the Theorem 4.1 even solver but not for
     /// approximate inner solvers).
     pub gap_asserted: bool,
-    /// Milliseconds spent merging cell schedules and aligning the
-    /// boundary rounds.
-    pub reconcile_ms: u64,
     /// Domestic edges solved by each worker shard, indexed by shard id.
     pub per_shard_edges: Vec<u64>,
 }
@@ -181,7 +177,6 @@ where
     // Reconciliation: index-wise merge of the node-disjoint cells, then
     // the boundary pass appended at the canonical offset.
     dmig_obs::gauge_set(dmig_obs::keys::LIVE_PHASE, dmig_obs::phase::BOUNDARY);
-    let reconcile_started = Instant::now();
     let merged = merge_component_schedules(&parts, schedules, problem.num_items());
     let boundary = if partition.boundary.is_empty() {
         None
@@ -216,8 +211,6 @@ where
             combined
         }
     };
-    let reconcile_ms = u64::try_from(reconcile_started.elapsed().as_millis()).unwrap_or(u64::MAX);
-
     // Realized additive gap vs. the proven bound. makespan = offset +
     // boundary_rounds, so when every cell met its own Δ' (≤ Δ'(G), always
     // true for the Theorem 4.1 solver) and the boundary met Δ'(boundary),
@@ -245,7 +238,6 @@ where
         round_gap,
         gap_bound,
         gap_asserted,
-        reconcile_ms,
         per_shard_edges,
     };
     record_shard_metrics(&report);
@@ -336,6 +328,7 @@ fn merge_component_schedules(
     mut schedules: Vec<MigrationSchedule>,
     total_edges: usize,
 ) -> MigrationSchedule {
+    let _span = dmig_obs::span("shard_merge");
     assert_eq!(parts.len(), schedules.len(), "one schedule per piece");
     if let [part] = parts {
         if part.edge_map.len() == total_edges {
@@ -373,7 +366,6 @@ fn record_shard_metrics(report: &ShardReport) {
     };
     dmig_obs::gauge_set(keys::SHARD_CUT_FRACTION, bps);
     dmig_obs::gauge_set(keys::SHARD_BOUNDARY_ROUNDS, report.boundary_rounds as u64);
-    dmig_obs::counter_add(keys::SHARD_RECONCILE_MS, report.reconcile_ms);
 }
 
 /// Solves every cell into its slot, with one claim-loop worker per shard.

@@ -171,7 +171,6 @@ pub fn all_solvers() -> Vec<Box<dyn Solver>> {
                 node_budget: Some(200_000),
             },
         }),
-        Box::new(crate::parallel::ParallelSolver::new(Box::new(AutoSolver))),
     ]
 }
 

@@ -260,7 +260,7 @@ impl FlowNetwork {
             return 0;
         }
         self.ensure_csr();
-        let _watch = dmig_obs::stopwatch(dmig_obs::keys::DINIC_MAX_FLOW_NS);
+        let _span = dmig_obs::span("dinic.max_flow");
         let FlowNetwork {
             arc_to,
             arc_cap,

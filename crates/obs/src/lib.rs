@@ -1,14 +1,13 @@
 //! Std-only observability for the dmig solver pipeline.
 //!
-//! The crate provides three primitives behind one process-global,
+//! The crate provides two primitives behind one process-global,
 //! thread-safe [`Recorder`]:
 //!
 //! * **spans** — hierarchical wall-clock intervals with thread
-//!   attribution ([`span`], [`span_labeled`], [`span_under`]);
+//!   attribution ([`span`], [`span_labeled`], [`span_under`]), the one
+//!   source of durations;
 //! * **counters and gauges** — named atomic `u64`s ([`counter_add`],
-//!   [`gauge_set`], [`gauge_max`]);
-//! * **histograms** — log₂-bucketed distributions for latencies and
-//!   operation counts ([`observe`], [`stopwatch`]).
+//!   [`gauge_set`], [`gauge_max`]).
 //!
 //! Collection is **off by default** and every recording call starts with a
 //! single relaxed atomic load, so instrumentation left in hot paths costs
@@ -28,10 +27,10 @@
 //! {
 //!     let _solve = dmig_obs::span("solve");
 //!     dmig_obs::counter_add(dmig_obs::keys::FLOW_SOLVES, 1);
-//!     dmig_obs::observe("dinic.max_flow_ns", 1234);
 //! }
 //! let snap = dmig_obs::snapshot();
 //! assert_eq!(snap.counters["flow_solves"], 1);
+//! assert_eq!(snap.spans[0].name, "solve");
 //! dmig_obs::set_enabled(false);
 //! dmig_obs::reset();
 //! ```
@@ -44,7 +43,6 @@ pub mod events;
 pub mod explain;
 pub mod fsio;
 pub mod gate;
-pub mod hist;
 pub mod history;
 pub mod json;
 mod recorder;
@@ -53,8 +51,7 @@ mod snapshot;
 pub mod trace;
 pub mod value;
 
-pub use hist::{Histogram, HistogramSnapshot};
-pub use recorder::{global as recorder, Recorder, SpanGuard, SpanId, Stopwatch};
+pub use recorder::{global as recorder, Recorder, SpanGuard, SpanId};
 pub use snapshot::{Snapshot, SpanNode};
 pub use value::Value;
 
@@ -82,17 +79,16 @@ pub mod phase {
 /// Declares every well-known metric key exactly once: one
 /// `NAME = "key", kind, "description";` row yields the [`keys`] constant,
 /// its rustdoc, and its row in [`keys_reference`] (and therefore in the
-/// README table). Each description is one line; the kind is `counter`,
-/// `gauge` or `histogram`.
+/// README table). Each description is one line; the kind is `counter` or
+/// `gauge`.
 macro_rules! metric_keys {
     ($($name:ident = $key:literal, $kind:ident, $doc:literal;)+) => {
-        /// Well-known counter, gauge, and histogram names.
+        /// Well-known counter and gauge names.
         ///
         /// Naming convention: bare snake_case for pipeline-level totals that
         /// appear in reports (`flow_solves`), and `area.metric` for
         /// subsystem-scoped values (`dinic.bfs_phases`, `sim.rounds`).
-        /// Histogram names end in a unit suffix (`_ns`) when they record
-        /// time.
+        /// Durations are spans, never keys.
         pub mod keys {
             $(
                 #[doc = concat!($doc, " (", stringify!($kind), ").")]
@@ -120,8 +116,6 @@ metric_keys! {
         "Cycle/ear chunks claimed while labeling pairing cycles; thread-count dependent by design";
     EULER_STITCHES = "euler.stitches", counter,
         "Chunk junctions merged by the deterministic stitch pass";
-    EULER_PAR_MS = "euler.par_ms", counter,
-        "Milliseconds spent inside chunked Euler orientation";
     QUOTA_MAX_DEPTH = "quota.max_recursion_depth", gauge,
         "Deepest recursion reached by the quota partitioner";
     DINIC_CALLS = "dinic.calls", counter,
@@ -130,8 +124,16 @@ metric_keys! {
         "BFS level-graph phases across all Dinic runs";
     DINIC_AUGMENTING_PATHS = "dinic.augmenting_paths", counter,
         "Augmenting paths found across all Dinic runs";
-    DINIC_MAX_FLOW_NS = "dinic.max_flow_ns", histogram,
-        "Per-call Dinic wall time in nanoseconds";
+    GENERAL_DIRECT = "general.direct", counter,
+        "Items the general solver colored directly";
+    GENERAL_WALK_FLIPS = "general.walk_flips", counter,
+        "Items the general solver colored after an alternating-walk flip";
+    GENERAL_SHIFTS = "general.shifts", counter,
+        "Items the general solver colored through a shift (orbit-growth) move";
+    GENERAL_ESCALATIONS = "general.escalations", counter,
+        "Round-budget escalations of the general solver, one per witness event";
+    GENERAL_RESIDUE_COLORED = "general.residue_colored", counter,
+        "Items placed by the general solver's residue colorer, which only `SplitColor` runs";
     POOL_ACQUIRES = "pool.acquires", counter,
         "Worker permits handed out by the shared thread budget";
     POOL_ACQUIRE_DENIED = "pool.acquire_denied", counter,
@@ -152,10 +154,6 @@ metric_keys! {
         "Rounds executed by the simulation engine";
     SIM_TRANSFERS = "sim.transfers", counter,
         "Object transfers executed by the simulation engine";
-    SIM_ROUND_TRANSFERS = "sim.round_transfers", histogram,
-        "Transfers per simulated round";
-    SIM_ROUND_WALL_NS = "sim.round_wall_ns", histogram,
-        "Wall-clock nanoseconds the engine spent per round";
     SIM_STALLS = "sim.stalls", counter,
         "Rounds whose wall time exceeded the stall threshold";
     SIM_PROGRESS_PCT = "sim.progress_pct", gauge,
@@ -194,8 +192,6 @@ metric_keys! {
         "Edges cut to the boundary set by the cell partition";
     SHARD_CUT_FRACTION = "shard.cut_fraction", gauge,
         "Cut fraction in basis points: `cut_edges * 10000 / total`";
-    SHARD_RECONCILE_MS = "shard.reconcile_ms", counter,
-        "Milliseconds spent merging shard schedules and aligning the boundary rounds";
     SHARD_BOUNDARY_ROUNDS = "shard.boundary_rounds", gauge,
         "Rounds of the boundary pass appended after the cell rounds";
     LIVE_PHASE = "live.phase", gauge,
@@ -326,16 +322,6 @@ pub fn gauge_add(name: &'static str, delta: i64) {
     recorder().gauge_add(name, delta);
 }
 
-/// Records one observation in a named histogram.
-pub fn observe(name: &'static str, value: u64) {
-    recorder().observe(name, value);
-}
-
-/// Starts a stopwatch that records into a named histogram on drop.
-pub fn stopwatch(name: &'static str) -> Stopwatch {
-    recorder().stopwatch(name)
-}
-
 /// Snapshots everything the global recorder has collected.
 #[must_use]
 pub fn snapshot() -> Snapshot {
@@ -378,13 +364,12 @@ mod tests {
             let s = super::span("ghost");
             assert!(s.id().is_none());
             super::counter_add("ghost_counter", 5);
-            super::observe("ghost_hist", 1);
-            let _w = super::stopwatch("ghost_watch");
+            super::gauge_set("ghost_gauge", 5);
         }
         let snap = super::snapshot();
         assert!(snap.spans.is_empty());
         assert_eq!(snap.counters.get("ghost_counter"), None);
-        assert!(snap.histograms.is_empty() || !snap.histograms.contains_key("ghost_hist"));
+        assert_eq!(snap.gauges.get("ghost_gauge"), None);
     }
 
     #[test]
@@ -439,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_gauges_histograms_roundtrip() {
+    fn counters_and_gauges_roundtrip() {
         let _l = obs_lock();
         let _c = Cleanup;
         super::reset();
@@ -450,13 +435,9 @@ mod tests {
         super::gauge_set("g", 9);
         super::gauge_max("g", 5); // lower: ignored
         super::gauge_max("g", 12);
-        super::observe("h", 7);
-        super::observe("h", 9);
         let snap = super::snapshot();
         assert_eq!(snap.counters["c"], 7);
         assert_eq!(snap.gauges["g"], 12);
-        assert_eq!(snap.histograms["h"].count, 2);
-        assert_eq!(snap.histograms["h"].sum, 16);
     }
 
     #[test]
@@ -476,25 +457,9 @@ mod tests {
     }
 
     #[test]
-    fn stopwatch_records_on_drop() {
-        let _l = obs_lock();
-        let _c = Cleanup;
-        super::reset();
-        super::set_enabled(true);
-        {
-            let _w = super::stopwatch("watch_ns");
-        }
-        let snap = super::snapshot();
-        assert_eq!(snap.histograms["watch_ns"].count, 1);
-    }
-
-    #[test]
     fn keys_reference_rows_are_typed_one_line_docs() {
         for (key, kind, doc) in super::keys_reference() {
-            assert!(
-                ["counter", "gauge", "histogram"].contains(kind),
-                "{key}: kind {kind}"
-            );
+            assert!(["counter", "gauge"].contains(kind), "{key}: kind {kind}");
             assert!(!doc.contains('\n'), "{key}: doc must be one line");
             assert!(
                 !doc.ends_with(')') && !doc.ends_with('.'),

@@ -1,6 +1,6 @@
 //! The thread-safe recorder behind the crate's facade functions.
 //!
-//! One process-global [`Recorder`] collects three kinds of telemetry:
+//! One process-global [`Recorder`] collects two kinds of telemetry:
 //!
 //! * **spans** — hierarchical wall-clock intervals. Each thread keeps a
 //!   stack of open spans, so nesting is implicit; cross-thread parenting
@@ -9,7 +9,6 @@
 //!   epoch shared by every span.
 //! * **counters / gauges** — named atomic `u64`s. Counters accumulate;
 //!   gauges keep a last-written value or a running maximum.
-//! * **histograms** — log-bucketed distributions (see [`crate::hist`]).
 //!
 //! Everything is a no-op while the recorder is disabled (the default): the
 //! fast path is a single relaxed atomic load, so instrumented hot loops run
@@ -23,7 +22,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
-use crate::hist::Histogram;
 use crate::snapshot::{SnapSpan, Snapshot};
 
 /// Identity of an open (or closed) span, usable as an explicit parent for
@@ -54,7 +52,6 @@ pub struct Recorder {
     spans: Mutex<Vec<SpanRecord>>,
     counters: RwLock<BTreeMap<&'static str, Arc<AtomicU64>>>,
     gauges: RwLock<BTreeMap<&'static str, Arc<AtomicU64>>>,
-    histograms: RwLock<BTreeMap<&'static str, Arc<Histogram>>>,
 }
 
 impl Default for Recorder {
@@ -66,7 +63,6 @@ impl Default for Recorder {
             spans: Mutex::new(Vec::new()),
             counters: RwLock::new(BTreeMap::new()),
             gauges: RwLock::new(BTreeMap::new()),
-            histograms: RwLock::new(BTreeMap::new()),
         }
     }
 }
@@ -107,9 +103,9 @@ impl Recorder {
         self.enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// Discards all spans and zeroes every counter, gauge, and histogram
-    /// (registered names are kept). Open span guards from before the reset
-    /// detect the generation change and drop silently.
+    /// Discards all spans and zeroes every counter and gauge (registered
+    /// names are kept). Open span guards from before the reset detect the
+    /// generation change and drop silently.
     pub fn reset(&self) {
         self.generation.fetch_add(1, Ordering::Relaxed);
         self.spans.lock().expect("span buffer poisoned").clear();
@@ -118,14 +114,6 @@ impl Recorder {
         }
         for g in self.gauges.read().expect("gauge map poisoned").values() {
             g.store(0, Ordering::Relaxed);
-        }
-        for h in self
-            .histograms
-            .read()
-            .expect("histogram map poisoned")
-            .values()
-        {
-            h.reset();
         }
     }
 
@@ -350,37 +338,6 @@ impl Recorder {
         );
     }
 
-    /// Records one observation in the named histogram.
-    pub fn observe(&self, name: &'static str, value: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        if let Some(h) = self
-            .histograms
-            .read()
-            .expect("histogram map poisoned")
-            .get(name)
-        {
-            h.record(value);
-            return;
-        }
-        self.histograms
-            .write()
-            .expect("histogram map poisoned")
-            .entry(name)
-            .or_insert_with(|| Arc::new(Histogram::default()))
-            .record(value);
-    }
-
-    /// Starts a stopwatch that records its elapsed nanoseconds into the
-    /// named histogram when dropped. No-op while disabled.
-    pub fn stopwatch(&'static self, name: &'static str) -> Stopwatch {
-        Stopwatch {
-            rec: self,
-            inner: self.is_enabled().then(|| (name, Instant::now())),
-        }
-    }
-
     /// A point-in-time copy of everything collected so far.
     ///
     /// # Panics
@@ -403,13 +360,6 @@ impl Recorder {
             .iter()
             .map(|(&k, v)| (k.to_string(), v.load(Ordering::Relaxed)))
             .collect();
-        let histograms = self
-            .histograms
-            .read()
-            .expect("histogram map poisoned")
-            .iter()
-            .map(|(&k, v)| (k.to_string(), v.snapshot()))
-            .collect();
         let spans: Vec<SnapSpan> = self
             .spans
             .lock()
@@ -424,7 +374,7 @@ impl Recorder {
                 duration_ns: r.duration_ns,
             })
             .collect();
-        Snapshot::assemble(counters, gauges, histograms, spans)
+        Snapshot::assemble(counters, gauges, spans)
     }
 }
 
@@ -450,23 +400,6 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(id) = self.open.take() {
             self.rec.close_span(id);
-        }
-    }
-}
-
-/// Records elapsed wall-clock nanoseconds into a histogram on drop.
-#[derive(Debug)]
-#[must_use = "dropping the stopwatch immediately records its time"]
-pub struct Stopwatch {
-    rec: &'static Recorder,
-    inner: Option<(&'static str, Instant)>,
-}
-
-impl Drop for Stopwatch {
-    fn drop(&mut self) {
-        if let Some((name, start)) = self.inner.take() {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.rec.observe(name, ns);
         }
     }
 }

@@ -5,17 +5,16 @@
 //! * `GET /metrics` — the current [`Snapshot`] rendered by
 //!   [`render_prometheus`] in the Prometheus text exposition format
 //!   (version 0.0.4). One family per metric kind (`dmig_counter`,
-//!   `dmig_gauge`, `dmig_histogram_*`) with the recorder's dotted key as
-//!   the `key` label, so the full key namespace (`live.phase`,
-//!   `prof.self_ns.solve_even`) survives verbatim and scrape configs need
-//!   no name mangling. Label values are escaped per the exposition spec.
+//!   `dmig_gauge`) with the recorder's dotted key as the `key` label, so
+//!   the full key namespace (`live.phase`, `prof.self_ns.solve_even`)
+//!   survives verbatim and scrape configs need no name mangling. Label values are escaped per the exposition spec.
 //!   The gauges include each span name's self time, from the same
 //!   rollup of the span tree that `dmig obs flame` prints.
 //! * `GET /snapshot` — the full snapshot as `dmig-obs/1` JSON, the same
 //!   document `--metrics-out` writes.
 //!
 //! The server is deliberately minimal: one background thread, a
-//! non-blocking accept loop, one request at a time. Every live request
+//! blocking accept loop, one request at a time. Every live request
 //! refreshes the `mem.rss_*` gauges and takes a fresh [`crate::snapshot`]
 //! — atomic counter/gauge reads plus a brief span-buffer lock, the same
 //! read path `--metrics-out` uses — so scraping never blocks the solver's
@@ -24,14 +23,13 @@
 //! each span still open up to the scrape; `/snapshot` leaves it open.
 
 use std::fmt::Write as _;
-use std::io::{ErrorKind, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{Read as _, Write as _};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::hist::{bucket_high, bucket_index};
 use crate::snapshot::{Snapshot, SpanNode};
 use crate::{keys, trace};
 
@@ -56,9 +54,7 @@ pub fn escape_label_value(s: &str) -> String {
 /// The gauge family ends with one `prof.self_ns.<span>` sample per row of
 /// [`trace::self_time_rollup`] over the snapshot's spans: the summed self
 /// time of the spans of that name in nanoseconds, as `dmig obs flame`
-/// prints it. Histograms become the conventional cumulative `_bucket`
-/// series (the `le` bound is the inclusive upper edge of each occupied
-/// log₂ bucket, closed by `le="+Inf"`), plus `_sum` and `_count`.
+/// prints it.
 #[must_use]
 pub fn render_prometheus(snap: &Snapshot) -> String {
     let mut out = String::new();
@@ -80,27 +76,6 @@ pub fn render_prometheus(snap: &Snapshot) -> String {
             escape_label_value(&row.name),
             row.self_ns
         );
-    }
-    out.push_str("# HELP dmig_histogram Log2-bucketed distributions, by recorder key.\n");
-    out.push_str("# TYPE dmig_histogram histogram\n");
-    for (k, h) in &snap.histograms {
-        let key = escape_label_value(k);
-        let mut cumulative = 0u64;
-        for &(low, n) in &h.buckets {
-            cumulative += n;
-            let le = bucket_high(bucket_index(low));
-            let _ = writeln!(
-                out,
-                "dmig_histogram_bucket{{key=\"{key}\",le=\"{le}\"}} {cumulative}"
-            );
-        }
-        let _ = writeln!(
-            out,
-            "dmig_histogram_bucket{{key=\"{key}\",le=\"+Inf\"}} {}",
-            h.count
-        );
-        let _ = writeln!(out, "dmig_histogram_sum{{key=\"{key}\"}} {}", h.sum);
-        let _ = writeln!(out, "dmig_histogram_count{{key=\"{key}\"}} {}", h.count);
     }
     out
 }
@@ -218,9 +193,6 @@ impl ObsServer {
         max_requests: Option<u64>,
     ) -> Result<ObsServer, String> {
         let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("set_nonblocking: {e}"))?;
         let local = listener
             .local_addr()
             .map_err(|e| format!("local_addr: {e}"))?;
@@ -263,9 +235,20 @@ impl ObsServer {
         self.served.load(Ordering::Relaxed)
     }
 
+    /// Sets the stop flag, then wakes the blocking `accept` with one
+    /// connection of its own, which the loop closes unserved.
     fn halt(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.thread.take() {
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake.ip() {
+                    IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                    IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+                });
+            }
+            // Refused once the loop has exited on its own.
+            let _ = TcpStream::connect(wake);
             let _ = t.join();
         }
     }
@@ -277,10 +260,9 @@ impl Drop for ObsServer {
     }
 }
 
-/// How long the accept loop sleeps when no connection is pending. The
-/// listener stays non-blocking so shutdown is prompt without needing a
-/// self-connection to wake it.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// How long the accept loop backs off after a failed `accept` (say, out
+/// of file descriptors).
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 fn serve_loop(
     listener: &TcpListener,
@@ -289,19 +271,20 @@ fn serve_loop(
     served: &AtomicU64,
     max_requests: Option<u64>,
 ) {
-    while !stop.load(Ordering::Relaxed) {
+    while !stop.load(Ordering::SeqCst) {
         if let Some(max) = max_requests {
             if served.load(Ordering::Relaxed) >= max {
                 break;
             }
         }
         match listener.accept() {
+            // `halt` sets the flag before it connects: this is its wake.
+            Ok(_) if stop.load(Ordering::SeqCst) => break,
             Ok((stream, _)) => {
                 let _ = handle(stream, source);
                 served.fetch_add(1, Ordering::Relaxed);
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_RETRY),
         }
     }
 }
@@ -369,7 +352,6 @@ fn handle(mut stream: TcpStream, source: &ServeSource) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::HistogramSnapshot;
     use crate::testutil::{obs_lock, Cleanup};
     use std::collections::BTreeMap;
 
@@ -408,16 +390,6 @@ mod tests {
         let mut snap = Snapshot::default();
         snap.counters.insert("flow_solves".into(), 3);
         snap.gauges.insert("live.phase".into(), 4);
-        snap.histograms.insert(
-            "dinic.max_flow_ns".into(),
-            HistogramSnapshot {
-                count: 3,
-                sum: 9000,
-                min: 1000,
-                max: 6000,
-                buckets: vec![(512, 1), (4096, 2)],
-            },
-        );
         snap
     }
 
@@ -453,20 +425,17 @@ mod tests {
     }
 
     #[test]
-    fn exposition_renders_all_three_families() {
+    fn exposition_renders_both_families() {
         let text = render_prometheus(&metric_snapshot());
-        assert!(text.contains("# TYPE dmig_counter counter"));
-        assert!(text.contains("dmig_counter{key=\"flow_solves\"} 3"));
-        assert!(text.contains("# TYPE dmig_gauge gauge"));
-        assert!(text.contains("dmig_gauge{key=\"live.phase\"} 4"));
-        assert!(text.contains("# TYPE dmig_histogram histogram"));
-        // Buckets are cumulative with inclusive upper bounds: the bucket
-        // whose low edge is 512 covers [512, 1024), so le=1023.
-        assert!(text.contains("dmig_histogram_bucket{key=\"dinic.max_flow_ns\",le=\"1023\"} 1"));
-        assert!(text.contains("dmig_histogram_bucket{key=\"dinic.max_flow_ns\",le=\"8191\"} 3"));
-        assert!(text.contains("dmig_histogram_bucket{key=\"dinic.max_flow_ns\",le=\"+Inf\"} 3"));
-        assert!(text.contains("dmig_histogram_sum{key=\"dinic.max_flow_ns\"} 9000"));
-        assert!(text.contains("dmig_histogram_count{key=\"dinic.max_flow_ns\"} 3"));
+        assert_eq!(
+            text,
+            "# HELP dmig_counter Monotonic event counters, by recorder key.\n\
+             # TYPE dmig_counter counter\n\
+             dmig_counter{key=\"flow_solves\"} 3\n\
+             # HELP dmig_gauge Last-written or maximum values, by recorder key.\n\
+             # TYPE dmig_gauge gauge\n\
+             dmig_gauge{key=\"live.phase\"} 4\n"
+        );
     }
 
     #[test]
@@ -491,10 +460,9 @@ mod tests {
         assert_eq!(rollup.len(), 4);
         let text = render_prometheus(&snap);
         assert_eq!(self_ns_gauges(&text), rollup);
-        // Inside the gauge family: after its TYPE line, before histograms.
+        // Inside the gauge family, which ends the exposition.
         let at = |needle: &str| text.find(needle).expect(needle);
         assert!(at("# TYPE dmig_gauge") < at("prof.self_ns.solve"));
-        assert!(at("prof.self_ns.solve") < at("# TYPE dmig_histogram"));
     }
 
     #[test]
@@ -587,6 +555,23 @@ mod tests {
             "each scrape takes a fresh snapshot"
         );
         server.shutdown();
+    }
+
+    #[test]
+    fn a_wildcard_server_serves_loopback_and_wakes_to_shut_down() {
+        let server = ObsServer::start(
+            "0.0.0.0:0",
+            ServeSource::Fixed {
+                snapshot: metric_snapshot(),
+                raw: "{}".into(),
+            },
+            None,
+        )
+        .expect("bind ephemeral");
+        let port = server.local_addr().port();
+        let (head, _) = fetch(SocketAddr::from((Ipv4Addr::LOCALHOST, port)), "/metrics");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert_eq!(server.shutdown(), 1, "the wake is not served");
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::hist::HistogramSnapshot;
 use crate::json;
 use crate::value::Value;
 
@@ -45,8 +44,6 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Last-written / maximum values, by name.
     pub gauges: BTreeMap<String, u64>,
-    /// Log-bucketed distributions, by name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Root spans (spans whose parent was closed before a reset become
     /// roots too), in open order.
     pub spans: Vec<SpanNode>,
@@ -56,7 +53,6 @@ impl Snapshot {
     pub(crate) fn assemble(
         counters: BTreeMap<String, u64>,
         gauges: BTreeMap<String, u64>,
-        histograms: BTreeMap<String, HistogramSnapshot>,
         flat: Vec<SnapSpan>,
     ) -> Snapshot {
         let mut children_of: Vec<Vec<usize>> = vec![Vec::new(); flat.len()];
@@ -85,7 +81,6 @@ impl Snapshot {
         Snapshot {
             counters,
             gauges,
-            histograms,
             spans: roots
                 .into_iter()
                 .map(|r| build(r, &flat, &children_of))
@@ -130,10 +125,9 @@ impl Snapshot {
         out
     }
 
-    /// Flattens counters, gauges, and histogram summary statistics into
-    /// one `name -> value` map — the shape [`crate::diff`],
-    /// [`crate::gate`], and [`crate::history`] operate on. Histogram `h`
-    /// contributes `h.count`, `h.sum`, `h.mean`, `h.min`, and `h.max`.
+    /// Flattens counters and gauges into one `name -> value` map — the
+    /// shape [`crate::diff`], [`crate::gate`], and [`crate::history`]
+    /// operate on.
     #[must_use]
     pub fn flat_metrics(&self) -> BTreeMap<String, f64> {
         let mut out = BTreeMap::new();
@@ -142,13 +136,6 @@ impl Snapshot {
         }
         for (k, &v) in &self.gauges {
             out.insert(k.clone(), v as f64);
-        }
-        for (k, h) in &self.histograms {
-            out.insert(format!("{k}.count"), h.count as f64);
-            out.insert(format!("{k}.sum"), h.sum as f64);
-            out.insert(format!("{k}.mean"), h.mean());
-            out.insert(format!("{k}.min"), h.min as f64);
-            out.insert(format!("{k}.max"), h.max as f64);
         }
         out
     }
@@ -162,8 +149,6 @@ impl Snapshot {
     ///   "schema": "dmig-obs/1",
     ///   "counters": {"flow_solves": 3},
     ///   "gauges": {"quota.max_recursion_depth": 4},
-    ///   "histograms": {"dinic.max_flow_ns": {"count": 3, "sum": 9000,
-    ///       "min": 1000, "max": 6000, "buckets": [[512, 1], [4096, 2]]}},
     ///   "spans": [{"name": "solve_even", "label": null, "thread": 0,
     ///       "start_us": 1.2, "duration_us": 350.0, "children": []}]
     /// }
@@ -215,28 +200,6 @@ impl Snapshot {
             }
             let _ = write!(out, "\n    {}: {v}", json::string(k));
         }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {}: {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [",
-                json::string(k),
-                h.count,
-                h.sum,
-                h.min,
-                h.max
-            );
-            for (j, (low, n)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{low},{n}]");
-            }
-            out.push_str("]}");
-        }
         out.push_str("\n  },\n  \"spans\": [");
         for (i, s) in self.spans.iter().enumerate() {
             if i > 0 {
@@ -254,7 +217,8 @@ impl Snapshot {
     /// `export-trace`, `flame`, `diff` and `gate`.
     ///
     /// A section may be absent (it reads as empty); every field present
-    /// must have its type. Span times are read back from microseconds to
+    /// must have its type. A `histograms` section, which earlier builds
+    /// wrote, is not read. Span times are read back from microseconds to
     /// the nearest nanosecond; a missing `label` or `duration_us` reads as
     /// `null`, and missing `children` as none.
     ///
@@ -291,38 +255,6 @@ impl Snapshot {
                     .ok_or_else(|| format!("{name}.{k}: not a number"))?;
                 out.insert(k.clone(), v as u64);
             }
-        }
-        for (k, h) in section("histograms")?.into_iter().flatten() {
-            let field = |name: &str| {
-                h.get_path(name)
-                    .and_then(Value::as_f64)
-                    .map(|v| v as u64)
-                    .ok_or_else(|| format!("histograms.{k}.{name}: not a number"))
-            };
-            let mut hs = HistogramSnapshot {
-                count: field("count")?,
-                sum: field("sum")?,
-                min: field("min")?,
-                max: field("max")?,
-                buckets: Vec::new(),
-            };
-            let buckets = h
-                .get_path("buckets")
-                .and_then(Value::as_array)
-                .ok_or_else(|| format!("histograms.{k}.buckets: not an array"))?;
-            for pair in buckets {
-                let pair = pair
-                    .as_array()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| format!("histograms.{k}.buckets: expected [low, n] pairs"))?;
-                let low = pair[0].as_f64().unwrap_or(-1.0);
-                let n = pair[1].as_f64().unwrap_or(-1.0);
-                if low < 0.0 || n < 0.0 {
-                    return Err(format!("histograms.{k}.buckets: negative entry"));
-                }
-                hs.buckets.push((low as u64, n as u64));
-            }
-            snap.histograms.insert(k.clone(), hs);
         }
         if let Some(spans) = doc.get_path("spans") {
             snap.spans = spans_from_value(spans, "spans")?;
@@ -405,7 +337,7 @@ mod tests {
         ];
         let mut counters = BTreeMap::new();
         counters.insert("flow_solves".to_string(), 3u64);
-        Snapshot::assemble(counters, BTreeMap::new(), BTreeMap::new(), flat)
+        Snapshot::assemble(counters, BTreeMap::new(), flat)
     }
 
     #[test]
@@ -452,7 +384,7 @@ mod tests {
             start_ns: 0,
             duration_ns: Some(1),
         }];
-        let s = Snapshot::assemble(BTreeMap::new(), BTreeMap::new(), BTreeMap::new(), flat);
+        let s = Snapshot::assemble(BTreeMap::new(), BTreeMap::new(), flat);
         assert_eq!(s.spans.len(), 1);
     }
 
@@ -478,6 +410,21 @@ mod tests {
         assert_eq!(err, "spans: not an array");
         let err = read(r#"{"schema": "dmig-obs/1", "gauges": [1]}"#).unwrap_err();
         assert_eq!(err, "gauges: not an object");
+    }
+
+    #[test]
+    fn from_value_skips_the_histograms_earlier_builds_wrote() {
+        // An earlier build's `to_json` wrote a `histograms` member between
+        // the gauges and the spans.
+        let histograms = r#"
+  "histograms": {
+    "dinic.max_flow_ns": {"count": 3, "sum": 9000, "min": 1000, "max": 6000, "buckets": [[512,1],[4096,2]]},
+    "sim.round_wall_ns": {"count": 0, "sum": 0, "min": 18446744073709551615, "max": 0, "buckets": []}
+  },"#;
+        let text = sample().to_json();
+        let old = text.replacen("\n  \"spans\"", &format!("{histograms}\n  \"spans\""), 1);
+        assert_ne!(old, text);
+        assert_eq!(read(&old), Ok(sample()));
     }
 
     #[test]
@@ -528,7 +475,6 @@ mod tests {
 
     mod roundtrip {
         use super::*;
-        use crate::hist::HistogramSnapshot;
         use proptest::prelude::*;
 
         /// Names drawn from an alphabet with the characters JSON escapes,
@@ -542,24 +488,6 @@ mod tests {
         fn arb_metrics() -> impl Strategy<Value = Vec<(String, u64)>> {
             // Values stay below 2^53: the reader goes through `f64`.
             proptest::collection::vec((arb_name(), 0u64..1 << 53), 0..4)
-        }
-
-        fn arb_histogram() -> impl Strategy<Value = (String, HistogramSnapshot)> {
-            (
-                arb_name(),
-                (0u64..1 << 53, 0u64..1 << 53, 0u64..1 << 53, 0u64..1 << 53),
-                proptest::collection::vec((0u64..1 << 53, 0u64..1 << 53), 0..4),
-            )
-                .prop_map(|(name, (count, sum, min, max), buckets)| {
-                    let h = HistogramSnapshot {
-                        count,
-                        sum,
-                        min,
-                        max,
-                        buckets,
-                    };
-                    (name, h)
-                })
         }
 
         /// Flat spans in open order: each names an earlier span (or none)
@@ -603,13 +531,11 @@ mod tests {
             fn from_value_inverts_to_json(
                 counters in arb_metrics(),
                 gauges in arb_metrics(),
-                histograms in proptest::collection::vec(arb_histogram(), 0..3),
                 spans in arb_spans(),
             ) {
                 let snap = Snapshot::assemble(
                     counters.into_iter().collect(),
                     gauges.into_iter().collect(),
-                    histograms.into_iter().collect(),
                     spans,
                 );
                 let text = snap.to_json();

@@ -47,11 +47,10 @@ impl std::error::Error for SimError {
 }
 
 /// Per-round telemetry shared by [`simulate_rounds`] and the executor:
-/// counters, round-size histogram, and the progress/stall ticker.
+/// counters and the progress/stall ticker.
 pub(crate) fn record_sim_round(ticker: &mut RoundTicker, transfers: usize) {
     dmig_obs::counter_add(dmig_obs::keys::SIM_ROUNDS, 1);
     dmig_obs::counter_add(dmig_obs::keys::SIM_TRANSFERS, transfers as u64);
-    dmig_obs::observe(dmig_obs::keys::SIM_ROUND_TRANSFERS, transfers as u64);
     ticker.round_done(transfers);
 }
 

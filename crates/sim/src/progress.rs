@@ -13,9 +13,10 @@
 //!   [`STALL_FACTOR`] × the rolling median of recent rounds
 //!   ([`StallDetector`]); a round that blows past it increments the
 //!   `sim.stalls` counter and, when progress is on, prints a warning.
-//! * **Obs events** — every round records `sim.round_wall_ns` (histogram)
-//!   and `sim.progress_pct` (gauge), so a `--metrics-out` snapshot of a
-//!   hung run shows where it stopped.
+//! * **Obs events** — every round records `sim.progress_pct` and the
+//!   `live.*` gauges, so a `--metrics-out` snapshot of a hung run shows
+//!   where it stopped. The round's wall time stays in the ticker: it is
+//!   a host timing, which only the stall check and the ETA read.
 //!
 //! Ticker state is per-simulation (no globals beyond the print opt-in), and
 //! nothing here feeds back into the simulation: enabling progress can never
@@ -155,7 +156,6 @@ impl RoundTicker {
         self.round_started = now;
         self.done += 1;
         let dur_ns = u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX);
-        dmig_obs::observe(dmig_obs::keys::SIM_ROUND_WALL_NS, dur_ns);
         let pct = (self.done * 100).checked_div(self.total).unwrap_or(100) as u64;
         dmig_obs::gauge_set(dmig_obs::keys::SIM_PROGRESS_PCT, pct);
         self.items += transfers as u64;
