@@ -1,10 +1,10 @@
 //! Emits `BENCH_perf.json`: wall-clock timings of the optimized kernels
 //! against the recorded seed baseline, the component-parallel solve
 //! against whole-graph solving, the intra-component thread-scaling
-//! series on a single giant component, the chunked Euler orientation
-//! against the serial walk on a 1e6-edge even multigraph, and the sharded
-//! solve pipeline (graph-cut cells + boundary reconciliation) against the
-//! unsharded solve on a clustered giant.
+//! series on a single giant component, the Euler orientation's throughput
+//! on a 1e6-edge even multigraph, and the sharded solve pipeline
+//! (graph-cut cells + boundary reconciliation) against the unsharded
+//! solve on a clustered giant.
 //!
 //! Run with `cargo run --release -p dmig-bench --bin perf_report`.
 //! Pass `--smoke` to shrink the instance sizes for a CI sanity run (the
@@ -29,8 +29,9 @@
 //! Honesty notes, recorded in the JSON itself:
 //!
 //! * `hardware_threads` is what `available_parallelism()` reports — once
-//!   at the top level and again inside each measurement section, so a
-//!   section copied out of context still says what machine produced it.
+//!   at the top level and again inside each section that times more than
+//!   one thread, so such a section copied out of context still says what
+//!   machine produced it.
 //!   On a host with fewer hardware threads than a measurement needs, the
 //!   corresponding speedup is recorded as `null` rather than a misleading
 //!   sub-1.0 number (the timings still measure pool overhead and remain);
@@ -55,7 +56,7 @@ use dmig_core::shard::{solve_sharded, ShardConfig};
 use dmig_core::solver::{EvenOptimalSolver, Solver as _};
 use dmig_core::{MigrationProblem, MigrationSchedule};
 use dmig_flow::{quota_euler_splits, quota_flow_solves};
-use dmig_graph::euler::{euler_orientation, euler_orientation_parallel, OrientScratch};
+use dmig_graph::euler::euler_orientation;
 use dmig_workloads::{capacities, random};
 
 /// The default solve: `ParallelSolver` over the even solver, whose cells
@@ -88,8 +89,9 @@ fn even_instance(n: usize, seed: u64) -> MigrationProblem {
 }
 
 /// Writes a section's `"hardware_threads"` line. The value is resolved
-/// once in `main`; every section repeats it so a section copied out of
-/// context still says what machine produced it.
+/// once in `main`; every section that times more than one thread repeats
+/// it so a section copied out of context still says what machine produced
+/// it.
 fn hardware_threads_line(json: &mut String, threads: usize) {
     let _ = writeln!(json, "    \"hardware_threads\": {threads},");
 }
@@ -328,91 +330,29 @@ fn main() {
     skipped_reason_line(&mut json, threads, 4, "multi-thread solve timings", true);
     let _ = writeln!(json, "  }},");
 
-    // Part 2c: chunked Euler orientation vs serial on a padding-free
-    // giant even multigraph — the serial tail the pairing-cycle
-    // decomposition parallelizes. The full-size instance is the 1e6-edge
-    // single component where the old Hierholzer walk pinned one core;
-    // `--smoke` shrinks it so CI exercises the same code path cheaply.
+    // Part 2c: Euler orientation throughput on a padding-free 1e6-edge
+    // giant even multigraph, one component. `--smoke` shrinks it so CI
+    // exercises the same code path cheaply.
     let (go_nodes, go_edges) = if smoke {
         (2_000, 20_000)
     } else {
         (50_000, 1_000_000)
     };
     let giant = giant_even_multigraph(go_nodes, go_edges, 0xE6);
-    let mut orient_scratch = OrientScratch::default();
-
-    // Byte-equality before timing: the orientation is a pure function of
-    // the CSR, so every worker count must reproduce the serial output
-    // exactly. `cycles` comes from the 1-worker pass — unlike `chunks` /
-    // `stitches` it is a property of the graph, not of the race.
-    let serial_orientation = euler_orientation(&giant).expect("even-degree multigraph orients");
-    let mut euler_cycles = 0u64;
-    for w in [1usize, 2, 4] {
-        let (par, stats) = euler_orientation_parallel(&giant, w, &mut orient_scratch)
-            .expect("even-degree multigraph orients");
-        assert_eq!(
-            serial_orientation, par,
-            "orientation must not depend on worker count"
-        );
-        if w == 1 {
-            euler_cycles = stats.cycles;
-        }
-    }
-
     let serial_ms = time_ms(reps, || {
         euler_orientation(&giant)
             .expect("even-degree multigraph orients")
             .len() as u64
     });
-    let mut chunked_ms: [Option<f64>; 3] = [None; 3];
-    for (slot, w) in [1usize, 2, 4].into_iter().enumerate() {
-        if threads >= w {
-            chunked_ms[slot] = Some(time_ms(reps, || {
-                euler_orientation_parallel(&giant, w, &mut orient_scratch)
-                    .expect("even-degree multigraph orients")
-                    .0
-                    .len() as u64
-            }));
-        }
-    }
-    let chunked_1 = chunked_ms[0].expect("1-worker timing always runs");
 
     let _ = writeln!(json, "  \"euler_parallel\": {{");
     let _ = writeln!(json, "    \"nodes\": {go_nodes},");
     let _ = writeln!(json, "    \"edges\": {go_edges},");
-    hardware_threads_line(&mut json, threads);
-    let _ = writeln!(json, "    \"cycles\": {euler_cycles},");
     let _ = writeln!(json, "    \"serial_ms\": {serial_ms:.3},");
     let _ = writeln!(
         json,
-        "    \"serial_medges_per_s\": {:.3},",
+        "    \"serial_medges_per_s\": {:.3}",
         go_edges as f64 / 1e3 / serial_ms.max(1e-6)
-    );
-    opt_ms_line(&mut json, "chunked_1_thread_ms", chunked_ms[0], false);
-    opt_ms_line(&mut json, "chunked_2_threads_ms", chunked_ms[1], false);
-    opt_ms_line(&mut json, "chunked_4_threads_ms", chunked_ms[2], false);
-    speedup_line(
-        &mut json,
-        "thread_speedup_2",
-        chunked_1,
-        chunked_ms[1].unwrap_or(f64::NAN),
-        threads >= 2,
-        false,
-    );
-    speedup_line(
-        &mut json,
-        "thread_speedup_4",
-        chunked_1,
-        chunked_ms[2].unwrap_or(f64::NAN),
-        threads >= 4,
-        false,
-    );
-    skipped_reason_line(
-        &mut json,
-        threads,
-        4,
-        "multi-thread orientation timings",
-        true,
     );
     let _ = writeln!(json, "  }},");
 

@@ -170,9 +170,9 @@ pub fn giant_even_multigraph(nodes: usize, edges: usize, seed: u64) -> dmig_grap
 }
 
 /// The orientation-benchmark instance: a single ~1e6-edge giant component
-/// with even degrees and heterogeneous even capacities. This is the shape
-/// where the serial pad → orient tail used to pin one core; `perf_report`'s
-/// `euler_parallel` section times serial vs. chunked orientation on it.
+/// with even degrees and heterogeneous even capacities, built on
+/// [`giant_even_multigraph`], whose 1e6-edge graph `perf_report`'s
+/// `euler_parallel` section orients.
 ///
 /// # Panics
 ///

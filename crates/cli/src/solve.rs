@@ -69,14 +69,15 @@ pub(crate) fn cmd_solve(args: &Args<'_>) -> Result<String, String> {
         );
         let g = problem.graph();
         for (i, round) in schedule.rounds().iter().enumerate() {
-            let items: Vec<String> = round
-                .iter()
-                .map(|&e| {
-                    let ep = g.endpoints(e);
-                    format!("{e}({}->{})", ep.u, ep.v)
-                })
-                .collect();
-            let _ = writeln!(out, "round {i}: {}", items.join(" "));
+            let _ = write!(out, "round {i}: ");
+            for (k, &e) in round.iter().enumerate() {
+                if k > 0 {
+                    out.push(' ');
+                }
+                let ep = g.endpoints(e);
+                let _ = write!(out, "{e}({}->{})", ep.u, ep.v);
+            }
+            out.push('\n');
         }
         Ok(out)
     })

@@ -24,9 +24,9 @@
 //! paper pads every disk to `c_v·Δ'` before orienting; padding the
 //! grouped nodes after it keeps the padding below `m + Δ'` arcs.
 
-use dmig_flow::pool::{self, ObjectPool};
+use dmig_flow::pool::ObjectPool;
 use dmig_flow::quota_round_partition;
-use dmig_graph::euler::{orient_csr_parallel, OrientScratch};
+use dmig_graph::euler::{orient_csr, OrientScratch};
 use dmig_graph::{CsrAdjacency, EdgeId, Endpoints, Multigraph};
 
 use crate::{MigrationProblem, MigrationSchedule, SolveError};
@@ -47,11 +47,6 @@ struct EvenScratch {
 }
 
 static EVEN_SCRATCH: ObjectPool<EvenScratch> = ObjectPool::new();
-
-/// Edge floor below which orientation never recruits extra workers:
-/// thread spawns cost tens of microseconds, and orienting this many edges
-/// is cheaper than one spawn.
-const PARALLEL_ORIENT_MIN_EDGES: usize = 1 << 12;
 
 /// Computes an optimal schedule (exactly `Δ'` rounds) for an instance whose
 /// transfer constraints are all even.
@@ -127,21 +122,12 @@ fn orient(g: &Multigraph, scratch: &mut EvenScratch) -> Result<(), SolveError> {
     }
     scratch.csr.rebuild_padded(g, &scratch.pad);
 
-    // Big components hand the labeling walk to every extra worker the
-    // shared budget will grant; the chunked orientation is byte-identical
-    // to the serial one at any worker count, so the permit race never
-    // shows up in the schedule.
-    let permits =
-        pool::budget().try_acquire_many(scratch.csr.num_edges() / PARALLEL_ORIENT_MIN_EDGES);
     let EvenScratch {
         csr, orient, arcs, ..
     } = scratch;
-    let (orientation, stats) = orient_csr_parallel(csr, 1 + permits.len(), orient)
+    let orientation = orient_csr(csr, orient)
         .map_err(|e| SolveError::Internal(format!("euler orientation failed: {e}")))?;
-    drop(permits);
     dmig_obs::counter_add(dmig_obs::keys::EULER_ORIENTATIONS, 1);
-    dmig_obs::counter_add(dmig_obs::keys::EULER_CHUNKS, stats.chunks);
-    dmig_obs::counter_add(dmig_obs::keys::EULER_STITCHES, stats.stitches);
     // Edge id i is arc position i; the pairing's ids come after the items.
     arcs.clear();
     arcs.extend(

@@ -1,19 +1,16 @@
 //! Process-wide worker budget and scratch pooling for parallel solving.
 //!
-//! Three layers of parallelism want threads at once: the solve driver in
+//! Two layers of parallelism want threads at once: the solve driver in
 //! `dmig-core::shard` (one worker per cell shard; without `--shards` the
-//! cells are the connected components), the intra-cell quota recursion in
-//! [`crate::quota_round_partition`] (one worker per Euler-split subtree),
-//! and the chunked Euler orientation in `dmig-graph::euler` (one worker
-//! per cycle-chunk claimer). If each spawned `--threads` workers
-//! independently the process could run `threads²` threads. Instead all
-//! layers draw [`WorkerPermit`]s from one global [`ThreadBudget`]: the
-//! calling thread always works for free, and a layer may only spawn an
-//! *extra* worker while it holds a permit. Whoever asks first — shards,
-//! inner subtrees, or the orientation pass — wins the spare threads; a
-//! multi-component instance spends them on component shards, and a single
-//! giant cell hands them to the orientation and then the recursion as
-//! each phase runs.
+//! cells are the connected components) and the intra-cell quota recursion
+//! in [`crate::quota_round_partition`] (one worker per Euler-split
+//! subtree). If each spawned `--threads` workers independently the process
+//! could run `threads²` threads. Instead both layers draw
+//! [`WorkerPermit`]s from one global [`ThreadBudget`]: the calling thread
+//! always works for free, and a layer may only spawn an *extra* worker
+//! while it holds a permit. Whoever asks first — shards or inner subtrees
+//! — wins the spare threads; a multi-component instance spends them on
+//! component shards, and a single giant cell hands them to the recursion.
 //!
 //! The budget is a soft cap enforced at acquisition time. Races between
 //! concurrent acquirers can only affect *how fast* a solve runs, never its
@@ -100,10 +97,12 @@ impl ThreadBudget {
     /// Takes up to `max` permits in one call, returning however many were
     /// available (possibly none). Never blocks.
     ///
-    /// This is the idiom every parallel stage uses — "recruit as many extra
-    /// workers as the budget allows, up to what the problem can feed" —
-    /// shared by the shard driver, the quota recursion, and the chunked
-    /// Euler orientation. Dropping the returned vector releases all permits.
+    /// "Recruit as many extra workers as the budget allows, up to what the
+    /// problem can feed": the shard driver takes its shard workers this
+    /// way, while the quota recursion takes one [`try_acquire`] per split.
+    /// Dropping the returned vector releases all permits.
+    ///
+    /// [`try_acquire`]: Self::try_acquire
     #[must_use]
     pub fn try_acquire_many(&self, max: usize) -> Vec<WorkerPermit<'_>> {
         (0..max).map_while(|_| self.try_acquire()).collect()

@@ -3,9 +3,9 @@
 use dmig_graph::{
     bipartite::{bipartition, is_bipartite},
     components::connected_components,
-    euler::{euler_orientation, euler_orientation_parallel, OrientScratch},
+    euler::{euler_orientation, orient_csr, OrientScratch},
     stats::graph_stats,
-    Multigraph, NodeId,
+    CsrAdjacency, Endpoints, Multigraph, NodeId,
 };
 use proptest::prelude::*;
 
@@ -60,29 +60,31 @@ proptest! {
         }
     }
 
-    /// The chunked (parallel) orientation is byte-identical to the serial
-    /// one at every worker count, whether or not the global recorder is
-    /// live — the pairing-cycle decomposition is a pure function of the
-    /// CSR, so neither thread scheduling nor observability may leak into
-    /// the output.
+    /// The padded orientation `solve_even` takes: the odd-degree nodes,
+    /// paired in ascending order, overlaid on the CSR as dummy edges.
+    /// Orienting that CSR equals orienting the materialized padded
+    /// multigraph, and is balanced.
     #[test]
-    fn chunked_orientation_matches_serial(g in arb_graph(), enable_recorder in proptest::bool::ANY) {
-        let mut doubled = Multigraph::with_nodes(g.num_nodes());
-        for (_, ep) in g.edges() {
-            doubled.add_edge(ep.u, ep.v);
-            doubled.add_edge(ep.u, ep.v);
+    fn padded_csr_orientation_matches_materialized(g in arb_graph()) {
+        let odd: Vec<NodeId> = g.nodes().filter(|&v| g.degree(v) % 2 == 1).collect();
+        let pad: Vec<Endpoints> = odd
+            .chunks_exact(2)
+            .map(|p| Endpoints { u: p[0], v: p[1] })
+            .collect();
+        let mut csr = CsrAdjacency::default();
+        csr.rebuild_padded(&g, &pad);
+        let mut padded = g.clone();
+        for ep in &pad {
+            padded.add_edge(ep.u, ep.v);
         }
-        let serial = euler_orientation(&doubled).expect("all degrees even");
-        dmig_obs::set_enabled(enable_recorder);
-        let mut scratch = OrientScratch::default();
-        for workers in 1usize..=4 {
-            let (par, stats) = euler_orientation_parallel(&doubled, workers, &mut scratch)
-                .expect("all degrees even");
-            prop_assert_eq!(&serial, &par, "workers={}", workers);
-            prop_assert_eq!(stats.chunks, stats.cycles + stats.stitches);
+        let expect = euler_orientation(&padded).expect("the pairing evens every degree");
+        let got = orient_csr(&csr, &mut OrientScratch::new())
+            .expect("the pairing evens every degree");
+        prop_assert_eq!(&expect, &got);
+        for v in padded.nodes() {
+            prop_assert_eq!(got.out_degree(v), padded.degree(v) / 2);
+            prop_assert_eq!(got.in_degree(v), padded.degree(v) / 2);
         }
-        dmig_obs::set_enabled(false);
-        dmig_obs::reset();
     }
 
     /// Components partition the nodes, and endpoints share a component.

@@ -70,7 +70,7 @@ pub const EVENTS_SCHEMA: &str = "dmig-events/1";
 /// Schema tag of the crash-dump document.
 pub const CRASH_SCHEMA: &str = "dmig-crash/1";
 
-/// Default number of events the in-memory ring retains.
+/// Number of events the in-memory ring retains.
 pub const DEFAULT_RING_CAPACITY: usize = 256;
 
 /// One structured execution event. All times are in simulated time units
@@ -294,16 +294,6 @@ impl Event {
     }
 }
 
-/// Running totals of the recorder.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EventStats {
-    /// Events emitted since the last [`reset`].
-    pub emitted: u64,
-    /// Events evicted from the ring (still present in the sink, if one
-    /// was open when they were emitted).
-    pub dropped: u64,
-}
-
 /// The helper thread a journal-mode sink hands its `fdatasync`s to, so a
 /// commit returns as soon as its bytes are written and the caller decides
 /// when to wait for them to be durable.
@@ -477,8 +467,9 @@ impl Sink {
 
 struct Inner {
     ring: VecDeque<(u64, Event)>,
-    capacity: usize,
     seq: u64,
+    /// Events evicted from the ring (still in the sink, if one was open
+    /// when they were emitted).
     dropped: u64,
     sink: Option<Sink>,
 }
@@ -494,7 +485,6 @@ fn state() -> &'static EventState {
         enabled: AtomicBool::new(false),
         inner: Mutex::new(Inner {
             ring: VecDeque::with_capacity(DEFAULT_RING_CAPACITY),
-            capacity: DEFAULT_RING_CAPACITY,
             seq: 0,
             dropped: 0,
             sink: None,
@@ -528,17 +518,6 @@ pub fn reset() {
     inner.ring.clear();
     inner.seq = 0;
     inner.dropped = 0;
-}
-
-/// Resizes the ring (existing oldest events are evicted if over the new
-/// capacity). Capacity is clamped to at least 1.
-pub fn set_ring_capacity(capacity: usize) {
-    let mut inner = lock();
-    inner.capacity = capacity.max(1);
-    while inner.ring.len() > inner.capacity {
-        inner.ring.pop_front();
-        inner.dropped += 1;
-    }
 }
 
 /// Opens (or creates) `path` as the JSONL sink in journal mode, the
@@ -707,7 +686,7 @@ pub fn emit(event: Event) {
         if let Some(sink) = inner.sink.as_mut() {
             let _ = sink.push_line(|buf| event.write_json_line(seq, buf));
         }
-        if inner.ring.len() >= inner.capacity {
+        if inner.ring.len() >= DEFAULT_RING_CAPACITY {
             inner.ring.pop_front();
             inner.dropped += 1;
             evicted = true;
@@ -728,16 +707,6 @@ pub fn emit(event: Event) {
 #[must_use]
 pub fn recent() -> Vec<(u64, Event)> {
     lock().ring.iter().cloned().collect()
-}
-
-/// Emitted/dropped totals since the last [`reset`].
-#[must_use]
-pub fn stats() -> EventStats {
-    let inner = lock();
-    EventStats {
-        emitted: inner.seq,
-        dropped: inner.dropped,
-    }
 }
 
 static CRASH_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
@@ -796,7 +765,10 @@ pub fn install_crash_hook() {
 #[must_use]
 pub fn render_crash_dump(message: &str, location: &str) -> String {
     use std::fmt::Write as _;
-    let stats = stats();
+    let (emitted, dropped) = {
+        let inner = lock();
+        (inner.seq, inner.dropped)
+    };
     let mut out = format!(
         "{{\"schema\":\"{CRASH_SCHEMA}\",\"message\":{},\"location\":{}",
         json::string(message),
@@ -804,8 +776,7 @@ pub fn render_crash_dump(message: &str, location: &str) -> String {
     );
     let _ = write!(
         out,
-        ",\"events_emitted\":{},\"ring_dropped\":{}",
-        stats.emitted, stats.dropped
+        ",\"events_emitted\":{emitted},\"ring_dropped\":{dropped}"
     );
     out.push_str(",\"open_spans\":[");
     let mut open = Vec::new();
@@ -859,9 +830,13 @@ mod tests {
             set_enabled(false);
             close_sink();
             set_crash_path(None);
-            set_ring_capacity(DEFAULT_RING_CAPACITY);
             reset();
         }
+    }
+
+    /// Events emitted since the last [`reset`].
+    fn emitted() -> u64 {
+        lock().seq
     }
 
     fn temp(name: &str) -> String {
@@ -882,7 +857,7 @@ mod tests {
             transfers: 1,
             time: 0.0,
         });
-        assert_eq!(stats(), EventStats::default());
+        assert_eq!(emitted(), 0);
         assert!(recent().is_empty());
     }
 
@@ -891,9 +866,9 @@ mod tests {
         let _l = events_lock();
         let _c = Cleanup;
         reset();
-        set_ring_capacity(3);
         set_enabled(true);
-        for i in 0..5 {
+        let total = DEFAULT_RING_CAPACITY as u64 + 2;
+        for i in 0..total {
             emit(Event::RoundEnd {
                 round: i,
                 duration: 1.0,
@@ -901,16 +876,11 @@ mod tests {
             });
         }
         let r = recent();
-        assert_eq!(r.len(), 3);
+        assert_eq!(r.len(), DEFAULT_RING_CAPACITY);
         assert_eq!(r[0].0, 2, "oldest surviving seq");
-        assert_eq!(r[2].0, 4);
-        assert_eq!(
-            stats(),
-            EventStats {
-                emitted: 5,
-                dropped: 2
-            }
-        );
+        assert_eq!(r[DEFAULT_RING_CAPACITY - 1].0, total - 1);
+        let inner = lock();
+        assert_eq!((inner.seq, inner.dropped), (total, 2));
     }
 
     #[test]
@@ -1015,7 +985,7 @@ mod tests {
         assert_eq!(lines[1], "{\"schema\":\"dmig-exec-ckpt/1\"}");
         assert!(lines[2].contains("\"round\":1"));
         // Raw lines bypass the ring and the counters.
-        assert_eq!(stats().emitted, 2);
+        assert_eq!(emitted(), 2);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1546,7 +1516,7 @@ mod tests {
         });
         reset();
         assert!(is_enabled());
-        assert_eq!(stats().emitted, 0);
+        assert_eq!(emitted(), 0);
         emit(Event::RoundStart {
             round: 0,
             transfers: 1,

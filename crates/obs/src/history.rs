@@ -161,8 +161,7 @@ pub fn read_entries(path: &str) -> Result<(Vec<Value>, usize), String> {
 /// entries per instance fingerprint (entries without an `instance` field
 /// form their own group). Malformed lines are dropped. Surviving lines
 /// keep their original text and relative order; the rewrite goes through
-/// a sibling temp file and an atomic rename, so a crash never truncates
-/// the history.
+/// [`crate::fsio::atomic_write`], so a crash never truncates the history.
 ///
 /// Returns `(kept, dropped)` line counts.
 ///
@@ -210,9 +209,8 @@ pub fn compact(path: &str, keep: usize) -> Result<(usize, usize), String> {
         out.push_str(lines[i].trim());
         out.push('\n');
     }
-    let tmp = format!("{path}.compact.tmp");
-    std::fs::write(&tmp, &out).map_err(|e| format!("cannot write {tmp}: {e}"))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("cannot replace {path}: {e}"))?;
+    crate::fsio::atomic_write(path, out.as_bytes())
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
     Ok((survivors.len(), total - survivors.len()))
 }
 

@@ -112,10 +112,6 @@ metric_keys! {
         "Degree-subgraph units that needed the flow solver";
     EULER_ORIENTATIONS = "euler_orientations", counter,
         "Euler orientations computed by `solve_even`";
-    EULER_CHUNKS = "euler.chunks", counter,
-        "Cycle/ear chunks claimed while labeling pairing cycles; thread-count dependent by design";
-    EULER_STITCHES = "euler.stitches", counter,
-        "Chunk junctions merged by the deterministic stitch pass";
     QUOTA_MAX_DEPTH = "quota.max_recursion_depth", gauge,
         "Deepest recursion reached by the quota partitioner";
     DINIC_CALLS = "dinic.calls", counter,
