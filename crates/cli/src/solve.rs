@@ -58,28 +58,35 @@ pub(crate) fn cmd_solve(args: &Args<'_>) -> Result<String, String> {
         record_solve_gauges(&problem, schedule.makespan());
 
         let _span = dmig_obs::span("solve.render");
-        let mut out = String::new();
-        let _ = writeln!(out, "{problem}");
-        let _ = writeln!(
-            out,
-            "solver {}: {} rounds (lower bound {})",
+        let mut out = format!(
+            "{problem}\nsolver {}: {} rounds (lower bound {})\n",
             solver.inner().name(),
             schedule.makespan(),
             bounds::lower_bound(&problem)
-        );
+        )
+        .into_bytes();
+        // Every item line is `e{id}(v{u}->v{v})`, the `Display` forms of
+        // the ids, written digit by digit.
         let g = problem.graph();
+        let push = dmig_obs::json::push_u64;
         for (i, round) in schedule.rounds().iter().enumerate() {
-            let _ = write!(out, "round {i}: ");
+            out.extend_from_slice(b"round ");
+            push(&mut out, i as u64);
+            out.extend_from_slice(b": ");
             for (k, &e) in round.iter().enumerate() {
-                if k > 0 {
-                    out.push(' ');
-                }
                 let ep = g.endpoints(e);
-                let _ = write!(out, "{e}({}->{})", ep.u, ep.v);
+                // A space before every item but the first.
+                out.extend_from_slice(&b" e"[usize::from(k == 0)..]);
+                push(&mut out, e.index() as u64);
+                out.extend_from_slice(b"(v");
+                push(&mut out, ep.u.index() as u64);
+                out.extend_from_slice(b"->v");
+                push(&mut out, ep.v.index() as u64);
+                out.push(b')');
             }
-            out.push('\n');
+            out.push(b'\n');
         }
-        Ok(out)
+        Ok(String::from_utf8(out).expect("the header is a String and the rest ASCII"))
     })
 }
 

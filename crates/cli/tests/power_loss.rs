@@ -13,15 +13,15 @@
 //! with `0xFF`. `migrate resume` must then either finish with the
 //! uninterrupted run's `report.json`, byte for byte, or exit 1 naming a
 //! journal line. Two commits hold one record: the first follows the first
-//! record, a delta whose base is the plan; the second follows a delta
-//! whose base is the full record a replan wrote. Two hold three records,
+//! record, a delta whose base is the plan; the second follows the full
+//! record a replan wrote. Two hold three records,
 //! as a grouped commit does, and each crosses a replan's full record, so
 //! the chain's base moves inside the commit. What a resume does depends on
 //! which whole lines precede the cut and on the torn bytes after it, so
 //! the cuts are every byte within two of a line's first byte or of its
 //! newline, where that changes, and every 11th byte in between within a
-//! one-record commit, every 37th within a three-record one: 1,958
-//! resumes, where every byte would take 28,516. Every resume runs in this
+//! one-record commit, every 37th within a three-record one: 1,784
+//! resumes, where every byte would take 27,722. Every resume runs in this
 //! process through `dmig_cli::run`; the file holds one test because the
 //! journal sink is process-wide.
 
@@ -87,9 +87,9 @@ fn a_power_cut_in_any_commit_resumes_to_the_same_report_or_names_a_line() {
     let report = std::fs::read(Path::new(&reference).join("report.json")).unwrap();
     let ends = record_ends(&journal);
     let fulls: Vec<bool> = ends.iter().map(|&e| is_full(&journal, e)).collect();
-    // Records 2 and 5 are the two replans' full records; 1, 3, 4 and 6
+    // Records 2 and 4 are the two replans' full records; 1, 3, 5 and 6
     // are deltas.
-    assert_eq!(fulls, [false, true, false, false, true, false], "{ends:?}");
+    assert_eq!(fulls, [false, true, false, true, false, false], "{ends:?}");
 
     let ws = plan("ws");
     let journal_path = Path::new(&ws).join("journal.jsonl");
@@ -97,8 +97,8 @@ fn a_power_cut_in_any_commit_resumes_to_the_same_report_or_names_a_line() {
     let (mut resumed, mut refused) = (0, 0);
     // `ends[a]..ends[b]` is a commit of records a + 2 ..= b + 1. After
     // record 1 the chain's base is the plan; after record 4 it is record
-    // 2, a replan's full record. The three-record commits carry records
-    // 2–4 and 4–6, so they cross records 2 and 5, the two full records.
+    // 4, a replan's full record. The three-record commits carry records
+    // 2–4 and 4–6, so they cross records 2 and 4, the two full records.
     for (a, b, stride) in [(0, 1, 11), (3, 4, 11), (0, 3, 37), (2, 5, 37)] {
         let (from, to) = (ends[a], ends[b]);
         // A line's first byte, and the byte after its newline.

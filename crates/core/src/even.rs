@@ -26,7 +26,7 @@
 
 use dmig_flow::pool::ObjectPool;
 use dmig_flow::quota_round_partition;
-use dmig_graph::euler::{orient_csr, OrientScratch};
+use dmig_graph::euler::{orient_csr, TrailScratch};
 use dmig_graph::{CsrAdjacency, EdgeId, Endpoints, Multigraph};
 
 use crate::{MigrationProblem, MigrationSchedule, SolveError};
@@ -41,7 +41,8 @@ struct EvenScratch {
     csr: CsrAdjacency,
     /// Dummy edges pairing the disks of odd degree.
     pad: Vec<Endpoints>,
-    orient: OrientScratch,
+    /// The walk state of [`orient_csr`].
+    trails: TrailScratch,
     /// Oriented item arcs, fed to [`decompose`].
     arcs: Vec<(usize, usize)>,
 }
@@ -123,9 +124,9 @@ fn orient(g: &Multigraph, scratch: &mut EvenScratch) -> Result<(), SolveError> {
     scratch.csr.rebuild_padded(g, &scratch.pad);
 
     let EvenScratch {
-        csr, orient, arcs, ..
+        csr, trails, arcs, ..
     } = scratch;
-    let orientation = orient_csr(csr, orient)
+    let orientation = orient_csr(csr, trails)
         .map_err(|e| SolveError::Internal(format!("euler orientation failed: {e}")))?;
     dmig_obs::counter_add(dmig_obs::keys::EULER_ORIENTATIONS, 1);
     // Edge id i is arc position i; the pairing's ids come after the items.

@@ -9,40 +9,15 @@
 //! walks, shifts, escalations and the split-color residue all occur; the
 //! tests assert that too, so the digest cannot silently stop covering them.
 //!
-//! The instances come from a SplitMix64 stream defined here, so the digest
-//! depends on nothing but this file and the solver.
+//! The instances come from the SplitMix64 stream of `digest/mod.rs`, so
+//! the digest depends on nothing but these files and the solver.
 
 use dmig_core::general::{solve_general_with, EdgeOrder, GeneralConfig, ResidueStrategy};
 use dmig_core::{Capacities, MigrationProblem};
 use dmig_graph::Multigraph;
 
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `lo..hi` (`hi > lo`).
-    fn range(&mut self, lo: usize, hi: usize) -> usize {
-        lo + (self.next() % (hi - lo) as u64) as usize
-    }
-}
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn word(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-}
+mod digest;
+use digest::{Fnv, SplitMix};
 
 /// A random multigraph instance: `n` disks, capacities in `1..=max_cap`,
 /// and `m` items between distinct disks. Half the instances draw their
@@ -92,7 +67,7 @@ fn configs() -> Vec<GeneralConfig> {
 /// residue-colored items.
 fn sweep(seed: u64, cases: usize, max_n: usize, max_m: usize) -> (u64, [usize; 4]) {
     let mut rng = SplitMix(seed);
-    let mut digest = Fnv(0xCBF2_9CE4_8422_2325);
+    let mut digest = Fnv::new();
     let mut moves = [0usize; 4];
     let configs = configs();
     for _ in 0..cases {

@@ -13,6 +13,9 @@ use core::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
+use dmig_graph::euler::{walk_closed_trails, TrailScratch};
+use dmig_graph::{CsrAdjacency, NodeId};
+
 use crate::{pool, EdgeHandle, FlowNetwork};
 
 /// Error returned when no subgraph meets the exact quotas.
@@ -347,8 +350,8 @@ pub fn quota_round_partition(
 /// Reusable per-worker scratch arena for the quota recursion.
 ///
 /// Holds every buffer a recursion level touches — the Fig. 3 extractor
-/// (with its Dinic network), the Euler-split CSR, the staging area for the
-/// in-place split, and the odd-level sub-arc/selection buffers — so a
+/// (with its Dinic network), the Euler split's CSR and walk state, its
+/// staging area, and the odd-level sub-arc/selection buffers — so a
 /// worker that reuses one arena performs **zero heap allocation per
 /// recursion level** once the buffers have grown to the working-set size.
 /// Arenas are parked in a process-wide [`pool::ObjectPool`] between solves;
@@ -356,12 +359,9 @@ pub fn quota_round_partition(
 #[derive(Clone, Debug, Default)]
 pub struct SolveScratch {
     extractor: DegreeSubgraphExtractor,
-    // Euler-split CSR over the 2m half-edges, reused across levels.
-    offsets: Vec<usize>,
-    cursor: Vec<usize>,
-    half_to: Vec<usize>,
-    half_arc: Vec<usize>,
-    used: Vec<bool>,
+    // Euler split over the out- and in-copies, reused across levels.
+    csr: CsrAdjacency,
+    trails: TrailScratch,
     // In-place split staging: left half then right half.
     stage: Vec<usize>,
     // Odd-level extraction scratch.
@@ -646,87 +646,38 @@ fn peel_one(
 }
 
 /// Splits the subset in place into two halves in which every out/in-copy
-/// keeps exactly half its degree: walk closed trails of the bipartite
-/// multigraph (out-copy `u` ↔ in-copy `v` per arc), assigning arcs
-/// alternately. All degrees are even (degree = quota · even rounds) and
-/// all closed trails have even length (bipartite), so the alternation
-/// balances at every vertex. On return `subset[..m/2]` is the left half
-/// and `subset[m/2..]` the right, in trail order — identical to what the
-/// sequential recursion has always produced.
+/// keeps exactly half its degree: [`walk_closed_trails`] over the bipartite
+/// multigraph with out-copy `u` as node `u` and in-copy `v` as node
+/// `n + v`, one edge per arc in subset order, and arcs walked from an
+/// out-copy go left, those walked from an in-copy right. All degrees are
+/// even (degree = quota · even rounds) and every arc has an out-copy end,
+/// so every trail starts at an out-copy and alternates sides. On return
+/// `subset[..m/2]` is the left half and `subset[m/2..]` the right, each in
+/// walk order.
 fn euler_split_in_place(ctx: &QuotaCtx<'_>, subset: &mut [usize], scratch: &mut SolveScratch) {
-    let n2 = 2 * ctx.num_nodes;
+    let n = ctx.num_nodes;
     let m = subset.len();
-
-    // CSR over the 2m half-edges: endpoint u for out-copies, n+v for
-    // in-copies.
-    scratch.offsets.clear();
-    scratch.offsets.resize(n2 + 1, 0);
-    for &pos in subset.iter() {
-        let (u, v) = ctx.arcs[pos];
-        scratch.offsets[u + 1] += 1;
-        scratch.offsets[ctx.num_nodes + v + 1] += 1;
-    }
-    for i in 0..n2 {
-        scratch.offsets[i + 1] += scratch.offsets[i];
-    }
-    scratch.half_to.clear();
-    scratch.half_to.resize(2 * m, 0);
-    scratch.half_arc.clear();
-    scratch.half_arc.resize(2 * m, 0);
-    scratch.cursor.clear();
-    scratch.cursor.extend_from_slice(&scratch.offsets[..n2]);
-    for (local, &pos) in subset.iter().enumerate() {
-        let (u, v) = ctx.arcs[pos];
-        let (a, b) = (u, ctx.num_nodes + v);
-        scratch.half_to[scratch.cursor[a]] = b;
-        scratch.half_arc[scratch.cursor[a]] = local;
-        scratch.cursor[a] += 1;
-        scratch.half_to[scratch.cursor[b]] = a;
-        scratch.half_arc[scratch.cursor[b]] = local;
-        scratch.cursor[b] += 1;
-    }
-    scratch.cursor.clear();
-    scratch.cursor.extend_from_slice(&scratch.offsets[..n2]);
-    scratch.used.clear();
-    scratch.used.resize(m, false);
-    scratch.stage.clear();
-    scratch.stage.resize(m, 0);
-
+    let SolveScratch {
+        csr, trails, stage, ..
+    } = scratch;
+    csr.rebuild_from_pairs(
+        2 * n,
+        subset.iter().map(|&pos| {
+            let (u, v) = ctx.arcs[pos];
+            (NodeId::new(u), NodeId::new(n + v))
+        }),
+    );
+    stage.clear();
+    stage.resize(m, 0);
     let (mut li, mut ri) = (0, m / 2);
-    for start in 0..n2 {
-        // Walk closed trails from `start` until its arcs are exhausted.
-        // The walk can only get stuck at `start` (every other vertex on
-        // the trail has an odd number of used half-edges, hence an
-        // unused one).
-        let mut v = start;
-        let mut to_left = true;
-        loop {
-            while scratch.cursor[v] < scratch.offsets[v + 1]
-                && scratch.used[scratch.half_arc[scratch.cursor[v]]]
-            {
-                scratch.cursor[v] += 1;
-            }
-            if scratch.cursor[v] == scratch.offsets[v + 1] {
-                debug_assert_eq!(v, start, "Euler walk stuck away from its start");
-                break;
-            }
-            let i = scratch.cursor[v];
-            let local = scratch.half_arc[i];
-            scratch.used[local] = true;
-            if to_left {
-                scratch.stage[li] = subset[local];
-                li += 1;
-            } else {
-                scratch.stage[ri] = subset[local];
-                ri += 1;
-            }
-            to_left = !to_left;
-            v = scratch.half_to[i];
-        }
-    }
-    debug_assert_eq!(li, m / 2, "bipartite Euler split must balance");
-    debug_assert_eq!(ri, m, "bipartite Euler split must balance");
-    subset.copy_from_slice(&scratch.stage[..m]);
+    walk_closed_trails(csr, trails, |e, from, _| {
+        let next = if from.index() < n { &mut li } else { &mut ri };
+        stage[*next] = subset[e.index()];
+        *next += 1;
+    })
+    .expect("split degrees are quota · even rounds");
+    debug_assert_eq!((li, ri), (m / 2, m), "bipartite Euler split must balance");
+    subset.copy_from_slice(stage);
 }
 
 #[cfg(test)]

@@ -9,13 +9,15 @@
 //! loops walk cache-friendly slices and the `other(v)` endpoint lookup is
 //! precomputed.
 //!
-//! The snapshot is immutable once built, but the *buffers* are reusable:
-//! [`CsrAdjacency::rebuild_from`] refills an existing snapshot in place, and
-//! [`CsrAdjacency::rebuild_padded`] overlays extra padding edges on top of a
-//! graph without materialising the padded multigraph at all. `solve_even`
-//! uses the overlay to avoid cloning the whole transfer graph per solve.
-//! Build once per algorithm run with [`Multigraph::to_csr`] (or a rebuild)
-//! after the graph has stopped changing.
+//! The snapshot is immutable once built, but the *buffers* are reusable.
+//! One counting sort, [`CsrAdjacency::rebuild_from_pairs`], fills every
+//! snapshot from a list of endpoint pairs: [`CsrAdjacency::rebuild_from`]
+//! refills one from a graph in place, [`CsrAdjacency::rebuild_padded`]
+//! overlays extra padding edges on top of a graph without materialising the
+//! padded multigraph (so `solve_even` never clones the transfer graph), and
+//! the quota recursion's Euler splits fill one over the out- and in-copies
+//! of their arcs. Build once per algorithm run with [`Multigraph::to_csr`]
+//! (or a rebuild) after the graph has stopped changing.
 
 use crate::{EdgeId, Endpoints, Multigraph, NodeId};
 
@@ -50,17 +52,9 @@ impl CsrAdjacency {
     /// Builds the snapshot by flattening `g`'s incidence lists.
     #[must_use]
     pub fn from_graph(g: &Multigraph) -> Self {
-        let n = g.num_nodes();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        let mut entries = Vec::with_capacity(g.degree_sum());
-        for v in g.nodes() {
-            for &e in g.incident_edges(v) {
-                entries.push((e, g.endpoints(e).other(v)));
-            }
-            offsets.push(entries.len());
-        }
-        CsrAdjacency { offsets, entries }
+        let mut csr = CsrAdjacency::default();
+        csr.rebuild_from(g);
+        csr
     }
 
     /// Number of nodes covered.
@@ -118,46 +112,52 @@ impl CsrAdjacency {
     ///
     /// Padding edge `pad[i]` gets id `g.num_edges() + i`. The result is
     /// bit-identical to cloning `g`, `add_edge`-ing every pad endpoint pair
-    /// in order, and calling [`Multigraph::to_csr`] on the clone: the fill
-    /// scatters slots in ascending edge-id order, which is exactly the
-    /// incidence insertion order `add_edge` produces.
+    /// in order, and calling [`Multigraph::to_csr`] on the clone.
     pub fn rebuild_padded(&mut self, g: &Multigraph, pad: &[Endpoints]) {
-        let n = g.num_nodes();
+        let ends = g.endpoints_slice().iter().chain(pad);
+        self.rebuild_from_pairs(g.num_nodes(), ends.map(|ep| (ep.u, ep.v)));
+    }
+
+    /// Refills this snapshot with `n` nodes and one edge per pair: edge `i`
+    /// joins the two nodes of the `i`-th pair.
+    ///
+    /// A counting sort: slots are scattered in ascending edge id, which is
+    /// the incidence order [`Multigraph::add_edge`] produces, and a pair
+    /// `(u, v)` fills its slot at `u` before its slot at `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node is not below `n`.
+    pub fn rebuild_from_pairs<I>(&mut self, n: usize, pairs: I)
+    where
+        I: IntoIterator<Item = (NodeId, NodeId)>,
+        I::IntoIter: Clone,
+    {
+        let pairs = pairs.into_iter();
         self.offsets.clear();
         self.offsets.resize(n + 1, 0);
         // Degree histogram shifted by one, so the prefix sum lands directly
-        // in place: offsets[v + 1] accumulates deg(v).
-        for v in 0..n {
-            self.offsets[v + 1] = g.degree(NodeId::new(v));
-        }
-        for ep in pad {
-            // A self-loop hits the same counter twice, matching the
-            // loops-count-twice degree convention.
-            self.offsets[ep.u.index() + 1] += 1;
-            self.offsets[ep.v.index() + 1] += 1;
+        // in place: offsets[v + 1] accumulates deg(v). A self-loop hits the
+        // same counter twice, matching the loops-count-twice convention.
+        for (u, v) in pairs.clone() {
+            self.offsets[u.index() + 1] += 1;
+            self.offsets[v.index() + 1] += 1;
         }
         for v in 0..n {
             self.offsets[v + 1] += self.offsets[v];
         }
-        let total = self.offsets[n];
         self.entries.clear();
-        self.entries.resize(total, (EdgeId::new(0), NodeId::new(0)));
+        self.entries
+            .resize(self.offsets[n], (EdgeId::new(0), NodeId::new(0)));
 
         // Scatter pass, using offsets[v] as node v's write cursor.
-        let base_edges = g.endpoints_slice();
-        let mut scatter = |e: usize, ep: &Endpoints| {
-            let su = self.offsets[ep.u.index()];
-            self.offsets[ep.u.index()] += 1;
-            self.entries[su] = (EdgeId::new(e), ep.v);
-            let sv = self.offsets[ep.v.index()];
-            self.offsets[ep.v.index()] += 1;
-            self.entries[sv] = (EdgeId::new(e), ep.u);
-        };
-        for (e, ep) in base_edges.iter().enumerate() {
-            scatter(e, ep);
-        }
-        for (i, ep) in pad.iter().enumerate() {
-            scatter(base_edges.len() + i, ep);
+        for (e, (u, v)) in pairs.enumerate() {
+            let e = EdgeId::new(e);
+            for (at, far) in [(u, v), (v, u)] {
+                let slot = self.offsets[at.index()];
+                self.offsets[at.index()] += 1;
+                self.entries[slot] = (e, far);
+            }
         }
 
         // The cursors ended exactly where the next node starts: shift right

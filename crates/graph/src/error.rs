@@ -18,7 +18,7 @@ pub enum GraphError {
     /// An Euler orientation was requested on a graph with an odd-degree
     /// node.
     OddDegree {
-        /// A node whose degree is odd.
+        /// The first node whose degree is odd.
         node: NodeId,
         /// Its degree.
         degree: usize,

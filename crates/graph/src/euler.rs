@@ -1,4 +1,4 @@
-//! Balanced edge orientations.
+//! Balanced edge orientations and the closed-trail walk behind them.
 //!
 //! Step (2) of the paper's even-capacity algorithm (§IV) finds an Euler
 //! cycle of the padded transfer graph and step (3) uses the traversal
@@ -7,41 +7,13 @@
 //! is even, orienting each edge along a closed walk gives every node
 //! in-degree = out-degree = `deg/2`.
 //!
-//! # Pairing cycles
-//!
-//! [`euler_orientation`] does not walk one global Hierholzer traversal,
-//! whose stack and cursors make the output depend on the order the walk
-//! visits nodes in. Instead it derives the orientation from a
-//! *pairing-cycle* decomposition that is a pure function of the CSR layout:
-//!
-//! * Every incidence **slot** (one entry of [`crate::CsrAdjacency`]) is
-//!   paired with its neighbour inside its node's slot range: slot
-//!   `base + i` pairs with `base + (i ^ 1)`. Degrees are even, so the
-//!   pairing is perfect.
-//! * `succ(s) = pair(twin(s))`, where `twin(s)` is the other slot of the
-//!   same edge, is a permutation of the slots. Each `succ`-cycle is a
-//!   closed walk that *enters* a node through one slot of a pair and
-//!   *leaves* through the other.
-//! * `twin` conjugates `succ` to its inverse, so the cycles come in
-//!   mirror pairs traversing the same edges in opposite directions, and a
-//!   parity argument shows no cycle is its own mirror. Labeling every slot
-//!   with the minimum slot index of its cycle therefore gives each edge two
-//!   *distinct* labels; the edge is oriented out of the smaller-labeled
-//!   side. Exactly one cycle of each mirror pair wins every comparison it
-//!   participates in, so the chosen cycles are closed directed walks and
-//!   the orientation is balanced.
-//!
-//! The labels depend only on the CSR arrays, so the orientation is
-//! deterministic, and three linear passes compute it: one builds `succ`,
-//! one ascending scan walks each cycle once from its first slot (which is
-//! its minimum), and one orients the edges. [`orient_csr`] runs the same
-//! passes on a caller-built CSR, such as the padded one `solve_even`
-//! overlays with [`CsrAdjacency::rebuild_padded`].
+//! [`walk_closed_trails`] is the one closed-trail walk over a
+//! [`CsrAdjacency`]: [`orient_csr`] records the direction it walks each
+//! edge in, and the quota recursion's Euler splits in `dmig-flow` walk the
+//! out- and in-copies of `H` with it. Its output is a function of the CSR
+//! arrays alone, so it is deterministic.
 
 use crate::{CsrAdjacency, EdgeId, GraphError, Multigraph, NodeId};
-
-/// Sentinel for "slot not yet labeled".
-const UNSET: u32 = u32::MAX;
 
 /// A balanced orientation of a multigraph.
 ///
@@ -114,46 +86,90 @@ impl EulerOrientation {
     }
 }
 
-/// Reusable buffers for the orientation routines.
-///
-/// Solvers orient many padded graphs in a row; keeping the CSR snapshot,
-/// slot permutation, and label arrays alive across calls removes every
-/// per-call allocation except the returned orientation itself.
-/// [`euler_orientation`] reuses a thread-local arena, so ordinary callers
-/// get this for free.
-#[derive(Debug, Default)]
-pub struct OrientScratch {
-    /// CSR snapshot used by the `Multigraph`-level entry points. Callers
-    /// that build their own (possibly padded) CSR use [`orient_csr`] and
-    /// leave this empty.
-    csr: CsrAdjacency,
-    /// Per edge: its two slot indices in the CSR entry array.
-    edge_slot: Vec<[u32; 2]>,
-    /// The pairing permutation `succ(s) = pair(twin(s))`.
-    succ: Vec<u32>,
-    /// Cycle-min label per slot.
-    label: Vec<u32>,
+/// Reusable state of [`walk_closed_trails`]: a cursor per node and a used
+/// flag per edge. A caller that walks many graphs in a row keeps one, so
+/// its walks stay out of the allocator once the buffers have grown.
+#[derive(Clone, Debug, Default)]
+pub struct TrailScratch {
+    /// Per node: the first of its slots the walk may still leave by.
+    cursor: Vec<usize>,
+    /// Per edge: walked already.
+    used: Vec<bool>,
 }
 
-impl OrientScratch {
-    /// Creates an empty arena (buffers grow on first use).
-    #[must_use]
-    pub fn new() -> Self {
-        OrientScratch::default()
+/// Walks closed trails of `csr` that together cover every edge once, and
+/// calls `visit(edge, from, to)` for each edge in walk order.
+///
+/// Start nodes are taken in ascending order. From each, the walk leaves
+/// every node by that node's first unused slot and stops when it is back
+/// at the start with no unused slot there. Every degree must be even
+/// (self-loops counting twice), so it can stop nowhere else; isolated
+/// nodes are fine.
+///
+/// # Errors
+///
+/// Returns [`GraphError::OddDegree`] naming the first node with odd degree,
+/// before any edge is visited.
+///
+/// # Example
+///
+/// ```
+/// use dmig_graph::{builder::cycle_multigraph, euler::{walk_closed_trails, TrailScratch}};
+///
+/// let csr = cycle_multigraph(3, 1).to_csr();
+/// let mut walked = Vec::new();
+/// walk_closed_trails(&csr, &mut TrailScratch::default(), |e, from, to| {
+///     walked.push((e.index(), from.index(), to.index()));
+/// })?;
+/// assert_eq!(walked, [(0, 0, 1), (1, 1, 2), (2, 2, 0)]);
+/// # Ok::<(), dmig_graph::GraphError>(())
+/// ```
+pub fn walk_closed_trails(
+    csr: &CsrAdjacency,
+    scratch: &mut TrailScratch,
+    mut visit: impl FnMut(EdgeId, NodeId, NodeId),
+) -> Result<(), GraphError> {
+    let offsets = csr.offsets();
+    let entries = csr.entries();
+    let n = csr.num_nodes();
+    if let Some(v) = (0..n).find(|&v| (offsets[v + 1] - offsets[v]) % 2 != 0) {
+        return Err(GraphError::OddDegree {
+            node: NodeId::new(v),
+            degree: offsets[v + 1] - offsets[v],
+        });
     }
+    let TrailScratch { cursor, used } = scratch;
+    cursor.clear();
+    cursor.extend_from_slice(&offsets[..n]);
+    used.clear();
+    used.resize(csr.num_edges(), false);
+    for start in 0..n {
+        let mut v = NodeId::new(start);
+        loop {
+            let end = offsets[v.index() + 1];
+            let mut slot = cursor[v.index()];
+            while slot < end && used[entries[slot].0.index()] {
+                slot += 1;
+            }
+            if slot == end {
+                debug_assert_eq!(v.index(), start, "walk stuck away from its start");
+                break;
+            }
+            cursor[v.index()] = slot + 1;
+            let (e, w) = entries[slot];
+            used[e.index()] = true;
+            visit(e, v, w);
+            v = w;
+        }
+    }
+    Ok(())
 }
 
-thread_local! {
-    static SCRATCH: std::cell::RefCell<OrientScratch> =
-        std::cell::RefCell::new(OrientScratch::new());
-}
-
-/// Computes the canonical balanced orientation of `g`.
+/// Computes the balanced orientation of `g` that [`walk_closed_trails`]
+/// walks on its CSR snapshot.
 ///
-/// Every node must have even degree (self-loops counting twice). Isolated
-/// nodes are fine. Components are handled independently, so the graph need
-/// not be connected. The result is a deterministic function of the graph
-/// (see the module docs).
+/// Every node must have even degree (self-loops counting twice); the graph
+/// need not be connected.
 ///
 /// # Errors
 ///
@@ -174,150 +190,27 @@ thread_local! {
 /// # Ok::<(), dmig_graph::GraphError>(())
 /// ```
 pub fn euler_orientation(g: &Multigraph) -> Result<EulerOrientation, GraphError> {
-    SCRATCH.with(|scratch| euler_orientation_with(g, &mut scratch.borrow_mut()))
+    orient_csr(&g.to_csr(), &mut TrailScratch::default())
 }
 
-/// [`euler_orientation`] with caller-owned scratch buffers.
-///
-/// # Errors
-///
-/// Returns [`GraphError::OddDegree`] naming the first node with odd degree.
-pub fn euler_orientation_with(
-    g: &Multigraph,
-    scratch: &mut OrientScratch,
-) -> Result<EulerOrientation, GraphError> {
-    scratch.csr.rebuild_from(g);
-    let OrientScratch {
-        csr,
-        edge_slot,
-        succ,
-        label,
-    } = scratch;
-    orient(csr, edge_slot, succ, label)
-}
-
-/// [`euler_orientation`] of a caller-built CSR snapshot.
-///
-/// This is the zero-copy entry point used by `solve_even`: the caller
-/// overlays padding edges with [`CsrAdjacency::rebuild_padded`] and orients
-/// the padded incidence structure directly, never materialising the padded
-/// multigraph.
+/// [`euler_orientation`] of a caller-built CSR snapshot, such as the one
+/// `solve_even` pads with [`CsrAdjacency::rebuild_padded`]: each edge
+/// points the way [`walk_closed_trails`] walks it.
 ///
 /// # Errors
 ///
 /// Returns [`GraphError::OddDegree`] naming the first node with odd degree.
 pub fn orient_csr(
     csr: &CsrAdjacency,
-    scratch: &mut OrientScratch,
+    scratch: &mut TrailScratch,
 ) -> Result<EulerOrientation, GraphError> {
-    let OrientScratch {
-        edge_slot,
-        succ,
-        label,
-        ..
-    } = scratch;
-    orient(csr, edge_slot, succ, label)
-}
-
-fn orient(
-    csr: &CsrAdjacency,
-    edge_slot: &mut Vec<[u32; 2]>,
-    succ: &mut Vec<u32>,
-    label: &mut Vec<u32>,
-) -> Result<EulerOrientation, GraphError> {
-    let offsets = csr.offsets();
-    for v in 0..csr.num_nodes() {
-        let d = offsets[v + 1] - offsets[v];
-        if d % 2 != 0 {
-            return Err(GraphError::OddDegree {
-                node: NodeId::new(v),
-                degree: d,
-            });
-        }
-    }
-    assert!(
-        (csr.entries().len() as u64) < u64::from(UNSET),
-        "slot index must fit in u32 (m < 2^31 edges)"
-    );
-
-    build_succ(csr, edge_slot, succ);
-    label_cycles(succ, label);
-    Ok(orient_edges(csr, edge_slot, label))
-}
-
-/// Builds `edge_slot` and the pairing permutation `succ` from the CSR.
-///
-/// Both passes are branch-light linear scans; the permutation is written
-/// through the twin (`succ[twin(s)] = pair(s)`) so each slot's write needs
-/// only its *own* node base, never the twin's.
-fn build_succ(csr: &CsrAdjacency, edge_slot: &mut Vec<[u32; 2]>, succ: &mut Vec<u32>) {
-    let entries = csr.entries();
-    let offsets = csr.offsets();
-    let slots = entries.len();
-
-    edge_slot.clear();
-    edge_slot.resize(csr.num_edges(), [UNSET; 2]);
-    for (s, &(e, _)) in entries.iter().enumerate() {
-        let rec = &mut edge_slot[e.index()];
-        // First occurrence fills rec[0], second rec[1] — branchlessly.
-        let which = usize::from(rec[0] != UNSET);
-        rec[which] = s as u32;
-    }
-
-    succ.clear();
-    succ.resize(slots, 0);
-    for v in 0..offsets.len() - 1 {
-        let base = offsets[v];
-        for s in base..offsets[v + 1] {
-            let pair = (base + ((s - base) ^ 1)) as u32;
-            let [a, b] = edge_slot[entries[s].0.index()];
-            let twin = if a == s as u32 { b } else { a };
-            succ[twin as usize] = pair;
-        }
-    }
-}
-
-/// Labels every slot with the minimum slot of its `succ`-cycle.
-///
-/// Scanning starts in ascending order, so the first unvisited slot of a
-/// cycle *is* its minimum: one walk per cycle suffices.
-fn label_cycles(succ: &[u32], label: &mut Vec<u32>) {
-    label.clear();
-    label.resize(succ.len(), UNSET);
-    for s in 0..succ.len() as u32 {
-        if label[s as usize] != UNSET {
-            continue;
-        }
-        let mut cur = s;
-        loop {
-            label[cur as usize] = s;
-            cur = succ[cur as usize];
-            if cur == s {
-                break;
-            }
-        }
-    }
-}
-
-/// Emits the per-edge orientation from the cycle labels: each edge exits
-/// through its smaller-labeled slot (mirror cycles guarantee the labels of
-/// an edge's two slots always differ).
-fn orient_edges(csr: &CsrAdjacency, edge_slot: &[[u32; 2]], label: &[u32]) -> EulerOrientation {
-    let entries = csr.entries();
-    let mut tail = vec![NodeId::new(0); edge_slot.len()];
-    let mut head = vec![NodeId::new(0); edge_slot.len()];
-    for (k, &[a, b]) in edge_slot.iter().enumerate() {
-        let (exit, enter) = if label[a as usize] < label[b as usize] {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        // entries[s] stores the far endpoint: the exit slot names the
-        // head it points at, its twin names the node it exits from.
-        tail[k] = entries[enter as usize].1;
-        head[k] = entries[exit as usize].1;
-    }
-    EulerOrientation { tail, head }
+    let mut tail = vec![NodeId::new(0); csr.num_edges()];
+    let mut head = tail.clone();
+    walk_closed_trails(csr, scratch, |e, from, to| {
+        tail[e.index()] = from;
+        head[e.index()] = to;
+    })?;
+    Ok(EulerOrientation { tail, head })
 }
 
 #[cfg(test)]
@@ -403,16 +296,16 @@ mod tests {
 
     #[test]
     fn orientation_with_reused_scratch_matches_fresh() {
-        let mut scratch = OrientScratch::new();
-        // Differently-sized graphs back to back: the arena must resize
-        // down as well as up without leaking marks between calls.
+        let mut scratch = TrailScratch::default();
+        // Differently-sized graphs back to back: the cursors and flags
+        // must resize down as well as up without leaking between calls.
         for g in [
             complete_multigraph(5, 2),
             cycle_multigraph(3, 2),
             complete_multigraph(3, 4),
         ] {
             let fresh = euler_orientation(&g).unwrap();
-            let reused = euler_orientation_with(&g, &mut scratch).unwrap();
+            let reused = orient_csr(&g.to_csr(), &mut scratch).unwrap();
             assert_eq!(fresh, reused, "scratch reuse must not change the result");
             check_balanced(&g, &reused);
         }
@@ -455,7 +348,7 @@ mod tests {
             materialized.add_edge(ep.u, ep.v);
         }
         let expect = euler_orientation(&materialized).unwrap();
-        let got = orient_csr(&csr, &mut OrientScratch::new()).unwrap();
+        let got = orient_csr(&csr, &mut TrailScratch::default()).unwrap();
         assert_eq!(expect, got, "overlay CSR must orient like the clone");
     }
 

@@ -7,9 +7,10 @@
 //! * [`Multigraph`] — an undirected multigraph with parallel edges and
 //!   self-loops, the paper's *transfer graph* (each node is a disk, each
 //!   edge a unit-size data item to move between two disks),
-//! * [`euler`] — balanced edge orientations (a deterministic
-//!   pairing-cycle decomposition), the engine behind the paper's optimal
-//!   even-capacity schedule (§IV, steps 2–3),
+//! * [`euler`] — one closed-trail walk over a [`CsrAdjacency`] and the
+//!   balanced edge orientation it gives, the engine behind the paper's
+//!   optimal even-capacity schedule (§IV, steps 2–3) and the quota
+//!   recursion's Euler splits in `dmig-flow`,
 //! * [`components`] — connected components,
 //! * [`bipartite`] — bipartition detection for the bipartite special case,
 //! * [`io`] — DOT export for debugging (`dmig dot`).

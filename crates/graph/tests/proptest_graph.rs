@@ -3,9 +3,9 @@
 use dmig_graph::{
     bipartite::{bipartition, is_bipartite},
     components::connected_components,
-    euler::{euler_orientation, orient_csr, OrientScratch},
+    euler::{euler_orientation, orient_csr, walk_closed_trails, TrailScratch},
     stats::graph_stats,
-    CsrAdjacency, Endpoints, Multigraph, NodeId,
+    CsrAdjacency, Endpoints, GraphError, Multigraph, NodeId,
 };
 use proptest::prelude::*;
 
@@ -78,12 +78,70 @@ proptest! {
             padded.add_edge(ep.u, ep.v);
         }
         let expect = euler_orientation(&padded).expect("the pairing evens every degree");
-        let got = orient_csr(&csr, &mut OrientScratch::new())
+        let got = orient_csr(&csr, &mut TrailScratch::default())
             .expect("the pairing evens every degree");
         prop_assert_eq!(&expect, &got);
         for v in padded.nodes() {
             prop_assert_eq!(got.out_degree(v), padded.degree(v) / 2);
             prop_assert_eq!(got.in_degree(v), padded.degree(v) / 2);
+        }
+    }
+
+    /// The closed-trail walk on an even-degree multigraph (parallel edges,
+    /// self-loops and isolated nodes included; the odd-degree nodes are
+    /// paired up with extra edges): every edge is visited once, along its
+    /// own endpoints, and each visit leaves the node the previous one
+    /// entered, except the first visit of a trail. A trail begins only
+    /// after the previous one has returned to its own start, and at a
+    /// higher start node.
+    #[test]
+    fn closed_trails_cover_every_edge_once(g in arb_graph()) {
+        let mut even = g.clone();
+        let odd: Vec<NodeId> = g.nodes().filter(|&v| g.degree(v) % 2 == 1).collect();
+        for pair in odd.chunks_exact(2) {
+            even.add_edge(pair[0], pair[1]);
+        }
+        let mut visits = Vec::new();
+        walk_closed_trails(&even.to_csr(), &mut TrailScratch::default(), |e, from, to| {
+            visits.push((e, from, to));
+        })
+        .expect("every degree is even");
+        let mut seen = vec![false; even.num_edges()];
+        let mut trail_start: Option<NodeId> = None;
+        let mut at = None;
+        for &(e, from, to) in &visits {
+            prop_assert!(!seen[e.index()], "edge {} visited twice", e);
+            seen[e.index()] = true;
+            let ep = even.endpoints(e);
+            prop_assert!((ep.u, ep.v) == (from, to) || (ep.u, ep.v) == (to, from));
+            if at != Some(from) {
+                prop_assert_eq!(at, trail_start, "a trail left before returning to its start");
+                prop_assert!(trail_start < Some(from), "start nodes must ascend");
+                trail_start = Some(from);
+            }
+            at = Some(to);
+        }
+        prop_assert_eq!(at, trail_start, "the last trail must return to its start");
+        prop_assert!(seen.iter().all(|&s| s), "every edge is visited");
+    }
+
+    /// A graph with an odd degree is refused before any edge is visited,
+    /// naming the first odd node and its degree.
+    #[test]
+    fn closed_trails_refuse_the_first_odd_node(g in arb_graph()) {
+        let mut visited = 0;
+        let got = walk_closed_trails(&g.to_csr(), &mut TrailScratch::default(), |_, _, _| {
+            visited += 1;
+        });
+        match g.nodes().find(|&v| g.degree(v) % 2 == 1) {
+            Some(node) => {
+                prop_assert_eq!(
+                    got,
+                    Err(GraphError::OddDegree { node, degree: g.degree(node) })
+                );
+                prop_assert_eq!(visited, 0);
+            }
+            None => prop_assert_eq!(got, Ok(())),
         }
     }
 

@@ -332,7 +332,7 @@ pub fn html_timeline_with_disks(spans: &[SpanNode], disks: &[DiskUtilRow]) -> St
             "<tr><td>{}</td><td>{}</td><td>{:.3}</td><td>{:.3}</td>\
              <td class=\"pct\"><span class=\"pctbar\" style=\"width:{pct:.1}%\">\
              </span>{pct:.1}%</td></tr>",
-            json::escape(&r.name),
+            html_escape(&r.name),
             r.count,
             r.total_ns as f64 / 1e6,
             r.self_ns as f64 / 1e6,
@@ -404,16 +404,22 @@ pub fn html_timeline_with_disks(spans: &[SpanNode], disks: &[DiskUtilRow]) -> St
                  <div class=\"bar{open}\" style=\"left:{left:.4}%;width:{width:.4}%\" \
                  title=\"{} @ {:.3}ms +{:.3}ms\">{}</div></div>",
                 depth * 8,
-                json::escape(title),
+                html_escape(title),
                 *start as f64 / 1e6,
                 *dur as f64 / 1e6,
-                json::escape(title),
+                html_escape(title),
             );
         }
         out.push_str("</div>\n");
     }
     out.push_str("</body></html>\n");
     out
+}
+
+/// Escapes `s` for HTML text and for a double-quoted attribute value.
+fn html_escape(s: &str) -> String {
+    let s = s.replace('&', "&amp;").replace('<', "&lt;");
+    s.replace('>', "&gt;").replace('"', "&quot;")
 }
 
 /// Structural validation of Chrome trace JSON, used by tests and by
@@ -633,6 +639,19 @@ mod tests {
         let plain = html_timeline(&forest());
         assert!(!plain.contains("disk utilization"));
         assert_eq!(plain, html_timeline_with_disks(&forest(), &[]));
+    }
+
+    #[test]
+    fn html_timeline_escapes_names_and_labels_as_html() {
+        let mut spans = forest();
+        spans[0].name = "a<b>&\"c".into();
+        spans[0].label = Some("x\"y".into());
+        let html = html_timeline(&spans);
+        let name = "a&lt;b&gt;&amp;&quot;c";
+        assert!(!html.contains("<b>"), "{html}");
+        assert!(html.contains(&format!("<td>{name}</td>")), "{html}");
+        assert!(html.contains(&format!("title=\"{name} x&quot;y @ 0.001ms")));
+        assert!(html.contains(&format!(">{name} x&quot;y</div>")), "{html}");
     }
 
     #[test]
